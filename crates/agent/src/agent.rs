@@ -15,13 +15,19 @@
 //! * unknown destination → a `Nack` back to the sender, so endpoints see
 //!   failures as failed completions instead of silence.
 //!
-//! Poll-driven ([`Agent::poll`]) with a [`Agent::spawn_pump`] helper for
-//! threaded operation.
+//! The forwarding engine is one step function, [`Agent::poll`], which can
+//! be driven by hand; [`Agent::spawn_pump`] runs it on a thread that is
+//! *event-driven*: every producer of work for this agent — container
+//! rings, peer wires, control changes — rings the agent's one wake
+//! doorbell, and the pump parks on it when traffic stops (DESIGN.md §12,
+//! "Wake protocol").
 
 use crate::proto::{status, RelayMsg, RelayPayload, WireEp};
 use crate::wire::PeerWire;
 use bytes::{Bytes, BytesMut};
-use freeflow_shmem::{ShmDuplex, ShmFabric, ShmMessage, ShmReceiver, ShmSender};
+use freeflow_shmem::{
+    Doorbell, DoorbellStats, ShmDuplex, ShmFabric, ShmMessage, ShmReceiver, ShmSender,
+};
 use freeflow_telemetry::{Counter, Event, Histogram, LabelSet, Telemetry};
 use freeflow_types::{Error, HostId, OverlayIp, Result, TransportKind};
 use parking_lot::{Mutex, RwLock};
@@ -54,6 +60,17 @@ const MAX_WIRE_BATCH: usize = 64;
 
 /// How many frames one vectored container-channel drain pulls per call.
 const DRAIN_CHUNK: usize = 64;
+
+/// How long the pump stays in poll mode (yielding between polls) after the
+/// last message it moved before it arms the doorbell and parks. While
+/// traffic flows the next frame is picked up without a futex wake; once it
+/// stops the agent is asleep within this window and costs nothing.
+const POLL_WINDOW: Duration = Duration::from_micros(100);
+
+/// Ceiling on one armed park. Nothing relies on it — every source of work
+/// rings the bell and relay expiry is a computed deadline — it only bounds
+/// the damage of a producer that forgot to ring.
+const PARK_CAP: Duration = Duration::from_secs(1);
 
 /// Identity of one in-flight relayed request awaiting its reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,6 +184,10 @@ pub struct Agent {
     host: HostId,
     fabric: Arc<ShmFabric>,
     inner: Mutex<AgentInner>,
+    /// The one wake doorbell: shared as the data bell of every
+    /// container→agent ring, handed to every peer wire, rung on control
+    /// changes. The pump parks on it.
+    bell: Arc<Doorbell>,
     stats: AgentStats,
     /// Whether large local deliveries use arena handoff (ablation A3
     /// toggles this off to measure the copy cost).
@@ -206,6 +227,7 @@ impl Agent {
                 batch_limits: Vec::new(),
                 routes: HashMap::new(),
             }),
+            bell: Arc::new(Doorbell::new()),
             stats: AgentStats::default(),
             zero_copy: AtomicBool::new(true),
             in_flight: Mutex::new(HashMap::new()),
@@ -225,6 +247,9 @@ impl Agent {
             let Some(agent) = weak.upgrade() else { return };
             let labels = LabelSet::host(host);
             let stats = &agent.stats;
+            // The container→agent rings share the agent's wake bell, so
+            // its parks are the agent's own.
+            let bell = agent.bell.stats();
             let export = [
                 (
                     "ff_agent_local_delivered",
@@ -251,6 +276,21 @@ impl Agent {
                     "payload bytes moved via arena handoff",
                     stats.zero_copy_bytes.load(Ordering::Relaxed),
                 ),
+                (
+                    "ff_agent_chan_recv_waits",
+                    "agent parks on its wake doorbell (shared data bell of every container-to-agent ring)",
+                    bell.waits,
+                ),
+                (
+                    "ff_agent_bell_wakes",
+                    "agent parks ended by a ring (container ring, peer wire or control change)",
+                    bell.wakes,
+                ),
+                (
+                    "ff_agent_bell_timeouts",
+                    "agent parks ended by a deadline (relay expiry or the park cap)",
+                    bell.timeouts,
+                ),
             ];
             for (name, help, value) in export {
                 reg.gauge(name, help, labels).set(value as i64);
@@ -275,11 +315,6 @@ impl Agent {
                         "ff_agent_chan_backpressure_waits",
                         "sender parks waiting for ring space, agent-to-container",
                         tx.space_bell.waits,
-                    ),
-                    (
-                        "ff_agent_chan_recv_waits",
-                        "receiver parks waiting for data, container-to-agent",
-                        rx.data_bell.waits,
                     ),
                 ];
                 for (name, help, value) in export {
@@ -324,7 +359,9 @@ impl Agent {
             )));
         }
         let (to_ctr_tx, to_ctr_rx) = freeflow_shmem::channel_pair(CONTAINER_CHANNEL_CAP);
-        let (to_agent_tx, to_agent_rx) = freeflow_shmem::channel_pair(CONTAINER_CHANNEL_CAP);
+        // The ring's data bell *is* the agent's wake bell.
+        let (to_agent_tx, to_agent_rx) =
+            freeflow_shmem::channel_pair_on(CONTAINER_CHANNEL_CAP, Arc::clone(&self.bell));
         inner.containers.insert(
             ip,
             ContainerLink {
@@ -448,6 +485,14 @@ impl Agent {
     pub fn set_relay_timeout(&self, timeout: Duration) {
         self.relay_timeout_ns
             .store(timeout.as_nanos() as u64, Ordering::Relaxed);
+        self.bell.ring();
+    }
+
+    /// Counters of the agent's wake doorbell: `waits` is how often the
+    /// pump parked, `wakes`/`timeouts` whether a ring or a deadline ended
+    /// the park.
+    pub fn bell_stats(&self) -> DoorbellStats {
+        self.bell.stats()
     }
 
     /// Number of relayed requests currently awaiting a reply.
@@ -629,22 +674,58 @@ impl Agent {
         self.in_flight.lock().remove(&key);
     }
 
-    /// Spawn a pump thread that polls until the returned stop flag is set.
-    pub fn spawn_pump(self: &Arc<Self>) -> (Arc<AtomicBool>, std::thread::JoinHandle<()>) {
+    /// When the earliest in-flight relay expires, if any is outstanding.
+    fn next_relay_deadline(&self) -> Option<Instant> {
+        self.in_flight.lock().values().min().copied()
+    }
+
+    /// Spawn the pump thread; it runs until the returned handle is
+    /// dropped.
+    ///
+    /// The loop captures the bell count *before* each [`Agent::poll`], so
+    /// work published after the capture — whichever source it came from —
+    /// ends the following wait at once. Work found: poll again. Nothing
+    /// found but the last message is younger than the poll window
+    /// (100 µs): yield and poll again (the next frame of a live exchange
+    /// arrives without a futex wake). Otherwise park on the bell until a
+    /// ring or the earliest relay-expiry deadline; an idle agent does not
+    /// wake at all.
+    pub fn spawn_pump(self: &Arc<Self>) -> AgentPump {
         let stop = Arc::new(AtomicBool::new(false));
         let agent = Arc::clone(self);
         let flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name(format!("ff-agent-{}", self.host))
             .spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    if agent.poll() == 0 {
-                        std::thread::park_timeout(std::time::Duration::from_micros(100));
+                let mut last_work = Instant::now();
+                loop {
+                    let seen = agent.bell.current();
+                    // Relaxed suffices: the stop is published by the ring
+                    // that follows it, and `current()` acquires that ring.
+                    if flag.load(Ordering::Relaxed) {
+                        return;
                     }
+                    if agent.poll() > 0 {
+                        last_work = Instant::now();
+                        continue;
+                    }
+                    let now = Instant::now();
+                    if now.duration_since(last_work) < POLL_WINDOW {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    let park = agent.next_relay_deadline().map_or(PARK_CAP, |at| {
+                        at.saturating_duration_since(now).min(PARK_CAP)
+                    });
+                    let _ = agent.bell.wait_timeout(seen, park);
                 }
             })
             .expect("spawn agent pump");
-        (stop, handle)
+        AgentPump {
+            stop,
+            bell: Arc::clone(&self.bell),
+            thread: Some(thread),
+        }
     }
 
     /// Route a message originating from a local container. Local
@@ -690,6 +771,12 @@ impl Agent {
             // not a hung forwarding thread.
             let mut budget_exhausted = true;
             let mut sent_ok = false;
+            // Count before the frames become visible to the peer: its
+            // reply can complete at the application before `send` even
+            // returns here, and whoever observes that completion must
+            // find the counter already moved. Undone if nothing ships.
+            let frames = chunk.len() as u64;
+            self.stats.relayed_out.fetch_add(frames, Ordering::Relaxed);
             for attempt in 0..WIRE_SEND_RETRIES {
                 let sent = {
                     let inner = self.inner.lock();
@@ -697,9 +784,6 @@ impl Agent {
                 };
                 match sent {
                     Ok(()) => {
-                        self.stats
-                            .relayed_out
-                            .fetch_add(chunk.len() as u64, Ordering::Relaxed);
                         let tm = self.telemetry.read();
                         tm.batch_size.record(chunk.len() as u64);
                         if attempt > 0 {
@@ -734,6 +818,7 @@ impl Agent {
             if sent_ok {
                 continue;
             }
+            self.stats.relayed_out.fetch_sub(frames, Ordering::Relaxed);
             if budget_exhausted {
                 let tm = self.telemetry.read();
                 tm.retry_exhausted.inc();
@@ -1116,10 +1201,34 @@ impl std::fmt::Debug for Agent {
     }
 }
 
-/// Connect two agents with a wire of the given transport kind. Returns
-/// `(index on a, index on b)`.
+/// A running pump thread ([`Agent::spawn_pump`]). Dropping it sets the
+/// stop flag, rings the agent's bell so a parked pump sees it at once, and
+/// joins the thread.
+pub struct AgentPump {
+    stop: Arc<AtomicBool>,
+    bell: Arc<Doorbell>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for AgentPump {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.bell.ring();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Connect two agents with a wire of the given transport kind; each end
+/// rings the other agent's wake bell. Returns `(index on a, index on b)`.
 pub fn connect_agents(a: &Agent, b: &Agent, kind: TransportKind) -> (usize, usize) {
-    let (wa, wb) = PeerWire::pair(a.host(), b.host(), kind, 4096);
+    let (wa, wb) = PeerWire::pair(
+        (a.host(), Arc::clone(&a.bell)),
+        (b.host(), Arc::clone(&b.bell)),
+        kind,
+        4096,
+    );
     (a.attach_wire(wa), b.attach_wire(wb))
 }
 
@@ -1326,8 +1435,8 @@ mod tests {
         let src = a0.attach_container(ip(1)).unwrap();
         let dst = a1.attach_container(ip(2)).unwrap();
         a0.install_route(ip(2), w0).unwrap();
-        let (stop0, h0) = a0.spawn_pump();
-        let (stop1, h1) = a1.spawn_pump();
+        let pump0 = a0.spawn_pump();
+        let pump1 = a1.spawn_pump();
         for i in 0..50u64 {
             src.channel
                 .tx
@@ -1340,10 +1449,148 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        stop0.store(true, Ordering::Relaxed);
-        stop1.store(true, Ordering::Relaxed);
-        h0.join().unwrap();
-        h1.join().unwrap();
+        drop((pump0, pump1));
+    }
+
+    /// Two pumped agents joined by an RDMA wire, one raw container each,
+    /// routes installed both ways.
+    struct PumpedPair {
+        a0: Arc<Agent>,
+        a1: Arc<Agent>,
+        src: AgentHandle,
+        dst: AgentHandle,
+        _pumps: [AgentPump; 2],
+    }
+
+    fn pumped_pair() -> PumpedPair {
+        let a0 = Agent::new(HostId::new(0), 1 << 20);
+        let a1 = Agent::new(HostId::new(1), 1 << 20);
+        let (w0, w1) = connect_agents(&a0, &a1, TransportKind::Rdma);
+        let src = a0.attach_container(ip(1)).unwrap();
+        let dst = a1.attach_container(ip(2)).unwrap();
+        a0.install_route(ip(2), w0).unwrap();
+        a1.install_route(ip(1), w1).unwrap();
+        let _pumps = [a0.spawn_pump(), a1.spawn_pump()];
+        PumpedPair {
+            a0,
+            a1,
+            src,
+            dst,
+            _pumps,
+        }
+    }
+
+    #[test]
+    fn idle_pumps_park_instead_of_ticking() {
+        let p = pumped_pair();
+        // The idle stretch under measurement (not a wait for progress).
+        std::thread::sleep(Duration::from_millis(100));
+        for agent in [&p.a0, &p.a1] {
+            let bell = agent.bell_stats();
+            assert!(
+                (1..=3).contains(&bell.waits),
+                "an idle agent parks once and stays parked, not ~1000 ticks: {bell:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sequential_round_trips_never_time_out_a_park() {
+        let p = pumped_pair();
+        // Relay expiry must not be what ends a park here.
+        p.a0.set_relay_timeout(Duration::from_secs(60));
+        p.a1.set_relay_timeout(Duration::from_secs(60));
+        for i in 0..1_000u64 {
+            p.src
+                .channel
+                .tx
+                .send(&send_msg(1, 2, i, b"ping").encode())
+                .unwrap();
+            match recv_inline(&p.dst) {
+                RelayMsg::Send { wr_id, .. } => assert_eq!(wr_id, i),
+                other => panic!("unexpected {other:?}"),
+            }
+            let ack = RelayMsg::Ack {
+                src: ep(2, 1),
+                dst: ep(1, 1),
+                wr_id: i,
+                byte_len: 4,
+            };
+            p.dst.channel.tx.send(&ack.encode()).unwrap();
+            match recv_inline(&p.src) {
+                RelayMsg::Ack { wr_id, .. } => assert_eq!(wr_id, i),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(p.a0.relay_in_flight(), 0);
+        for agent in [&p.a0, &p.a1] {
+            let bell = agent.bell_stats();
+            assert_eq!(bell.timeouts, 0, "every park ended by a ring: {bell:?}");
+            assert_eq!(bell.waits, bell.wakes);
+        }
+        assert_eq!(p.a0.stats().relayed_out.load(Ordering::Relaxed), 1_000);
+        assert_eq!(p.a1.stats().relayed_out.load(Ordering::Relaxed), 1_000);
+    }
+
+    #[test]
+    fn relay_deadline_wakes_a_parked_pump() {
+        let p = pumped_pair();
+        p.a0.set_relay_timeout(Duration::from_millis(30));
+        // `dst` never answers, and once the frame is delivered nobody
+        // rings either bell again: only the expiry deadline can wake a0.
+        let before = p.a0.bell_stats();
+        p.src
+            .channel
+            .tx
+            .send(&send_msg(1, 2, 77, b"lost").encode())
+            .unwrap();
+        match recv_inline(&p.src) {
+            RelayMsg::Nack { wr_id, status, .. } => {
+                assert_eq!(wr_id, 77);
+                assert_eq!(status, status::TIMEOUT);
+            }
+            other => panic!("expected timeout nack, got {other:?}"),
+        }
+        assert!(matches!(
+            recv_inline(&p.dst),
+            RelayMsg::Send { wr_id: 77, .. }
+        ));
+        let after = p.a0.bell_stats();
+        assert!(
+            after.timeouts > before.timeouts,
+            "the deadline ended a park"
+        );
+        assert!(
+            after.waits - before.waits <= 3,
+            "one park until the deadline, not a tick every 100 us: {before:?} -> {after:?}"
+        );
+    }
+
+    #[test]
+    fn relayed_out_counts_only_frames_that_shipped() {
+        // `relayed_out` moves before the send (the peer may answer before
+        // `send` returns), so a send that ships nothing must undo it.
+        let a0 = Agent::new(HostId::new(0), 1 << 20);
+        let a1 = Agent::new(HostId::new(1), 1 << 20);
+        let (w0, _w1) = connect_agents(&a0, &a1, TransportKind::Rdma);
+        let src = a0.attach_container(ip(1)).unwrap();
+        a0.install_route(ip(2), w0).unwrap();
+        // A downed wire ships nothing: the count is undone.
+        a0.set_wire_up(w0, false).unwrap();
+        src.channel
+            .tx
+            .send(&send_msg(1, 2, 1, b"down").encode())
+            .unwrap();
+        a0.poll();
+        assert!(matches!(recv_inline(&src), RelayMsg::Nack { .. }));
+        assert_eq!(a0.stats().relayed_out.load(Ordering::Relaxed), 0);
+        a0.set_wire_up(w0, true).unwrap();
+        src.channel
+            .tx
+            .send(&send_msg(1, 2, 2, b"up").encode())
+            .unwrap();
+        a0.poll();
+        assert_eq!(a0.stats().relayed_out.load(Ordering::Relaxed), 1);
     }
 
     #[test]

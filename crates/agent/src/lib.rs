@@ -27,6 +27,6 @@ pub mod agent;
 pub mod proto;
 pub mod wire;
 
-pub use agent::{connect_agents, Agent, AgentHandle, ZERO_COPY_THRESHOLD};
+pub use agent::{connect_agents, Agent, AgentHandle, AgentPump, ZERO_COPY_THRESHOLD};
 pub use proto::{RelayMsg, RelayPayload, WireEp};
 pub use wire::PeerWire;

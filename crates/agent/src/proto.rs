@@ -479,6 +479,15 @@ impl RelayMsg {
                 "batch of {count} messages: lone messages use plain tags"
             )));
         }
+        // The count is untrusted: every frame costs at least its 4-byte
+        // length prefix, so the bytes that remain bound how many frames
+        // (and how much `Vec` capacity) the envelope can possibly hold.
+        if count > buf.len() / 4 {
+            return Err(Error::parse(format!(
+                "batch count {count} exceeds what {} remaining bytes can frame",
+                buf.len()
+            )));
+        }
         let mut frames = Vec::with_capacity(count);
         for i in 0..count {
             if buf.len() < 4 {
@@ -790,5 +799,27 @@ mod tests {
             let mut out = Vec::new();
             assert!(RelayMsg::decode_many(buf.freeze(), &mut out).is_err());
         }
+    }
+
+    #[test]
+    fn oversized_batch_count_rejected_before_allocating() {
+        // A bit-flipped count must fail on the bytes that remain, not
+        // reach `Vec::with_capacity` (u32::MAX frames would be ~100 GB).
+        let mut buf = BytesMut::new();
+        buf.put_u8(7); // TAG_BATCH
+        buf.put_u32(u32::MAX);
+        buf.put_slice(&[0u8; 64]);
+        assert!(RelayMsg::split_frames(buf.clone().freeze()).is_err());
+        let mut out = Vec::new();
+        assert!(RelayMsg::decode_many(buf.freeze(), &mut out).is_err());
+        assert!(out.is_empty());
+        // The largest count the remaining bytes could frame still parses
+        // frame by frame (and fails on content, not on allocation).
+        let mut buf = BytesMut::new();
+        buf.put_u8(7);
+        buf.put_u32(2);
+        buf.put_u32(0);
+        buf.put_u32(0);
+        assert_eq!(RelayMsg::split_frames(buf.freeze()).unwrap().len(), 2);
     }
 }

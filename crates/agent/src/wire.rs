@@ -7,8 +7,14 @@
 //! domain (`freeflow-netsim`) — but the tag and per-wire counters let
 //! experiments assert which plane traffic actually used, and the capacity
 //! bound gives inter-host backpressure.
+//!
+//! Wires are event-driven: each endpoint holds the *peer* agent's wake
+//! doorbell and rings it after every send and every link-state change, so
+//! a parked agent learns of inbound wire traffic the same way it learns
+//! of container traffic (DESIGN.md §12, "Wake protocol").
 
 use bytes::Bytes;
+use freeflow_shmem::Doorbell;
 use freeflow_types::{Error, HostId, Result, TransportKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,15 +49,20 @@ pub struct PeerWire {
     pub kind: TransportKind,
     tx: crossbeam::channel::Sender<Bytes>,
     rx: crossbeam::channel::Receiver<Bytes>,
+    /// This end's own agent's wake doorbell (rung on link-state changes).
+    bell: Arc<Doorbell>,
+    /// The remote agent's wake doorbell: rung after every send.
+    peer_bell: Arc<Doorbell>,
     stats: Arc<WireStats>,
 }
 
 impl PeerWire {
-    /// Create a connected pair between `a_host` and `b_host` with
-    /// `depth`-message queues per direction.
+    /// Create a connected pair with `depth`-message queues per direction.
+    /// Each end is `(host, that host's agent's wake doorbell)`: the wire
+    /// rings the *receiving* agent's bell after a send.
     pub fn pair(
-        a_host: HostId,
-        b_host: HostId,
+        (a_host, a_bell): (HostId, Arc<Doorbell>),
+        (b_host, b_bell): (HostId, Arc<Doorbell>),
         kind: TransportKind,
         depth: usize,
     ) -> (PeerWire, PeerWire) {
@@ -64,6 +75,8 @@ impl PeerWire {
                 kind,
                 tx: a_tx,
                 rx: a_rx,
+                bell: Arc::clone(&a_bell),
+                peer_bell: Arc::clone(&b_bell),
                 stats: Arc::clone(&stats),
             },
             PeerWire {
@@ -71,6 +84,8 @@ impl PeerWire {
                 kind,
                 tx: b_tx,
                 rx: b_rx,
+                bell: b_bell,
+                peer_bell: a_bell,
                 stats,
             },
         )
@@ -85,6 +100,10 @@ impl PeerWire {
     /// the fault-injection hook that models a NIC or link dying.
     pub fn set_up(&self, up: bool) {
         self.stats.up.store(up, Ordering::Release);
+        // A control change: both agents re-evaluate instead of sleeping
+        // through it.
+        self.bell.ring();
+        self.peer_bell.ring();
     }
 
     /// Send an encoded message to the peer agent.
@@ -106,6 +125,7 @@ impl PeerWire {
         })?;
         self.stats.msgs.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes.fetch_add(len, Ordering::Relaxed);
+        self.peer_bell.ring();
         Ok(())
     }
 
@@ -138,9 +158,14 @@ impl std::fmt::Debug for PeerWire {
 mod tests {
     use super::*;
 
+    fn pair(kind: TransportKind, depth: usize) -> (PeerWire, PeerWire) {
+        let end = |host| (HostId::new(host), Arc::new(Doorbell::new()));
+        PeerWire::pair(end(0), end(1), kind, depth)
+    }
+
     #[test]
     fn pair_is_cross_connected() {
-        let (a, b) = PeerWire::pair(HostId::new(0), HostId::new(1), TransportKind::Rdma, 16);
+        let (a, b) = pair(TransportKind::Rdma, 16);
         assert_eq!(a.peer_host, HostId::new(1));
         assert_eq!(b.peer_host, HostId::new(0));
         a.send(Bytes::from_static(b"ping")).unwrap();
@@ -151,7 +176,7 @@ mod tests {
 
     #[test]
     fn stats_are_shared() {
-        let (a, b) = PeerWire::pair(HostId::new(0), HostId::new(1), TransportKind::Dpdk, 16);
+        let (a, b) = pair(TransportKind::Dpdk, 16);
         a.send(Bytes::from_static(b"12345")).unwrap();
         b.send(Bytes::from_static(b"123")).unwrap();
         assert_eq!(a.stats().msgs.load(Ordering::Relaxed), 2);
@@ -160,7 +185,7 @@ mod tests {
 
     #[test]
     fn full_wire_backpressures() {
-        let (a, _b) = PeerWire::pair(HostId::new(0), HostId::new(1), TransportKind::TcpHost, 1);
+        let (a, _b) = pair(TransportKind::TcpHost, 1);
         a.send(Bytes::from_static(b"x")).unwrap();
         assert!(matches!(
             a.send(Bytes::from_static(b"y")),
@@ -170,7 +195,7 @@ mod tests {
 
     #[test]
     fn downed_wire_rejects_sends_from_both_ends() {
-        let (a, b) = PeerWire::pair(HostId::new(0), HostId::new(1), TransportKind::Rdma, 4);
+        let (a, b) = pair(TransportKind::Rdma, 4);
         assert!(a.is_up() && b.is_up());
         a.set_up(false);
         assert!(!b.is_up(), "link state is shared");
@@ -187,8 +212,28 @@ mod tests {
     }
 
     #[test]
+    fn sends_and_link_changes_ring_the_receiving_agents_bell() {
+        let (bell_a, bell_b) = (Arc::new(Doorbell::new()), Arc::new(Doorbell::new()));
+        let (a, b) = PeerWire::pair(
+            (HostId::new(0), Arc::clone(&bell_a)),
+            (HostId::new(1), Arc::clone(&bell_b)),
+            TransportKind::Rdma,
+            1,
+        );
+        a.send(Bytes::from_static(b"x")).unwrap();
+        assert_eq!((bell_a.current(), bell_b.current()), (0, 1));
+        // A refused send publishes nothing, so it wakes nobody.
+        assert!(a.send(Bytes::from_static(b"y")).is_err());
+        assert_eq!(bell_b.current(), 1);
+        b.send(Bytes::from_static(b"z")).unwrap();
+        assert_eq!(bell_a.current(), 1);
+        b.set_up(false);
+        assert_eq!((bell_a.current(), bell_b.current()), (2, 2));
+    }
+
+    #[test]
     fn dropped_peer_is_disconnected() {
-        let (a, b) = PeerWire::pair(HostId::new(0), HostId::new(1), TransportKind::TcpHost, 4);
+        let (a, b) = pair(TransportKind::TcpHost, 4);
         drop(b);
         assert!(matches!(
             a.send(Bytes::from_static(b"x")),

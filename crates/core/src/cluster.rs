@@ -13,14 +13,13 @@ use crate::migrate::{
     MigrationCheckpoint, MigrationCrashPoint, MigrationOutcome, MigrationPhase, MigrationReport,
 };
 use crate::orch_client::OrchClient;
-use freeflow_agent::{connect_agents, Agent};
+use freeflow_agent::{connect_agents, Agent, AgentPump};
 use freeflow_orchestrator::registry::ContainerLocation;
 use freeflow_orchestrator::{IpAssign, Orchestrator, PolicyConfig};
 use freeflow_telemetry::{Event, LabelSet, Telemetry, TelemetrySnapshot};
 use freeflow_types::{ContainerId, Error, HostCaps, HostId, Result, TenantId, TransportKind, VmId};
 use freeflow_verbs::VerbsNetwork;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Default shared-arena size per host (memory registrations and zero-copy
@@ -36,8 +35,8 @@ struct HostNode {
     /// through it so an outage (or a per-host control partition) leaves
     /// the agent serving its last-known-good routes instead of blocking.
     client: OrchClient,
-    pump_stop: Arc<AtomicBool>,
-    pump: Option<std::thread::JoinHandle<()>>,
+    /// The agent's pump thread; dropping the node stops and joins it.
+    _pump: AgentPump,
 }
 
 struct ClusterInner {
@@ -127,7 +126,7 @@ impl FreeFlowCluster {
                 connect_agents(&agent, &node.agent, kind);
             }
         }
-        let (pump_stop, pump) = agent.spawn_pump();
+        let pump = agent.spawn_pump();
         inner.hosts.push(HostNode {
             id,
             caps,
@@ -138,8 +137,7 @@ impl FreeFlowCluster {
                 Some(id),
                 Arc::clone(&self.telemetry),
             ),
-            pump_stop,
-            pump: Some(pump),
+            _pump: pump,
         });
         id
     }
@@ -623,19 +621,6 @@ impl FreeFlowCluster {
     /// The agent of a host (tests/diagnostics).
     pub fn agent_of(&self, host: HostId) -> Result<Arc<Agent>> {
         self.with_host(host, |n| Arc::clone(&n.agent))
-    }
-}
-
-impl Drop for FreeFlowCluster {
-    fn drop(&mut self) {
-        let mut inner = self.inner.lock();
-        for node in &mut inner.hosts {
-            node.pump_stop.store(true, Ordering::Relaxed);
-            if let Some(pump) = node.pump.take() {
-                pump.thread().unpark();
-                let _ = pump.join();
-            }
-        }
     }
 }
 

@@ -34,11 +34,17 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Frames the library pump pulls from the agent ring per drain sweep.
 /// One sweep costs one coalesced space doorbell regardless of size.
 const PUMP_DRAIN: usize = 64;
+
+/// Cadence of the pump's housekeeping: how long it parks on the agent
+/// ring before looking at the control-plane feed, and how often it walks
+/// every QP to advance drains/rebinds and sweep op deadlines when no
+/// control event asked for a walk sooner.
+const HOUSEKEEPING_TICK: Duration = Duration::from_millis(1);
 
 /// A resolved path to a destination IP.
 #[derive(Debug, Clone, Copy)]
@@ -76,7 +82,8 @@ pub(crate) struct LibShared {
     pub client: OrchClient,
     /// The location cache.
     pub cache: LocationCache,
-    /// Live QPs by QPN, for inbound dispatch.
+    /// Live QPs by QPN, for inbound dispatch. An [`FfQp`] removes its own
+    /// entry when it drops, so the map holds the live count.
     pub qps: Mutex<HashMap<u32, Weak<FfQp>>>,
     /// The cluster telemetry hub (counters, histograms, flight recorder).
     pub telemetry: Arc<Telemetry>,
@@ -412,12 +419,13 @@ impl NetLibrary {
                 let mut needs_resync = false;
                 // Scratch for batched inbound drains (reused across ticks).
                 let mut inbound: Vec<ShmMessage> = Vec::with_capacity(PUMP_DRAIN);
+                let mut last_walk = Instant::now();
                 while !stop.load(Ordering::Relaxed) {
                     // Inbound relay messages → QPs. After the blocking
                     // first frame, drain whatever else already sits in the
                     // ring in one sweep — the space doorbell back to the
                     // agent rings once per sweep, not once per frame.
-                    match rx.recv_timeout(Duration::from_millis(1)) {
+                    match rx.recv_timeout(HOUSEKEEPING_TICK) {
                         Ok(Some(first)) => {
                             inbound.clear();
                             inbound.push(first);
@@ -550,6 +558,13 @@ impl NetLibrary {
                             });
                         }
                     }
+                    // The QP walk is housekeeping, not per-message work:
+                    // inbound frames were already dispatched above.
+                    let now = Instant::now();
+                    if !paths_dirty && now.duration_since(last_walk) < HOUSEKEEPING_TICK {
+                        continue;
+                    }
+                    last_walk = now;
                     let qps: Vec<Arc<FfQp>> = {
                         let map = shared.qps.lock();
                         map.values().filter_map(Weak::upgrade).collect()
@@ -654,6 +669,12 @@ impl NetLibrary {
         let mut qps: Vec<Arc<FfQp>> = map.values().filter_map(Weak::upgrade).collect();
         qps.sort_by_key(|qp| qp.qp_num());
         qps
+    }
+
+    /// Entries in the QPN → QP dispatch map.
+    #[cfg(test)]
+    pub(crate) fn qp_entries(&self) -> usize {
+        self.shared.qps.lock().len()
     }
 
     /// The virtual NIC device.

@@ -368,7 +368,24 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> Result<u64, MigrateError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+
+    /// Read a `u32` record count, bounded by what the remaining bytes can
+    /// hold at `min_record` encoded bytes apiece — a corrupt count that
+    /// somehow survived the checksum still cannot over-allocate.
+    fn count(&mut self, min_record: usize, what: &'static str) -> Result<usize, MigrateError> {
+        let count = self.u32()? as usize;
+        if count > (self.bytes.len() - self.at) / min_record {
+            return Err(MigrateError::BadValue(what));
+        }
+        Ok(count)
+    }
 }
+
+/// Encoded size of one [`QpRecord`], of an [`MrRecord`] with no bytes, and
+/// of one [`LedgerRecord`]: the floor each decoded count is checked against.
+const QP_RECORD_LEN: usize = 54;
+const MR_RECORD_MIN_LEN: usize = 34;
+const LEDGER_RECORD_LEN: usize = 28;
 
 impl MigrationCheckpoint {
     /// Capture a frozen container's state. The caller (the cluster's 2PC
@@ -493,12 +510,7 @@ impl MigrationCheckpoint {
         let ip_octets: [u8; 4] = c.take(4)?.try_into().unwrap();
         let from_host = HostId::new(c.u64()?);
         let to_host = HostId::new(c.u64()?);
-        let qp_count = c.u32()? as usize;
-        // Counts are bounded by the remaining bytes — a corrupt count that
-        // somehow survived the checksum still cannot over-allocate.
-        if qp_count > body.len() {
-            return Err(MigrateError::BadValue("qp count"));
-        }
+        let qp_count = c.count(QP_RECORD_LEN, "qp count")?;
         let mut qps = Vec::with_capacity(qp_count);
         for _ in 0..qp_count {
             let qpn = c.u32()?;
@@ -523,10 +535,7 @@ impl MigrationCheckpoint {
                 next_op_id: c.u64()?,
             });
         }
-        let mr_count = c.u32()? as usize;
-        if mr_count > body.len() {
-            return Err(MigrateError::BadValue("mr count"));
-        }
+        let mr_count = c.count(MR_RECORD_MIN_LEN, "mr count")?;
         let mut mrs = Vec::with_capacity(mr_count);
         for _ in 0..mr_count {
             let lkey = c.u32()?;
@@ -551,10 +560,7 @@ impl MigrationCheckpoint {
                 bytes,
             });
         }
-        let ledger_count = c.u32()? as usize;
-        if ledger_count > body.len() {
-            return Err(MigrateError::BadValue("ledger count"));
-        }
+        let ledger_count = c.count(LEDGER_RECORD_LEN, "ledger count")?;
         let mut ledgers = Vec::with_capacity(ledger_count);
         for _ in 0..ledger_count {
             ledgers.push(LedgerRecord {
@@ -677,6 +683,32 @@ mod tests {
         let cp = sample();
         let bytes = cp.encode();
         assert_eq!(MigrationCheckpoint::decode(&bytes).unwrap(), cp);
+    }
+
+    #[test]
+    fn count_floors_match_the_encoded_record_sizes() {
+        // The per-record floors `decode` bounds its counts with must be
+        // what `encode` writes, or valid checkpoints would be refused.
+        let full = sample();
+        let len_without = |strip: fn(&mut MigrationCheckpoint)| {
+            let mut cp = sample();
+            strip(&mut cp);
+            cp.encode().len()
+        };
+        let total = full.encode().len();
+        let (qps, mrs) = (full.qps.len(), full.mrs.len());
+        assert_eq!(
+            total - len_without(|cp| cp.qps.clear()),
+            qps * QP_RECORD_LEN
+        );
+        assert_eq!(
+            total - len_without(|cp| cp.mrs.clear()),
+            mrs * MR_RECORD_MIN_LEN + full.mr_bytes() as usize
+        );
+        assert_eq!(
+            total - len_without(|cp| cp.ledgers.clear()),
+            full.ledgers.len() * LEDGER_RECORD_LEN
+        );
     }
 
     #[test]

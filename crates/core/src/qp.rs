@@ -427,26 +427,41 @@ impl FfQp {
     /// Force the error state, flushing receives (both paths) and any
     /// sends still parked behind an unfinished rebind.
     pub fn enter_error(&self) {
-        let (flushed, parked) = {
+        self.fail_with(None);
+    }
+
+    /// Enter the error state, *then* deliver the completion that caused it
+    /// (if any), then the flushes. Verbs order: whoever observes an error
+    /// completion must find the QP already in `Error`, exactly as a NIC
+    /// moves the QP before it writes the CQE.
+    fn fail_with(&self, cause: Option<(&CompletionQueue, WorkCompletion)>) {
+        let flush = {
             let mut inner = self.inner.lock();
             if inner.state == QpState::Error {
-                return;
-            }
-            inner.state = QpState::Error;
-            let old = inner.binding.path().label();
-            let reason = inner.binding.reason();
-            let epoch = inner.binding.epoch();
-            inner.binding.fail();
-            self.signal.publish(&inner.binding);
-            self.record_transition(TransitionKind::Failed, reason, epoch, old, "error", false);
-            let parked: Vec<SendWr> = inner.parked_sends.drain(..).collect();
-            let recvs = if matches!(inner.binding.path(), FfPath::Local { .. }) {
-                self.verbs_qp.enter_error();
-                Vec::new() // verbs QP flushes its own queue
+                None
             } else {
-                inner.rq.drain(..).collect()
-            };
-            (recvs, parked)
+                inner.state = QpState::Error;
+                let old = inner.binding.path().label();
+                let reason = inner.binding.reason();
+                let epoch = inner.binding.epoch();
+                inner.binding.fail();
+                self.signal.publish(&inner.binding);
+                self.record_transition(TransitionKind::Failed, reason, epoch, old, "error", false);
+                let parked: Vec<SendWr> = inner.parked_sends.drain(..).collect();
+                let recvs = if matches!(inner.binding.path(), FfPath::Local { .. }) {
+                    self.verbs_qp.enter_error();
+                    Vec::new() // verbs QP flushes its own queue
+                } else {
+                    inner.rq.drain(..).collect()
+                };
+                Some((recvs, parked))
+            }
+        };
+        if let Some((cq, wc)) = cause {
+            cq.push(wc);
+        }
+        let Some((flushed, parked)) = flush else {
+            return;
         };
         for wr in flushed {
             self.recv_cq.push(WorkCompletion {
@@ -1624,15 +1639,16 @@ impl FfQp {
                 status = WcStatus::LocalProtectionError;
             }
         }
-        self.recv_cq.push(WorkCompletion {
+        let wc = WorkCompletion {
             wr_id: wr.wr_id,
             status,
             opcode,
             byte_len: p.byte_len,
             imm: p.imm,
             qp_num: self.qp_num(),
-        });
+        };
         let reply = if status.is_ok() {
+            self.recv_cq.push(wc);
             RelayMsg::Ack {
                 src: self.endpoint().wire(),
                 dst: p.src,
@@ -1640,6 +1656,7 @@ impl FfQp {
                 byte_len: p.byte_len,
             }
         } else {
+            self.fail_with(Some((&self.recv_cq, wc)));
             RelayMsg::Nack {
                 src: self.endpoint().wire(),
                 dst: p.src,
@@ -1648,9 +1665,6 @@ impl FfQp {
             }
         };
         self.reply(reply);
-        if !status.is_ok() {
-            self.enter_error();
-        }
     }
 
     fn inbound_write(
@@ -1774,18 +1788,18 @@ impl FfQp {
         } else {
             Self::wire_status_to_wc(status)
         };
-        if p.signaled || !wc_status.is_ok() {
-            self.send_cq.push(WorkCompletion {
-                wr_id: p.wr_id,
-                status: wc_status,
-                opcode: WcOpcode::RdmaRead,
-                byte_len: payload.len() as u64,
-                imm: None,
-                qp_num: self.qp_num(),
-            });
-        }
+        let wc = WorkCompletion {
+            wr_id: p.wr_id,
+            status: wc_status,
+            opcode: WcOpcode::RdmaRead,
+            byte_len: payload.len() as u64,
+            imm: None,
+            qp_num: self.qp_num(),
+        };
         if !wc_status.is_ok() {
-            self.enter_error();
+            self.fail_with(Some((&self.send_cq, wc)));
+        } else if p.signaled {
+            self.send_cq.push(wc);
         }
     }
 
@@ -1818,19 +1832,34 @@ impl FfQp {
         }
         let pending = self.inner.lock().pending_sends.remove(&op_id);
         let Some(p) = pending else { return };
-        self.send_cq.push(WorkCompletion {
+        let wc = WorkCompletion {
             wr_id: p.wr_id,
             status: Self::wire_status_to_wc(status),
             opcode: p.opcode,
             byte_len: 0,
             imm: None,
             qp_num: self.qp_num(),
-        });
-        self.enter_error();
+        };
+        self.fail_with(Some((&self.send_cq, wc)));
     }
 
     fn reply(&self, msg: RelayMsg) {
         self.lib.send_to_agent(&msg);
+    }
+}
+
+impl Drop for FfQp {
+    fn drop(&mut self) {
+        // Forget the library's dispatch entry with the QP. The strong
+        // count tells ours (dead by now) from a live QP that took over a
+        // wrapped QPN.
+        let mut qps = self.lib.qps.lock();
+        if qps
+            .get(&self.qp_num())
+            .is_some_and(|w| w.strong_count() == 0)
+        {
+            qps.remove(&self.qp_num());
+        }
     }
 }
 

@@ -238,6 +238,159 @@ fn bad_rkey_inter_host_fails_with_remote_access_error() {
     assert_eq!(p.qp_a.state(), QpState::Error);
 }
 
+/// Record, on the pushing thread, the QP state every non-success
+/// completion on `cq` becomes visible under.
+fn watch_error_pushes(
+    cq: &freeflow_verbs::CompletionQueue,
+    qp: &Arc<crate::FfQp>,
+) -> Arc<parking_lot::Mutex<Vec<(WcStatus, QpState)>>> {
+    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let (log, qp) = (Arc::clone(&seen), Arc::downgrade(qp));
+    cq.observe_pushes(move |wc| {
+        if wc.status.is_ok() {
+            return;
+        }
+        if let Some(qp) = qp.upgrade() {
+            log.lock().push((wc.status, qp.state()));
+        }
+    });
+    seen
+}
+
+#[test]
+fn error_completions_become_visible_only_after_the_error_state() {
+    // State first, completion second — checked at the instant of the CQ
+    // push, so a waiter can never see the CQE while the QP still reports
+    // RTS, however the threads are scheduled.
+    let fatal = |status, seen: &[(WcStatus, QpState)]| {
+        assert!(seen.contains(&(status, QpState::Error)), "{seen:?}");
+        assert!(seen.iter().all(|(_, st)| *st == QpState::Error), "{seen:?}");
+    };
+
+    // Nack: WRITE with a bad rkey.
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    let seen = watch_error_pushes(&p.cq_a, &p.qp_a);
+    p.qp_a
+        .post_send(SendWr::write(1, p.mr_a.sge(0, 1), p.mr_b.addr(), 0xDEAD))
+        .unwrap();
+    assert_eq!(
+        p.cq_a.wait_one(T).unwrap().status,
+        WcStatus::RemoteAccessError
+    );
+    fatal(WcStatus::RemoteAccessError, &seen.lock());
+
+    // ReadResp: READ with a bad rkey.
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    let seen = watch_error_pushes(&p.cq_a, &p.qp_a);
+    p.qp_a
+        .post_send(SendWr::read(2, p.mr_a.sge(0, 8), p.mr_b.addr(), 0xDEAD))
+        .unwrap();
+    assert_eq!(
+        p.cq_a.wait_one(T).unwrap().status,
+        WcStatus::RemoteAccessError
+    );
+    fatal(WcStatus::RemoteAccessError, &seen.lock());
+
+    // Receive side: a SEND larger than the posted receive.
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    let seen = watch_error_pushes(&p.cq_b, &p.qp_b);
+    p.qp_b.post_recv(RecvWr::new(3, p.mr_b.sge(0, 4))).unwrap();
+    p.qp_a
+        .post_send(SendWr::send(4, p.mr_a.sge(0, 64)))
+        .unwrap();
+    assert_eq!(
+        p.cq_b.wait_one(T).unwrap().status,
+        WcStatus::LocalLengthError
+    );
+    fatal(WcStatus::LocalLengthError, &seen.lock());
+}
+
+#[test]
+fn dropped_qps_leave_the_dispatch_map() {
+    // The pump walks this map; an entry per QP ever created made relayed
+    // traffic slower with every connect/drop cycle.
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    assert_eq!(p.a.lib().qp_entries(), 1);
+    for _ in 0..10_000 {
+        let qp = p.a.create_qp(&p.cq_a, &p.cq_a, 4, 4).unwrap();
+        drop(qp);
+    }
+    assert_eq!(p.a.lib().qp_entries(), 1, "only the live QP remains");
+    let kept = p.a.create_qp(&p.cq_a, &p.cq_a, 4, 4).unwrap();
+    assert_eq!(p.a.lib().qp_entries(), 2);
+    assert_eq!(p.a.lib().live_qps().len(), 2);
+    drop(kept);
+    // The survivor still dispatches.
+    p.qp_b.post_recv(RecvWr::new(1, p.mr_b.sge(0, 64))).unwrap();
+    p.qp_a.post_send(SendWr::send(2, p.mr_a.sge(0, 8))).unwrap();
+    assert!(p.cq_a.wait_one(T).unwrap().status.is_ok());
+}
+
+/// Spin (yielding) until `cond` holds; panics after [`T`].
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + T;
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn parked_agents_wake_for_shutdown_and_for_a_migrated_container() {
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    let h2 = cluster.add_host(HostCaps::paper_testbed());
+    let agents: Vec<_> = (0..3)
+        .map(|h| cluster.agent_of(freeflow_types::HostId::new(h)).unwrap())
+        .collect();
+    // Everything idle: every pump arms its bell and parks.
+    for agent in &agents {
+        wait_until("idle agent parks", || agent.bell_stats().waits >= 1);
+    }
+    // Migration detaches the container's rings and attaches fresh ones on
+    // the target host; those must ring the *target* agent's bell, or the
+    // first frame would sit until a park timed out.
+    let Pair {
+        a,
+        b,
+        mr_a,
+        mr_b,
+        cq_a,
+        cq_b,
+        qp_a,
+        qp_b,
+    } = p;
+    let started = std::time::Instant::now();
+    let b = cluster.migrate(b, h2).unwrap();
+    assert_eq!(b.host(), h2);
+    // The peer still rides its relay path (stale-ride contract); the
+    // migrated side answers through its new agent.
+    qp_b.post_recv(RecvWr::new(1, mr_b.sge(0, 64))).unwrap();
+    qp_a.post_send(SendWr::send(2, mr_a.sge(0, 8))).unwrap();
+    assert!(cq_b.wait_one(T).unwrap().status.is_ok());
+    assert!(cq_a.wait_one(T).unwrap().status.is_ok());
+    drop((qp_a, qp_b, a, b));
+    drop(cluster); // stops and joins all three pumps
+    let elapsed = started.elapsed();
+    for agent in &agents {
+        assert_eq!(Arc::strong_count(agent), 1, "pump thread joined");
+        let bell = agent.bell_stats();
+        assert_eq!(
+            bell.timeouts, 0,
+            "no park ran into a deadline: every wake was a ring ({bell:?}, {elapsed:?})"
+        );
+        assert_eq!(bell.waits, bell.wakes);
+    }
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "migrate + shutdown took {elapsed:?}: a pump slept through a ring"
+    );
+}
+
 #[test]
 fn cross_tenant_pair_downgrades_to_overlay_tcp() {
     let cluster = FreeFlowCluster::with_defaults();

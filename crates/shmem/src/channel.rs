@@ -57,8 +57,10 @@ impl ShmMessage {
 
 struct Shared {
     ring: SpscRing,
-    /// Rung by the producer after a push.
-    data_bell: Doorbell,
+    /// Rung by the producer after a push. Shareable: a consumer that
+    /// drains many rings hands every one of them the same bell
+    /// ([`channel_pair_on`]) and parks on it once for all of them.
+    data_bell: Arc<Doorbell>,
     /// Rung by the consumer after a pop (space freed).
     space_bell: Doorbell,
     tx_closed: AtomicBool,
@@ -104,9 +106,20 @@ pub struct ShmReceiver {
 /// Create a unidirectional channel whose ring holds `capacity` bytes
 /// (power of two; includes per-message 5-byte framing overhead).
 pub fn channel_pair(capacity: usize) -> (ShmSender, ShmReceiver) {
+    channel_pair_on(capacity, Arc::new(Doorbell::new()))
+}
+
+/// Like [`channel_pair`], but the producer rings `data_bell` instead of a
+/// bell private to this ring. One consumer thread serving many rings (the
+/// host agent) shares a single bell across all of them and waits on that:
+/// capture [`Doorbell::current`], drain every ring, then
+/// [`Doorbell::wait_timeout`] on the captured count — a push to *any* ring
+/// after the capture ends the wait, so no wakeup is lost across sources.
+/// [`ChannelTelemetry::data_bell`] then reports the shared bell.
+pub fn channel_pair_on(capacity: usize, data_bell: Arc<Doorbell>) -> (ShmSender, ShmReceiver) {
     let shared = Arc::new(Shared {
         ring: SpscRing::new(capacity),
-        data_bell: Doorbell::new(),
+        data_bell,
         space_bell: Doorbell::new(),
         tx_closed: AtomicBool::new(false),
         rx_closed: AtomicBool::new(false),
@@ -814,6 +827,61 @@ mod tests {
             rx.try_recv_many(8, &mut out),
             Err(Error::Disconnected(_))
         ));
+    }
+
+    #[test]
+    fn shared_bell_loses_no_wakeup_across_sources() {
+        // Four producers on four rings ring one bell; one consumer drains
+        // all four and parks on that bell when it finds nothing. A push to
+        // any ring after the consumer's capture must end its wait, so no
+        // park may ever run into the timeout.
+        const PRODUCERS: usize = 4;
+        const MSGS: u32 = 10_000;
+        let bell = Arc::new(Doorbell::new());
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..PRODUCERS)
+            .map(|_| channel_pair_on(4096, Arc::clone(&bell)))
+            .unzip();
+        let producers: Vec<_> = txs
+            .into_iter()
+            .map(|tx| {
+                std::thread::spawn(move || {
+                    for i in 0..MSGS {
+                        tx.send(&i.to_le_bytes()).unwrap();
+                    }
+                    tx
+                })
+            })
+            .collect();
+        let mut next = [0u32; PRODUCERS];
+        while next.iter().any(|&n| n < MSGS) {
+            let seen = bell.current();
+            let mut found = false;
+            for (rx, next) in rxs.iter().zip(&mut next) {
+                while let Ok(ShmMessage::Inline(b)) = rx.try_recv() {
+                    assert_eq!(u32::from_le_bytes(b[..].try_into().unwrap()), *next);
+                    *next += 1;
+                    found = true;
+                }
+            }
+            if !found {
+                let woke = bell.wait_timeout(seen, Duration::from_secs(5));
+                assert!(
+                    woke.is_some(),
+                    "lost wakeup: parked 5 s with {next:?} drained"
+                );
+            }
+        }
+        // Senders stay alive until here so their drop-rings cannot stand
+        // in for a lost data ring.
+        let txs: Vec<_> = producers.into_iter().map(|p| p.join().unwrap()).collect();
+        let stats = bell.stats();
+        assert_eq!(stats.timeouts, 0);
+        assert_eq!(stats.waits, stats.wakes);
+        assert_eq!(
+            txs[0].telemetry().data_bell,
+            stats,
+            "every ring reports the shared bell"
+        );
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub mod stats;
 
 pub use arena::{ArenaHandle, SharedArena};
 pub use channel::{
-    channel_pair, duplex_pair, ChannelTelemetry, ShmDuplex, ShmMessage, ShmReceiver, ShmSender,
+    channel_pair, channel_pair_on, duplex_pair, ChannelTelemetry, ShmDuplex, ShmMessage,
+    ShmReceiver, ShmSender,
 };
 pub use doorbell::{Doorbell, DoorbellStats};
 pub use fabric::ShmFabric;

@@ -497,9 +497,10 @@ impl Channel {
             }
         }
         match core.tx.phase() {
-            TxPhase::ResyncDue if self.signal.settled() => {
-                // The path is settled again: ask the receiver where the
-                // cut actually fell.
+            TxPhase::ResyncDue if self.signal.settled() && core.tx.resync_ready() => {
+                // The path is settled again and no send still owes a
+                // completion: ask the receiver where the cut actually
+                // fell.
                 let resync = encode_resync(core.tx.next_seq());
                 if self.post_ctrl(core, CtrlKind::Resync, resync).is_ok() {
                     core.tx.resync_sent();

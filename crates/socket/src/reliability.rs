@@ -24,8 +24,12 @@
 //!
 //! 1. TX marks every flushed frame and enters `ResyncDue`. New sequenced
 //!    traffic holds.
-//! 2. Once the QP has settled on its new path, TX sends `RESYNC(sent)`
-//!    (unsequenced) and enters `AwaitAck`.
+//! 2. Once the QP has settled on its new path *and every in-flight
+//!    send has been reaped* — a flush completion still sitting in the CQ,
+//!    or a frame posted on the new path before the first flush was seen,
+//!    would otherwise be retransmitted while its own completion is
+//!    pending — TX sends `RESYNC(sent)` (unsequenced) and enters
+//!    `AwaitAck`.
 //! 3. RX answers `RESYNC_ACK(received)` with its in-order high-water
 //!    mark. The ack is idempotent; a lost ack is re-requested.
 //! 4. TX confirms everything below `received` (delivered — the ack is
@@ -176,10 +180,18 @@ impl TxLedger {
         }
     }
 
+    /// Whether a due resync may be posted: every in-flight frame's send
+    /// has been reaped as flushed. An unflushed frame still owes a
+    /// completion — success pops it, failure flushes it — and the
+    /// retransmit set is only well defined once none is outstanding.
+    pub fn resync_ready(&self) -> bool {
+        self.phase == TxPhase::ResyncDue && self.inflight.values().all(|e| e.flushed)
+    }
+
     /// The resync request was posted: record the watermark it carried
     /// and await the ack. Returns the watermark (`sent`).
     pub fn resync_sent(&mut self) -> u64 {
-        debug_assert_eq!(self.phase, TxPhase::ResyncDue);
+        debug_assert!(self.resync_ready());
         self.phase = TxPhase::AwaitAck;
         self.next_seq
     }
@@ -344,6 +356,31 @@ mod tests {
         assert_eq!(out.retransmit, vec![3]);
         assert_eq!(tx.phase(), TxPhase::Passive);
         assert_eq!(tx.in_flight(), 1);
+    }
+
+    #[test]
+    fn resync_waits_until_every_in_flight_send_is_reaped() {
+        let mut tx = TxLedger::new();
+        for i in 0..4u32 {
+            tx.assign(7, TxPayload::Slot { slot: i, len: 10 });
+        }
+        // The first flush arms recovery, but 1..=3 still owe completions:
+        // 1 and 2 flushed with 0 (not reaped yet), 3 was posted on the new
+        // path before the flush was seen and is genuinely in flight.
+        assert!(tx.complete_failed(0));
+        assert_eq!(tx.phase(), TxPhase::ResyncDue);
+        assert!(!tx.resync_ready());
+        assert!(tx.complete_failed(1));
+        assert!(tx.complete_failed(2));
+        assert!(!tx.resync_ready(), "frame 3 still owes its completion");
+        // It lands; delivered frames are never retransmitted.
+        assert!(tx.complete_ok(3).is_some());
+        assert!(tx.resync_ready());
+        assert_eq!(tx.resync_sent(), 4);
+        let out = tx.on_ack(1);
+        assert_eq!(out.confirmed.len(), 1);
+        assert_eq!(out.retransmit, vec![1, 2]);
+        assert_eq!(tx.phase(), TxPhase::Passive);
     }
 
     #[test]

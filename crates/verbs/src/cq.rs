@@ -52,7 +52,10 @@ pub struct CompletionQueue {
     inner: Mutex<CqInner>,
     doorbell: Doorbell,
     instruments: OnceLock<CqInstruments>,
+    push_observer: OnceLock<PushObserver>,
 }
+
+type PushObserver = Box<dyn Fn(&WorkCompletion) + Send + Sync>;
 
 impl CompletionQueue {
     /// Create a CQ holding at most `depth` completions.
@@ -65,6 +68,7 @@ impl CompletionQueue {
             }),
             doorbell: Doorbell::new(),
             instruments: OnceLock::new(),
+            push_observer: OnceLock::new(),
         })
     }
 
@@ -72,6 +76,15 @@ impl CompletionQueue {
     /// ignored (a CQ belongs to exactly one library).
     pub fn instrument(&self, instruments: CqInstruments) {
         let _ = self.instruments.set(instruments);
+    }
+
+    /// Install an observer that runs on the *pushing* thread for every
+    /// completion, just before it becomes visible to pollers. It sees
+    /// exactly the state a consumer of that completion could see, which
+    /// lets tests pin "state first, completion second" orderings without
+    /// racing the pusher. The first caller wins.
+    pub fn observe_pushes(&self, observer: impl Fn(&WorkCompletion) + Send + Sync + 'static) {
+        let _ = self.push_observer.set(Box::new(observer));
     }
 
     /// Record the latency of one completed work request, if instrumented.
@@ -101,6 +114,9 @@ impl CompletionQueue {
             if wc.status != WcStatus::Success {
                 ins.completion_errors.inc();
             }
+        }
+        if let Some(observe) = self.push_observer.get() {
+            observe(&wc);
         }
         let ok = {
             let mut inner = self.inner.lock();
@@ -138,6 +154,9 @@ impl CompletionQueue {
             if errors > 0 {
                 ins.completion_errors.add(errors as u64);
             }
+        }
+        if let Some(observe) = self.push_observer.get() {
+            wcs.iter().for_each(observe);
         }
         let accepted = {
             let mut inner = self.inner.lock();
