@@ -26,7 +26,7 @@ use crate::proto::{status, RelayMsg, RelayPayload, WireEp};
 use crate::wire::PeerWire;
 use bytes::{Bytes, BytesMut};
 use freeflow_shmem::{
-    Doorbell, DoorbellStats, ShmDuplex, ShmFabric, ShmMessage, ShmReceiver, ShmSender,
+    Doorbell, DoorbellStats, Pump, ShmDuplex, ShmFabric, ShmMessage, ShmReceiver, ShmSender, Step,
 };
 use freeflow_telemetry::{Counter, Event, Histogram, LabelSet, Telemetry};
 use freeflow_types::{Error, HostId, OverlayIp, Result, TransportKind};
@@ -66,11 +66,6 @@ const DRAIN_CHUNK: usize = 64;
 /// traffic flows the next frame is picked up without a futex wake; once it
 /// stops the agent is asleep within this window and costs nothing.
 const POLL_WINDOW: Duration = Duration::from_micros(100);
-
-/// Ceiling on one armed park. Nothing relies on it — every source of work
-/// rings the bell and relay expiry is a computed deadline — it only bounds
-/// the damage of a producer that forgot to ring.
-const PARK_CAP: Duration = Duration::from_secs(1);
 
 /// Identity of one in-flight relayed request awaiting its reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -679,53 +674,23 @@ impl Agent {
         self.in_flight.lock().values().min().copied()
     }
 
-    /// Spawn the pump thread; it runs until the returned handle is
-    /// dropped.
-    ///
-    /// The loop captures the bell count *before* each [`Agent::poll`], so
-    /// work published after the capture — whichever source it came from —
-    /// ends the following wait at once. Work found: poll again. Nothing
-    /// found but the last message is younger than the poll window
-    /// (100 µs): yield and poll again (the next frame of a live exchange
-    /// arrives without a futex wake). Otherwise park on the bell until a
-    /// ring or the earliest relay-expiry deadline; an idle agent does not
-    /// wake at all.
-    pub fn spawn_pump(self: &Arc<Self>) -> AgentPump {
-        let stop = Arc::new(AtomicBool::new(false));
+    /// Spawn the pump: [`Agent::poll`] as a step on the agent's wake bell,
+    /// running until the returned [`Pump`] is dropped. Work found → poll
+    /// again; nothing found within the poll window (100 µs) of the last
+    /// message → yield and poll again, so a live exchange needs no futex
+    /// wake; otherwise park until a ring or the earliest relay expiry. An
+    /// idle agent does not wake at all.
+    pub fn spawn_pump(self: &Arc<Self>) -> Pump {
         let agent = Arc::clone(self);
-        let flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name(format!("ff-agent-{}", self.host))
-            .spawn(move || {
-                let mut last_work = Instant::now();
-                loop {
-                    let seen = agent.bell.current();
-                    // Relaxed suffices: the stop is published by the ring
-                    // that follows it, and `current()` acquires that ring.
-                    if flag.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if agent.poll() > 0 {
-                        last_work = Instant::now();
-                        continue;
-                    }
-                    let now = Instant::now();
-                    if now.duration_since(last_work) < POLL_WINDOW {
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    let park = agent.next_relay_deadline().map_or(PARK_CAP, |at| {
-                        at.saturating_duration_since(now).min(PARK_CAP)
-                    });
-                    let _ = agent.bell.wait_timeout(seen, park);
-                }
-            })
-            .expect("spawn agent pump");
-        AgentPump {
-            stop,
-            bell: Arc::clone(&self.bell),
-            thread: Some(thread),
-        }
+        Pump::spawn(
+            format!("ff-agent-{}", self.host),
+            Arc::clone(&self.bell),
+            POLL_WINDOW,
+            move || match agent.poll() {
+                0 => Step::Idle(agent.next_relay_deadline()),
+                _ => Step::Worked,
+            },
+        )
     }
 
     /// Route a message originating from a local container. Local
@@ -1201,25 +1166,6 @@ impl std::fmt::Debug for Agent {
     }
 }
 
-/// A running pump thread ([`Agent::spawn_pump`]). Dropping it sets the
-/// stop flag, rings the agent's bell so a parked pump sees it at once, and
-/// joins the thread.
-pub struct AgentPump {
-    stop: Arc<AtomicBool>,
-    bell: Arc<Doorbell>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for AgentPump {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.bell.ring();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
 /// Connect two agents with a wire of the given transport kind; each end
 /// rings the other agent's wake bell. Returns `(index on a, index on b)`.
 pub fn connect_agents(a: &Agent, b: &Agent, kind: TransportKind) -> (usize, usize) {
@@ -1459,7 +1405,7 @@ mod tests {
         a1: Arc<Agent>,
         src: AgentHandle,
         dst: AgentHandle,
-        _pumps: [AgentPump; 2],
+        _pumps: [Pump; 2],
     }
 
     fn pumped_pair() -> PumpedPair {

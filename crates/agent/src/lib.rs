@@ -2,7 +2,7 @@
 //!
 //! The per-host FreeFlow network agent — the paper's customized overlay
 //! router (building block 2). Two properties distinguish it from the
-//! baseline router in `freeflow-overlay`:
+//! baseline overlay router:
 //!
 //! 1. *"the traffic between routers and its local containers goes through
 //!    shared-memory instead of software bridge"* — containers attach over
@@ -27,6 +27,6 @@ pub mod agent;
 pub mod proto;
 pub mod wire;
 
-pub use agent::{connect_agents, Agent, AgentHandle, AgentPump, ZERO_COPY_THRESHOLD};
+pub use agent::{connect_agents, Agent, AgentHandle, ZERO_COPY_THRESHOLD};
 pub use proto::{RelayMsg, RelayPayload, WireEp};
 pub use wire::PeerWire;

@@ -23,10 +23,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod batch;
 pub mod figures;
 pub mod migration;
 pub mod realpath;
+pub mod report;
 pub mod socket;
 pub mod table;
 

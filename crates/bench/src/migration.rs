@@ -9,14 +9,12 @@
 //!   message between moves, so each checkpoint carries live socket
 //!   ledgers and each thaw replays real traffic.
 //!
-//! Absolute blackout is machine-dependent; the committed artifact
-//! (`BENCH_migration.json`) exists so `bench_smoke --check` can track
-//! the loaded/idle *ratio* per workload — how much carrying real state
-//! costs over the protocol floor — plus one absolute guard: the loaded
-//! blackout p99 must stay under [`BLACKOUT_BUDGET_NS`], the same
-//! "bounded blackout" contract the chaos drills enforce.
+//! `ffbench` reports the idle blackout p50 (`core.migrate_idle_p50_ms`);
+//! the one absolute guard is a test here: the loaded blackout p99 must
+//! stay under [`BLACKOUT_BUDGET_NS`], the same "bounded blackout"
+//! contract the chaos drills enforce.
 
-use crate::batch::{BenchReport, BenchRun};
+use crate::report::{BenchReport, BenchRun};
 use freeflow::binding::BindingPhase;
 use freeflow::{Container, FreeFlowCluster};
 use freeflow_socket::{FfStream, SocketStack};
@@ -28,27 +26,9 @@ use std::time::{Duration, Instant};
 const WAIT: Duration = Duration::from_secs(30);
 /// Streams multiplexed over the migrating container in `_loaded` mode.
 const STREAMS: usize = 8;
-/// Ceiling on the fresh loaded blackout p99 enforced by
-/// `bench_smoke --check` — a migration that goes dark for longer than
-/// this has lost the paper's "live" in live migration.
+/// Ceiling on the loaded blackout p99 — a migration that goes dark for
+/// longer than this has lost the paper's "live" in live migration.
 pub const BLACKOUT_BUDGET_NS: u128 = 500_000_000;
-
-/// Workload stems; each is emitted twice, with `_idle` / `_loaded`
-/// suffixes, and `--check` gates the loaded/idle ratio per stem.
-pub const MIGRATION_WORKLOADS: [&str; 3] = [
-    "migration/blackout_p50",
-    "migration/blackout_p99",
-    "migration/rate",
-];
-
-fn run(name: &str, ops: u64, bytes_per_op: u64, elapsed_ns: u128) -> BenchRun {
-    BenchRun {
-        name: name.to_string(),
-        ops,
-        bytes_per_op,
-        elapsed_ns,
-    }
-}
 
 /// Nearest-rank percentile of an unsorted sample, `p` in `[0, 100]`.
 fn percentile(sample: &mut [u64], p: f64) -> u64 {
@@ -81,19 +61,19 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 /// Package one mode's measurements as the three suffixed workloads.
 fn emit(suffix: &str, blackouts: &mut [u64], rounds: usize, wall_ns: u128) -> Vec<BenchRun> {
     vec![
-        run(
+        BenchRun::new(
             &format!("migration/blackout_p50_{suffix}"),
             1,
             0,
             u128::from(percentile(blackouts, 50.0)),
         ),
-        run(
+        BenchRun::new(
             &format!("migration/blackout_p99_{suffix}"),
             1,
             0,
             u128::from(percentile(blackouts, 99.0)),
         ),
-        run(
+        BenchRun::new(
             &format!("migration/rate_{suffix}"),
             rounds as u64,
             0,
@@ -209,8 +189,7 @@ fn migrate_loaded(rounds: usize) -> Vec<BenchRun> {
     emit("loaded", &mut blackouts, rounds, wall)
 }
 
-/// Run both modes and fold them into one report
-/// (`BENCH_migration.json`).
+/// Run both modes and fold them into one report.
 pub fn run_migration_suite(quick: bool) -> BenchReport {
     let rounds = if quick { 4 } else { 16 };
     let mut runs = migrate_idle(rounds);
@@ -218,5 +197,27 @@ pub fn run_migration_suite(quick: bool) -> BenchReport {
     BenchReport {
         mode: "migration".to_string(),
         runs,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn loaded_blackout_p99_stays_inside_the_budget() {
+        let report = run_migration_suite(true);
+        let p99 = report
+            .runs
+            .iter()
+            .find(|r| r.name == "migration/blackout_p99_loaded")
+            .expect("loaded p99 in the report")
+            .elapsed_ns;
+        assert!(
+            p99 <= BLACKOUT_BUDGET_NS,
+            "loaded blackout p99 {:.1} ms exceeds the {:.0} ms budget",
+            p99 as f64 / 1e6,
+            BLACKOUT_BUDGET_NS as f64 / 1e6
+        );
     }
 }

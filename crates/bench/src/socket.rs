@@ -12,11 +12,12 @@
 //!    shared-CQ demux) stays within a constant factor of a dedicated QP
 //!    moving the same messages raw.
 //!
-//! Both modes are emitted into one [`BenchReport`] (`BENCH_socket.json`)
-//! with `_pooled` / `_perqp` name suffixes; `bench_smoke --check` tracks
-//! the pooled/perqp *ratio* per workload, which is machine-independent.
+//! Both modes are emitted into one [`BenchReport`] with `_pooled` /
+//! `_perqp` name suffixes; `ffbench` reports the 4 KiB per-QP rate and the
+//! pooled/per-QP *ratio* (`socket.perqp_msg4k_kops`,
+//! `socket.pooled_over_perqp`).
 
-use crate::batch::{BenchReport, BenchRun};
+use crate::report::{BenchReport, BenchRun};
 use freeflow::{Container, FreeFlowCluster};
 use freeflow_socket::SocketStack;
 use freeflow_types::{HostCaps, TenantId};
@@ -39,15 +40,6 @@ fn cross_host_pair() -> (Arc<FreeFlowCluster>, Container, Container) {
     let a = cluster.launch(TenantId::new(1), h0).unwrap();
     let b = cluster.launch(TenantId::new(1), h1).unwrap();
     (cluster, a, b)
-}
-
-fn run(name: &str, ops: u64, bytes_per_op: u64, elapsed_ns: u128) -> BenchRun {
-    BenchRun {
-        name: name.to_string(),
-        ops,
-        bytes_per_op,
-        elapsed_ns,
-    }
 }
 
 /// Pooled connection setup: `conns` connects over an already-established
@@ -73,7 +65,7 @@ fn connect_pooled(conns: usize) -> BenchRun {
     drop(warm);
     drop(streams);
     let _ = accept.join().unwrap();
-    run("socket/connect_pooled", conns as u64, 0, elapsed.as_nanos())
+    BenchRun::new("socket/connect_pooled", conns as u64, 0, elapsed.as_nanos())
 }
 
 /// Per-QP connection setup: what an rsocket-style per-stream-QP layer
@@ -131,7 +123,7 @@ fn connect_perqp(conns: usize) -> BenchRun {
     let elapsed = start.elapsed();
     drop(live);
     let _ = acceptor.join().unwrap();
-    run("socket/connect_perqp", conns as u64, 0, elapsed.as_nanos())
+    BenchRun::new("socket/connect_perqp", conns as u64, 0, elapsed.as_nanos())
 }
 
 /// Pooled per-message throughput: `msgs` x [`MSG`] bytes down one stream
@@ -161,7 +153,7 @@ fn msg_pooled(msgs: usize) -> BenchRun {
     let elapsed = start.elapsed();
     drop(c);
     let _ = server.join().unwrap();
-    run(
+    BenchRun::new(
         "socket/msg_4KB_pooled",
         msgs as u64,
         MSG as u64,
@@ -242,7 +234,7 @@ fn msg_perqp(msgs: usize) -> BenchRun {
     }
     let elapsed = start.elapsed();
     receiver.join().unwrap();
-    run(
+    BenchRun::new(
         "socket/msg_4KB_perqp",
         msgs as u64,
         MSG as u64,
@@ -286,10 +278,6 @@ pub fn run_socket_suite(quick: bool) -> BenchReport {
     }
 }
 
-/// The workload stems gated by `bench_smoke --check` (each exists in a
-/// `_pooled` and a `_perqp` flavor in the report).
-pub const SOCKET_WORKLOADS: [&str; 2] = ["socket/connect", "socket/msg_4KB"];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,7 +286,7 @@ mod tests {
     fn suite_emits_both_modes_of_every_workload() {
         let report = run_socket_suite(true);
         assert_eq!(report.mode, "socket");
-        for stem in SOCKET_WORKLOADS {
+        for stem in ["socket/connect", "socket/msg_4KB"] {
             for suffix in ["_pooled", "_perqp"] {
                 let name = format!("{stem}{suffix}");
                 let run = report
@@ -318,8 +306,5 @@ mod tests {
             pooled > perqp,
             "pooled connect ({pooled:.3} Mops) must beat per-QP ({perqp:.3} Mops)"
         );
-        // And the report round-trips through the artifact format.
-        let parsed = BenchReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(parsed.runs.len(), report.runs.len());
     }
 }

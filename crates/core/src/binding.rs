@@ -294,23 +294,28 @@ impl PathBinding {
 /// consistent (phase, epoch) pair should read `version` before and after
 /// and retry on mismatch — in practice the mux only needs the monotone
 /// `settled`/`epoch` signals, which are safe to read independently.
+///
+/// Every publish rings the QP's receive-CQ bell, so a pump parked on that
+/// CQ (the socket channel's) reacts to a transition without a timer.
 #[derive(Debug)]
 pub struct PathSignal {
     epoch: std::sync::atomic::AtomicU64,
     phase: std::sync::atomic::AtomicU8,
     transport: std::sync::atomic::AtomicU8,
     version: std::sync::atomic::AtomicU64,
+    bell: std::sync::Arc<freeflow_shmem::Doorbell>,
 }
 
 impl PathSignal {
     const NO_TRANSPORT: u8 = u8::MAX;
 
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(bell: std::sync::Arc<freeflow_shmem::Doorbell>) -> Self {
         Self {
             epoch: std::sync::atomic::AtomicU64::new(0),
             phase: std::sync::atomic::AtomicU8::new(Self::phase_code(BindingPhase::Unbound)),
             transport: std::sync::atomic::AtomicU8::new(Self::NO_TRANSPORT),
             version: std::sync::atomic::AtomicU64::new(0),
+            bell,
         }
     }
 
@@ -350,6 +355,7 @@ impl PathSignal {
         self.phase
             .store(Self::phase_code(binding.phase()), Ordering::Release);
         self.version.fetch_add(1, Ordering::AcqRel);
+        self.bell.ring();
     }
 
     /// The binding epoch at the last publish.

@@ -13,9 +13,10 @@ use crate::migrate::{
     MigrationCheckpoint, MigrationCrashPoint, MigrationOutcome, MigrationPhase, MigrationReport,
 };
 use crate::orch_client::OrchClient;
-use freeflow_agent::{connect_agents, Agent, AgentPump};
+use freeflow_agent::{connect_agents, Agent};
 use freeflow_orchestrator::registry::ContainerLocation;
 use freeflow_orchestrator::{IpAssign, Orchestrator, PolicyConfig};
+use freeflow_shmem::Pump;
 use freeflow_telemetry::{Event, LabelSet, Telemetry, TelemetrySnapshot};
 use freeflow_types::{ContainerId, Error, HostCaps, HostId, Result, TenantId, TransportKind, VmId};
 use freeflow_verbs::VerbsNetwork;
@@ -36,7 +37,7 @@ struct HostNode {
     /// the agent serving its last-known-good routes instead of blocking.
     client: OrchClient,
     /// The agent's pump thread; dropping the node stops and joins it.
-    _pump: AgentPump,
+    _pump: Pump,
 }
 
 struct ClusterInner {

@@ -80,6 +80,7 @@ mod tests;
 pub use cluster::FreeFlowCluster;
 pub use container::Container;
 pub use endpoint::FfEndpoint;
+pub use freeflow_shmem::{Pump, Step};
 pub use library::{LibHandle, NetLibrary};
 pub use migrate::{
     LedgerRecord, MigrateError, MigrationCheckpoint, MigrationCrashPoint, MigrationOutcome,

@@ -23,7 +23,7 @@ use crate::qp::FfQp;
 use freeflow_agent::proto::RelayMsg;
 use freeflow_agent::AgentHandle;
 use freeflow_orchestrator::{FeedPoll, FeedSubscription, Orchestrator, OrchestratorEvent};
-use freeflow_shmem::{ShmFabric, ShmMessage, ShmReceiver, ShmSender};
+use freeflow_shmem::{Pump, ShmFabric, ShmMessage, ShmReceiver, ShmSender, Step};
 use freeflow_telemetry::{Event, LabelSet, Telemetry};
 use freeflow_types::{ContainerId, Error, HostId, OverlayIp, Result, TenantId, TransportKind};
 use freeflow_verbs::wr::AccessFlags;
@@ -32,7 +32,6 @@ use freeflow_verbs::{
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -40,10 +39,10 @@ use std::time::{Duration, Instant};
 /// One sweep costs one coalesced space doorbell regardless of size.
 const PUMP_DRAIN: usize = 64;
 
-/// Cadence of the pump's housekeeping: how long it parks on the agent
-/// ring before looking at the control-plane feed, and how often it walks
-/// every QP to advance drains/rebinds and sweep op deadlines when no
-/// control event asked for a walk sooner.
+/// Cadence of the pump's housekeeping: its idle deadline, i.e. how long it
+/// parks on the agent ring before looking at the control-plane feed, and
+/// how often it walks every QP to advance drains/rebinds and sweep op
+/// deadlines when no control event asked for a walk sooner.
 const HOUSEKEEPING_TICK: Duration = Duration::from_millis(1);
 
 /// A resolved path to a destination IP.
@@ -173,6 +172,141 @@ impl LibShared {
                 })
             }
             Err(e) => Err(e),
+        }
+    }
+
+    /// Apply pending control-plane events to the location cache, and pull
+    /// a snapshot resync after a feed gap. Returns whether paths may have
+    /// improved, i.e. whether every QP should re-evaluate its binding.
+    fn poll_feed(&self, sub: &mut FeedSubscription, needs_resync: &mut bool) -> bool {
+        // Only *improvement* events (PathUpdated, ContainerMoved) trigger
+        // planned rebinds: degradations are handled reactively by the
+        // failover path, which keeps fault handling deterministic under
+        // chaos testing.
+        let mut paths_dirty = false;
+        loop {
+            let ev = match sub.try_next() {
+                FeedPoll::Event(ev) => ev,
+                FeedPoll::Gap { missed, event } => {
+                    // Events were lost (outage, partition, or a wedged
+                    // feed): whatever state they carried is unknown —
+                    // schedule a snapshot resync.
+                    *needs_resync = true;
+                    let reg = self.telemetry.registry();
+                    reg.counter(
+                        "ff_orch_feed_gaps_total",
+                        "event-feed sequence gaps observed",
+                        LabelSet::none(),
+                    )
+                    .inc();
+                    reg.counter(
+                        "ff_orch_feed_gap_events_total",
+                        "control-plane events missed across all gaps",
+                        LabelSet::none(),
+                    )
+                    .add(missed);
+                    self.telemetry.record(Event::ControlPlane {
+                        kind: "gap",
+                        host: self.host().raw(),
+                        detail: missed,
+                    });
+                    event
+                }
+                FeedPoll::Empty | FeedPoll::Disconnected => break,
+            };
+            match ev {
+                OrchestratorEvent::ContainerMoved { ip, .. } => {
+                    self.cache.invalidate(ip);
+                    paths_dirty = true;
+                }
+                OrchestratorEvent::ContainerDown { ip, .. } => {
+                    self.cache.invalidate(ip);
+                }
+                OrchestratorEvent::HostHealthChanged { host, .. } => {
+                    // Paths through this host may have changed transport
+                    // (NIC death) or died entirely (crash): drop every
+                    // cached entry for it. A cached entry holds the
+                    // *pair* decision, so when the event is about our own
+                    // host every entry is suspect.
+                    if host == self.host() {
+                        self.cache.clear();
+                    } else {
+                        self.cache.invalidate_host(host);
+                    }
+                }
+                OrchestratorEvent::PathUpdated { host } => {
+                    // A host's connectivity *improved*: stale entries may
+                    // name a worse transport than the orchestrator would
+                    // now pick.
+                    if host == self.host() {
+                        self.cache.clear();
+                    } else {
+                        self.cache.invalidate_host(host);
+                    }
+                    paths_dirty = true;
+                }
+                OrchestratorEvent::ContainerUp { .. } => {}
+                OrchestratorEvent::ControlRestored { scope } => {
+                    // The control plane answers again. Even if no events
+                    // were missed, degraded fallback paths taken during
+                    // the outage should now upgrade — let every QP
+                    // re-evaluate.
+                    if scope.is_none() || scope == Some(self.host()) {
+                        paths_dirty = true;
+                    }
+                }
+            }
+        }
+        // Gap recovery: pull a full snapshot and reconcile the cache
+        // against it, then resume the feed from the sequence the snapshot
+        // covers. A migration that happened while we were deaf surfaces
+        // here as an evicted entry — the owning QP re-paths exactly as if
+        // the ContainerMoved event had been seen live.
+        if *needs_resync && self.client.reachable() {
+            if let Ok(snap) = self.client.snapshot(self.host()) {
+                let report = self.cache.reconcile(&snap);
+                sub.advance_to(snap.seq);
+                *needs_resync = false;
+                paths_dirty = true;
+                self.telemetry
+                    .registry()
+                    .counter(
+                        "ff_orch_resyncs_total",
+                        "snapshot resyncs completed after an event gap",
+                        LabelSet::none(),
+                    )
+                    .inc();
+                self.telemetry.record(Event::ControlPlane {
+                    kind: "resync",
+                    host: self.host().raw(),
+                    detail: (report.evicted_unknown + report.evicted_moved) as u64,
+                });
+            }
+        }
+        paths_dirty
+    }
+
+    /// Every live QP, in QPN order.
+    fn live_qps(&self) -> Vec<Arc<FfQp>> {
+        let mut qps: Vec<Arc<FfQp>> = self.qps.lock().values().filter_map(Weak::upgrade).collect();
+        qps.sort_by_key(|qp| qp.qp_num());
+        qps
+    }
+
+    /// Housekeeping walk over every live QP: advance drains/rebinds, sweep
+    /// op deadlines and, when `paths_dirty`, look for better paths.
+    fn walk_qps(&self, paths_dirty: bool) {
+        for qp in self.live_qps() {
+            if paths_dirty {
+                // Better paths may exist: start planned drains
+                // (upgrade / collapse).
+                qp.consider_rebind();
+            }
+            // Advance any in-progress drain/rebind.
+            qp.poll_binding();
+            // Transport-death backstop: expire remote ops whose
+            // replies never arrived, failing over.
+            qp.sweep_timeouts();
         }
     }
 
@@ -336,8 +470,8 @@ impl std::fmt::Debug for LibHandle {
 pub struct NetLibrary {
     shared: Arc<LibShared>,
     pd: ProtectionDomain,
-    stop: Arc<AtomicBool>,
-    pump: Option<std::thread::JoinHandle<()>>,
+    /// The inbound pump; `None` only inside [`NetLibrary::rehome`].
+    pump: Option<Pump>,
 }
 
 impl NetLibrary {
@@ -390,200 +524,67 @@ impl NetLibrary {
             });
         }
         let pd = device.alloc_pd();
-        let stop = Arc::new(AtomicBool::new(false));
-        let pump = Self::spawn_pump(
-            Arc::clone(&shared),
-            channel.rx,
-            shared.client.subscribe(),
-            Arc::clone(&stop),
-        );
+        let pump = Self::spawn_pump(Arc::clone(&shared), channel.rx, shared.client.subscribe());
         Self {
             shared,
             pd,
-            stop,
             pump: Some(pump),
         }
     }
 
-    fn spawn_pump(
-        shared: Arc<LibShared>,
-        rx: ShmReceiver,
-        mut sub: FeedSubscription,
-        stop: Arc<AtomicBool>,
-    ) -> std::thread::JoinHandle<()> {
-        std::thread::Builder::new()
-            .name(format!("ff-lib-{}", shared.ip))
-            .spawn(move || {
-                // Set when a sequence gap (or feed loss) shows events were
-                // missed; cleared by a successful snapshot resync.
-                let mut needs_resync = false;
-                // Scratch for batched inbound drains (reused across ticks).
-                let mut inbound: Vec<ShmMessage> = Vec::with_capacity(PUMP_DRAIN);
-                let mut last_walk = Instant::now();
-                while !stop.load(Ordering::Relaxed) {
-                    // Inbound relay messages → QPs. After the blocking
-                    // first frame, drain whatever else already sits in the
-                    // ring in one sweep — the space doorbell back to the
-                    // agent rings once per sweep, not once per frame.
-                    match rx.recv_timeout(HOUSEKEEPING_TICK) {
-                        Ok(Some(first)) => {
-                            inbound.clear();
-                            inbound.push(first);
-                            let _ = rx.try_recv_many(PUMP_DRAIN - 1, &mut inbound);
-                            for m in inbound.drain(..) {
-                                let ShmMessage::Inline(raw) = m else { continue };
-                                if let Ok(msg) = RelayMsg::decode(raw) {
-                                    let qpn = msg.dst().qpn;
-                                    let qp = shared.qps.lock().get(&qpn).and_then(Weak::upgrade);
-                                    if let Some(qp) = qp {
-                                        qp.handle_inbound(msg);
-                                    }
-                                    // Unknown QPN: drop. The sender times
-                                    // out into an error completion via
-                                    // agent nacks when the whole container
-                                    // is missing; a missing QP on a live
-                                    // container is an application teardown
-                                    // race.
-                                }
-                            }
-                        }
-                        Ok(None) => {}
-                        Err(_) => break, // agent gone
+    /// The library's inbound loop as a step on the one [`Pump`] driver,
+    /// parked on the agent→container ring's data bell. A step drains one
+    /// `PUMP_DRAIN` sweep and dispatches it to the QPs, applies control
+    /// events, and walks every QP on a control event or once
+    /// `HOUSEKEEPING_TICK` has passed since the last walk — the idle
+    /// deadline. The agent closing the ring (detach, migration) ends it.
+    fn spawn_pump(shared: Arc<LibShared>, rx: ShmReceiver, mut sub: FeedSubscription) -> Pump {
+        // Set when a sequence gap (or feed loss) shows events were missed;
+        // cleared by a successful snapshot resync.
+        let mut needs_resync = false;
+        // Scratch for batched inbound drains (reused across steps).
+        let mut inbound: Vec<ShmMessage> = Vec::with_capacity(PUMP_DRAIN);
+        let mut last_walk = Instant::now();
+        let name = format!("ff-lib-{}", shared.ip);
+        let bell = Arc::clone(rx.data_bell());
+        Pump::spawn(name, bell, Duration::ZERO, move || {
+            // One sweep per step: the space doorbell back to the agent
+            // rings once per sweep, not once per frame.
+            let drained = rx.try_recv_many(PUMP_DRAIN, &mut inbound);
+            let worked = !inbound.is_empty();
+            for m in inbound.drain(..) {
+                let ShmMessage::Inline(raw) = m else { continue };
+                if let Ok(msg) = RelayMsg::decode(raw) {
+                    let qp = shared
+                        .qps
+                        .lock()
+                        .get(&msg.dst().qpn)
+                        .and_then(Weak::upgrade);
+                    if let Some(qp) = qp {
+                        qp.handle_inbound(msg);
                     }
-                    // Control-plane events → cache invalidation. Only
-                    // *improvement* events (PathUpdated, ContainerMoved)
-                    // trigger planned rebinds: degradations are handled
-                    // reactively by the failover path, which keeps fault
-                    // handling deterministic under chaos testing.
-                    let mut paths_dirty = false;
-                    loop {
-                        let ev = match sub.try_next() {
-                            FeedPoll::Event(ev) => ev,
-                            FeedPoll::Gap { missed, event } => {
-                                // Events were lost (outage, partition, or a
-                                // wedged feed): whatever state they carried
-                                // is unknown — schedule a snapshot resync.
-                                needs_resync = true;
-                                let reg = shared.telemetry.registry();
-                                reg.counter(
-                                    "ff_orch_feed_gaps_total",
-                                    "event-feed sequence gaps observed",
-                                    LabelSet::none(),
-                                )
-                                .inc();
-                                reg.counter(
-                                    "ff_orch_feed_gap_events_total",
-                                    "control-plane events missed across all gaps",
-                                    LabelSet::none(),
-                                )
-                                .add(missed);
-                                shared.telemetry.record(Event::ControlPlane {
-                                    kind: "gap",
-                                    host: shared.host().raw(),
-                                    detail: missed,
-                                });
-                                event
-                            }
-                            FeedPoll::Empty | FeedPoll::Disconnected => break,
-                        };
-                        match ev {
-                            OrchestratorEvent::ContainerMoved { ip, .. } => {
-                                shared.cache.invalidate(ip);
-                                paths_dirty = true;
-                            }
-                            OrchestratorEvent::ContainerDown { ip, .. } => {
-                                shared.cache.invalidate(ip);
-                            }
-                            OrchestratorEvent::HostHealthChanged { host, .. } => {
-                                // Paths through this host may have changed
-                                // transport (NIC death) or died entirely
-                                // (crash): drop every cached entry for it.
-                                // A cached entry holds the *pair* decision,
-                                // so when the event is about our own host
-                                // every entry is suspect.
-                                if host == shared.host() {
-                                    shared.cache.clear();
-                                } else {
-                                    shared.cache.invalidate_host(host);
-                                }
-                            }
-                            OrchestratorEvent::PathUpdated { host } => {
-                                // A host's connectivity *improved*: stale
-                                // entries may name a worse transport than
-                                // the orchestrator would now pick.
-                                if host == shared.host() {
-                                    shared.cache.clear();
-                                } else {
-                                    shared.cache.invalidate_host(host);
-                                }
-                                paths_dirty = true;
-                            }
-                            OrchestratorEvent::ContainerUp { .. } => {}
-                            OrchestratorEvent::ControlRestored { scope } => {
-                                // The control plane answers again. Even if
-                                // no events were missed, degraded fallback
-                                // paths taken during the outage should now
-                                // upgrade — let every QP re-evaluate.
-                                if scope.is_none() || scope == Some(shared.host()) {
-                                    paths_dirty = true;
-                                }
-                            }
-                        }
-                    }
-                    // Gap recovery: pull a full snapshot and reconcile the
-                    // cache against it, then resume the feed from the
-                    // sequence the snapshot covers. A migration that
-                    // happened while we were deaf surfaces here as an
-                    // evicted entry — the owning QP re-paths exactly as if
-                    // the ContainerMoved event had been seen live.
-                    if needs_resync && shared.client.reachable() {
-                        if let Ok(snap) = shared.client.snapshot(shared.host()) {
-                            let report = shared.cache.reconcile(&snap);
-                            sub.advance_to(snap.seq);
-                            needs_resync = false;
-                            paths_dirty = true;
-                            shared
-                                .telemetry
-                                .registry()
-                                .counter(
-                                    "ff_orch_resyncs_total",
-                                    "snapshot resyncs completed after an event gap",
-                                    LabelSet::none(),
-                                )
-                                .inc();
-                            shared.telemetry.record(Event::ControlPlane {
-                                kind: "resync",
-                                host: shared.host().raw(),
-                                detail: (report.evicted_unknown + report.evicted_moved) as u64,
-                            });
-                        }
-                    }
-                    // The QP walk is housekeeping, not per-message work:
-                    // inbound frames were already dispatched above.
-                    let now = Instant::now();
-                    if !paths_dirty && now.duration_since(last_walk) < HOUSEKEEPING_TICK {
-                        continue;
-                    }
-                    last_walk = now;
-                    let qps: Vec<Arc<FfQp>> = {
-                        let map = shared.qps.lock();
-                        map.values().filter_map(Weak::upgrade).collect()
-                    };
-                    for qp in &qps {
-                        if paths_dirty {
-                            // Better paths may exist: start planned
-                            // drains (upgrade / collapse).
-                            qp.consider_rebind();
-                        }
-                        // Advance any in-progress drain/rebind.
-                        qp.poll_binding();
-                        // Transport-death backstop: expire remote ops
-                        // whose replies never arrived, failing over.
-                        qp.sweep_timeouts();
-                    }
+                    // Unknown QPN: drop. The sender times out into an
+                    // error completion via agent nacks when the whole
+                    // container is missing; a missing QP on a live
+                    // container is an application teardown race.
                 }
-            })
-            .expect("spawn library pump")
+            }
+            if !matches!(drained, Ok(_) | Err(Error::WouldBlock)) {
+                return Step::Done; // agent gone
+            }
+            let paths_dirty = shared.poll_feed(&mut sub, &mut needs_resync);
+            // The QP walk is housekeeping, not per-message work.
+            let now = Instant::now();
+            if paths_dirty || now.duration_since(last_walk) >= HOUSEKEEPING_TICK {
+                last_walk = now;
+                shared.walk_qps(paths_dirty);
+            }
+            if worked {
+                Step::Worked
+            } else {
+                Step::Idle(Some(last_walk + HOUSEKEEPING_TICK))
+            }
+        })
     }
 
     /// The container's overlay IP.
@@ -609,11 +610,8 @@ impl NetLibrary {
     /// the verbs API.
     pub(crate) fn rehome(&mut self, host: HostId, handle: AgentHandle) {
         debug_assert_eq!(handle.ip, self.shared.ip, "rehome keeps the overlay IP");
-        // Stop the old pump: its agent channel is gone.
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
-        }
+        // Stop the old pump before its QPs' host state changes under it.
+        self.pump = None;
         let AgentHandle {
             ip: _,
             channel,
@@ -646,13 +644,10 @@ impl NetLibrary {
         self.shared.client.set_host(host);
         // Every cached location was resolved relative to the old host.
         self.shared.cache.clear();
-        let stop = Arc::new(AtomicBool::new(false));
-        self.stop = Arc::clone(&stop);
         self.pump = Some(Self::spawn_pump(
             Arc::clone(&self.shared),
             channel.rx,
             self.shared.client.subscribe(),
-            stop,
         ));
         // Live QPs re-evaluate their paths relative to the new host —
         // a remote path to a now-co-located peer collapses onto shared
@@ -665,10 +660,13 @@ impl NetLibrary {
     /// Every live QP of this library, in QPN order (migration freezing
     /// and checkpoint capture iterate these).
     pub(crate) fn live_qps(&self) -> Vec<Arc<FfQp>> {
-        let map = self.shared.qps.lock();
-        let mut qps: Vec<Arc<FfQp>> = map.values().filter_map(Weak::upgrade).collect();
-        qps.sort_by_key(|qp| qp.qp_num());
-        qps
+        self.shared.live_qps()
+    }
+
+    /// The bell the inbound pump parks on (the agent→container ring's).
+    #[cfg(test)]
+    pub(crate) fn pump_bell(&self) -> Arc<freeflow_shmem::Doorbell> {
+        Arc::clone(self.pump.as_ref().expect("pump runs").bell())
     }
 
     /// Entries in the QPN → QP dispatch map.
@@ -724,15 +722,6 @@ impl NetLibrary {
     /// Resolve a destination (exposed for the socket/MPI layers).
     pub fn resolve(&self, dst: OverlayIp) -> Result<ResolvedPath> {
         self.shared.resolve(dst)
-    }
-}
-
-impl Drop for NetLibrary {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
-        }
     }
 }
 

@@ -217,6 +217,7 @@ impl FfQp {
             "relayed operation post-to-answer latency, nanoseconds",
             labels,
         );
+        let signal = Arc::new(PathSignal::new(Arc::clone(recv_cq.doorbell())));
         Arc::new(Self {
             lib,
             verbs_qp,
@@ -235,7 +236,7 @@ impl FfQp {
                 replaying: false,
                 next_op_id: 1,
             }),
-            signal: Arc::new(PathSignal::new()),
+            signal,
             op_timeout_ns: AtomicU64::new(DEFAULT_OP_TIMEOUT.as_nanos() as u64),
             migration_hold: AtomicBool::new(false),
             failovers: AtomicU64::new(0),

@@ -9,6 +9,7 @@ use freeflow_orchestrator::PolicyConfig;
 use freeflow_types::{HostCaps, TenantId, TransportKind};
 use freeflow_verbs::wr::{AccessFlags, RecvWr, SendWr};
 use freeflow_verbs::{QpState, WcStatus};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -214,11 +215,15 @@ fn rnr_parking_inter_host() {
     let cluster = FreeFlowCluster::with_defaults();
     let p = connected_pair(&cluster, false);
     p.mr_a.write(0, b"early bird").unwrap();
+    let agent_b = cluster.agent_of(p.b.host()).unwrap();
+    let relayed_in = || agent_b.stats().relayed_in.load(Ordering::Relaxed);
+    let before = relayed_in();
     p.qp_a
         .post_send(SendWr::send(1, p.mr_a.sge(0, 10)))
         .unwrap();
-    // Give the relay time: message must be parked, not completed.
-    std::thread::sleep(Duration::from_millis(50));
+    // The frame reached B's host with no receive posted: parked, not
+    // completed.
+    wait_until("frame relayed into host B", || relayed_in() > before);
     assert!(p.cq_b.poll_one().is_none());
     p.qp_b.post_recv(RecvWr::new(2, p.mr_b.sge(0, 64))).unwrap();
     assert!(p.cq_b.wait_one(T).unwrap().status.is_ok());
@@ -389,6 +394,36 @@ fn parked_agents_wake_for_shutdown_and_for_a_migrated_container() {
         elapsed < Duration::from_secs(1),
         "migrate + shutdown took {elapsed:?}: a pump slept through a ring"
     );
+}
+
+#[test]
+fn migrate_rehomes_without_waiting_out_a_library_deadline() {
+    // The old library pump ends on a ring — the detach drops its ring's
+    // sender, rehome drops the pump — never by sitting out its 1 ms
+    // housekeeping deadline. That deadline keeps firing while idle, so
+    // every move starts just after one fired and has ~1 ms before the
+    // next: an exit that waited on it would time out on every move.
+    let cluster = FreeFlowCluster::with_defaults();
+    let hosts = [
+        cluster.add_host(HostCaps::paper_testbed()),
+        cluster.add_host(HostCaps::paper_testbed()),
+    ];
+    let mut c = cluster.launch(tenant(), hosts[0]).unwrap();
+    let mut clean = 0;
+    for round in 1..=5 {
+        let bell = c.lib().pump_bell();
+        let fired = bell.stats().timeouts;
+        wait_until("housekeeping deadline", || bell.stats().timeouts > fired);
+        let before = bell.stats();
+        c = cluster.migrate(c, hosts[round % 2]).unwrap();
+        let after = bell.stats();
+        assert_eq!(after.waits, after.wakes + after.timeouts, "old pump gone");
+        if after.timeouts == before.timeouts {
+            clean += 1;
+        }
+    }
+    // A preempted test thread can let one deadline slip into a move.
+    assert!(clean >= 3, "only {clean}/5 moves rehomed without a timeout");
 }
 
 #[test]

@@ -456,6 +456,12 @@ impl ShmReceiver {
     pub fn telemetry(&self) -> ChannelTelemetry {
         self.shared.telemetry()
     }
+
+    /// The data-available bell: rung by every push and by the sender's
+    /// drop. A consumer driven by a [`crate::Pump`] parks on it.
+    pub fn data_bell(&self) -> &Arc<Doorbell> {
+        &self.shared.data_bell
+    }
 }
 
 impl Drop for ShmReceiver {

@@ -21,6 +21,8 @@
 //! * [`doorbell`] — edge-triggered wakeup between two threads (the shm
 //!   analog of an RDMA completion interrupt or an eventfd), supporting both
 //!   blocking waits and poll mode.
+//! * [`pump`] — the one event loop: a thread running a step function that
+//!   parks on a doorbell between steps (agent, library, socket channels).
 //! * [`channel`] — framed, bidirectional message channels built from two
 //!   rings plus doorbells; this is the container↔agent and
 //!   container↔container pipe.
@@ -35,6 +37,7 @@ pub mod arena;
 pub mod channel;
 pub mod doorbell;
 pub mod fabric;
+pub mod pump;
 pub mod ring;
 pub mod stats;
 
@@ -45,5 +48,6 @@ pub use channel::{
 };
 pub use doorbell::{Doorbell, DoorbellStats};
 pub use fabric::ShmFabric;
+pub use pump::{Pump, Step};
 pub use ring::SpscRing;
 pub use stats::{ChannelStats, StatsSnapshot};

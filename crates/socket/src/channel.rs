@@ -12,29 +12,31 @@
 //! when none does; `ff_channel_qp_reuse_total` counts how often the
 //! fast path wins.
 //!
-//! The pump thread is the channel's receive engine: it drains the shared
-//! recv CQ in batches (`poll_many`), recycles receive slots immediately,
-//! demuxes frames to per-stream buffers under the mux lock, reaps send
+//! The pump is the channel's receive engine, a step on the one [`Pump`]
+//! driver parked on the recv CQ's bell: it drains the shared recv CQ in
+//! batches (`poll_many`), recycles receive slots immediately, demuxes
+//! frames to per-stream buffers under the mux lock, reaps send
 //! completions, and drives the reliability layer's resync handshake
-//! across rebind epochs. Application threads block on one condvar and
-//! are woken whenever the pump makes progress.
+//! across rebind epochs (every binding transition rings the same bell).
+//! Application threads block on one condvar and are woken whenever the
+//! pump makes progress.
 
 use crate::mux::{
     decode, encode_credit, encode_data_header, encode_fin, encode_ready, encode_resync,
     encode_resync_ack, CtrlKind, Deferred, Frame, MuxCore, SeqFrame, CTRL_BIT, DATA_HDR,
-    FRAME_SIZE, MAX_PAYLOAD, RECV_SLOTS, SEND_SLOTS, STREAM_WINDOW,
+    FRAME_SIZE, MAX_PAYLOAD, RECV_SLOTS, RESYNC_RETRY, SEND_SLOTS, STREAM_WINDOW,
 };
 use crate::reliability::{TxPayload, TxPhase};
 use freeflow::binding::{BindingPhase, PathSignal};
-use freeflow::{FfEndpoint, FfQp, LibHandle};
+use freeflow::{FfEndpoint, FfQp, LibHandle, Pump, Step};
 use freeflow_telemetry::{Counter, Event, Gauge, Histogram, LabelSet, Telemetry};
 use freeflow_types::{Error, OverlayIp, Result};
 use freeflow_verbs::wr::{AccessFlags, RecvWr, SendWr, WcOpcode};
 use freeflow_verbs::{CompletionQueue, MemoryRegion, VerbsError, WcStatus, WorkCompletion};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Send-queue depth: the data-slot window plus generous headroom for
@@ -42,12 +44,9 @@ use std::time::{Duration, Instant};
 const CHANNEL_SQ: usize = SEND_SLOTS + 192;
 const CHANNEL_RQ: usize = RECV_SLOTS;
 
-/// Pump tick when the recv CQ is idle — also the resolution of the
-/// resync retry timer.
-const PUMP_TICK: Duration = Duration::from_millis(10);
-/// Idle pump ticks in `AwaitAck` before the resync is re-asked (a lost
-/// ack would otherwise wedge recovery forever).
-const RESYNC_RETRY_TICKS: u32 = 25;
+/// While a send is unreaped the pump re-reaps on this deadline: send
+/// completions ring the send CQ's bell, which no one waits on.
+const SEND_REAP_POLL: Duration = Duration::from_millis(1);
 /// How long a blocked reader waits before declaring the stream dead.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// Writer wakeup granularity while blocked on credits/slots.
@@ -124,8 +123,8 @@ pub(crate) struct Channel {
     /// One condvar for all waiters (readers on bytes, writers on
     /// credits/slots); the pump notifies on any progress.
     progress: Condvar,
-    stop: AtomicBool,
-    pump: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Set by [`Channel::establish`]; dropping it stops the pump.
+    pump: OnceLock<Pump>,
     /// The peer's QPN (what a reuse handshake names); set at establish.
     peer_qpn: AtomicU32,
     metrics: ChannelMetrics,
@@ -157,8 +156,7 @@ impl Channel {
             signal,
             core: Mutex::new(MuxCore::new(initiator)),
             progress: Condvar::new(),
-            stop: AtomicBool::new(false),
-            pump: Mutex::new(None),
+            pump: OnceLock::new(),
             peer_qpn: AtomicU32::new(0),
             metrics,
         }))
@@ -193,11 +191,14 @@ impl Channel {
         // last stream / pool reference goes, not be pinned by its own
         // thread.
         let me = Arc::downgrade(self);
-        let pump = std::thread::Builder::new()
-            .name(format!("ff-sock-ch-{}", self.qp.qp_num()))
-            .spawn(move || Self::pump_loop(me))
-            .map_err(|e| Error::config(e.to_string()))?;
-        *self.pump.lock() = Some(pump);
+        let mut batch = Vec::with_capacity(RECV_SLOTS);
+        let pump = Pump::spawn(
+            format!("ff-sock-ch-{}", self.qp.qp_num()),
+            Arc::clone(self.recv_cq.doorbell()),
+            Duration::ZERO,
+            move || me.upgrade().map_or(Step::Done, |ch| ch.step(&mut batch)),
+        );
+        let _ = self.pump.set(pump);
         Ok(())
     }
 
@@ -267,43 +268,39 @@ impl Channel {
 
     // --- the pump -------------------------------------------------------
 
-    fn pump_loop(weak: std::sync::Weak<Self>) {
-        let mut batch: Vec<WorkCompletion> = Vec::with_capacity(RECV_SLOTS);
+    /// One pump step: drain the recv CQ, reap sends, drive recovery and
+    /// wake waiters on progress. A dead channel ends the pump. Idle with
+    /// no deadline once nothing is in flight; until then the send CQ is
+    /// re-reaped on `SEND_REAP_POLL`, since flush and replay completions
+    /// (which arm and gate recovery) land there.
+    fn step(&self, batch: &mut Vec<WorkCompletion>) -> Step {
+        let mut progressed = false;
         loop {
-            // Upgrade per tick: when every stream and pool handle is
-            // gone, the upgrade fails and the pump exits on its own.
-            let Some(ch) = weak.upgrade() else { return };
-            if ch.stop.load(Ordering::Relaxed) {
-                return;
+            batch.clear();
+            if self.recv_cq.poll_many(RECV_SLOTS, batch) == 0 {
+                break;
             }
-            let first = ch.recv_cq.wait_one(PUMP_TICK);
-            let mut progressed = false;
-            if let Some(wc) = first {
-                progressed |= ch.handle_recv(wc);
-                loop {
-                    batch.clear();
-                    if ch.recv_cq.poll_many(RECV_SLOTS, &mut batch) == 0 {
-                        break;
-                    }
-                    for wc in batch.drain(..) {
-                        progressed |= ch.handle_recv(wc);
-                    }
-                }
+            for wc in batch.drain(..) {
+                progressed |= self.handle_recv(wc);
             }
-            let dead = {
-                let mut core = ch.core.lock();
-                progressed |= ch.reap_sends(&mut core);
-                progressed |= ch.advance(&mut core);
-                core.dead.is_some()
-            };
-            if progressed || dead {
-                ch.progress.notify_all();
-            }
-            if dead {
-                // Streams observe the terminal reason; nothing left to
-                // pump.
-                return;
-            }
+        }
+        let (dead, in_flight) = {
+            let mut core = self.core.lock();
+            progressed |= self.reap_sends(&mut core);
+            progressed |= self.advance(&mut core);
+            // Recovery keeps its flushed frames in flight until the ack.
+            let in_flight = core.tx.in_flight() > 0 || !core.inflight_ctrl.is_empty();
+            (core.dead.is_some(), in_flight)
+        };
+        if progressed || dead {
+            self.progress.notify_all();
+        }
+        if dead {
+            Step::Done
+        } else if progressed {
+            Step::Worked
+        } else {
+            Step::Idle(in_flight.then(|| Instant::now() + SEND_REAP_POLL))
         }
     }
 
@@ -314,10 +311,9 @@ impl Channel {
             return false;
         }
         if !wc.status.is_ok() {
-            let mut core = self.core.lock();
-            if !self.stop.load(Ordering::Relaxed) {
-                core.kill(format!("channel recv failed: {}", wc.status));
-            }
+            self.core
+                .lock()
+                .kill(format!("channel recv failed: {}", wc.status));
             return true;
         }
         let slot = wc.wr_id;
@@ -504,19 +500,11 @@ impl Channel {
                 let resync = encode_resync(core.tx.next_seq());
                 if self.post_ctrl(core, CtrlKind::Resync, resync).is_ok() {
                     core.tx.resync_sent();
-                    core.await_ticks = 0;
+                    core.resync_deadline = Instant::now() + RESYNC_RETRY;
                     progressed = true;
                 }
             }
-            TxPhase::AwaitAck => {
-                core.await_ticks += 1;
-                if core.await_ticks > RESYNC_RETRY_TICKS {
-                    // The ack (or the request) was lost to a second
-                    // failure window: re-ask.
-                    core.tx.resync_failed();
-                    core.await_ticks = 0;
-                }
-            }
+            TxPhase::AwaitAck => core.reask_overdue_resync(Instant::now()),
             _ => {}
         }
         if !core.tx.recovering() && core.tx_open {
@@ -691,8 +679,8 @@ impl Channel {
                     .map(|s| s.tx_credits > 0)
                     .unwrap_or(false);
             if !sendable {
-                // Try to make progress ourselves before parking: the
-                // pump may be between ticks.
+                // Try to make progress ourselves before parking: send
+                // completions do not wake the pump.
                 self.reap_sends(&mut core);
                 self.advance(&mut core);
                 let ready = core.tx_open
@@ -885,20 +873,6 @@ impl Channel {
 
     fn lock_core(&self) -> MutexGuard<'_, MuxCore> {
         self.core.lock()
-    }
-}
-
-impl Drop for Channel {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(pump) = self.pump.lock().take() {
-            // The pump's per-tick upgrade can hold the final strong
-            // reference, in which case this drop runs *on* the pump
-            // thread — joining ourselves would deadlock.
-            if pump.thread().id() != std::thread::current().id() {
-                let _ = pump.join();
-            }
-        }
     }
 }
 

@@ -17,9 +17,10 @@
 //! waiters on one condvar; the pump thread and application threads both
 //! drive progress through the methods here.
 
-use crate::reliability::{RxLedger, TxLedger};
+use crate::reliability::{RxLedger, TxLedger, TxPhase};
 use freeflow_types::{Error, Result};
 use std::collections::{HashMap, VecDeque};
+use std::time::{Duration, Instant};
 
 /// Bytes per frame slot (header + payload).
 pub const FRAME_SIZE: usize = 16 * 1024;
@@ -38,6 +39,9 @@ pub const STREAM_WINDOW: usize = 16;
 pub const DATA_HDR: usize = 1 + 8 + 4;
 /// Payload bytes per data frame.
 pub const MAX_PAYLOAD: usize = FRAME_SIZE - DATA_HDR;
+/// How long a sent resync waits for its ack before it is re-asked (a lost
+/// ack would otherwise wedge recovery forever).
+pub const RESYNC_RETRY: Duration = Duration::from_millis(250);
 
 /// `wr_id`s of unsequenced control frames set this bit; sequenced frames
 /// use their sequence number directly (which never reaches bit 63).
@@ -264,8 +268,8 @@ pub(crate) struct MuxCore {
     /// A READY must be (re)sent (connect-side setup, or the first one
     /// flushed).
     pub ready_due: bool,
-    /// Pump ticks spent in `AwaitAck` — a lost ack re-asks after a few.
-    pub await_ticks: u32,
+    /// When a resync in `AwaitAck` is re-asked if its ack has not come.
+    pub resync_deadline: Instant,
     /// Terminal channel failure, if any (every stream errors with it).
     pub dead: Option<String>,
 }
@@ -285,8 +289,18 @@ impl MuxCore {
             // any peer traffic can exist; only the accepting side gates.
             tx_open: initiator,
             ready_due: false,
-            await_ticks: 0,
+            resync_deadline: Instant::now(),
             dead: None,
+        }
+    }
+
+    /// In `AwaitAck` at or past `resync_deadline`, the ack (or the
+    /// request) was lost to a second failure window: fall back to
+    /// `ResyncDue` so the resync is re-asked. Time, not calls, decides —
+    /// blocked readers and writers drive `advance` too.
+    pub fn reask_overdue_resync(&mut self, now: Instant) {
+        if self.tx.phase() == TxPhase::AwaitAck && now >= self.resync_deadline {
+            self.tx.resync_failed();
         }
     }
 
@@ -397,6 +411,31 @@ mod tests {
         assert!(a.register_remote_stream(4).is_err());
         b.register_remote_stream(0).unwrap();
         assert!(b.register_remote_stream(5).is_err());
+    }
+
+    #[test]
+    fn resync_reask_counts_time_not_calls() {
+        use crate::reliability::TxPayload;
+        let mut core = MuxCore::new(true);
+        let seq = core.tx.assign(0, TxPayload::Inline(vec![0]));
+        core.tx.complete_failed(seq);
+        core.tx.resync_sent();
+        let sent = Instant::now();
+        core.resync_deadline = sent + RESYNC_RETRY;
+        // Blocked readers and writers call `advance` in a tight loop.
+        for i in 0..1_000 {
+            core.reask_overdue_resync(sent + Duration::from_micros(i));
+        }
+        assert_eq!(core.tx.phase(), TxPhase::AwaitAck, "re-asked early");
+        core.reask_overdue_resync(sent + RESYNC_RETRY);
+        assert_eq!(
+            core.tx.phase(),
+            TxPhase::ResyncDue,
+            "re-asked at the deadline"
+        );
+        // Re-armed once: no further transition until the next resync.
+        core.reask_overdue_resync(sent + 2 * RESYNC_RETRY);
+        assert_eq!(core.tx.phase(), TxPhase::ResyncDue);
     }
 
     #[test]

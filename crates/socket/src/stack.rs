@@ -675,4 +675,91 @@ mod tests {
         assert_eq!(got1, d1);
         assert_eq!(got2, d2);
     }
+
+    /// A connected client/server stream pair between `a` and `b`.
+    fn stream_pair(stack: &Arc<SocketStack>, a: &Container, b: &Container) -> (FfStream, FfStream) {
+        let listener = stack.bind(b, 80).unwrap();
+        let accept = std::thread::spawn(move || listener.accept(Duration::from_secs(10)).unwrap());
+        let client = stack.connect(a, b.ip(), 80).unwrap();
+        (client, accept.join().unwrap())
+    }
+
+    /// Yield until `cond` holds; panics after `timeout`.
+    fn wait_until(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + timeout;
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn idle_settled_channel_pump_stays_parked() {
+        let (_cluster, a, b) = two_containers(false);
+        let stack = SocketStack::new();
+        let (mut client, mut server) = stream_pair(&stack, &a, &b);
+        client.write_all(b"ping").unwrap();
+        let mut got = [0u8; 4];
+        server.read_exact(&mut got).unwrap();
+        wait_until("every send reaped", Duration::from_secs(5), || {
+            [&a, &b]
+                .iter()
+                .all(|c| stack.export_ledgers(c).iter().all(|r| r.tx_in_flight == 0))
+        });
+        let bells = [client.qp(), server.qp()].map(|qp| Arc::clone(qp.recv_cq().doorbell()));
+        let before = bells.each_ref().map(|bell| bell.stats().waits);
+        // The idle stretch under measurement (not a wait for progress).
+        std::thread::sleep(Duration::from_millis(100));
+        for (bell, before) in bells.iter().zip(before) {
+            let parks = bell.stats().waits - before;
+            assert!(parks <= 2, "{parks} parks in 100 ms: the idle pump ticks");
+        }
+    }
+
+    #[test]
+    fn nic_failover_recovers_with_no_socket_calls_during_recovery() {
+        // After the one write below neither application touches its
+        // socket until the resync is done: the pump alone drives it, woken
+        // by the binding's settle ring and reaping the send CQ while
+        // frames are in flight.
+        let (cluster, a, b) = two_containers(false);
+        let stack = SocketStack::new();
+        let (mut client, mut server) = stream_pair(&stack, &a, &b);
+        // Converge both agents onto the surviving TCP wires the moment the
+        // client's QP flushes — an operator's route refresh, minus the
+        // race with the pump's recovery traffic.
+        let routes = [
+            (cluster.agent_of(a.host()).unwrap(), b.ip(), b.host()),
+            (cluster.agent_of(b.host()).unwrap(), a.ip(), a.host()),
+        ];
+        client.qp().send_cq().observe_pushes(move |wc| {
+            if !wc.status.is_ok() {
+                for (agent, ip, host) in &routes {
+                    let wire = agent.best_wire_to(*host).expect("TCP wire is up");
+                    agent.install_route(*ip, wire).unwrap();
+                }
+            }
+        });
+        cluster.fail_nic(a.host()).unwrap();
+        let msg = b"across the failover";
+        let t0 = Instant::now();
+        client.write_all(msg).unwrap();
+        wait_until("resync and retransmit", Duration::from_secs(5), || {
+            stack.export_ledgers(&a)[0].tx_in_flight == 0
+                && stack.export_ledgers(&b)[0].rx_received == 1
+        });
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "recovery sat out a 1 s park"
+        );
+        assert_eq!(client.qp().failover_count(), 1);
+        assert_eq!(client.retransmit_count(), 1, "the flushed frame went again");
+        let mut got = vec![0u8; msg.len()];
+        server.read_exact(&mut got).unwrap();
+        assert_eq!(got, msg);
+        server.write_all(b"back").unwrap();
+        let mut back = [0u8; 4];
+        client.read_exact(&mut back).unwrap();
+        assert_eq!(&back, b"back");
+    }
 }

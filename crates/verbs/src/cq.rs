@@ -50,7 +50,7 @@ impl std::fmt::Debug for CqInstruments {
 pub struct CompletionQueue {
     depth: usize,
     inner: Mutex<CqInner>,
-    doorbell: Doorbell,
+    doorbell: Arc<Doorbell>,
     instruments: OnceLock<CqInstruments>,
     push_observer: OnceLock<PushObserver>,
 }
@@ -66,7 +66,7 @@ impl CompletionQueue {
                 queue: VecDeque::new(),
                 overflowed: false,
             }),
-            doorbell: Doorbell::new(),
+            doorbell: Arc::new(Doorbell::new()),
             instruments: OnceLock::new(),
             push_observer: OnceLock::new(),
         })
@@ -196,6 +196,12 @@ impl CompletionQueue {
     /// Poll a single completion (non-blocking).
     pub fn poll_one(&self) -> Option<WorkCompletion> {
         self.inner.lock().queue.pop_front()
+    }
+
+    /// The bell every push rings: [`CompletionQueue::wait_one`] parks on
+    /// it, and so does a pump that drains this CQ.
+    pub fn doorbell(&self) -> &Arc<Doorbell> {
+        &self.doorbell
     }
 
     /// Number of completions currently queued.
