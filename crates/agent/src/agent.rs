@@ -784,7 +784,7 @@ impl Agent {
                 continue;
             }
             self.stats.relayed_out.fetch_sub(frames, Ordering::Relaxed);
-            if budget_exhausted {
+            let code = if budget_exhausted {
                 let tm = self.telemetry.read();
                 tm.retry_exhausted.inc();
                 tm.hub.record(Event::RelayRetry {
@@ -792,11 +792,29 @@ impl Agent {
                     attempts: WIRE_SEND_RETRIES as u32,
                     exhausted: true,
                 });
-            }
+                status::TIMEOUT
+            } else if self.route_is_stale(idx) {
+                status::STALE_ROUTE
+            } else {
+                status::TIMEOUT
+            };
             for m in chunk {
-                self.nack(m, status::TIMEOUT);
+                self.nack(m, code);
             }
         }
+    }
+
+    /// Whether wire `idx` is down while another wire to the same host is
+    /// up: routes through it have not been moved onto the survivor yet
+    /// (the host itself is still reachable).
+    fn route_is_stale(&self, idx: usize) -> bool {
+        let inner = self.inner.lock();
+        let dead = &inner.wires[idx];
+        !dead.is_up()
+            && inner
+                .wires
+                .iter()
+                .any(|w| w.peer_host == dead.peer_host && w.is_up())
     }
 
     /// Adapt wire `idx`'s coalescing limit to the backlog one poll
@@ -1577,6 +1595,30 @@ mod tests {
         }
         // Nothing left pending: the failure already surfaced.
         assert_eq!(a0.relay_in_flight(), 0);
+    }
+
+    #[test]
+    fn downed_route_wire_with_a_live_sibling_nacks_stale_route() {
+        let a0 = Agent::new(HostId::new(0), 1 << 20);
+        let a1 = Agent::new(HostId::new(1), 1 << 20);
+        let (rdma0, _) = connect_agents(&a0, &a1, TransportKind::Rdma);
+        let _tcp = connect_agents(&a0, &a1, TransportKind::TcpHost);
+        let src = a0.attach_container(ip(1)).unwrap();
+        let _dst = a1.attach_container(ip(2)).unwrap();
+        a0.install_route(ip(2), rdma0).unwrap();
+        a0.set_wire_up(rdma0, false).unwrap();
+        src.channel
+            .tx
+            .send(&send_msg(1, 2, 12, b"stale").encode())
+            .unwrap();
+        a0.poll();
+        match recv_inline(&src) {
+            RelayMsg::Nack { wr_id, status, .. } => {
+                assert_eq!(wr_id, 12);
+                assert_eq!(status, status::STALE_ROUTE);
+            }
+            other => panic!("expected stale-route nack, got {other:?}"),
+        }
     }
 
     #[test]

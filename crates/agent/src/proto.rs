@@ -83,6 +83,12 @@ pub mod status {
     /// within the relay timeout. Endpoints map this onto
     /// `IBV_WC_RETRY_EXC_ERR` and re-path the QP.
     pub const TIMEOUT: u8 = 4;
+    /// Like [`TIMEOUT`], but the downed wire was the *route's*: another
+    /// wire to the same peer host is up, so forwarding has simply not
+    /// converged onto it yet. Endpoints still map this onto
+    /// `IBV_WC_RETRY_EXC_ERR`; a QP the orchestrator already moved onto
+    /// the surviving transport stays bound instead of erroring out.
+    pub const STALE_ROUTE: u8 = 5;
 }
 
 /// The relay operations.

@@ -204,7 +204,11 @@ pub fn run_migration_suite(quick: bool) -> BenchReport {
 mod tests {
     use super::*;
 
+    // A release-build guard (CI's migration-drill job): with four quick
+    // rounds p99 is the worst round, which one slow debug round under a
+    // parallel test run would decide.
     #[test]
+    #[cfg_attr(debug_assertions, ignore)]
     fn loaded_blackout_p99_stays_inside_the_budget() {
         let report = run_migration_suite(true);
         let p99 = report

@@ -23,7 +23,7 @@ use crate::qp::FfQp;
 use freeflow_agent::proto::RelayMsg;
 use freeflow_agent::AgentHandle;
 use freeflow_orchestrator::{FeedPoll, FeedSubscription, Orchestrator, OrchestratorEvent};
-use freeflow_shmem::{Pump, ShmFabric, ShmMessage, ShmReceiver, ShmSender, Step};
+use freeflow_shmem::{Doorbell, Pump, ShmFabric, ShmMessage, ShmReceiver, ShmSender, Step};
 use freeflow_telemetry::{Event, LabelSet, Telemetry};
 use freeflow_types::{ContainerId, Error, HostId, OverlayIp, Result, TenantId, TransportKind};
 use freeflow_verbs::wr::AccessFlags;
@@ -396,7 +396,13 @@ impl LibHandle {
     /// creation time; CQs created before a migration keep reporting under
     /// the original host, which preserves the timeline's continuity.
     pub fn create_cq(&self, depth: usize) -> Arc<CompletionQueue> {
-        let cq = self.shared.device.create_cq(depth);
+        self.create_cq_ringing(depth, Arc::default())
+    }
+
+    /// [`LibHandle::create_cq`] whose pushes ring `bell` — another CQ's,
+    /// so one pump parked on that bell hears both.
+    pub fn create_cq_ringing(&self, depth: usize, bell: Arc<Doorbell>) -> Arc<CompletionQueue> {
+        let cq = CompletionQueue::with_doorbell(depth, bell);
         let hub = &self.shared.telemetry;
         let host = self.shared.host().raw();
         let labels = LabelSet::host(host).with_container(self.shared.id.raw());
@@ -665,7 +671,7 @@ impl NetLibrary {
 
     /// The bell the inbound pump parks on (the agent→container ring's).
     #[cfg(test)]
-    pub(crate) fn pump_bell(&self) -> Arc<freeflow_shmem::Doorbell> {
+    pub(crate) fn pump_bell(&self) -> Arc<Doorbell> {
         Arc::clone(self.pump.as_ref().expect("pump runs").bell())
     }
 

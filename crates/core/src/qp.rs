@@ -531,7 +531,7 @@ impl FfQp {
                 || inner.pending_reads.values().any(|p| p.deadline <= now)
         };
         if expired {
-            self.on_transport_failure();
+            self.on_transport_failure(false);
         }
     }
 
@@ -540,8 +540,10 @@ impl FfQp {
     /// RC QP reports when transport retries exhaust — and the QP asks the
     /// orchestrator for a fresh path. Posted receives survive: after a
     /// successful re-path the connection keeps working; only if no path
-    /// remains does the QP fall into the error state.
-    fn on_transport_failure(&self) {
+    /// remains does the QP fall into the error state. `stale_route`: the
+    /// agent dropped the op on a downed wire while another wire to the
+    /// peer's host is up ([`st::STALE_ROUTE`]).
+    fn on_transport_failure(&self, stale_route: bool) {
         let (sends, reads, mid_rebind) = {
             let mut inner = self.inner.lock();
             (
@@ -557,7 +559,7 @@ impl FfQp {
         // before flushing its WRs. A binding already mid-drain/rebind
         // only needs the flush: the in-progress rebind supplies the new
         // path (or the error state) on the pump.
-        if !mid_rebind && !self.try_repath() {
+        if !mid_rebind && !self.try_repath(stale_route) {
             self.enter_error();
         }
         for (_, p) in sends {
@@ -584,8 +586,8 @@ impl FfQp {
 
     /// Re-run path selection for the current peer (FreeFlow's failover:
     /// the orchestrator knows which transports still work). Returns
-    /// whether a usable path was bound or a rebind is now in progress.
-    fn try_repath(&self) -> bool {
+    /// whether a usable path is bound or a rebind is now in progress.
+    fn try_repath(&self, stale_route: bool) -> bool {
         let (peer, dead) = {
             let inner = self.inner.lock();
             match (inner.state, inner.binding.phase(), inner.binding.path()) {
@@ -610,10 +612,14 @@ impl FfQp {
         let collapses = resolved.local && resolved.transport.kernel_bypass();
         if !collapses && resolved.transport == dead {
             // The orchestrator handed back the very transport that just
-            // died: a no-op rebind that would spin (bumping
-            // failover_count forever) instead of surfacing the failure.
-            // Fall through to the error state.
-            return false;
+            // died. After a stale-route loss that is right: the op died on
+            // the old path's wire because forwarding has not converged
+            // onto this one yet, so the QP stays bound — the flush is the
+            // whole outcome and later posts ride the converged route.
+            // Otherwise it would be a no-op rebind that spins (bumping
+            // failover_count forever) instead of surfacing the failure:
+            // fall through to the error state.
+            return stale_route;
         }
         let mut inner = self.inner.lock();
         if inner.binding.begin_drain(RebindReason::Failover).is_err() {
@@ -1768,12 +1774,12 @@ impl FfQp {
     }
 
     fn inbound_read_resp(&self, req_id: u64, status: u8, payload: Bytes) {
-        if status == st::TIMEOUT {
+        if matches!(status, st::TIMEOUT | st::STALE_ROUTE) {
             // The relay gave up on this READ: the transport is dead.
             // Flush everything outstanding (the request included) and
             // fail over instead of erroring out.
             if self.inner.lock().pending_reads.contains_key(&req_id) {
-                self.on_transport_failure();
+                self.on_transport_failure(status == st::STALE_ROUTE);
             }
             return;
         }
@@ -1822,12 +1828,12 @@ impl FfQp {
     }
 
     fn inbound_nack(&self, op_id: u64, status: u8) {
-        if status == st::TIMEOUT {
+        if matches!(status, st::TIMEOUT | st::STALE_ROUTE) {
             // The relay declared the path dead (downed wire / no reply).
             // Flush everything outstanding (this op included) with
             // RETRY_EXC_ERR and re-path instead of erroring out.
             if self.inner.lock().pending_sends.contains_key(&op_id) {
-                self.on_transport_failure();
+                self.on_transport_failure(status == st::STALE_ROUTE);
             }
             return;
         }

@@ -17,7 +17,10 @@
 //! batches (`poll_many`), recycles receive slots immediately, demuxes
 //! frames to per-stream buffers under the mux lock, reaps send
 //! completions, and drives the reliability layer's resync handshake
-//! across rebind epochs (every binding transition rings the same bell).
+//! across rebind epochs. Every binding transition, every failed send and
+//! — while a writer is out of slots or recovery waits on the send CQ —
+//! every successful send ring the same bell, so the only timer is
+//! recovery's `RESYNC_RETRY`.
 //! Application threads block on one condvar and are woken whenever the
 //! pump makes progress.
 
@@ -26,7 +29,7 @@ use crate::mux::{
     encode_resync_ack, CtrlKind, Deferred, Frame, MuxCore, SeqFrame, CTRL_BIT, DATA_HDR,
     FRAME_SIZE, MAX_PAYLOAD, RECV_SLOTS, RESYNC_RETRY, SEND_SLOTS, STREAM_WINDOW,
 };
-use crate::reliability::{TxPayload, TxPhase};
+use crate::reliability::TxPayload;
 use freeflow::binding::{BindingPhase, PathSignal};
 use freeflow::{FfEndpoint, FfQp, LibHandle, Pump, Step};
 use freeflow_telemetry::{Counter, Event, Gauge, Histogram, LabelSet, Telemetry};
@@ -44,9 +47,6 @@ use std::time::{Duration, Instant};
 const CHANNEL_SQ: usize = SEND_SLOTS + 192;
 const CHANNEL_RQ: usize = RECV_SLOTS;
 
-/// While a send is unreaped the pump re-reaps on this deadline: send
-/// completions ring the send CQ's bell, which no one waits on.
-const SEND_REAP_POLL: Duration = Duration::from_millis(1);
 /// How long a blocked reader waits before declaring the stream dead.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// Writer wakeup granularity while blocked on credits/slots.
@@ -135,8 +135,8 @@ impl Channel {
     /// start the pump — [`Channel::establish`] does, once the
     /// side-channel handshake has exchanged endpoints.
     pub fn new(handle: &LibHandle, initiator: bool, metrics: ChannelMetrics) -> Result<Arc<Self>> {
-        let send_cq = handle.create_cq(CHANNEL_SQ * 2);
         let recv_cq = handle.create_cq(CHANNEL_RQ * 2);
+        let send_cq = handle.create_cq_ringing(CHANNEL_SQ * 2, Arc::clone(recv_cq.doorbell()));
         let qp = handle
             .create_qp(&send_cq, &recv_cq, CHANNEL_SQ, CHANNEL_RQ)
             .map_err(|e| Error::config(e.to_string()))?;
@@ -224,9 +224,12 @@ impl Channel {
 
     /// Snapshot this channel's reliability-ledger watermarks as a
     /// migration record: the sequence-space state a checkpoint must
-    /// conserve for streams to continue after a cross-host move.
+    /// conserve for streams to continue after a cross-host move. Reaps
+    /// first: a routine send completion rings no one, so one may still sit
+    /// in the CQ.
     pub fn ledger_record(&self) -> freeflow::migrate::LedgerRecord {
-        let core = self.core.lock();
+        let mut core = self.core.lock();
+        self.reap_sends(&mut core);
         freeflow::migrate::LedgerRecord {
             qpn: self.qp.qp_num(),
             tx_next_seq: core.tx.next_seq(),
@@ -269,10 +272,8 @@ impl Channel {
     // --- the pump -------------------------------------------------------
 
     /// One pump step: drain the recv CQ, reap sends, drive recovery and
-    /// wake waiters on progress. A dead channel ends the pump. Idle with
-    /// no deadline once nothing is in flight; until then the send CQ is
-    /// re-reaped on `SEND_REAP_POLL`, since flush and replay completions
-    /// (which arm and gate recovery) land there.
+    /// wake waiters on progress. A dead channel ends the pump; an idle one
+    /// parks until a ring, or recovery's retry deadline if one is pending.
     fn step(&self, batch: &mut Vec<WorkCompletion>) -> Step {
         let mut progressed = false;
         loop {
@@ -284,13 +285,11 @@ impl Channel {
                 progressed |= self.handle_recv(wc);
             }
         }
-        let (dead, in_flight) = {
+        let (dead, retry) = {
             let mut core = self.core.lock();
             progressed |= self.reap_sends(&mut core);
             progressed |= self.advance(&mut core);
-            // Recovery keeps its flushed frames in flight until the ack.
-            let in_flight = core.tx.in_flight() > 0 || !core.inflight_ctrl.is_empty();
-            (core.dead.is_some(), in_flight)
+            (core.dead.is_some(), core.retry_wakeup())
         };
         if progressed || dead {
             self.progress.notify_all();
@@ -300,7 +299,7 @@ impl Channel {
         } else if progressed {
             Step::Worked
         } else {
-            Step::Idle(in_flight.then(|| Instant::now() + SEND_REAP_POLL))
+            Step::Idle(retry)
         }
     }
 
@@ -430,38 +429,63 @@ impl Channel {
 
     /// Reap the shared send CQ: successes recycle slots and pop the tx
     /// ledger; `RETRY_EXC_ERR` arms recovery; flushes kill the channel.
+    /// Returns whether a waiter could act on it: a slot for writers that
+    /// ran out, or a failure.
     fn reap_sends(&self, core: &mut MuxCore) -> bool {
         let mut progressed = false;
         let mut batch: Vec<WorkCompletion> = Vec::with_capacity(SEND_SLOTS);
         loop {
             batch.clear();
             if self.send_cq.poll_many(SEND_SLOTS, &mut batch) == 0 {
-                return progressed;
+                // Failed sends always ring the pump; a routine success
+                // wakes no one unless a writer is out of slots or recovery
+                // waits for every send to be reaped. Arm, then poll once
+                // more so no completion slips in between.
+                let hear = core.free_slots.is_empty() || core.tx.recovering();
+                self.send_cq.ring_on_success(hear);
+                if !hear || self.send_cq.pending() == 0 {
+                    return progressed;
+                }
+                continue;
             }
             for wc in batch.drain(..) {
                 if wc.opcode != WcOpcode::Send {
                     continue;
                 }
-                progressed = true;
+                progressed |= !wc.status.is_ok();
                 match wc.status {
                     WcStatus::Success => {
                         if wc.wr_id & CTRL_BIT != 0 {
                             core.inflight_ctrl.remove(&wc.wr_id);
                         } else if let Some(e) = core.tx.complete_ok(wc.wr_id) {
                             if let TxPayload::Slot { slot, .. } = e.payload {
+                                progressed |= core.free_slots.is_empty();
                                 core.free_slots.push_back(slot);
                             }
                         }
                     }
                     WcStatus::RetryExcError => {
                         if wc.wr_id & CTRL_BIT != 0 {
-                            match core.inflight_ctrl.remove(&wc.wr_id) {
-                                Some(CtrlKind::Resync) => core.tx.resync_failed(),
-                                Some(CtrlKind::Ready) => core.ready_due = true,
+                            let Some((kind, epoch)) = core.inflight_ctrl.remove(&wc.wr_id) else {
+                                continue;
+                            };
+                            match kind {
+                                CtrlKind::Resync => core.tx.resync_failed(),
+                                CtrlKind::Ready => core.ready_due = true,
                                 // A flushed ack is the peer's problem to
                                 // re-ask; nothing to resend.
-                                Some(CtrlKind::ResyncAck) | None => {}
+                                CtrlKind::ResyncAck => continue,
                             }
+                            // Lost without a re-path: the route onto this
+                            // path has not converged, so wait it out
+                            // rather than spin into it. After a re-path,
+                            // go again at once.
+                            let now = Instant::now();
+                            core.retry_at = if epoch == self.signal.epoch() {
+                                now + RESYNC_RETRY
+                            } else {
+                                now
+                            };
                         } else {
                             // Outcome ambiguous: the resync handshake
                             // settles it once the path is back.
@@ -485,27 +509,23 @@ impl Channel {
             return true;
         }
         let mut progressed = false;
-        if core.ready_due && core.tx_open && self.signal.settled() {
+        let settled = self.signal.settled();
+        if core.ready_due && core.tx_open && settled && Instant::now() >= core.retry_at {
             let ready = encode_ready();
             if self.post_ctrl(core, CtrlKind::Ready, ready).is_ok() {
                 core.ready_due = false;
                 progressed = true;
             }
         }
-        match core.tx.phase() {
-            TxPhase::ResyncDue if self.signal.settled() && core.tx.resync_ready() => {
-                // The path is settled again and no send still owes a
-                // completion: ask the receiver where the cut actually
-                // fell.
-                let resync = encode_resync(core.tx.next_seq());
-                if self.post_ctrl(core, CtrlKind::Resync, resync).is_ok() {
-                    core.tx.resync_sent();
-                    core.resync_deadline = Instant::now() + RESYNC_RETRY;
-                    progressed = true;
-                }
+        // The path is settled again and no send still owes a completion:
+        // ask the receiver where the cut actually fell.
+        if settled && core.tx.recovering() && core.resync_due(Instant::now()) {
+            let resync = encode_resync(core.tx.next_seq());
+            if self.post_ctrl(core, CtrlKind::Resync, resync).is_ok() {
+                core.tx.resync_sent();
+                core.retry_at = Instant::now() + RESYNC_RETRY;
+                progressed = true;
             }
-            TxPhase::AwaitAck => core.reask_overdue_resync(Instant::now()),
-            _ => {}
         }
         if !core.tx.recovering() && core.tx_open {
             progressed |= self.drain_deferred(core);
@@ -533,6 +553,10 @@ impl Channel {
     /// in sequence order, release held traffic.
     fn apply_ack(&self, core: &mut MuxCore, received: u64) {
         let out = core.tx.on_ack(received);
+        if !core.tx.recovering() {
+            // Handshake done: the next failure resyncs at once.
+            core.retry_at = Instant::now();
+        }
         for e in out.confirmed {
             if let TxPayload::Slot { slot, .. } = e.payload {
                 core.free_slots.push_back(slot);
@@ -598,7 +622,8 @@ impl Channel {
     fn post_ctrl(&self, core: &mut MuxCore, kind: CtrlKind, frame: Vec<u8>) -> Result<()> {
         let wr_id = CTRL_BIT | core.next_ctrl;
         core.next_ctrl += 1;
-        core.inflight_ctrl.insert(wr_id, kind);
+        core.inflight_ctrl
+            .insert(wr_id, (kind, self.signal.epoch()));
         let res = self.post_with_reap(core, || SendWr::send_inline(wr_id, frame.clone()));
         if res.is_err() {
             core.inflight_ctrl.remove(&wr_id);
@@ -679,8 +704,7 @@ impl Channel {
                     .map(|s| s.tx_credits > 0)
                     .unwrap_or(false);
             if !sendable {
-                // Try to make progress ourselves before parking: send
-                // completions do not wake the pump.
+                // Try to make progress ourselves before parking.
                 self.reap_sends(&mut core);
                 self.advance(&mut core);
                 let ready = core.tx_open

@@ -17,7 +17,7 @@
 //! waiters on one condvar; the pump thread and application threads both
 //! drive progress through the methods here.
 
-use crate::reliability::{RxLedger, TxLedger, TxPhase};
+use crate::reliability::{RxLedger, TxLedger};
 use freeflow_types::{Error, Result};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -39,8 +39,12 @@ pub const STREAM_WINDOW: usize = 16;
 pub const DATA_HDR: usize = 1 + 8 + 4;
 /// Payload bytes per data frame.
 pub const MAX_PAYLOAD: usize = FRAME_SIZE - DATA_HDR;
-/// How long a sent resync waits for its ack before it is re-asked (a lost
-/// ack would otherwise wedge recovery forever).
+/// Recovery's one timer: a sent resync waits this long for its ack before
+/// it is re-asked (a lost ack would otherwise wedge recovery forever), and
+/// a READY or RESYNC flushed on the very path it was posted on waits this
+/// long before it is sent again (the QP did not re-path, so the route onto
+/// that path has not converged yet; re-sending at once would spin against
+/// it).
 pub const RESYNC_RETRY: Duration = Duration::from_millis(250);
 
 /// `wr_id`s of unsequenced control frames set this bit; sequenced frames
@@ -256,8 +260,9 @@ pub(crate) struct MuxCore {
     pub tx: TxLedger,
     /// Receive-side sequence ledger.
     pub rx: RxLedger<SeqFrame>,
-    /// Unsequenced control frames in flight, by wr_id.
-    pub inflight_ctrl: HashMap<u64, CtrlKind>,
+    /// Unsequenced control frames in flight, by wr_id, with the binding
+    /// epoch each was posted on.
+    pub inflight_ctrl: HashMap<u64, (CtrlKind, u64)>,
     /// Next unsequenced wr_id (CTRL_BIT is ORed in).
     pub next_ctrl: u64,
     /// Sequenced control traffic held while recovery ran.
@@ -268,8 +273,10 @@ pub(crate) struct MuxCore {
     /// A READY must be (re)sent (connect-side setup, or the first one
     /// flushed).
     pub ready_due: bool,
-    /// When a resync in `AwaitAck` is re-asked if its ack has not come.
-    pub resync_deadline: Instant,
+    /// No READY or RESYNC goes out before this: set [`RESYNC_RETRY`]
+    /// ahead when a resync is sent or one of them is flushed on the path
+    /// it was posted on; cleared by the ack and by a re-path.
+    pub retry_at: Instant,
     /// Terminal channel failure, if any (every stream errors with it).
     pub dead: Option<String>,
 }
@@ -289,19 +296,30 @@ impl MuxCore {
             // any peer traffic can exist; only the accepting side gates.
             tx_open: initiator,
             ready_due: false,
-            resync_deadline: Instant::now(),
+            retry_at: Instant::now(),
             dead: None,
         }
     }
 
-    /// In `AwaitAck` at or past `resync_deadline`, the ack (or the
-    /// request) was lost to a second failure window: fall back to
-    /// `ResyncDue` so the resync is re-asked. Time, not calls, decides —
-    /// blocked readers and writers drive `advance` too.
-    pub fn reask_overdue_resync(&mut self, now: Instant) {
-        if self.tx.phase() == TxPhase::AwaitAck && now >= self.resync_deadline {
-            self.tx.resync_failed();
+    /// Whether a resync should be posted at `now`. Time, not calls,
+    /// decides — blocked readers and writers drive `advance` too. Before
+    /// `retry_at` nothing is (re-)asked; at or past it an `AwaitAck`
+    /// whose ack never came falls back to `ResyncDue`, which asks once
+    /// every in-flight send is reaped.
+    pub fn resync_due(&mut self, now: Instant) -> bool {
+        if now < self.retry_at {
+            return false;
         }
+        self.tx.resync_failed();
+        self.tx.resync_ready()
+    }
+
+    /// When the pump must look again with nobody ringing: `retry_at`,
+    /// while a READY or the resync handshake waits on it.
+    pub fn retry_wakeup(&self) -> Option<Instant> {
+        (self.ready_due || self.tx.recovering())
+            .then_some(self.retry_at)
+            .filter(|&at| at > Instant::now())
     }
 
     /// Fail the whole channel: every stream unblocks with the reason.
@@ -361,6 +379,7 @@ impl MuxCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reliability::{TxPayload, TxPhase};
 
     #[test]
     fn frames_round_trip() {
@@ -415,27 +434,47 @@ mod tests {
 
     #[test]
     fn resync_reask_counts_time_not_calls() {
-        use crate::reliability::TxPayload;
         let mut core = MuxCore::new(true);
         let seq = core.tx.assign(0, TxPayload::Inline(vec![0]));
         core.tx.complete_failed(seq);
-        core.tx.resync_sent();
         let sent = Instant::now();
-        core.resync_deadline = sent + RESYNC_RETRY;
+        assert!(core.resync_due(sent), "the first ask goes at once");
+        core.tx.resync_sent();
+        core.retry_at = sent + RESYNC_RETRY;
+        assert_eq!(core.retry_wakeup(), Some(core.retry_at));
         // Blocked readers and writers call `advance` in a tight loop.
         for i in 0..1_000 {
-            core.reask_overdue_resync(sent + Duration::from_micros(i));
+            assert!(!core.resync_due(sent + Duration::from_micros(i)));
         }
         assert_eq!(core.tx.phase(), TxPhase::AwaitAck, "re-asked early");
-        core.reask_overdue_resync(sent + RESYNC_RETRY);
-        assert_eq!(
-            core.tx.phase(),
-            TxPhase::ResyncDue,
+        assert!(
+            core.resync_due(sent + RESYNC_RETRY),
             "re-asked at the deadline"
         );
-        // Re-armed once: no further transition until the next resync.
-        core.reask_overdue_resync(sent + 2 * RESYNC_RETRY);
         assert_eq!(core.tx.phase(), TxPhase::ResyncDue);
+        // Asked once: the next ask is a full interval away again.
+        core.tx.resync_sent();
+        core.retry_at = sent + 2 * RESYNC_RETRY;
+        assert!(!core.resync_due(sent + RESYNC_RETRY + Duration::from_millis(1)));
+        assert_eq!(core.tx.phase(), TxPhase::AwaitAck);
+    }
+
+    #[test]
+    fn flushed_resync_waits_out_the_retry_interval() {
+        let mut core = MuxCore::new(true);
+        let seq = core.tx.assign(0, TxPayload::Inline(vec![0]));
+        core.tx.complete_failed(seq);
+        let sent = Instant::now();
+        core.tx.resync_sent();
+        core.retry_at = sent + RESYNC_RETRY;
+        // The resync itself flushed: the route to the new path is stale.
+        core.tx.resync_failed();
+        assert!(
+            !core.resync_due(sent + Duration::from_millis(1)),
+            "spun against the stale route"
+        );
+        assert_eq!(core.retry_wakeup(), Some(sent + RESYNC_RETRY));
+        assert!(core.resync_due(sent + RESYNC_RETRY));
     }
 
     #[test]

@@ -716,43 +716,64 @@ mod tests {
         }
     }
 
-    #[test]
-    fn nic_failover_recovers_with_no_socket_calls_during_recovery() {
-        // After the one write below neither application touches its
-        // socket until the resync is done: the pump alone drives it, woken
-        // by the binding's settle ring and reaping the send CQ while
-        // frames are in flight.
+    /// One write across a NIC failure, then neither application touches
+    /// its socket until the pump alone has resynced and retransmitted.
+    /// Routes converge onto the surviving TCP wires either the moment the
+    /// client's QP flushes (the resync rides the settle ring) or only once
+    /// the failover is observed (the first resync is lost to the stale
+    /// route, which must not count as a second failure, and is re-asked at
+    /// `RESYNC_RETRY`).
+    fn failover_recovers_with_no_socket_calls(converge_at_flush: bool) {
         let (cluster, a, b) = two_containers(false);
         let stack = SocketStack::new();
         let (mut client, mut server) = stream_pair(&stack, &a, &b);
-        // Converge both agents onto the surviving TCP wires the moment the
-        // client's QP flushes — an operator's route refresh, minus the
-        // race with the pump's recovery traffic.
-        let routes = [
-            (cluster.agent_of(a.host()).unwrap(), b.ip(), b.host()),
-            (cluster.agent_of(b.host()).unwrap(), a.ip(), a.host()),
-        ];
-        client.qp().send_cq().observe_pushes(move |wc| {
-            if !wc.status.is_ok() {
-                for (agent, ip, host) in &routes {
-                    let wire = agent.best_wire_to(*host).expect("TCP wire is up");
-                    agent.install_route(*ip, wire).unwrap();
-                }
-            }
+        // One round trip first, until both sides reaped their sends: the
+        // fault below then catches the one write alone, not the connect
+        // side's READY still in flight.
+        let mut two = [0u8; 2];
+        client.write_all(b"hi").unwrap();
+        server.read_exact(&mut two).unwrap();
+        server.write_all(b"ok").unwrap();
+        client.read_exact(&mut two).unwrap();
+        wait_until("round trip reaped", Duration::from_secs(5), || {
+            [&a, &b]
+                .iter()
+                .all(|c| stack.export_ledgers(c)[0].tx_in_flight == 0)
         });
+        if converge_at_flush {
+            let weak = Arc::downgrade(&cluster);
+            client.qp().send_cq().observe_pushes(move |wc| {
+                if let (false, Some(cluster)) = (wc.status.is_ok(), weak.upgrade()) {
+                    cluster.refresh_routes();
+                }
+            });
+        }
         cluster.fail_nic(a.host()).unwrap();
         let msg = b"across the failover";
         let t0 = Instant::now();
         client.write_all(msg).unwrap();
+        wait_until("reactive failover", Duration::from_secs(5), || {
+            client.qp().failover_count() == 1
+        });
+        if !converge_at_flush {
+            // The data frame's nack, then the first resync's.
+            let agent = cluster.agent_of(a.host()).unwrap();
+            wait_until(
+                "resync lost to the stale route",
+                Duration::from_secs(5),
+                || agent.stats().nacked.load(Ordering::Relaxed) >= 2,
+            );
+        }
+        cluster.refresh_routes();
         wait_until("resync and retransmit", Duration::from_secs(5), || {
             stack.export_ledgers(&a)[0].tx_in_flight == 0
-                && stack.export_ledgers(&b)[0].rx_received == 1
+                && stack.export_ledgers(&b)[0].rx_received == 2
         });
         assert!(
             t0.elapsed() < Duration::from_secs(1),
             "recovery sat out a 1 s park"
         );
-        assert_eq!(client.qp().failover_count(), 1);
+        assert_eq!(client.qp().failover_count(), 1, "one failure, one failover");
         assert_eq!(client.retransmit_count(), 1, "the flushed frame went again");
         let mut got = vec![0u8; msg.len()];
         server.read_exact(&mut got).unwrap();
@@ -761,5 +782,15 @@ mod tests {
         let mut back = [0u8; 4];
         client.read_exact(&mut back).unwrap();
         assert_eq!(&back, b"back");
+    }
+
+    #[test]
+    fn nic_failover_recovers_with_no_socket_calls_during_recovery() {
+        failover_recovers_with_no_socket_calls(true);
+    }
+
+    #[test]
+    fn failover_survives_routes_converging_after_it() {
+        failover_recovers_with_no_socket_calls(false);
     }
 }

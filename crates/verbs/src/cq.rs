@@ -18,6 +18,8 @@ use std::time::Duration;
 struct CqInner {
     queue: VecDeque<WorkCompletion>,
     overflowed: bool,
+    /// Whether a successful push rings the doorbell (errors always do).
+    ring_successes: bool,
 }
 
 /// Telemetry handles a library installs on a CQ it creates. All counters
@@ -60,13 +62,20 @@ type PushObserver = Box<dyn Fn(&WorkCompletion) + Send + Sync>;
 impl CompletionQueue {
     /// Create a CQ holding at most `depth` completions.
     pub fn new(depth: usize) -> Arc<Self> {
+        Self::with_doorbell(depth, Arc::default())
+    }
+
+    /// Create a CQ whose pushes ring `doorbell` — another CQ's, so one
+    /// waiter parked on that bell hears both.
+    pub fn with_doorbell(depth: usize, doorbell: Arc<Doorbell>) -> Arc<Self> {
         Arc::new(Self {
             depth: depth.max(1),
             inner: Mutex::new(CqInner {
                 queue: VecDeque::new(),
                 overflowed: false,
+                ring_successes: true,
             }),
-            doorbell: Arc::new(Doorbell::new()),
+            doorbell,
             instruments: OnceLock::new(),
             push_observer: OnceLock::new(),
         })
@@ -94,6 +103,14 @@ impl CompletionQueue {
         }
     }
 
+    /// Whether a successful completion rings the doorbell (default: yes).
+    /// A consumer that needs to hear only errors turns it off — the
+    /// `ibv_req_notify_cq(solicited_only)` analog: error completions
+    /// always ring. A consumer turning it on must poll once more after.
+    pub fn ring_on_success(&self, ring: bool) {
+        self.inner.lock().ring_successes = ring;
+    }
+
     /// Capacity.
     pub fn depth(&self) -> usize {
         self.depth
@@ -118,17 +135,17 @@ impl CompletionQueue {
         if let Some(observe) = self.push_observer.get() {
             observe(&wc);
         }
-        let ok = {
+        let (ok, ring) = {
             let mut inner = self.inner.lock();
             if inner.queue.len() >= self.depth {
                 inner.overflowed = true;
-                false
+                (false, false)
             } else {
                 inner.queue.push_back(wc);
-                true
+                (true, inner.ring_successes || !wc.status.is_ok())
             }
         };
-        if ok {
+        if ring {
             self.doorbell.ring();
         }
         ok
@@ -158,7 +175,7 @@ impl CompletionQueue {
         if let Some(observe) = self.push_observer.get() {
             wcs.iter().for_each(observe);
         }
-        let accepted = {
+        let (accepted, ring) = {
             let mut inner = self.inner.lock();
             let mut n = 0usize;
             for wc in wcs {
@@ -169,9 +186,12 @@ impl CompletionQueue {
                 inner.queue.push_back(*wc);
                 n += 1;
             }
-            n
+            let ring = inner.ring_successes || wcs[..n].iter().any(|wc| !wc.status.is_ok());
+            (n, ring)
         };
-        self.doorbell.ring_coalesced(accepted as u64);
+        if ring {
+            self.doorbell.ring_coalesced(accepted as u64);
+        }
         accepted == wcs.len()
     }
 
@@ -404,6 +424,26 @@ mod tests {
         );
         assert_eq!(cq.pending(), 0);
         assert!(cq.push_batch(&[]), "empty batch is a no-op");
+    }
+
+    #[test]
+    fn quiet_successes_still_ring_on_errors() {
+        let cq = CompletionQueue::new(8);
+        let rings = || cq.doorbell().stats().rings;
+        cq.ring_on_success(false);
+        cq.push(wc(1));
+        cq.push_batch(&[wc(2), wc(3)]);
+        assert_eq!(rings(), 0, "routine successes wake no one");
+        let failed = WorkCompletion {
+            status: WcStatus::RetryExcError,
+            ..wc(4)
+        };
+        cq.push_batch(&[wc(4), failed]);
+        assert_eq!(rings(), 1, "a batch holding an error rings");
+        cq.ring_on_success(true);
+        cq.push(wc(6));
+        assert_eq!(rings(), 2);
+        assert_eq!(cq.pending(), 6, "nothing is dropped either way");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use freeflow_socket::{FfStream, SocketStack};
 use freeflow_telemetry::{Event, TelemetrySnapshot, TransitionKind};
 use freeflow_types::{HostCaps, Nanos, TenantId, TransportKind};
 use freeflow_verbs::wr::{AccessFlags, RecvWr, SendWr};
-use freeflow_verbs::{CompletionQueue, MemoryRegion, WcStatus};
+use freeflow_verbs::{CompletionQueue, MemoryRegion, QpState, WcStatus};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -230,6 +230,49 @@ fn chaos_qp_fails_over_from_rdma_to_tcp() {
     let mut got = [0u8; 6];
     mr_b.read(0, &mut got).unwrap();
     assert_eq!(&got, b"after!");
+}
+
+/// Routes that converge late are not a second failure: after the failover
+/// a send the agent still forwards onto the dead wire flushes with
+/// `RETRY_EXC_ERR`, but the QP stays bound to TCP — no second failover,
+/// no error state — and once the routes converge the next send lands.
+#[test]
+fn chaos_send_on_a_stale_route_after_failover_is_not_a_second_failure() {
+    let cluster = FreeFlowCluster::with_defaults();
+    let h0 = cluster.add_host(HostCaps::paper_testbed());
+    let h1 = cluster.add_host(HostCaps::paper_testbed());
+    let a = cluster.launch(TenantId::new(1), h0).unwrap();
+    let b = cluster.launch(TenantId::new(1), h1).unwrap();
+    let mr_a = a.register(4096, AccessFlags::all()).unwrap();
+    let mr_b = b.register(4096, AccessFlags::all()).unwrap();
+    let (cq_a, cq_b) = (a.create_cq(16), b.create_cq(16));
+    let qp_a = a.create_qp(&cq_a, &cq_a, 8, 8).unwrap();
+    let qp_b = b.create_qp(&cq_b, &cq_b, 8, 8).unwrap();
+    qp_a.connect(qp_b.endpoint()).unwrap();
+    qp_b.connect(qp_a.endpoint()).unwrap();
+    qp_b.post_recv(RecvWr::new(1, mr_b.sge(0, 4096))).unwrap();
+
+    cluster.fail_nic(h0).unwrap();
+    mr_a.write(0, b"twice!").unwrap();
+    // #1 fails the QP over; #2 dies on the route still at the dead wire.
+    for wr_id in [1, 2] {
+        qp_a.post_send(SendWr::send(wr_id, mr_a.sge(0, 6))).unwrap();
+        let wc = cq_a.wait_one(T).expect("a completion, not a hang");
+        assert_eq!((wc.wr_id, wc.status), (wr_id, WcStatus::RetryExcError));
+        assert_eq!(qp_a.failover_count(), 1, "after send #{wr_id}");
+        assert_eq!(qp_a.state(), QpState::Rts, "after send #{wr_id}");
+        match qp_a.path() {
+            FfPath::Remote { transport, .. } => assert_eq!(transport, TransportKind::TcpHost),
+            other => panic!("send #{wr_id} left the QP on {other:?}"),
+        }
+    }
+
+    cluster.refresh_routes();
+    qp_a.post_send(SendWr::send(3, mr_a.sge(0, 6))).unwrap();
+    assert!(cq_b.wait_one(T).unwrap().status.is_ok());
+    let wc = cq_a.wait_one(T).unwrap();
+    assert_eq!((wc.wr_id, wc.status), (3, WcStatus::Success));
+    assert_eq!(qp_a.failover_count(), 1);
 }
 
 /// Batched chained posts under failover: a chain posted onto a dead wire

@@ -94,17 +94,6 @@ fn stream_survives_failover_then_upgrade_back_to_rdma() {
     ));
     let epoch0 = client.qp().epoch();
 
-    // Forwarding converges onto the surviving TCP wires the instant the
-    // client's QP flushes: the channel pump resyncs as soon as the new
-    // path settles, so a refresh issued after observing the failover
-    // would race it onto the dead wire.
-    let weak = Arc::downgrade(&cluster);
-    client.qp().send_cq().observe_pushes(move |wc| {
-        if let (false, Some(cluster)) = (wc.status.is_ok(), weak.upgrade()) {
-            cluster.refresh_routes();
-        }
-    });
-
     // Kill the bypass NIC. The next frame dies on the downed wire, the QP
     // fails over onto kernel TCP, and the stream queues a retransmit. The
     // application sees none of it.
@@ -113,7 +102,9 @@ fn stream_survives_failover_then_upgrade_back_to_rdma() {
     wait_until("reactive failover onto TCP", Duration::from_secs(5), || {
         client.qp().failover_count() == 1
     });
-    // The stream's pump retransmits the lost frame over the new path.
+    // Converge the agents onto the surviving TCP wires, then let the
+    // stream's reaper retransmit the lost frame over the new path.
+    cluster.refresh_routes();
     client.flush().unwrap();
     let mut got = vec![0u8; b"through the outage".len()];
     server.read_exact(&mut got).unwrap();

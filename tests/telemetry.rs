@@ -99,21 +99,12 @@ fn chaos_run_yields_consistent_counters_timeline_and_exposition() {
     assert_eq!(epoch0, 1, "first bind starts epoch 1");
 
     // Phase 2: NIC death → reactive failover onto kernel TCP.
-    // Forwarding converges onto the surviving TCP wires the instant the
-    // client's QP flushes: the channel pump resyncs as soon as the new
-    // path settles, so a refresh issued after observing the failover
-    // would race it onto the dead wire.
-    let weak = Arc::downgrade(&cluster);
-    client.qp().send_cq().observe_pushes(move |wc| {
-        if let (false, Some(cluster)) = (wc.status.is_ok(), weak.upgrade()) {
-            cluster.refresh_routes();
-        }
-    });
     cluster.fail_nic(h0).unwrap();
     client.write_all(b"through the outage").unwrap();
     wait_until("reactive failover onto TCP", Duration::from_secs(5), || {
         client.qp().failover_count() == 1
     });
+    cluster.refresh_routes();
     client.flush().unwrap();
     let mut got = vec![0u8; b"through the outage".len()];
     server.read_exact(&mut got).unwrap();
