@@ -286,6 +286,11 @@ impl Agent {
                     "agent parks ended by a deadline (relay expiry or the park cap)",
                     bell.timeouts,
                 ),
+                (
+                    "ff_agent_bell_notifies",
+                    "rings of the agent's wake bell that found it parked and issued a futex wake",
+                    bell.notifies,
+                ),
             ];
             for (name, help, value) in export {
                 reg.gauge(name, help, labels).set(value as i64);
@@ -1831,6 +1836,8 @@ mod tests {
         // Collector-exported gauges mirror AgentStats and channel health.
         assert_eq!(snap.gauge_value("ff_agent_nacked", labels), Some(2));
         assert_eq!(snap.gauge_value("ff_agent_relayed_out", labels), Some(1));
+        // No pump parks on this agent's bell, so no ring issued a wake.
+        assert_eq!(snap.gauge_value("ff_agent_bell_notifies", labels), Some(0));
         let chan = LabelSet::host(3).with_container(u64::from(ip(1).raw()));
         assert_eq!(
             snap.gauge_value("ff_agent_chan_msgs_from_container", chan),

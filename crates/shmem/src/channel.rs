@@ -330,10 +330,11 @@ impl ShmReceiver {
     }
 
     /// Pop and decode one frame without ringing the space doorbell (the
-    /// caller rings once per pop — or once per batch).
+    /// caller rings once per pop — or once per batch). The header lands on
+    /// the stack and the payload straight in its own buffer: one copy.
     fn take_frame(&self) -> Result<ShmMessage> {
         let mut hdr = [0u8; HDR];
-        if !self.shared.ring.peek(&mut hdr) {
+        if !self.shared.ring.pop_exact(&mut hdr) {
             return if self.shared.tx_closed.load(Ordering::Acquire) && self.shared.ring.is_empty() {
                 Err(Error::disconnected("sender dropped"))
             } else {
@@ -342,8 +343,8 @@ impl ShmReceiver {
         }
         let kind = hdr[0];
         let len = u32::from_le_bytes(hdr[1..5].try_into().expect("4 bytes")) as usize;
-        let mut frame = vec![0u8; HDR + len];
-        if !self.shared.ring.pop_exact(&mut frame) {
+        let mut payload = vec![0u8; len];
+        if !self.shared.ring.pop_exact(&mut payload) {
             // Producer pushes frames atomically, so a visible header implies
             // the full frame is visible.
             unreachable!("partial frame in ring");
@@ -351,10 +352,9 @@ impl ShmReceiver {
         match kind {
             KIND_INLINE => {
                 self.shared.stats.record_recv(len as u64);
-                Ok(ShmMessage::Inline(Bytes::from(frame.split_off(HDR))))
+                Ok(ShmMessage::Inline(Bytes::from(payload)))
             }
             KIND_HANDLE => {
-                let payload = &frame[HDR..];
                 let offset = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
                 let blen = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
                 self.shared.stats.record_recv(blen);
@@ -522,6 +522,34 @@ mod tests {
         };
         tx.send_handle(h).unwrap();
         assert_eq!(rx.recv().unwrap(), ShmMessage::Handle(h));
+    }
+
+    #[test]
+    fn frames_straddling_the_ring_wrap_arrive_intact() {
+        // Frames of 5 + len bytes for len = 0..=59 walk a 64-byte ring's
+        // wrap point through the header and through the payload.
+        const CAP: usize = 64;
+        let (tx, rx) = channel_pair(CAP);
+        let (mut at, mut split_hdr, mut split_payload) = (0usize, 0, 0);
+        for len in 0..=CAP - HDR {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let pos = at % CAP;
+            if pos + HDR > CAP {
+                split_hdr += 1;
+            } else if len > 0 && pos + HDR < CAP && pos + HDR + len > CAP {
+                split_payload += 1;
+            }
+            at += HDR + len;
+            tx.try_send(&payload).unwrap();
+            match rx.try_recv().unwrap() {
+                ShmMessage::Inline(b) => assert_eq!(&b[..], &payload[..], "len {len}"),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(
+            split_hdr > 0 && split_payload > 0,
+            "{split_hdr} / {split_payload}"
+        );
     }
 
     #[test]

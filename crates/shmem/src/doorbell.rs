@@ -11,20 +11,35 @@
 //! between the consumer's check and its sleep (the classic lost-wakeup
 //! race) — the consumer passes the last count it *observed* and the wait
 //! returns immediately if the counter has moved past it.
+//!
+//! The bell is an eventcount: a ring enters the kernel only when a thread
+//! is parked. Waiters register in `sleepers` (under the mutex) *before*
+//! their first look at the counter; a ring bumps the counter and then
+//! reads `sleepers`, and skips the mutex and the futex wake when it reads
+//! zero. Both sides use `SeqCst`, so the increment of `sleepers` and the
+//! increment of the counter sit in one total order with the two loads:
+//! either the waiter's load sees the new count (it returns without
+//! parking), or the ringer's load sees the sleeper. In the second case the
+//! ringer takes the mutex, which the waiter holds from its registration
+//! until `Condvar::wait` releases it atomically with parking — so the
+//! ringer's `notify_all` lands on a parked waiter and is not lost.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A monotonic-counter doorbell shared by one ringer and one waiter
 /// (more of either is safe, just unusual).
 #[derive(Debug, Default)]
 pub struct Doorbell {
     count: AtomicU64,
+    /// Waiters between registration and exit; changed only under `mutex`.
+    sleepers: AtomicU64,
     waits: AtomicU64,
     wakes: AtomicU64,
     timeouts: AtomicU64,
     coalesced: AtomicU64,
+    notifies: AtomicU64,
     mutex: Mutex<()>,
     condvar: Condvar,
 }
@@ -38,7 +53,8 @@ pub struct DoorbellStats {
     /// Total rings (the monotonic counter's value).
     pub rings: u64,
     /// Blocking calls that actually parked on the condvar (calls that
-    /// found the counter already advanced are not counted).
+    /// found the counter already advanced, and zero-length waits, are not
+    /// counted).
     pub waits: u64,
     /// Parked waiters that resumed because the counter advanced.
     pub wakes: u64,
@@ -49,6 +65,9 @@ pub struct DoorbellStats {
     /// `n - 1` here. `rings + coalesced` is therefore the number of rings
     /// an unbatched producer would have issued.
     pub coalesced: u64,
+    /// Rings that found a registered waiter and issued a condvar wake;
+    /// `rings - notifies` rings cost one atomic add and no syscall.
+    pub notifies: u64,
 }
 
 impl Doorbell {
@@ -57,11 +76,16 @@ impl Doorbell {
         Self::default()
     }
 
-    /// Ring: increment the counter and wake any waiter.
+    /// Ring: increment the counter and wake any parked waiter. With no
+    /// waiter registered this is one atomic add and one load.
     pub fn ring(&self) {
-        self.count.fetch_add(1, Ordering::Release);
-        // Take the lock to close the race with a waiter that has checked
-        // the counter but not yet slept.
+        self.count.fetch_add(1, Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        self.notifies.fetch_add(1, Ordering::Relaxed);
+        // A registered waiter holds the mutex until it is parked, so
+        // taking it here orders this notify after the park.
         let _guard = self.mutex.lock();
         self.condvar.notify_all();
     }
@@ -98,58 +122,62 @@ impl Doorbell {
             wakes: self.wakes.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
+            notifies: self.notifies.load(Ordering::Relaxed),
         }
     }
 
     /// Block until the counter moves past `seen`; returns the new value.
     pub fn wait(&self, seen: u64) -> u64 {
-        let mut guard = self.mutex.lock();
-        let mut parked = false;
-        loop {
-            let now = self.current();
-            if now > seen {
-                if parked {
-                    self.wakes.fetch_add(1, Ordering::Relaxed);
-                }
-                return now;
-            }
-            if !parked {
-                parked = true;
-                self.waits.fetch_add(1, Ordering::Relaxed);
-            }
-            self.condvar.wait(&mut guard);
-        }
+        self.park(seen, None)
+            .expect("a wait without a deadline ends only on a ring")
     }
 
     /// Block until the counter moves past `seen` or `timeout` elapses.
-    /// Returns the new counter value, or `None` on timeout.
+    /// Returns the new counter value, or `None` on timeout. A zero
+    /// `timeout` only checks the counter: it neither parks nor counts.
     pub fn wait_timeout(&self, seen: u64, timeout: Duration) -> Option<u64> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut guard = self.mutex.lock();
-        let mut parked = false;
-        loop {
+        if timeout.is_zero() {
             let now = self.current();
+            return (now > seen).then_some(now);
+        }
+        self.park(seen, Some(Instant::now() + timeout))
+    }
+
+    /// The one wait loop: register as a sleeper, then park on the condvar
+    /// until the counter passes `seen` or `deadline` (if any) passes.
+    fn park(&self, seen: u64, deadline: Option<Instant>) -> Option<u64> {
+        let mut guard = self.mutex.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let (mut parked, mut timed_out) = (false, false);
+        let got = loop {
+            let now = self.count.load(Ordering::SeqCst);
             if now > seen {
-                if parked {
-                    self.wakes.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(now);
+                break Some(now);
+            }
+            // Checked after the count, so a ring that raced the timeout
+            // still counts as a wake.
+            if timed_out {
+                break None;
             }
             if !parked {
                 parked = true;
                 self.waits.fetch_add(1, Ordering::Relaxed);
             }
-            if self.condvar.wait_until(&mut guard, deadline).timed_out() {
-                // One final check: the ring may have raced the timeout.
-                let now = self.current();
-                if now > seen {
-                    self.wakes.fetch_add(1, Ordering::Relaxed);
-                    return Some(now);
+            timed_out = match deadline {
+                None => {
+                    self.condvar.wait(&mut guard);
+                    false
                 }
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+                Some(at) => self.condvar.wait_until(&mut guard, at).timed_out(),
+            };
+        };
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        if got.is_none() {
+            self.timeouts.fetch_add(1, Ordering::Relaxed);
+        } else if parked {
+            self.wakes.fetch_add(1, Ordering::Relaxed);
         }
+        got
     }
 }
 
@@ -240,6 +268,87 @@ mod tests {
         assert_eq!(waiter.join().unwrap(), 2);
         let s = bell.stats();
         assert_eq!((s.rings, s.waits, s.wakes, s.timeouts), (2, 2, 1, 1));
+    }
+
+    #[test]
+    fn zero_length_wait_neither_parks_nor_counts() {
+        let bell = Doorbell::new();
+        assert_eq!(bell.wait_timeout(0, Duration::ZERO), None);
+        bell.ring();
+        assert_eq!(bell.wait_timeout(0, Duration::ZERO), Some(1));
+        let s = bell.stats();
+        assert_eq!((s.waits, s.wakes, s.timeouts), (0, 0, 0));
+        assert_eq!(bell.sleepers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn unwaited_rings_issue_no_notify() {
+        let bell = Doorbell::new();
+        for _ in 0..1_000 {
+            bell.ring();
+        }
+        bell.ring_coalesced(4);
+        let s = bell.stats();
+        assert_eq!((s.rings, s.notifies), (1_001, 0));
+    }
+
+    #[test]
+    fn ring_to_a_parked_waiter_notifies_and_wakes_once() {
+        let bell = Arc::new(Doorbell::new());
+        let waiter = {
+            let bell = Arc::clone(&bell);
+            std::thread::spawn(move || bell.wait_timeout(0, Duration::from_secs(10)))
+        };
+        while bell.stats().waits == 0 {
+            std::thread::yield_now();
+        }
+        bell.ring();
+        assert_eq!(waiter.join().unwrap(), Some(1));
+        let s = bell.stats();
+        assert_eq!((s.waits, s.wakes, s.timeouts, s.notifies), (1, 1, 0, 1));
+        assert_eq!(bell.sleepers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn ping_pong_through_two_bells_loses_no_wakeup() {
+        // Two threads pass a ball back and forth 100 000 times, each
+        // parking with the pump's pattern: capture the bell, look for
+        // work, park on the captured count. Most rings find the peer not
+        // yet parked and skip the notify, so this exercises the window
+        // between a waiter's registration and its park from both sides.
+        const ROUNDS: u64 = 100_000;
+        let bells: Arc<[Doorbell; 2]> = Arc::default();
+        let ball = Arc::new(AtomicU64::new(0)); // even: side 0 holds it
+        let players: Vec<_> = (0..2u64)
+            .map(|side| {
+                let (bells, ball) = (Arc::clone(&bells), Arc::clone(&ball));
+                std::thread::spawn(move || {
+                    let (mine, theirs) = (&bells[side as usize], &bells[1 - side as usize]);
+                    let mut hits = 0;
+                    while hits < ROUNDS {
+                        let seen = mine.current();
+                        let b = ball.load(Ordering::SeqCst);
+                        if b % 2 == side {
+                            ball.store(b + 1, Ordering::SeqCst);
+                            theirs.ring();
+                            hits += 1;
+                        } else {
+                            let woke = mine.wait_timeout(seen, Duration::from_secs(10));
+                            assert!(woke.is_some(), "lost wakeup at ball {b}");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for p in players {
+            p.join().unwrap();
+        }
+        assert_eq!(ball.load(Ordering::SeqCst), 2 * ROUNDS);
+        for bell in bells.iter() {
+            let s = bell.stats();
+            assert_eq!(s.timeouts, 0, "{s:?}");
+            assert_eq!(s.waits, s.wakes, "{s:?}");
+        }
     }
 
     #[test]

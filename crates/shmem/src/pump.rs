@@ -192,6 +192,32 @@ mod tests {
     }
 
     #[test]
+    fn an_overrun_deadline_steps_again_without_a_park() {
+        // A step whose deadline has already passed gets a zero park: it
+        // must neither park nor count a wait or a timeout.
+        let bell = Arc::new(Doorbell::new());
+        let (done_tx, done_rx) = mpsc::channel();
+        let mut calls = 0;
+        let pump = Pump::spawn(
+            "overrun".into(),
+            Arc::clone(&bell),
+            Duration::ZERO,
+            move || {
+                calls += 1;
+                if calls < 100 {
+                    return Step::Idle(Some(Instant::now() - Duration::from_millis(1)));
+                }
+                done_tx.send(()).unwrap();
+                Step::Done
+            },
+        );
+        done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        drop(pump);
+        let s = bell.stats();
+        assert_eq!((s.waits, s.wakes, s.timeouts), (0, 0, 0));
+    }
+
+    #[test]
     fn dropping_a_parked_pump_ends_in_a_wake_not_a_timeout() {
         let bell = Arc::new(Doorbell::new());
         let pump = Pump::spawn("parked".into(), Arc::clone(&bell), Duration::ZERO, || {
