@@ -2,9 +2,10 @@
 //!
 //! One binary message format is used on both hops (container ↔ agent over
 //! shared memory, agent ↔ agent over the wire), so the agent can forward
-//! without re-encoding. The format is hand-rolled (no serde data format is
-//! available offline) and length-checked on parse — these bytes cross the
-//! simulated network, so corruption must surface as `Err`, not a panic.
+//! without re-encoding. The format is written in [`freeflow_types::wire`]
+//! — these bytes cross the simulated network, so corruption must surface
+//! as `Err`, not a panic, and no length or count on the wire can make the
+//! decoder allocate more than the input could fill.
 //!
 //! Payloads come in two shapes: [`RelayPayload::Inline`] bytes, or
 //! [`RelayPayload::Arena`] — an offset/length descriptor into the host's
@@ -12,7 +13,8 @@
 //! the data). Arena payloads are only meaningful within one host; agents
 //! materialize them to bytes before a message leaves the machine.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
+use freeflow_types::wire::{Reader, Writer};
 use freeflow_types::{Error, OverlayIp, Result};
 
 /// A fabric-wide queue-pair address: overlay IP + QPN.
@@ -192,115 +194,108 @@ const TAG_BATCH: u8 = 7;
 const PAYLOAD_INLINE: u8 = 0;
 const PAYLOAD_ARENA: u8 = 1;
 
-fn put_ep(buf: &mut BytesMut, ep: WireEp) {
-    buf.put_u32(ep.ip.raw());
-    buf.put_u32(ep.qpn);
-}
+/// A [`Writer`] over the relay's `BytesMut`.
+struct Out<'a>(&'a mut BytesMut);
 
-fn get_ep(buf: &mut Bytes) -> Result<WireEp> {
-    if buf.len() < 8 {
-        return Err(Error::parse("truncated endpoint"));
+impl Writer for Out<'_> {
+    fn put(&mut self, bytes: &[u8]) -> &mut Self {
+        self.0.extend_from_slice(bytes);
+        self
     }
-    Ok(WireEp {
-        ip: OverlayIp(buf.get_u32()),
-        qpn: buf.get_u32(),
-    })
+
+    fn written(&mut self) -> &mut [u8] {
+        self.0
+    }
 }
 
-fn put_imm(buf: &mut BytesMut, imm: Option<u32>) {
-    match imm {
-        Some(v) => {
-            buf.put_u8(1);
-            buf.put_u32(v);
+impl Out<'_> {
+    fn ep(&mut self, ep: WireEp) -> &mut Self {
+        self.u32(ep.ip.raw()).u32(ep.qpn)
+    }
+
+    fn imm(&mut self, imm: Option<u32>) -> &mut Self {
+        match imm {
+            Some(v) => self.u8(1).u32(v),
+            None => self.u8(0),
         }
-        None => buf.put_u8(0),
+    }
+
+    fn payload(&mut self, p: &RelayPayload) -> &mut Self {
+        match p {
+            RelayPayload::Inline(b) => self.u8(PAYLOAD_INLINE).slice(b),
+            RelayPayload::Arena { offset, len } => self.u8(PAYLOAD_ARENA).u64(*offset).u64(*len),
+        }
     }
 }
 
-fn get_imm(buf: &mut Bytes) -> Result<Option<u32>> {
-    if buf.is_empty() {
-        return Err(Error::parse("truncated imm flag"));
-    }
-    match buf.get_u8() {
+fn get_ep(r: &mut Reader<'_>) -> Result<WireEp> {
+    Ok(WireEp::new(OverlayIp(r.u32()?), r.u32()?))
+}
+
+fn get_imm(r: &mut Reader<'_>) -> Result<Option<u32>> {
+    match r.u8()? {
         0 => Ok(None),
-        1 => {
-            if buf.len() < 4 {
-                return Err(Error::parse("truncated imm value"));
-            }
-            Ok(Some(buf.get_u32()))
-        }
+        1 => Ok(Some(r.u32()?)),
         other => Err(Error::parse(format!("bad imm flag {other}"))),
     }
 }
 
-fn put_payload(buf: &mut BytesMut, p: &RelayPayload) {
-    match p {
-        RelayPayload::Inline(b) => {
-            buf.put_u8(PAYLOAD_INLINE);
-            buf.put_u64(b.len() as u64);
-            buf.extend_from_slice(b);
-        }
-        RelayPayload::Arena { offset, len } => {
-            buf.put_u8(PAYLOAD_ARENA);
-            buf.put_u64(*offset);
-            buf.put_u64(*len);
-        }
+/// The next length-prefixed slice `r` reads, as a zero-copy view of `buf`.
+fn get_view(buf: &Bytes, r: &mut Reader<'_>) -> Result<Bytes> {
+    let len = r.slice()?.len();
+    Ok(buf.slice(r.pos() - len..r.pos()))
+}
+
+fn get_payload(buf: &Bytes, r: &mut Reader<'_>) -> Result<RelayPayload> {
+    match r.u8()? {
+        PAYLOAD_INLINE => Ok(RelayPayload::Inline(get_view(buf, r)?)),
+        PAYLOAD_ARENA => Ok(RelayPayload::Arena {
+            offset: r.u64()?,
+            len: r.u64()?,
+        }),
+        other => Err(Error::parse(format!("bad payload kind {other}"))),
     }
 }
 
-fn get_payload(buf: &mut Bytes) -> Result<RelayPayload> {
-    if buf.is_empty() {
-        return Err(Error::parse("truncated payload kind"));
+/// Hand `each` the frames of the batch envelope `buf` in order, refusing
+/// torn lengths, overruns, undersized counts and trailing bytes.
+fn each_frame(buf: &Bytes, mut each: impl FnMut(Bytes) -> Result<()>) -> Result<()> {
+    let r = &mut Reader::new(buf);
+    r.u8()?;
+    // Past the tag, every frame costs at least its 4-byte length prefix, so
+    // the bytes that remain bound how many frames an untrusted count claims.
+    let count = r.count(4)?;
+    if count < 2 {
+        return Err(Error::parse(format!(
+            "batch of {count} messages: lone messages use plain tags"
+        )));
     }
-    match buf.get_u8() {
-        PAYLOAD_INLINE => {
-            if buf.len() < 8 {
-                return Err(Error::parse("truncated payload length"));
-            }
-            let len = buf.get_u64() as usize;
-            if buf.len() < len {
-                return Err(Error::parse(format!(
-                    "payload truncated: want {len}, have {}",
-                    buf.len()
-                )));
-            }
-            Ok(RelayPayload::Inline(buf.split_to(len)))
-        }
-        PAYLOAD_ARENA => {
-            if buf.len() < 16 {
-                return Err(Error::parse("truncated arena descriptor"));
-            }
-            Ok(RelayPayload::Arena {
-                offset: buf.get_u64(),
-                len: buf.get_u64(),
-            })
-        }
-        other => Err(Error::parse(format!("bad payload kind {other}"))),
+    for _ in 0..count {
+        each(get_view(buf, r)?)?;
     }
+    Ok(r.finish()?)
 }
 
 impl RelayMsg {
     /// The routing destination of this message.
     pub fn dst(&self) -> WireEp {
-        match self {
-            RelayMsg::Send { dst, .. }
-            | RelayMsg::Write { dst, .. }
-            | RelayMsg::ReadReq { dst, .. }
-            | RelayMsg::ReadResp { dst, .. }
-            | RelayMsg::Ack { dst, .. }
-            | RelayMsg::Nack { dst, .. } => *dst,
-        }
+        self.head().2
     }
 
     /// The originating endpoint.
     pub fn src(&self) -> WireEp {
-        match self {
-            RelayMsg::Send { src, .. }
-            | RelayMsg::Write { src, .. }
-            | RelayMsg::ReadReq { src, .. }
-            | RelayMsg::ReadResp { src, .. }
-            | RelayMsg::Ack { src, .. }
-            | RelayMsg::Nack { src, .. } => *src,
+        self.head().1
+    }
+
+    /// What every encoding starts with: tag, source, destination.
+    fn head(&self) -> (u8, WireEp, WireEp) {
+        match *self {
+            RelayMsg::Send { src, dst, .. } => (TAG_SEND, src, dst),
+            RelayMsg::Write { src, dst, .. } => (TAG_WRITE, src, dst),
+            RelayMsg::ReadReq { src, dst, .. } => (TAG_READ_REQ, src, dst),
+            RelayMsg::ReadResp { src, dst, .. } => (TAG_READ_RESP, src, dst),
+            RelayMsg::Ack { src, dst, .. } => (TAG_ACK, src, dst),
+            RelayMsg::Nack { src, dst, .. } => (TAG_NACK, src, dst),
         }
     }
 
@@ -317,94 +312,50 @@ impl RelayMsg {
     /// `BytesMut` per message, so a relay coalescing many frames into one
     /// wire send pays for one buffer, not one per frame.
     pub fn encode_into(&self, buf: &mut BytesMut) {
+        self.write(&mut Out(buf));
+    }
+
+    fn write(&self, w: &mut Out<'_>) {
+        let (tag, src, dst) = self.head();
+        w.u8(tag).ep(src).ep(dst);
         match self {
             RelayMsg::Send {
-                src,
-                dst,
                 wr_id,
                 imm,
                 payload,
-            } => {
-                buf.put_u8(TAG_SEND);
-                put_ep(buf, *src);
-                put_ep(buf, *dst);
-                buf.put_u64(*wr_id);
-                put_imm(buf, *imm);
-                put_payload(buf, payload);
-            }
+                ..
+            } => w.u64(*wr_id).imm(*imm).payload(payload),
             RelayMsg::Write {
-                src,
-                dst,
                 wr_id,
                 addr,
                 rkey,
                 imm,
                 payload,
-            } => {
-                buf.put_u8(TAG_WRITE);
-                put_ep(buf, *src);
-                put_ep(buf, *dst);
-                buf.put_u64(*wr_id);
-                buf.put_u64(*addr);
-                buf.put_u32(*rkey);
-                put_imm(buf, *imm);
-                put_payload(buf, payload);
-            }
+                ..
+            } => w
+                .u64(*wr_id)
+                .u64(*addr)
+                .u32(*rkey)
+                .imm(*imm)
+                .payload(payload),
             RelayMsg::ReadReq {
-                src,
-                dst,
                 req_id,
                 addr,
                 rkey,
                 len,
-            } => {
-                buf.put_u8(TAG_READ_REQ);
-                put_ep(buf, *src);
-                put_ep(buf, *dst);
-                buf.put_u64(*req_id);
-                buf.put_u64(*addr);
-                buf.put_u32(*rkey);
-                buf.put_u64(*len);
-            }
+                ..
+            } => w.u64(*req_id).u64(*addr).u32(*rkey).u64(*len),
             RelayMsg::ReadResp {
-                src,
-                dst,
                 req_id,
                 status,
                 payload,
-            } => {
-                buf.put_u8(TAG_READ_RESP);
-                put_ep(buf, *src);
-                put_ep(buf, *dst);
-                buf.put_u64(*req_id);
-                buf.put_u8(*status);
-                put_payload(buf, payload);
-            }
+                ..
+            } => w.u64(*req_id).u8(*status).payload(payload),
             RelayMsg::Ack {
-                src,
-                dst,
-                wr_id,
-                byte_len,
-            } => {
-                buf.put_u8(TAG_ACK);
-                put_ep(buf, *src);
-                put_ep(buf, *dst);
-                buf.put_u64(*wr_id);
-                buf.put_u64(*byte_len);
-            }
-            RelayMsg::Nack {
-                src,
-                dst,
-                wr_id,
-                status,
-            } => {
-                buf.put_u8(TAG_NACK);
-                put_ep(buf, *src);
-                put_ep(buf, *dst);
-                buf.put_u64(*wr_id);
-                buf.put_u8(*status);
-            }
-        }
+                wr_id, byte_len, ..
+            } => w.u64(*wr_id).u64(*byte_len),
+            RelayMsg::Nack { wr_id, status, .. } => w.u64(*wr_id).u8(*status),
+        };
     }
 
     /// Coalesce several messages into one wire message.
@@ -423,17 +374,10 @@ impl RelayMsg {
             msgs[0].encode_into(buf);
             return;
         }
-        buf.put_u8(TAG_BATCH);
-        buf.put_u32(msgs.len() as u32);
+        let w = &mut Out(buf);
+        w.u8(TAG_BATCH).count(msgs.len());
         for msg in msgs {
-            // Reserve the length slot, encode, then patch the real length —
-            // one pass over the payload instead of encode-then-copy.
-            let len_at = buf.len();
-            buf.put_u32(0);
-            let start = buf.len();
-            msg.encode_into(buf);
-            let frame_len = (buf.len() - start) as u32;
-            buf[len_at..len_at + 4].copy_from_slice(&frame_len.to_be_bytes());
+            w.framed(|w| msg.write(w));
         }
     }
 
@@ -453,14 +397,12 @@ impl RelayMsg {
             out.push(RelayMsg::decode(buf)?);
             return Ok(1);
         }
-        let frames = Self::split_frames(buf)?;
-        let mut decoded = Vec::with_capacity(frames.len());
-        for frame in frames {
-            decoded.push(RelayMsg::decode(frame)?);
+        let start = out.len();
+        let decoded = each_frame(&buf, |frame| RelayMsg::decode(frame).map(|m| out.push(m)));
+        if decoded.is_err() {
+            out.truncate(start);
         }
-        let count = decoded.len();
-        out.extend(decoded);
-        Ok(count)
+        decoded.map(|()| out.len() - start)
     }
 
     /// Split a wire message into its raw frames without decoding them.
@@ -475,148 +417,65 @@ impl RelayMsg {
         if buf.first() != Some(&TAG_BATCH) {
             return Ok(vec![buf]);
         }
-        let mut buf = buf.slice(1..);
-        if buf.len() < 4 {
-            return Err(Error::parse("truncated batch count"));
-        }
-        let count = buf.get_u32() as usize;
-        if count < 2 {
-            return Err(Error::parse(format!(
-                "batch of {count} messages: lone messages use plain tags"
-            )));
-        }
-        // The count is untrusted: every frame costs at least its 4-byte
-        // length prefix, so the bytes that remain bound how many frames
-        // (and how much `Vec` capacity) the envelope can possibly hold.
-        if count > buf.len() / 4 {
-            return Err(Error::parse(format!(
-                "batch count {count} exceeds what {} remaining bytes can frame",
-                buf.len()
-            )));
-        }
-        let mut frames = Vec::with_capacity(count);
-        for i in 0..count {
-            if buf.len() < 4 {
-                return Err(Error::parse(format!("truncated length of frame {i}")));
-            }
-            let len = buf.get_u32() as usize;
-            if buf.len() < len {
-                return Err(Error::parse(format!(
-                    "frame {i} truncated: want {len}, have {}",
-                    buf.len()
-                )));
-            }
-            frames.push(buf.split_to(len));
-        }
-        if !buf.is_empty() {
-            return Err(Error::parse(format!(
-                "{} trailing bytes after batch",
-                buf.len()
-            )));
-        }
+        let mut frames = Vec::new();
+        each_frame(&buf, |frame| {
+            frames.push(frame);
+            Ok(())
+        })?;
         Ok(frames)
     }
 
     /// Parse from wire bytes.
-    pub fn decode(mut buf: Bytes) -> Result<Self> {
-        if buf.is_empty() {
-            return Err(Error::parse("empty relay message"));
-        }
-        let tag = buf.get_u8();
-        let need = |buf: &Bytes, n: usize, what: &str| -> Result<()> {
-            if buf.len() < n {
-                Err(Error::parse(format!("truncated {what}")))
-            } else {
-                Ok(())
-            }
+    pub fn decode(buf: Bytes) -> Result<Self> {
+        let r = &mut Reader::new(&buf);
+        let msg = match r.u8()? {
+            TAG_SEND => RelayMsg::Send {
+                src: get_ep(r)?,
+                dst: get_ep(r)?,
+                wr_id: r.u64()?,
+                imm: get_imm(r)?,
+                payload: get_payload(&buf, r)?,
+            },
+            TAG_WRITE => RelayMsg::Write {
+                src: get_ep(r)?,
+                dst: get_ep(r)?,
+                wr_id: r.u64()?,
+                addr: r.u64()?,
+                rkey: r.u32()?,
+                imm: get_imm(r)?,
+                payload: get_payload(&buf, r)?,
+            },
+            TAG_READ_REQ => RelayMsg::ReadReq {
+                src: get_ep(r)?,
+                dst: get_ep(r)?,
+                req_id: r.u64()?,
+                addr: r.u64()?,
+                rkey: r.u32()?,
+                len: r.u64()?,
+            },
+            TAG_READ_RESP => RelayMsg::ReadResp {
+                src: get_ep(r)?,
+                dst: get_ep(r)?,
+                req_id: r.u64()?,
+                status: r.u8()?,
+                payload: get_payload(&buf, r)?,
+            },
+            TAG_ACK => RelayMsg::Ack {
+                src: get_ep(r)?,
+                dst: get_ep(r)?,
+                wr_id: r.u64()?,
+                byte_len: r.u64()?,
+            },
+            TAG_NACK => RelayMsg::Nack {
+                src: get_ep(r)?,
+                dst: get_ep(r)?,
+                wr_id: r.u64()?,
+                status: r.u8()?,
+            },
+            other => return Err(Error::parse(format!("unknown relay tag {other}"))),
         };
-        match tag {
-            TAG_SEND => {
-                let src = get_ep(&mut buf)?;
-                let dst = get_ep(&mut buf)?;
-                need(&buf, 8, "wr_id")?;
-                let wr_id = buf.get_u64();
-                let imm = get_imm(&mut buf)?;
-                let payload = get_payload(&mut buf)?;
-                Ok(RelayMsg::Send {
-                    src,
-                    dst,
-                    wr_id,
-                    imm,
-                    payload,
-                })
-            }
-            TAG_WRITE => {
-                let src = get_ep(&mut buf)?;
-                let dst = get_ep(&mut buf)?;
-                need(&buf, 20, "write header")?;
-                let wr_id = buf.get_u64();
-                let addr = buf.get_u64();
-                let rkey = buf.get_u32();
-                let imm = get_imm(&mut buf)?;
-                let payload = get_payload(&mut buf)?;
-                Ok(RelayMsg::Write {
-                    src,
-                    dst,
-                    wr_id,
-                    addr,
-                    rkey,
-                    imm,
-                    payload,
-                })
-            }
-            TAG_READ_REQ => {
-                let src = get_ep(&mut buf)?;
-                let dst = get_ep(&mut buf)?;
-                need(&buf, 28, "read request")?;
-                Ok(RelayMsg::ReadReq {
-                    src,
-                    dst,
-                    req_id: buf.get_u64(),
-                    addr: buf.get_u64(),
-                    rkey: buf.get_u32(),
-                    len: buf.get_u64(),
-                })
-            }
-            TAG_READ_RESP => {
-                let src = get_ep(&mut buf)?;
-                let dst = get_ep(&mut buf)?;
-                need(&buf, 9, "read response")?;
-                let req_id = buf.get_u64();
-                let status = buf.get_u8();
-                let payload = get_payload(&mut buf)?;
-                Ok(RelayMsg::ReadResp {
-                    src,
-                    dst,
-                    req_id,
-                    status,
-                    payload,
-                })
-            }
-            TAG_ACK => {
-                let src = get_ep(&mut buf)?;
-                let dst = get_ep(&mut buf)?;
-                need(&buf, 16, "ack")?;
-                Ok(RelayMsg::Ack {
-                    src,
-                    dst,
-                    wr_id: buf.get_u64(),
-                    byte_len: buf.get_u64(),
-                })
-            }
-            TAG_NACK => {
-                let src = get_ep(&mut buf)?;
-                let dst = get_ep(&mut buf)?;
-                need(&buf, 9, "nack")?;
-                Ok(RelayMsg::Nack {
-                    src,
-                    dst,
-                    wr_id: buf.get_u64(),
-                    status: buf.get_u8(),
-                })
-            }
-            other => Err(Error::parse(format!("unknown relay tag {other}"))),
-        }
+        r.finish()?;
+        Ok(msg)
     }
 }
 
@@ -788,7 +647,7 @@ mod tests {
         let msgs = all_messages();
         let mut buf = BytesMut::new();
         RelayMsg::encode_coalesced(&msgs, &mut buf);
-        buf.put_u8(0xEE);
+        buf.extend_from_slice(&[0xEE]);
         let mut out = Vec::new();
         assert!(RelayMsg::decode_many(buf.freeze(), &mut out).is_err());
         assert!(out.is_empty());
@@ -798,12 +657,11 @@ mod tests {
     fn undersized_batch_count_rejected() {
         // count < 2 on the wire is corruption: lone messages never get the
         // batch envelope.
-        for count in [0u32, 1] {
-            let mut buf = BytesMut::new();
-            buf.put_u8(7); // TAG_BATCH
-            buf.put_u32(count);
+        for count in [0, 1] {
+            let mut buf = Vec::new();
+            buf.u8(TAG_BATCH).count(count);
             let mut out = Vec::new();
-            assert!(RelayMsg::decode_many(buf.freeze(), &mut out).is_err());
+            assert!(RelayMsg::decode_many(Bytes::from(buf), &mut out).is_err());
         }
     }
 
@@ -811,21 +669,17 @@ mod tests {
     fn oversized_batch_count_rejected_before_allocating() {
         // A bit-flipped count must fail on the bytes that remain, not
         // reach `Vec::with_capacity` (u32::MAX frames would be ~100 GB).
-        let mut buf = BytesMut::new();
-        buf.put_u8(7); // TAG_BATCH
-        buf.put_u32(u32::MAX);
-        buf.put_slice(&[0u8; 64]);
-        assert!(RelayMsg::split_frames(buf.clone().freeze()).is_err());
+        let mut buf = Vec::new();
+        buf.u8(TAG_BATCH).u32(u32::MAX).put(&[0u8; 64]);
+        let buf = Bytes::from(buf);
+        assert!(RelayMsg::split_frames(buf.clone()).is_err());
         let mut out = Vec::new();
-        assert!(RelayMsg::decode_many(buf.freeze(), &mut out).is_err());
+        assert!(RelayMsg::decode_many(buf, &mut out).is_err());
         assert!(out.is_empty());
         // The largest count the remaining bytes could frame still parses
         // frame by frame (and fails on content, not on allocation).
-        let mut buf = BytesMut::new();
-        buf.put_u8(7);
-        buf.put_u32(2);
-        buf.put_u32(0);
-        buf.put_u32(0);
-        assert_eq!(RelayMsg::split_frames(buf.freeze()).unwrap().len(), 2);
+        let mut buf = Vec::new();
+        buf.u8(TAG_BATCH).count(2).slice(&[]).slice(&[]);
+        assert_eq!(RelayMsg::split_frames(Bytes::from(buf)).unwrap().len(), 2);
     }
 }

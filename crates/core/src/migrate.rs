@@ -68,6 +68,7 @@
 use crate::container::Container;
 use crate::endpoint::FfEndpoint;
 use crate::qp::FfQp;
+use freeflow_types::wire::{self, Reader, WireError, Writer};
 use freeflow_types::{ContainerId, HostId, OverlayIp, TenantId};
 use freeflow_verbs::VerbsResult;
 
@@ -324,68 +325,38 @@ impl std::fmt::Display for MigrateError {
 
 impl std::error::Error for MigrateError {}
 
+impl From<WireError> for MigrateError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated => MigrateError::Truncated,
+            WireError::Count => MigrateError::BadValue("record count"),
+            WireError::Trailing => MigrateError::BadValue("trailing bytes"),
+            WireError::Checksum => MigrateError::BadChecksum,
+        }
+    }
+}
+
 /// Checkpoint wire-format magic: `"FFM1"`.
 const MAGIC: u32 = 0x4646_4D31;
 
 /// Interned binding-phase names, in wire order (`BindingPhase::name()`).
 const PHASES: [&str; 5] = ["unbound", "bound", "draining", "rebinding", "error"];
 
-/// FNV-1a over the serialized body — cheap, deterministic, and exactly
-/// strong enough to catch the torn writes a crash mid-checkpoint leaves.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MigrateError> {
-        let end = self.at.checked_add(n).ok_or(MigrateError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(MigrateError::Truncated);
-        }
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, MigrateError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, MigrateError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, MigrateError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Read a `u32` record count, bounded by what the remaining bytes can
-    /// hold at `min_record` encoded bytes apiece — a corrupt count that
-    /// somehow survived the checksum still cannot over-allocate.
-    fn count(&mut self, min_record: usize, what: &'static str) -> Result<usize, MigrateError> {
-        let count = self.u32()? as usize;
-        if count > (self.bytes.len() - self.at) / min_record {
-            return Err(MigrateError::BadValue(what));
-        }
-        Ok(count)
-    }
-}
-
 /// Encoded size of one [`QpRecord`], of an [`MrRecord`] with no bytes, and
 /// of one [`LedgerRecord`]: the floor each decoded count is checked against.
 const QP_RECORD_LEN: usize = 54;
-const MR_RECORD_MIN_LEN: usize = 34;
+const MR_RECORD_MIN_LEN: usize = 30;
 const LEDGER_RECORD_LEN: usize = 28;
+
+/// A count-prefixed run of records, each at least `min_len` bytes.
+fn records<'a, T>(
+    r: &mut Reader<'a>,
+    min_len: usize,
+    mut one: impl FnMut(&mut Reader<'a>) -> Result<T, MigrateError>,
+) -> Result<Vec<T>, MigrateError> {
+    let n = r.count(min_len)?;
+    (0..n).map(|_| one(r)).collect()
+}
 
 impl MigrationCheckpoint {
     /// Capture a frozen container's state. The caller (the cluster's 2PC
@@ -442,49 +413,47 @@ impl MigrationCheckpoint {
     /// Serialize to the checksummed wire format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128 + self.mr_bytes() as usize);
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&self.image.id.raw().to_le_bytes());
-        out.extend_from_slice(&self.image.tenant.raw().to_le_bytes());
-        out.extend_from_slice(&self.image.ip.octets());
-        out.extend_from_slice(&self.from_host.raw().to_le_bytes());
-        out.extend_from_slice(&self.to_host.raw().to_le_bytes());
-        out.extend_from_slice(&(self.qps.len() as u32).to_le_bytes());
+        out.u32(MAGIC)
+            .u64(self.image.id.raw())
+            .u64(self.image.tenant.raw())
+            .u32(self.image.ip.raw())
+            .u64(self.from_host.raw())
+            .u64(self.to_host.raw())
+            .count(self.qps.len());
         for qp in &self.qps {
-            out.extend_from_slice(&qp.qpn.to_le_bytes());
-            out.extend_from_slice(&qp.peer_octets);
-            out.extend_from_slice(&qp.peer_qpn.to_le_bytes());
             let phase = PHASES.iter().position(|p| *p == qp.phase).unwrap_or(0) as u8;
-            out.push(phase);
-            out.extend_from_slice(&qp.epoch.to_le_bytes());
-            out.extend_from_slice(&qp.generation.to_le_bytes());
-            out.push(qp.transport_rank);
-            out.extend_from_slice(&qp.parked_sends.to_le_bytes());
-            out.extend_from_slice(&qp.posted_recvs.to_le_bytes());
-            out.extend_from_slice(&qp.inbound_pending.to_le_bytes());
-            out.extend_from_slice(&qp.in_flight.to_le_bytes());
-            out.extend_from_slice(&qp.next_op_id.to_le_bytes());
+            out.u32(qp.qpn)
+                .put(&qp.peer_octets)
+                .u32(qp.peer_qpn)
+                .u8(phase)
+                .u64(qp.epoch)
+                .u64(qp.generation)
+                .u8(qp.transport_rank)
+                .u32(qp.parked_sends)
+                .u32(qp.posted_recvs)
+                .u32(qp.inbound_pending)
+                .u32(qp.in_flight)
+                .u64(qp.next_op_id);
         }
-        out.extend_from_slice(&(self.mrs.len() as u32).to_le_bytes());
+        out.count(self.mrs.len());
         for mr in &self.mrs {
-            out.extend_from_slice(&mr.lkey.to_le_bytes());
-            out.extend_from_slice(&mr.rkey.to_le_bytes());
-            out.extend_from_slice(&mr.base_va.to_le_bytes());
-            out.extend_from_slice(&mr.len.to_le_bytes());
-            out.push(mr.access_bits);
-            out.push(mr.arena_backed as u8);
-            out.extend_from_slice(&(mr.bytes.len() as u64).to_le_bytes());
-            out.extend_from_slice(&mr.bytes);
+            out.u32(mr.lkey)
+                .u32(mr.rkey)
+                .u64(mr.base_va)
+                .u64(mr.len)
+                .u8(mr.access_bits)
+                .u8(mr.arena_backed as u8)
+                .slice(&mr.bytes);
         }
-        out.extend_from_slice(&(self.ledgers.len() as u32).to_le_bytes());
+        out.count(self.ledgers.len());
         for ledger in &self.ledgers {
-            out.extend_from_slice(&ledger.qpn.to_le_bytes());
-            out.extend_from_slice(&ledger.tx_next_seq.to_le_bytes());
-            out.extend_from_slice(&ledger.tx_in_flight.to_le_bytes());
-            out.extend_from_slice(&ledger.rx_received.to_le_bytes());
-            out.extend_from_slice(&ledger.rx_parked.to_le_bytes());
+            out.u32(ledger.qpn)
+                .u64(ledger.tx_next_seq)
+                .u32(ledger.tx_in_flight)
+                .u64(ledger.rx_received)
+                .u32(ledger.rx_parked);
         }
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        wire::seal(&mut out);
         out
     }
 
@@ -493,99 +462,63 @@ impl MigrationCheckpoint {
     /// decode fails and the coordinator aborts instead of restoring
     /// garbage.
     pub fn decode(bytes: &[u8]) -> Result<Self, MigrateError> {
-        if bytes.len() < 8 + 4 {
-            return Err(MigrateError::Truncated);
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let want = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv1a(body) != want {
-            return Err(MigrateError::BadChecksum);
-        }
-        let mut c = Cursor { bytes: body, at: 0 };
-        if c.u32()? != MAGIC {
+        let r = &mut Reader::new(wire::open(bytes)?);
+        if r.u32()? != MAGIC {
             return Err(MigrateError::BadMagic);
         }
-        let id = ContainerId::new(c.u64()?);
-        let tenant = TenantId::new(c.u64()?);
-        let ip_octets: [u8; 4] = c.take(4)?.try_into().unwrap();
-        let from_host = HostId::new(c.u64()?);
-        let to_host = HostId::new(c.u64()?);
-        let qp_count = c.count(QP_RECORD_LEN, "qp count")?;
-        let mut qps = Vec::with_capacity(qp_count);
-        for _ in 0..qp_count {
-            let qpn = c.u32()?;
-            let peer_octets: [u8; 4] = c.take(4)?.try_into().unwrap();
-            let peer_qpn = c.u32()?;
-            let phase_idx = c.u8()? as usize;
-            let phase = *PHASES
-                .get(phase_idx)
-                .ok_or(MigrateError::BadValue("binding phase"))?;
-            qps.push(QpRecord {
-                qpn,
-                peer_octets,
-                peer_qpn,
-                phase,
-                epoch: c.u64()?,
-                generation: c.u64()?,
-                transport_rank: c.u8()?,
-                parked_sends: c.u32()?,
-                posted_recvs: c.u32()?,
-                inbound_pending: c.u32()?,
-                in_flight: c.u32()?,
-                next_op_id: c.u64()?,
-            });
-        }
-        let mr_count = c.count(MR_RECORD_MIN_LEN, "mr count")?;
-        let mut mrs = Vec::with_capacity(mr_count);
-        for _ in 0..mr_count {
-            let lkey = c.u32()?;
-            let rkey = c.u32()?;
-            let base_va = c.u64()?;
-            let len = c.u64()?;
-            let access_bits = c.u8()?;
-            let arena_backed = match c.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(MigrateError::BadValue("arena flag")),
-            };
-            let n = c.u64()? as usize;
-            let bytes = c.take(n)?.to_vec();
-            mrs.push(MrRecord {
-                lkey,
-                rkey,
-                base_va,
-                len,
-                access_bits,
-                arena_backed,
-                bytes,
-            });
-        }
-        let ledger_count = c.count(LEDGER_RECORD_LEN, "ledger count")?;
-        let mut ledgers = Vec::with_capacity(ledger_count);
-        for _ in 0..ledger_count {
-            ledgers.push(LedgerRecord {
-                qpn: c.u32()?,
-                tx_next_seq: c.u64()?,
-                tx_in_flight: c.u32()?,
-                rx_received: c.u64()?,
-                rx_parked: c.u32()?,
-            });
-        }
-        if c.at != body.len() {
-            return Err(MigrateError::BadValue("trailing bytes"));
-        }
-        Ok(Self {
+        let cp = Self {
             image: ContainerImage {
-                id,
-                tenant,
-                ip: OverlayIp::from_octets(ip_octets[0], ip_octets[1], ip_octets[2], ip_octets[3]),
+                id: ContainerId::new(r.u64()?),
+                tenant: TenantId::new(r.u64()?),
+                ip: OverlayIp(r.u32()?),
             },
-            from_host,
-            to_host,
-            qps,
-            mrs,
-            ledgers,
-        })
+            from_host: HostId::new(r.u64()?),
+            to_host: HostId::new(r.u64()?),
+            qps: records(r, QP_RECORD_LEN, |r| {
+                Ok(QpRecord {
+                    qpn: r.u32()?,
+                    peer_octets: r.array()?,
+                    peer_qpn: r.u32()?,
+                    phase: PHASES
+                        .get(r.u8()? as usize)
+                        .ok_or(MigrateError::BadValue("binding phase"))?,
+                    epoch: r.u64()?,
+                    generation: r.u64()?,
+                    transport_rank: r.u8()?,
+                    parked_sends: r.u32()?,
+                    posted_recvs: r.u32()?,
+                    inbound_pending: r.u32()?,
+                    in_flight: r.u32()?,
+                    next_op_id: r.u64()?,
+                })
+            })?,
+            mrs: records(r, MR_RECORD_MIN_LEN, |r| {
+                Ok(MrRecord {
+                    lkey: r.u32()?,
+                    rkey: r.u32()?,
+                    base_va: r.u64()?,
+                    len: r.u64()?,
+                    access_bits: r.u8()?,
+                    arena_backed: match r.u8()? {
+                        0 => false,
+                        1 => true,
+                        _ => return Err(MigrateError::BadValue("arena flag")),
+                    },
+                    bytes: r.slice()?.to_vec(),
+                })
+            })?,
+            ledgers: records(r, LEDGER_RECORD_LEN, |r| {
+                Ok(LedgerRecord {
+                    qpn: r.u32()?,
+                    tx_next_seq: r.u64()?,
+                    tx_in_flight: r.u32()?,
+                    rx_received: r.u64()?,
+                    rx_parked: r.u32()?,
+                })
+            })?,
+        };
+        r.finish()?;
+        Ok(cp)
     }
 
     /// Verify live state on the target against this checkpoint: same
@@ -735,11 +668,9 @@ mod tests {
     fn bad_magic_is_not_a_checkpoint() {
         let mut bytes = sample().encode();
         bytes[0] ^= 0xFF;
-        // Checksum is over the corrupted body too, so recompute it to
-        // isolate the magic check.
-        let n = bytes.len();
-        let sum = fnv1a(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        // Reseal over the corrupted body to isolate the magic check.
+        bytes.truncate(bytes.len() - 8);
+        wire::seal(&mut bytes);
         assert!(matches!(
             MigrationCheckpoint::decode(&bytes),
             Err(MigrateError::BadMagic)

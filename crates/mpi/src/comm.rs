@@ -2,6 +2,7 @@
 
 use freeflow::{Container, FreeFlowCluster};
 use freeflow_socket::{FfStream, SocketStack};
+use freeflow_types::wire::{Reader, Writer};
 use freeflow_types::{Error, HostId, Result, TenantId};
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -12,6 +13,10 @@ const MPI_PORT: u16 = 5555;
 
 /// Frame header: tag (u32) + payload length (u64).
 const HDR: usize = 12;
+
+/// Payload bytes a receive reads (and allocates) at a time, so its memory
+/// tracks the bytes that actually arrive, not the length a header claims.
+const RECV_CHUNK: u64 = 64 * 1024;
 
 /// Reduction operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +103,7 @@ impl World {
                         let mut stream = listener.accept(Duration::from_secs(30))?;
                         let mut hello = [0u8; 8];
                         stream.read_exact(&mut hello)?;
-                        got.push((u64::from_le_bytes(hello) as usize, stream));
+                        got.push((Reader::new(&hello).u64()? as usize, stream));
                     }
                     Ok(got)
                 }));
@@ -174,9 +179,7 @@ impl Rank {
     /// Tagged point-to-point send (blocking until buffered/transferred).
     pub fn send(&mut self, dst: usize, tag: u32, data: &[u8]) -> Result<()> {
         let mut frame = Vec::with_capacity(HDR + data.len());
-        frame.extend_from_slice(&tag.to_le_bytes());
-        frame.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        frame.extend_from_slice(data);
+        frame.u32(tag).u64(data.len() as u64).put(data);
         self.link(dst)?.write_all(&frame)?;
         Ok(())
     }
@@ -194,10 +197,14 @@ impl Rank {
                 let stream = self.link(src)?;
                 let mut hdr = [0u8; HDR];
                 stream.read_exact(&mut hdr)?;
-                let got_tag = u32::from_le_bytes(hdr[..4].try_into().expect("4 bytes"));
-                let len = u64::from_le_bytes(hdr[4..].try_into().expect("8 bytes")) as usize;
-                let mut data = vec![0u8; len];
-                stream.read_exact(&mut data)?;
+                let mut r = Reader::new(&hdr);
+                let (got_tag, len) = (r.u32()?, r.u64()?);
+                let mut data = Vec::new();
+                while (data.len() as u64) < len {
+                    let at = data.len();
+                    data.resize(at + (len - at as u64).min(RECV_CHUNK) as usize, 0);
+                    stream.read_exact(&mut data[at..])?;
+                }
                 (got_tag, data)
             };
             if got_tag == tag {
@@ -375,7 +382,7 @@ fn bytes_to_f64s(b: &[u8]) -> Result<Vec<f64>> {
         )));
     }
     Ok(b.chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+        .map(|c| f64::from_bits(Reader::new(c).u64().expect("an 8-byte chunk")))
         .collect())
 }
 
@@ -521,6 +528,33 @@ mod tests {
                 Err(_) => assert_eq!(r.rank(), 0),
             }
         });
+    }
+
+    #[test]
+    fn recv_survives_a_header_claiming_a_terabyte() {
+        let cluster = FreeFlowCluster::with_defaults();
+        let h = cluster.add_host(HostCaps::paper_testbed());
+        let a = cluster.launch(TenantId::new(1), h).unwrap();
+        let b = cluster.launch(TenantId::new(1), h).unwrap();
+        let stack = SocketStack::new();
+        let listener = stack.bind(&b, MPI_PORT).unwrap();
+        let (mut liar, stream) = std::thread::scope(|s| {
+            let accepted = s.spawn(|| listener.accept(Duration::from_secs(30)).unwrap());
+            let liar = stack.connect(&a, b.ip(), MPI_PORT).unwrap();
+            (liar, accepted.join().unwrap())
+        });
+        let mut rank = Rank {
+            rank: 0,
+            size: 2,
+            container: b,
+            links: vec![None, Some(stream)],
+            unexpected: vec![VecDeque::new(), VecDeque::new()],
+        };
+        let mut frame = Vec::new();
+        frame.u32(7).u64(1 << 40).put(&[0xAB; 1000]);
+        liar.write_all(&frame).unwrap();
+        liar.shutdown().unwrap();
+        assert!(rank.recv(1, 7).is_err(), "a 1 TiB claim ends at EOF");
     }
 
     #[test]

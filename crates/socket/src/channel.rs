@@ -25,9 +25,8 @@
 //! pump makes progress.
 
 use crate::mux::{
-    decode, encode_credit, encode_data_header, encode_fin, encode_ready, encode_resync,
-    encode_resync_ack, CtrlKind, Deferred, Frame, MuxCore, SeqFrame, CTRL_BIT, DATA_HDR,
-    FRAME_SIZE, MAX_PAYLOAD, RECV_SLOTS, RESYNC_RETRY, SEND_SLOTS, STREAM_WINDOW,
+    CtrlKind, Deferred, Frame, MuxCore, SeqFrame, CTRL_BIT, DATA_HDR, FRAME_SIZE, MAX_PAYLOAD,
+    RECV_SLOTS, RESYNC_RETRY, SEND_SLOTS, STREAM_WINDOW,
 };
 use crate::reliability::TxPayload;
 use freeflow::binding::{BindingPhase, PathSignal};
@@ -316,26 +315,23 @@ impl Channel {
             return true;
         }
         let slot = wc.wr_id;
-        let mut raw = vec![0u8; wc.byte_len as usize];
-        if self
-            .recv_mr
-            .read(slot * FRAME_SIZE as u64, &mut raw)
-            .is_err()
-        {
-            self.core.lock().kill("channel recv MR read failed");
-            return true;
-        }
-        // The bytes are copied out: the slot goes straight back on the
-        // wire, so stream buffering never backs up the shared RQ.
-        if let Err(e) = self.qp.post_recv(RecvWr::new(
-            slot,
+        let base = slot * FRAME_SIZE as u64;
+        // The frame is copied out — a payload straight into the `Vec` it
+        // is delivered in — so the slot goes back on the wire at once and
+        // stream buffering never backs up the shared RQ.
+        let frame = Frame::decode(wc.byte_len as usize, |at, buf| {
             self.recv_mr
-                .sge(slot * FRAME_SIZE as u64, FRAME_SIZE as u32),
-        )) {
+                .read(base + at as u64, buf)
+                .map_err(|e| Error::config(e.to_string()))
+        });
+        if let Err(e) = self
+            .qp
+            .post_recv(RecvWr::new(slot, self.recv_mr.sge(base, FRAME_SIZE as u32)))
+        {
             self.core.lock().kill(format!("recv repost failed: {e}"));
             return true;
         }
-        let frame = match decode(raw) {
+        let frame = match frame {
             Ok(f) => f,
             Err(e) => {
                 self.core.lock().kill(format!("bad frame: {e}"));
@@ -355,7 +351,10 @@ impl Channel {
             Frame::Ready => {}
             Frame::Resync { sent: _ } => {
                 // Answer with our in-order high-water mark; idempotent.
-                let ack = encode_resync_ack(core.rx.received());
+                let ack = Frame::ResyncAck {
+                    received: core.rx.received(),
+                }
+                .encode();
                 let _ = self.post_ctrl(core, CtrlKind::ResyncAck, ack);
             }
             Frame::ResyncAck { received } => self.apply_ack(core, received),
@@ -511,7 +510,7 @@ impl Channel {
         let mut progressed = false;
         let settled = self.signal.settled();
         if core.ready_due && core.tx_open && settled && Instant::now() >= core.retry_at {
-            let ready = encode_ready();
+            let ready = Frame::Ready.encode();
             if self.post_ctrl(core, CtrlKind::Ready, ready).is_ok() {
                 core.ready_due = false;
                 progressed = true;
@@ -520,7 +519,10 @@ impl Channel {
         // The path is settled again and no send still owes a completion:
         // ask the receiver where the cut actually fell.
         if settled && core.tx.recovering() && core.resync_due(Instant::now()) {
-            let resync = encode_resync(core.tx.next_seq());
+            let resync = Frame::Resync {
+                sent: core.tx.next_seq(),
+            }
+            .encode();
             if self.post_ctrl(core, CtrlKind::Resync, resync).is_ok() {
                 core.tx.resync_sent();
                 core.retry_at = Instant::now() + RESYNC_RETRY;
@@ -647,11 +649,13 @@ impl Channel {
     }
 
     fn post_seq_credit(&self, core: &mut MuxCore, stream: u32, n: u32) -> Result<()> {
-        self.post_seq_inline(core, stream, |seq| encode_credit(seq, stream, n))
+        self.post_seq_inline(core, stream, |seq| {
+            Frame::Credit { seq, stream, n }.encode()
+        })
     }
 
     fn post_seq_fin(&self, core: &mut MuxCore, stream: u32) -> Result<()> {
-        self.post_seq_inline(core, stream, |seq| encode_fin(seq, stream))
+        self.post_seq_inline(core, stream, |seq| Frame::Fin { seq, stream }.encode())
     }
 
     /// Return a stream's accumulated credits when worthwhile (half the
@@ -732,7 +736,12 @@ impl Channel {
             let chunk = (buf.len() - off).min(MAX_PAYLOAD);
             let base = u64::from(slot) * FRAME_SIZE as u64;
             let seq = core.tx.next_seq();
-            let hdr = encode_data_header(seq, stream);
+            let hdr = Frame::Data {
+                seq,
+                stream,
+                payload: Vec::new(),
+            }
+            .encode();
             let frame_len = (DATA_HDR + chunk) as u32;
             self.send_mr
                 .write(base, &hdr)

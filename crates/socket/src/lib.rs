@@ -47,5 +47,7 @@ pub(crate) mod reliability;
 pub mod stack;
 pub mod stream;
 
+// Hidden: exported only for the mux frame's hostile-input harness.
+pub use mux::Frame;
 pub use stack::{FfListener, SocketStack};
 pub use stream::FfStream;

@@ -18,6 +18,7 @@
 //! drive progress through the methods here.
 
 use crate::reliability::{RxLedger, TxLedger};
+use freeflow_types::wire::{Reader, WireError, Writer};
 use freeflow_types::{Error, Result};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -58,9 +59,14 @@ pub(crate) const TAG_RESYNC: u8 = 3;
 pub(crate) const TAG_RESYNC_ACK: u8 = 4;
 pub(crate) const TAG_READY: u8 = 5;
 
-/// A decoded wire frame.
+/// Longest fixed-size frame, a credit: tag + sequence + stream + count.
+const MAX_CTRL: usize = DATA_HDR + 4;
+
+/// One frame on a channel's wire, in the [`freeflow_types::wire`] format.
+/// Exported, undocumented, only for its hostile-input harness.
+#[doc(hidden)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Frame {
+pub enum Frame {
     /// Sequenced: stream payload bytes.
     Data {
         seq: u64,
@@ -80,6 +86,67 @@ pub(crate) enum Frame {
     Ready,
 }
 
+impl Frame {
+    /// The frame's wire bytes. A data frame's payload follows its
+    /// [`DATA_HDR`]-byte header, so an empty one encodes just the header.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(MAX_CTRL);
+        match self {
+            Frame::Data {
+                seq,
+                stream,
+                payload,
+            } => out.u8(TAG_DATA).u64(*seq).u32(*stream).put(payload),
+            Frame::Credit { seq, stream, n } => out.u8(TAG_CREDIT).u64(*seq).u32(*stream).u32(*n),
+            Frame::Fin { seq, stream } => out.u8(TAG_FIN).u64(*seq).u32(*stream),
+            Frame::Resync { sent } => out.u8(TAG_RESYNC).u64(*sent),
+            Frame::ResyncAck { received } => out.u8(TAG_RESYNC_ACK).u64(*received),
+            Frame::Ready => out.u8(TAG_READY),
+        };
+        out
+    }
+
+    /// Decode a `len`-byte frame that `read(offset, buf)` copies out of
+    /// wherever it lies: the header first, then a data frame's payload
+    /// straight into the `Vec` it is delivered in, so a receive slot is
+    /// copied out exactly once.
+    pub fn decode(
+        len: usize,
+        mut read: impl FnMut(usize, &mut [u8]) -> Result<()>,
+    ) -> Result<Self> {
+        let mut head = [0u8; MAX_CTRL];
+        let head = &mut head[..len.min(MAX_CTRL)];
+        read(0, head)?;
+        let r = &mut Reader::new(head);
+        let mut frame = match r.u8()? {
+            TAG_DATA => Frame::Data {
+                seq: r.u64()?,
+                stream: r.u32()?,
+                payload: vec![0; len - DATA_HDR],
+            },
+            TAG_CREDIT => Frame::Credit {
+                seq: r.u64()?,
+                stream: r.u32()?,
+                n: r.u32()?,
+            },
+            TAG_FIN => Frame::Fin {
+                seq: r.u64()?,
+                stream: r.u32()?,
+            },
+            TAG_RESYNC => Frame::Resync { sent: r.u64()? },
+            TAG_RESYNC_ACK => Frame::ResyncAck { received: r.u64()? },
+            TAG_READY => Frame::Ready,
+            tag => return Err(Error::parse(format!("bad mux frame tag {tag}"))),
+        };
+        match &mut frame {
+            Frame::Data { payload, .. } => read(DATA_HDR, payload)?,
+            _ if r.pos() != len => return Err(WireError::Trailing.into()),
+            _ => {}
+        }
+        Ok(frame)
+    }
+}
+
 /// A sequenced frame after the reliability ledger (what actually gets
 /// dispatched to streams, in order).
 #[derive(Debug)]
@@ -87,89 +154,6 @@ pub(crate) enum SeqFrame {
     Data { stream: u32, payload: Vec<u8> },
     Credit { stream: u32, n: u32 },
     Fin { stream: u32 },
-}
-
-pub(crate) fn encode_data_header(seq: u64, stream: u32) -> [u8; DATA_HDR] {
-    let mut hdr = [0u8; DATA_HDR];
-    hdr[0] = TAG_DATA;
-    hdr[1..9].copy_from_slice(&seq.to_le_bytes());
-    hdr[9..13].copy_from_slice(&stream.to_le_bytes());
-    hdr
-}
-
-pub(crate) fn encode_credit(seq: u64, stream: u32, n: u32) -> Vec<u8> {
-    let mut f = Vec::with_capacity(17);
-    f.push(TAG_CREDIT);
-    f.extend_from_slice(&seq.to_le_bytes());
-    f.extend_from_slice(&stream.to_le_bytes());
-    f.extend_from_slice(&n.to_le_bytes());
-    f
-}
-
-pub(crate) fn encode_fin(seq: u64, stream: u32) -> Vec<u8> {
-    let mut f = Vec::with_capacity(13);
-    f.push(TAG_FIN);
-    f.extend_from_slice(&seq.to_le_bytes());
-    f.extend_from_slice(&stream.to_le_bytes());
-    f
-}
-
-pub(crate) fn encode_resync(sent: u64) -> Vec<u8> {
-    let mut f = Vec::with_capacity(9);
-    f.push(TAG_RESYNC);
-    f.extend_from_slice(&sent.to_le_bytes());
-    f
-}
-
-pub(crate) fn encode_resync_ack(received: u64) -> Vec<u8> {
-    let mut f = Vec::with_capacity(9);
-    f.push(TAG_RESYNC_ACK);
-    f.extend_from_slice(&received.to_le_bytes());
-    f
-}
-
-pub(crate) fn encode_ready() -> Vec<u8> {
-    vec![TAG_READY]
-}
-
-fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b.try_into().expect("8 bytes"))
-}
-
-fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b.try_into().expect("4 bytes"))
-}
-
-pub(crate) fn decode(mut raw: Vec<u8>) -> Result<Frame> {
-    match raw.first().copied() {
-        Some(TAG_DATA) if raw.len() >= DATA_HDR => {
-            let seq = le_u64(&raw[1..9]);
-            let stream = le_u32(&raw[9..13]);
-            let payload = raw.split_off(DATA_HDR);
-            Ok(Frame::Data {
-                seq,
-                stream,
-                payload,
-            })
-        }
-        Some(TAG_CREDIT) if raw.len() >= 17 => Ok(Frame::Credit {
-            seq: le_u64(&raw[1..9]),
-            stream: le_u32(&raw[9..13]),
-            n: le_u32(&raw[13..17]),
-        }),
-        Some(TAG_FIN) if raw.len() >= 13 => Ok(Frame::Fin {
-            seq: le_u64(&raw[1..9]),
-            stream: le_u32(&raw[9..13]),
-        }),
-        Some(TAG_RESYNC) if raw.len() >= 9 => Ok(Frame::Resync {
-            sent: le_u64(&raw[1..9]),
-        }),
-        Some(TAG_RESYNC_ACK) if raw.len() >= 9 => Ok(Frame::ResyncAck {
-            received: le_u64(&raw[1..9]),
-        }),
-        Some(TAG_READY) => Ok(Frame::Ready),
-        other => Err(Error::parse(format!("bad mux frame tag {other:?}"))),
-    }
 }
 
 /// Why an unsequenced control frame was posted — consulted when its
@@ -381,40 +365,50 @@ mod tests {
     use super::*;
     use crate::reliability::{TxPayload, TxPhase};
 
+    fn decode(bytes: &[u8]) -> Result<Frame> {
+        Frame::decode(bytes.len(), |at, buf| {
+            buf.copy_from_slice(&bytes[at..at + buf.len()]);
+            Ok(())
+        })
+    }
+
     #[test]
     fn frames_round_trip() {
-        let mut data = encode_data_header(42, 7).to_vec();
-        data.extend_from_slice(b"payload");
-        assert_eq!(
-            decode(data).unwrap(),
+        for frame in [
             Frame::Data {
                 seq: 42,
                 stream: 7,
-                payload: b"payload".to_vec()
-            }
-        );
-        assert_eq!(
-            decode(encode_credit(9, 3, 8)).unwrap(),
+                payload: b"payload".to_vec(),
+            },
             Frame::Credit {
                 seq: 9,
                 stream: 3,
-                n: 8
-            }
-        );
-        assert_eq!(
-            decode(encode_fin(1, 2)).unwrap(),
-            Frame::Fin { seq: 1, stream: 2 }
-        );
-        assert_eq!(
-            decode(encode_resync(100)).unwrap(),
-            Frame::Resync { sent: 100 }
-        );
-        assert_eq!(
-            decode(encode_resync_ack(99)).unwrap(),
-            Frame::ResyncAck { received: 99 }
-        );
-        assert_eq!(decode(encode_ready()).unwrap(), Frame::Ready);
-        assert!(decode(vec![9, 9]).is_err());
+                n: 8,
+            },
+            Frame::Fin { seq: 1, stream: 2 },
+            Frame::Resync { sent: 100 },
+            Frame::ResyncAck { received: 99 },
+            Frame::Ready,
+        ] {
+            assert_eq!(decode(&frame.encode()).unwrap(), frame);
+        }
+        assert!(decode(&[9, 9]).is_err());
+    }
+
+    #[test]
+    fn data_frames_carry_empty_and_full_payloads() {
+        for len in [0, MAX_PAYLOAD] {
+            let frame = Frame::Data {
+                seq: 5,
+                stream: 1,
+                payload: vec![0xA5; len],
+            };
+            let wire = frame.encode();
+            assert_eq!(wire.len(), DATA_HDR + len);
+            assert!(wire.len() <= FRAME_SIZE, "a full payload fills one slot");
+            assert_eq!(decode(&wire).unwrap(), frame);
+            assert!(decode(&wire[..DATA_HDR - 1]).is_err());
+        }
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //! * [`error`] — the crate-spanning [`error::Error`] type.
 //! * [`config`] — cluster/host configuration including the calibration
 //!   anchors from the paper (40 Gb/s NIC, 2.4 GHz 4-core Xeon, ...).
+//! * [`wire`] — the bounded byte codec every wire and checkpoint format
+//!   is written in.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -35,6 +37,7 @@ pub mod error;
 pub mod ids;
 pub mod transport;
 pub mod units;
+pub mod wire;
 
 pub use addr::{OverlayAddr, OverlayCidr, OverlayIp};
 pub use caps::{HostCaps, NicCaps, NicKind};
