@@ -1,17 +1,101 @@
 //! Property-based tests for the relay protocol codec: every structurally
 //! valid message roundtrips; no byte sequence panics the decoder.
 
-#[path = "../../types/tests/hostile/mod.rs"]
-mod hostile;
-mod relay_corpus;
-
 use bytes::Bytes;
-use freeflow_agent::proto::RelayMsg;
+use freeflow_agent::proto::{RelayMsg, RelayPayload, WireEp};
+use freeflow_types::OverlayIp;
 use proptest::prelude::*;
 
-/// Any relay message, drawn from the hostile-input harness's corpus.
+fn arb_ep() -> impl Strategy<Value = WireEp> {
+    (any::<u32>(), any::<u32>()).prop_map(|(ip, qpn)| WireEp::new(OverlayIp(ip), qpn))
+}
+
+fn arb_payload() -> impl Strategy<Value = RelayPayload> {
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..300)
+            .prop_map(|v| RelayPayload::Inline(Bytes::from(v))),
+        (any::<u64>(), any::<u64>()).prop_map(|(offset, len)| RelayPayload::Arena { offset, len }),
+    ]
+}
+
 fn arb_msg() -> impl Strategy<Value = RelayMsg> {
-    any::<u64>().prop_map(|seed| relay_corpus::sample(&mut hostile::Rng::new(seed)))
+    prop_oneof![
+        (
+            arb_ep(),
+            arb_ep(),
+            any::<u64>(),
+            any::<Option<u32>>(),
+            arb_payload()
+        )
+            .prop_map(|(src, dst, wr_id, imm, payload)| RelayMsg::Send {
+                src,
+                dst,
+                wr_id,
+                imm,
+                payload
+            }),
+        (
+            arb_ep(),
+            arb_ep(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u32>(),
+            any::<Option<u32>>(),
+            arb_payload()
+        )
+            .prop_map(
+                |(src, dst, wr_id, addr, rkey, imm, payload)| RelayMsg::Write {
+                    src,
+                    dst,
+                    wr_id,
+                    addr,
+                    rkey,
+                    imm,
+                    payload
+                }
+            ),
+        (
+            arb_ep(),
+            arb_ep(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u32>(),
+            any::<u64>()
+        )
+            .prop_map(|(src, dst, req_id, addr, rkey, len)| RelayMsg::ReadReq {
+                src,
+                dst,
+                req_id,
+                addr,
+                rkey,
+                len
+            }),
+        (arb_ep(), arb_ep(), any::<u64>(), any::<u8>(), arb_payload()).prop_map(
+            |(src, dst, req_id, status, payload)| RelayMsg::ReadResp {
+                src,
+                dst,
+                req_id,
+                status,
+                payload
+            }
+        ),
+        (arb_ep(), arb_ep(), any::<u64>(), any::<u64>()).prop_map(|(src, dst, wr_id, byte_len)| {
+            RelayMsg::Ack {
+                src,
+                dst,
+                wr_id,
+                byte_len,
+            }
+        }),
+        (arb_ep(), arb_ep(), any::<u64>(), any::<u8>()).prop_map(|(src, dst, wr_id, status)| {
+            RelayMsg::Nack {
+                src,
+                dst,
+                wr_id,
+                status,
+            }
+        }),
+    ]
 }
 
 proptest! {

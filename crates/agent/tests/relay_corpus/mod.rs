@@ -1,5 +1,5 @@
 //! Random relay messages, shared by the hostile-input harness's message
-//! and batch instantiations and by the property suite.
+//! and batch instantiations.
 
 use crate::hostile::Rng;
 use bytes::Bytes;
@@ -15,12 +15,13 @@ fn imm(rng: &mut Rng) -> Option<u32> {
 }
 
 fn payload(rng: &mut Rng) -> RelayPayload {
-    match rng.below(4) {
+    // Up to 299 bytes, so lengths reach the prefix's second byte.
+    match rng.below(2) {
         0 => RelayPayload::Arena {
             offset: rng.u64(),
             len: rng.u64(),
         },
-        _ => RelayPayload::Inline(Bytes::from(rng.bytes(64))),
+        _ => RelayPayload::Inline(Bytes::from(rng.bytes(299))),
     }
 }
 

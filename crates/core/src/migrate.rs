@@ -345,7 +345,7 @@ const PHASES: [&str; 5] = ["unbound", "bound", "draining", "rebinding", "error"]
 /// Encoded size of one [`QpRecord`], of an [`MrRecord`] with no bytes, and
 /// of one [`LedgerRecord`]: the floor each decoded count is checked against.
 const QP_RECORD_LEN: usize = 54;
-const MR_RECORD_MIN_LEN: usize = 30;
+const MR_RECORD_MIN_LEN: usize = 34;
 const LEDGER_RECORD_LEN: usize = 28;
 
 /// A count-prefixed run of records, each at least `min_len` bytes.
@@ -443,7 +443,7 @@ impl MigrationCheckpoint {
                 .u64(mr.len)
                 .u8(mr.access_bits)
                 .u8(mr.arena_backed as u8)
-                .slice(&mr.bytes);
+                .long_slice(&mr.bytes);
         }
         out.count(self.ledgers.len());
         for ledger in &self.ledgers {
@@ -504,7 +504,7 @@ impl MigrationCheckpoint {
                         1 => true,
                         _ => return Err(MigrateError::BadValue("arena flag")),
                     },
-                    bytes: r.slice()?.to_vec(),
+                    bytes: r.long_slice()?.to_vec(),
                 })
             })?,
             ledgers: records(r, LEDGER_RECORD_LEN, |r| {
@@ -675,6 +675,25 @@ mod tests {
             MigrationCheckpoint::decode(&bytes),
             Err(MigrateError::BadMagic)
         ));
+    }
+
+    #[test]
+    fn mr_bytes_carry_a_64_bit_length() {
+        // MRs may outgrow 4 GiB, so their bytes take a `u64` length: one
+        // 4 GiB past the real one is refused, not wrapped onto it.
+        let mut bytes = sample().encode();
+        bytes.truncate(bytes.len() - 8);
+        let mr = &sample().mrs[0].bytes;
+        let at = bytes
+            .windows(8 + mr.len())
+            .position(|w| w[..8] == 16u64.to_le_bytes() && w[8..] == mr[..])
+            .expect("the MR's length prefix");
+        bytes[at..at + 8].copy_from_slice(&((1u64 << 32) + 16).to_le_bytes());
+        wire::seal(&mut bytes);
+        assert_eq!(
+            MigrationCheckpoint::decode(&bytes),
+            Err(MigrateError::Truncated)
+        );
     }
 
     #[test]

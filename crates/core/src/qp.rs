@@ -1320,8 +1320,9 @@ impl FfQp {
     /// container↔agent ring is 2 MiB per direction; anything bigger must
     /// ride an arena descriptor, so when the arena is exhausted *and* the
     /// payload exceeds this bound the post fails loudly instead of being
-    /// silently undeliverable.
-    const MAX_INLINE_RELAY: usize = 1 << 20;
+    /// silently undeliverable. A READ response always rides inline, so a
+    /// READ longer than this is refused too.
+    pub(crate) const MAX_INLINE_RELAY: usize = 1 << 20;
 
     /// Stage a payload for the relay: big payloads go into the host arena
     /// (zero-copy to the agent), small ones inline.
@@ -1747,28 +1748,29 @@ impl FfQp {
         rkey: u32,
         len: u64,
     ) {
-        let data = self
-            .lib
-            .device
-            .mr_by_rkey(rkey)
-            .ok()
-            .filter(|mr| mr.access().remote_read)
-            .and_then(|mr| mr.dma_read(addr, len).ok());
-        let reply = match data {
-            Some(bytes) => RelayMsg::ReadResp {
-                src: self.endpoint().wire(),
-                dst: src,
-                req_id,
-                status: st::OK,
-                payload: RelayPayload::Inline(Bytes::from(bytes)),
-            },
-            None => RelayMsg::ReadResp {
-                src: self.endpoint().wire(),
-                dst: src,
-                req_id,
-                status: st::REMOTE_ACCESS,
-                payload: RelayPayload::Inline(Bytes::new()),
-            },
+        // The peer chose `len`: refuse one the inline reply cannot carry
+        // before it sizes a copy of the MR or reaches the encoder.
+        let data = if len > Self::MAX_INLINE_RELAY as u64 {
+            Err(st::REMOTE_OP)
+        } else {
+            self.lib
+                .device
+                .mr_by_rkey(rkey)
+                .ok()
+                .filter(|mr| mr.access().remote_read)
+                .and_then(|mr| mr.dma_read(addr, len).ok())
+                .ok_or(st::REMOTE_ACCESS)
+        };
+        let (status, payload) = match data {
+            Ok(bytes) => (st::OK, Bytes::from(bytes)),
+            Err(status) => (status, Bytes::new()),
+        };
+        let reply = RelayMsg::ReadResp {
+            src: self.endpoint().wire(),
+            dst: src,
+            req_id,
+            status,
+            payload: RelayPayload::Inline(payload),
         };
         self.reply(reply);
     }

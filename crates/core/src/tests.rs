@@ -721,6 +721,22 @@ fn read_from_mr_without_remote_read_fails_cleanly() {
 }
 
 #[test]
+fn read_longer_than_the_inline_relay_is_refused() {
+    // The response would ride inline, past what that path carries: the
+    // responder refuses the peer-chosen length up front.
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    let len = crate::FfQp::MAX_INLINE_RELAY as u32 + 1;
+    let mr_a = p.a.register(len.into(), AccessFlags::all()).unwrap();
+    let mr_b = p.b.register(len.into(), AccessFlags::all()).unwrap();
+    p.qp_a
+        .post_send(SendWr::read(1, mr_a.sge(0, len), mr_b.addr(), mr_b.rkey()))
+        .unwrap();
+    let wc = p.cq_a.wait_one(T).expect("read completion");
+    assert_eq!(wc.status, WcStatus::RemoteOperationError);
+}
+
+#[test]
 fn unsignaled_remote_writes_complete_silently() {
     let cluster = FreeFlowCluster::with_defaults();
     let p = connected_pair(&cluster, false);

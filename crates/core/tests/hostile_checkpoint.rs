@@ -4,16 +4,20 @@
 //! decode: a mutation then reaches the field parser instead of stopping at
 //! the checksum, whose own detection `freeflow_types::wire` tests.
 
-mod checkpoint_corpus;
 #[path = "../../types/tests/hostile/mod.rs"]
 mod hostile;
 
-use freeflow::migrate::{MigrateError, MigrationCheckpoint};
-use freeflow_types::wire;
+use freeflow::migrate::{
+    ContainerImage, LedgerRecord, MigrateError, MigrationCheckpoint, MrRecord, QpRecord,
+};
+use freeflow_types::{wire, ContainerId, HostId, OverlayIp, TenantId};
 use hostile::{Codec, Rng};
 
 #[global_allocator]
 static ALLOC: hostile::CountingAlloc = hostile::CountingAlloc;
+
+/// Binding-phase names the checkpoint interns (`BindingPhase::name()`).
+const PHASES: [&str; 5] = ["unbound", "bound", "draining", "rebinding", "error"];
 
 struct Checkpoint;
 
@@ -22,7 +26,54 @@ impl Codec for Checkpoint {
     type Error = MigrateError;
 
     fn sample(rng: &mut Rng) -> MigrationCheckpoint {
-        checkpoint_corpus::sample(rng)
+        let qps = (0..rng.below(4))
+            .map(|_| QpRecord {
+                qpn: rng.u64() as u32,
+                peer_octets: (rng.u64() as u32).to_le_bytes(),
+                peer_qpn: rng.u64() as u32,
+                phase: PHASES[rng.below(PHASES.len())],
+                epoch: rng.u64(),
+                generation: rng.u64(),
+                transport_rank: rng.u64() as u8,
+                parked_sends: rng.u64() as u32,
+                posted_recvs: rng.u64() as u32,
+                inbound_pending: rng.u64() as u32,
+                in_flight: rng.u64() as u32,
+                next_op_id: rng.u64(),
+            })
+            .collect();
+        let mrs = (0..rng.below(3))
+            .map(|_| MrRecord {
+                lkey: rng.u64() as u32,
+                rkey: rng.u64() as u32,
+                base_va: rng.u64(),
+                len: rng.u64(),
+                access_bits: rng.below(8) as u8,
+                arena_backed: rng.below(2) == 0,
+                bytes: rng.bytes(255),
+            })
+            .collect();
+        let ledgers = (0..rng.below(4))
+            .map(|_| LedgerRecord {
+                qpn: rng.u64() as u32,
+                tx_next_seq: rng.u64(),
+                tx_in_flight: rng.u64() as u32,
+                rx_received: rng.u64(),
+                rx_parked: rng.u64() as u32,
+            })
+            .collect();
+        MigrationCheckpoint {
+            image: ContainerImage {
+                id: ContainerId::new(rng.u64()),
+                tenant: TenantId::new(rng.u64()),
+                ip: OverlayIp(rng.u64() as u32),
+            },
+            from_host: HostId::new(rng.u64()),
+            to_host: HostId::new(rng.u64()),
+            qps,
+            mrs,
+            ledgers,
+        }
     }
 
     fn encode(cp: &MigrationCheckpoint) -> Vec<u8> {

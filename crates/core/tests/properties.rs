@@ -3,14 +3,11 @@
 //! → wire → agent → shm channel) must arrive intact, in order, with
 //! balanced completions.
 
-mod checkpoint_corpus;
-#[path = "../../types/tests/hostile/mod.rs"]
-mod hostile;
-
 use freeflow::binding::BindingPhase;
 use freeflow::cache::LocationCache;
 use freeflow::migrate::{
-    MigrationCheckpoint, MigrationCrashPoint, MigrationOutcome, MigrationPhase,
+    ContainerImage, LedgerRecord, MigrationCheckpoint, MigrationCrashPoint, MigrationOutcome,
+    MigrationPhase, MrRecord, QpRecord,
 };
 use freeflow::orch_client::{OrchClient, OrchClientConfig};
 use freeflow::FreeFlowCluster;
@@ -484,9 +481,109 @@ proptest! {
 
 // --- migration checkpoint / restore / fault interleavings -------------------
 
-/// Any checkpoint, drawn from the hostile-input harness's corpus.
+/// Binding-phase names the checkpoint wire format interns (the same set
+/// `migrate::PHASES` encodes by index).
+const PHASE_NAMES: [&str; 5] = ["unbound", "bound", "draining", "rebinding", "error"];
+
+fn qp_record() -> impl Strategy<Value = QpRecord> {
+    (
+        (any::<u32>(), any::<u32>(), any::<u32>(), 0usize..5),
+        (any::<u64>(), any::<u64>(), any::<u8>()),
+        (
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u64>(),
+        ),
+    )
+        .prop_map(
+            |(
+                (qpn, peer_ip, peer_qpn, phase),
+                (epoch, generation, transport_rank),
+                (parked_sends, posted_recvs, inbound_pending, in_flight, next_op_id),
+            )| QpRecord {
+                qpn,
+                peer_octets: u32::to_le_bytes(peer_ip),
+                peer_qpn,
+                phase: PHASE_NAMES[phase],
+                epoch,
+                generation,
+                transport_rank,
+                parked_sends,
+                posted_recvs,
+                inbound_pending,
+                in_flight,
+                next_op_id,
+            },
+        )
+}
+
+fn mr_record() -> impl Strategy<Value = MrRecord> {
+    (
+        (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()),
+        0u8..8,
+        any::<bool>(),
+        prop::collection::vec(any::<u8>(), 0..256),
+    )
+        .prop_map(
+            |((lkey, rkey, base_va, len), access_bits, arena_backed, bytes)| MrRecord {
+                lkey,
+                rkey,
+                base_va,
+                len,
+                access_bits,
+                arena_backed,
+                bytes,
+            },
+        )
+}
+
+fn ledger_record() -> impl Strategy<Value = LedgerRecord> {
+    (
+        any::<u32>(),
+        any::<u64>(),
+        any::<u32>(),
+        any::<u64>(),
+        any::<u32>(),
+    )
+        .prop_map(
+            |(qpn, tx_next_seq, tx_in_flight, rx_received, rx_parked)| LedgerRecord {
+                qpn,
+                tx_next_seq,
+                tx_in_flight,
+                rx_received,
+                rx_parked,
+            },
+        )
+}
+
 fn checkpoint() -> impl Strategy<Value = MigrationCheckpoint> {
-    any::<u64>().prop_map(|seed| checkpoint_corpus::sample(&mut hostile::Rng::new(seed)))
+    (
+        (any::<u64>(), any::<u64>(), any::<u32>()),
+        (any::<u64>(), any::<u64>()),
+        prop::collection::vec(qp_record(), 0..4),
+        prop::collection::vec(mr_record(), 0..3),
+        prop::collection::vec(ledger_record(), 0..4),
+    )
+        .prop_map(|((id, tenant, ip), (from, to), qps, mrs, ledgers)| {
+            let ip = u32::to_le_bytes(ip);
+            // Ledgers ride in through the public builder — the same path
+            // the socket layer uses to attach its exported records.
+            MigrationCheckpoint {
+                image: ContainerImage {
+                    id: ContainerId::new(id),
+                    tenant: TenantId::new(tenant),
+                    ip: OverlayIp::from_octets(ip[0], ip[1], ip[2], ip[3]),
+                },
+                from_host: HostId::new(from),
+                to_host: HostId::new(to),
+                qps,
+                mrs,
+                ledgers: Vec::new(),
+            }
+            .with_ledgers(ledgers)
+        })
 }
 
 proptest! {

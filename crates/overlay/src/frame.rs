@@ -8,13 +8,11 @@
 //!   host network: a VXLAN network identifier (VNI, the tenant isolation
 //!   tag) plus the serialized inner frame.
 //!
-//! Wire encodings are written in [`freeflow_types::wire`]; a truncated or
-//! corrupt buffer parses to `Err`, never panics — these bytes cross "the
-//! network".
+//! Wire encodings are explicit and length-checked; a truncated or corrupt
+//! buffer parses to `Err`, never panics — these bytes cross "the network".
 
-use bytes::Bytes;
-use freeflow_types::wire::{Reader, Writer};
-use freeflow_types::{OverlayIp, Result};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
+use freeflow_types::{Error, OverlayIp, Result};
 
 /// Protocol numbers for the inner frame (loosely IANA-flavored).
 pub mod proto {
@@ -55,25 +53,39 @@ impl Frame {
 
     /// Serialize to wire bytes.
     pub fn encode(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(Self::HEADER_LEN + self.payload.len());
-        buf.u32(self.src.raw())
-            .u32(self.dst.raw())
-            .u8(self.protocol)
-            .slice(&self.payload);
-        Bytes::from(buf)
+        let mut buf = BytesMut::with_capacity(Self::HEADER_LEN + self.payload.len());
+        buf.put_u32(self.src.raw());
+        buf.put_u32(self.dst.raw());
+        buf.put_u8(self.protocol);
+        buf.put_u32(self.payload.len() as u32);
+        buf.extend_from_slice(&self.payload);
+        buf.freeze()
     }
 
     /// Parse from wire bytes.
-    pub fn decode(buf: Bytes) -> Result<Self> {
-        let r = &mut Reader::new(&buf);
-        let (src, dst, protocol) = (OverlayIp(r.u32()?), OverlayIp(r.u32()?), r.u8()?);
-        let len = r.slice()?.len();
-        r.finish()?;
+    pub fn decode(mut buf: Bytes) -> Result<Self> {
+        if buf.len() < Self::HEADER_LEN {
+            return Err(Error::parse(format!(
+                "frame truncated: {} < header {}",
+                buf.len(),
+                Self::HEADER_LEN
+            )));
+        }
+        let src = OverlayIp(buf.get_u32());
+        let dst = OverlayIp(buf.get_u32());
+        let protocol = buf.get_u8();
+        let len = buf.get_u32() as usize;
+        if buf.len() != len {
+            return Err(Error::parse(format!(
+                "frame length mismatch: header says {len}, {} remain",
+                buf.len()
+            )));
+        }
         Ok(Self {
             src,
             dst,
             protocol,
-            payload: buf.slice(Self::HEADER_LEN..Self::HEADER_LEN + len),
+            payload: buf,
         })
     }
 
@@ -109,18 +121,19 @@ impl VxlanPacket {
 
     /// Serialize the whole packet (vni header + inner bytes).
     pub fn encode(&self) -> Bytes {
-        let mut buf = Vec::with_capacity(4 + self.inner.len());
-        buf.u32(self.vni).put(&self.inner);
-        Bytes::from(buf)
+        let mut buf = BytesMut::with_capacity(4 + self.inner.len());
+        buf.put_u32(self.vni);
+        buf.extend_from_slice(&self.inner);
+        buf.freeze()
     }
 
     /// Parse a serialized packet.
-    pub fn decode(buf: Bytes) -> Result<Self> {
-        let vni = Reader::new(&buf).u32()?;
-        Ok(Self {
-            vni,
-            inner: buf.slice(4..),
-        })
+    pub fn decode(mut buf: Bytes) -> Result<Self> {
+        if buf.len() < 4 {
+            return Err(Error::parse("vxlan packet shorter than VNI header"));
+        }
+        let vni = buf.get_u32();
+        Ok(Self { vni, inner: buf })
     }
 }
 
@@ -158,9 +171,9 @@ mod tests {
     #[test]
     fn length_mismatch_rejected() {
         let f = Frame::new(ip(1), ip(2), proto::DATA, &b"abc"[..]);
-        let mut raw = f.encode().to_vec();
+        let mut raw = BytesMut::from(&f.encode()[..]);
         raw.extend_from_slice(b"extra");
-        assert!(Frame::decode(Bytes::from(raw)).is_err());
+        assert!(Frame::decode(raw.freeze()).is_err());
     }
 
     #[test]

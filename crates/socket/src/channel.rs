@@ -25,8 +25,8 @@
 //! pump makes progress.
 
 use crate::mux::{
-    CtrlKind, Deferred, Frame, MuxCore, SeqFrame, CTRL_BIT, DATA_HDR, FRAME_SIZE, MAX_PAYLOAD,
-    RECV_SLOTS, RESYNC_RETRY, SEND_SLOTS, STREAM_WINDOW,
+    data_header, CtrlKind, Deferred, Frame, MuxCore, SeqFrame, CTRL_BIT, DATA_HDR, FRAME_SIZE,
+    MAX_PAYLOAD, RECV_SLOTS, RESYNC_RETRY, SEND_SLOTS, STREAM_WINDOW,
 };
 use crate::reliability::TxPayload;
 use freeflow::binding::{BindingPhase, PathSignal};
@@ -736,12 +736,7 @@ impl Channel {
             let chunk = (buf.len() - off).min(MAX_PAYLOAD);
             let base = u64::from(slot) * FRAME_SIZE as u64;
             let seq = core.tx.next_seq();
-            let hdr = Frame::Data {
-                seq,
-                stream,
-                payload: Vec::new(),
-            }
-            .encode();
+            let hdr = data_header(seq, stream);
             let frame_len = (DATA_HDR + chunk) as u32;
             self.send_mr
                 .write(base, &hdr)

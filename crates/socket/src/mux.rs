@@ -96,7 +96,7 @@ impl Frame {
                 seq,
                 stream,
                 payload,
-            } => out.u8(TAG_DATA).u64(*seq).u32(*stream).put(payload),
+            } => out.put(&data_header(*seq, *stream)).put(payload),
             Frame::Credit { seq, stream, n } => out.u8(TAG_CREDIT).u64(*seq).u32(*stream).u32(*n),
             Frame::Fin { seq, stream } => out.u8(TAG_FIN).u64(*seq).u32(*stream),
             Frame::Resync { sent } => out.u8(TAG_RESYNC).u64(*sent),
@@ -145,6 +145,15 @@ impl Frame {
         }
         Ok(frame)
     }
+}
+
+/// A data frame's header, on the stack: the send path writes it and the
+/// payload straight into a send slot, with no `Frame` in between.
+pub(crate) fn data_header(seq: u64, stream: u32) -> [u8; DATA_HDR] {
+    let mut hdr = [TAG_DATA; DATA_HDR];
+    hdr[1..9].copy_from_slice(&seq.to_le_bytes());
+    hdr[9..].copy_from_slice(&stream.to_le_bytes());
+    hdr
 }
 
 /// A sequenced frame after the reliability ledger (what actually gets

@@ -5,8 +5,9 @@
 //! decoder must be total and bounded in memory. Its rules live here, once:
 //!
 //! * integers are little-endian;
-//! * a length prefix is a `u32`, checked against the bytes that remain
-//!   before anything is sliced;
+//! * a length prefix is a `u32` — a `u64` for a field that may outgrow
+//!   4 GiB, an MR's bytes — checked against the bytes that remain before
+//!   anything is sliced;
 //! * a record count is a `u32`, capped at `remaining / min_record`, so a
 //!   corrupt count cannot size a `Vec` beyond what the input could fill;
 //! * [`Reader::finish`] rejects trailing bytes, so every accepted input is
@@ -14,8 +15,9 @@
 //! * [`seal`] and [`open`] add and check an optional FNV-1a trailer.
 //!
 //! Everything works on `&[u8]`, so using it adds no dependency to a crate.
-//! Encoders panic on a length or count above `u32::MAX`: no format carries
-//! one, so meeting one is a bug in the caller.
+//! Encoders panic on a `u32` length or count above `u32::MAX`: every
+//! producer bounds what it hands them first, so meeting one is a bug in the
+//! caller.
 
 use std::fmt;
 
@@ -108,6 +110,12 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
+    /// A `u64`-length-prefixed slice ([`Writer::long_slice`]).
+    pub fn long_slice(&mut self) -> Result<&'a [u8], WireError> {
+        let len = usize::try_from(self.u64()?).map_err(|_| WireError::Truncated)?;
+        self.take(len)
+    }
+
     /// A `u32` record count ([`Writer::count`]), refused when the remaining
     /// bytes cannot hold that many records of at least `min_record` bytes.
     pub fn count(&mut self, min_record: usize) -> Result<usize, WireError> {
@@ -156,6 +164,11 @@ pub trait Writer {
     /// A `u32`-length-prefixed slice ([`Reader::slice`]).
     fn slice(&mut self, bytes: &[u8]) -> &mut Self {
         self.u32(u32_len(bytes.len())).put(bytes)
+    }
+
+    /// A `u64`-length-prefixed slice ([`Reader::long_slice`]).
+    fn long_slice(&mut self, bytes: &[u8]) -> &mut Self {
+        self.u64(bytes.len() as u64).put(bytes)
     }
 
     /// A record count ([`Reader::count`]).
@@ -285,6 +298,19 @@ mod tests {
             let mut r = Reader::new(&out);
             assert_eq!(r.slice().map(<[u8]>::len), Ok(len as usize));
             assert_eq!(r.finish(), Err(WireError::Trailing));
+        }
+    }
+
+    #[test]
+    fn long_lengths_keep_their_high_bits() {
+        let mut out = Vec::new();
+        out.long_slice(b"snapshot");
+        assert_eq!(Reader::new(&out).long_slice(), Ok(&b"snapshot"[..]));
+        // A length past 4 GiB is refused as such, not wrapped to the bytes
+        // that happen to follow.
+        for len in [(1u64 << 32) + 8, u64::MAX] {
+            out[..8].copy_from_slice(&len.to_le_bytes());
+            assert_eq!(Reader::new(&out).long_slice(), Err(WireError::Truncated));
         }
     }
 
