@@ -22,7 +22,7 @@
 //! doorbell, and the pump parks on it when traffic stops (DESIGN.md §12,
 //! "Wake protocol").
 
-use crate::proto::{status, RelayMsg, RelayPayload, WireEp};
+use crate::proto::{status, RelayMsg, RelayPayload};
 use crate::wire::PeerWire;
 use bytes::{Bytes, BytesMut};
 use freeflow_shmem::{
@@ -34,7 +34,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Payloads at or above this size are re-staged into the arena on local
 /// delivery instead of being copied inline through the ring.
@@ -49,10 +49,6 @@ const CONTAINER_CHANNEL_CAP: usize = 1 << 21; // 2 MiB
 /// peer is wedged or gone.
 const WIRE_SEND_RETRIES: usize = 256;
 
-/// How long a relayed request may stay unanswered before the agent
-/// synthesizes a [`status::TIMEOUT`] nack to its local source.
-const DEFAULT_RELAY_TIMEOUT: Duration = Duration::from_secs(1);
-
 /// Ceiling on how many relay frames one coalesced wire message may carry.
 /// The adaptive per-wire limit grows toward this under backlog and decays
 /// toward one when traffic thins (see [`Agent::adapt_batch_limit`]).
@@ -66,19 +62,6 @@ const DRAIN_CHUNK: usize = 64;
 /// traffic flows the next frame is picked up without a futex wake; once it
 /// stops the agent is asleep within this window and costs nothing.
 const POLL_WINDOW: Duration = Duration::from_micros(100);
-
-/// Identity of one in-flight relayed request awaiting its reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct RelayKey {
-    /// Originating endpoint (the local container's QP).
-    src: WireEp,
-    /// Remote endpoint the request targets.
-    dst: WireEp,
-    /// `wr_id` for Send/Write, `req_id` for ReadReq.
-    id: u64,
-    /// Whether the reply is a ReadResp (vs. Ack/Nack).
-    is_read: bool,
-}
 
 /// Forwarding counters.
 #[derive(Debug, Default)]
@@ -110,8 +93,6 @@ struct AgentInstruments {
     retry_exhausted: Arc<Counter>,
     /// Nacks synthesized toward local sources (unroutable, timeout, ...).
     nacks: Arc<Counter>,
-    /// In-flight relay entries expired without a reply.
-    relays_expired: Arc<Counter>,
     /// Frames per coalesced wire message (a lone message records 1).
     batch_size: Arc<Histogram>,
     /// Container doorbell rings saved by batched delivery: a batch of `n`
@@ -137,11 +118,6 @@ impl AgentInstruments {
             nacks: reg.counter(
                 "ff_agent_nacks_total",
                 "nacks synthesized by the forwarding engine",
-                labels,
-            ),
-            relays_expired: reg.counter(
-                "ff_agent_relays_expired_total",
-                "in-flight relays expired without a reply",
                 labels,
             ),
             batch_size: reg.histogram(
@@ -187,12 +163,6 @@ pub struct Agent {
     /// Whether large local deliveries use arena handoff (ablation A3
     /// toggles this off to measure the copy cost).
     zero_copy: AtomicBool,
-    /// Relayed requests awaiting a reply from a remote host, with their
-    /// expiry deadlines. A lost reply (dead wire, crashed peer) becomes a
-    /// synthesized [`status::TIMEOUT`] nack instead of a hung QP.
-    in_flight: Mutex<HashMap<RelayKey, Instant>>,
-    /// Relay timeout in nanoseconds (see [`Agent::set_relay_timeout`]).
-    relay_timeout_ns: AtomicU64,
     /// Telemetry handles. Standalone agents get a private hub; a cluster
     /// swaps in its shared one via [`Agent::attach_telemetry`].
     telemetry: RwLock<AgentInstruments>,
@@ -225,8 +195,6 @@ impl Agent {
             bell: Arc::new(Doorbell::new()),
             stats: AgentStats::default(),
             zero_copy: AtomicBool::new(true),
-            in_flight: Mutex::new(HashMap::new()),
-            relay_timeout_ns: AtomicU64::new(DEFAULT_RELAY_TIMEOUT.as_nanos() as u64),
             telemetry: RwLock::new(AgentInstruments::new(Telemetry::new(), host)),
         })
     }
@@ -283,7 +251,7 @@ impl Agent {
                 ),
                 (
                     "ff_agent_bell_timeouts",
-                    "agent parks ended by a deadline (relay expiry or the park cap)",
+                    "agent parks ended by the pump's park cap (the agent sets no deadline)",
                     bell.timeouts,
                 ),
                 (
@@ -384,23 +352,6 @@ impl Agent {
         self.inner.lock().containers.remove(&ip);
     }
 
-    /// Quiesce a container that is about to migrate away: forget every
-    /// in-flight relayed request it originated or targets. Returns how
-    /// many entries were dropped.
-    ///
-    /// Without this, a reply arriving *after* the container detached (or
-    /// a timeout firing for one) would synthesize a nack toward a channel
-    /// that no longer exists — harmless but noisy, and on the new host the
-    /// same `(src, dst, id)` identity could collide with a fresh request.
-    /// The migrating library re-drives anything genuinely unanswered via
-    /// its own timeout sweep after rehoming.
-    pub fn quiesce_container(&self, ip: OverlayIp) -> usize {
-        let mut map = self.in_flight.lock();
-        let before = map.len();
-        map.retain(|k, _| k.src.ip != ip && k.dst.ip != ip);
-        before - map.len()
-    }
-
     /// Attach a peer wire; returns its index for routing.
     pub fn attach_wire(&self, wire: PeerWire) -> usize {
         let mut inner = self.inner.lock();
@@ -480,24 +431,11 @@ impl Agent {
         }
     }
 
-    /// Set how long a relayed request may wait for its reply before the
-    /// agent nacks it back to the local source with [`status::TIMEOUT`].
-    pub fn set_relay_timeout(&self, timeout: Duration) {
-        self.relay_timeout_ns
-            .store(timeout.as_nanos() as u64, Ordering::Relaxed);
-        self.bell.ring();
-    }
-
     /// Counters of the agent's wake doorbell: `waits` is how often the
     /// pump parked, `wakes`/`timeouts` whether a ring or a deadline ended
     /// the park.
     pub fn bell_stats(&self) -> DoorbellStats {
         self.bell.stats()
-    }
-
-    /// Number of relayed requests currently awaiting a reply.
-    pub fn relay_in_flight(&self) -> usize {
-        self.in_flight.lock().len()
     }
 
     // --- forwarding engine -------------------------------------------------
@@ -557,134 +495,17 @@ impl Agent {
         for raw in from_wires {
             work += self.deliver_from_wire(raw);
         }
-        // Expire after draining, so replies that just arrived clear their
-        // entries before the deadline check.
-        work += self.expire_relays();
         work
-    }
-
-    /// Time out relayed requests whose replies never came back. Returns
-    /// how many were expired.
-    fn expire_relays(&self) -> usize {
-        let now = Instant::now();
-        let expired: Vec<RelayKey> = {
-            let mut map = self.in_flight.lock();
-            if map.is_empty() {
-                return 0;
-            }
-            let keys: Vec<RelayKey> = map
-                .iter()
-                .filter(|(_, deadline)| **deadline <= now)
-                .map(|(k, _)| *k)
-                .collect();
-            for k in &keys {
-                map.remove(k);
-            }
-            keys
-        };
-        if !expired.is_empty() {
-            let tm = self.telemetry.read();
-            tm.relays_expired.add(expired.len() as u64);
-            tm.hub.record(Event::RelayExpired {
-                host: self.host.raw(),
-                entries: expired.len() as u32,
-            });
-        }
-        for k in &expired {
-            // Reconstruct just enough of the original request for nack()
-            // to synthesize the right reply shape toward the source.
-            let skeleton = if k.is_read {
-                RelayMsg::ReadReq {
-                    src: k.src,
-                    dst: k.dst,
-                    req_id: k.id,
-                    addr: 0,
-                    rkey: 0,
-                    len: 0,
-                }
-            } else {
-                RelayMsg::Send {
-                    src: k.src,
-                    dst: k.dst,
-                    wr_id: k.id,
-                    imm: None,
-                    payload: RelayPayload::Inline(Bytes::new()),
-                }
-            };
-            self.nack(&skeleton, status::TIMEOUT);
-        }
-        expired.len()
-    }
-
-    /// Record a relayed request so a lost reply times out, keyed by the
-    /// identity its Ack/Nack/ReadResp will echo back.
-    fn track_relay(&self, msg: &RelayMsg) {
-        let key = match msg {
-            RelayMsg::Send {
-                src, dst, wr_id, ..
-            }
-            | RelayMsg::Write {
-                src, dst, wr_id, ..
-            } => RelayKey {
-                src: *src,
-                dst: *dst,
-                id: *wr_id,
-                is_read: false,
-            },
-            RelayMsg::ReadReq {
-                src, dst, req_id, ..
-            } => RelayKey {
-                src: *src,
-                dst: *dst,
-                id: *req_id,
-                is_read: true,
-            },
-            // Replies are terminal: nothing further comes back for them.
-            _ => return,
-        };
-        let timeout = Duration::from_nanos(self.relay_timeout_ns.load(Ordering::Relaxed));
-        self.in_flight.lock().insert(key, Instant::now() + timeout);
-    }
-
-    /// Clear the in-flight entry a reply settles. Replies carry the
-    /// original endpoints swapped (`src` = responder, `dst` = requester).
-    fn settle_relay(&self, msg: &RelayMsg) {
-        let key = match msg {
-            RelayMsg::Ack {
-                src, dst, wr_id, ..
-            }
-            | RelayMsg::Nack {
-                src, dst, wr_id, ..
-            } => RelayKey {
-                src: *dst,
-                dst: *src,
-                id: *wr_id,
-                is_read: false,
-            },
-            RelayMsg::ReadResp {
-                src, dst, req_id, ..
-            } => RelayKey {
-                src: *dst,
-                dst: *src,
-                id: *req_id,
-                is_read: true,
-            },
-            _ => return,
-        };
-        self.in_flight.lock().remove(&key);
-    }
-
-    /// When the earliest in-flight relay expires, if any is outstanding.
-    fn next_relay_deadline(&self) -> Option<Instant> {
-        self.in_flight.lock().values().min().copied()
     }
 
     /// Spawn the pump: [`Agent::poll`] as a step on the agent's wake bell,
     /// running until the returned [`Pump`] is dropped. Work found → poll
     /// again; nothing found within the poll window (100 µs) of the last
     /// message → yield and poll again, so a live exchange needs no futex
-    /// wake; otherwise park until a ring or the earliest relay expiry. An
-    /// idle agent does not wake at all.
+    /// wake; otherwise park until a ring. The agent keeps no per-request
+    /// state, so it has no deadline of its own: an unanswered operation
+    /// is timed by the QP that posted it, and an idle agent does not wake
+    /// at all.
     pub fn spawn_pump(self: &Arc<Self>) -> Pump {
         let agent = Arc::clone(self);
         Pump::spawn(
@@ -692,7 +513,7 @@ impl Agent {
             Arc::clone(&self.bell),
             POLL_WINDOW,
             move || match agent.poll() {
-                0 => Step::Idle(agent.next_relay_deadline()),
+                0 => Step::Idle(None),
                 _ => Step::Worked,
             },
         )
@@ -763,10 +584,6 @@ impl Agent {
                                 attempts: attempt as u32,
                                 exhausted: false,
                             });
-                        }
-                        drop(tm);
-                        for m in chunk {
-                            self.track_relay(m);
                         }
                         sent_ok = true;
                         break;
@@ -954,7 +771,9 @@ impl Agent {
     /// number of frames processed.
     fn deliver_from_wire(&self, raw: Bytes) -> usize {
         struct Prepared {
-            msg: RelayMsg,
+            /// The decoded frame, its big payload staged into the arena
+            /// when zero-copy is on: its destination picks the container,
+            /// and a failed delivery nacks it.
             restaged: RelayMsg,
             raw: Bytes,
             zero_copied: u64,
@@ -971,12 +790,10 @@ impl Agent {
                 Ok(m) => m,
                 Err(_) => continue, // corrupt frame: drop it alone
             };
-            // A returning reply settles the request we relayed out earlier.
-            self.settle_relay(&msg);
             let (restaged, zero_copied) = if use_arena {
-                self.restage_into_arena(msg.clone())
+                self.restage_into_arena(msg)
             } else {
-                (msg.clone(), 0)
+                (msg, 0)
             };
             let raw_out = if zero_copied > 0 {
                 restaged.encode()
@@ -984,7 +801,6 @@ impl Agent {
                 raw
             };
             prepared.push(Prepared {
-                msg,
                 restaged,
                 raw: raw_out,
                 zero_copied,
@@ -997,9 +813,9 @@ impl Agent {
         // one vectored send each; wire order within a container holds.
         let mut i = 0;
         while i < prepared.len() {
-            let dst_ip = prepared[i].msg.dst().ip;
+            let dst_ip = prepared[i].restaged.dst().ip;
             let mut j = i + 1;
-            while j < prepared.len() && prepared[j].msg.dst().ip == dst_ip {
+            while j < prepared.len() && prepared[j].restaged.dst().ip == dst_ip {
                 j += 1;
             }
             let run = &prepared[i..j];
@@ -1044,7 +860,7 @@ impl Agent {
                             len: len.next_multiple_of(64),
                         });
                     }
-                    self.nack(&p.msg, status::REMOTE_OP);
+                    self.nack(&p.restaged, status::REMOTE_OP);
                 }
             }
         }
@@ -1466,9 +1282,6 @@ mod tests {
     #[test]
     fn sequential_round_trips_never_time_out_a_park() {
         let p = pumped_pair();
-        // Relay expiry must not be what ends a park here.
-        p.a0.set_relay_timeout(Duration::from_secs(60));
-        p.a1.set_relay_timeout(Duration::from_secs(60));
         for i in 0..1_000u64 {
             p.src
                 .channel
@@ -1491,7 +1304,6 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert_eq!(p.a0.relay_in_flight(), 0);
         for agent in [&p.a0, &p.a1] {
             let bell = agent.bell_stats();
             assert_eq!(bell.timeouts, 0, "every park ended by a ring: {bell:?}");
@@ -1502,37 +1314,41 @@ mod tests {
     }
 
     #[test]
-    fn relay_deadline_wakes_a_parked_pump() {
+    fn agent_keeps_no_per_request_state() {
+        // Requests relayed out and never answered leave nothing behind in
+        // the agents: the QP that posted one times it, so an idle agent
+        // has no deadline to wake for, however many are outstanding.
+        const N: u64 = 10_000;
         let p = pumped_pair();
-        p.a0.set_relay_timeout(Duration::from_millis(30));
-        // `dst` never answers, and once the frame is delivered nobody
-        // rings either bell again: only the expiry deadline can wake a0.
-        let before = p.a0.bell_stats();
-        p.src
-            .channel
-            .tx
-            .send(&send_msg(1, 2, 77, b"lost").encode())
-            .unwrap();
-        match recv_inline(&p.src) {
-            RelayMsg::Nack { wr_id, status, .. } => {
-                assert_eq!(wr_id, 77);
-                assert_eq!(status, status::TIMEOUT);
-            }
-            other => panic!("expected timeout nack, got {other:?}"),
+        for i in 0..N {
+            p.src
+                .channel
+                .tx
+                .send(&send_msg(1, 2, i, b"unanswered").encode())
+                .unwrap();
         }
-        assert!(matches!(
-            recv_inline(&p.dst),
-            RelayMsg::Send { wr_id: 77, .. }
-        ));
-        let after = p.a0.bell_stats();
-        assert!(
-            after.timeouts > before.timeouts,
-            "the deadline ended a park"
-        );
-        assert!(
-            after.waits - before.waits <= 3,
-            "one park until the deadline, not a tick every 100 us: {before:?} -> {after:?}"
-        );
+        for i in 0..N {
+            match recv_inline(&p.dst) {
+                RelayMsg::Send { wr_id, .. } => assert_eq!(wr_id, i),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let before = [p.a0.bell_stats(), p.a1.bell_stats()];
+        // The idle stretch under measurement (not a wait for progress).
+        std::thread::sleep(Duration::from_millis(100));
+        for (agent, before) in [&p.a0, &p.a1].into_iter().zip(before) {
+            let after = agent.bell_stats();
+            assert!(
+                after.waits - before.waits <= 3,
+                "an idle agent parks once and stays parked: {before:?} -> {after:?}"
+            );
+            assert_eq!(
+                after.timeouts, before.timeouts,
+                "no deadline ended an idle park: {before:?} -> {after:?}"
+            );
+        }
+        assert_eq!(p.a0.stats().relayed_out.load(Ordering::Relaxed), N);
+        assert_eq!(p.a0.stats().nacked.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -1598,8 +1414,8 @@ mod tests {
             }
             other => panic!("expected timeout nack, got {other:?}"),
         }
-        // Nothing left pending: the failure already surfaced.
-        assert_eq!(a0.relay_in_flight(), 0);
+        // The failure surfaced once; nothing waits to surface it again.
+        assert_eq!(a0.poll(), 0);
     }
 
     #[test]
@@ -1624,69 +1440,6 @@ mod tests {
             }
             other => panic!("expected stale-route nack, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn unanswered_relay_times_out_with_nack() {
-        let a0 = Agent::new(HostId::new(0), 1 << 20);
-        let a1 = Agent::new(HostId::new(1), 1 << 20);
-        let (w0, _w1) = connect_agents(&a0, &a1, TransportKind::Rdma);
-        let src = a0.attach_container(ip(1)).unwrap();
-        a0.install_route(ip(2), w0).unwrap();
-        a0.set_relay_timeout(Duration::from_millis(10));
-        src.channel
-            .tx
-            .send(&send_msg(1, 2, 21, b"lost").encode())
-            .unwrap();
-        a0.poll(); // relays out and starts the timer
-        assert_eq!(a0.relay_in_flight(), 1);
-        // The remote agent is never polled: the reply will never come.
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(a0.poll() > 0);
-        assert_eq!(a0.relay_in_flight(), 0);
-        match recv_inline(&src) {
-            RelayMsg::Nack { wr_id, status, .. } => {
-                assert_eq!(wr_id, 21);
-                assert_eq!(status, status::TIMEOUT);
-            }
-            other => panic!("expected timeout nack, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn returning_reply_settles_in_flight_relay() {
-        let a0 = Agent::new(HostId::new(0), 1 << 20);
-        let a1 = Agent::new(HostId::new(1), 1 << 20);
-        let (w0, w1) = connect_agents(&a0, &a1, TransportKind::Rdma);
-        let src = a0.attach_container(ip(1)).unwrap();
-        let dst = a1.attach_container(ip(2)).unwrap();
-        a0.install_route(ip(2), w0).unwrap();
-        a1.install_route(ip(1), w1).unwrap();
-        src.channel
-            .tx
-            .send(&send_msg(1, 2, 31, b"answered").encode())
-            .unwrap();
-        a0.poll();
-        assert_eq!(a0.relay_in_flight(), 1);
-        a1.poll();
-        let _ = recv_inline(&dst);
-        // The destination container acks the receive.
-        dst.channel
-            .tx
-            .send(
-                &RelayMsg::Ack {
-                    src: ep(2, 1),
-                    dst: ep(1, 1),
-                    wr_id: 31,
-                    byte_len: 8,
-                }
-                .encode(),
-            )
-            .unwrap();
-        a1.poll(); // relay ack back
-        a0.poll(); // deliver ack, settling the entry
-        assert_eq!(a0.relay_in_flight(), 0);
-        assert!(matches!(recv_inline(&src), RelayMsg::Ack { wr_id: 31, .. }));
     }
 
     #[test]
@@ -1809,33 +1562,27 @@ mod tests {
         agent.poll();
         assert!(matches!(recv_inline(&a), RelayMsg::Nack { .. }));
 
-        // Relay out over a wire that never answers → expiry + timeout nack.
+        // Relay out over a downed wire → timeout nack at once.
         let peer = Agent::new(HostId::new(4), 1 << 20);
         let (w, _) = connect_agents(&agent, &peer, TransportKind::Rdma);
         agent.install_route(ip(2), w).unwrap();
-        agent.set_relay_timeout(Duration::from_millis(10));
+        agent.set_wire_up(w, false).unwrap();
         a.channel
             .tx
             .send(&send_msg(1, 2, 7, b"lost").encode())
             .unwrap();
-        agent.poll();
-        std::thread::sleep(Duration::from_millis(20));
         agent.poll();
         assert!(matches!(recv_inline(&a), RelayMsg::Nack { .. }));
 
         let snap = hub.snapshot();
         assert_eq!(snap.counter_value("ff_agent_nacks_total", labels), Some(2));
         assert_eq!(
-            snap.counter_value("ff_agent_relays_expired_total", labels),
-            Some(1)
-        );
-        assert_eq!(
             snap.counter_value("ff_agent_retry_exhausted_total", labels),
             Some(0)
         );
         // Collector-exported gauges mirror AgentStats and channel health.
         assert_eq!(snap.gauge_value("ff_agent_nacked", labels), Some(2));
-        assert_eq!(snap.gauge_value("ff_agent_relayed_out", labels), Some(1));
+        assert_eq!(snap.gauge_value("ff_agent_relayed_out", labels), Some(0));
         // No pump parks on this agent's bell, so no ring issued a wake.
         assert_eq!(snap.gauge_value("ff_agent_bell_notifies", labels), Some(0));
         let chan = LabelSet::host(3).with_container(u64::from(ip(1).raw()));
@@ -1843,25 +1590,23 @@ mod tests {
             snap.gauge_value("ff_agent_chan_msgs_from_container", chan),
             Some(2)
         );
-        // Event order: unroutable nack, expiry, then the timeout nack it
-        // synthesized.
+        // Event order: the unroutable nack, then the downed wire's.
         let kinds: Vec<&TimedEvent> = snap.events.iter().collect();
         assert!(matches!(
             kinds[..],
             [
                 TimedEvent {
-                    event: Event::RelayNack { host: 3, .. },
-                    ..
-                },
-                TimedEvent {
-                    event: Event::RelayExpired {
+                    event: Event::RelayNack {
                         host: 3,
-                        entries: 1
+                        status: status::REMOTE_OP
                     },
                     ..
                 },
                 TimedEvent {
-                    event: Event::RelayNack { host: 3, .. },
+                    event: Event::RelayNack {
+                        host: 3,
+                        status: status::TIMEOUT
+                    },
                     ..
                 },
             ]

@@ -81,9 +81,9 @@ pub mod status {
     /// Receiver posted too small a buffer.
     pub const LOCAL_LENGTH: u8 = 3;
     /// The relay gave up on the operation — the wire to the peer host is
-    /// down or stayed full past the retry budget, or no reply arrived
-    /// within the relay timeout. Endpoints map this onto
-    /// `IBV_WC_RETRY_EXC_ERR` and re-path the QP.
+    /// down or stayed full past the retry budget. Endpoints map this onto
+    /// `IBV_WC_RETRY_EXC_ERR` and re-path the QP, as they do when their
+    /// own op deadline passes with no reply.
     pub const TIMEOUT: u8 = 4;
     /// Like [`TIMEOUT`], but the downed wire was the *route's*: another
     /// wire to the same peer host is up, so forwarding has simply not

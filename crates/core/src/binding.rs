@@ -40,7 +40,7 @@ use std::fmt;
 /// Why a bound path is being torn down and re-established.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebindReason {
-    /// The current transport died (relay timeout / nack): reactive
+    /// The current transport died (op deadline / nack): reactive
     /// re-path, the old path is unusable.
     Failover,
     /// The orchestrator reports a better transport became available

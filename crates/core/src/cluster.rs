@@ -339,14 +339,13 @@ impl FreeFlowCluster {
         self.migrate_with(container, to_host, None).map(|(c, _)| c)
     }
 
-    /// Quiesce, detach from the agent and leave the verbs fabric of
-    /// `host` — the host-side half of moving a container off a machine.
-    /// The device keeps its QPs, MRs and keys.
+    /// Detach from the agent and leave the verbs fabric of `host` — the
+    /// host-side half of moving a container off a machine. The device
+    /// keeps its QPs, MRs and keys.
     fn detach_from_host(&self, host: HostId, ip: freeflow_types::OverlayIp) {
         let inner = self.inner.lock();
         for node in &inner.hosts {
             if node.id == host {
-                node.agent.quiesce_container(ip);
                 node.agent.detach_container(ip);
                 node.verbs.remove_device(ip);
             }

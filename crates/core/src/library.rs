@@ -176,8 +176,9 @@ impl LibShared {
     }
 
     /// Apply pending control-plane events to the location cache, and pull
-    /// a snapshot resync after a feed gap. Returns whether paths may have
-    /// improved, i.e. whether every QP should re-evaluate its binding.
+    /// a snapshot resync after a feed gap or a prune. Returns whether
+    /// paths may have improved, i.e. whether every QP should re-evaluate
+    /// its binding.
     fn poll_feed(&self, sub: &mut FeedSubscription, needs_resync: &mut bool) -> bool {
         // Only *improvement* events (PathUpdated, ContainerMoved) trigger
         // planned rebinds: degradations are handled reactively by the
@@ -212,7 +213,16 @@ impl LibShared {
                     });
                     event
                 }
-                FeedPoll::Empty | FeedPoll::Disconnected => break,
+                FeedPoll::Empty => break,
+                FeedPoll::Disconnected => {
+                    // The feed pruned us (our queue filled while the pump
+                    // was blocked): everything since is lost. Resubscribe
+                    // and resync, or this library never hears another
+                    // event.
+                    *sub = self.client.subscribe();
+                    *needs_resync = true;
+                    break;
+                }
             };
             match ev {
                 OrchestratorEvent::ContainerMoved { ip, .. } => {
@@ -304,8 +314,8 @@ impl LibShared {
             }
             // Advance any in-progress drain/rebind.
             qp.poll_binding();
-            // Transport-death backstop: expire remote ops whose
-            // replies never arrived, failing over.
+            // The op deadline, the only timer on a remote op: expire
+            // ops whose replies never arrived, failing over.
             qp.sweep_timeouts();
         }
     }
@@ -738,5 +748,59 @@ impl std::fmt::Debug for NetLibrary {
             .field("ip", &self.shared.ip)
             .field("host", &self.shared.host())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use freeflow_agent::Agent;
+    use freeflow_types::HostCaps;
+    use freeflow_verbs::VerbsNetwork;
+
+    #[test]
+    fn pruned_feed_subscription_resubscribes_and_resyncs() {
+        // A library without a pump, so only this test polls its feed.
+        let orch = Orchestrator::with_defaults();
+        let host = HostId::new(0);
+        orch.add_host(host, HostCaps::paper_testbed()).unwrap();
+        let ip = OverlayIp::from_octets(10, 0, 0, 1);
+        let handle = Agent::new(host, 1 << 20).attach_container(ip).unwrap();
+        let telemetry = Telemetry::new();
+        let lib = LibShared {
+            id: ContainerId::new(1),
+            ip,
+            tenant: TenantId::new(1),
+            host: RwLock::new(host),
+            device: VerbsNetwork::new().create_device(ip),
+            agent_tx: Mutex::new(handle.channel.tx),
+            fabric: RwLock::new(handle.fabric),
+            client: OrchClient::new(Arc::clone(&orch), Some(host), Arc::clone(&telemetry)),
+            cache: LocationCache::new(),
+            qps: Mutex::new(HashMap::new()),
+            telemetry: Arc::clone(&telemetry),
+        };
+        let resyncs = || {
+            telemetry
+                .snapshot()
+                .counter_value("ff_orch_resyncs_total", LabelSet::none())
+                .unwrap_or(0)
+        };
+        let (mut sub, mut needs_resync) = (lib.client.subscribe(), false);
+        // Three events per cycle: more than the 1 024 the feed queues for
+        // a subscriber that does not poll, so it is pruned.
+        for _ in 0..350 {
+            orch.mark_nic_down(host).unwrap();
+            orch.mark_nic_up(host).unwrap();
+        }
+        lib.poll_feed(&mut sub, &mut needs_resync);
+        assert_eq!(resyncs(), 1, "a pruned subscription resyncs at once");
+        assert!(!needs_resync);
+        assert!(!lib.poll_feed(&mut sub, &mut needs_resync));
+        // The next event (PathUpdated on the NIC's recovery) reaches it.
+        orch.mark_nic_down(host).unwrap();
+        orch.mark_nic_up(host).unwrap();
+        assert!(lib.poll_feed(&mut sub, &mut needs_resync));
+        assert_eq!(resyncs(), 1);
     }
 }

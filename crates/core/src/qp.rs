@@ -45,10 +45,10 @@ use std::time::{Duration, Instant};
 
 /// Default bound on how long a remote operation may stay unanswered
 /// before the QP declares the transport dead (see
-/// [`FfQp::set_relay_timeout`]). Deliberately longer than the agent's
-/// own relay timeout: the agent nacking first is the normal path, this
-/// sweep is the backstop for a dead agent.
-const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(2);
+/// [`FfQp::set_relay_timeout`]). This is the only timer on a relayed
+/// operation, as on a real RC NIC: the agent nacks at once when a wire is
+/// down or stays full, and keeps no per-request state to time the rest.
+const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Which data plane this QP is bound to (after RTR).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -502,8 +502,8 @@ impl FfQp {
     }
 
     /// Bound how long a remote operation may stay unanswered before the
-    /// QP declares the transport dead and fails over (backstop behind the
-    /// agent's own relay timeout).
+    /// QP declares the transport dead and fails over (default 1 s). A
+    /// reply lost on the wire or at a crashed peer surfaces only here.
     pub fn set_relay_timeout(&self, timeout: Duration) {
         self.op_timeout_ns
             .store(timeout.as_nanos() as u64, Ordering::Relaxed);
@@ -522,15 +522,29 @@ impl FfQp {
 
     /// Called from the library pump: if any pending remote op outlived its
     /// deadline, treat the transport as dead (no partial expiry — RC
-    /// semantics are ordered, so one lost op means the path is gone).
+    /// semantics are ordered, so one lost op means the path is gone). The
+    /// flight recorder gets a [`Event::RelayExpired`] with the number of
+    /// overdue ops, so a silent loss reads apart from a nacked one.
     pub fn sweep_timeouts(&self) {
         let now = Instant::now();
         let expired = {
             let inner = self.inner.lock();
-            inner.pending_sends.values().any(|p| p.deadline <= now)
-                || inner.pending_reads.values().any(|p| p.deadline <= now)
+            inner
+                .pending_sends
+                .values()
+                .filter(|p| p.deadline <= now)
+                .count()
+                + inner
+                    .pending_reads
+                    .values()
+                    .filter(|p| p.deadline <= now)
+                    .count()
         };
-        if expired {
+        if expired > 0 {
+            self.lib.telemetry.record(Event::RelayExpired {
+                host: self.lib.host().raw(),
+                entries: expired as u32,
+            });
             self.on_transport_failure(false);
         }
     }

@@ -579,6 +579,35 @@ fn send_to_stopped_container_fails_not_hangs() {
 }
 
 #[test]
+fn unanswered_remote_op_fails_over_at_its_op_deadline() {
+    // The peer posts no receive, so the send parks there and is never
+    // acked. No agent times it: the QP's op deadline is the only timer.
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    let timeout = Duration::from_millis(50);
+    p.qp_a.set_relay_timeout(timeout);
+    let posted = std::time::Instant::now();
+    p.qp_a.post_send(SendWr::send(1, p.mr_a.sge(0, 8))).unwrap();
+    let wc = p.cq_a.wait_one(T).expect("a completion, not a hang");
+    let waited = posted.elapsed();
+    assert_eq!((wc.wr_id, wc.status), (1, WcStatus::RetryExcError));
+    assert!(
+        (timeout..Duration::from_secs(1)).contains(&waited),
+        "failed over after {waited:?}"
+    );
+    use freeflow_telemetry::Event;
+    let expired: Vec<Event> = cluster
+        .telemetry()
+        .events
+        .iter()
+        .map(|te| te.event)
+        .filter(|e| matches!(e, Event::RelayExpired { .. }))
+        .collect();
+    let host = p.a.host().raw();
+    assert_eq!(expired, [Event::RelayExpired { host, entries: 1 }]);
+}
+
+#[test]
 fn three_hosts_mixed_paths_share_one_container() {
     // One "server" container with peers both local and remote — FreeFlow's
     // per-connection (not per-container) path choice.

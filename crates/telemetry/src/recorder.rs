@@ -86,11 +86,12 @@ pub enum Event {
         /// Wire status code carried in the Nack.
         status: u8,
     },
-    /// A tracked relay entry timed out and was expired.
+    /// Remote operations outlived their QP's op deadline with no reply:
+    /// the QP declares the transport dead and fails over.
     RelayExpired {
-        /// The agent's host.
+        /// The host of the library that posted them.
         host: u64,
-        /// How many in-flight entries were expired together.
+        /// How many of the QP's operations were overdue together.
         entries: u32,
     },
     /// A socket stream re-posted an unacked frame.

@@ -26,12 +26,8 @@ fn main() {
     let tenant = TenantId::new(1);
     let client = cluster.launch(tenant, h0).unwrap();
     let server = cluster.launch(tenant, h1).unwrap();
-
-    // Fail fast for the demo (defaults are 1 s relay / 2 s op timeouts).
-    cluster
-        .agent_of(h0)
-        .unwrap()
-        .set_relay_timeout(Duration::from_millis(100));
+    // No timer to tune: the agent nacks a send on the dead wire at once,
+    // and the QP's 1 s op deadline is there only for a silent loss.
 
     let mr_c = client.register(4096, AccessFlags::all()).unwrap();
     let mr_s = server.register(4096, AccessFlags::all()).unwrap();

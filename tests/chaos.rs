@@ -168,12 +168,6 @@ fn chaos_qp_fails_over_from_rdma_to_tcp() {
     let a = cluster.launch(tenant, h0).unwrap();
     let b = cluster.launch(tenant, h1).unwrap();
 
-    // Tight timeouts so the failure surfaces quickly.
-    cluster
-        .agent_of(h0)
-        .unwrap()
-        .set_relay_timeout(Duration::from_millis(200));
-
     let mr_a = a.register(4096, AccessFlags::all()).unwrap();
     let mr_b = b.register(4096, AccessFlags::all()).unwrap();
     let cq_a = a.create_cq(16);
@@ -182,7 +176,6 @@ fn chaos_qp_fails_over_from_rdma_to_tcp() {
     let qp_b = b.create_qp(&cq_b, &cq_b, 8, 8).unwrap();
     qp_a.connect(qp_b.endpoint()).unwrap();
     qp_b.connect(qp_a.endpoint()).unwrap();
-    qp_a.set_relay_timeout(Duration::from_secs(1));
     match qp_a.path() {
         FfPath::Remote { transport, .. } => assert_eq!(transport, TransportKind::Rdma),
         other => panic!("expected remote RDMA path, got {other:?}"),
@@ -288,11 +281,6 @@ fn chaos_batched_chain_fails_over_and_conserves_completions() {
     let tenant = TenantId::new(1);
     let a = cluster.launch(tenant, h0).unwrap();
     let b = cluster.launch(tenant, h1).unwrap();
-    cluster
-        .agent_of(h0)
-        .unwrap()
-        .set_relay_timeout(Duration::from_millis(200));
-
     let mr_a = a.register(16 << 10, AccessFlags::all()).unwrap();
     let mr_b = b.register(16 << 10, AccessFlags::all()).unwrap();
     let cq_a = a.create_cq(64);
@@ -301,7 +289,6 @@ fn chaos_batched_chain_fails_over_and_conserves_completions() {
     let qp_b = b.create_qp(&cq_b, &cq_b, 32, 32).unwrap();
     qp_a.connect(qp_b.endpoint()).unwrap();
     qp_b.connect(qp_a.endpoint()).unwrap();
-    qp_a.set_relay_timeout(Duration::from_secs(1));
 
     const N: u64 = 8;
     let chain = |base: u64, tag: u8| -> Vec<SendWr> {
@@ -426,11 +413,6 @@ fn chaos_host_crash_errors_qp_without_hanging() {
     let a = cluster.launch(tenant, h0).unwrap();
     let b = cluster.launch(tenant, h1).unwrap();
 
-    cluster
-        .agent_of(h0)
-        .unwrap()
-        .set_relay_timeout(Duration::from_millis(200));
-
     let mr_a = a.register(4096, AccessFlags::all()).unwrap();
     let cq_a = a.create_cq(16);
     let cq_b = b.create_cq(16);
@@ -438,7 +420,6 @@ fn chaos_host_crash_errors_qp_without_hanging() {
     let qp_b = b.create_qp(&cq_b, &cq_b, 8, 8).unwrap();
     qp_a.connect(qp_b.endpoint()).unwrap();
     qp_b.connect(qp_a.endpoint()).unwrap();
-    qp_a.set_relay_timeout(Duration::from_secs(1));
 
     // Host 1 crashes: every transport toward it is gone. Down the wires
     // and tell the control plane.

@@ -75,13 +75,6 @@ fn roundtrip(client: &mut FfStream, server: &mut FfStream, msg: &[u8]) {
 fn stream_survives_failover_then_upgrade_back_to_rdma() {
     let (cluster, a, _b, mut client, mut server) = streaming_pair();
     let h0 = a.host();
-    // Short timeouts so the dead wire is detected within the test budget.
-    cluster
-        .agent_of(h0)
-        .unwrap()
-        .set_relay_timeout(Duration::from_millis(200));
-    client.qp().set_relay_timeout(Duration::from_secs(1));
-    server.qp().set_relay_timeout(Duration::from_secs(1));
 
     // Baseline: the paper-testbed NICs bind RDMA across hosts.
     roundtrip(&mut client, &mut server, b"over rdma");
@@ -234,14 +227,6 @@ fn parked_chain_replays_exactly_once(scenario: ParkScenario) {
     let h1 = cluster.add_host(HostCaps::paper_testbed());
     let a = cluster.launch(TenantId::new(1), h0).unwrap();
     let b = cluster.launch(TenantId::new(1), h1).unwrap();
-    // Generous timeouts everywhere: the held send stays deliberately
-    // unanswered and must not trip the failure sweeps.
-    for h in [h0, h1] {
-        cluster
-            .agent_of(h)
-            .unwrap()
-            .set_relay_timeout(Duration::from_secs(30));
-    }
     if matches!(scenario, ParkScenario::Upgrade) {
         // Connect with the bypass NIC down so the pair starts on kernel
         // TCP and has an upgrade to perform once the NIC returns.
@@ -257,6 +242,8 @@ fn parked_chain_replays_exactly_once(scenario: ParkScenario) {
     let qp_b = b.create_qp(&cq_b, &cq_b, 32, 32).unwrap();
     qp_a.connect(qp_b.endpoint()).unwrap();
     qp_b.connect(qp_a.endpoint()).unwrap();
+    // Generous op deadlines: the held send stays deliberately unanswered
+    // and must not trip the failure sweep.
     for qp in [&qp_a, &qp_b] {
         qp.set_relay_timeout(Duration::from_secs(30));
     }

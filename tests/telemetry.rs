@@ -84,12 +84,6 @@ fn transitions(timeline: &[TimedEvent]) -> Vec<(TransitionKind, Option<&'static 
 fn chaos_run_yields_consistent_counters_timeline_and_exposition() {
     let (cluster, a, b, mut client, mut server) = streaming_pair();
     let h0 = a.host();
-    cluster
-        .agent_of(h0)
-        .unwrap()
-        .set_relay_timeout(Duration::from_millis(200));
-    client.qp().set_relay_timeout(Duration::from_secs(1));
-    server.qp().set_relay_timeout(Duration::from_secs(1));
     let client_qpn = client.qp().qp_num();
     let client_labels = LabelSet::host(h0.raw()).with_container(a.id().raw());
 
