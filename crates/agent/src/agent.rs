@@ -525,7 +525,7 @@ impl Agent {
     /// the caller can coalesce everything sharing a wire into batched
     /// wire messages.
     fn route_from_local(&self, raw: Bytes) -> Option<(usize, RelayMsg)> {
-        let msg = match RelayMsg::decode(raw.clone()) {
+        let mut msg = match RelayMsg::decode(raw.clone()) {
             Ok(m) => m,
             Err(_) => return None, // corrupt local message: drop
         };
@@ -536,13 +536,15 @@ impl Agent {
         }
         // Remote: find a route.
         let wire_idx = { self.inner.lock().routes.get(&dst_ip).copied() };
-        match wire_idx {
-            Some(idx) => Some((idx, self.materialize_for_wire(msg))),
-            None => {
-                self.nack(&msg, status::REMOTE_OP);
-                None
-            }
-        }
+        let refusal = match wire_idx {
+            Some(idx) => match self.materialize_for_wire(&mut msg) {
+                Ok(()) => return Some((idx, msg)),
+                Err(_) => status::REMOTE_ACCESS,
+            },
+            None => status::REMOTE_OP,
+        };
+        self.nack(&msg, refusal);
+        None
     }
 
     /// Ship one poll's backlog for wire `idx`, coalescing frames into
@@ -691,76 +693,18 @@ impl Agent {
         }
     }
 
-    /// Convert arena payloads to inline bytes before a message leaves the
-    /// host (descriptors are meaningless on another machine).
-    fn materialize_for_wire(&self, msg: RelayMsg) -> RelayMsg {
-        let fix = |payload: RelayPayload| -> RelayPayload {
-            match payload {
-                RelayPayload::Arena { offset, len } => {
-                    // Blocks are allocated at 64-byte granularity; the
-                    // descriptor carries the exact data length, so the
-                    // free must use the rounded block length or the
-                    // padding leaks from the allocator.
-                    let handle = freeflow_shmem::ArenaHandle {
-                        offset,
-                        len: len.next_multiple_of(64),
-                    };
-                    let mut buf = vec![0u8; len as usize];
-                    let arena = self.fabric.arena();
-                    if arena.read(handle, 0, &mut buf).is_ok() {
-                        let _ = arena.free(handle);
-                    }
-                    RelayPayload::Inline(Bytes::from(buf))
-                }
-                inline => inline,
+    /// Convert an arena payload to inline bytes before a message leaves
+    /// the host (descriptors are meaningless on another machine). The
+    /// descriptor came from a container, so one outside the arena is an
+    /// error, checked before anything is allocated.
+    fn materialize_for_wire(&self, msg: &mut RelayMsg) -> Result<()> {
+        if let Some(payload) = msg.payload_mut() {
+            if let RelayPayload::Arena { offset, len } = *payload {
+                let bytes = self.fabric.arena().take(offset, len)?;
+                *payload = RelayPayload::Inline(Bytes::from(bytes));
             }
-        };
-        match msg {
-            RelayMsg::Send {
-                src,
-                dst,
-                wr_id,
-                imm,
-                payload,
-            } => RelayMsg::Send {
-                src,
-                dst,
-                wr_id,
-                imm,
-                payload: fix(payload),
-            },
-            RelayMsg::Write {
-                src,
-                dst,
-                wr_id,
-                addr,
-                rkey,
-                imm,
-                payload,
-            } => RelayMsg::Write {
-                src,
-                dst,
-                wr_id,
-                addr,
-                rkey,
-                imm,
-                payload: fix(payload),
-            },
-            RelayMsg::ReadResp {
-                src,
-                dst,
-                req_id,
-                status,
-                payload,
-            } => RelayMsg::ReadResp {
-                src,
-                dst,
-                req_id,
-                status,
-                payload: fix(payload),
-            },
-            other => other,
         }
+        Ok(())
     }
 
     /// Deliver a wire message — possibly a coalesced batch — to local
@@ -786,14 +730,14 @@ impl Agent {
         let use_arena = self.zero_copy.load(Ordering::Relaxed);
         let mut prepared: Vec<Prepared> = Vec::with_capacity(total);
         for raw in frames {
-            let msg = match RelayMsg::decode(raw.clone()) {
+            let mut restaged = match RelayMsg::decode(raw.clone()) {
                 Ok(m) => m,
                 Err(_) => continue, // corrupt frame: drop it alone
             };
-            let (restaged, zero_copied) = if use_arena {
-                self.restage_into_arena(msg)
+            let zero_copied = if use_arena {
+                self.restage_into_arena(&mut restaged)
             } else {
-                (msg, 0)
+                0
             };
             let raw_out = if zero_copied > 0 {
                 restaged.encode()
@@ -867,80 +811,32 @@ impl Agent {
         total
     }
 
-    /// Stage big inline payloads into the host arena. Returns the possibly
-    /// rewritten message and how many bytes went zero-copy.
-    fn restage_into_arena(&self, msg: RelayMsg) -> (RelayMsg, u64) {
-        let mut staged = 0u64;
-        let mut fix = |payload: RelayPayload| -> RelayPayload {
-            match payload {
-                RelayPayload::Inline(b) if b.len() >= ZERO_COPY_THRESHOLD => {
-                    let arena = self.fabric.arena();
-                    match arena.alloc(b.len() as u64) {
-                        Ok(handle) => {
-                            arena.write(handle, 0, &b).expect("fresh block fits");
-                            staged += b.len() as u64;
-                            RelayPayload::Arena {
-                                offset: handle.offset,
-                                // Keep the *data* length, not the rounded
-                                // block length, so receivers read exactly
-                                // the payload. The block is freed by the
-                                // receiver using arena granularity.
-                                len: b.len() as u64,
-                            }
-                        }
-                        Err(_) => RelayPayload::Inline(b), // arena full: copy path
-                    }
-                }
-                other => other,
-            }
+    /// Stage a big inline payload into the host arena, in place. Returns
+    /// how many bytes went zero-copy (0: the message is unchanged).
+    fn restage_into_arena(&self, msg: &mut RelayMsg) -> u64 {
+        let Some(payload) = msg.payload_mut() else {
+            return 0;
         };
-        let out = match msg {
-            RelayMsg::Send {
-                src,
-                dst,
-                wr_id,
-                imm,
-                payload,
-            } => RelayMsg::Send {
-                src,
-                dst,
-                wr_id,
-                imm,
-                payload: fix(payload),
-            },
-            RelayMsg::Write {
-                src,
-                dst,
-                wr_id,
-                addr,
-                rkey,
-                imm,
-                payload,
-            } => RelayMsg::Write {
-                src,
-                dst,
-                wr_id,
-                addr,
-                rkey,
-                imm,
-                payload: fix(payload),
-            },
-            RelayMsg::ReadResp {
-                src,
-                dst,
-                req_id,
-                status,
-                payload,
-            } => RelayMsg::ReadResp {
-                src,
-                dst,
-                req_id,
-                status,
-                payload: fix(payload),
-            },
-            other => other,
+        let RelayPayload::Inline(b) = &*payload else {
+            return 0;
         };
-        (out, staged)
+        if b.len() < ZERO_COPY_THRESHOLD {
+            return 0;
+        }
+        let len = b.len() as u64;
+        let arena = self.fabric.arena();
+        let Ok(handle) = arena.alloc(len) else {
+            return 0; // arena full: copy path
+        };
+        arena.write(handle, 0, b).expect("fresh block fits");
+        // Keep the *data* length, not the rounded block length, so
+        // receivers read exactly the payload. The receiver frees the block
+        // at arena granularity.
+        *payload = RelayPayload::Arena {
+            offset: handle.offset,
+            len,
+        };
+        len
     }
 
     /// Send a Nack for an unroutable operation back toward its source.
@@ -1140,6 +1036,49 @@ mod tests {
             other => panic!("expected arena delivery, got {other:?}"),
         }
         assert!(a1.stats().zero_copy_bytes.load(Ordering::Relaxed) >= 8192);
+    }
+
+    #[test]
+    fn arena_descriptor_outside_the_arena_is_nacked_not_fatal() {
+        // A container writes the descriptors it hands its agent. One that
+        // names bytes outside the arena, or claims a terabyte, must cost
+        // that container a nack — not the host agent a panic or an abort.
+        let a0 = Agent::new(HostId::new(0), 1 << 20);
+        let a1 = Agent::new(HostId::new(1), 1 << 20);
+        let (w0, _w1) = connect_agents(&a0, &a1, TransportKind::Rdma);
+        let src = a0.attach_container(ip(1)).unwrap();
+        let dst = a1.attach_container(ip(2)).unwrap();
+        a0.install_route(ip(2), w0).unwrap();
+        let arena = src.fabric.arena();
+        let _held = arena.alloc(4096).unwrap();
+        let allocated = arena.allocated();
+        for (wr_id, offset, len) in [(1, 1 << 30, 64), (2, 0, 1 << 40)] {
+            let msg = RelayMsg::Send {
+                src: ep(1, 1),
+                dst: ep(2, 1),
+                wr_id,
+                imm: None,
+                payload: RelayPayload::Arena { offset, len },
+            };
+            src.channel.tx.send(&msg.encode()).unwrap();
+            a0.poll();
+            match recv_inline(&src) {
+                RelayMsg::Nack {
+                    wr_id: id,
+                    status: code,
+                    ..
+                } => assert_eq!((id, code), (wr_id, status::REMOTE_ACCESS)),
+                other => panic!("expected a nack, got {other:?}"),
+            }
+        }
+        assert_eq!(arena.allocated(), allocated, "no block freed or leaked");
+        assert_eq!(a0.stats().relayed_out.load(Ordering::Relaxed), 0);
+        // The agent keeps relaying.
+        let ok = send_msg(1, 2, 3, b"still relaying");
+        src.channel.tx.send(&ok.encode()).unwrap();
+        a0.poll();
+        a1.poll();
+        assert_eq!(recv_inline(&dst), ok);
     }
 
     #[test]

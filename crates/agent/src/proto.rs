@@ -287,6 +287,17 @@ impl RelayMsg {
         self.head().1
     }
 
+    /// The payload, for the messages that carry one (SEND, WRITE and READ
+    /// response).
+    pub fn payload_mut(&mut self) -> Option<&mut RelayPayload> {
+        match self {
+            RelayMsg::Send { payload, .. }
+            | RelayMsg::Write { payload, .. }
+            | RelayMsg::ReadResp { payload, .. } => Some(payload),
+            _ => None,
+        }
+    }
+
     /// What every encoding starts with: tag, source, destination.
     fn head(&self) -> (u8, WireEp, WireEp) {
         match *self {

@@ -320,34 +320,26 @@ impl LibShared {
         }
     }
 
-    /// Hand a relay message to the host agent.
-    pub fn send_to_agent(&self, msg: &RelayMsg) {
-        let bytes = msg.encode();
-        // Blocking send: the agent pump drains this channel continuously.
-        let _ = self.agent_tx.lock().send(&bytes);
-    }
-
-    /// Hand a batch of relay messages to the host agent as one vectored
-    /// push: every frame is serialized into one scratch buffer (no
-    /// per-message `Vec<u8>`), the ring is written under a single
-    /// reservation, and the agent's data doorbell rings once for the
-    /// whole batch instead of once per message.
-    pub fn send_to_agent_batch(&self, msgs: &[RelayMsg]) {
-        match msgs {
-            [] => {}
-            [only] => self.send_to_agent(only),
-            _ => {
-                let mut buf = bytes::BytesMut::with_capacity(64 * msgs.len());
-                let mut bounds = Vec::with_capacity(msgs.len());
-                for msg in msgs {
-                    let start = buf.len();
-                    msg.encode_into(&mut buf);
-                    bounds.push((start, buf.len()));
-                }
-                let frames: Vec<&[u8]> = bounds.iter().map(|&(s, e)| &buf[s..e]).collect();
-                let _ = self.agent_tx.lock().send_batch(&frames);
-            }
+    /// Hand relay messages to the host agent as one push. A lone frame
+    /// takes the ring's plain send; several are serialized into one
+    /// scratch buffer (no per-message `Vec<u8>`) and written under a
+    /// single ring reservation, so the agent's data doorbell rings once
+    /// for the whole chain instead of once per message. Sends block: the
+    /// agent pump drains this channel continuously.
+    pub fn send_to_agent(&self, msgs: &[RelayMsg]) {
+        if let [only] = msgs {
+            let _ = self.agent_tx.lock().send(&only.encode());
+            return;
         }
+        let mut buf = bytes::BytesMut::with_capacity(64 * msgs.len());
+        let mut bounds = Vec::with_capacity(msgs.len());
+        for msg in msgs {
+            let start = buf.len();
+            msg.encode_into(&mut buf);
+            bounds.push((start, buf.len()));
+        }
+        let frames: Vec<&[u8]> = bounds.iter().map(|&(s, e)| &buf[s..e]).collect();
+        let _ = self.agent_tx.lock().send_batch(&frames);
     }
 }
 
@@ -683,6 +675,13 @@ impl NetLibrary {
     #[cfg(test)]
     pub(crate) fn pump_bell(&self) -> Arc<Doorbell> {
         Arc::clone(self.pump.as_ref().expect("pump runs").bell())
+    }
+
+    /// Push raw relay messages to the host agent, as a container that
+    /// bypasses the QP layer could.
+    #[cfg(test)]
+    pub(crate) fn send_raw(&self, msgs: &[RelayMsg]) {
+        self.shared.send_to_agent(msgs);
     }
 
     /// Entries in the QPN → QP dispatch map.

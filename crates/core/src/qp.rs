@@ -30,13 +30,14 @@ use crate::binding::{BindingPhase, PathBinding, PathSignal, RebindReason};
 use crate::endpoint::FfEndpoint;
 use crate::library::LibShared;
 use bytes::Bytes;
-use freeflow_agent::proto::{status as st, RelayMsg, RelayPayload};
+use freeflow_agent::proto::{status as st, RelayMsg, RelayPayload, WireEp};
 use freeflow_agent::ZERO_COPY_THRESHOLD;
-use freeflow_shmem::ArenaHandle;
 use freeflow_telemetry::{Counter, Event, Histogram, LabelSet, Telemetry, TransitionKind};
 use freeflow_types::TransportKind;
 use freeflow_verbs::wr::{RecvWr, SendWr, Sge, WcOpcode, WorkCompletion, WrOpcode};
-use freeflow_verbs::{CompletionQueue, QpState, QueuePair, VerbsError, VerbsResult, WcStatus};
+use freeflow_verbs::{
+    CompletionQueue, MemoryRegion, QpState, QueuePair, VerbsError, VerbsResult, WcStatus,
+};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -119,14 +120,8 @@ struct PendingRead {
     posted_at: Instant,
 }
 
-/// A built-but-untransmitted remote op's bookkeeping (send/write vs read).
-enum RemotePending {
-    Send(PendingSend),
-    Read(PendingRead),
-}
-
 struct InboundSend {
-    src: freeflow_agent::proto::WireEp,
+    src: WireEp,
     op_id: u64,
     payload: Option<Bytes>,
     byte_len: u64,
@@ -465,25 +460,13 @@ impl FfQp {
             return;
         };
         for wr in flushed {
-            self.recv_cq.push(WorkCompletion {
-                wr_id: wr.wr_id,
-                status: WcStatus::WrFlushError,
-                opcode: WcOpcode::Recv,
-                byte_len: 0,
-                imm: None,
-                qp_num: self.qp_num(),
-            });
+            let wc = self.wc(wr.wr_id, WcStatus::WrFlushError, WcOpcode::Recv, 0);
+            self.recv_cq.push(wc);
         }
         for wr in parked {
             // Accepted but never transmitted: flush, exactly once.
-            self.send_cq.push(WorkCompletion {
-                wr_id: wr.wr_id,
-                status: WcStatus::WrFlushError,
-                opcode: Self::wc_opcode_of(&wr),
-                byte_len: 0,
-                imm: None,
-                qp_num: self.qp_num(),
-            });
+            let wc = self.wc(wr.wr_id, WcStatus::WrFlushError, Self::wc_opcode_of(&wr), 0);
+            self.send_cq.push(wc);
         }
     }
 
@@ -577,24 +560,12 @@ impl FfQp {
             self.enter_error();
         }
         for (_, p) in sends {
-            self.send_cq.push(WorkCompletion {
-                wr_id: p.wr_id,
-                status: WcStatus::RetryExcError,
-                opcode: p.opcode,
-                byte_len: 0,
-                imm: None,
-                qp_num: self.qp_num(),
-            });
+            let wc = self.wc(p.wr_id, WcStatus::RetryExcError, p.opcode, 0);
+            self.send_cq.push(wc);
         }
         for (_, p) in reads {
-            self.send_cq.push(WorkCompletion {
-                wr_id: p.wr_id,
-                status: WcStatus::RetryExcError,
-                opcode: WcOpcode::RdmaRead,
-                byte_len: 0,
-                imm: None,
-                qp_num: self.qp_num(),
-            });
+            let wc = self.wc(p.wr_id, WcStatus::RetryExcError, WcOpcode::RdmaRead, 0);
+            self.send_cq.push(wc);
         }
     }
 
@@ -1046,14 +1017,8 @@ impl FfQp {
                 // overflow. A refusal still resolves the WR (flush).
                 let wr_id = wr.wr_id;
                 if self.verbs_qp.post_recv(wr).is_err() {
-                    self.recv_cq.push(WorkCompletion {
-                        wr_id,
-                        status: WcStatus::WrFlushError,
-                        opcode: WcOpcode::Recv,
-                        byte_len: 0,
-                        imm: None,
-                        qp_num: self.qp_num(),
-                    });
+                    let wc = self.wc(wr_id, WcStatus::WrFlushError, WcOpcode::Recv, 0);
+                    self.recv_cq.push(wc);
                 }
             }
             let old = inner.binding.path().label();
@@ -1111,22 +1076,11 @@ impl FfQp {
                 }
             };
             let (wr_id, opcode) = (wr.wr_id, Self::wc_opcode_of(&wr));
-            let result = match path {
-                FfPath::Local { .. } => self.verbs_qp.post_send(wr),
-                FfPath::Remote { peer, .. } => self.post_send_remote(wr, peer),
-                FfPath::Unbound => unreachable!("bound phase implies a path"),
-            };
-            if result.is_err() {
+            if self.dispatch(std::iter::once(wr), path).is_err() {
                 // The WR was accepted at post time: it must still
                 // resolve exactly once.
-                self.send_cq.push(WorkCompletion {
-                    wr_id,
-                    status: WcStatus::WrFlushError,
-                    opcode,
-                    byte_len: 0,
-                    imm: None,
-                    qp_num: self.qp_num(),
-                });
+                let wc = self.wc(wr_id, WcStatus::WrFlushError, opcode, 0);
+                self.send_cq.push(wc);
             }
         }
     }
@@ -1183,71 +1137,37 @@ impl FfQp {
         Ok(())
     }
 
-    /// Post a send-side work request. Requires RTS.
-    ///
-    /// While the binding is mid-drain/rebind the WR is accepted and
-    /// *parked* — transmitted in order on the new path once it binds —
-    /// so a live upgrade or collapse is invisible to the application.
+    /// Post a send-side work request: a chain of one (see
+    /// [`FfQp::post_send_batch`]). Requires RTS.
     pub fn post_send(&self, wr: SendWr) -> VerbsResult<()> {
-        let peer = {
-            let mut inner = self.inner.lock();
-            if inner.state != QpState::Rts {
-                return Err(VerbsError::InvalidQpState {
-                    actual: inner.state.name(),
-                    required: "RTS",
-                });
-            }
-            let settled = inner.binding.phase() == BindingPhase::Bound
-                && !inner.replaying
-                && inner.parked_sends.is_empty();
-            if !settled {
-                // In-flight plus parked work shares the send-queue depth.
-                if inner.pending_sends.len() + inner.pending_reads.len() + inner.parked_sends.len()
-                    >= self.sq_depth
-                {
-                    return Err(VerbsError::QueueFull { which: "send" });
-                }
-                inner.parked_sends.push_back(wr);
-                return Ok(());
-            }
-            match inner.binding.path() {
-                FfPath::Local { .. } => {
-                    drop(inner);
-                    return self.verbs_qp.post_send(wr);
-                }
-                FfPath::Remote { peer, .. } => {
-                    if inner.pending_sends.len() + inner.pending_reads.len() >= self.sq_depth {
-                        return Err(VerbsError::QueueFull { which: "send" });
-                    }
-                    peer
-                }
-                FfPath::Unbound => unreachable!("RTS implies a bound path"),
-            }
-        };
-        self.post_send_remote(wr, peer)
+        self.post_chain(std::iter::once(wr))
     }
 
-    /// Post a chain of send-side work requests as one batch. Observable
-    /// semantics are identical to posting each WR with [`FfQp::post_send`]
-    /// in order — same completion order, same signaling rules — but the
-    /// whole chain is admitted against the send-queue depth atomically
-    /// (all WRs fit or none is accepted) and leaves the container in one
-    /// shot: the Local path delegates to the verbs chained post, the
-    /// Remote path stages every payload and hands the agent one vectored
-    /// push (one ring reservation, one doorbell for the chain).
+    /// Post a chain of send-side work requests. Requires RTS. Observable
+    /// semantics are those of the verbs chained post — same completion
+    /// order, same signaling rules, a local gather error returned
+    /// synchronously — and the whole chain is admitted against the
+    /// send-queue depth atomically (all WRs fit or none is accepted). The
+    /// chain leaves the container in one shot: the Local path delegates
+    /// to the verbs chain, the Remote path stages every payload and hands
+    /// the agent one push (one ring reservation, one doorbell).
     ///
-    /// While the binding is mid-drain/rebind the whole chain parks, in
-    /// order, behind any already-parked sends — it replays exactly once
-    /// on the new path, never straddling the rebind boundary partially.
+    /// While the binding is mid-drain/rebind the whole chain is accepted
+    /// and *parked*, in order, behind any already-parked sends — it
+    /// replays exactly once on the new path, never straddling the rebind
+    /// boundary partially, so a live upgrade or collapse is invisible to
+    /// the application.
     pub fn post_send_batch(&self, wrs: Vec<SendWr>) -> VerbsResult<()> {
-        if wrs.is_empty() {
+        self.post_chain(wrs.into_iter())
+    }
+
+    /// The one send path: admission, parking, and dispatch on the bound
+    /// path.
+    fn post_chain(&self, wrs: impl ExactSizeIterator<Item = SendWr>) -> VerbsResult<()> {
+        if wrs.len() == 0 {
             return Ok(());
         }
-        if wrs.len() == 1 {
-            let wr = wrs.into_iter().next().expect("len checked");
-            return self.post_send(wr);
-        }
-        let peer = {
+        let path = {
             let mut inner = self.inner.lock();
             if inner.state != QpState::Rts {
                 return Err(VerbsError::InvalidQpState {
@@ -1258,7 +1178,10 @@ impl FfQp {
             let settled = inner.binding.phase() == BindingPhase::Bound
                 && !inner.replaying
                 && inner.parked_sends.is_empty();
+            // In-flight plus parked work shares the send-queue depth; a
+            // Local path's depth is the verbs QP's own.
             let in_flight = inner.pending_sends.len() + inner.pending_reads.len();
+            let path = inner.binding.path();
             if !settled {
                 if in_flight + inner.parked_sends.len() + wrs.len() > self.sq_depth {
                     return Err(VerbsError::QueueFull { which: "send" });
@@ -1266,68 +1189,25 @@ impl FfQp {
                 inner.parked_sends.extend(wrs);
                 return Ok(());
             }
-            match inner.binding.path() {
-                FfPath::Local { .. } => {
-                    drop(inner);
-                    return self.verbs_qp.post_send_batch(wrs);
-                }
-                FfPath::Remote { peer, .. } => {
-                    if in_flight + wrs.len() > self.sq_depth {
-                        return Err(VerbsError::QueueFull { which: "send" });
-                    }
-                    peer
-                }
-                FfPath::Unbound => unreachable!("RTS implies a bound path"),
+            if matches!(path, FfPath::Remote { .. }) && in_flight + wrs.len() > self.sq_depth {
+                return Err(VerbsError::QueueFull { which: "send" });
             }
+            path
         };
-        self.post_send_remote_batch(wrs, peer)
+        self.dispatch(wrs, path)
     }
 
-    fn next_op_id(&self) -> u64 {
-        let mut inner = self.inner.lock();
-        let id = inner.next_op_id;
-        inner.next_op_id += 1;
-        id
-    }
-
-    /// Gather a send WR's payload from this container's MRs.
-    fn gather(&self, wr: &SendWr) -> VerbsResult<Vec<u8>> {
-        if let Some(inline) = &wr.inline_data {
-            let max = self.lib.device.attr().max_inline;
-            if inline.len() > max {
-                return Err(VerbsError::InlineTooLarge {
-                    len: inline.len(),
-                    max,
-                });
-            }
-            return Ok(inline.clone());
+    /// Transmit an admitted chain on the bound `path`.
+    fn dispatch(
+        &self,
+        wrs: impl ExactSizeIterator<Item = SendWr>,
+        path: FfPath,
+    ) -> VerbsResult<()> {
+        match path {
+            FfPath::Local { .. } => self.verbs_qp.post_send_chain(wrs),
+            FfPath::Remote { peer, .. } => self.post_remote(wrs, peer),
+            FfPath::Unbound => unreachable!("a bound phase implies a path"),
         }
-        let mut out = Vec::with_capacity(wr.total_len() as usize);
-        for sge in &wr.sge {
-            let mr = self.lib.device.mr_by_lkey(sge.lkey)?;
-            out.extend_from_slice(&mr.dma_read(sge.addr, sge.len as u64)?);
-        }
-        Ok(out)
-    }
-
-    /// Scatter a payload across SGEs through this container's MRs.
-    fn scatter(&self, sge: &[Sge], payload: &[u8]) -> VerbsResult<()> {
-        let mut off = 0usize;
-        for s in sge {
-            if off >= payload.len() {
-                break;
-            }
-            let n = (payload.len() - off).min(s.len as usize);
-            let mr = self.lib.device.mr_by_lkey(s.lkey)?;
-            if !mr.access().local_write {
-                return Err(VerbsError::AccessDenied {
-                    detail: "SGE MR lacks LOCAL_WRITE".into(),
-                });
-            }
-            mr.dma_write(s.addr, &payload[off..off + n])?;
-            off += n;
-        }
-        Ok(())
     }
 
     /// Largest payload the inline (non-arena) relay path accepts. The
@@ -1338,9 +1218,15 @@ impl FfQp {
     /// READ longer than this is refused too.
     pub(crate) const MAX_INLINE_RELAY: usize = 1 << 20;
 
-    /// Stage a payload for the relay: big payloads go into the host arena
-    /// (zero-copy to the agent), small ones inline.
-    fn stage_payload(&self, payload: Vec<u8>) -> VerbsResult<RelayPayload> {
+    /// Gather a WR's payload and stage it for the relay: big payloads go
+    /// into the host arena (zero-copy to the agent), small ones inline.
+    fn stage_payload(
+        &self,
+        wr: &SendWr,
+        lkey: &mut Option<Arc<MemoryRegion>>,
+    ) -> VerbsResult<RelayPayload> {
+        let mut payload = Vec::new();
+        self.lib.device.gather_into(wr, lkey, &mut payload)?;
         if payload.len() >= ZERO_COPY_THRESHOLD {
             let fabric = self.lib.fabric();
             let arena = fabric.arena();
@@ -1355,7 +1241,8 @@ impl FfQp {
         if payload.len() > Self::MAX_INLINE_RELAY {
             return Err(VerbsError::ResourceLimit {
                 detail: format!(
-                    "payload of {} bytes: host arena exhausted and too large                      for the inline relay channel",
+                    "payload of {} bytes: host arena exhausted and too large \
+                     for the inline relay channel",
                     payload.len()
                 ),
             });
@@ -1363,179 +1250,136 @@ impl FfQp {
         Ok(RelayPayload::Inline(Bytes::from(payload)))
     }
 
-    /// Build the relay message and in-flight bookkeeping for one remote
-    /// WR without transmitting it — shared by the single and batched
-    /// remote post paths.
+    /// Gather and stage one remote WR, register it as in flight — before
+    /// its message can reach the agent, since the answer can race the
+    /// post's return — and return the message to transmit.
     fn build_remote_op(
         &self,
         wr: SendWr,
-        me: freeflow_agent::proto::WireEp,
-        dst: freeflow_agent::proto::WireEp,
-    ) -> VerbsResult<(u64, RelayMsg, RemotePending)> {
-        let payload = self.gather(&wr)?;
-        let op_id = self.next_op_id();
-        let deadline = self.op_deadline();
-        let posted_at = Instant::now();
-        let (msg, pending) = match &wr.opcode {
-            WrOpcode::Send => (
-                RelayMsg::Send {
-                    src: me,
-                    dst,
-                    wr_id: op_id,
-                    imm: None,
-                    payload: self.stage_payload(payload)?,
-                },
-                RemotePending::Send(PendingSend {
-                    wr_id: wr.wr_id,
-                    signaled: wr.signaled,
-                    opcode: WcOpcode::Send,
+        me: WireEp,
+        dst: WireEp,
+        lkey: &mut Option<Arc<MemoryRegion>>,
+    ) -> VerbsResult<RelayMsg> {
+        let opcode = Self::wc_opcode_of(&wr);
+        let len = wr.total_len();
+        // A READ's SGEs are where its response lands: nothing to gather.
+        let payload = match opcode {
+            WcOpcode::RdmaRead => RelayPayload::Inline(Bytes::new()),
+            _ => self.stage_payload(&wr, lkey)?,
+        };
+        let (deadline, posted_at) = (self.op_deadline(), Instant::now());
+        let SendWr {
+            wr_id,
+            opcode: op,
+            sge,
+            signaled,
+            ..
+        } = wr;
+        let mut inner = self.inner.lock();
+        let op_id = inner.next_op_id;
+        inner.next_op_id += 1;
+        let msg = match op {
+            WrOpcode::Read { remote_addr, rkey } => {
+                let read = PendingRead {
+                    wr_id,
+                    signaled,
+                    sge,
                     deadline,
                     posted_at,
-                }),
-            ),
-            WrOpcode::Write { remote_addr, rkey } => (
-                RelayMsg::Write {
-                    src: me,
-                    dst,
-                    wr_id: op_id,
-                    addr: *remote_addr,
-                    rkey: *rkey,
-                    imm: None,
-                    payload: self.stage_payload(payload)?,
-                },
-                RemotePending::Send(PendingSend {
-                    wr_id: wr.wr_id,
-                    signaled: wr.signaled,
-                    opcode: WcOpcode::RdmaWrite,
-                    deadline,
-                    posted_at,
-                }),
-            ),
-            WrOpcode::WriteWithImm {
-                remote_addr,
-                rkey,
-                imm,
-            } => (
-                RelayMsg::Write {
-                    src: me,
-                    dst,
-                    wr_id: op_id,
-                    addr: *remote_addr,
-                    rkey: *rkey,
-                    imm: Some(*imm),
-                    payload: self.stage_payload(payload)?,
-                },
-                RemotePending::Send(PendingSend {
-                    wr_id: wr.wr_id,
-                    signaled: wr.signaled,
-                    opcode: WcOpcode::RdmaWrite,
-                    deadline,
-                    posted_at,
-                }),
-            ),
-            WrOpcode::Read { remote_addr, rkey } => (
-                RelayMsg::ReadReq {
+                };
+                inner.pending_reads.insert(op_id, read);
+                return Ok(RelayMsg::ReadReq {
                     src: me,
                     dst,
                     req_id: op_id,
-                    addr: *remote_addr,
-                    rkey: *rkey,
-                    len: wr.total_len(),
+                    addr: remote_addr,
+                    rkey,
+                    len,
+                });
+            }
+            WrOpcode::Send => RelayMsg::Send {
+                src: me,
+                dst,
+                wr_id: op_id,
+                imm: None,
+                payload,
+            },
+            WrOpcode::Write {
+                remote_addr: addr,
+                rkey,
+            }
+            | WrOpcode::WriteWithImm {
+                remote_addr: addr,
+                rkey,
+                ..
+            } => RelayMsg::Write {
+                src: me,
+                dst,
+                wr_id: op_id,
+                addr,
+                rkey,
+                imm: match op {
+                    WrOpcode::WriteWithImm { imm, .. } => Some(imm),
+                    _ => None,
                 },
-                RemotePending::Read(PendingRead {
-                    wr_id: wr.wr_id,
-                    signaled: wr.signaled,
-                    sge: wr.sge.clone(),
-                    deadline,
-                    posted_at,
-                }),
-            ),
+                payload,
+            },
         };
-        Ok((op_id, msg, pending))
+        let send = PendingSend {
+            wr_id,
+            signaled,
+            opcode,
+            deadline,
+            posted_at,
+        };
+        inner.pending_sends.insert(op_id, send);
+        Ok(msg)
     }
 
-    /// Register one built remote op as in-flight (must happen before the
-    /// message is handed to the agent — the answer can race the return).
-    fn register_remote_op(inner: &mut QpInner, op_id: u64, pending: RemotePending) {
-        match pending {
-            RemotePending::Send(p) => {
-                inner.pending_sends.insert(op_id, p);
-            }
-            RemotePending::Read(p) => {
-                inner.pending_reads.insert(op_id, p);
-            }
-        }
-    }
-
-    fn post_send_remote(&self, wr: SendWr, peer: FfEndpoint) -> VerbsResult<()> {
-        let (op_id, msg, pending) =
-            self.build_remote_op(wr, self.endpoint().wire(), peer.wire())?;
-        Self::register_remote_op(&mut self.inner.lock(), op_id, pending);
-        self.lib.send_to_agent(&msg);
-        Ok(())
-    }
-
-    /// Batched remote post: every WR is gathered, staged and registered,
-    /// then the whole chain leaves in one vectored agent push (one ring
-    /// reservation, one doorbell). A WR that fails to build stops the
+    /// Remote post: every WR is gathered, staged and registered, then the
+    /// chain leaves in one agent push. A WR that fails to build stops the
     /// chain there — WRs before it are transmitted and stand, it and the
-    /// remainder are refused with the error, exactly like the verbs
-    /// batched post.
-    fn post_send_remote_batch(&self, wrs: Vec<SendWr>, peer: FfEndpoint) -> VerbsResult<()> {
-        let me = self.endpoint().wire();
-        let dst = peer.wire();
-        let mut msgs: Vec<RelayMsg> = Vec::with_capacity(wrs.len());
-        let mut built: Vec<(u64, RemotePending)> = Vec::with_capacity(wrs.len());
-        let mut chain_err = None;
+    /// remainder are refused with the error, exactly like the verbs chain.
+    fn post_remote(
+        &self,
+        wrs: impl ExactSizeIterator<Item = SendWr>,
+        peer: FfEndpoint,
+    ) -> VerbsResult<()> {
+        let (me, dst) = (self.endpoint().wire(), peer.wire());
+        let mut lkey = None;
+        let mut msgs = Vec::with_capacity(wrs.len());
+        let mut result = Ok(());
         for wr in wrs {
-            match self.build_remote_op(wr, me, dst) {
-                Ok((op_id, msg, pending)) => {
-                    msgs.push(msg);
-                    built.push((op_id, pending));
-                }
+            match self.build_remote_op(wr, me, dst, &mut lkey) {
+                Ok(msg) => msgs.push(msg),
                 Err(e) => {
-                    chain_err = Some(e);
+                    result = Err(e);
                     break;
                 }
             }
         }
-        {
-            let mut inner = self.inner.lock();
-            for (op_id, pending) in built {
-                Self::register_remote_op(&mut inner, op_id, pending);
-            }
-        }
-        self.lib.send_to_agent_batch(&msgs);
-        match chain_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        self.lib.send_to_agent(&msgs);
+        result
     }
 
     // --- inbound (called from the library pump) ----------------------------
 
     /// Materialize a relay payload into bytes (reading and freeing arena
-    /// blocks — this is the receive-side copy out of shared memory).
-    fn payload_bytes(&self, p: RelayPayload) -> Bytes {
+    /// blocks — the receive-side copy out of shared memory). `None` for a
+    /// descriptor outside the host arena: the sender wrote it.
+    fn payload_bytes(&self, p: RelayPayload) -> Option<Bytes> {
         match p {
-            RelayPayload::Inline(b) => b,
+            RelayPayload::Inline(b) => Some(b),
             RelayPayload::Arena { offset, len } => {
-                let fabric = self.lib.fabric();
-                let arena = fabric.arena();
-                let mut buf = vec![0u8; len as usize];
-                // The allocator rounds to 64 B; reconstruct its handle.
-                let handle = ArenaHandle {
-                    offset,
-                    len: len.next_multiple_of(64),
-                };
-                let _ = arena.read(ArenaHandle { offset, len }, 0, &mut buf);
-                let _ = arena.free(handle);
-                Bytes::from(buf)
+                let bytes = self.lib.fabric().arena().take(offset, len).ok()?;
+                Some(Bytes::from(bytes))
             }
         }
     }
 
-    /// Handle one inbound relay message addressed to this QP.
+    /// Handle one inbound relay message addressed to this QP. An
+    /// operation whose payload cannot be read fails with REMOTE_ACCESS;
+    /// nothing is delivered in its place.
     pub(crate) fn handle_inbound(&self, msg: RelayMsg) {
         match msg {
             RelayMsg::Send {
@@ -1544,10 +1388,10 @@ impl FfQp {
                 imm,
                 payload,
                 ..
-            } => {
-                let bytes = self.payload_bytes(payload);
-                self.inbound_send(src, op_id, Some(bytes), imm);
-            }
+            } => match self.payload_bytes(payload) {
+                Some(bytes) => self.inbound_send(src, op_id, Some(bytes), imm),
+                None => self.nack(src, op_id, st::REMOTE_ACCESS),
+            },
             RelayMsg::Write {
                 src,
                 wr_id: op_id,
@@ -1556,10 +1400,10 @@ impl FfQp {
                 imm,
                 payload,
                 ..
-            } => {
-                let bytes = self.payload_bytes(payload);
-                self.inbound_write(src, op_id, addr, rkey, imm, bytes);
-            }
+            } => match self.payload_bytes(payload) {
+                Some(bytes) => self.inbound_write(src, op_id, addr, rkey, imm, bytes),
+                None => self.nack(src, op_id, st::REMOTE_ACCESS),
+            },
             RelayMsg::ReadReq {
                 src,
                 req_id,
@@ -1575,10 +1419,10 @@ impl FfQp {
                 status,
                 payload,
                 ..
-            } => {
-                let bytes = self.payload_bytes(payload);
-                self.inbound_read_resp(req_id, status, bytes);
-            }
+            } => match self.payload_bytes(payload) {
+                Some(bytes) => self.inbound_read_resp(req_id, status, bytes),
+                None => self.inbound_read_resp(req_id, st::REMOTE_ACCESS, Bytes::new()),
+            },
             RelayMsg::Ack {
                 wr_id: op_id,
                 byte_len,
@@ -1602,13 +1446,7 @@ impl FfQp {
         }
     }
 
-    fn inbound_send(
-        &self,
-        src: freeflow_agent::proto::WireEp,
-        op_id: u64,
-        payload: Option<Bytes>,
-        imm: Option<u32>,
-    ) {
+    fn inbound_send(&self, src: WireEp, op_id: u64, payload: Option<Bytes>, imm: Option<u32>) {
         let byte_len = payload.as_ref().map(|b| b.len() as u64).unwrap_or(0);
         let inbound = InboundSend {
             src,
@@ -1623,12 +1461,7 @@ impl FfQp {
                 QpState::Rtr | QpState::Rts => {}
                 _ => {
                     drop(inner);
-                    self.reply(RelayMsg::Nack {
-                        src: self.endpoint().wire(),
-                        dst: src,
-                        wr_id: op_id,
-                        status: st::REMOTE_OP,
-                    });
+                    self.nack(src, op_id, st::REMOTE_OP);
                     return;
                 }
             }
@@ -1653,115 +1486,68 @@ impl FfQp {
         } else {
             WcOpcode::RecvRdmaWithImm
         };
-        let mut status = WcStatus::Success;
-        if let Some(data) = &p.payload {
-            if wr.capacity() < data.len() as u64 {
-                status = WcStatus::LocalLengthError;
-            } else if self.scatter(&wr.sge, data).is_err() {
-                status = WcStatus::LocalProtectionError;
+        let status = match &p.payload {
+            Some(data) if wr.capacity() < data.len() as u64 => WcStatus::LocalLengthError,
+            Some(data) if self.lib.device.scatter(&wr.sge, data).is_err() => {
+                WcStatus::LocalProtectionError
             }
-        }
-        let wc = WorkCompletion {
-            wr_id: wr.wr_id,
-            status,
-            opcode,
-            byte_len: p.byte_len,
-            imm: p.imm,
-            qp_num: self.qp_num(),
+            _ => WcStatus::Success,
         };
-        let reply = if status.is_ok() {
+        let wc = WorkCompletion {
+            imm: p.imm,
+            ..self.wc(wr.wr_id, status, opcode, p.byte_len)
+        };
+        if status.is_ok() {
             self.recv_cq.push(wc);
-            RelayMsg::Ack {
+            self.reply(RelayMsg::Ack {
                 src: self.endpoint().wire(),
                 dst: p.src,
                 wr_id: p.op_id,
                 byte_len: p.byte_len,
-            }
+            });
         } else {
             self.fail_with(Some((&self.recv_cq, wc)));
-            RelayMsg::Nack {
-                src: self.endpoint().wire(),
-                dst: p.src,
-                wr_id: p.op_id,
-                status: st::LOCAL_LENGTH,
-            }
-        };
-        self.reply(reply);
+            self.nack(p.src, p.op_id, st::LOCAL_LENGTH);
+        }
     }
 
     fn inbound_write(
         &self,
-        src: freeflow_agent::proto::WireEp,
+        src: WireEp,
         op_id: u64,
         addr: u64,
         rkey: u32,
         imm: Option<u32>,
         payload: Bytes,
     ) {
-        {
-            let inner = self.inner.lock();
-            match inner.state {
-                QpState::Rtr | QpState::Rts => {}
-                _ => {
-                    drop(inner);
-                    self.reply(RelayMsg::Nack {
-                        src: self.endpoint().wire(),
-                        dst: src,
-                        wr_id: op_id,
-                        status: st::REMOTE_OP,
-                    });
-                    return;
-                }
-            }
+        if !matches!(self.state(), QpState::Rtr | QpState::Rts) {
+            self.nack(src, op_id, st::REMOTE_OP);
+            return;
         }
-        let write_result = self
+        let written = self
             .lib
             .device
             .mr_by_rkey(rkey)
-            .map_err(|_| ())
-            .and_then(|mr| {
-                if !mr.access().remote_write {
-                    return Err(());
-                }
-                mr.dma_write(addr, &payload).map_err(|_| ())
+            .ok()
+            .filter(|mr| mr.access().remote_write)
+            .is_some_and(|mr| mr.dma_write(addr, &payload).is_ok());
+        if !written {
+            self.nack(src, op_id, st::REMOTE_ACCESS);
+        } else if imm.is_some() {
+            // Consume a receive for the notification: that acks (or
+            // nacks) the sender, at once or when a receive is posted.
+            self.inbound_send(src, op_id, None, imm);
+        } else {
+            self.reply(RelayMsg::Ack {
+                src: self.endpoint().wire(),
+                dst: src,
+                wr_id: op_id,
+                byte_len: payload.len() as u64,
             });
-        match write_result {
-            Ok(()) => {
-                let byte_len = payload.len() as u64;
-                if imm.is_some() {
-                    // Consume a receive for the notification.
-                    self.inbound_send(src, op_id, None, imm);
-                    // Note: inbound_send replies with Ack/Nack (or parks).
-                    // For the parked case the Ack goes out at match time.
-                    let _ = byte_len;
-                } else {
-                    self.reply(RelayMsg::Ack {
-                        src: self.endpoint().wire(),
-                        dst: src,
-                        wr_id: op_id,
-                        byte_len,
-                    });
-                }
-            }
-            Err(()) => {
-                self.reply(RelayMsg::Nack {
-                    src: self.endpoint().wire(),
-                    dst: src,
-                    wr_id: op_id,
-                    status: st::REMOTE_ACCESS,
-                });
-            }
         }
     }
 
-    fn inbound_read_req(
-        &self,
-        src: freeflow_agent::proto::WireEp,
-        req_id: u64,
-        addr: u64,
-        rkey: u32,
-        len: u64,
-    ) {
+    fn inbound_read_req(&self, src: WireEp, req_id: u64, addr: u64, rkey: u32, len: u64) {
         // The peer chose `len`: refuse one the inline reply cannot carry
         // before it sizes a copy of the MR or reaches the encoder.
         let data = if len > Self::MAX_INLINE_RELAY as u64 {
@@ -1779,14 +1565,13 @@ impl FfQp {
             Ok(bytes) => (st::OK, Bytes::from(bytes)),
             Err(status) => (status, Bytes::new()),
         };
-        let reply = RelayMsg::ReadResp {
+        self.reply(RelayMsg::ReadResp {
             src: self.endpoint().wire(),
             dst: src,
             req_id,
             status,
             payload: RelayPayload::Inline(payload),
-        };
-        self.reply(reply);
+        });
     }
 
     fn inbound_read_resp(&self, req_id: u64, status: u8, payload: Bytes) {
@@ -1803,22 +1588,14 @@ impl FfQp {
         let Some(p) = pending else { return };
         self.tm_remote_latency
             .record(p.posted_at.elapsed().as_nanos() as u64);
-        let wc_status = if status == st::OK {
-            match self.scatter(&p.sge, &payload) {
-                Ok(()) => WcStatus::Success,
-                Err(_) => WcStatus::LocalProtectionError,
-            }
-        } else {
+        let wc_status = if status != st::OK {
             Self::wire_status_to_wc(status)
+        } else if self.lib.device.scatter(&p.sge, &payload).is_err() {
+            WcStatus::LocalProtectionError
+        } else {
+            WcStatus::Success
         };
-        let wc = WorkCompletion {
-            wr_id: p.wr_id,
-            status: wc_status,
-            opcode: WcOpcode::RdmaRead,
-            byte_len: payload.len() as u64,
-            imm: None,
-            qp_num: self.qp_num(),
-        };
+        let wc = self.wc(p.wr_id, wc_status, WcOpcode::RdmaRead, payload.len() as u64);
         if !wc_status.is_ok() {
             self.fail_with(Some((&self.send_cq, wc)));
         } else if p.signaled {
@@ -1832,14 +1609,8 @@ impl FfQp {
         self.tm_remote_latency
             .record(p.posted_at.elapsed().as_nanos() as u64);
         if p.signaled {
-            self.send_cq.push(WorkCompletion {
-                wr_id: p.wr_id,
-                status: WcStatus::Success,
-                opcode: p.opcode,
-                byte_len,
-                imm: None,
-                qp_num: self.qp_num(),
-            });
+            let wc = self.wc(p.wr_id, WcStatus::Success, p.opcode, byte_len);
+            self.send_cq.push(wc);
         }
     }
 
@@ -1855,19 +1626,34 @@ impl FfQp {
         }
         let pending = self.inner.lock().pending_sends.remove(&op_id);
         let Some(p) = pending else { return };
-        let wc = WorkCompletion {
-            wr_id: p.wr_id,
-            status: Self::wire_status_to_wc(status),
-            opcode: p.opcode,
-            byte_len: 0,
-            imm: None,
-            qp_num: self.qp_num(),
-        };
+        let wc = self.wc(p.wr_id, Self::wire_status_to_wc(status), p.opcode, 0);
         self.fail_with(Some((&self.send_cq, wc)));
     }
 
+    /// Refuse the peer's operation `op_id` with wire status `status`.
+    fn nack(&self, dst: WireEp, op_id: u64, status: u8) {
+        self.reply(RelayMsg::Nack {
+            src: self.endpoint().wire(),
+            dst,
+            wr_id: op_id,
+            status,
+        });
+    }
+
     fn reply(&self, msg: RelayMsg) {
-        self.lib.send_to_agent(&msg);
+        self.lib.send_to_agent(std::slice::from_ref(&msg));
+    }
+
+    /// A completion on this QP carrying no immediate.
+    fn wc(&self, wr_id: u64, status: WcStatus, opcode: WcOpcode, byte_len: u64) -> WorkCompletion {
+        WorkCompletion {
+            wr_id,
+            status,
+            opcode,
+            byte_len,
+            imm: None,
+            qp_num: self.qp_num(),
+        }
     }
 }
 

@@ -8,7 +8,7 @@ use crate::Container;
 use freeflow_orchestrator::PolicyConfig;
 use freeflow_types::{HostCaps, TenantId, TransportKind};
 use freeflow_verbs::wr::{AccessFlags, RecvWr, SendWr};
-use freeflow_verbs::{QpState, WcStatus};
+use freeflow_verbs::{QpState, VerbsError, WcStatus};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -241,6 +241,96 @@ fn bad_rkey_inter_host_fails_with_remote_access_error() {
     let wc = p.cq_a.wait_one(T).expect("nack completion");
     assert_eq!(wc.status, WcStatus::RemoteAccessError);
     assert_eq!(p.qp_a.state(), QpState::Error);
+}
+
+/// A chain `[good, bad lkey, good]` of WRITEs: the post fails at once with
+/// `BadKey`, the first WRITE completes, nothing after it runs, and the
+/// refused WRs hold no send-queue slot.
+fn bad_lkey_mid_chain_fails_synchronously(same_host: bool) {
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, same_host);
+    p.mr_a.write(0, b"first").unwrap();
+    p.mr_a.write(8, b"third").unwrap();
+    let write = |id, off| SendWr::write(id, p.mr_a.sge(off, 5), p.mr_b.addr() + off, p.mr_b.rkey());
+    let mut bad = write(2, 0);
+    bad.sge[0].lkey = 0xBAD;
+    let err = p
+        .qp_a
+        .post_send_batch(vec![write(1, 0), bad, write(3, 8)])
+        .unwrap_err();
+    assert!(matches!(err, VerbsError::BadKey { key: 0xBAD }), "{err}");
+    let wc = p.cq_a.wait_one(T).expect("the first WR completes");
+    assert_eq!((wc.wr_id, wc.status), (1, WcStatus::Success));
+    // A chain as deep as the send queue (64) is admitted whole.
+    let full: Vec<SendWr> = (10..74).map(|id| write(id, 16)).collect();
+    p.qp_a.post_send_batch(full).unwrap();
+    for _ in 0..64 {
+        let wc = p.cq_a.wait_one(T).expect("full-depth chain completes");
+        assert!(wc.status.is_ok() && wc.wr_id >= 10, "{wc:?}");
+    }
+    assert!(
+        p.cq_a.poll_one().is_none(),
+        "the WRITE after the bad one never ran"
+    );
+    let mut landed = [0u8; 13];
+    p.mr_b.read(0, &mut landed).unwrap();
+    assert_eq!(&landed[..5], b"first");
+    assert_eq!(&landed[8..], &[0; 5]);
+    assert_eq!(p.qp_a.state(), QpState::Rts);
+}
+
+#[test]
+fn bad_lkey_mid_chain_fails_synchronously_on_the_local_path() {
+    bad_lkey_mid_chain_fails_synchronously(true);
+}
+
+#[test]
+fn bad_lkey_mid_chain_fails_synchronously_on_the_remote_path() {
+    bad_lkey_mid_chain_fails_synchronously(false);
+}
+
+#[test]
+fn arena_descriptor_outside_the_arena_delivers_nothing() {
+    // A co-located container hands its agent a SEND whose arena
+    // descriptor lies outside the host arena. The receiving library must
+    // refuse it (the sender gets REMOTE_ACCESS), not complete a receive
+    // with zeros; the same sender's next, well-formed SEND — behind it on
+    // the same ring — is the first thing the receive sees.
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    let hostile = cluster.launch(tenant(), p.b.host()).unwrap();
+    p.qp_b
+        .post_recv(RecvWr::new(1, p.mr_b.sge(0, 1 << 16)))
+        .unwrap();
+    let (src, dst) = (
+        freeflow_agent::proto::WireEp::new(hostile.ip(), 99),
+        p.qp_b.endpoint().wire(),
+    );
+    let send = |wr_id, payload| freeflow_agent::proto::RelayMsg::Send {
+        src,
+        dst,
+        wr_id,
+        imm: None,
+        payload,
+    };
+    use freeflow_agent::proto::RelayPayload;
+    hostile.lib().send_raw(&[
+        send(
+            1,
+            RelayPayload::Arena {
+                offset: 1 << 40,
+                len: 64,
+            },
+        ),
+        send(2, RelayPayload::Inline(bytes::Bytes::from_static(b"legit"))),
+    ]);
+    let wc = p.cq_b.wait_one(T).expect("recv completion");
+    assert!(wc.status.is_ok(), "{wc:?}");
+    assert_eq!(wc.byte_len, 5, "the refused SEND delivered nothing");
+    let mut out = [0u8; 5];
+    p.mr_b.read(0, &mut out).unwrap();
+    assert_eq!(&out, b"legit");
+    assert_eq!(p.qp_b.state(), QpState::Rts);
 }
 
 /// Record, on the pushing thread, the QP state every non-success

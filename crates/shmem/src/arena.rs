@@ -30,9 +30,10 @@ pub struct ArenaHandle {
 }
 
 impl ArenaHandle {
-    /// End offset (one past the last byte).
+    /// End offset (one past the last byte). Saturating: a handle whose end
+    /// overflows `u64` ends past every arena.
     pub fn end(&self) -> u64 {
-        self.offset + self.len
+        self.offset.saturating_add(self.len)
     }
 }
 
@@ -123,7 +124,7 @@ impl SharedArena {
     /// protocol bug; it is detected when it would create overlapping free
     /// blocks and reported as [`Error::InvalidState`].
     pub fn free(&self, handle: ArenaHandle) -> Result<()> {
-        if handle.end() > self.size {
+        if handle.len == 0 || handle.end() > self.size {
             return Err(Error::invalid_state(format!(
                 "arena free out of range: {handle:?}"
             )));
@@ -171,15 +172,23 @@ impl SharedArena {
         Ok(())
     }
 
-    /// Write `data` into the arena at `handle.offset + at`.
-    pub fn write(&self, handle: ArenaHandle, at: u64, data: &[u8]) -> Result<()> {
-        if at + data.len() as u64 > handle.len {
+    /// Check that `len` bytes at `handle.offset + at` lie inside both the
+    /// block and the arena. A handle can come from another container (a
+    /// relay descriptor), so no accessor indexes before this passes.
+    fn check(&self, handle: ArenaHandle, at: u64, len: u64) -> Result<()> {
+        let in_block = at.checked_add(len).is_some_and(|end| end <= handle.len);
+        if !in_block || handle.end() > self.size {
             return Err(Error::too_large(format!(
-                "write of {} bytes at +{at} exceeds block of {}",
-                data.len(),
-                handle.len
+                "{len} bytes at +{at} of {handle:?} fall outside the block or the arena of {} bytes",
+                self.size
             )));
         }
+        Ok(())
+    }
+
+    /// Write `data` into the arena at `handle.offset + at`.
+    pub fn write(&self, handle: ArenaHandle, at: u64, data: &[u8]) -> Result<()> {
+        self.check(handle, at, data.len() as u64)?;
         let start = (handle.offset + at) as usize;
         self.buf.lock()[start..start + data.len()].copy_from_slice(data);
         Ok(())
@@ -187,16 +196,27 @@ impl SharedArena {
 
     /// Read `out.len()` bytes from the arena at `handle.offset + at`.
     pub fn read(&self, handle: ArenaHandle, at: u64, out: &mut [u8]) -> Result<()> {
-        if at + out.len() as u64 > handle.len {
-            return Err(Error::too_large(format!(
-                "read of {} bytes at +{at} exceeds block of {}",
-                out.len(),
-                handle.len
-            )));
-        }
+        self.check(handle, at, out.len() as u64)?;
         let start = (handle.offset + at) as usize;
         out.copy_from_slice(&self.buf.lock()[start..start + out.len()]);
         Ok(())
+    }
+
+    /// Move a relayed payload out of the arena: read the `len` bytes a
+    /// descriptor names at `offset`, then free the block holding them
+    /// (blocks are allocated at 64-byte granularity, so the block is `len`
+    /// rounded up). The descriptor is untrusted: it is checked before
+    /// anything is allocated.
+    pub fn take(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
+        let block = ArenaHandle {
+            offset,
+            len: len.checked_next_multiple_of(64).unwrap_or(u64::MAX),
+        };
+        self.check(block, 0, len)?;
+        let mut out = vec![0u8; len as usize];
+        self.read(block, 0, &mut out)?;
+        self.free(block)?;
+        Ok(out)
     }
 
     /// Copy `len` bytes between two blocks of (possibly) two arenas —
@@ -210,9 +230,8 @@ impl SharedArena {
         dst_at: u64,
         len: u64,
     ) -> Result<()> {
-        if src_at + len > src.len || dst_at + len > dst.len {
-            return Err(Error::too_large("arena copy exceeds a block bound"));
-        }
+        src_arena.check(src, src_at, len)?;
+        dst_arena.check(dst, dst_at, len)?;
         if std::ptr::eq(src_arena, dst_arena) {
             // Same segment: one lock, one copy_within.
             let mut buf = src_arena.buf.lock();
@@ -296,6 +315,44 @@ mod tests {
         assert!(arena.write(h, 60, &[0u8; 8]).is_err());
         let mut out = [0u8; 8];
         assert!(arena.read(h, 60, &mut out).is_err());
+    }
+
+    #[test]
+    fn handles_outside_the_arena_are_refused() {
+        // Descriptors arrive from other containers: one that starts past
+        // the end, or whose end overflows, must be an error, not a panic
+        // or a corrupted free list.
+        let arena = SharedArena::new(4096);
+        let past_end = ArenaHandle {
+            offset: 1 << 30,
+            len: 64,
+        };
+        let overflowing = ArenaHandle {
+            offset: u64::MAX - 31,
+            len: 64,
+        };
+        let mut out = [0u8; 8];
+        for h in [past_end, overflowing] {
+            assert!(arena.read(h, 0, &mut out).is_err(), "read {h:?}");
+            assert!(arena.write(h, 0, b"hostile!").is_err(), "write {h:?}");
+            assert!(arena.free(h).is_err(), "free {h:?}");
+            assert!(arena.take(h.offset, h.len).is_err(), "take {h:?}");
+        }
+        // An in-block offset whose `at + len` overflows is refused too.
+        let h = arena.alloc(64).unwrap();
+        assert!(arena.read(h, u64::MAX, &mut out).is_err());
+        assert_eq!(arena.allocated(), 64, "nothing freed by the refusals");
+        assert_eq!(arena.alloc(4096 - 64).unwrap().offset, 64);
+    }
+
+    #[test]
+    fn take_reads_and_frees_the_rounded_block() {
+        let arena = SharedArena::new(4096);
+        let payload = [7u8; 100];
+        let h = arena.alloc(payload.len() as u64).unwrap();
+        arena.write(h, 0, &payload).unwrap();
+        assert_eq!(arena.take(h.offset, 100).unwrap(), payload);
+        assert_eq!(arena.allocated(), 0, "the whole 128-byte block is freed");
     }
 
     #[test]

@@ -121,43 +121,21 @@ impl CompletionQueue {
         self.inner.lock().overflowed
     }
 
-    /// Fabric side: push a completion. Returns `false` on overflow.
+    /// Fabric side: push a completion — a batch of one. Returns `false` on
+    /// overflow.
     ///
     /// Public so fabric implementations (the FreeFlow library's relayed
     /// paths) can complete work they executed on the QP's behalf.
     pub fn push(&self, wc: WorkCompletion) -> bool {
-        if let Some(ins) = self.instruments.get() {
-            ins.completions.inc();
-            if wc.status != WcStatus::Success {
-                ins.completion_errors.inc();
-            }
-        }
-        if let Some(observe) = self.push_observer.get() {
-            observe(&wc);
-        }
-        let (ok, ring) = {
-            let mut inner = self.inner.lock();
-            if inner.queue.len() >= self.depth {
-                inner.overflowed = true;
-                (false, false)
-            } else {
-                inner.queue.push_back(wc);
-                (true, inner.ring_successes || !wc.status.is_ok())
-            }
-        };
-        if ring {
-            self.doorbell.ring();
-        }
-        ok
+        self.push_batch(std::slice::from_ref(&wc))
     }
 
     /// Fabric side: push a whole batch of completions under one lock
     /// acquisition and one coalesced doorbell ring.
     ///
     /// Order is preserved. On overflow the prefix that fits is queued, the
-    /// CQ is flagged overflowed (fatal, as in [`CompletionQueue::push`])
-    /// and `false` is returned. An empty batch is a no-op that does not
-    /// ring.
+    /// CQ is flagged overflowed (fatal) and `false` is returned. An empty
+    /// batch is a no-op that does not ring.
     pub fn push_batch(&self, wcs: &[WorkCompletion]) -> bool {
         if wcs.is_empty() {
             return true;

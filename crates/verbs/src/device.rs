@@ -13,7 +13,7 @@ use crate::mr::MemoryRegion;
 use crate::network::VerbsNetwork;
 use crate::pd::ProtectionDomain;
 use crate::qp::QueuePair;
-use crate::wr::AccessFlags;
+use crate::wr::{AccessFlags, SendWr, Sge};
 use freeflow_shmem::{ArenaHandle, SharedArena};
 use freeflow_types::OverlayIp;
 use parking_lot::{Mutex, RwLock};
@@ -185,6 +185,65 @@ impl Device {
             .get(&lkey)
             .cloned()
             .ok_or(VerbsError::BadKey { key: lkey })
+    }
+
+    /// Gather a send WR's payload, appending it to `out`: its inline data,
+    /// or each SGE read through the MR table. `last` memoizes the last
+    /// lkey lookup across calls — a WR chain overwhelmingly gathers from
+    /// one MR, so the table lock is taken once per chain, not per SGE.
+    ///
+    /// The only gather: the verbs engine and FreeFlow's relayed paths both
+    /// call it.
+    pub fn gather_into(
+        &self,
+        wr: &SendWr,
+        last: &mut Option<Arc<MemoryRegion>>,
+        out: &mut Vec<u8>,
+    ) -> VerbsResult<()> {
+        if let Some(inline) = &wr.inline_data {
+            let max = self.attr.max_inline;
+            if inline.len() > max {
+                return Err(VerbsError::InlineTooLarge {
+                    len: inline.len(),
+                    max,
+                });
+            }
+            out.extend_from_slice(inline);
+            return Ok(());
+        }
+        for sge in &wr.sge {
+            let mr = match last {
+                Some(mr) if mr.lkey() == sge.lkey => mr,
+                _ => last.insert(self.mr_by_lkey(sge.lkey)?),
+            };
+            mr.dma_read_into(sge.addr, sge.len as u64, out)?;
+        }
+        Ok(())
+    }
+
+    /// Scatter `payload` across `sge` in order through the MR table; each
+    /// MR written must grant LOCAL_WRITE. Bytes beyond the list's capacity
+    /// are dropped — callers that care check the capacity first.
+    ///
+    /// The only scatter: receives and READ responses, verbs engine and
+    /// relayed paths alike, land through it.
+    pub fn scatter(&self, sge: &[Sge], payload: &[u8]) -> VerbsResult<()> {
+        let mut rest = payload;
+        for s in sge {
+            if rest.is_empty() {
+                break;
+            }
+            let (now, later) = rest.split_at(rest.len().min(s.len as usize));
+            let mr = self.mr_by_lkey(s.lkey)?;
+            if !mr.access().local_write {
+                return Err(VerbsError::AccessDenied {
+                    detail: "SGE MR lacks LOCAL_WRITE".into(),
+                });
+            }
+            mr.dma_write(s.addr, now)?;
+            rest = later;
+        }
+        Ok(())
     }
 
     /// Look up an MR by remote key.

@@ -110,7 +110,7 @@ impl std::fmt::Debug for VerbsNetwork {
 mod tests {
     use super::*;
     use crate::error::{VerbsError, WcStatus};
-    use crate::wr::{AccessFlags, RecvWr, SendWr, WcOpcode};
+    use crate::wr::{AccessFlags, RecvWr, SendWr, Sge, WcOpcode};
     use std::sync::Arc;
 
     fn ip(last: u8) -> OverlayIp {
@@ -128,6 +128,10 @@ mod tests {
     }
 
     fn connected_pair(net: &Arc<VerbsNetwork>) -> Pair {
+        pair_with_sq_depth(net, 16)
+    }
+
+    fn pair_with_sq_depth(net: &Arc<VerbsNetwork>, sq_depth: usize) -> Pair {
         static NEXT: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(1);
         let n = NEXT.fetch_add(2, std::sync::atomic::Ordering::Relaxed);
         let dev_a = net.create_device(ip(n));
@@ -138,7 +142,7 @@ mod tests {
         let mr_b = pd_b.register(4096, AccessFlags::all()).unwrap();
         let cq_a = dev_a.create_cq(64);
         let cq_b = dev_b.create_cq(64);
-        let qp_a = pd_a.create_qp(&cq_a, &cq_a, 16, 16).unwrap();
+        let qp_a = pd_a.create_qp(&cq_a, &cq_a, sq_depth, 16).unwrap();
         let qp_b = pd_b.create_qp(&cq_b, &cq_b, 16, 16).unwrap();
         qp_a.connect(qp_b.endpoint()).unwrap();
         qp_b.connect(qp_a.endpoint()).unwrap();
@@ -252,6 +256,64 @@ mod tests {
         let big = vec![0u8; 4096];
         let err = p.qp_a.post_send(SendWr::send_inline(1, big)).unwrap_err();
         assert!(matches!(err, VerbsError::InlineTooLarge { .. }));
+    }
+
+    /// `sge` with its lkey swapped for one no MR carries.
+    fn bad_lkey(sge: Sge) -> Sge {
+        Sge { lkey: 0xBAD, ..sge }
+    }
+
+    #[test]
+    fn bad_lkey_fails_synchronously_and_gives_back_its_slot() {
+        let net = VerbsNetwork::new();
+        let p = pair_with_sq_depth(&net, 2);
+        let bad = SendWr::send(1, bad_lkey(p.mr_a.sge(0, 8)));
+        assert!(matches!(
+            p.qp_a.post_send(bad),
+            Err(VerbsError::BadKey { key: 0xBAD })
+        ));
+        assert!(p.cq_a.poll_one().is_none(), "a refused WR never completes");
+        assert_eq!(p.qp_a.state(), crate::qp::QpState::Rts);
+        // No receives posted: good SENDs park and hold their slots, so
+        // two fit only if the refused WR gave its slot back.
+        for id in [2, 3] {
+            p.qp_a
+                .post_send(SendWr::send(id, p.mr_a.sge(0, 8)))
+                .unwrap();
+        }
+        assert!(matches!(
+            p.qp_a.post_send(SendWr::send(4, p.mr_a.sge(0, 8))),
+            Err(VerbsError::QueueFull { which: "send" })
+        ));
+    }
+
+    #[test]
+    fn bad_lkey_mid_chain_stops_the_chain_and_gives_back_its_slots() {
+        let net = VerbsNetwork::new();
+        let p = pair_with_sq_depth(&net, 3);
+        p.mr_a.write(0, b"first").unwrap();
+        p.mr_a.write(8, b"third").unwrap();
+        let write =
+            |id, off| SendWr::write(id, p.mr_a.sge(off, 5), p.mr_b.addr() + off, p.mr_b.rkey());
+        let mut bad = write(2, 0);
+        bad.sge[0] = bad_lkey(bad.sge[0]);
+        let chain = vec![write(1, 0), bad, write(3, 8)];
+        assert!(matches!(
+            p.qp_a.post_send_batch(chain),
+            Err(VerbsError::BadKey { key: 0xBAD })
+        ));
+        // The WR before the bad one ran and completed; none after it ran.
+        let wc = p.cq_a.poll_one().expect("the first WR completes");
+        assert_eq!((wc.wr_id, wc.status), (1, WcStatus::Success));
+        assert!(p.cq_a.poll_one().is_none());
+        let mut landed = [0u8; 13];
+        p.mr_b.read(0, &mut landed).unwrap();
+        assert_eq!(&landed[..5], b"first");
+        assert_eq!(&landed[8..], &[0; 5]);
+        // Every slot is back: a chain of parked SENDs fills the queue.
+        let sends = (4..7).map(|id| SendWr::send(id, p.mr_a.sge(0, 8)));
+        p.qp_a.post_send_batch(sends.collect()).unwrap();
+        assert_eq!(p.qp_a.state(), crate::qp::QpState::Rts);
     }
 
     #[test]

@@ -8,11 +8,18 @@
 //! the simulator's concern (`freeflow-netsim`), semantics are this
 //! module's.
 //!
+//! There is one send path, [`QueuePair::post_send_chain`]: as in
+//! `ibv_post_send`, which takes a WR list, a single post is a chain of
+//! one. Payloads leave through the one gather
+//! ([`Device::gather_into`]) and land through the one scatter
+//! ([`Device::scatter`]).
+//!
 //! ## Deviations from `libibverbs`, documented
 //!
 //! * Local gather errors (bad lkey, out-of-bounds SGE) are *synchronous*
-//!   `Err` returns from `post_send` instead of async completions — clearer
-//!   for a safe-Rust API, same observable effect (the WR does not run).
+//!   `Err` returns from the post instead of async completions — clearer
+//!   for a safe-Rust API, same observable effect (the WR does not run and
+//!   gives back its send-queue slot).
 //! * Receiver-not-ready: incoming `SEND`s (and `WRITE_WITH_IMM`
 //!   notifications) queue at the target until a receive is posted,
 //!   modelling the common `rnr_retry = 7` (infinite) configuration. The
@@ -74,7 +81,8 @@ impl fmt::Display for QpEndpoint {
     }
 }
 
-/// An inbound two-sided operation waiting for a receive to be posted.
+/// An inbound two-sided operation: matched against a receive at once, or
+/// parked until one is posted.
 struct PendingInbound {
     src: QpEndpoint,
     src_wr_id: u64,
@@ -247,24 +255,12 @@ impl QueuePair {
         };
         for (wr_id, _signaled) in flushed_sends {
             // Failed sends always complete, signaled or not.
-            self.send_cq.push(WorkCompletion {
-                wr_id,
-                status: WcStatus::RetryExcError,
-                opcode: WcOpcode::Send,
-                byte_len: 0,
-                imm: None,
-                qp_num: self.qpn,
-            });
+            let wc = self.wc(wr_id, WcStatus::RetryExcError, WcOpcode::Send, 0);
+            self.send_cq.push(wc);
         }
         for wr in flushed_recvs {
-            self.recv_cq.push(WorkCompletion {
-                wr_id: wr.wr_id,
-                status: WcStatus::WrFlushError,
-                opcode: WcOpcode::Recv,
-                byte_len: 0,
-                imm: None,
-                qp_num: self.qpn,
-            });
+            let wc = self.wc(wr.wr_id, WcStatus::WrFlushError, WcOpcode::Recv, 0);
+            self.recv_cq.push(wc);
         }
     }
 
@@ -273,7 +269,7 @@ impl QueuePair {
     /// Post a receive. Allowed in INIT, RTR and RTS.
     ///
     /// If inbound operations are parked waiting for a receive (the RNR
-    /// case), the oldest is matched immediately.
+    /// case), the oldest is matched immediately and its sender completes.
     pub fn post_recv(&self, wr: RecvWr) -> VerbsResult<()> {
         let pending = {
             let mut inner = self.inner.lock();
@@ -287,18 +283,20 @@ impl QueuePair {
                 }
             }
             match inner.inbound_pending.pop_front() {
-                Some(p) => Some((wr, p)),
+                Some(p) => p,
                 None => {
                     if inner.rq.len() >= self.rq_depth {
                         return Err(VerbsError::QueueFull { which: "recv" });
                     }
                     inner.rq.push_back(wr);
-                    None
+                    return Ok(());
                 }
             }
         };
-        if let Some((wr, p)) = pending {
-            self.consume_recv(wr, p);
+        let status = self.match_recv(wr, &pending);
+        // Complete the sender (possibly on another device).
+        if let Some(sender) = self.device.network().find_qp(pending.src) {
+            sender.finish_deferred_send(pending.src_wr_id, pending.src_signaled, status);
         }
         Ok(())
     }
@@ -308,64 +306,31 @@ impl QueuePair {
         self.inner.lock().rq.len()
     }
 
-    /// Match one inbound operation with one receive WR: scatter the
-    /// payload (if any), complete the receiver, complete the sender.
-    fn consume_recv(&self, wr: RecvWr, p: PendingInbound) {
-        let opcode = if p.payload.is_some() {
-            WcOpcode::Recv
-        } else {
-            WcOpcode::RecvRdmaWithImm
-        };
-        let mut status = WcStatus::Success;
-        if let Some(payload) = &p.payload {
-            if (wr.capacity()) < payload.len() as u64 {
-                status = WcStatus::LocalLengthError;
-            } else if let Err(e) = self.scatter(&wr, payload) {
-                let _ = e;
-                status = WcStatus::LocalProtectionError;
+    /// Match one inbound operation with one receive WR: scatter its
+    /// payload (a WRITE_WITH_IMM notification carries none) and complete
+    /// the receive. A failed match moves this QP to the error state.
+    /// Returns the status the sender's completion carries.
+    fn match_recv(&self, wr: RecvWr, p: &PendingInbound) -> WcStatus {
+        let status = match &p.payload {
+            Some(data) if wr.capacity() < data.len() as u64 => WcStatus::LocalLengthError,
+            Some(data) if self.device.scatter(&wr.sge, data).is_err() => {
+                WcStatus::LocalProtectionError
             }
-        }
+            _ => WcStatus::Success,
+        };
+        let opcode = match p.payload {
+            Some(_) => WcOpcode::Recv,
+            None => WcOpcode::RecvRdmaWithImm,
+        };
         self.recv_cq.push(WorkCompletion {
-            wr_id: wr.wr_id,
-            status,
-            opcode,
-            byte_len: p.byte_len,
             imm: p.imm,
-            qp_num: self.qpn,
+            ..self.wc(wr.wr_id, status, opcode, p.byte_len)
         });
-        // Complete the sender (possibly on another device).
-        let sender_status = if status.is_ok() {
-            WcStatus::Success
-        } else {
-            WcStatus::RemoteOperationError
-        };
-        if let Some(sender) = self.device.network().find_qp(p.src) {
-            sender.finish_deferred_send(p.src_wr_id, p.src_signaled, sender_status);
+        if status.is_ok() {
+            return WcStatus::Success;
         }
-        if !status.is_ok() {
-            self.enter_error();
-        }
-    }
-
-    /// Scatter `payload` across the WR's SGE list through this device's
-    /// MR table.
-    fn scatter(&self, wr: &RecvWr, payload: &[u8]) -> VerbsResult<()> {
-        let mut off = 0usize;
-        for sge in &wr.sge {
-            if off >= payload.len() {
-                break;
-            }
-            let n = (payload.len() - off).min(sge.len as usize);
-            let mr = self.device.mr_by_lkey(sge.lkey)?;
-            if !mr.access().local_write {
-                return Err(VerbsError::AccessDenied {
-                    detail: "recv SGE MR lacks LOCAL_WRITE".into(),
-                });
-            }
-            mr.dma_write(sge.addr, &payload[off..off + n])?;
-            off += n;
-        }
-        Ok(())
+        self.enter_error();
+        WcStatus::RemoteOperationError
     }
 
     /// Called on the *sender* when a deferred (RNR-parked) send finally
@@ -385,156 +350,42 @@ impl QueuePair {
             inner.sq_outstanding = inner.sq_outstanding.saturating_sub(1);
         }
         if signaled || !status.is_ok() {
-            self.send_cq.push(WorkCompletion {
-                wr_id,
-                status,
-                opcode: WcOpcode::Send,
-                byte_len: 0,
-                imm: None,
-                qp_num: self.qpn,
-            });
+            self.send_cq.push(self.wc(wr_id, status, WcOpcode::Send, 0));
         }
         if !status.is_ok() {
             self.enter_error();
         }
     }
 
+    /// A completion on this QP carrying no immediate.
+    fn wc(&self, wr_id: u64, status: WcStatus, opcode: WcOpcode, byte_len: u64) -> WorkCompletion {
+        WorkCompletion {
+            wr_id,
+            status,
+            opcode,
+            byte_len,
+            imm: None,
+            qp_num: self.qpn,
+        }
+    }
+
     // --- send path -------------------------------------------------------
 
-    /// Gather the WR's payload from local MRs (or inline data).
-    fn gather(&self, wr: &SendWr) -> VerbsResult<Vec<u8>> {
-        if let Some(inline) = &wr.inline_data {
-            let max = self.device.attr().max_inline;
-            if inline.len() > max {
-                return Err(VerbsError::InlineTooLarge {
-                    len: inline.len(),
-                    max,
-                });
-            }
-            return Ok(inline.clone());
-        }
-        let mut out = Vec::with_capacity(wr.total_len() as usize);
-        for sge in &wr.sge {
-            let mr = self.device.mr_by_lkey(sge.lkey)?;
-            out.extend_from_slice(&mr.dma_read(sge.addr, sge.len as u64)?);
-        }
-        Ok(out)
-    }
-
-    /// [`QueuePair::gather`] into a reused scratch buffer, memoizing the
-    /// last lkey→MR lookup — WR chains overwhelmingly gather from one MR,
-    /// so the device table lock is taken once per chain, not per SGE.
-    fn gather_into(
-        &self,
-        wr: &SendWr,
-        lkey_cache: &mut Option<(u32, Arc<MemoryRegion>)>,
-        out: &mut Vec<u8>,
-    ) -> VerbsResult<()> {
-        if let Some(inline) = &wr.inline_data {
-            let max = self.device.attr().max_inline;
-            if inline.len() > max {
-                return Err(VerbsError::InlineTooLarge {
-                    len: inline.len(),
-                    max,
-                });
-            }
-            out.extend_from_slice(inline);
-            return Ok(());
-        }
-        for sge in &wr.sge {
-            let mr = match lkey_cache {
-                Some((k, mr)) if *k == sge.lkey => Arc::clone(mr),
-                _ => {
-                    let mr = self.device.mr_by_lkey(sge.lkey)?;
-                    *lkey_cache = Some((sge.lkey, Arc::clone(&mr)));
-                    mr
-                }
-            };
-            mr.dma_read_into(sge.addr, sge.len as u64, out)?;
-        }
-        Ok(())
-    }
-
-    /// Post a send-side work request. Requires RTS.
-    ///
-    /// Completion rules follow verbs: signaled WRs always complete;
-    /// unsignaled WRs complete only on failure.
+    /// Post a send-side work request: a chain of one (see
+    /// [`QueuePair::post_send_chain`]). Requires RTS.
     pub fn post_send(&self, wr: SendWr) -> VerbsResult<()> {
-        let posted_at = std::time::Instant::now();
-        let peer = {
-            let mut inner = self.inner.lock();
-            if inner.state != QpState::Rts {
-                return Err(VerbsError::InvalidQpState {
-                    actual: inner.state.name(),
-                    required: "RTS",
-                });
-            }
-            if inner.sq_outstanding >= self.sq_depth {
-                return Err(VerbsError::QueueFull { which: "send" });
-            }
-            inner.sq_outstanding += 1;
-            inner.peer.expect("RTS implies peer")
-        };
-
-        let result = self.execute_send(&wr, peer);
-        match result {
-            Ok(SendOutcome::Completed { opcode, byte_len }) => {
-                {
-                    let mut inner = self.inner.lock();
-                    inner.sq_outstanding -= 1;
-                }
-                // Ops execute synchronously against the peer QP, so the
-                // elapsed time *is* the WR's service latency.
-                self.send_cq
-                    .record_wr_latency(posted_at.elapsed().as_nanos() as u64);
-                if wr.signaled {
-                    self.send_cq.push(WorkCompletion {
-                        wr_id: wr.wr_id,
-                        status: WcStatus::Success,
-                        opcode,
-                        byte_len,
-                        imm: None,
-                        qp_num: self.qpn,
-                    });
-                }
-                Ok(())
-            }
-            Ok(SendOutcome::Deferred) => {
-                // Completes at the RNR match — or flushes if this QP
-                // enters the error state first.
-                let mut inner = self.inner.lock();
-                inner.sq_deferred.push((wr.wr_id, wr.signaled));
-                Ok(())
-            }
-            Err(ExecError::Local(e)) => {
-                let mut inner = self.inner.lock();
-                inner.sq_outstanding -= 1;
-                drop(inner);
-                Err(e)
-            }
-            Err(ExecError::Remote(status)) => {
-                {
-                    let mut inner = self.inner.lock();
-                    inner.sq_outstanding -= 1;
-                }
-                self.send_cq.push(WorkCompletion {
-                    wr_id: wr.wr_id,
-                    status,
-                    opcode: WcOpcode::Send,
-                    byte_len: 0,
-                    imm: None,
-                    qp_num: self.qpn,
-                });
-                self.enter_error();
-                Ok(())
-            }
-        }
+        self.post_send_chain(std::iter::once(wr))
     }
 
-    /// Post a chain of send work requests as one batch. Requires RTS.
-    ///
-    /// Semantics match posting each WR with [`QueuePair::post_send`] in
-    /// order, with three batching guarantees layered on top:
+    /// Post a chain of send work requests (see
+    /// [`QueuePair::post_send_chain`]). Requires RTS.
+    pub fn post_send_batch(&self, wrs: Vec<SendWr>) -> VerbsResult<()> {
+        self.post_send_chain(wrs.into_iter())
+    }
+
+    /// Post a chain of send work requests — the one send path, as in
+    /// `ibv_post_send`, which takes a WR list: a single post is a chain of
+    /// one. Requires RTS.
     ///
     /// * **All-or-nothing admission.** The whole chain reserves send-queue
     ///   space up front; if it does not fit, nothing posts and
@@ -542,20 +393,24 @@ impl QueuePair {
     ///   `ibv_post_send` rejected at the first WR that exceeds the SQ).
     /// * **Ordering and signaling.** WRs execute strictly in chain order;
     ///   signaled WRs complete in that order, unsignaled WRs complete only
-    ///   on failure — exactly the per-WR rules of the single-shot path.
-    /// * **Coalesced completions.** Sender-side completions for the batch
-    ///   are delivered with one CQ lock acquisition and one doorbell ring
-    ///   ([`CompletionQueue::push_batch`]), which is where the batched hot
-    ///   path earns its throughput.
+    ///   on failure.
+    /// * **Amortized cost.** One fabric lookup, one gather scratch and one
+    ///   lkey/rkey table hit serve the whole chain, and its sender-side
+    ///   completions land with one CQ lock acquisition and one doorbell
+    ///   ring ([`CompletionQueue::push_batch`]).
     ///
-    /// Failure semantics also mirror the single-shot path: a local gather
-    /// error is returned synchronously (that WR and the rest of the chain
-    /// are un-posted; earlier WRs stand, their completions intact), while
-    /// a remote failure completes the failing WR with its error status,
-    /// flushes the remainder of the chain with
-    /// [`WcStatus::WrFlushError`], and moves the QP to the error state.
-    pub fn post_send_batch(&self, wrs: Vec<SendWr>) -> VerbsResult<()> {
-        if wrs.is_empty() {
+    /// A local gather error (bad lkey, out-of-bounds SGE, oversized inline
+    /// data) is returned synchronously: that WR and the rest of the chain
+    /// are un-posted and give back their send-queue slots, while earlier
+    /// WRs stand, their completions intact. A remote failure completes the
+    /// failing WR with its error status, flushes the remainder of the
+    /// chain with [`WcStatus::WrFlushError`], and moves the QP to the error
+    /// state.
+    pub fn post_send_chain(
+        &self,
+        mut wrs: impl ExactSizeIterator<Item = SendWr>,
+    ) -> VerbsResult<()> {
+        if wrs.len() == 0 {
             return Ok(());
         }
         let posted_at = std::time::Instant::now();
@@ -580,74 +435,46 @@ impl QueuePair {
         let mut settled = 0usize;
         let mut errored = false;
         let mut result = Ok(());
-        // Chain-scoped amortization: one fabric lookup, one gather
-        // scratch, one lkey/rkey table hit for the whole batch.
         let remote = self.device.network().find_qp(peer);
-        let mut scratch: Vec<u8> = Vec::new();
-        let mut lkey_cache: Option<(u32, Arc<MemoryRegion>)> = None;
-        let mut rkey_cache: Option<(u32, Arc<MemoryRegion>)> = None;
-        let mut iter = wrs.into_iter();
-        while let Some(wr) = iter.next() {
+        let mut cache = ChainCache::default();
+        while let Some(wr) = wrs.next() {
             let outcome = match &remote {
-                Some(r) => self.execute_send_chained(
-                    &wr,
-                    r,
-                    &mut scratch,
-                    &mut lkey_cache,
-                    &mut rkey_cache,
-                ),
+                Some(r) => self.execute(&wr, r, &mut cache),
                 None => Err(ExecError::Remote(WcStatus::RemoteOperationError)),
             };
             match outcome {
                 Ok(SendOutcome::Completed { opcode, byte_len }) => {
                     settled += 1;
+                    // Ops execute synchronously against the peer QP, so the
+                    // elapsed time *is* the WR's service latency.
                     self.send_cq
                         .record_wr_latency(posted_at.elapsed().as_nanos() as u64);
                     if wr.signaled {
-                        completions.push(WorkCompletion {
-                            wr_id: wr.wr_id,
-                            status: WcStatus::Success,
-                            opcode,
-                            byte_len,
-                            imm: None,
-                            qp_num: self.qpn,
-                        });
+                        completions.push(self.wc(wr.wr_id, WcStatus::Success, opcode, byte_len));
                     }
                 }
                 Ok(SendOutcome::Deferred) => {
-                    // Completes at the RNR match; stays outstanding.
+                    // Completes at the RNR match — or flushes if this QP
+                    // enters the error state first. Stays outstanding.
                     self.inner.lock().sq_deferred.push((wr.wr_id, wr.signaled));
                 }
                 Err(ExecError::Local(e)) => {
                     // Synchronous local error (documented deviation): this
                     // WR and the unexecuted remainder are un-posted.
-                    settled += 1 + iter.len();
+                    settled += 1 + wrs.len();
                     result = Err(e);
                     break;
                 }
                 Err(ExecError::Remote(status)) => {
-                    settled += 1;
-                    completions.push(WorkCompletion {
-                        wr_id: wr.wr_id,
-                        status,
-                        opcode: WcOpcode::Send,
-                        byte_len: 0,
-                        imm: None,
-                        qp_num: self.qpn,
-                    });
+                    settled += 1 + wrs.len();
+                    completions.push(self.wc(wr.wr_id, status, WcOpcode::Send, 0));
                     // The rest of the chain flushes: failed WRs always
                     // complete, signaled or not.
-                    for rem in iter.by_ref() {
-                        settled += 1;
-                        completions.push(WorkCompletion {
-                            wr_id: rem.wr_id,
-                            status: WcStatus::WrFlushError,
-                            opcode: WcOpcode::Send,
-                            byte_len: 0,
-                            imm: None,
-                            qp_num: self.qpn,
-                        });
-                    }
+                    completions.extend(
+                        wrs.by_ref().map(|rem| {
+                            self.wc(rem.wr_id, WcStatus::WrFlushError, WcOpcode::Send, 0)
+                        }),
+                    );
                     errored = true;
                     break;
                 }
@@ -657,7 +484,7 @@ impl QueuePair {
             let mut inner = self.inner.lock();
             inner.sq_outstanding = inner.sq_outstanding.saturating_sub(settled);
         }
-        // Batch completions land before the error-state flush of any
+        // Chain completions land before the error-state flush of any
         // deferred WRs, preserving chain order on the CQ.
         self.send_cq.push_batch(&completions);
         if errored {
@@ -666,286 +493,137 @@ impl QueuePair {
         result
     }
 
-    fn execute_send(&self, wr: &SendWr, peer: QpEndpoint) -> Result<SendOutcome, ExecError> {
-        let remote = self
-            .device
-            .network()
-            .find_qp(peer)
-            .ok_or(ExecError::Remote(WcStatus::RemoteOperationError))?;
-        self.execute_send_resolved(wr, &remote)
-    }
-
-    /// Execute one WR of a chain against an already-resolved peer, reusing
-    /// the chain's gather scratch and MR-lookup caches. This is what makes
-    /// a 32-deep batch cheaper than 32 single posts: the fabric lookup,
-    /// the lkey/rkey table locks, and the gather allocation are paid once
-    /// per chain instead of once per WR. The remote RTR/RTS gate is
-    /// checked when the write target is first resolved — the chain is
-    /// admitted as a unit, mirroring hardware that validates at doorbell
-    /// time.
-    fn execute_send_chained(
+    /// Execute one WR of a chain against the resolved peer, reusing the
+    /// chain's scratch and MR lookups. A WRITE target is vetted (remote
+    /// state, rkey, access) when the chain first uses its rkey — the chain
+    /// is admitted as a unit, mirroring hardware that validates at
+    /// doorbell time.
+    fn execute(
         &self,
         wr: &SendWr,
-        remote: &Arc<QueuePair>,
-        scratch: &mut Vec<u8>,
-        lkey_cache: &mut Option<(u32, Arc<MemoryRegion>)>,
-        rkey_cache: &mut Option<(u32, Arc<MemoryRegion>)>,
+        remote: &QueuePair,
+        cx: &mut ChainCache,
     ) -> Result<SendOutcome, ExecError> {
-        match &wr.opcode {
-            WrOpcode::Write { remote_addr, rkey } => {
-                scratch.clear();
-                self.gather_into(wr, lkey_cache, scratch)
-                    .map_err(ExecError::Local)?;
-                let mr = match rkey_cache {
-                    Some((k, mr)) if *k == *rkey => Arc::clone(mr),
-                    _ => {
-                        let mr = remote.write_target(*rkey).map_err(ExecError::Remote)?;
-                        *rkey_cache = Some((*rkey, Arc::clone(&mr)));
-                        mr
-                    }
-                };
-                mr.dma_write(*remote_addr, scratch)
-                    .map_err(|_| ExecError::Remote(WcStatus::RemoteAccessError))?;
-                Ok(SendOutcome::Completed {
-                    opcode: WcOpcode::RdmaWrite,
-                    byte_len: scratch.len() as u64,
+        cx.scratch.clear();
+        if let WrOpcode::Read { remote_addr, rkey } = wr.opcode {
+            // A READ's SGEs are its destination: pull, then scatter.
+            remote
+                .target(rkey, false)
+                .and_then(|mr| {
+                    mr.dma_read_into(remote_addr, wr.total_len(), &mut cx.scratch)
+                        .map_err(|_| WcStatus::RemoteAccessError)
                 })
-            }
-            WrOpcode::Send => {
-                scratch.clear();
-                self.gather_into(wr, lkey_cache, scratch)
-                    .map_err(ExecError::Local)?;
-                // `deliver_send` may park the payload, so it takes
-                // ownership; the scratch regrows on the next SEND.
-                let payload = std::mem::take(scratch);
-                let byte_len = payload.len() as u64;
-                match remote.deliver_send(self.endpoint(), wr.wr_id, wr.signaled, payload, None) {
-                    Delivery::Matched => Ok(SendOutcome::Completed {
-                        opcode: WcOpcode::Send,
-                        byte_len,
-                    }),
-                    Delivery::Parked => Ok(SendOutcome::Deferred),
-                    Delivery::Refused(s) => Err(ExecError::Remote(s)),
-                }
-            }
-            // WRITE_WITH_IMM and READ sit off the hot loop; the resolved
-            // single-shot executor handles them.
-            _ => self.execute_send_resolved(wr, remote),
+                .map_err(ExecError::Remote)?;
+            self.device
+                .scatter(&wr.sge, &cx.scratch)
+                .map_err(ExecError::Local)?;
+            return Ok(SendOutcome::Completed {
+                opcode: WcOpcode::RdmaRead,
+                byte_len: cx.scratch.len() as u64,
+            });
         }
-    }
-
-    /// Resolve and vet the target MR for inbound one-sided WRITEs once per
-    /// chain: state gate, rkey lookup, access check. Chained writes to the
-    /// same rkey then go straight to [`MemoryRegion::dma_write`].
-    fn write_target(&self, rkey: u32) -> Result<Arc<MemoryRegion>, WcStatus> {
-        {
-            let inner = self.inner.lock();
-            match inner.state {
-                QpState::Rtr | QpState::Rts => {}
-                _ => return Err(WcStatus::RemoteOperationError),
-            }
-        }
-        let mr = self
-            .device
-            .mr_by_rkey(rkey)
-            .map_err(|_| WcStatus::RemoteAccessError)?;
-        if !mr.access().remote_write {
-            return Err(WcStatus::RemoteAccessError);
-        }
-        Ok(mr)
-    }
-
-    fn execute_send_resolved(
-        &self,
-        wr: &SendWr,
-        remote: &Arc<QueuePair>,
-    ) -> Result<SendOutcome, ExecError> {
-        // Local gather errors are synchronous (documented deviation).
-        let payload = self.gather(wr).map_err(ExecError::Local)?;
-
-        match &wr.opcode {
-            WrOpcode::Send => {
-                let byte_len = payload.len() as u64;
-                match remote.deliver_send(self.endpoint(), wr.wr_id, wr.signaled, payload, None) {
-                    Delivery::Matched => Ok(SendOutcome::Completed {
-                        opcode: WcOpcode::Send,
-                        byte_len,
-                    }),
-                    Delivery::Parked => Ok(SendOutcome::Deferred),
-                    Delivery::Refused(s) => Err(ExecError::Remote(s)),
-                }
-            }
-            WrOpcode::Write { remote_addr, rkey } => {
-                let byte_len = payload.len() as u64;
-                remote
-                    .deliver_write(*remote_addr, *rkey, &payload)
-                    .map_err(ExecError::Remote)?;
-                Ok(SendOutcome::Completed {
-                    opcode: WcOpcode::RdmaWrite,
-                    byte_len,
-                })
-            }
-            WrOpcode::WriteWithImm {
-                remote_addr,
-                rkey,
-                imm,
+        self.device
+            .gather_into(wr, &mut cx.lkey, &mut cx.scratch)
+            .map_err(ExecError::Local)?;
+        let byte_len = cx.scratch.len() as u64;
+        let imm = match wr.opcode {
+            WrOpcode::Write { remote_addr, rkey }
+            | WrOpcode::WriteWithImm {
+                remote_addr, rkey, ..
             } => {
-                let byte_len = payload.len() as u64;
-                remote
-                    .deliver_write(*remote_addr, *rkey, &payload)
-                    .map_err(ExecError::Remote)?;
-                match remote.deliver_send(
-                    self.endpoint(),
-                    wr.wr_id,
-                    wr.signaled,
-                    // Data already placed one-sided; the notification
-                    // consumes a receive without scattering.
-                    Vec::new(),
-                    Some((*imm, byte_len)),
-                ) {
-                    Delivery::Matched => Ok(SendOutcome::Completed {
-                        opcode: WcOpcode::RdmaWrite,
-                        byte_len,
-                    }),
-                    Delivery::Parked => Ok(SendOutcome::Deferred),
-                    Delivery::Refused(s) => Err(ExecError::Remote(s)),
+                let mr: &Arc<MemoryRegion> = match &cx.rkey {
+                    Some(mr) if mr.rkey() == rkey => mr,
+                    _ => cx
+                        .rkey
+                        .insert(remote.target(rkey, true).map_err(ExecError::Remote)?),
+                };
+                mr.dma_write(remote_addr, &cx.scratch)
+                    .map_err(|_| ExecError::Remote(WcStatus::RemoteAccessError))?;
+                match wr.opcode {
+                    WrOpcode::WriteWithImm { imm, .. } => Some(imm),
+                    _ => {
+                        return Ok(SendOutcome::Completed {
+                            opcode: WcOpcode::RdmaWrite,
+                            byte_len,
+                        })
+                    }
                 }
             }
-            WrOpcode::Read { remote_addr, rkey } => {
-                let len = wr.total_len();
-                let data = remote
-                    .serve_read(*remote_addr, *rkey, len)
-                    .map_err(ExecError::Remote)?;
-                // Scatter into the local SGE list.
-                let recv_like = RecvWr {
-                    wr_id: wr.wr_id,
-                    sge: wr.sge.clone(),
-                };
-                self.scatter(&recv_like, &data).map_err(ExecError::Local)?;
-                Ok(SendOutcome::Completed {
-                    opcode: WcOpcode::RdmaRead,
-                    byte_len: data.len() as u64,
-                })
-            }
+            _ => None,
+        };
+        // A SEND hands its payload over (the peer may park it; the scratch
+        // regrows on the next SEND). A WRITE_WITH_IMM's data is already
+        // placed: its notification consumes a receive without scattering.
+        let (payload, opcode) = match imm {
+            None => (Some(std::mem::take(&mut cx.scratch)), WcOpcode::Send),
+            Some(_) => (None, WcOpcode::RdmaWrite),
+        };
+        match remote.deliver_send(PendingInbound {
+            src: self.endpoint(),
+            src_wr_id: wr.wr_id,
+            src_signaled: wr.signaled,
+            payload,
+            byte_len,
+            imm,
+        }) {
+            Delivery::Matched => Ok(SendOutcome::Completed { opcode, byte_len }),
+            Delivery::Parked => Ok(SendOutcome::Deferred),
+            Delivery::Refused(s) => Err(ExecError::Remote(s)),
         }
     }
 
     // --- fabric-facing entry points (called by the peer QP) --------------
 
-    /// Deliver an inbound SEND (or WRITE_WITH_IMM notification).
-    fn deliver_send(
-        &self,
-        src: QpEndpoint,
-        src_wr_id: u64,
-        src_signaled: bool,
-        payload: Vec<u8>,
-        imm_and_len: Option<(u32, u64)>,
-    ) -> Delivery {
-        let (payload, byte_len, imm) = match imm_and_len {
-            Some((imm, len)) => (None, len, Some(imm)),
-            None => {
-                let len = payload.len() as u64;
-                (Some(payload), len, None)
-            }
-        };
-        let matched = {
+    /// Vet the MR behind `rkey` for an inbound one-sided op: this QP must
+    /// be in RTR/RTS and the MR must grant the remote WRITE (or READ).
+    fn target(&self, rkey: u32, write: bool) -> Result<Arc<MemoryRegion>, WcStatus> {
+        if !matches!(self.state(), QpState::Rtr | QpState::Rts) {
+            return Err(WcStatus::RemoteOperationError);
+        }
+        let mr = self
+            .device
+            .mr_by_rkey(rkey)
+            .map_err(|_| WcStatus::RemoteAccessError)?;
+        let access = mr.access();
+        if (write && access.remote_write) || (!write && access.remote_read) {
+            Ok(mr)
+        } else {
+            Err(WcStatus::RemoteAccessError)
+        }
+    }
+
+    /// Deliver an inbound SEND (or WRITE_WITH_IMM notification): match the
+    /// oldest posted receive, or park until one is posted (RNR).
+    fn deliver_send(&self, p: PendingInbound) -> Delivery {
+        let wr = {
             let mut inner = self.inner.lock();
             match inner.state {
                 QpState::Rtr | QpState::Rts => {}
                 _ => return Delivery::Refused(WcStatus::RemoteOperationError),
             }
             match inner.rq.pop_front() {
-                Some(wr) => Some((wr, payload)),
+                Some(wr) => wr,
                 None => {
-                    inner.inbound_pending.push_back(PendingInbound {
-                        src,
-                        src_wr_id,
-                        src_signaled,
-                        payload,
-                        byte_len,
-                        imm,
-                    });
-                    None
+                    inner.inbound_pending.push_back(p);
+                    return Delivery::Parked;
                 }
             }
         };
-        match matched {
-            Some((wr, payload)) => {
-                // Scatter + complete receiver; sender completion handled
-                // by the caller (Matched ⇒ complete there), so do NOT
-                // complete the sender here — pass a pending without a
-                // deferred sender by reusing consume paths carefully.
-                let opcode = if payload.is_some() {
-                    WcOpcode::Recv
-                } else {
-                    WcOpcode::RecvRdmaWithImm
-                };
-                let mut status = WcStatus::Success;
-                if let Some(data) = &payload {
-                    if wr.capacity() < data.len() as u64 {
-                        status = WcStatus::LocalLengthError;
-                    } else if self.scatter(&wr, data).is_err() {
-                        status = WcStatus::LocalProtectionError;
-                    }
-                }
-                self.recv_cq.push(WorkCompletion {
-                    wr_id: wr.wr_id,
-                    status,
-                    opcode,
-                    byte_len,
-                    imm,
-                    qp_num: self.qpn,
-                });
-                if status.is_ok() {
-                    Delivery::Matched
-                } else {
-                    self.enter_error();
-                    Delivery::Refused(WcStatus::RemoteOperationError)
-                }
-            }
-            None => Delivery::Parked,
+        // The sender completes on `Matched` itself.
+        match self.match_recv(wr, &p) {
+            WcStatus::Success => Delivery::Matched,
+            s => Delivery::Refused(s),
         }
     }
+}
 
-    /// Serve an inbound one-sided WRITE.
-    fn deliver_write(&self, remote_addr: u64, rkey: u32, payload: &[u8]) -> Result<(), WcStatus> {
-        {
-            let inner = self.inner.lock();
-            match inner.state {
-                QpState::Rtr | QpState::Rts => {}
-                _ => return Err(WcStatus::RemoteOperationError),
-            }
-        }
-        let mr = self
-            .device
-            .mr_by_rkey(rkey)
-            .map_err(|_| WcStatus::RemoteAccessError)?;
-        if !mr.access().remote_write {
-            return Err(WcStatus::RemoteAccessError);
-        }
-        mr.dma_write(remote_addr, payload)
-            .map_err(|_| WcStatus::RemoteAccessError)
-    }
-
-    /// Serve an inbound one-sided READ.
-    fn serve_read(&self, remote_addr: u64, rkey: u32, len: u64) -> Result<Vec<u8>, WcStatus> {
-        {
-            let inner = self.inner.lock();
-            match inner.state {
-                QpState::Rtr | QpState::Rts => {}
-                _ => return Err(WcStatus::RemoteOperationError),
-            }
-        }
-        let mr = self
-            .device
-            .mr_by_rkey(rkey)
-            .map_err(|_| WcStatus::RemoteAccessError)?;
-        if !mr.access().remote_read {
-            return Err(WcStatus::RemoteAccessError);
-        }
-        mr.dma_read(remote_addr, len)
-            .map_err(|_| WcStatus::RemoteAccessError)
-    }
+/// What a chain pays for once instead of once per WR: the payload
+/// scratch and the last lkey and rkey lookups.
+#[derive(Default)]
+struct ChainCache {
+    scratch: Vec<u8>,
+    lkey: Option<Arc<MemoryRegion>>,
+    rkey: Option<Arc<MemoryRegion>>,
 }
 
 enum SendOutcome {
