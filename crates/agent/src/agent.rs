@@ -3,15 +3,17 @@
 //! One [`Agent`] runs per host. Containers attach and get an
 //! [`AgentHandle`] — a shared-memory duplex channel plus access to the
 //! host's arena (their "virtual NIC cable"). Agents connect to each other
-//! with [`connect_agents`], and the forwarding engine routes
-//! [`RelayMsg`]s by destination overlay IP:
+//! with [`connect_agents`], and the forwarding engine routes relay frames
+//! by destination overlay IP. It forwards the bytes a container wrote and
+//! reads only their [`RelayHeader`]; no message is built on the way:
 //!
 //! * local destination → straight into that container's channel (arena
 //!   payload descriptors stay valid — same segment, zero copies);
-//! * remote destination → materialize arena payloads into bytes and send
-//!   over the peer wire; on arrival the remote agent re-stages large
-//!   payloads into *its* arena and hands the descriptor to the target
-//!   container;
+//! * remote destination → over the peer wire, an arena payload copied
+//!   once from the arena into the wire message; on arrival the remote
+//!   agent re-stages large payloads into *its* arena and hands the
+//!   descriptor to the target container, and refuses a wire frame that
+//!   carries a descriptor (it would name *this* host's arena);
 //! * unknown destination → a `Nack` back to the sender, so endpoints see
 //!   failures as failed completions instead of silence.
 //!
@@ -22,11 +24,12 @@
 //! doorbell, and the pump parks on it when traffic stops (DESIGN.md §12,
 //! "Wake protocol").
 
-use crate::proto::{status, RelayMsg, RelayPayload};
+use crate::proto::{status, PayloadDesc, RelayHeader, RelayMsg};
 use crate::wire::PeerWire;
 use bytes::{Bytes, BytesMut};
 use freeflow_shmem::{
-    Doorbell, DoorbellStats, Pump, ShmDuplex, ShmFabric, ShmMessage, ShmReceiver, ShmSender, Step,
+    ArenaHandle, Doorbell, DoorbellStats, Pump, ShmDuplex, ShmFabric, ShmMessage, ShmReceiver,
+    ShmSender, Step,
 };
 use freeflow_telemetry::{Counter, Event, Histogram, LabelSet, Telemetry};
 use freeflow_types::{Error, HostId, OverlayIp, Result, TransportKind};
@@ -82,6 +85,9 @@ struct ContainerLink {
     tx: ShmSender,
     rx: ShmReceiver,
 }
+
+/// A frame bound for a peer host: its wire, the bytes as written, their header.
+type Outbound = (usize, Bytes, RelayHeader);
 
 /// Pre-registered telemetry handles for the forwarding hot paths. Rebuilt
 /// whenever a hub is attached, so the hot paths only touch atomics.
@@ -442,60 +448,38 @@ impl Agent {
 
     /// Drain pending work once. Returns the number of messages processed.
     pub fn poll(&self) -> usize {
-        let mut work = 0;
         // Container → agent: a vectored drain, so the space doorbell rings
         // once per burst instead of once per frame.
-        let from_containers: Vec<Bytes> = {
-            let inner = self.inner.lock();
-            let mut msgs = Vec::new();
-            let mut scratch: Vec<ShmMessage> = Vec::with_capacity(DRAIN_CHUNK);
-            for link in inner.containers.values() {
-                loop {
-                    scratch.clear();
-                    let got = link
-                        .rx
-                        .try_recv_many(DRAIN_CHUNK, &mut scratch)
-                        .unwrap_or(0);
-                    for m in scratch.drain(..) {
-                        if let ShmMessage::Inline(b) = m {
-                            msgs.push(b);
-                        }
-                    }
-                    if got < DRAIN_CHUNK {
-                        break;
-                    }
-                }
-            }
-            msgs
-        };
-        // Route: local destinations deliver immediately; remote frames
-        // bucket per wire so everything bound for the same peer host in
-        // this poll shares coalesced wire messages.
-        let mut outbound: HashMap<usize, Vec<RelayMsg>> = HashMap::new();
-        for raw in from_containers {
-            work += 1;
-            if let Some((idx, msg)) = self.route_from_local(raw) {
-                outbound.entry(idx).or_default().push(msg);
-            }
+        let mut drained: Vec<ShmMessage> = Vec::new();
+        for link in self.inner.lock().containers.values() {
+            while link.rx.try_recv_many(DRAIN_CHUNK, &mut drained) == Ok(DRAIN_CHUNK) {}
         }
-        for (idx, msgs) in outbound {
-            self.flush_to_wire(idx, msgs);
+        let work = drained.len();
+        // Route: local destinations deliver now; remote frames are grouped
+        // per wire (a stable sort keeps arrival order), so the frames for one
+        // peer host in this poll share coalesced wire messages.
+        let mut outbound: Vec<Outbound> = drained
+            .into_iter()
+            .filter_map(|m| match m {
+                ShmMessage::Inline(frame) => self.route_from_local(frame),
+                ShmMessage::Handle(_) => None,
+            })
+            .collect();
+        outbound.sort_by_key(|&(idx, ..)| idx);
+        let mut rest = &outbound[..];
+        while let Some(&(idx, ..)) = rest.first() {
+            let (frames, tail) = rest.split_at(rest.partition_point(|o| o.0 == idx));
+            self.flush_to_wire(idx, frames);
+            rest = tail;
         }
         // Wire → agent.
-        let from_wires: Vec<Bytes> = {
-            let inner = self.inner.lock();
-            let mut msgs = Vec::new();
-            for wire in &inner.wires {
-                while let Ok(b) = wire.try_recv() {
-                    msgs.push(b);
-                }
-            }
-            msgs
-        };
-        for raw in from_wires {
-            work += self.deliver_from_wire(raw);
-        }
-        work
+        let from_wires: Vec<Bytes> = (self.inner.lock().wires.iter())
+            .flat_map(|wire| std::iter::from_fn(|| wire.try_recv().ok()))
+            .collect();
+        work + from_wires
+            .into_iter()
+            .map(|raw| self.deliver_from_wire(raw))
+            .sum::<usize>()
     }
 
     /// Spawn the pump: [`Agent::poll`] as a step on the agent's wake bell,
@@ -519,45 +503,40 @@ impl Agent {
         )
     }
 
-    /// Route a message originating from a local container. Local
-    /// destinations are delivered (and unroutable ones nacked) here;
-    /// remote frames come back as `(wire index, materialized message)` so
-    /// the caller can coalesce everything sharing a wire into batched
-    /// wire messages.
-    fn route_from_local(&self, raw: Bytes) -> Option<(usize, RelayMsg)> {
-        let mut msg = match RelayMsg::decode(raw.clone()) {
-            Ok(m) => m,
-            Err(_) => return None, // corrupt local message: drop
-        };
-        let dst_ip = msg.dst().ip;
-        // Local destination?
-        if self.deliver_local(dst_ip, raw, &msg) {
+    /// Route a frame from a local container by its header. Local
+    /// destinations are delivered (and unroutable frames nacked) here; a
+    /// frame bound for a peer host comes back so the caller can coalesce
+    /// everything sharing a wire.
+    fn route_from_local(&self, frame: Bytes) -> Option<Outbound> {
+        let h = RelayHeader::peek(&frame).ok()?; // corrupt local frame: drop
+        let arena = h.arena();
+        if self.deliver_local(h.dst.ip, &frame, arena.map_or(0, |(_, len)| len)) {
             return None;
         }
-        // Remote: find a route.
-        let wire_idx = { self.inner.lock().routes.get(&dst_ip).copied() };
+        let wire_idx = self.inner.lock().routes.get(&h.dst.ip).copied();
+        // An arena payload leaves the host as bytes: the container's
+        // descriptor must name bytes inside the arena.
+        let outside = |(offset, len)| self.fabric.arena().block(offset, len).is_err();
         let refusal = match wire_idx {
-            Some(idx) => match self.materialize_for_wire(&mut msg) {
-                Ok(()) => return Some((idx, msg)),
-                Err(_) => status::REMOTE_ACCESS,
-            },
             None => status::REMOTE_OP,
+            Some(_) if arena.is_some_and(outside) => status::REMOTE_ACCESS,
+            Some(idx) => return Some((idx, frame, h)),
         };
-        self.nack(&msg, refusal);
+        self.nack(&h, refusal);
         None
     }
 
     /// Ship one poll's backlog for wire `idx`, coalescing frames into
     /// wire messages of at most the wire's adaptive batch limit, then
-    /// adapt the limit to the observed backlog. Frames are encoded into
-    /// one borrowed buffer per wire message — no per-frame allocation —
-    /// and a backlog of one goes out in the plain single-message format.
-    fn flush_to_wire(&self, idx: usize, msgs: Vec<RelayMsg>) {
-        let limit = self.adapt_batch_limit(idx, msgs.len());
-        for chunk in msgs.chunks(limit) {
-            let mut buf = BytesMut::with_capacity(64 * chunk.len());
-            RelayMsg::encode_coalesced(chunk, &mut buf);
-            let bytes = buf.freeze();
+    /// adapt the limit to the observed backlog. A lone frame with nothing
+    /// to materialize ships as the very bytes its container wrote.
+    fn flush_to_wire(&self, idx: usize, frames: &[Outbound]) {
+        let limit = self.adapt_batch_limit(idx, frames.len());
+        for chunk in frames.chunks(limit) {
+            let bytes = match chunk {
+                [(_, frame, h)] if h.arena().is_none() => frame.clone(),
+                _ => self.wire_message(chunk),
+            };
             // The peer pump drains the wire; retry with backoff on a
             // full queue, but *bounded* — a wire that never drains
             // (wedged or dead peer) must surface as failed completions,
@@ -622,9 +601,43 @@ impl Agent {
             } else {
                 status::TIMEOUT
             };
-            for m in chunk {
-                self.nack(m, code);
+            for (_, _, h) in chunk {
+                self.nack(h, code);
             }
+        }
+    }
+
+    /// Write `chunk`'s frames into one wire message, each once, an arena
+    /// payload copied from the arena straight in and its block freed. One
+    /// the arena refuses (a block the container no longer owns) ships as its
+    /// descriptor, which the peer refuses with `REMOTE_ACCESS`.
+    fn wire_message(&self, chunk: &[Outbound]) -> Bytes {
+        let arena = self.fabric.arena();
+        let (framed, named) = chunk.iter().fold((0, 0), |(f, n), (_, frame, h)| {
+            (f + frame.len(), n + h.arena().map_or(0, |(_, len)| len))
+        });
+        // Taken blocks never overlap, so the arena bounds what they add.
+        let len = framed + named.min(arena.size()) as usize;
+        let mut refused = false;
+        let msg = RelayMsg::encode_frames(chunk.len(), len, |i, buf| {
+            let (_, frame, h) = &chunk[i];
+            if let Some((offset, len)) = h.arena() {
+                let taken = arena.take_into(offset, len, |data| {
+                    h.reframe(frame, PayloadDesc::Inline(data.len()), buf);
+                    buf.extend_from_slice(data);
+                });
+                if taken.is_ok() {
+                    return;
+                }
+                refused = true;
+            }
+            buf.extend_from_slice(frame);
+        });
+        // Room sized for a block that was not taken is not kept queued.
+        if refused {
+            Bytes::copy_from_slice(&msg)
+        } else {
+            msg
         }
     }
 
@@ -665,205 +678,113 @@ impl Agent {
         next
     }
 
-    /// Deliver a message whose destination is on this host. Returns false
-    /// if the destination is not local.
-    fn deliver_local(&self, dst_ip: OverlayIp, raw: Bytes, msg: &RelayMsg) -> bool {
+    /// Deliver a frame whose destination is on this host, counting the
+    /// `zero_copy` arena bytes it hands over. Returns false if the
+    /// destination is not local.
+    fn deliver_local(&self, dst_ip: OverlayIp, frame: &[u8], zero_copy: u64) -> bool {
         let inner = self.inner.lock();
-        match inner.containers.get(&dst_ip) {
-            Some(link) => {
-                if link.tx.send(&raw).is_ok() {
-                    self.stats.local_delivered.fetch_add(1, Ordering::Relaxed);
-                    if let RelayMsg::Send {
-                        payload: RelayPayload::Arena { len, .. },
-                        ..
-                    }
-                    | RelayMsg::Write {
-                        payload: RelayPayload::Arena { len, .. },
-                        ..
-                    } = msg
-                    {
-                        self.stats
-                            .zero_copy_bytes
-                            .fetch_add(*len, Ordering::Relaxed);
-                    }
-                }
-                true
-            }
-            None => false,
+        let Some(link) = inner.containers.get(&dst_ip) else {
+            return false;
+        };
+        if link.tx.send(frame).is_ok() {
+            self.stats.local_delivered.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .zero_copy_bytes
+                .fetch_add(zero_copy, Ordering::Relaxed);
         }
-    }
-
-    /// Convert an arena payload to inline bytes before a message leaves
-    /// the host (descriptors are meaningless on another machine). The
-    /// descriptor came from a container, so one outside the arena is an
-    /// error, checked before anything is allocated.
-    fn materialize_for_wire(&self, msg: &mut RelayMsg) -> Result<()> {
-        if let Some(payload) = msg.payload_mut() {
-            if let RelayPayload::Arena { offset, len } = *payload {
-                let bytes = self.fabric.arena().take(offset, len)?;
-                *payload = RelayPayload::Inline(Bytes::from(bytes));
-            }
-        }
-        Ok(())
+        true
     }
 
     /// Deliver a wire message — possibly a coalesced batch — to local
-    /// containers, re-staging big inline payloads into the arena when
-    /// zero-copy is on. Consecutive frames for the same container are
-    /// pushed with one vectored channel send, so that container's data
-    /// doorbell rings once per run instead of once per frame. Returns the
-    /// number of frames processed.
+    /// containers by each frame's header, re-staging big inline payloads
+    /// into the arena when zero-copy is on. A frame carrying an arena
+    /// descriptor is refused: it names a block of *this* host's arena, which
+    /// no peer owns. A run of frames for one container is one vectored send,
+    /// so its data doorbell rings once per run. Returns the frames processed.
     fn deliver_from_wire(&self, raw: Bytes) -> usize {
-        struct Prepared {
-            /// The decoded frame, its big payload staged into the arena
-            /// when zero-copy is on: its destination picks the container,
-            /// and a failed delivery nacks it.
-            restaged: RelayMsg,
-            raw: Bytes,
-            zero_copied: u64,
-        }
-        let frames = match RelayMsg::split_frames(raw) {
-            Ok(f) => f,
-            Err(_) => return 1, // corrupt envelope: drop, but it was work
+        let Ok(frames) = RelayMsg::split_frames(raw) else {
+            return 1; // corrupt envelope: drop, but it was work
         };
         let total = frames.len();
-        let use_arena = self.zero_copy.load(Ordering::Relaxed);
-        let mut prepared: Vec<Prepared> = Vec::with_capacity(total);
-        for raw in frames {
-            let mut restaged = match RelayMsg::decode(raw.clone()) {
-                Ok(m) => m,
-                Err(_) => continue, // corrupt frame: drop it alone
-            };
-            let zero_copied = if use_arena {
-                self.restage_into_arena(&mut restaged)
-            } else {
-                0
-            };
-            let raw_out = if zero_copied > 0 {
-                restaged.encode()
-            } else {
-                raw
-            };
-            prepared.push(Prepared {
-                restaged,
-                raw: raw_out,
-                zero_copied,
-            });
+        // Each frame as delivered, its header, and its restaged block and bytes.
+        let mut prepared = Vec::with_capacity(total);
+        for frame in frames {
+            match RelayHeader::peek(&frame) {
+                Err(_) => {} // corrupt frame: drop it alone
+                Ok(h) if h.arena().is_some() => self.nack(&h, status::REMOTE_ACCESS),
+                Ok(h) => {
+                    let (frame, staged) = self.restage(frame, &h);
+                    prepared.push((frame, h, staged));
+                }
+            }
         }
         self.stats
             .relayed_in
             .fetch_add(prepared.len() as u64, Ordering::Relaxed);
         // Deliver runs of consecutive frames sharing a destination with
         // one vectored send each; wire order within a container holds.
-        let mut i = 0;
-        while i < prepared.len() {
-            let dst_ip = prepared[i].restaged.dst().ip;
-            let mut j = i + 1;
-            while j < prepared.len() && prepared[j].restaged.dst().ip == dst_ip {
-                j += 1;
-            }
-            let run = &prepared[i..j];
-            i = j;
-            let delivered = {
-                let inner = self.inner.lock();
-                match inner.containers.get(&dst_ip) {
-                    Some(link) => {
-                        let parts: Vec<&[u8]> = run.iter().map(|p| &p.raw[..]).collect();
-                        link.tx.send_batch(&parts).is_ok()
-                    }
-                    None => false,
-                }
-            };
-            if delivered {
-                let zero: u64 = run.iter().map(|p| p.zero_copied).sum();
-                if zero > 0 {
-                    self.stats
-                        .zero_copy_bytes
-                        .fetch_add(zero, Ordering::Relaxed);
-                }
-                if run.len() > 1 {
-                    self.telemetry
-                        .read()
-                        .doorbells_coalesced
-                        .add(run.len() as u64 - 1);
-                }
-            } else {
-                for p in run {
+        let mut rest = &prepared[..];
+        while let Some(dst) = rest.first().map(|p| p.1.dst.ip) {
+            let (run, tail) = rest.split_at(rest.iter().take_while(|p| p.1.dst.ip == dst).count());
+            rest = tail;
+            let delivered = self.inner.lock().containers.get(&dst).is_some_and(|link| {
+                let parts: Vec<&[u8]> = run.iter().map(|(frame, ..)| &frame[..]).collect();
+                link.tx.send_batch(&parts).is_ok()
+            });
+            if !delivered {
+                for (_, h, staged) in run {
                     // Undo any staged block, then nack the remote sender.
-                    if let RelayMsg::Send {
-                        payload: RelayPayload::Arena { offset, len },
-                        ..
+                    if let Some((block, _)) = staged {
+                        let _ = self.fabric.arena().free(*block);
                     }
-                    | RelayMsg::Write {
-                        payload: RelayPayload::Arena { offset, len },
-                        ..
-                    } = &p.restaged
-                    {
-                        let _ = self.fabric.arena().free(freeflow_shmem::ArenaHandle {
-                            offset: *offset,
-                            len: len.next_multiple_of(64),
-                        });
-                    }
-                    self.nack(&p.restaged, status::REMOTE_OP);
+                    self.nack(h, status::REMOTE_OP);
                 }
+                continue;
+            }
+            let zero: u64 = run.iter().filter_map(|(.., s)| s.map(|s| s.1)).sum();
+            self.stats
+                .zero_copy_bytes
+                .fetch_add(zero, Ordering::Relaxed);
+            if run.len() > 1 {
+                self.telemetry
+                    .read()
+                    .doorbells_coalesced
+                    .add(run.len() as u64 - 1);
             }
         }
         total
     }
 
-    /// Stage a big inline payload into the host arena, in place. Returns
-    /// how many bytes went zero-copy (0: the message is unchanged).
-    fn restage_into_arena(&self, msg: &mut RelayMsg) -> u64 {
-        let Some(payload) = msg.payload_mut() else {
-            return 0;
+    /// Stage a big inline payload into the host arena when zero-copy is on,
+    /// rewriting the frame to carry the block's descriptor. Returns the
+    /// frame to deliver and, if staged, the block and its payload bytes.
+    fn restage(&self, frame: Bytes, h: &RelayHeader) -> (Bytes, Option<(ArenaHandle, u64)>) {
+        let Some(PayloadDesc::Inline(data)) = h.payload else {
+            return (frame, None);
         };
-        let RelayPayload::Inline(b) = &*payload else {
-            return 0;
-        };
-        if b.len() < ZERO_COPY_THRESHOLD {
-            return 0;
+        if data < ZERO_COPY_THRESHOLD || !self.zero_copy.load(Ordering::Relaxed) {
+            return (frame, None);
         }
-        let len = b.len() as u64;
         let arena = self.fabric.arena();
-        let Ok(handle) = arena.alloc(len) else {
-            return 0; // arena full: copy path
+        let Ok(block) = arena.alloc(data as u64) else {
+            return (frame, None); // arena full: copy path
         };
-        arena.write(handle, 0, b).expect("fresh block fits");
-        // Keep the *data* length, not the rounded block length, so
-        // receivers read exactly the payload. The receiver frees the block
-        // at arena granularity.
-        *payload = RelayPayload::Arena {
-            offset: handle.offset,
-            len,
-        };
-        len
+        arena
+            .write(block, 0, &frame[frame.len() - data..])
+            .expect("fresh block fits");
+        // The descriptor keeps the *data* length, so receivers read exactly
+        // the payload; the receiver frees the block at arena granularity.
+        let (offset, len) = (block.offset, data as u64);
+        // A descriptor is shorter than the bytes it replaces.
+        let mut out = BytesMut::with_capacity(frame.len());
+        h.reframe(&frame, PayloadDesc::Arena { offset, len }, &mut out);
+        (out.freeze(), Some((block, len)))
     }
 
-    /// Send a Nack for an unroutable operation back toward its source.
-    fn nack(&self, msg: &RelayMsg, code: u8) {
-        let reply = match msg {
-            RelayMsg::Send {
-                src, dst, wr_id, ..
-            }
-            | RelayMsg::Write {
-                src, dst, wr_id, ..
-            } => RelayMsg::Nack {
-                src: *dst,
-                dst: *src,
-                wr_id: *wr_id,
-                status: code,
-            },
-            RelayMsg::ReadReq {
-                src, dst, req_id, ..
-            } => RelayMsg::ReadResp {
-                src: *dst,
-                dst: *src,
-                req_id: *req_id,
-                status: code,
-                payload: RelayPayload::Inline(Bytes::new()),
-            },
-            // Acks/Nacks/ReadResps are not themselves nacked (no loops).
-            _ => return,
+    /// Refuse an operation with `code`, replying toward its source.
+    fn nack(&self, h: &RelayHeader, code: u8) {
+        let Some(reply) = h.refusal(code) else {
+            return;
         };
         self.stats.nacked.fetch_add(1, Ordering::Relaxed);
         {
@@ -875,15 +796,12 @@ impl Agent {
             });
         }
         let raw = reply.encode();
-        let back_ip = reply.dst().ip;
         // Try local first, then a route.
-        let msg2 = reply;
-        if self.deliver_local(back_ip, raw.clone(), &msg2) {
+        if self.deliver_local(h.src.ip, &raw, 0) {
             return;
         }
-        let wire_idx = { self.inner.lock().routes.get(&back_ip).copied() };
-        if let Some(idx) = wire_idx {
-            let inner = self.inner.lock();
+        let inner = self.inner.lock();
+        if let Some(&idx) = inner.routes.get(&h.src.ip) {
             let _ = inner.wires[idx].send(raw);
         }
     }
@@ -916,6 +834,7 @@ pub fn connect_agents(a: &Agent, b: &Agent, kind: TransportKind) -> (usize, usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::RelayPayload;
 
     fn ip(last: u8) -> OverlayIp {
         OverlayIp::from_octets(10, 0, 0, last)
@@ -1079,6 +998,133 @@ mod tests {
         a0.poll();
         a1.poll();
         assert_eq!(recv_inline(&dst), ok);
+    }
+
+    /// Two agents joined by an RDMA wire with routes both ways, a container
+    /// on each, driven by hand.
+    fn wired_pair() -> (Arc<Agent>, Arc<Agent>, usize, AgentHandle, AgentHandle) {
+        let a0 = Agent::new(HostId::new(0), 1 << 20);
+        let a1 = Agent::new(HostId::new(1), 1 << 20);
+        let (w0, w1) = connect_agents(&a0, &a1, TransportKind::Rdma);
+        let src = a0.attach_container(ip(1)).unwrap();
+        let dst = a1.attach_container(ip(2)).unwrap();
+        a0.install_route(ip(2), w0).unwrap();
+        a1.install_route(ip(1), w1).unwrap();
+        (a0, a1, w0, src, dst)
+    }
+
+    fn arena_send(wr_id: u64, offset: u64, len: u64) -> RelayMsg {
+        RelayMsg::Send {
+            src: ep(1, 1),
+            dst: ep(2, 1),
+            wr_id,
+            imm: None,
+            payload: RelayPayload::Arena { offset, len },
+        }
+    }
+
+    fn expect_nack(handle: &AgentHandle, wr_id: u64, code: u8) {
+        match recv_inline(handle) {
+            RelayMsg::Nack {
+                wr_id: id,
+                status: got,
+                ..
+            } => assert_eq!((id, got), (wr_id, code)),
+            other => panic!("expected a nack, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wire_frame_naming_an_arena_block_is_refused() {
+        // A descriptor arriving on a wire names a block of the *receiving*
+        // host's arena — here one a tenant there holds. Delivered, the
+        // target library would read that block and free it. The receiving
+        // agent refuses the frame toward its sender instead, and delivers
+        // the legitimate frame batched behind it.
+        let (a0, a1, w0, src, dst) = wired_pair();
+        let arena1 = dst.fabric.arena();
+        let victim = arena1.alloc(4096).unwrap();
+        let legit = send_msg(1, 2, 8, b"legit");
+        let mut batch = BytesMut::new();
+        RelayMsg::encode_coalesced(
+            &[arena_send(7, victim.offset, 64), legit.clone()],
+            &mut batch,
+        );
+        a0.inner.lock().wires[w0].send(batch.freeze()).unwrap();
+        a1.poll();
+        assert_eq!(arena1.allocated(), 4096, "the held block stays held");
+        assert_eq!(recv_inline(&dst), legit);
+        assert!(matches!(dst.channel.rx.try_recv(), Err(Error::WouldBlock)));
+        assert_eq!(a1.stats().relayed_in.load(Ordering::Relaxed), 1);
+        a0.poll();
+        expect_nack(&src, 7, status::REMOTE_ACCESS);
+    }
+
+    #[test]
+    fn batched_arena_payloads_are_materialized_into_the_wire_message() {
+        let (a0, a1, _, src, dst) = wired_pair();
+        let arena0 = src.fabric.arena();
+        let stage = |data: &[u8]| {
+            let block = arena0.alloc(data.len() as u64).unwrap();
+            arena0.write(block, 0, data).unwrap();
+            block.offset
+        };
+        let (big, small) = (vec![0xAB; 8192], vec![0xCD; 100]);
+        let frames = [
+            arena_send(1, stage(&big), 8192),
+            send_msg(1, 2, 2, b"inline"),
+            arena_send(3, stage(&small), 100),
+        ];
+        for f in &frames {
+            src.channel.tx.send(&f.encode()).unwrap();
+        }
+        a0.poll();
+        assert_eq!(arena0.allocated(), 0, "each block freed once it is copied");
+        a1.poll();
+        match recv_inline(&dst) {
+            RelayMsg::Send {
+                wr_id: 1,
+                payload: RelayPayload::Arena { offset, len: 8192 },
+                ..
+            } => assert_eq!(dst.fabric.arena().take(offset, 8192).unwrap(), big),
+            other => panic!("expected the big payload restaged, got {other:?}"),
+        }
+        assert_eq!(recv_inline(&dst), frames[1]);
+        match recv_inline(&dst) {
+            RelayMsg::Send {
+                wr_id: 3,
+                payload: RelayPayload::Inline(b),
+                ..
+            } => assert_eq!(b, small),
+            other => panic!("expected the small payload inline, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_block_handed_off_twice_is_refused_the_second_time() {
+        // Both frames name the same block; the first takes it, so the
+        // second ships as its descriptor and comes back refused.
+        let (a0, a1, _, src, dst) = wired_pair();
+        let arena0 = src.fabric.arena();
+        let block = arena0.alloc(64).unwrap();
+        arena0.write(block, 0, &[5; 64]).unwrap();
+        for wr_id in [1, 2] {
+            let frame = arena_send(wr_id, block.offset, 64);
+            src.channel.tx.send(&frame.encode()).unwrap();
+        }
+        a0.poll();
+        a1.poll();
+        match recv_inline(&dst) {
+            RelayMsg::Send {
+                wr_id: 1,
+                payload: RelayPayload::Inline(b),
+                ..
+            } => assert_eq!(b, vec![5; 64]),
+            other => panic!("expected the first handoff inline, got {other:?}"),
+        }
+        a0.poll();
+        expect_nack(&src, 2, status::REMOTE_ACCESS);
+        assert_eq!(arena0.allocated(), 0);
     }
 
     #[test]

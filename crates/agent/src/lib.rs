@@ -14,8 +14,9 @@
 //!    tag chosen by the orchestrator's policy, and per-transport statistics
 //!    are kept so experiments can verify which plane traffic actually rode.
 //!
-//! The agent is a pure forwarder: it routes [`proto::RelayMsg`]s between
-//! container channels and peer wires by destination overlay IP. Verbs
+//! The agent is a pure forwarder: it routes relay frames between container
+//! channels and peer wires by destination overlay IP, reading only their
+//! [`proto::RelayHeader`] and forwarding their bytes. Verbs
 //! *semantics* (receive matching, rkey checks, completions) live in the
 //! `freeflow` core library at the endpoints, exactly as the paper places
 //! them in the per-container network library.
@@ -28,5 +29,5 @@ pub mod proto;
 pub mod wire;
 
 pub use agent::{connect_agents, Agent, AgentHandle, ZERO_COPY_THRESHOLD};
-pub use proto::{RelayMsg, RelayPayload, WireEp};
+pub use proto::{PayloadDesc, RelayHeader, RelayMsg, RelayPayload, WireEp};
 pub use wire::PeerWire;

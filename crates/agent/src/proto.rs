@@ -11,7 +11,9 @@
 //! [`RelayPayload::Arena`] — an offset/length descriptor into the host's
 //! shared arena, the zero-copy handoff of paper §5 (pass the pointer, not
 //! the data). Arena payloads are only meaningful within one host; agents
-//! materialize them to bytes before a message leaves the machine.
+//! materialize them to bytes before a message leaves the machine, and
+//! refuse one that arrives from a wire. There is one parser:
+//! [`RelayHeader::peek`], which the agent routes on, and `decode` on top.
 
 use bytes::{Bytes, BytesMut};
 use freeflow_types::wire::{Reader, Writer};
@@ -240,20 +242,26 @@ fn get_imm(r: &mut Reader<'_>) -> Result<Option<u32>> {
     }
 }
 
-/// The next length-prefixed slice `r` reads, as a zero-copy view of `buf`.
-fn get_view(buf: &Bytes, r: &mut Reader<'_>) -> Result<Bytes> {
-    let len = r.slice()?.len();
-    Ok(buf.slice(r.pos() - len..r.pos()))
-}
-
-fn get_payload(buf: &Bytes, r: &mut Reader<'_>) -> Result<RelayPayload> {
+fn get_payload(r: &mut Reader<'_>) -> Result<PayloadDesc> {
     match r.u8()? {
-        PAYLOAD_INLINE => Ok(RelayPayload::Inline(get_view(buf, r)?)),
-        PAYLOAD_ARENA => Ok(RelayPayload::Arena {
+        PAYLOAD_INLINE => Ok(PayloadDesc::Inline(r.slice()?.len())),
+        PAYLOAD_ARENA => Ok(PayloadDesc::Arena {
             offset: r.u64()?,
             len: r.u64()?,
         }),
         other => Err(Error::parse(format!("bad payload kind {other}"))),
+    }
+}
+
+/// Write the batch envelope around `n` frames that `frame(i, w)` writes;
+/// a lone frame is written plain.
+fn envelope(w: &mut Out<'_>, n: usize, mut frame: impl FnMut(usize, &mut Out<'_>)) {
+    if n == 1 {
+        return frame(0, w);
+    }
+    w.u8(TAG_BATCH).count(n);
+    for i in 0..n {
+        w.framed(|w| frame(i, w));
     }
 }
 
@@ -271,9 +279,139 @@ fn each_frame(buf: &Bytes, mut each: impl FnMut(Bytes) -> Result<()>) -> Result<
         )));
     }
     for _ in 0..count {
-        each(get_view(buf, r)?)?;
+        let len = r.slice()?.len();
+        each(buf.slice(r.pos() - len..r.pos()))?;
     }
     Ok(r.finish()?)
+}
+
+/// A frame's payload as [`RelayHeader::peek`] reads it: where the bytes
+/// are, not the bytes. The payload is every frame's last field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PayloadDesc {
+    /// This many bytes carried inline: the frame's tail.
+    Inline(usize),
+    /// A block in the sending host's arena.
+    Arena {
+        /// Byte offset in the arena.
+        offset: u64,
+        /// Payload length in bytes.
+        len: u64,
+    },
+}
+
+/// What a relay frame says about routing, read by [`RelayHeader::peek`]
+/// without building a [`RelayMsg`] or touching its payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RelayHeader {
+    /// The originating endpoint.
+    pub src: WireEp,
+    /// The routing destination.
+    pub dst: WireEp,
+    /// The payload of a SEND, WRITE or READ response.
+    pub payload: Option<PayloadDesc>,
+    tag: u8,
+    /// The WR cookie or READ correlation id, the field after the endpoints.
+    id: u64,
+    /// The fields only [`RelayMsg::decode`] needs; peek checks them.
+    rest: Rest,
+    /// Where the payload descriptor starts, the frame's last field.
+    at: usize,
+}
+
+/// The fields a frame carries between its id and its payload.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Rest {
+    addr: u64,
+    rkey: u32,
+    imm: Option<u32>,
+    len: u64,
+    status: u8,
+}
+
+impl RelayHeader {
+    /// Check a whole frame in one bounded pass and return its header. It
+    /// accepts exactly the frames [`RelayMsg::decode`] accepts: decode is
+    /// built on it.
+    pub fn peek(frame: &[u8]) -> Result<Self> {
+        let r = &mut Reader::new(frame);
+        let (tag, src, dst, id) = (r.u8()?, get_ep(r)?, get_ep(r)?, r.u64()?);
+        let mut rest = Rest::default();
+        // Each tag's fields in wire order (see `RelayMsg::write`).
+        if matches!(tag, TAG_WRITE | TAG_READ_REQ) {
+            (rest.addr, rest.rkey) = (r.u64()?, r.u32()?);
+        }
+        if matches!(tag, TAG_SEND | TAG_WRITE) {
+            rest.imm = get_imm(r)?;
+        }
+        if matches!(tag, TAG_READ_RESP | TAG_NACK) {
+            rest.status = r.u8()?;
+        }
+        if matches!(tag, TAG_READ_REQ | TAG_ACK) {
+            rest.len = r.u64()?;
+        }
+        let at = r.pos();
+        let payload = match tag {
+            TAG_SEND | TAG_WRITE | TAG_READ_RESP => Some(get_payload(r)?),
+            TAG_READ_REQ | TAG_ACK | TAG_NACK => None,
+            other => return Err(Error::parse(format!("unknown relay tag {other}"))),
+        };
+        r.finish()?;
+        Ok(Self {
+            src,
+            dst,
+            payload,
+            tag,
+            id,
+            rest,
+            at,
+        })
+    }
+
+    /// The reply refusing this operation with `code`: a Nack for SEND/WRITE,
+    /// an empty READ response for a READ. Replies get none: no loops.
+    pub(crate) fn refusal(&self, code: u8) -> Option<RelayMsg> {
+        let (src, dst, id) = (self.dst, self.src, self.id);
+        match self.tag {
+            TAG_SEND | TAG_WRITE => Some(RelayMsg::Nack {
+                src,
+                dst,
+                wr_id: id,
+                status: code,
+            }),
+            TAG_READ_REQ => Some(RelayMsg::ReadResp {
+                src,
+                dst,
+                req_id: id,
+                status: code,
+                payload: RelayPayload::Inline(Bytes::new()),
+            }),
+            _ => None,
+        }
+    }
+
+    /// The arena block `(offset, len)` the payload names, if it names one.
+    pub(crate) fn arena(&self) -> Option<(u64, u64)> {
+        match self.payload {
+            Some(PayloadDesc::Arena { offset, len }) => Some((offset, len)),
+            _ => None,
+        }
+    }
+
+    /// Append `frame` (the frame this header was peeked from) to `buf` with
+    /// `payload`'s descriptor in place of its own. For an inline payload the
+    /// caller appends its bytes next.
+    pub(crate) fn reframe(&self, frame: &[u8], payload: PayloadDesc, buf: &mut BytesMut) {
+        let w = &mut Out(buf);
+        w.put(&frame[..self.at]);
+        match payload {
+            PayloadDesc::Inline(len) => {
+                let len = u32::try_from(len).expect("a relayed payload fits a u32 length");
+                w.u8(PAYLOAD_INLINE).u32(len)
+            }
+            PayloadDesc::Arena { offset, len } => w.u8(PAYLOAD_ARENA).u64(offset).u64(len),
+        };
+    }
 }
 
 impl RelayMsg {
@@ -285,17 +423,6 @@ impl RelayMsg {
     /// The originating endpoint.
     pub fn src(&self) -> WireEp {
         self.head().1
-    }
-
-    /// The payload, for the messages that carry one (SEND, WRITE and READ
-    /// response).
-    pub fn payload_mut(&mut self) -> Option<&mut RelayPayload> {
-        match self {
-            RelayMsg::Send { payload, .. }
-            | RelayMsg::Write { payload, .. }
-            | RelayMsg::ReadResp { payload, .. } => Some(payload),
-            _ => None,
-        }
     }
 
     /// What every encoding starts with: tag, source, destination.
@@ -381,15 +508,21 @@ impl RelayMsg {
     /// caller bug, there is nothing to put on the wire.
     pub fn encode_coalesced(msgs: &[RelayMsg], buf: &mut BytesMut) {
         debug_assert!(!msgs.is_empty(), "coalescing zero messages");
-        if msgs.len() == 1 {
-            msgs[0].encode_into(buf);
-            return;
-        }
-        let w = &mut Out(buf);
-        w.u8(TAG_BATCH).count(msgs.len());
-        for msg in msgs {
-            w.framed(|w| msg.write(w));
-        }
+        envelope(&mut Out(buf), msgs.len(), |i, w| msgs[i].write(w));
+    }
+
+    /// Coalesce `n` raw frames, `len` bytes in all, into one wire message
+    /// in a buffer sized once: `frame(i, buf)` appends frame `i`. The shape
+    /// is [`RelayMsg::encode_coalesced`]'s, so a lone frame stays plain.
+    pub(crate) fn encode_frames(
+        n: usize,
+        len: usize,
+        mut frame: impl FnMut(usize, &mut BytesMut),
+    ) -> Bytes {
+        let envelope_len = if n > 1 { 5 + 4 * n } else { 0 };
+        let mut buf = BytesMut::with_capacity(envelope_len + len);
+        envelope(&mut Out(&mut buf), n, |i, w| frame(i, w.0));
+        buf.freeze()
     }
 
     /// Parse a wire message that may be a coalesced batch.
@@ -436,57 +569,63 @@ impl RelayMsg {
         Ok(frames)
     }
 
-    /// Parse from wire bytes.
+    /// Parse from wire bytes: [`RelayHeader::peek`], then the message it
+    /// describes, its inline payload a zero-copy view of `buf`.
     pub fn decode(buf: Bytes) -> Result<Self> {
-        let r = &mut Reader::new(&buf);
-        let msg = match r.u8()? {
+        let h = RelayHeader::peek(&buf)?;
+        let (src, dst, id, rest) = (h.src, h.dst, h.id, h.rest);
+        let payload = match h.payload {
+            Some(PayloadDesc::Arena { offset, len }) => RelayPayload::Arena { offset, len },
+            Some(PayloadDesc::Inline(len)) => RelayPayload::Inline(buf.slice(buf.len() - len..)),
+            // Read only by the tags that have a payload.
+            None => RelayPayload::Inline(buf.slice(..0)),
+        };
+        Ok(match h.tag {
             TAG_SEND => RelayMsg::Send {
-                src: get_ep(r)?,
-                dst: get_ep(r)?,
-                wr_id: r.u64()?,
-                imm: get_imm(r)?,
-                payload: get_payload(&buf, r)?,
+                src,
+                dst,
+                wr_id: id,
+                imm: rest.imm,
+                payload,
             },
             TAG_WRITE => RelayMsg::Write {
-                src: get_ep(r)?,
-                dst: get_ep(r)?,
-                wr_id: r.u64()?,
-                addr: r.u64()?,
-                rkey: r.u32()?,
-                imm: get_imm(r)?,
-                payload: get_payload(&buf, r)?,
+                src,
+                dst,
+                wr_id: id,
+                addr: rest.addr,
+                rkey: rest.rkey,
+                imm: rest.imm,
+                payload,
             },
             TAG_READ_REQ => RelayMsg::ReadReq {
-                src: get_ep(r)?,
-                dst: get_ep(r)?,
-                req_id: r.u64()?,
-                addr: r.u64()?,
-                rkey: r.u32()?,
-                len: r.u64()?,
+                src,
+                dst,
+                req_id: id,
+                addr: rest.addr,
+                rkey: rest.rkey,
+                len: rest.len,
             },
             TAG_READ_RESP => RelayMsg::ReadResp {
-                src: get_ep(r)?,
-                dst: get_ep(r)?,
-                req_id: r.u64()?,
-                status: r.u8()?,
-                payload: get_payload(&buf, r)?,
+                src,
+                dst,
+                req_id: id,
+                status: rest.status,
+                payload,
             },
             TAG_ACK => RelayMsg::Ack {
-                src: get_ep(r)?,
-                dst: get_ep(r)?,
-                wr_id: r.u64()?,
-                byte_len: r.u64()?,
+                src,
+                dst,
+                wr_id: id,
+                byte_len: rest.len,
             },
-            TAG_NACK => RelayMsg::Nack {
-                src: get_ep(r)?,
-                dst: get_ep(r)?,
-                wr_id: r.u64()?,
-                status: r.u8()?,
+            // Peek admits the six message tags only.
+            _ => RelayMsg::Nack {
+                src,
+                dst,
+                wr_id: id,
+                status: rest.status,
             },
-            other => return Err(Error::parse(format!("unknown relay tag {other}"))),
-        };
-        r.finish()?;
-        Ok(msg)
+        })
     }
 }
 

@@ -28,7 +28,7 @@ use freeflow_telemetry::{Event, LabelSet, Telemetry};
 use freeflow_types::{ContainerId, Error, HostId, OverlayIp, Result, TenantId, TransportKind};
 use freeflow_verbs::wr::AccessFlags;
 use freeflow_verbs::{
-    CompletionQueue, CqInstruments, Device, MemoryRegion, ProtectionDomain, VerbsResult,
+    CompletionQueue, CqInstruments, Device, MemoryRegion, ProtectionDomain, VerbsResult, WakeBatch,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -406,11 +406,8 @@ impl LibHandle {
     pub fn create_cq_ringing(&self, depth: usize, bell: Arc<Doorbell>) -> Arc<CompletionQueue> {
         let cq = CompletionQueue::with_doorbell(depth, bell);
         let hub = &self.shared.telemetry;
-        let host = self.shared.host().raw();
-        let labels = LabelSet::host(host).with_container(self.shared.id.raw());
+        let labels = LabelSet::host(self.shared.host().raw()).with_container(self.shared.id.raw());
         cq.instrument(CqInstruments {
-            hub: Arc::clone(hub),
-            host,
             completions: hub.registry().counter(
                 "ff_cq_completions_total",
                 "work completions pushed (success and error)",
@@ -560,6 +557,10 @@ impl NetLibrary {
             // rings once per sweep, not once per frame.
             let drained = rx.try_recv_many(PUMP_DRAIN, &mut inbound);
             let worked = !inbound.is_empty();
+            // One wake per CQ per sweep: the completions a sweep pushes are
+            // visible at once, and each CQ's bell rings when it ends, so a
+            // waiter is not preempting this thread once per relayed ACK.
+            let sweep = WakeBatch::open();
             for m in inbound.drain(..) {
                 let ShmMessage::Inline(raw) = m else { continue };
                 if let Ok(msg) = RelayMsg::decode(raw) {
@@ -577,6 +578,7 @@ impl NetLibrary {
                     // container is an application teardown race.
                 }
             }
+            drop(sweep);
             if !matches!(drained, Ok(_) | Err(Error::WouldBlock)) {
                 return Step::Done; // agent gone
             }

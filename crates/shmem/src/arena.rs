@@ -124,12 +124,16 @@ impl SharedArena {
     /// protocol bug; it is detected when it would create overlapping free
     /// blocks and reported as [`Error::InvalidState`].
     pub fn free(&self, handle: ArenaHandle) -> Result<()> {
+        self.release(&mut self.inner.lock(), handle)
+    }
+
+    /// [`SharedArena::free`] under the allocator lock the caller holds.
+    fn release(&self, inner: &mut ArenaInner, handle: ArenaHandle) -> Result<()> {
         if handle.len == 0 || handle.end() > self.size {
             return Err(Error::invalid_state(format!(
                 "arena free out of range: {handle:?}"
             )));
         }
-        let mut inner = self.inner.lock();
         // Insert position by offset.
         let idx = inner.free.partition_point(|b| b.offset < handle.offset);
         // Overlap checks against neighbours.
@@ -202,21 +206,44 @@ impl SharedArena {
         Ok(())
     }
 
-    /// Move a relayed payload out of the arena: read the `len` bytes a
-    /// descriptor names at `offset`, then free the block holding them
-    /// (blocks are allocated at 64-byte granularity, so the block is `len`
-    /// rounded up). The descriptor is untrusted: it is checked before
-    /// anything is allocated.
-    pub fn take(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
+    /// The block holding the `len` payload bytes a relay descriptor names
+    /// at `offset` (blocks are allocated at 64-byte granularity, so the
+    /// block is `len` rounded up). The descriptor is untrusted: this checks
+    /// it against the arena, so nothing is sized from it unchecked.
+    pub fn block(&self, offset: u64, len: u64) -> Result<ArenaHandle> {
         let block = ArenaHandle {
             offset,
             len: len.checked_next_multiple_of(64).unwrap_or(u64::MAX),
         };
         self.check(block, 0, len)?;
-        let mut out = vec![0u8; len as usize];
-        self.read(block, 0, &mut out)?;
-        self.free(block)?;
-        Ok(out)
+        Ok(block)
+    }
+
+    /// Move a relayed payload out of the arena: free the [`block`] a
+    /// descriptor names, then hand `out` its `len` bytes. The bytes are
+    /// locked before the allocator lets go of the block, so whoever is
+    /// handed it next cannot write it under the read, while allocation
+    /// goes on during the copy; a refused descriptor (outside the arena,
+    /// or not allocated) calls `out` not at all.
+    ///
+    /// [`block`]: SharedArena::block
+    pub fn take_into(&self, offset: u64, len: u64, out: impl FnOnce(&[u8])) -> Result<()> {
+        let block = self.block(offset, len)?;
+        let buf = {
+            let mut inner = self.inner.lock();
+            self.release(&mut inner, block)?;
+            self.buf.lock()
+        };
+        let start = offset as usize;
+        out(&buf[start..start + len as usize]);
+        Ok(())
+    }
+
+    /// [`SharedArena::take_into`] a fresh `Vec`.
+    pub fn take(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
+        let mut bytes = Vec::new();
+        self.take_into(offset, len, |b| bytes.extend_from_slice(b))?;
+        Ok(bytes)
     }
 
     /// Copy `len` bytes between two blocks of (possibly) two arenas —
@@ -353,6 +380,22 @@ mod tests {
         arena.write(h, 0, &payload).unwrap();
         assert_eq!(arena.take(h.offset, 100).unwrap(), payload);
         assert_eq!(arena.allocated(), 0, "the whole 128-byte block is freed");
+    }
+
+    #[test]
+    fn take_into_reads_nothing_from_a_block_it_cannot_claim() {
+        let arena = SharedArena::new(4096);
+        let h = arena.alloc(64).unwrap();
+        let mut seen = Vec::new();
+        arena
+            .take_into(h.offset, 64, |b| seen.push(b.len()))
+            .unwrap();
+        assert_eq!(seen, [64]);
+        // Taken once already, then outside the arena: refused unread.
+        for (offset, len) in [(h.offset, 64), (4096, 64)] {
+            assert!(arena.take_into(offset, len, |_| panic!("read")).is_err());
+        }
+        assert_eq!(arena.allocated(), 0);
     }
 
     #[test]

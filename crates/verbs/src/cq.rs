@@ -9,11 +9,65 @@
 use crate::error::WcStatus;
 use crate::wr::WorkCompletion;
 use freeflow_shmem::Doorbell;
-use freeflow_telemetry::{Counter, Event, Histogram, Telemetry};
+use freeflow_telemetry::{Counter, Histogram};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+
+/// Bells a [`WakeBatch`] deferred, each with the completions it announces.
+type Deferred = Vec<(Arc<Doorbell>, u64)>;
+
+thread_local! {
+    /// This thread's open [`WakeBatch`] scopes and the rings they deferred.
+    static WAKE_BATCH: RefCell<(usize, Deferred)> = const { RefCell::new((0, Vec::new())) };
+}
+
+/// A scope in which this thread's completion pushes defer their doorbell
+/// ring, so a parked waiter wakes once per sweep of pushes, not once per
+/// completion. A push is queued at once, so pollers see it immediately and
+/// in order; only the ring waits, and each distinct bell rings once when
+/// the outermost scope closes — on unwind too.
+#[must_use = "the scope closes, and rings, when this is dropped"]
+pub struct WakeBatch(PhantomData<*const ()>);
+
+impl WakeBatch {
+    /// Open a scope on this thread (scopes nest).
+    pub fn open() -> Self {
+        WAKE_BATCH.with_borrow_mut(|(depth, _)| *depth += 1);
+        WakeBatch(PhantomData)
+    }
+}
+
+impl Drop for WakeBatch {
+    fn drop(&mut self) {
+        WAKE_BATCH.with_borrow_mut(|(depth, bells)| {
+            *depth -= 1;
+            if *depth == 0 {
+                for (bell, n) in bells.drain(..) {
+                    bell.ring_coalesced(n);
+                }
+            }
+        });
+    }
+}
+
+/// Defer a ring of `bell` for `n` completions to this thread's open
+/// [`WakeBatch`]; false when none is open.
+fn defer_ring(bell: &Arc<Doorbell>, n: u64) -> bool {
+    WAKE_BATCH.with_borrow_mut(|(depth, bells)| {
+        if *depth == 0 {
+            return false;
+        }
+        match bells.iter_mut().find(|(b, _)| Arc::ptr_eq(b, bell)) {
+            Some((_, pending)) => *pending += n,
+            None => bells.push((Arc::clone(bell), n)),
+        }
+        true
+    })
+}
 
 struct CqInner {
     queue: VecDeque<WorkCompletion>,
@@ -25,11 +79,8 @@ struct CqInner {
 /// Telemetry handles a library installs on a CQ it creates. All counters
 /// come from the cluster hub's registry, pre-registered under the owning
 /// `(host, container)` labels, so the hot path touches only atomics.
+#[derive(Debug)]
 pub struct CqInstruments {
-    /// Hub whose flight recorder receives doorbell-wait events.
-    pub hub: Arc<Telemetry>,
-    /// Raw host id, used as the event label.
-    pub host: u64,
     /// Total completions pushed (success and error).
     pub completions: Arc<Counter>,
     /// Completions with a non-success status.
@@ -38,14 +89,6 @@ pub struct CqInstruments {
     pub wait_blocks: Arc<Counter>,
     /// Work-request latency histogram (nanoseconds).
     pub wr_latency_ns: Arc<Histogram>,
-}
-
-impl std::fmt::Debug for CqInstruments {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CqInstruments")
-            .field("host", &self.host)
-            .finish()
-    }
 }
 
 /// A completion queue shared by any number of QPs.
@@ -131,7 +174,8 @@ impl CompletionQueue {
     }
 
     /// Fabric side: push a whole batch of completions under one lock
-    /// acquisition and one coalesced doorbell ring.
+    /// acquisition and one coalesced doorbell ring — deferred to the close
+    /// of this thread's [`WakeBatch`], if one is open.
     ///
     /// Order is preserved. On overflow the prefix that fits is queued, the
     /// CQ is flagged overflowed (fatal) and `false` is returned. An empty
@@ -167,7 +211,7 @@ impl CompletionQueue {
             let ring = inner.ring_successes || wcs[..n].iter().any(|wc| !wc.status.is_ok());
             (n, ring)
         };
-        if ring {
+        if ring && !defer_ring(&self.doorbell, accepted as u64) {
             self.doorbell.ring_coalesced(accepted as u64);
         }
         accepted == wcs.len()
@@ -221,16 +265,13 @@ impl CompletionQueue {
                 return self.poll_one();
             }
             if !blocked {
-                // Count (and record) only waits that actually park; calls
-                // that find a completion ready stay invisible, mirroring
-                // the doorbell's own wait accounting.
+                // Count only waits that actually park; calls that find a
+                // completion ready stay invisible, mirroring the doorbell's
+                // own wait accounting. A count, not a flight-recorder event:
+                // one event per park would evict every rare one.
                 blocked = true;
                 if let Some(ins) = self.instruments.get() {
                     ins.wait_blocks.inc();
-                    ins.hub.record(Event::DoorbellWait {
-                        host: ins.host,
-                        bell: "cq",
-                    });
                 }
             }
             let _ = self
@@ -324,14 +365,12 @@ mod tests {
 
     #[test]
     fn instrumented_cq_counts_completions_and_waits() {
-        use freeflow_telemetry::LabelSet;
+        use freeflow_telemetry::{LabelSet, Telemetry};
 
         let hub = Telemetry::new();
         let labels = LabelSet::host(3).with_container(1);
         let cq = CompletionQueue::new(4);
         cq.instrument(CqInstruments {
-            hub: Arc::clone(&hub),
-            host: 3,
             completions: hub
                 .registry()
                 .counter("ff_cq_completions_total", "completions", labels),
@@ -375,16 +414,115 @@ mod tests {
         let h = snap.histogram("ff_wr_latency_ns", labels).unwrap();
         assert_eq!(h.count(), 1);
         assert_eq!(h.max, 1500);
-        assert!(matches!(
-            snap.events[..],
-            [freeflow_telemetry::TimedEvent {
-                event: Event::DoorbellWait {
-                    host: 3,
-                    bell: "cq"
-                },
-                ..
-            }]
-        ));
+        assert!(
+            snap.events.is_empty(),
+            "a blocked wait is counted, not logged: {:?}",
+            snap.events
+        );
+    }
+
+    /// Park a thread in `wait_one` on `cq` and return it once its park has
+    /// registered on the bell.
+    fn parked_waiter(
+        cq: &Arc<CompletionQueue>,
+    ) -> std::thread::JoinHandle<(Option<WorkCompletion>, usize)> {
+        let waits = cq.doorbell().stats().waits;
+        let cq2 = Arc::clone(cq);
+        let waiter = std::thread::spawn(move || {
+            let first = cq2.wait_one(Duration::from_secs(10));
+            let mut rest = Vec::new();
+            (first, cq2.poll_many(64, &mut rest))
+        });
+        while cq.doorbell().stats().waits == waits {
+            std::thread::yield_now();
+        }
+        waiter
+    }
+
+    #[test]
+    fn wake_batch_rings_each_bell_once_when_it_closes() {
+        let bell = Arc::new(Doorbell::new());
+        let (a, b) = (
+            CompletionQueue::with_doorbell(64, Arc::clone(&bell)),
+            CompletionQueue::with_doorbell(64, Arc::clone(&bell)),
+        );
+        let own = CompletionQueue::new(64);
+        {
+            let _sweep = WakeBatch::open();
+            for i in 0..10 {
+                a.push(wc(i));
+                b.push(wc(100 + i));
+                own.push_batch(&[wc(200 + i), wc(300 + i)]);
+            }
+            assert_eq!(
+                a.pending() + b.pending() + own.pending(),
+                40,
+                "queued at once"
+            );
+            assert_eq!((bell.current(), own.doorbell().current()), (0, 0));
+            let _nested = WakeBatch::open();
+        }
+        let (shared, own) = (bell.stats(), own.doorbell().stats());
+        assert_eq!(
+            (shared.rings, shared.coalesced),
+            (1, 19),
+            "one ring, two CQs"
+        );
+        assert_eq!((own.rings, own.coalesced), (1, 19));
+        // Outside a scope every push rings as before.
+        a.push(wc(1));
+        a.push_batch(&[wc(2), wc(3)]);
+        assert_eq!(bell.current(), 3);
+    }
+
+    #[test]
+    fn wake_batch_wakes_a_parked_waiter_once_for_the_whole_sweep() {
+        let cq = CompletionQueue::new(64);
+        let waiter = parked_waiter(&cq);
+        {
+            let _sweep = WakeBatch::open();
+            for i in 0..32 {
+                cq.push(wc(i));
+            }
+        }
+        let (first, rest) = waiter.join().unwrap();
+        assert_eq!(first.map(|c| c.wr_id), Some(0));
+        assert_eq!(rest, 31, "the waiter drains the whole sweep");
+        let s = cq.doorbell().stats();
+        assert_eq!((s.rings, s.notifies), (1, 1), "one futex wake: {s:?}");
+    }
+
+    #[test]
+    fn wake_batch_still_rings_for_an_error_among_quiet_successes() {
+        let cq = CompletionQueue::new(8);
+        cq.ring_on_success(false);
+        let waiter = parked_waiter(&cq);
+        {
+            let _sweep = WakeBatch::open();
+            cq.push(wc(1));
+            cq.push(WorkCompletion {
+                status: WcStatus::RetryExcError,
+                ..wc(2)
+            });
+            assert_eq!(cq.doorbell().current(), 0);
+        }
+        let (first, rest) = waiter.join().unwrap();
+        assert_eq!((first.map(|c| c.wr_id), rest), (Some(1), 1));
+        assert_eq!(cq.doorbell().stats().rings, 1);
+    }
+
+    #[test]
+    fn wake_batch_rings_on_unwind() {
+        let cq = CompletionQueue::new(8);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _sweep = WakeBatch::open();
+            cq.push(wc(1));
+            panic!("dispatch failed mid-sweep");
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(cq.doorbell().current(), 1, "the unwound scope rang");
+        cq.push(wc(2));
+        assert_eq!(cq.doorbell().current(), 2, "and closed: pushes ring again");
     }
 
     #[test]

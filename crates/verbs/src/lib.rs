@@ -68,7 +68,7 @@ pub mod pd;
 pub mod qp;
 pub mod wr;
 
-pub use cq::{CompletionQueue, CqInstruments};
+pub use cq::{CompletionQueue, CqInstruments, WakeBatch};
 pub use device::Device;
 pub use error::{VerbsError, VerbsResult, WcStatus};
 pub use mr::MemoryRegion;
