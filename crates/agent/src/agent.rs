@@ -28,7 +28,7 @@ use crate::proto::{status, PayloadDesc, RelayHeader, RelayMsg};
 use crate::wire::PeerWire;
 use bytes::{Bytes, BytesMut};
 use freeflow_shmem::{
-    ArenaHandle, Doorbell, DoorbellStats, Pump, ShmDuplex, ShmFabric, ShmMessage, ShmReceiver,
+    ArenaHandle, Doorbell, DoorbellStats, Pump, SharedArena, ShmDuplex, ShmMessage, ShmReceiver,
     ShmSender, Step,
 };
 use freeflow_telemetry::{Counter, Event, Histogram, LabelSet, Telemetry};
@@ -37,7 +37,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Payloads at or above this size are re-staged into the arena on local
 /// delivery instead of being copied inline through the ring.
@@ -46,11 +46,11 @@ pub const ZERO_COPY_THRESHOLD: usize = 4096;
 /// Ring capacity of each container↔agent channel direction.
 const CONTAINER_CHANNEL_CAP: usize = 1 << 21; // 2 MiB
 
-/// How many times a full wire is retried before the message is nacked
-/// with [`status::TIMEOUT`]. The peer pump drains the wire, so a healthy
-/// link clears in a handful of yields; exhausting the budget means the
-/// peer is wedged or gone.
-const WIRE_SEND_RETRIES: usize = 256;
+/// How long a send waits for room on a full wire before its frames are
+/// nacked with [`status::TIMEOUT`]. The peer pump drains the wire and each
+/// pop rings the space the sender parks on, so a healthy link clears long
+/// before this; running it out means the peer is wedged or gone.
+const WIRE_FULL_WAIT: Duration = Duration::from_millis(10);
 
 /// Ceiling on how many relay frames one coalesced wire message may carry.
 /// The adaptive per-wire limit grows toward this under backlog and decays
@@ -93,9 +93,9 @@ type Outbound = (usize, Bytes, RelayHeader);
 /// whenever a hub is attached, so the hot paths only touch atomics.
 struct AgentInstruments {
     hub: Arc<Telemetry>,
-    /// Wire-full retries spent before a relay eventually went out.
+    /// Relay sends that found the wire full and waited for room.
     wire_retries: Arc<Counter>,
-    /// Relays dropped after exhausting the full retry budget.
+    /// Relays nacked because the wire stayed full past its deadline.
     retry_exhausted: Arc<Counter>,
     /// Nacks synthesized toward local sources (unroutable, timeout, ...).
     nacks: Arc<Counter>,
@@ -113,12 +113,12 @@ impl AgentInstruments {
         Self {
             wire_retries: reg.counter(
                 "ff_agent_wire_retries_total",
-                "full-wire retries spent before a relay went out",
+                "relay sends that found the wire full and waited for room",
                 labels,
             ),
             retry_exhausted: reg.counter(
                 "ff_agent_retry_exhausted_total",
-                "relays nacked after exhausting the wire retry budget",
+                "relays nacked because the wire stayed full past its deadline",
                 labels,
             ),
             nacks: reg.counter(
@@ -159,7 +159,8 @@ struct AgentInner {
 /// The per-host FreeFlow network agent.
 pub struct Agent {
     host: HostId,
-    fabric: Arc<ShmFabric>,
+    /// The host's shared segment: zero-copy payload blocks live here.
+    arena: Arc<SharedArena>,
     inner: Mutex<AgentInner>,
     /// The one wake doorbell: shared as the data bell of every
     /// container→agent ring, handed to every peer wire, rung on control
@@ -181,9 +182,8 @@ pub struct AgentHandle {
     pub ip: OverlayIp,
     /// Duplex channel to the agent.
     pub channel: ShmDuplex,
-    /// The host's shared-memory fabric (arena access for zero-copy
-    /// payloads).
-    pub fabric: Arc<ShmFabric>,
+    /// The host's shared segment (zero-copy payloads).
+    pub arena: Arc<SharedArena>,
 }
 
 impl Agent {
@@ -191,7 +191,7 @@ impl Agent {
     pub fn new(host: HostId, arena_size: usize) -> Arc<Self> {
         Arc::new(Self {
             host,
-            fabric: ShmFabric::new(arena_size),
+            arena: SharedArena::new(arena_size),
             inner: Mutex::new(AgentInner {
                 containers: HashMap::new(),
                 wires: Vec::new(),
@@ -308,9 +308,9 @@ impl Agent {
         self.host
     }
 
-    /// The host's shm fabric.
-    pub fn fabric(&self) -> &Arc<ShmFabric> {
-        &self.fabric
+    /// The host's shared segment.
+    pub fn arena(&self) -> &Arc<SharedArena> {
+        &self.arena
     }
 
     /// Forwarding statistics.
@@ -349,7 +349,7 @@ impl Agent {
                 tx: to_agent_tx,
                 rx: to_ctr_rx,
             },
-            fabric: Arc::clone(&self.fabric),
+            arena: Arc::clone(&self.arena),
         })
     }
 
@@ -516,7 +516,7 @@ impl Agent {
         let wire_idx = self.inner.lock().routes.get(&h.dst.ip).copied();
         // An arena payload leaves the host as bytes: the container's
         // descriptor must name bytes inside the arena.
-        let outside = |(offset, len)| self.fabric.arena().block(offset, len).is_err();
+        let outside = |(offset, len)| self.arena.block(offset, len).is_err();
         let refusal = match wire_idx {
             None => status::REMOTE_OP,
             Some(_) if arena.is_some_and(outside) => status::REMOTE_ACCESS,
@@ -537,70 +537,49 @@ impl Agent {
                 [(_, frame, h)] if h.arena().is_none() => frame.clone(),
                 _ => self.wire_message(chunk),
             };
-            // The peer pump drains the wire; retry with backoff on a
-            // full queue, but *bounded* — a wire that never drains
-            // (wedged or dead peer) must surface as failed completions,
-            // not a hung forwarding thread.
-            let mut budget_exhausted = true;
-            let mut sent_ok = false;
             // Count before the frames become visible to the peer: its
             // reply can complete at the application before `send` even
             // returns here, and whoever observes that completion must
             // find the counter already moved. Undone if nothing ships.
             let frames = chunk.len() as u64;
             self.stats.relayed_out.fetch_add(frames, Ordering::Relaxed);
-            for attempt in 0..WIRE_SEND_RETRIES {
-                let sent = {
-                    let inner = self.inner.lock();
-                    inner.wires[idx].send(bytes.clone())
-                };
-                match sent {
-                    Ok(()) => {
-                        let tm = self.telemetry.read();
-                        tm.batch_size.record(chunk.len() as u64);
-                        if attempt > 0 {
-                            tm.wire_retries.add(attempt as u64);
-                            tm.hub.record(Event::RelayRetry {
-                                host: self.host.raw(),
-                                attempts: attempt as u32,
-                                exhausted: false,
-                            });
-                        }
-                        sent_ok = true;
-                        break;
-                    }
-                    Err(Error::Exhausted(_)) => {
-                        if attempt < 32 {
-                            std::thread::yield_now();
-                        } else {
-                            std::thread::sleep(Duration::from_micros(50));
-                        }
-                    }
-                    // Wire down or peer gone: fail over immediately.
-                    Err(_) => {
-                        budget_exhausted = false;
-                        break;
-                    }
+            // One try under the agent lock. A full wire is waited on with
+            // a handle taken out from under it, parked on the wire's space
+            // bell until one deadline: a wedged or dead peer surfaces as
+            // failed completions, not a hung forwarding thread.
+            let tried = {
+                let inner = self.inner.lock();
+                match inner.wires[idx].send(bytes.clone()) {
+                    Err(Error::Exhausted(_)) => Err(inner.wires[idx].clone()),
+                    sent => Ok(sent),
                 }
-            }
-            if sent_ok {
-                continue;
-            }
-            self.stats.relayed_out.fetch_sub(frames, Ordering::Relaxed);
-            let code = if budget_exhausted {
+            };
+            let sent = tried.unwrap_or_else(|wire| {
+                let sent = wire.send_until(bytes, Instant::now() + WIRE_FULL_WAIT);
                 let tm = self.telemetry.read();
-                tm.retry_exhausted.inc();
+                tm.wire_retries.inc();
                 tm.hub.record(Event::RelayRetry {
                     host: self.host.raw(),
-                    attempts: WIRE_SEND_RETRIES as u32,
-                    exhausted: true,
+                    // The try that found the wire full, then the parked send.
+                    attempts: 2,
+                    exhausted: matches!(sent, Err(Error::Exhausted(_))),
                 });
-                status::TIMEOUT
-            } else if self.route_is_stale(idx) {
-                status::STALE_ROUTE
-            } else {
-                status::TIMEOUT
+                sent
+            });
+            let code = match sent {
+                Ok(()) => {
+                    self.telemetry.read().batch_size.record(frames);
+                    continue;
+                }
+                Err(Error::Exhausted(_)) => {
+                    self.telemetry.read().retry_exhausted.inc();
+                    status::TIMEOUT
+                }
+                // Wire down or peer gone: fail over immediately.
+                Err(_) if self.route_is_stale(idx) => status::STALE_ROUTE,
+                Err(_) => status::TIMEOUT,
             };
+            self.stats.relayed_out.fetch_sub(frames, Ordering::Relaxed);
             for (_, _, h) in chunk {
                 self.nack(h, code);
             }
@@ -612,7 +591,7 @@ impl Agent {
     /// the arena refuses (a block the container no longer owns) ships as its
     /// descriptor, which the peer refuses with `REMOTE_ACCESS`.
     fn wire_message(&self, chunk: &[Outbound]) -> Bytes {
-        let arena = self.fabric.arena();
+        let arena = &self.arena;
         let (framed, named) = chunk.iter().fold((0, 0), |(f, n), (_, frame, h)| {
             (f + frame.len(), n + h.arena().map_or(0, |(_, len)| len))
         });
@@ -735,7 +714,7 @@ impl Agent {
                 for (_, h, staged) in run {
                     // Undo any staged block, then nack the remote sender.
                     if let Some((block, _)) = staged {
-                        let _ = self.fabric.arena().free(*block);
+                        let _ = self.arena.free(*block);
                     }
                     self.nack(h, status::REMOTE_OP);
                 }
@@ -765,7 +744,7 @@ impl Agent {
         if data < ZERO_COPY_THRESHOLD || !self.zero_copy.load(Ordering::Relaxed) {
             return (frame, None);
         }
-        let arena = self.fabric.arena();
+        let arena = &self.arena;
         let Ok(block) = arena.alloc(data as u64) else {
             return (frame, None); // arena full: copy path
         };
@@ -921,7 +900,7 @@ mod tests {
 
         // Sender stages a big payload in host 0's arena (zero-copy hop 1).
         let data = vec![0xAB; 8192];
-        let arena0 = src.fabric.arena();
+        let arena0 = &src.arena;
         let block = arena0.alloc(data.len() as u64).unwrap();
         arena0.write(block, 0, &data).unwrap();
         let msg = RelayMsg::Send {
@@ -948,9 +927,9 @@ mod tests {
                 assert_eq!(len, 8192);
                 let mut out = vec![0u8; 8192];
                 let handle = freeflow_shmem::ArenaHandle { offset, len };
-                dst.fabric.arena().read(handle, 0, &mut out).unwrap();
+                dst.arena.read(handle, 0, &mut out).unwrap();
                 assert_eq!(out, data);
-                dst.fabric.arena().free(handle).unwrap();
+                dst.arena.free(handle).unwrap();
             }
             other => panic!("expected arena delivery, got {other:?}"),
         }
@@ -968,7 +947,7 @@ mod tests {
         let src = a0.attach_container(ip(1)).unwrap();
         let dst = a1.attach_container(ip(2)).unwrap();
         a0.install_route(ip(2), w0).unwrap();
-        let arena = src.fabric.arena();
+        let arena = &src.arena;
         let _held = arena.alloc(4096).unwrap();
         let allocated = arena.allocated();
         for (wr_id, offset, len) in [(1, 1 << 30, 64), (2, 0, 1 << 40)] {
@@ -1042,7 +1021,7 @@ mod tests {
         // agent refuses the frame toward its sender instead, and delivers
         // the legitimate frame batched behind it.
         let (a0, a1, w0, src, dst) = wired_pair();
-        let arena1 = dst.fabric.arena();
+        let arena1 = &dst.arena;
         let victim = arena1.alloc(4096).unwrap();
         let legit = send_msg(1, 2, 8, b"legit");
         let mut batch = BytesMut::new();
@@ -1063,7 +1042,7 @@ mod tests {
     #[test]
     fn batched_arena_payloads_are_materialized_into_the_wire_message() {
         let (a0, a1, _, src, dst) = wired_pair();
-        let arena0 = src.fabric.arena();
+        let arena0 = &src.arena;
         let stage = |data: &[u8]| {
             let block = arena0.alloc(data.len() as u64).unwrap();
             arena0.write(block, 0, data).unwrap();
@@ -1086,7 +1065,7 @@ mod tests {
                 wr_id: 1,
                 payload: RelayPayload::Arena { offset, len: 8192 },
                 ..
-            } => assert_eq!(dst.fabric.arena().take(offset, 8192).unwrap(), big),
+            } => assert_eq!(dst.arena.take(offset, 8192).unwrap(), big),
             other => panic!("expected the big payload restaged, got {other:?}"),
         }
         assert_eq!(recv_inline(&dst), frames[1]);
@@ -1105,7 +1084,7 @@ mod tests {
         // Both frames name the same block; the first takes it, so the
         // second ships as its descriptor and comes back refused.
         let (a0, a1, _, src, dst) = wired_pair();
-        let arena0 = src.fabric.arena();
+        let arena0 = &src.arena;
         let block = arena0.alloc(64).unwrap();
         arena0.write(block, 0, &[5; 64]).unwrap();
         for wr_id in [1, 2] {
@@ -1597,5 +1576,110 @@ mod tests {
             ]
         ));
         snap.verify_exposition_round_trip().unwrap();
+    }
+
+    /// Two agents joined by an RDMA wire that holds one message, a
+    /// container on each, the route host 0 → host 1 installed, both on one
+    /// hub; driven by hand.
+    fn narrow_pair() -> (
+        Arc<Agent>,
+        Arc<Agent>,
+        usize,
+        AgentHandle,
+        AgentHandle,
+        Arc<Telemetry>,
+    ) {
+        let a0 = Agent::new(HostId::new(0), 1 << 20);
+        let a1 = Agent::new(HostId::new(1), 1 << 20);
+        let hub = Telemetry::new();
+        a0.attach_telemetry(&hub);
+        let (wa, wb) = PeerWire::pair(
+            (a0.host(), Arc::clone(&a0.bell)),
+            (a1.host(), Arc::clone(&a1.bell)),
+            TransportKind::Rdma,
+            1,
+        );
+        let w0 = a0.attach_wire(wa);
+        a1.attach_wire(wb);
+        let src = a0.attach_container(ip(1)).unwrap();
+        let dst = a1.attach_container(ip(2)).unwrap();
+        a0.install_route(ip(2), w0).unwrap();
+        // The first frame fills the wire.
+        src.channel
+            .tx
+            .send(&send_msg(1, 2, 1, b"fills").encode())
+            .unwrap();
+        assert_eq!(a0.poll(), 1);
+        src.channel
+            .tx
+            .send(&send_msg(1, 2, 2, b"waits").encode())
+            .unwrap();
+        (a0, a1, w0, src, dst, hub)
+    }
+
+    /// Poll `agent` on a thread and return once that poll is parked on
+    /// wire `idx`'s space bell. Taking the agent lock to look also shows
+    /// the parked sender does not hold it.
+    fn poll_until_parked(agent: &Arc<Agent>, idx: usize) -> std::thread::JoinHandle<usize> {
+        let poller = {
+            let agent = Arc::clone(agent);
+            std::thread::spawn(move || agent.poll())
+        };
+        while agent.inner.lock().wires[idx].space_stats().waits == 0 {
+            assert!(!poller.is_finished(), "the send never parked");
+            std::thread::yield_now();
+        }
+        poller
+    }
+
+    fn counter(hub: &Telemetry, name: &str) -> Option<u64> {
+        hub.snapshot().counter_value(name, LabelSet::host(0))
+    }
+
+    #[test]
+    fn a_send_parked_on_a_full_wire_completes_when_the_peer_pops() {
+        let (a0, a1, w0, src, dst, hub) = narrow_pair();
+        let poller = poll_until_parked(&a0, w0);
+        // The peer's poll pops the one queued message, which rings the
+        // space the sender is parked on.
+        assert_eq!(a1.poll(), 1);
+        assert_eq!(poller.join().unwrap(), 1);
+        let space = a0.inner.lock().wires[w0].space_stats();
+        assert_eq!((space.waits, space.wakes, space.timeouts), (1, 1, 0));
+        a1.poll();
+        for wr in [1, 2] {
+            assert!(matches!(recv_inline(&dst), RelayMsg::Send { wr_id, .. } if wr_id == wr));
+        }
+        assert_eq!(counter(&hub, "ff_agent_wire_retries_total"), Some(1));
+        assert_eq!(counter(&hub, "ff_agent_retry_exhausted_total"), Some(0));
+        assert_eq!(a0.stats().relayed_out.load(Ordering::Relaxed), 2);
+        assert_eq!(a0.stats().nacked.load(Ordering::Relaxed), 0);
+        assert!(src.channel.rx.try_recv().is_err(), "nothing came back");
+    }
+
+    #[test]
+    fn a_wedged_peer_gets_the_frames_nacked_at_the_wire_deadline() {
+        let (a0, _a1, w0, src, _dst, hub) = narrow_pair();
+        let t0 = Instant::now();
+        assert_eq!(a0.poll(), 1);
+        assert!(t0.elapsed() >= WIRE_FULL_WAIT, "{:?}", t0.elapsed());
+        expect_nack(&src, 2, status::TIMEOUT);
+        assert_eq!(counter(&hub, "ff_agent_wire_retries_total"), Some(1));
+        assert_eq!(counter(&hub, "ff_agent_retry_exhausted_total"), Some(1));
+        assert_eq!(a0.inner.lock().wires[w0].space_stats().timeouts, 1);
+        assert_eq!(a0.stats().relayed_out.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn downing_the_wire_wakes_a_parked_sender_and_nacks_at_once() {
+        let (a0, _a1, w0, src, _dst, hub) = narrow_pair();
+        let poller = poll_until_parked(&a0, w0);
+        a0.set_wire_up(w0, false).unwrap();
+        assert_eq!(poller.join().unwrap(), 1);
+        expect_nack(&src, 2, status::TIMEOUT);
+        // Woken by the link change, not by the deadline.
+        let space = a0.inner.lock().wires[w0].space_stats();
+        assert_eq!((space.waits, space.wakes, space.timeouts), (1, 1, 0));
+        assert_eq!(counter(&hub, "ff_agent_retry_exhausted_total"), Some(0));
     }
 }

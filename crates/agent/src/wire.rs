@@ -8,16 +8,19 @@
 //! experiments assert which plane traffic actually used, and the capacity
 //! bound gives inter-host backpressure.
 //!
-//! Wires are event-driven: each endpoint holds the *peer* agent's wake
-//! doorbell and rings it after every send and every link-state change, so
-//! a parked agent learns of inbound wire traffic the same way it learns
-//! of container traffic (DESIGN.md §12, "Wake protocol").
+//! Wires are event-driven: each direction is a [`Queue`] whose pushes
+//! ring the *receiving* agent's wake doorbell, so a parked agent learns of
+//! inbound wire traffic the same way it learns of container traffic, and
+//! a sender that finds the wire full parks on the queue's space bell
+//! (DESIGN.md §12, "Wake protocol"). A link-state change rings all four
+//! bells: both agents re-evaluate, and a parked sender fails over at once.
 
 use bytes::Bytes;
-use freeflow_shmem::Doorbell;
+use freeflow_shmem::{Doorbell, Queue, QueueSender};
 use freeflow_types::{Error, HostId, Result, TransportKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Counters and link state shared by both endpoints of a wire.
 #[derive(Debug)]
@@ -41,51 +44,48 @@ impl Default for WireStats {
     }
 }
 
-/// One agent's endpoint of a peer link.
+/// One agent's endpoint of a peer link. Cloning it yields another handle
+/// on the same endpoint, so a sender that must wait for room can take one
+/// out from under the agent lock.
+#[derive(Clone)]
 pub struct PeerWire {
     /// The remote agent's host.
     pub peer_host: HostId,
     /// Data plane this link models.
     pub kind: TransportKind,
-    tx: crossbeam::channel::Sender<Bytes>,
-    rx: crossbeam::channel::Receiver<Bytes>,
-    /// This end's own agent's wake doorbell (rung on link-state changes).
-    bell: Arc<Doorbell>,
-    /// The remote agent's wake doorbell: rung after every send.
-    peer_bell: Arc<Doorbell>,
+    /// Toward the peer; pushes ring the remote agent's wake doorbell.
+    tx: QueueSender<Bytes>,
+    /// From the peer; its pushes ring this end's own agent's doorbell.
+    rx: Arc<Queue<Bytes>>,
     stats: Arc<WireStats>,
 }
 
 impl PeerWire {
     /// Create a connected pair with `depth`-message queues per direction.
-    /// Each end is `(host, that host's agent's wake doorbell)`: the wire
-    /// rings the *receiving* agent's bell after a send.
+    /// Each end is `(host, that host's agent's wake doorbell)`: a send
+    /// rings the *receiving* agent's bell.
     pub fn pair(
         (a_host, a_bell): (HostId, Arc<Doorbell>),
         (b_host, b_bell): (HostId, Arc<Doorbell>),
         kind: TransportKind,
         depth: usize,
     ) -> (PeerWire, PeerWire) {
-        let (a_tx, b_rx) = crossbeam::channel::bounded(depth);
-        let (b_tx, a_rx) = crossbeam::channel::bounded(depth);
+        let (a_tx, b_rx) = Queue::bounded(depth, b_bell);
+        let (b_tx, a_rx) = Queue::bounded(depth, a_bell);
         let stats = Arc::new(WireStats::default());
         (
             PeerWire {
                 peer_host: b_host,
                 kind,
                 tx: a_tx,
-                rx: a_rx,
-                bell: Arc::clone(&a_bell),
-                peer_bell: Arc::clone(&b_bell),
+                rx: Arc::new(a_rx),
                 stats: Arc::clone(&stats),
             },
             PeerWire {
                 peer_host: a_host,
                 kind,
                 tx: b_tx,
-                rx: b_rx,
-                bell: b_bell,
-                peer_bell: a_bell,
+                rx: Arc::new(b_rx),
                 stats,
             },
         )
@@ -101,47 +101,65 @@ impl PeerWire {
     pub fn set_up(&self, up: bool) {
         self.stats.up.store(up, Ordering::Release);
         // A control change: both agents re-evaluate instead of sleeping
-        // through it.
-        self.bell.ring();
-        self.peer_bell.ring();
+        // through it, and a sender parked on either direction's space
+        // re-checks the link.
+        for bell in [self.rx.bell(), self.tx.bell()] {
+            bell.ring();
+        }
+        self.tx.space().ring();
+        self.rx.space().ring();
     }
 
-    /// Send an encoded message to the peer agent.
-    pub fn send(&self, msg: Bytes) -> Result<()> {
-        if !self.is_up() {
-            return Err(Error::disconnected(format!(
-                "{} wire to {} is down",
-                self.kind, self.peer_host
-            )));
+    fn check_up(&self) -> Result<()> {
+        if self.is_up() {
+            return Ok(());
         }
-        let len = msg.len() as u64;
-        self.tx.try_send(msg).map_err(|e| match e {
-            crossbeam::channel::TrySendError::Full(_) => {
-                Error::exhausted(format!("wire to {} full", self.peer_host))
-            }
-            crossbeam::channel::TrySendError::Disconnected(_) => {
-                Error::disconnected(format!("peer agent on {} gone", self.peer_host))
-            }
-        })?;
+        Err(Error::disconnected(format!(
+            "{} wire to {} is down",
+            self.kind, self.peer_host
+        )))
+    }
+
+    fn count(&self, len: u64) {
         self.stats.msgs.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes.fetch_add(len, Ordering::Relaxed);
-        self.peer_bell.ring();
+    }
+
+    /// Send an encoded message to the peer agent without waiting:
+    /// [`Error::Exhausted`] when the wire is full.
+    pub fn send(&self, msg: Bytes) -> Result<()> {
+        self.check_up()?;
+        let len = msg.len() as u64;
+        self.tx.try_push(msg)?;
+        self.count(len);
+        Ok(())
+    }
+
+    /// Send, parking on the wire's space bell while it is full until
+    /// `deadline` ([`Error::Exhausted`] after it). A link brought down
+    /// ends the wait at once with [`Error::Disconnected`].
+    pub fn send_until(&self, msg: Bytes, deadline: Instant) -> Result<()> {
+        let len = msg.len() as u64;
+        self.tx.push_until(msg, deadline, || self.check_up())?;
+        self.count(len);
         Ok(())
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<Bytes> {
-        self.rx.try_recv().map_err(|e| match e {
-            crossbeam::channel::TryRecvError::Empty => Error::WouldBlock,
-            crossbeam::channel::TryRecvError::Disconnected => {
-                Error::disconnected(format!("peer agent on {} gone", self.peer_host))
-            }
-        })
+        self.rx.try_pop()?.ok_or(Error::WouldBlock)
     }
 
     /// Shared counters.
     pub fn stats(&self) -> &WireStats {
         &self.stats
+    }
+
+    /// Counters of the bell a sender parks on while this end's outbound
+    /// direction is full.
+    #[cfg(test)]
+    pub(crate) fn space_stats(&self) -> freeflow_shmem::DoorbellStats {
+        self.tx.space().stats()
     }
 }
 

@@ -70,7 +70,7 @@ fn frames_naming_one_block_cannot_size_a_wire_message_past_the_arena() {
     let _dst = a1.attach_container(ip(2)).unwrap();
     a0.install_route(ip(2), w0).unwrap();
     a1.install_route(ip(1), w1).unwrap();
-    let arena = src.fabric.arena();
+    let arena = &src.arena;
     let _held = arena.alloc(4096).unwrap();
     let budget = arena.size() as usize + (64 << 10);
     // The wire's batch limit doubles per full poll, to 64 frames by the 6th.

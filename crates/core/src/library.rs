@@ -17,13 +17,14 @@
 //! Memory registrations are arena-backed when the host segment has room,
 //! so that the intra-host data plane is genuinely zero-copy shared memory.
 
+use crate::binding::BindingPhase;
 use crate::cache::{degraded_host, LocationCache};
 use crate::orch_client::OrchClient;
 use crate::qp::FfQp;
 use freeflow_agent::proto::RelayMsg;
 use freeflow_agent::AgentHandle;
 use freeflow_orchestrator::{FeedPoll, FeedSubscription, Orchestrator, OrchestratorEvent};
-use freeflow_shmem::{Doorbell, Pump, ShmFabric, ShmMessage, ShmReceiver, ShmSender, Step};
+use freeflow_shmem::{Doorbell, Pump, SharedArena, ShmMessage, ShmReceiver, ShmSender, Step};
 use freeflow_telemetry::{Event, LabelSet, Telemetry};
 use freeflow_types::{ContainerId, Error, HostId, OverlayIp, Result, TenantId, TransportKind};
 use freeflow_verbs::wr::AccessFlags;
@@ -32,6 +33,7 @@ use freeflow_verbs::{
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -39,11 +41,10 @@ use std::time::{Duration, Instant};
 /// One sweep costs one coalesced space doorbell regardless of size.
 const PUMP_DRAIN: usize = 64;
 
-/// Cadence of the pump's housekeeping: its idle deadline, i.e. how long it
-/// parks on the agent ring before looking at the control-plane feed, and
-/// how often it walks every QP to advance drains/rebinds and sweep op
-/// deadlines when no control event asked for a walk sooner.
-const HOUSEKEEPING_TICK: Duration = Duration::from_millis(1);
+/// How soon an idle pump retries work that waits on something that cannot
+/// ring it: a snapshot resync while the control plane is unreachable, or a
+/// rebind waiting on its peer's half. Nothing else gives it a deadline.
+const RETRY_AFTER: Duration = Duration::from_millis(1);
 
 /// A resolved path to a destination IP.
 #[derive(Debug, Clone, Copy)]
@@ -73,9 +74,22 @@ pub(crate) struct LibShared {
     pub device: Arc<Device>,
     /// Channel to the host agent (sender half; the pump owns the receiver).
     pub agent_tx: Mutex<ShmSender>,
-    /// The host's shm fabric (arena for zero-copy payloads); swapped on
+    /// The host's shared segment (zero-copy payloads); swapped on
     /// migration.
-    pub fabric: RwLock<Arc<ShmFabric>>,
+    pub arena: RwLock<Arc<SharedArena>>,
+    /// The bell the pump parks on (the agent→container ring's data bell);
+    /// swapped on migration. The control feed and a migration thaw ring it.
+    pub pump_bell: RwLock<Arc<Doorbell>>,
+    /// A QP walk asked for from outside one: a migration thaw, or a drain
+    /// a rehome or a failover started.
+    walk_asked: AtomicBool,
+    /// No later than the earliest deadline of a remote op any QP may still
+    /// have pending, in nanoseconds since `epoch`; `u64::MAX` for none.
+    /// Posts lower it and a walk recomputes it, so the pump may wake early
+    /// for it, never late.
+    op_due: AtomicU64,
+    /// Origin of `op_due`.
+    epoch: Instant,
     /// The control-plane client (deadlines, bounded retries, degraded
     /// flag — every orchestrator call this library makes goes through it).
     pub client: OrchClient,
@@ -94,9 +108,44 @@ impl LibShared {
         *self.host.read()
     }
 
-    /// The shm fabric of the current host.
-    pub fn fabric(&self) -> Arc<ShmFabric> {
-        Arc::clone(&self.fabric.read())
+    /// The shared segment of the current host.
+    pub fn arena(&self) -> Arc<SharedArena> {
+        Arc::clone(&self.arena.read())
+    }
+
+    /// Subscribe to the control feed, rung on the pump's bell.
+    fn subscribe(&self) -> FeedSubscription {
+        self.client.subscribe(Arc::clone(&self.pump_bell.read()))
+    }
+
+    /// Ask the pump for a QP walk: its next step runs one.
+    pub(crate) fn request_walk(&self) {
+        self.walk_asked.store(true, Ordering::Release);
+        self.pump_bell.read().ring();
+    }
+
+    /// A remote op due at `at` is now pending: make sure the pump's idle
+    /// deadline is no later, ringing it when this moves the deadline in.
+    /// Call after the op is registered with its QP.
+    pub(crate) fn note_op_due(&self, at: Instant) {
+        if self.lower_op_due(at) {
+            self.pump_bell.read().ring();
+        }
+    }
+
+    /// Lower `op_due` to `at`; whether it moved. Under traffic it stays at
+    /// an older, earlier deadline, so a post reads it and writes nothing.
+    fn lower_op_due(&self, at: Instant) -> bool {
+        let ns = at.saturating_duration_since(self.epoch).as_nanos() as u64;
+        self.op_due.load(Ordering::SeqCst) > ns && self.op_due.fetch_min(ns, Ordering::SeqCst) > ns
+    }
+
+    /// The earliest op deadline the pump must wake for, if any.
+    fn op_due(&self) -> Option<Instant> {
+        match self.op_due.load(Ordering::SeqCst) {
+            u64::MAX => None,
+            ns => Some(self.epoch + Duration::from_nanos(ns)),
+        }
     }
 
     /// Resolve where `dst` lives and which transport to use.
@@ -219,7 +268,7 @@ impl LibShared {
                     // was blocked): everything since is lost. Resubscribe
                     // and resync, or this library never hears another
                     // event.
-                    *sub = self.client.subscribe();
+                    *sub = self.subscribe();
                     *needs_resync = true;
                     break;
                 }
@@ -303,9 +352,15 @@ impl LibShared {
         qps
     }
 
-    /// Housekeeping walk over every live QP: advance drains/rebinds, sweep
-    /// op deadlines and, when `paths_dirty`, look for better paths.
-    fn walk_qps(&self, paths_dirty: bool) {
+    /// Walk every live QP: advance drains/rebinds, sweep op deadlines,
+    /// recompute the earliest one and, when `paths_dirty`, look for better
+    /// paths. Returns whether some binding is left mid-transition, which
+    /// later sweeps or a retry must advance.
+    fn walk_qps(&self, paths_dirty: bool) -> bool {
+        // Reset before the scan: a post the scan misses registered its op
+        // after the reset, so its `note_op_due` lowers the result again.
+        self.op_due.store(u64::MAX, Ordering::SeqCst);
+        let (mut due, mut unsettled) = (None::<Instant>, false);
         for qp in self.live_qps() {
             if paths_dirty {
                 // Better paths may exist: start planned drains
@@ -316,8 +371,20 @@ impl LibShared {
             qp.poll_binding();
             // The op deadline, the only timer on a remote op: expire
             // ops whose replies never arrived, failing over.
-            qp.sweep_timeouts();
+            if let Some(at) = qp.sweep_timeouts() {
+                due = Some(due.map_or(at, |d| d.min(at)));
+            }
+            // A drain settles when its last answer arrives and a collapse
+            // waits on its peer's half; a held one waits for the thaw.
+            let phase = qp.binding_phase();
+            unsettled |= matches!(phase, BindingPhase::Draining | BindingPhase::Rebinding)
+                && !qp.migration_held();
         }
+        // The pump reads the result before it parks: no ring needed.
+        if let Some(at) = due {
+            self.lower_op_due(at);
+        }
+        unsettled
     }
 
     /// Hand relay messages to the host agent as one push. A lone frame
@@ -384,11 +451,9 @@ impl LibHandle {
 
     /// Register `len` bytes of memory (arena-backed when possible).
     pub fn register(&self, len: u64, access: AccessFlags) -> VerbsResult<Arc<MemoryRegion>> {
-        let fabric = self.shared.fabric();
-        if let Ok(handle) = fabric.arena().alloc(len) {
-            return self
-                .pd
-                .register_arena(Arc::clone(fabric.arena()), handle, access);
+        let arena = self.shared.arena();
+        if let Ok(handle) = arena.alloc(len) {
+            return self.pd.register_arena(arena, handle, access);
         }
         self.pd.register(len, access)
     }
@@ -490,11 +555,7 @@ impl NetLibrary {
         orchestrator: Arc<Orchestrator>,
         telemetry: Arc<Telemetry>,
     ) -> Self {
-        let AgentHandle {
-            ip,
-            channel,
-            fabric,
-        } = handle;
+        let AgentHandle { ip, channel, arena } = handle;
         let shared = Arc::new(LibShared {
             id,
             ip,
@@ -502,7 +563,11 @@ impl NetLibrary {
             host: RwLock::new(host),
             device: Arc::clone(&device),
             agent_tx: Mutex::new(channel.tx),
-            fabric: RwLock::new(fabric),
+            arena: RwLock::new(arena),
+            pump_bell: RwLock::new(Arc::clone(channel.rx.data_bell())),
+            walk_asked: AtomicBool::new(false),
+            op_due: AtomicU64::new(u64::MAX),
+            epoch: Instant::now(),
             client: OrchClient::new(
                 Arc::clone(&orchestrator),
                 Some(host),
@@ -529,7 +594,7 @@ impl NetLibrary {
             });
         }
         let pd = device.alloc_pd();
-        let pump = Self::spawn_pump(Arc::clone(&shared), channel.rx, shared.client.subscribe());
+        let pump = Self::spawn_pump(Arc::clone(&shared), channel.rx);
         Self {
             shared,
             pd,
@@ -538,18 +603,25 @@ impl NetLibrary {
     }
 
     /// The library's inbound loop as a step on the one [`Pump`] driver,
-    /// parked on the agent→container ring's data bell. A step drains one
-    /// `PUMP_DRAIN` sweep and dispatches it to the QPs, applies control
-    /// events, and walks every QP on a control event or once
-    /// `HOUSEKEEPING_TICK` has passed since the last walk — the idle
-    /// deadline. The agent closing the ring (detach, migration) ends it.
-    fn spawn_pump(shared: Arc<LibShared>, rx: ShmReceiver, mut sub: FeedSubscription) -> Pump {
+    /// parked on the agent→container ring's data bell, which the control
+    /// feed rings too. A step drains one `PUMP_DRAIN` sweep and dispatches
+    /// it to the QPs, applies control events, and walks every QP when an
+    /// event, a thaw or an overdue op asks for it, or after every step
+    /// while a binding is mid-transition. Idle, it parks until the
+    /// earliest pending op deadline (with none when no remote op is
+    /// pending), or for `RETRY_AFTER` while a resync or a transition waits
+    /// on something that cannot ring. The agent closing the ring (detach,
+    /// migration) ends it.
+    fn spawn_pump(shared: Arc<LibShared>, rx: ShmReceiver) -> Pump {
+        let mut sub = shared.subscribe();
         // Set when a sequence gap (or feed loss) shows events were missed;
         // cleared by a successful snapshot resync.
         let mut needs_resync = false;
         // Scratch for batched inbound drains (reused across steps).
         let mut inbound: Vec<ShmMessage> = Vec::with_capacity(PUMP_DRAIN);
-        let mut last_walk = Instant::now();
+        // Whether the last walk left a binding mid-transition. True at
+        // start: a rehome asked every QP to reconsider its path.
+        let mut unsettled = true;
         let name = format!("ff-lib-{}", shared.ip);
         let bell = Arc::clone(rx.data_bell());
         Pump::spawn(name, bell, Duration::ZERO, move || {
@@ -583,17 +655,23 @@ impl NetLibrary {
                 return Step::Done; // agent gone
             }
             let paths_dirty = shared.poll_feed(&mut sub, &mut needs_resync);
-            // The QP walk is housekeeping, not per-message work.
             let now = Instant::now();
-            if paths_dirty || now.duration_since(last_walk) >= HOUSEKEEPING_TICK {
-                last_walk = now;
-                shared.walk_qps(paths_dirty);
+            // A drain settles when a sweep delivers its last answer, and an
+            // op can fall overdue while the pump never goes idle.
+            if paths_dirty
+                || unsettled
+                || shared.walk_asked.swap(false, Ordering::AcqRel)
+                || shared.op_due().is_some_and(|at| at <= now)
+            {
+                unsettled = shared.walk_qps(paths_dirty);
             }
             if worked {
-                Step::Worked
-            } else {
-                Step::Idle(Some(last_walk + HOUSEKEEPING_TICK))
+                return Step::Worked;
             }
+            if unsettled || needs_resync {
+                return Step::Idle(Some(now + RETRY_AFTER));
+            }
+            Step::Idle(shared.op_due())
         })
     }
 
@@ -613,7 +691,7 @@ impl NetLibrary {
     }
 
     /// Re-home this library onto another host after `cluster.migrate`
-    /// moved the container: swap the agent channel, fabric and host,
+    /// moved the container: swap the agent channel, arena and host,
     /// restart the pump, and let live QPs re-evaluate their paths. The
     /// virtual NIC (and with it every QP, CQ and MR the application
     /// holds) survives — that is what makes migration invisible above
@@ -625,9 +703,10 @@ impl NetLibrary {
         let AgentHandle {
             ip: _,
             channel,
-            fabric,
+            arena,
         } = handle;
         *self.shared.agent_tx.lock() = channel.tx;
+        *self.shared.pump_bell.write() = Arc::clone(channel.rx.data_bell());
         // Arena-backed MRs still alias the *source* host's shared segment;
         // copy each registration's bytes into the new host's arena before
         // any data-plane traffic resumes (real hardware cannot DMA into
@@ -635,7 +714,7 @@ impl NetLibrary {
         // fit degrade to private storage — counted, not fatal.
         for mr in self.shared.device.mrs() {
             let was_arena = mr.is_arena_backed();
-            if was_arena && !mr.rehome(fabric.arena()) {
+            if was_arena && !mr.rehome(&arena) {
                 self.shared
                     .telemetry
                     .registry()
@@ -647,18 +726,14 @@ impl NetLibrary {
                     .inc();
             }
         }
-        *self.shared.fabric.write() = fabric;
+        *self.shared.arena.write() = arena;
         *self.shared.host.write() = host;
         // The control-plane client now calls from the new host (per-host
         // partitions must apply to where the library actually runs).
         self.shared.client.set_host(host);
         // Every cached location was resolved relative to the old host.
         self.shared.cache.clear();
-        self.pump = Some(Self::spawn_pump(
-            Arc::clone(&self.shared),
-            channel.rx,
-            self.shared.client.subscribe(),
-        ));
+        self.pump = Some(Self::spawn_pump(Arc::clone(&self.shared), channel.rx));
         // Live QPs re-evaluate their paths relative to the new host —
         // a remote path to a now-co-located peer collapses onto shared
         // memory from here (the pump completes it).
@@ -774,8 +849,12 @@ mod tests {
             tenant: TenantId::new(1),
             host: RwLock::new(host),
             device: VerbsNetwork::new().create_device(ip),
+            pump_bell: RwLock::new(Arc::clone(handle.channel.rx.data_bell())),
             agent_tx: Mutex::new(handle.channel.tx),
-            fabric: RwLock::new(handle.fabric),
+            arena: RwLock::new(handle.arena),
+            walk_asked: AtomicBool::new(false),
+            op_due: AtomicU64::new(u64::MAX),
+            epoch: Instant::now(),
             client: OrchClient::new(Arc::clone(&orch), Some(host), Arc::clone(&telemetry)),
             cache: LocationCache::new(),
             qps: Mutex::new(HashMap::new()),
@@ -787,7 +866,7 @@ mod tests {
                 .counter_value("ff_orch_resyncs_total", LabelSet::none())
                 .unwrap_or(0)
         };
-        let (mut sub, mut needs_resync) = (lib.client.subscribe(), false);
+        let (mut sub, mut needs_resync) = (lib.subscribe(), false);
         // Three events per cycle: more than the 1 024 the feed queues for
         // a subscriber that does not poll, so it is pruned.
         for _ in 0..350 {

@@ -17,7 +17,7 @@
 use freeflow_orchestrator::orchestrator::require_transport;
 use freeflow_orchestrator::{ContainerRecord, ControlSnapshot, FeedSubscription, Orchestrator};
 use freeflow_telemetry::{LabelSet, Telemetry};
-use freeflow_types::{Error, HostId, OverlayIp, Result, TransportKind};
+use freeflow_types::{Doorbell, Error, HostId, OverlayIp, Result, TransportKind};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -213,11 +213,12 @@ impl OrchClient {
     }
 
     /// Subscribe to the event feed from this client's host (partitions of
-    /// that host withhold delivery, surfacing as a gap on heal).
-    pub fn subscribe(&self) -> FeedSubscription {
+    /// that host withhold delivery, surfacing as a gap on heal); every
+    /// delivered event rings `bell`.
+    pub fn subscribe(&self, bell: Arc<Doorbell>) -> FeedSubscription {
         match self.host() {
-            Some(h) => self.orchestrator.subscribe_from(h),
-            None => self.orchestrator.subscribe(),
+            Some(h) => self.orchestrator.subscribe_from(h, bell),
+            None => self.orchestrator.subscribe(bell),
         }
     }
 }

@@ -169,6 +169,10 @@ pub struct FfQp {
     /// binding frozen in `Draining`: the pump must not advance the
     /// lifecycle until the migration commits or aborts (the thaw).
     migration_hold: AtomicBool,
+    /// Held while the lifecycle advances. The pump's walk and a migration
+    /// thaw both advance it; two at once could both bring the verbs QP up
+    /// for a collapse, and the loser would abort the collapse.
+    advancing: Mutex<()>,
     /// How many times this QP re-established its path after a transport
     /// failure (tests/diagnostics).
     failovers: AtomicU64,
@@ -234,6 +238,7 @@ impl FfQp {
             signal,
             op_timeout_ns: AtomicU64::new(DEFAULT_OP_TIMEOUT.as_nanos() as u64),
             migration_hold: AtomicBool::new(false),
+            advancing: Mutex::new(()),
             failovers: AtomicU64::new(0),
             tm_failovers,
             tm_rebinds,
@@ -508,28 +513,32 @@ impl FfQp {
     /// semantics are ordered, so one lost op means the path is gone). The
     /// flight recorder gets a [`Event::RelayExpired`] with the number of
     /// overdue ops, so a silent loss reads apart from a nacked one.
-    pub fn sweep_timeouts(&self) {
+    /// Returns the earliest deadline still pending, if any.
+    pub fn sweep_timeouts(&self) -> Option<Instant> {
         let now = Instant::now();
-        let expired = {
+        let (mut expired, mut next) = (0, None::<Instant>);
+        {
             let inner = self.inner.lock();
-            inner
-                .pending_sends
-                .values()
-                .filter(|p| p.deadline <= now)
-                .count()
-                + inner
-                    .pending_reads
-                    .values()
-                    .filter(|p| p.deadline <= now)
-                    .count()
-        };
-        if expired > 0 {
-            self.lib.telemetry.record(Event::RelayExpired {
-                host: self.lib.host().raw(),
-                entries: expired as u32,
-            });
-            self.on_transport_failure(false);
+            let pending = (inner.pending_sends.values().map(|p| p.deadline))
+                .chain(inner.pending_reads.values().map(|p| p.deadline));
+            for at in pending {
+                if at <= now {
+                    expired += 1;
+                } else {
+                    next = Some(next.map_or(at, |n| n.min(at)));
+                }
+            }
         }
+        if expired == 0 {
+            return next;
+        }
+        self.lib.telemetry.record(Event::RelayExpired {
+            host: self.lib.host().raw(),
+            entries: expired as u32,
+        });
+        // Every pending op is flushed with the failure.
+        self.on_transport_failure(false);
+        None
     }
 
     /// The path to the peer died. Every outstanding send/write/read
@@ -628,12 +637,14 @@ impl FfQp {
             // The peer migrated onto this host: the pump finishes the
             // collapse onto shared memory (the caller already flushed
             // everything outstanding, so the drain settles immediately).
+            self.lib.request_walk();
             return true;
         }
         let unsettled = inner.pending_sends.len() + inner.pending_reads.len();
         if inner.binding.begin_rebind(unsettled).is_err() {
             // Outstanding work the caller did not flush: the drain
             // finishes on the pump and the rebind completes there.
+            self.lib.request_walk();
             return true;
         }
         self.signal.publish(&inner.binding);
@@ -714,13 +725,17 @@ impl FfQp {
                 current.as_str(),
                 false,
             );
+            // The pump advances the drain; this may run off the pump
+            // (a rehome), so ask it to walk.
+            self.lib.request_walk();
         }
     }
 
-    /// Called from the library pump every tick: advance an in-progress
-    /// drain/rebind. All planned lifecycle work runs here, serialized
-    /// with inbound processing on the pump thread.
+    /// Called from the library pump's QP walk, and by the migration
+    /// coordinator after a thaw: advance an in-progress drain/rebind. All
+    /// planned lifecycle work runs here, one caller at a time.
     pub(crate) fn poll_binding(&self) {
+        let _one = self.advancing.lock();
         if self.migration_hold.load(Ordering::Acquire) {
             // Frozen for a live migration: the binding parks where it is
             // (normally `Draining`) until the 2PC driver thaws it. Acks
@@ -818,16 +833,17 @@ impl FfQp {
         inner.pending_sends.is_empty() && inner.pending_reads.is_empty()
     }
 
-    /// Release a migration freeze. The next pump tick advances the held
-    /// drain through the ordinary lifecycle: after a *commit* the
-    /// library has been rehomed, so the rebind resolves from the target
-    /// host (same transport → abort back onto the identical path, new
-    /// transport → `Rebound`, peer now co-located → collapse); after an
-    /// *abort* it resolves from the unchanged source host and falls back
-    /// onto the old, still-working path. Every outcome is a legal
-    /// `PathBinding` transition.
+    /// Release a migration freeze and ring the library pump, whose next
+    /// walk advances the held drain through the ordinary lifecycle: after
+    /// a *commit* the library has been rehomed, so the rebind resolves
+    /// from the target host (same transport → abort back onto the
+    /// identical path, new transport → `Rebound`, peer now co-located →
+    /// collapse); after an *abort* it resolves from the unchanged source
+    /// host and falls back onto the old, still-working path. Every outcome
+    /// is a legal `PathBinding` transition.
     pub fn thaw_migration(&self) {
         self.migration_hold.store(false, Ordering::Release);
+        self.lib.request_walk();
     }
 
     /// Whether this QP is currently frozen for a migration.
@@ -987,8 +1003,9 @@ impl FfQp {
             }
         }
         // The peer's half must be ready or our first verbs send would be
-        // refused; retry on the next pump tick (the peer collapses on
-        // its own schedule, driven by the same orchestrator event).
+        // refused; the pump retries while the rebind is unsettled (the
+        // peer collapses on its own schedule, driven by the same
+        // orchestrator event).
         let peer_ready = self
             .lib
             .device
@@ -1228,8 +1245,7 @@ impl FfQp {
         let mut payload = Vec::new();
         self.lib.device.gather_into(wr, lkey, &mut payload)?;
         if payload.len() >= ZERO_COPY_THRESHOLD {
-            let fabric = self.lib.fabric();
-            let arena = fabric.arena();
+            let arena = self.lib.arena();
             if let Ok(handle) = arena.alloc(payload.len() as u64) {
                 arena.write(handle, 0, &payload).expect("fresh block fits");
                 return Ok(RelayPayload::Arena {
@@ -1346,6 +1362,8 @@ impl FfQp {
         peer: FfEndpoint,
     ) -> VerbsResult<()> {
         let (me, dst) = (self.endpoint().wire(), peer.wire());
+        // No op below is due before this.
+        let due = self.op_deadline();
         let mut lkey = None;
         let mut msgs = Vec::with_capacity(wrs.len());
         let mut result = Ok(());
@@ -1357,6 +1375,10 @@ impl FfQp {
                     break;
                 }
             }
+        }
+        if !msgs.is_empty() {
+            // Registered: now the pump's idle deadline must cover them.
+            self.lib.note_op_due(due);
         }
         self.lib.send_to_agent(&msgs);
         result
@@ -1371,7 +1393,7 @@ impl FfQp {
         match p {
             RelayPayload::Inline(b) => Some(b),
             RelayPayload::Arena { offset, len } => {
-                let bytes = self.lib.fabric().arena().take(offset, len).ok()?;
+                let bytes = self.lib.arena().take(offset, len).ok()?;
                 Some(Bytes::from(bytes))
             }
         }

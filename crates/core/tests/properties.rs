@@ -243,20 +243,20 @@ fn unaligned_arena_staging_does_not_leak() {
     // 5000 is above ZERO_COPY_THRESHOLD and not a multiple of 64.
     let len = 5000u32;
     mr_a.write(0, &vec![0xEE; len as usize]).unwrap();
-    let baseline0 = cluster.agent_of(h0).unwrap().fabric().arena().allocated();
-    let baseline1 = cluster.agent_of(h1).unwrap().fabric().arena().allocated();
+    let baseline0 = cluster.agent_of(h0).unwrap().arena().allocated();
+    let baseline1 = cluster.agent_of(h1).unwrap().arena().allocated();
     for i in 0..200u64 {
         qp_a.post_send(SendWr::write(i, mr_a.sge(0, len), mr_b.addr(), mr_b.rkey()))
             .unwrap();
         assert!(cq_a.wait_one(T).unwrap().status.is_ok());
     }
     assert_eq!(
-        cluster.agent_of(h0).unwrap().fabric().arena().allocated(),
+        cluster.agent_of(h0).unwrap().arena().allocated(),
         baseline0,
         "sender-host arena back to baseline"
     );
     assert_eq!(
-        cluster.agent_of(h1).unwrap().fabric().arena().allocated(),
+        cluster.agent_of(h1).unwrap().arena().allocated(),
         baseline1,
         "receiver-host arena back to baseline"
     );
@@ -394,7 +394,7 @@ proptest! {
             },
         );
         let cache = LocationCache::new();
-        let mut sub = client.subscribe();
+        let mut sub = client.subscribe(Arc::default());
         let mut needs_resync = false;
 
         let ids: Vec<ContainerId> = (0..4).map(|i| ContainerId::new(i as u64)).collect();

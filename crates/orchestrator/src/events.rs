@@ -3,9 +3,11 @@
 //! The paper's network library "keeps pulling the newest container
 //! location information from the network orchestrator"; a push feed is
 //! the efficient realization. Subscribers (per-container libraries, agents)
-//! receive [`OrchestratorEvent`]s over a bounded channel; a subscriber that
-//! stops draining is dropped rather than allowed to wedge the control
-//! plane.
+//! receive [`OrchestratorEvent`]s over a bounded [`Queue`] whose every
+//! push rings the subscriber's own doorbell, so a pump parked on that bell
+//! wakes for a control event instead of polling for one. A subscriber
+//! that stops draining is dropped rather than allowed to wedge the
+//! control plane.
 //!
 //! Every published event carries a **monotonic sequence number**, stamped
 //! under the feed lock so the numbering is gap-free at the source. A
@@ -16,8 +18,9 @@
 //! (`Orchestrator::snapshot_for`).
 
 use crate::registry::ContainerLocation;
-use freeflow_types::{ContainerId, HostId, OverlayIp};
+use freeflow_types::{ContainerId, Doorbell, HostId, OverlayIp, Queue, QueueSender};
 use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// What changed in the cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,7 +159,7 @@ impl FeedPoll {
 /// The receiving end of the feed, with gap detection.
 #[derive(Debug)]
 pub struct FeedSubscription {
-    rx: crossbeam::channel::Receiver<SequencedEvent>,
+    rx: Queue<SequencedEvent>,
     /// The next sequence number this subscriber expects.
     next: u64,
     /// Host this subscription is read from (partition filtering); `None`
@@ -185,16 +188,16 @@ impl FeedSubscription {
     /// Non-blocking poll with gap detection.
     pub fn try_next(&mut self) -> FeedPoll {
         loop {
-            match self.rx.try_recv() {
-                Ok(se) if se.seq < self.next => {
+            match self.rx.try_pop() {
+                Ok(Some(se)) if se.seq < self.next => {
                     // Covered by a snapshot we already applied.
                     continue;
                 }
-                Ok(se) if se.seq == self.next => {
+                Ok(Some(se)) if se.seq == self.next => {
                     self.next = se.seq + 1;
                     return FeedPoll::Event(se.event);
                 }
-                Ok(se) => {
+                Ok(Some(se)) => {
                     let missed = se.seq - self.next;
                     self.next = se.seq + 1;
                     return FeedPoll::Gap {
@@ -202,10 +205,8 @@ impl FeedSubscription {
                         event: se.event,
                     };
                 }
-                Err(crossbeam::channel::TryRecvError::Empty) => return FeedPoll::Empty,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    return FeedPoll::Disconnected
-                }
+                Ok(None) => return FeedPoll::Empty,
+                Err(_) => return FeedPoll::Disconnected,
             }
         }
     }
@@ -214,7 +215,7 @@ impl FeedSubscription {
 const FEED_DEPTH: usize = 1024;
 
 struct Subscriber {
-    tx: crossbeam::channel::Sender<SequencedEvent>,
+    tx: QueueSender<SequencedEvent>,
     host: Option<HostId>,
 }
 
@@ -272,19 +273,21 @@ impl EventFeed {
         }
     }
 
-    /// Subscribe without a host tag (never partitioned away).
-    pub fn subscribe(&self) -> FeedSubscription {
-        self.subscribe_tagged(None)
+    /// Subscribe without a host tag (never partitioned away). Every
+    /// delivered event rings `bell`.
+    pub fn subscribe(&self, bell: Arc<Doorbell>) -> FeedSubscription {
+        self.subscribe_tagged(None, bell)
     }
 
     /// Subscribe on behalf of a reader on `host`: a control partition of
     /// that host withholds delivery (the subscriber sees a gap on heal).
-    pub fn subscribe_from(&self, host: HostId) -> FeedSubscription {
-        self.subscribe_tagged(Some(host))
+    /// Every delivered event rings `bell`.
+    pub fn subscribe_from(&self, host: HostId, bell: Arc<Doorbell>) -> FeedSubscription {
+        self.subscribe_tagged(Some(host), bell)
     }
 
-    fn subscribe_tagged(&self, host: Option<HostId>) -> FeedSubscription {
-        let (tx, rx) = crossbeam::channel::bounded(FEED_DEPTH);
+    fn subscribe_tagged(&self, host: Option<HostId>, bell: Arc<Doorbell>) -> FeedSubscription {
+        let (tx, rx) = Queue::bounded(FEED_DEPTH, bell);
         let mut inner = self.inner.lock();
         inner.subscribers.push(Subscriber { tx, host });
         FeedSubscription {
@@ -313,7 +316,7 @@ impl EventFeed {
             }
             let ok = sub
                 .tx
-                .try_send(SequencedEvent {
+                .try_push(SequencedEvent {
                     seq,
                     event: event.clone(),
                 })
@@ -361,8 +364,8 @@ mod tests {
     #[test]
     fn fan_out_to_all_subscribers() {
         let feed = EventFeed::new();
-        let mut a = feed.subscribe();
-        let mut b = feed.subscribe();
+        let mut a = feed.subscribe(Arc::default());
+        let mut b = feed.subscribe(Arc::default());
         let outcome = feed.publish(up(1));
         assert_eq!(outcome.delivered, 2);
         assert_eq!(a.try_next(), FeedPoll::Event(up(1)));
@@ -373,9 +376,9 @@ mod tests {
     #[test]
     fn dropped_subscriber_is_pruned_and_counted() {
         let feed = EventFeed::new();
-        let mut a = feed.subscribe();
+        let mut a = feed.subscribe(Arc::default());
         {
-            let _b = feed.subscribe();
+            let _b = feed.subscribe(Arc::default());
         }
         let outcome = feed.publish(up(1));
         assert_eq!(feed.subscriber_count(), 1);
@@ -386,7 +389,7 @@ mod tests {
     #[test]
     fn wedged_subscriber_is_pruned_not_blocking() {
         let feed = EventFeed::new();
-        let _stuck = feed.subscribe(); // never drained
+        let _stuck = feed.subscribe(Arc::default()); // never drained
         let mut pruned = 0;
         for i in 0..(FEED_DEPTH + 10) as u64 {
             pruned += feed.publish(up(i)).pruned;
@@ -400,7 +403,7 @@ mod tests {
     #[test]
     fn wedged_subscriber_sees_gap_through_disconnect() {
         let feed = EventFeed::new();
-        let mut stuck = feed.subscribe();
+        let mut stuck = feed.subscribe(Arc::default());
         for i in 0..(FEED_DEPTH + 5) as u64 {
             feed.publish(up(i));
         }
@@ -417,14 +420,14 @@ mod tests {
         // ...then observes the disconnect; its expected_seq tells it how
         // far it got, and a fresh subscription starts past the loss.
         assert_eq!(stuck.expected_seq(), FEED_DEPTH as u64);
-        let fresh = feed.subscribe();
+        let fresh = feed.subscribe(Arc::default());
         assert!(fresh.expected_seq() > stuck.expected_seq());
     }
 
     #[test]
     fn sequence_numbers_are_monotonic_and_gap_free() {
         let feed = EventFeed::new();
-        let mut sub = feed.subscribe();
+        let mut sub = feed.subscribe(Arc::default());
         for i in 0..5u64 {
             feed.publish(up(i));
         }
@@ -438,7 +441,7 @@ mod tests {
     #[test]
     fn unreachable_subscriber_sees_gap_on_heal() {
         let feed = EventFeed::new();
-        let mut sub = feed.subscribe_from(HostId::new(3));
+        let mut sub = feed.subscribe_from(HostId::new(3), Arc::default());
         feed.publish(up(0));
         assert_eq!(sub.try_next(), FeedPoll::Event(up(0)));
         // Partition host 3: the publish skips it but seq advances.
@@ -459,9 +462,30 @@ mod tests {
     }
 
     #[test]
+    fn a_delivered_event_rings_the_subscribers_bell() {
+        let feed = EventFeed::new();
+        let (bell, deaf) = (Arc::new(Doorbell::new()), Arc::new(Doorbell::new()));
+        let mut sub = feed.subscribe(Arc::clone(&bell));
+        let _cut_off = feed.subscribe_from(HostId::new(3), Arc::clone(&deaf));
+        let outcome = feed.publish_filtered(
+            OrchestratorEvent::PathUpdated {
+                host: HostId::new(1),
+            },
+            |h| h != Some(HostId::new(3)),
+        );
+        assert_eq!((outcome.delivered, outcome.unreachable), (1, 1));
+        assert_eq!(bell.current(), 1, "one ring per delivered event");
+        assert_eq!(deaf.current(), 0, "an undelivered event rings nobody");
+        assert!(matches!(
+            sub.try_next(),
+            FeedPoll::Event(OrchestratorEvent::PathUpdated { .. })
+        ));
+    }
+
+    #[test]
     fn advance_to_skips_snapshot_covered_events() {
         let feed = EventFeed::new();
-        let mut sub = feed.subscribe();
+        let mut sub = feed.subscribe(Arc::default());
         feed.publish(up(0));
         feed.publish(up(1));
         feed.publish(up(2));

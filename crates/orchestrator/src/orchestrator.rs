@@ -9,7 +9,7 @@ use crate::registry::{ContainerLocation, ContainerRecord, HostHealth, Registry};
 use freeflow_telemetry::{Event, LabelSet, Telemetry};
 use freeflow_types::transport::PathDecision;
 use freeflow_types::{
-    ContainerId, Error, HostCaps, HostId, OverlayCidr, OverlayIp, Result, TenantId, VmId,
+    ContainerId, Doorbell, Error, HostCaps, HostId, OverlayCidr, OverlayIp, Result, TenantId, VmId,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
@@ -471,16 +471,17 @@ impl Orchestrator {
         }
     }
 
-    /// Subscribe to cluster change events (untagged: never partitioned).
-    pub fn subscribe(&self) -> FeedSubscription {
-        self.feed.subscribe()
+    /// Subscribe to cluster change events (untagged: never partitioned);
+    /// every delivered event rings `bell`.
+    pub fn subscribe(&self, bell: Arc<Doorbell>) -> FeedSubscription {
+        self.feed.subscribe(bell)
     }
 
     /// Subscribe on behalf of a reader running on `host`, so that a
     /// control partition of that host withholds delivery (surfacing as a
-    /// sequence gap on heal).
-    pub fn subscribe_from(&self, host: HostId) -> FeedSubscription {
-        self.feed.subscribe_from(host)
+    /// sequence gap on heal); every delivered event rings `bell`.
+    pub fn subscribe_from(&self, host: HostId, bell: Arc<Doorbell>) -> FeedSubscription {
+        self.feed.subscribe_from(host, bell)
     }
 
     /// Number of registered containers.
@@ -532,7 +533,7 @@ mod tests {
     #[test]
     fn register_assigns_ips_and_publishes() {
         let orch = setup();
-        let mut feed = orch.subscribe();
+        let mut feed = orch.subscribe(Arc::default());
         let ip1 = orch
             .register_container(ContainerId::new(1), TenantId::new(1), bm(0), IpAssign::Auto)
             .unwrap();
@@ -614,7 +615,7 @@ mod tests {
                 .transport(),
             Some(TransportKind::Rdma)
         );
-        let mut feed = orch.subscribe();
+        let mut feed = orch.subscribe(Arc::default());
         // Container 2 migrates onto host 0 → the same pair is now shm.
         orch.move_container(ContainerId::new(2), bm(0)).unwrap();
         assert_eq!(
@@ -679,7 +680,7 @@ mod tests {
                 .transport(),
             Some(TransportKind::Rdma)
         );
-        let mut feed = orch.subscribe();
+        let mut feed = orch.subscribe(Arc::default());
         orch.mark_nic_down(HostId::new(1)).unwrap();
         assert!(!orch.host_health(HostId::new(1)).nic_up);
         assert!(matches!(
@@ -832,7 +833,7 @@ mod tests {
     fn outage_withholds_events_and_restore_reveals_the_gap() {
         use crate::events::FeedPoll;
         let orch = setup();
-        let mut feed = orch.subscribe_from(HostId::new(0));
+        let mut feed = orch.subscribe_from(HostId::new(0), Arc::default());
         orch.register_container(ContainerId::new(1), TenantId::new(1), bm(0), IpAssign::Auto)
             .unwrap();
         assert!(matches!(feed.try_next(), FeedPoll::Event(_)));
@@ -864,8 +865,8 @@ mod tests {
     fn partition_is_per_host_and_heals_with_scoped_restore() {
         use crate::events::FeedPoll;
         let orch = setup();
-        let mut on0 = orch.subscribe_from(HostId::new(0));
-        let mut on1 = orch.subscribe_from(HostId::new(1));
+        let mut on0 = orch.subscribe_from(HostId::new(0), Arc::default());
+        let mut on1 = orch.subscribe_from(HostId::new(1), Arc::default());
         orch.partition_control(HostId::new(1));
         assert!(orch.control_reachable_from(Some(HostId::new(0))));
         assert!(!orch.control_reachable_from(Some(HostId::new(1))));
@@ -901,7 +902,7 @@ mod tests {
         let snap = orch.snapshot_for(HostId::new(0));
         assert_eq!(snap.containers.len(), 2);
         assert_eq!(snap.routes, vec![(ip2, HostId::new(1))]);
-        let mut sub = orch.subscribe();
+        let mut sub = orch.subscribe(Arc::default());
         assert_eq!(snap.seq, sub.expected_seq());
 
         // A move during an outage shows up in the next snapshot with a
@@ -929,7 +930,7 @@ mod tests {
         let hub = Telemetry::new();
         orch.attach_telemetry(&hub);
         {
-            let _dropped = orch.subscribe();
+            let _dropped = orch.subscribe(Arc::default());
         }
         orch.register_container(ContainerId::new(1), TenantId::new(1), bm(0), IpAssign::Auto)
             .unwrap();

@@ -14,10 +14,10 @@
 //! ring is full — backpressure, not unbounded buffering.
 
 use crate::arena::ArenaHandle;
-use crate::doorbell::{Doorbell, DoorbellStats};
 use crate::ring::SpscRing;
 use crate::stats::{ChannelStats, StatsSnapshot};
 use bytes::Bytes;
+use freeflow_types::{deadline_in, Doorbell, DoorbellStats};
 use freeflow_types::{Error, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -413,21 +413,24 @@ impl ShmReceiver {
         }
     }
 
-    /// Blocking receive with a deadline; `None` on timeout.
+    /// Blocking receive with a deadline; `None` on timeout. A timeout too
+    /// long to be an instant waits without one.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<ShmMessage>> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = deadline_in(timeout);
         loop {
             let seen = self.shared.data_bell.current();
             match self.try_recv() {
                 Err(Error::WouldBlock) => {
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
+                    let left = deadline.map_or(Duration::MAX, |at| {
+                        at.saturating_duration_since(std::time::Instant::now())
+                    });
+                    if left.is_zero() {
                         return Ok(None);
                     }
                     let _ = self
                         .shared
                         .data_bell
-                        .wait_timeout(seen, (deadline - now).min(Duration::from_millis(50)));
+                        .wait_timeout(seen, left.min(Duration::from_millis(50)));
                 }
                 Err(e) => return Err(e),
                 Ok(msg) => return Ok(Some(msg)),
@@ -478,17 +481,6 @@ pub struct ShmDuplex {
     pub tx: ShmSender,
     /// Incoming direction.
     pub rx: ShmReceiver,
-}
-
-/// Create a connected pair of duplex endpoints, each direction backed by a
-/// `capacity`-byte ring.
-pub fn duplex_pair(capacity: usize) -> (ShmDuplex, ShmDuplex) {
-    let (a_tx, b_rx) = channel_pair(capacity);
-    let (b_tx, a_rx) = channel_pair(capacity);
-    (
-        ShmDuplex { tx: a_tx, rx: a_rx },
-        ShmDuplex { tx: b_tx, rx: b_rx },
-    )
 }
 
 #[cfg(test)]
@@ -598,8 +590,27 @@ mod tests {
     }
 
     #[test]
+    fn recv_timeout_given_duration_max_waits_without_a_deadline() {
+        let (tx, rx) = channel_pair(64);
+        tx.send(b"ready").unwrap();
+        let got = rx.recv_timeout(Duration::MAX).unwrap();
+        assert!(matches!(got, Some(ShmMessage::Inline(b)) if &b[..] == b"ready"));
+        let sender = std::thread::spawn(move || {
+            tx.send(b"later").unwrap();
+            tx
+        });
+        assert!(rx.recv_timeout(Duration::MAX).unwrap().is_some());
+        sender.join().unwrap();
+    }
+
+    #[test]
     fn duplex_ping_pong() {
-        let (a, b) = duplex_pair(1024);
+        let (a_tx, b_rx) = channel_pair(1024);
+        let (b_tx, a_rx) = channel_pair(1024);
+        let (a, b) = (
+            ShmDuplex { tx: a_tx, rx: a_rx },
+            ShmDuplex { tx: b_tx, rx: b_rx },
+        );
         let echo = std::thread::spawn(move || {
             for _ in 0..100 {
                 let msg = b.rx.recv().unwrap();

@@ -18,16 +18,16 @@
 //!   per side.
 //! * [`arena`] — offset-addressed shared memory segments with a free-list
 //!   block allocator, used for zero-copy segment handoff.
-//! * [`doorbell`] — edge-triggered wakeup between two threads (the shm
+//! * [`Doorbell`] — edge-triggered wakeup between two threads (the shm
 //!   analog of an RDMA completion interrupt or an eventfd), supporting both
-//!   blocking waits and poll mode.
+//!   blocking waits and poll mode; and [`Queue`], a bounded queue whose
+//!   pushes ring one. Both live in `freeflow-types`, so crates that do not
+//!   depend on this one can ring too, and are re-exported here.
 //! * [`pump`] — the one event loop: a thread running a step function that
 //!   parks on a doorbell between steps (agent, library, socket channels).
 //! * [`channel`] — framed, bidirectional message channels built from two
 //!   rings plus doorbells; this is the container↔agent and
 //!   container↔container pipe.
-//! * [`fabric`] — the per-host rendezvous: named endpoints, connect/accept,
-//!   so two containers (or a container and the agent) can find each other.
 //! * [`stats`] — cheap atomic counters exported to the metrics pipeline.
 
 #![warn(missing_docs)]
@@ -35,19 +35,15 @@
 
 pub mod arena;
 pub mod channel;
-pub mod doorbell;
-pub mod fabric;
 pub mod pump;
 pub mod ring;
 pub mod stats;
 
 pub use arena::{ArenaHandle, SharedArena};
 pub use channel::{
-    channel_pair, channel_pair_on, duplex_pair, ChannelTelemetry, ShmDuplex, ShmMessage,
-    ShmReceiver, ShmSender,
+    channel_pair, channel_pair_on, ChannelTelemetry, ShmDuplex, ShmMessage, ShmReceiver, ShmSender,
 };
-pub use doorbell::{Doorbell, DoorbellStats};
-pub use fabric::ShmFabric;
+pub use freeflow_types::{Doorbell, DoorbellStats, Queue, QueueSender};
 pub use pump::{Pump, Step};
 pub use ring::SpscRing;
 pub use stats::{ChannelStats, StatsSnapshot};

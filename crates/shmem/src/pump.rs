@@ -4,7 +4,7 @@
 //! the bell count *before* the step, park on that count — and the
 //! shutdown path exist once.
 
-use crate::doorbell::Doorbell;
+use freeflow_types::Doorbell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;

@@ -14,9 +14,21 @@
 //! per batch, which is what lets shared memory run at memory-bus bandwidth
 //! in the paper's Figure `eval_baremetal_thr`.
 
-use crossbeam::utils::CachePadded;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A value alone on its cache line, so the producer's and the consumer's
+/// index do not false-share.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct CachePadded<T>(T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// A fixed-capacity lock-free SPSC byte ring.
 ///
@@ -50,8 +62,8 @@ impl SpscRing {
         Self {
             buf: UnsafeCell::new(vec![0u8; capacity].into_boxed_slice()),
             mask: capacity as u64 - 1,
-            head: CachePadded::new(AtomicU64::new(0)),
-            tail: CachePadded::new(AtomicU64::new(0)),
+            head: CachePadded(AtomicU64::new(0)),
+            tail: CachePadded(AtomicU64::new(0)),
         }
     }
 

@@ -16,12 +16,14 @@
 use crate::channel::{Channel, ChannelPool};
 use crate::stream::FfStream;
 use freeflow::{Container, FfEndpoint};
-use freeflow_types::{ContainerId, Error, OverlayAddr, OverlayIp, Result};
+use freeflow_types::{
+    deadline_in, ContainerId, Error, OverlayAddr, OverlayIp, Queue, QueueSender, Result,
+};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const BACKLOG: usize = 64;
 const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -50,13 +52,15 @@ enum ConnectReply {
 struct ConnectReq {
     stream_id: u32,
     kind: ReqKind,
-    reply: crossbeam::channel::Sender<ConnectReply>,
+    /// Dropped unanswered (an abandoned listener drops its backlog), it
+    /// disconnects the waiting client at once.
+    reply: QueueSender<ConnectReply>,
 }
 
 /// The cluster-wide socket connection manager.
 #[derive(Default)]
 pub struct SocketStack {
-    listeners: Mutex<HashMap<OverlayAddr, crossbeam::channel::Sender<ConnectReq>>>,
+    listeners: Mutex<HashMap<OverlayAddr, QueueSender<ConnectReq>>>,
     /// One channel pool per container that has touched the stack.
     pools: Mutex<HashMap<ContainerId, Arc<ChannelPool>>>,
     /// Milliseconds a connect waits for the listener's reply (0 = default).
@@ -72,7 +76,7 @@ pub struct FfListener {
     addr: OverlayAddr,
     stack: Arc<SocketStack>,
     pool: Arc<ChannelPool>,
-    incoming: crossbeam::channel::Receiver<ConnectReq>,
+    incoming: Queue<ConnectReq>,
 }
 
 impl SocketStack {
@@ -96,7 +100,7 @@ impl SocketStack {
         }
     }
 
-    fn listener_tx(&self, remote: &OverlayAddr) -> Result<crossbeam::channel::Sender<ConnectReq>> {
+    fn listener_tx(&self, remote: &OverlayAddr) -> Result<QueueSender<ConnectReq>> {
         self.listeners
             .lock()
             .get(remote)
@@ -152,7 +156,7 @@ impl SocketStack {
         if listeners.contains_key(&addr) {
             return Err(Error::already_exists(format!("socket {addr}")));
         }
-        let (tx, rx) = crossbeam::channel::bounded(BACKLOG);
+        let (tx, rx) = Queue::bounded(BACKLOG, Arc::default());
         listeners.insert(addr, tx);
         Ok(FfListener {
             addr,
@@ -184,7 +188,7 @@ impl SocketStack {
         // Fast path: a live channel to this peer already exists.
         if let Some(ch) = pool.reusable(remote_ip) {
             let stream_id = ch.open_local_stream()?;
-            let (reply_tx, reply_rx) = crossbeam::channel::bounded(1);
+            let (reply_tx, reply_rx) = Queue::bounded(1, Arc::default());
             let req = ConnectReq {
                 stream_id,
                 kind: ReqKind::Existing {
@@ -207,21 +211,21 @@ impl SocketStack {
                     return Err(e);
                 }
             }
-            match reply_rx.recv_timeout(timeout) {
-                Ok(ConnectReply::Existing) => {
+            match reply_rx.pop_until(deadline_in(timeout)) {
+                Ok(Some(ConnectReply::Existing)) => {
                     pool.note_reuse();
                     return Ok(FfStream::new(ch, stream_id));
                 }
-                Ok(ConnectReply::Refused) => {
+                Ok(Some(ConnectReply::Refused)) => {
                     // The acceptor no longer knows the channel; fall
                     // through and build a fresh one.
                     ch.abort_stream(stream_id);
                 }
-                Ok(ConnectReply::NewChannel { .. }) => {
+                Ok(Some(ConnectReply::NewChannel { .. })) => {
                     ch.abort_stream(stream_id);
                     return Err(Error::invalid_state("mismatched handshake reply"));
                 }
-                Err(_) => {
+                Ok(None) | Err(_) => {
                     ch.abort_stream(stream_id);
                     return Err(Error::unreachable(format!("accept timed out at {remote}")));
                 }
@@ -232,7 +236,7 @@ impl SocketStack {
         // acceptor's.
         let ch = Channel::new(pool.handle(), true, pool.metrics().clone())?;
         let stream_id = ch.open_local_stream()?;
-        let (reply_tx, reply_rx) = crossbeam::channel::bounded(1);
+        let (reply_tx, reply_rx) = Queue::bounded(1, Arc::default());
         let req = ConnectReq {
             stream_id,
             kind: ReqKind::NewChannel {
@@ -242,32 +246,24 @@ impl SocketStack {
         };
         self.listener_tx(&remote)
             .and_then(|tx| send_req(&tx, req, &remote))?;
-        match reply_rx.recv_timeout(timeout) {
-            Ok(ConnectReply::NewChannel { server_ep }) => {
+        match reply_rx.pop_until(deadline_in(timeout)) {
+            Ok(Some(ConnectReply::NewChannel { server_ep })) => {
                 ch.establish(server_ep)?;
                 pool.insert(remote_ip, Arc::clone(&ch));
                 Ok(FfStream::new(ch, stream_id))
             }
-            Ok(_) => Err(Error::invalid_state("mismatched handshake reply")),
-            Err(_) => Err(Error::unreachable(format!("accept timed out at {remote}"))),
+            Ok(Some(_)) => Err(Error::invalid_state("mismatched handshake reply")),
+            Ok(None) | Err(_) => Err(Error::unreachable(format!("accept timed out at {remote}"))),
         }
     }
 }
 
-fn send_req(
-    tx: &crossbeam::channel::Sender<ConnectReq>,
-    req: ConnectReq,
-    remote: &OverlayAddr,
-) -> Result<()> {
-    use crossbeam::channel::TrySendError;
-    match tx.try_send(req) {
-        Ok(()) => Ok(()),
-        Err(TrySendError::Full(_)) => Err(Error::exhausted(format!("backlog full at {remote}"))),
+fn send_req(tx: &QueueSender<ConnectReq>, req: ConnectReq, remote: &OverlayAddr) -> Result<()> {
+    tx.try_push(req).map_err(|e| match e {
+        Error::Exhausted(_) => Error::exhausted(format!("backlog full at {remote}")),
         // The listener was dropped between lookup and send.
-        Err(TrySendError::Disconnected(_)) => {
-            Err(Error::unreachable(format!("connection refused: {remote}")))
-        }
-    }
+        _ => Error::unreachable(format!("connection refused: {remote}")),
+    })
 }
 
 impl FfListener {
@@ -276,34 +272,32 @@ impl FfListener {
         self.addr
     }
 
-    /// Accept one connection, blocking up to `timeout`.
+    /// Accept one connection, blocking up to `timeout` (a timeout too
+    /// long to be an instant has no deadline).
     ///
     /// The accept-side networking objects come from the library handle
     /// captured at bind time — no container reference needed here.
     pub fn accept(&self, timeout: Duration) -> Result<FfStream> {
-        let deadline = Instant::now() + timeout;
+        let deadline = deadline_in(timeout);
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            // The stack holds a sender while the listener lives: only a
+            // timeout ends this wait empty-handed.
+            let Ok(Some(req)) = self.incoming.pop_until(deadline) else {
                 return Err(Error::WouldBlock);
-            }
-            let req = self
-                .incoming
-                .recv_timeout(remaining)
-                .map_err(|_| Error::WouldBlock)?;
+            };
             match req.kind {
                 ReqKind::Existing { server_qpn } => {
                     let Some(ch) = self.pool.lookup_qpn(server_qpn) else {
                         // Unknown (or dead) channel: tell the client to
                         // fall back to a fresh one; keep accepting.
-                        let _ = req.reply.send(ConnectReply::Refused);
+                        let _ = req.reply.try_push(ConnectReply::Refused);
                         continue;
                     };
                     if ch.open_remote_stream(req.stream_id).is_err() {
-                        let _ = req.reply.send(ConnectReply::Refused);
+                        let _ = req.reply.try_push(ConnectReply::Refused);
                         continue;
                     }
-                    if req.reply.send(ConnectReply::Existing).is_err() {
+                    if req.reply.try_push(ConnectReply::Existing).is_err() {
                         // Client gave up while we registered; roll back
                         // and keep accepting.
                         ch.abort_stream(req.stream_id);
@@ -320,7 +314,7 @@ impl FfListener {
                     ch.establish(client_ep)?;
                     if req
                         .reply
-                        .send(ConnectReply::NewChannel {
+                        .try_push(ConnectReply::NewChannel {
                             server_ep: ch.endpoint(),
                         })
                         .is_err()
@@ -348,6 +342,7 @@ mod tests {
     use super::*;
     use freeflow::FreeFlowCluster;
     use freeflow_types::{HostCaps, TenantId};
+    use std::time::Instant;
 
     fn two_containers(same_host: bool) -> (Arc<FreeFlowCluster>, Container, Container) {
         let cluster = FreeFlowCluster::with_defaults();
@@ -480,6 +475,21 @@ mod tests {
         }
         assert!(stack.connect(&a, b.ip(), 8080).is_err());
         let _l2 = stack.bind(&b, 8080).unwrap();
+    }
+
+    #[test]
+    fn accept_given_duration_max_waits_without_a_deadline() {
+        let (_cluster, a, b) = two_containers(true);
+        let stack = SocketStack::new();
+        let listener = stack.bind(&b, 8081).unwrap();
+        let server_ip = b.ip();
+        let client = {
+            let stack = Arc::clone(&stack);
+            std::thread::spawn(move || (stack.connect(&a, server_ip, 8081).map(drop), a))
+        };
+        let stream = listener.accept(Duration::MAX).unwrap();
+        assert!(client.join().unwrap().0.is_ok());
+        drop((stream, b));
     }
 
     #[test]

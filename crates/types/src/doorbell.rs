@@ -24,9 +24,16 @@
 //! until `Condvar::wait` releases it atomically with parking — so the
 //! ringer's `notify_all` lands on a parked waiter and is not lost.
 
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The instant `timeout` from now, or `None` — no deadline — when that
+/// overflows, so a wait given `Duration::MAX` waits without one instead
+/// of panicking.
+pub fn deadline_in(timeout: Duration) -> Option<Instant> {
+    Instant::now().checked_add(timeout)
+}
 
 /// A monotonic-counter doorbell shared by one ringer and one waiter
 /// (more of either is safe, just unusual).
@@ -86,8 +93,12 @@ impl Doorbell {
         self.notifies.fetch_add(1, Ordering::Relaxed);
         // A registered waiter holds the mutex until it is parked, so
         // taking it here orders this notify after the park.
-        let _guard = self.mutex.lock();
+        let _guard = self.lock();
         self.condvar.notify_all();
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ()> {
+        self.mutex.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Ring once on behalf of `batched` published items.
@@ -134,19 +145,21 @@ impl Doorbell {
 
     /// Block until the counter moves past `seen` or `timeout` elapses.
     /// Returns the new counter value, or `None` on timeout. A zero
-    /// `timeout` only checks the counter: it neither parks nor counts.
+    /// `timeout` only checks the counter: it neither parks nor counts. A
+    /// timeout too long to be an instant is no deadline.
     pub fn wait_timeout(&self, seen: u64, timeout: Duration) -> Option<u64> {
-        if timeout.is_zero() {
-            let now = self.current();
-            return (now > seen).then_some(now);
-        }
-        self.park(seen, Some(Instant::now() + timeout))
+        self.park(seen, deadline_in(timeout))
     }
 
     /// The one wait loop: register as a sleeper, then park on the condvar
-    /// until the counter passes `seen` or `deadline` (if any) passes.
-    fn park(&self, seen: u64, deadline: Option<Instant>) -> Option<u64> {
-        let mut guard = self.mutex.lock();
+    /// until the counter passes `seen` or `deadline` (if any) passes. A
+    /// deadline already passed only checks the counter.
+    pub(crate) fn park(&self, seen: u64, deadline: Option<Instant>) -> Option<u64> {
+        if deadline.is_some_and(|at| at <= Instant::now()) {
+            let now = self.current();
+            return (now > seen).then_some(now);
+        }
+        let mut guard = self.lock();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         let (mut parked, mut timed_out) = (false, false);
         let got = loop {
@@ -165,10 +178,19 @@ impl Doorbell {
             }
             timed_out = match deadline {
                 None => {
-                    self.condvar.wait(&mut guard);
+                    guard = self
+                        .condvar
+                        .wait(guard)
+                        .unwrap_or_else(PoisonError::into_inner);
                     false
                 }
-                Some(at) => self.condvar.wait_until(&mut guard, at).timed_out(),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    let (g, res) = (self.condvar.wait_timeout(guard, left))
+                        .unwrap_or_else(PoisonError::into_inner);
+                    guard = g;
+                    res.timed_out()
+                }
             };
         };
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
@@ -225,6 +247,20 @@ mod tests {
         let bell = Doorbell::new();
         let seen = bell.current();
         assert_eq!(bell.wait_timeout(seen, Duration::from_millis(5)), None);
+    }
+
+    #[test]
+    fn a_wait_given_duration_max_has_no_deadline() {
+        let bell = Arc::new(Doorbell::new());
+        bell.ring();
+        assert_eq!(bell.wait_timeout(0, Duration::MAX), Some(1));
+        let ringer = {
+            let bell = Arc::clone(&bell);
+            std::thread::spawn(move || bell.ring())
+        };
+        assert_eq!(bell.wait_timeout(1, Duration::MAX), Some(2));
+        ringer.join().unwrap();
+        assert_eq!(bell.stats().timeouts, 0);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! cluster configuration.
 //!
 //! The crate is deliberately dependency-light (only `serde` for
-//! serialization of control-plane state) so every other crate can depend on
-//! it without cycles.
+//! serialization of control-plane state, and `std::sync` under the wake
+//! primitives) so every other crate can depend on it without cycles.
 //!
 //! ## Layout
 //!
@@ -26,6 +26,10 @@
 //!   anchors from the paper (40 Gb/s NIC, 2.4 GHz 4-core Xeon, ...).
 //! * [`wire`] — the bounded byte codec every wire and checkpoint format
 //!   is written in.
+//! * [`doorbell`] — edge-triggered wakeups between threads: every pump
+//!   parks on one.
+//! * [`queue`] — a bounded queue whose pushes ring the consumer's
+//!   doorbell.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -33,8 +37,10 @@
 pub mod addr;
 pub mod caps;
 pub mod config;
+pub mod doorbell;
 pub mod error;
 pub mod ids;
+pub mod queue;
 pub mod transport;
 pub mod units;
 pub mod wire;
@@ -42,7 +48,9 @@ pub mod wire;
 pub use addr::{OverlayAddr, OverlayCidr, OverlayIp};
 pub use caps::{HostCaps, NicCaps, NicKind};
 pub use config::{ClusterConfig, HostConfig};
+pub use doorbell::{deadline_in, Doorbell, DoorbellStats};
 pub use error::{Error, Result};
 pub use ids::{AgentId, ContainerId, FlowId, HostId, QpId, TenantId, VmId};
+pub use queue::{Queue, QueueSender};
 pub use transport::TransportKind;
 pub use units::{Bandwidth, ByteSize, Nanos};

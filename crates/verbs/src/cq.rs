@@ -251,17 +251,20 @@ impl CompletionQueue {
         self.inner.lock().queue.len()
     }
 
-    /// Block until a completion is available or `timeout` passes.
+    /// Block until a completion is available or `timeout` passes. A
+    /// timeout too long to be an instant waits without a deadline.
     pub fn wait_one(&self, timeout: Duration) -> Option<WorkCompletion> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = freeflow_types::deadline_in(timeout);
         let mut blocked = false;
         loop {
             let seen = self.doorbell.current();
             if let Some(wc) = self.poll_one() {
                 return Some(wc);
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            let left = deadline.map_or(Duration::MAX, |at| {
+                at.saturating_duration_since(std::time::Instant::now())
+            });
+            if left.is_zero() {
                 return self.poll_one();
             }
             if !blocked {
@@ -276,7 +279,7 @@ impl CompletionQueue {
             }
             let _ = self
                 .doorbell
-                .wait_timeout(seen, (deadline - now).min(Duration::from_millis(50)));
+                .wait_timeout(seen, left.min(Duration::from_millis(50)));
         }
     }
 
@@ -360,6 +363,17 @@ mod tests {
         });
         let got = cq.wait_one(Duration::from_secs(5)).unwrap();
         assert_eq!(got.wr_id, 9);
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn wait_one_given_duration_max_waits_without_a_deadline() {
+        let cq = CompletionQueue::new(4);
+        cq.push(wc(1));
+        assert_eq!(cq.wait_one(Duration::MAX).unwrap().wr_id, 1);
+        let cq2 = Arc::clone(&cq);
+        let t = std::thread::spawn(move || cq2.push(wc(2)));
+        assert_eq!(cq.wait_one(Duration::MAX).unwrap().wr_id, 2);
         t.join().unwrap();
     }
 

@@ -227,8 +227,8 @@ fn many_containers_fan_in() {
             // Two-phase handshake: the sender publishes its endpoint, the
             // main thread connects the sink side and posts receives, then
             // releases the sender to stream.
-            let (ep_tx, ep_rx) = crossbeam::channel::bounded(1);
-            let (go_tx, go_rx) = crossbeam::channel::bounded::<()>(1);
+            let (ep_tx, ep_rx) = std::sync::mpsc::sync_channel(1);
+            let (go_tx, go_rx) = std::sync::mpsc::sync_channel::<()>(1);
             let client_thread = std::thread::spawn(move || {
                 let mr = c.register(4096, AccessFlags::all()).unwrap();
                 let cq = c.create_cq(128);
