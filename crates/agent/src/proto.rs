@@ -71,21 +71,23 @@ impl RelayPayload {
     }
 }
 
-/// Completion status codes carried on the wire (maps onto
-/// `freeflow_verbs::WcStatus` at the endpoints).
+/// Completion status codes carried on the wire. The endpoints map them
+/// onto `freeflow_verbs::WcStatus` and back, one code per status a
+/// responder answers with, so a requester gets exactly the status the
+/// responder's verbs engine chose. (Code 3 is retired.)
 pub mod status {
     /// Operation succeeded.
     pub const OK: u8 = 0;
     /// Remote access error (bad rkey / bounds / permissions).
     pub const REMOTE_ACCESS: u8 = 1;
-    /// Remote operation error (peer QP missing or broken).
+    /// Remote operation error: the peer QP is missing, not receiving, or
+    /// failed the receive the operation matched (too short, say).
     pub const REMOTE_OP: u8 = 2;
-    /// Receiver posted too small a buffer.
-    pub const LOCAL_LENGTH: u8 = 3;
     /// The relay gave up on the operation — the wire to the peer host is
-    /// down or stayed full past the retry budget. Endpoints map this onto
-    /// `IBV_WC_RETRY_EXC_ERR` and re-path the QP, as they do when their
-    /// own op deadline passes with no reply.
+    /// down or stayed full past the retry budget — or the peer QP entered
+    /// the error state while the operation was parked there for a
+    /// receive. Endpoints map this onto `IBV_WC_RETRY_EXC_ERR` and re-path
+    /// the QP, as they do when their own op deadline passes with no reply.
     pub const TIMEOUT: u8 = 4;
     /// Like [`TIMEOUT`], but the downed wire was the *route's*: another
     /// wire to the same peer host is up, so forwarding has simply not

@@ -512,7 +512,6 @@ impl LibHandle {
             Arc::clone(send_cq),
             Arc::clone(recv_cq),
             sq_depth,
-            rq_depth,
         );
         self.shared
             .qps

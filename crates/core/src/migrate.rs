@@ -48,9 +48,10 @@
 //! ## The un-collapse boundary
 //!
 //! A binding that already *collapsed* onto intra-host shared memory
-//! (`FfPath::Local`) cannot be torn back out into a relayed path: its
-//! receive queue lives inside the host-verbs QP. Such a binding refuses
-//! the freeze and rides the migration untouched; if the move separates
+//! (`FfPath::Local`) is not torn back out into a relayed path: its peer
+//! posts straight into the host-verbs QP, with no relay to drain. Such a
+//! binding refuses the freeze and rides the migration untouched; if the
+//! move separates
 //! the pair, both ends observe staleness
 //! ([`crate::qp::FfQp::path_is_current`] turns false) and the
 //! application re-establishes explicitly via [`reconnect`] — exactly the
@@ -213,9 +214,10 @@ pub struct QpRecord {
     pub transport_rank: u8,
     /// Send WRs parked behind the drain, to be replayed exactly once.
     pub parked_sends: u32,
-    /// Receives posted and not yet consumed.
+    /// Receives posted and not yet consumed (the verbs QP's, on every
+    /// binding).
     pub posted_recvs: u32,
-    /// Inbound payloads parked waiting for receives.
+    /// Inbound operations parked at the verbs QP waiting for receives.
     pub inbound_pending: u32,
     /// Operations in flight at capture — **zero** for a settled freeze;
     /// nonzero marks a checkpoint taken from a crash, which restore

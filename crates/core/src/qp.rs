@@ -13,9 +13,15 @@
 //!   [`RelayMsg`]s and handed to the host agent over the shared-memory
 //!   channel (large payloads as arena descriptors, the §5 "pass the
 //!   pointer" step). The agent ships them over the RDMA/DPDK/TCP wire
-//!   the orchestrator chose; the peer's FfQp executes them (receive
-//!   matching, rkey checks) and acks back. Completions carry the same
-//!   verbs `WorkCompletion` type either way.
+//!   the orchestrator chose; the peer's verbs engine executes them
+//!   (receive matching, rkey checks) and its FfQp acks back. Completions
+//!   carry the same verbs `WorkCompletion` type either way.
+//!
+//! Either way the receive side is the verbs QP's: every receive is
+//! posted into it, and it is the one responder, answering a co-located
+//! peer directly and a relayed operation handed to it by
+//! [`FfQp::handle_inbound`]. The FfQp steps it through the state machine
+//! on every binding, so a Remote→Local collapse finds it ready.
 //!
 //! The application cannot tell the difference — FreeFlow's transparency
 //! claim, testable here because both paths run under one API.
@@ -23,8 +29,8 @@
 //! The *lifecycle* of a binding — connect-time bind, reactive failover,
 //! planned TCP→RDMA upgrade after `restore_nic`, and Remote→Local
 //! collapse after a peer migrates onto this host — is owned by
-//! [`crate::binding::PathBinding`]; this module performs the drains,
-//! replays and verbs bring-up around its transitions (see DESIGN.md §7).
+//! [`crate::binding::PathBinding`]; this module performs the drains and
+//! replays around its transitions (see DESIGN.md §7).
 
 use crate::binding::{BindingPhase, PathBinding, PathSignal, RebindReason};
 use crate::endpoint::FfEndpoint;
@@ -34,9 +40,11 @@ use freeflow_agent::proto::{status as st, RelayMsg, RelayPayload, WireEp};
 use freeflow_agent::ZERO_COPY_THRESHOLD;
 use freeflow_telemetry::{Counter, Event, Histogram, LabelSet, Telemetry, TransitionKind};
 use freeflow_types::TransportKind;
+use freeflow_verbs::qp::{Answer, Requester};
 use freeflow_verbs::wr::{RecvWr, SendWr, Sge, WcOpcode, WorkCompletion, WrOpcode};
 use freeflow_verbs::{
-    CompletionQueue, MemoryRegion, QpState, QueuePair, VerbsError, VerbsResult, WcStatus,
+    CompletionQueue, MemoryRegion, QpEndpoint, QpState, QueuePair, VerbsError, VerbsResult,
+    WcStatus,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -100,19 +108,12 @@ fn reason_label(reason: Option<RebindReason>) -> Option<&'static str> {
     })
 }
 
-struct PendingSend {
+/// A remote op awaiting its answer.
+struct Pending {
     wr_id: u64,
     signaled: bool,
     opcode: WcOpcode,
-    /// When the op counts as lost if still unanswered.
-    deadline: Instant,
-    /// When the op was posted (remote-op latency histogram).
-    posted_at: Instant,
-}
-
-struct PendingRead {
-    wr_id: u64,
-    signaled: bool,
+    /// Where a READ's response lands.
     sge: Vec<Sge>,
     /// When the op counts as lost if still unanswered.
     deadline: Instant,
@@ -120,27 +121,63 @@ struct PendingRead {
     posted_at: Instant,
 }
 
-struct InboundSend {
-    src: WireEp,
+/// The wire status that carries a responder's verdict to its requester.
+/// A flushed operation travels as `REMOTE_OP`: its requester flushed it
+/// already, at the refusal that preceded it.
+fn wire_status(status: WcStatus) -> u8 {
+    match status {
+        WcStatus::Success => st::OK,
+        WcStatus::RemoteAccessError => st::REMOTE_ACCESS,
+        WcStatus::RetryExcError => st::TIMEOUT,
+        _ => st::REMOTE_OP,
+    }
+}
+
+/// The requester's completion status for a wire status: the inverse of
+/// [`wire_status`].
+fn wc_status(status: u8) -> WcStatus {
+    match status {
+        st::OK => WcStatus::Success,
+        st::REMOTE_ACCESS => WcStatus::RemoteAccessError,
+        st::TIMEOUT | st::STALE_ROUTE => WcStatus::RetryExcError,
+        _ => WcStatus::RemoteOperationError,
+    }
+}
+
+/// The message answering `requester`'s relayed op `op_id` with `status`.
+fn answer_msg(
+    me: WireEp,
+    requester: WireEp,
     op_id: u64,
-    payload: Option<Bytes>,
+    status: WcStatus,
     byte_len: u64,
-    imm: Option<u32>,
+) -> RelayMsg {
+    match status {
+        WcStatus::Success => RelayMsg::Ack {
+            src: me,
+            dst: requester,
+            wr_id: op_id,
+            byte_len,
+        },
+        s => RelayMsg::Nack {
+            src: me,
+            dst: requester,
+            wr_id: op_id,
+            status: wire_status(s),
+        },
+    }
+}
+
+fn verbs_ep(ep: WireEp) -> QpEndpoint {
+    FfEndpoint::from_wire(ep).verbs()
 }
 
 struct QpInner {
-    state: QpState,
     /// The data-plane binding: path + lifecycle phase + epoch/upgrade
     /// counters, one state machine for every transition.
     binding: PathBinding,
-    /// Remote path: posted receives.
-    rq: VecDeque<RecvWr>,
-    /// Remote path: inbound sends parked for a receive (RNR semantics).
-    inbound_pending: VecDeque<InboundSend>,
-    /// Remote path: sends/writes awaiting Ack/Nack, keyed by wire op id.
-    pending_sends: HashMap<u64, PendingSend>,
-    /// Remote path: READs awaiting their response.
-    pending_reads: HashMap<u64, PendingRead>,
+    /// Remote path: ops awaiting their answer, keyed by wire op id.
+    pending: HashMap<u64, Pending>,
     /// Sends accepted while the binding is draining/rebinding (or while
     /// a replay is dispatching): transmitted in order once Bound again.
     parked_sends: VecDeque<SendWr>,
@@ -157,7 +194,6 @@ pub struct FfQp {
     send_cq: Arc<CompletionQueue>,
     recv_cq: Arc<CompletionQueue>,
     sq_depth: usize,
-    rq_depth: usize,
     inner: Mutex<QpInner>,
     /// Lock-free binding view for layers above (socket mux reliability):
     /// published at every lifecycle transition, readable without the
@@ -170,8 +206,8 @@ pub struct FfQp {
     /// lifecycle until the migration commits or aborts (the thaw).
     migration_hold: AtomicBool,
     /// Held while the lifecycle advances. The pump's walk and a migration
-    /// thaw both advance it; two at once could both bring the verbs QP up
-    /// for a collapse, and the loser would abort the collapse.
+    /// thaw both advance it; two at once could replay parked sends out of
+    /// order.
     advancing: Mutex<()>,
     /// How many times this QP re-established its path after a transport
     /// failure (tests/diagnostics).
@@ -192,7 +228,6 @@ impl FfQp {
         send_cq: Arc<CompletionQueue>,
         recv_cq: Arc<CompletionQueue>,
         sq_depth: usize,
-        rq_depth: usize,
     ) -> Arc<Self> {
         let labels = LabelSet::host(lib.host().raw()).with_container(lib.id.raw());
         let reg = lib.telemetry.registry();
@@ -217,20 +252,25 @@ impl FfQp {
             labels,
         );
         let signal = Arc::new(PathSignal::new(Arc::clone(recv_cq.doorbell())));
+        // The verbs QP answers a relayed op that parked for a receive
+        // through this sink, when a receive is posted or the QP fails. It
+        // opens to the fabric when the binding is Local.
+        verbs_qp.set_fabric_open(false);
+        let (sink_lib, me) = (Arc::clone(&lib), FfEndpoint::new(lib.ip, verbs_qp.qp_num()));
+        verbs_qp.set_relay_sink(Box::new(move |from, status, byte_len| {
+            let src = FfEndpoint::new(from.qp.addr, from.qp.qpn).wire();
+            let msg = answer_msg(me.wire(), src, from.wr_id, status, byte_len);
+            sink_lib.send_to_agent(std::slice::from_ref(&msg));
+        }));
         Arc::new(Self {
             lib,
             verbs_qp,
             send_cq,
             recv_cq,
             sq_depth: sq_depth.max(1),
-            rq_depth: rq_depth.max(1),
             inner: Mutex::new(QpInner {
-                state: QpState::Reset,
                 binding: PathBinding::new(),
-                rq: VecDeque::new(),
-                inbound_pending: VecDeque::new(),
-                pending_sends: HashMap::new(),
-                pending_reads: HashMap::new(),
+                pending: HashMap::new(),
                 parked_sends: VecDeque::new(),
                 replaying: false,
                 next_op_id: 1,
@@ -288,9 +328,9 @@ impl FfQp {
         FfEndpoint::new(self.lib.ip, self.qp_num())
     }
 
-    /// Current state.
+    /// Current state: the verbs QP's, which every binding steps.
     pub fn state(&self) -> QpState {
-        self.inner.lock().state
+        self.verbs_qp.state()
     }
 
     /// The bound path — lets tests and operators verify which data plane
@@ -341,15 +381,7 @@ impl FfQp {
 
     /// `RESET → INIT`.
     pub fn modify_to_init(&self) -> VerbsResult<()> {
-        let mut inner = self.inner.lock();
-        if inner.state != QpState::Reset {
-            return Err(VerbsError::InvalidQpState {
-                actual: inner.state.name(),
-                required: "RESET",
-            });
-        }
-        inner.state = QpState::Init;
-        Ok(())
+        self.verbs_qp.modify_to_init()
     }
 
     /// `INIT → RTR`: resolve the peer's location through the library's
@@ -362,19 +394,12 @@ impl FfQp {
                 detail: e.to_string(),
             })?;
         let mut inner = self.inner.lock();
-        if inner.state != QpState::Init {
-            return Err(VerbsError::InvalidQpState {
-                actual: inner.state.name(),
-                required: "INIT",
-            });
-        }
         // The direct (shared-segment) path binds only when the peer is
         // co-located *and* policy granted a kernel-bypass transport; a
         // co-located pair under a no-bypass policy rides the relay so the
         // isolation decision actually holds on the data path.
         let path = if resolved.local && resolved.transport.kernel_bypass() {
-            self.verbs_qp.modify_to_init()?;
-            self.verbs_qp.modify_to_rtr(peer.verbs())?;
+            self.verbs_qp.set_fabric_open(true);
             FfPath::Local { peer }
         } else {
             FfPath::Remote {
@@ -382,6 +407,7 @@ impl FfQp {
                 transport: resolved.transport,
             }
         };
+        self.verbs_qp.modify_to_rtr(peer.verbs())?;
         inner
             .binding
             .bind(path, resolved.generation)
@@ -389,7 +415,6 @@ impl FfQp {
                 actual: inner.binding.phase().name(),
                 required: "unbound binding",
             })?;
-        inner.state = QpState::Rtr;
         self.signal.publish(&inner.binding);
         self.record_transition(
             TransitionKind::Bound,
@@ -404,18 +429,7 @@ impl FfQp {
 
     /// `RTR → RTS`.
     pub fn modify_to_rts(&self) -> VerbsResult<()> {
-        let mut inner = self.inner.lock();
-        if inner.state != QpState::Rtr {
-            return Err(VerbsError::InvalidQpState {
-                actual: inner.state.name(),
-                required: "RTR",
-            });
-        }
-        if matches!(inner.binding.path(), FfPath::Local { .. }) {
-            self.verbs_qp.modify_to_rts()?;
-        }
-        inner.state = QpState::Rts;
-        Ok(())
+        self.verbs_qp.modify_to_rts()
     }
 
     /// Convenience: full `RESET → RTS` connection.
@@ -425,53 +439,71 @@ impl FfQp {
         self.modify_to_rts()
     }
 
-    /// Force the error state, flushing receives (both paths) and any
-    /// sends still parked behind an unfinished rebind.
+    /// Force the error state, flushing receives, remote operations still
+    /// awaiting their answer, and any sends parked behind an unfinished
+    /// rebind.
     pub fn enter_error(&self) {
-        self.fail_with(None);
+        self.fail_with(Vec::new(), u64::MAX);
     }
 
-    /// Enter the error state, *then* deliver the completion that caused it
-    /// (if any), then the flushes. Verbs order: whoever observes an error
-    /// completion must find the QP already in `Error`, exactly as a NIC
-    /// moves the QP before it writes the CQE.
-    fn fail_with(&self, cause: Option<(&CompletionQueue, WorkCompletion)>) {
-        let flush = {
+    /// Enter the error state because of the completions in `first` — the
+    /// failure of remote op `cause`, or none when the application or a
+    /// dead path said so — *then* deliver them, then the flushes. Verbs order: whoever
+    /// observes an error completion must find the QP already in `Error`,
+    /// exactly as a NIC moves the QP before it writes the CQE.
+    ///
+    /// Remote ops still awaiting an answer flush as the verbs engine
+    /// flushes its own: those posted after the cause with
+    /// [`WcStatus::WrFlushError`] — the rest of its chain, which the
+    /// peer's responder refuses unexecuted — and those posted before it,
+    /// parked at the peer for a receive, with [`WcStatus::RetryExcError`].
+    fn fail_with(&self, mut first: Vec<WorkCompletion>, cause: u64) {
+        {
             let mut inner = self.inner.lock();
-            if inner.state == QpState::Error {
-                None
-            } else {
-                inner.state = QpState::Error;
+            if inner.binding.phase() != BindingPhase::Error {
                 let old = inner.binding.path().label();
                 let reason = inner.binding.reason();
                 let epoch = inner.binding.epoch();
                 inner.binding.fail();
                 self.signal.publish(&inner.binding);
                 self.record_transition(TransitionKind::Failed, reason, epoch, old, "error", false);
-                let parked: Vec<SendWr> = inner.parked_sends.drain(..).collect();
-                let recvs = if matches!(inner.binding.path(), FfPath::Local { .. }) {
-                    self.verbs_qp.enter_error();
-                    Vec::new() // verbs QP flushes its own queue
-                } else {
-                    inner.rq.drain(..).collect()
+                let (later, earlier): (Vec<_>, Vec<_>) = Self::take_outstanding(&mut inner)
+                    .into_iter()
+                    .partition(|&(op_id, ..)| op_id > cause);
+                let flush = |ops: Vec<(u64, u64, WcOpcode)>, status| {
+                    (ops.into_iter())
+                        .map(move |(_, wr_id, opcode)| self.wc(wr_id, status, opcode, 0))
                 };
-                Some((recvs, parked))
+                first.extend(flush(later, WcStatus::WrFlushError));
+                first.extend(flush(earlier, WcStatus::RetryExcError));
+                // Accepted but never transmitted: flush, exactly once.
+                let parked = inner.parked_sends.drain(..);
+                first.extend(parked.map(|wr| {
+                    let opcode = wr.opcode.completes_as();
+                    self.wc(wr.wr_id, WcStatus::WrFlushError, opcode, 0)
+                }));
             }
-        };
-        if let Some((cq, wc)) = cause {
-            cq.push(wc);
         }
-        let Some((flushed, parked)) = flush else {
-            return;
-        };
-        for wr in flushed {
-            let wc = self.wc(wr.wr_id, WcStatus::WrFlushError, WcOpcode::Recv, 0);
-            self.recv_cq.push(wc);
-        }
-        for wr in parked {
-            // Accepted but never transmitted: flush, exactly once.
-            let wc = self.wc(wr.wr_id, WcStatus::WrFlushError, Self::wc_opcode_of(&wr), 0);
-            self.send_cq.push(wc);
+        // The verbs QP moves to `Error`, then pushes these, then flushes
+        // its receives and answers the operations parked at it.
+        self.verbs_qp.fail_with(&self.send_cq, &first);
+    }
+
+    /// Take every remote op still awaiting its answer, in post order, as
+    /// (op id, wr_id, opcode).
+    fn take_outstanding(inner: &mut QpInner) -> Vec<(u64, u64, WcOpcode)> {
+        let mut ops: Vec<_> = (inner.pending.drain())
+            .map(|(id, p)| (id, p.wr_id, p.opcode))
+            .collect();
+        ops.sort_unstable_by_key(|&(op_id, ..)| op_id);
+        ops
+    }
+
+    /// The verbs QP entered `Error` on its own — a receive it matched for
+    /// a relayed op failed: fail this QP with it.
+    fn sync_error(&self) {
+        if self.verbs_qp.state() == QpState::Error {
+            self.enter_error();
         }
     }
 
@@ -519,9 +551,7 @@ impl FfQp {
         let (mut expired, mut next) = (0, None::<Instant>);
         {
             let inner = self.inner.lock();
-            let pending = (inner.pending_sends.values().map(|p| p.deadline))
-                .chain(inner.pending_reads.values().map(|p| p.deadline));
-            for at in pending {
+            for at in inner.pending.values().map(|p| p.deadline) {
                 if at <= now {
                     expired += 1;
                 } else {
@@ -550,11 +580,10 @@ impl FfQp {
     /// agent dropped the op on a downed wire while another wire to the
     /// peer's host is up ([`st::STALE_ROUTE`]).
     fn on_transport_failure(&self, stale_route: bool) {
-        let (sends, reads, mid_rebind) = {
+        let (ops, mid_rebind) = {
             let mut inner = self.inner.lock();
             (
-                std::mem::take(&mut inner.pending_sends),
-                std::mem::take(&mut inner.pending_reads),
+                Self::take_outstanding(&mut inner),
                 !matches!(inner.binding.phase(), BindingPhase::Bound),
             )
         };
@@ -565,16 +594,13 @@ impl FfQp {
         // before flushing its WRs. A binding already mid-drain/rebind
         // only needs the flush: the in-progress rebind supplies the new
         // path (or the error state) on the pump.
+        let flushed: Vec<_> = (ops.into_iter())
+            .map(|(_, wr_id, opcode)| self.wc(wr_id, WcStatus::RetryExcError, opcode, 0))
+            .collect();
         if !mid_rebind && !self.try_repath(stale_route) {
-            self.enter_error();
-        }
-        for (_, p) in sends {
-            let wc = self.wc(p.wr_id, WcStatus::RetryExcError, p.opcode, 0);
-            self.send_cq.push(wc);
-        }
-        for (_, p) in reads {
-            let wc = self.wc(p.wr_id, WcStatus::RetryExcError, WcOpcode::RdmaRead, 0);
-            self.send_cq.push(wc);
+            self.fail_with(flushed, u64::MAX);
+        } else {
+            self.send_cq.push_batch(&flushed);
         }
     }
 
@@ -584,7 +610,7 @@ impl FfQp {
     fn try_repath(&self, stale_route: bool) -> bool {
         let (peer, dead) = {
             let inner = self.inner.lock();
-            match (inner.state, inner.binding.phase(), inner.binding.path()) {
+            match (self.state(), inner.binding.phase(), inner.binding.path()) {
                 (
                     QpState::Rts | QpState::Rtr,
                     BindingPhase::Bound,
@@ -640,7 +666,7 @@ impl FfQp {
             self.lib.request_walk();
             return true;
         }
-        let unsettled = inner.pending_sends.len() + inner.pending_reads.len();
+        let unsettled = inner.pending.len();
         if inner.binding.begin_rebind(unsettled).is_err() {
             // Outstanding work the caller did not flush: the drain
             // finishes on the pump and the rebind completes there.
@@ -656,29 +682,36 @@ impl FfQp {
             dead.as_str(),
             false,
         );
-        let ups = inner.binding.upgrades();
-        inner
-            .binding
-            .complete_rebind(
-                FfPath::Remote {
-                    peer,
-                    transport: resolved.transport,
-                },
-                resolved.generation,
-            )
-            .expect("rebinding phase was just entered");
-        self.signal.publish(&inner.binding);
-        let upgrade = inner.binding.upgrades() > ups;
+        let path = FfPath::Remote {
+            peer,
+            transport: resolved.transport,
+        };
+        let rebound = self.complete_rebind(&mut inner, path, resolved.generation);
+        debug_assert!(rebound, "the rebinding phase was just entered");
+        true
+    }
+
+    /// Complete the rebind in progress onto `path`: publish, count and
+    /// record it. False when no rebind is in progress.
+    fn complete_rebind(&self, inner: &mut QpInner, path: FfPath, generation: u64) -> bool {
+        let b = &mut inner.binding;
+        let (from, reason, ups) = (b.path().label(), b.reason(), b.upgrades());
+        if b.complete_rebind(path, generation).is_err() {
+            return false;
+        }
+        self.signal.publish(b);
+        let upgrade = b.upgrades() > ups;
         self.tm_rebinds.inc();
         if upgrade {
             self.tm_upgrades.inc();
         }
+        let epoch = b.epoch();
         self.record_transition(
             TransitionKind::Rebound,
-            Some(RebindReason::Failover),
-            inner.binding.epoch(),
-            dead.as_str(),
-            resolved.transport.as_str(),
+            reason,
+            epoch,
+            from,
+            path.label(),
             upgrade,
         );
         true
@@ -691,7 +724,7 @@ impl FfQp {
     pub(crate) fn consider_rebind(&self) {
         let (peer, current) = {
             let inner = self.inner.lock();
-            match (inner.state, inner.binding.phase(), inner.binding.path()) {
+            match (self.state(), inner.binding.phase(), inner.binding.path()) {
                 (QpState::Rts, BindingPhase::Bound, FfPath::Remote { peer, transport }) => {
                     (peer, transport)
                 }
@@ -712,7 +745,7 @@ impl FfQp {
             return;
         };
         let mut inner = self.inner.lock();
-        if inner.state == QpState::Rts
+        if self.state() == QpState::Rts
             && inner.binding.phase() == BindingPhase::Bound
             && inner.binding.begin_drain(reason).is_ok()
         {
@@ -746,7 +779,7 @@ impl FfQp {
         {
             let mut inner = self.inner.lock();
             if inner.binding.phase() == BindingPhase::Draining {
-                let unsettled = inner.pending_sends.len() + inner.pending_reads.len();
+                let unsettled = inner.pending.len();
                 if unsettled == 0 && inner.binding.begin_rebind(0).is_ok() {
                     self.signal.publish(&inner.binding);
                     let label = inner.binding.path().label();
@@ -777,10 +810,10 @@ impl FfQp {
     ///
     /// Returns `false` when the QP was *not* frozen — today only the
     /// collapsed (shared-memory) binding. That is the un-collapse
-    /// boundary: a `Local` path's receive queue lives inside the
-    /// host-verbs QP and cannot be torn back out into a relay path, so
-    /// the binding rides through the migration untouched and simply goes
-    /// stale if the pair is torn apart ([`FfQp::path_is_current`] turns
+    /// boundary: a `Local` path's peer sends straight into the host-verbs
+    /// QP, with no relay in between to drain, so the binding rides
+    /// through the migration untouched and simply goes stale if the pair
+    /// is torn apart ([`FfQp::path_is_current`] turns
     /// false; the application re-establishes explicitly, exactly as
     /// before cross-host migration existed). The migration itself still
     /// proceeds.
@@ -829,8 +862,19 @@ impl FfQp {
     /// still awaiting its answer on the old path. Parked sends don't
     /// count — they replay after the thaw, on whichever path wins.
     pub fn migration_settled(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.pending_sends.is_empty() && inner.pending_reads.is_empty()
+        self.unanswered() == 0
+    }
+
+    /// Remote operations still awaiting their answer. A Local binding's
+    /// posts are answered at once or park at the peer, so it has none.
+    pub fn unanswered(&self) -> usize {
+        self.inner.lock().pending.len()
+    }
+
+    /// Inbound operations parked at this QP for a receive (RNR), relayed
+    /// or direct.
+    pub fn parked_inbound(&self) -> usize {
+        self.verbs_qp.parked_inbound()
     }
 
     /// Release a migration freeze and ring the library pump, whose next
@@ -874,9 +918,9 @@ impl FfQp {
                 .map(|t| t.rank())
                 .unwrap_or(u8::MAX),
             parked_sends: inner.parked_sends.len() as u32,
-            posted_recvs: inner.rq.len() as u32,
-            inbound_pending: inner.inbound_pending.len() as u32,
-            in_flight: (inner.pending_sends.len() + inner.pending_reads.len()) as u32,
+            posted_recvs: self.verbs_qp.posted_recvs() as u32,
+            inbound_pending: self.verbs_qp.parked_inbound() as u32,
+            in_flight: (inner.pending.len()) as u32,
             next_op_id: inner.next_op_id,
         }
     }
@@ -915,39 +959,21 @@ impl FfQp {
             }
             return;
         }
+        let path = FfPath::Remote {
+            peer,
+            transport: resolved.transport,
+        };
+        self.commit_rebind(path, resolved.generation);
+    }
+
+    /// Complete the rebind in progress onto `path`, then replay the sends
+    /// parked behind it.
+    fn commit_rebind(&self, path: FfPath, generation: u64) {
         {
             let mut inner = self.inner.lock();
-            if inner.binding.phase() != BindingPhase::Rebinding {
+            if !self.complete_rebind(&mut inner, path, generation) {
                 return;
             }
-            let ups = inner.binding.upgrades();
-            if inner
-                .binding
-                .complete_rebind(
-                    FfPath::Remote {
-                        peer,
-                        transport: resolved.transport,
-                    },
-                    resolved.generation,
-                )
-                .is_err()
-            {
-                return;
-            }
-            self.signal.publish(&inner.binding);
-            let upgrade = inner.binding.upgrades() > ups;
-            self.tm_rebinds.inc();
-            if upgrade {
-                self.tm_upgrades.inc();
-            }
-            self.record_transition(
-                TransitionKind::Rebound,
-                reason,
-                inner.binding.epoch(),
-                old.as_str(),
-                resolved.transport.as_str(),
-                upgrade,
-            );
             inner.replaying = true;
         }
         self.replay_parked();
@@ -980,93 +1006,34 @@ impl FfQp {
         self.replay_parked();
     }
 
-    /// Remote→Local collapse: the peer now shares this host. Bring up
-    /// the dormant verbs QP (it stayed in RESET while the path was
-    /// remote), wait for the peer's half, replay posted receives into
-    /// it, and switch — the application keeps its QP, MRs and wr_ids;
-    /// no reconnect.
+    /// Remote→Local collapse: the peer now shares this host. Once the
+    /// peer's half of the verbs connection is on this host's fabric,
+    /// switch. The verbs QP has held this QP's receives, and answered
+    /// relayed ops, all along: the application keeps its QP, MRs, wr_ids
+    /// and posted receives; no reconnect. An op parked at it on the relay
+    /// is answered there when a receive is posted, ahead of anything the
+    /// peer sends directly.
     fn finish_collapse(&self, peer: FfEndpoint, generation: u64) {
-        // Our half first, idempotent across retries. Driving the verbs
-        // QP early is safe: the relay path keeps matching inbound work
-        // until the commit below, and verbs sends from the peer park
-        // under RNR semantics until our receives are replayed.
-        if self.verbs_qp.state() == QpState::Reset {
-            let up = self
-                .verbs_qp
-                .modify_to_init()
-                .and_then(|()| self.verbs_qp.modify_to_rtr(peer.verbs()))
-                .and_then(|()| self.verbs_qp.modify_to_rts());
-            if up.is_err() {
-                let reason = self.inner.lock().binding.reason();
-                self.abort_or_fail(reason);
-                return;
-            }
-        }
-        // The peer's half must be ready or our first verbs send would be
-        // refused; the pump retries while the rebind is unsettled (the
-        // peer collapses on its own schedule, driven by the same
-        // orchestrator event).
+        // Our half first, idempotent across retries: the peer may now
+        // post to us directly. Its half must be open too or our first
+        // verbs send would be refused; the pump retries while the rebind
+        // is unsettled (the peer collapses on its own schedule, driven by
+        // the same orchestrator event — and not while it is frozen for a
+        // migration that may yet roll back).
+        self.verbs_qp.set_fabric_open(true);
         let peer_ready = self
             .lib
             .device
             .network()
             .find_device(peer.ip)
             .and_then(|d| d.find_qp(peer.verbs().qpn))
-            .map(|qp| matches!(qp.state(), QpState::Rtr | QpState::Rts))
-            .unwrap_or(false);
+            .is_some_and(|qp| {
+                qp.fabric_open() && matches!(qp.state(), QpState::Rtr | QpState::Rts)
+            });
         if !peer_ready {
             return;
         }
-        let committed = {
-            let mut inner = self.inner.lock();
-            if inner.binding.phase() != BindingPhase::Rebinding {
-                return;
-            }
-            // Relay deliveries still parked for a receive must match on
-            // the old path first — their senders' drains wait on our
-            // acks. They settle as the application posts receives.
-            if !inner.inbound_pending.is_empty() {
-                return;
-            }
-            let rq: Vec<RecvWr> = inner.rq.drain(..).collect();
-            for wr in rq {
-                // Fresh verbs QP, same rq_depth: re-posting cannot
-                // overflow. A refusal still resolves the WR (flush).
-                let wr_id = wr.wr_id;
-                if self.verbs_qp.post_recv(wr).is_err() {
-                    let wc = self.wc(wr_id, WcStatus::WrFlushError, WcOpcode::Recv, 0);
-                    self.recv_cq.push(wc);
-                }
-            }
-            let old = inner.binding.path().label();
-            let reason = inner.binding.reason();
-            let ups = inner.binding.upgrades();
-            let ok = inner
-                .binding
-                .complete_rebind(FfPath::Local { peer }, generation)
-                .is_ok();
-            if ok {
-                self.signal.publish(&inner.binding);
-                let upgrade = inner.binding.upgrades() > ups;
-                self.tm_rebinds.inc();
-                if upgrade {
-                    self.tm_upgrades.inc();
-                }
-                self.record_transition(
-                    TransitionKind::Rebound,
-                    reason,
-                    inner.binding.epoch(),
-                    old,
-                    TransportKind::SharedMemory.as_str(),
-                    upgrade,
-                );
-                inner.replaying = true;
-            }
-            ok
-        };
-        if committed {
-            self.replay_parked();
-        }
+        self.commit_rebind(FfPath::Local { peer }, generation);
     }
 
     /// Re-dispatch sends parked during a drain/rebind, in order. Runs
@@ -1092,7 +1059,7 @@ impl FfQp {
                     }
                 }
             };
-            let (wr_id, opcode) = (wr.wr_id, Self::wc_opcode_of(&wr));
+            let (wr_id, opcode) = (wr.wr_id, wr.opcode.completes_as());
             if self.dispatch(std::iter::once(wr), path).is_err() {
                 // The WR was accepted at post time: it must still
                 // resolve exactly once.
@@ -1102,55 +1069,13 @@ impl FfQp {
         }
     }
 
-    fn wc_opcode_of(wr: &SendWr) -> WcOpcode {
-        match wr.opcode {
-            WrOpcode::Send => WcOpcode::Send,
-            WrOpcode::Write { .. } | WrOpcode::WriteWithImm { .. } => WcOpcode::RdmaWrite,
-            WrOpcode::Read { .. } => WcOpcode::RdmaRead,
-        }
-    }
-
     // --- data path ----------------------------------------------------------
 
-    /// Post a receive.
+    /// Post a receive, on any binding, into the verbs QP: its receive
+    /// side answers relayed and direct operations alike.
     pub fn post_recv(&self, wr: RecvWr) -> VerbsResult<()> {
-        let pending = {
-            let mut inner = self.inner.lock();
-            match inner.state {
-                QpState::Init | QpState::Rtr | QpState::Rts => {}
-                s => {
-                    return Err(VerbsError::InvalidQpState {
-                        actual: s.name(),
-                        required: "INIT/RTR/RTS",
-                    })
-                }
-            }
-            match inner.binding.path() {
-                // Before RTR the path is unknown: park receives here; they
-                // are replayed into the verbs QP at RTR time for local
-                // paths via the rq (drained below on first use).
-                FfPath::Local { .. } => {
-                    // Delegate (the verbs QP is in lockstep ≥ INIT).
-                    drop(inner);
-                    return self.verbs_qp.post_recv(wr);
-                }
-                FfPath::Unbound | FfPath::Remote { .. } => {
-                    match inner.inbound_pending.pop_front() {
-                        Some(p) => Some((wr, p)),
-                        None => {
-                            if inner.rq.len() >= self.rq_depth {
-                                return Err(VerbsError::QueueFull { which: "recv" });
-                            }
-                            inner.rq.push_back(wr);
-                            None
-                        }
-                    }
-                }
-            }
-        };
-        if let Some((wr, p)) = pending {
-            self.consume_inbound(wr, p);
-        }
+        self.verbs_qp.post_recv(wr)?;
+        self.sync_error();
         Ok(())
     }
 
@@ -1186,9 +1111,15 @@ impl FfQp {
         }
         let path = {
             let mut inner = self.inner.lock();
-            if inner.state != QpState::Rts {
+            // A failing QP is `Error` from its binding on, a moment before
+            // the verbs QP follows.
+            let state = match inner.binding.phase() {
+                BindingPhase::Error => QpState::Error,
+                _ => self.state(),
+            };
+            if state != QpState::Rts {
                 return Err(VerbsError::InvalidQpState {
-                    actual: inner.state.name(),
+                    actual: state.name(),
                     required: "RTS",
                 });
             }
@@ -1197,7 +1128,7 @@ impl FfQp {
                 && inner.parked_sends.is_empty();
             // In-flight plus parked work shares the send-queue depth; a
             // Local path's depth is the verbs QP's own.
-            let in_flight = inner.pending_sends.len() + inner.pending_reads.len();
+            let in_flight = inner.pending.len();
             let path = inner.binding.path();
             if !settled {
                 if in_flight + inner.parked_sends.len() + wrs.len() > self.sq_depth {
@@ -1231,12 +1162,29 @@ impl FfQp {
     /// container↔agent ring is 2 MiB per direction; anything bigger must
     /// ride an arena descriptor, so when the arena is exhausted *and* the
     /// payload exceeds this bound the post fails loudly instead of being
-    /// silently undeliverable. A READ response always rides inline, so a
-    /// READ longer than this is refused too.
+    /// silently undeliverable. A READ response up to this size rides
+    /// inline; a longer one rides the arena as a SEND payload does.
     pub(crate) const MAX_INLINE_RELAY: usize = 1 << 20;
 
+    /// Stage `data` for the relay: into the host arena from `arena_from`
+    /// bytes on (zero-copy to the agent), inline otherwise. `None` when
+    /// the arena is exhausted and `data` is too large for the inline path.
+    fn relay_payload(&self, data: Vec<u8>, arena_from: usize) -> Option<RelayPayload> {
+        if data.len() >= arena_from {
+            let arena = self.lib.arena();
+            if let Ok(handle) = arena.alloc(data.len() as u64) {
+                arena.write(handle, 0, &data).expect("fresh block fits");
+                return Some(RelayPayload::Arena {
+                    offset: handle.offset,
+                    len: data.len() as u64,
+                });
+            }
+        }
+        (data.len() <= Self::MAX_INLINE_RELAY).then(|| RelayPayload::Inline(Bytes::from(data)))
+    }
+
     /// Gather a WR's payload and stage it for the relay: big payloads go
-    /// into the host arena (zero-copy to the agent), small ones inline.
+    /// into the host arena, small ones inline.
     fn stage_payload(
         &self,
         wr: &SendWr,
@@ -1244,26 +1192,14 @@ impl FfQp {
     ) -> VerbsResult<RelayPayload> {
         let mut payload = Vec::new();
         self.lib.device.gather_into(wr, lkey, &mut payload)?;
-        if payload.len() >= ZERO_COPY_THRESHOLD {
-            let arena = self.lib.arena();
-            if let Ok(handle) = arena.alloc(payload.len() as u64) {
-                arena.write(handle, 0, &payload).expect("fresh block fits");
-                return Ok(RelayPayload::Arena {
-                    offset: handle.offset,
-                    len: payload.len() as u64,
-                });
-            }
-        }
-        if payload.len() > Self::MAX_INLINE_RELAY {
-            return Err(VerbsError::ResourceLimit {
+        let len = payload.len();
+        self.relay_payload(payload, ZERO_COPY_THRESHOLD)
+            .ok_or_else(|| VerbsError::ResourceLimit {
                 detail: format!(
-                    "payload of {} bytes: host arena exhausted and too large \
-                     for the inline relay channel",
-                    payload.len()
+                    "payload of {len} bytes: host arena exhausted and too large \
+                     for the inline relay channel"
                 ),
-            });
-        }
-        Ok(RelayPayload::Inline(Bytes::from(payload)))
+            })
     }
 
     /// Gather and stage one remote WR, register it as in flight — before
@@ -1272,83 +1208,63 @@ impl FfQp {
     fn build_remote_op(
         &self,
         wr: SendWr,
-        me: WireEp,
+        src: WireEp,
         dst: WireEp,
         lkey: &mut Option<Arc<MemoryRegion>>,
     ) -> VerbsResult<RelayMsg> {
-        let opcode = Self::wc_opcode_of(&wr);
-        let len = wr.total_len();
-        // A READ's SGEs are where its response lands: nothing to gather.
-        let payload = match opcode {
-            WcOpcode::RdmaRead => RelayPayload::Inline(Bytes::new()),
+        // A READ's SGEs are where its response lands: nothing to gather,
+        // but they are vetted now, as the verbs engine vets them.
+        let payload = match wr.opcode {
+            WrOpcode::Read { .. } => {
+                self.lib.device.check_scatter(&wr.sge)?;
+                RelayPayload::Inline(Bytes::new())
+            }
             _ => self.stage_payload(&wr, lkey)?,
         };
-        let (deadline, posted_at) = (self.op_deadline(), Instant::now());
-        let SendWr {
-            wr_id,
-            opcode: op,
-            sge,
-            signaled,
-            ..
-        } = wr;
         let mut inner = self.inner.lock();
-        let op_id = inner.next_op_id;
+        let wr_id = inner.next_op_id;
         inner.next_op_id += 1;
-        let msg = match op {
-            WrOpcode::Read { remote_addr, rkey } => {
-                let read = PendingRead {
-                    wr_id,
-                    signaled,
-                    sge,
-                    deadline,
-                    posted_at,
-                };
-                inner.pending_reads.insert(op_id, read);
-                return Ok(RelayMsg::ReadReq {
-                    src: me,
-                    dst,
-                    req_id: op_id,
-                    addr: remote_addr,
-                    rkey,
-                    len,
-                });
-            }
-            WrOpcode::Send => RelayMsg::Send {
-                src: me,
+        let msg = match wr.opcode {
+            WrOpcode::Read { remote_addr, rkey } => RelayMsg::ReadReq {
+                src,
                 dst,
-                wr_id: op_id,
+                req_id: wr_id,
+                addr: remote_addr,
+                rkey,
+                len: wr.total_len(),
+            },
+            WrOpcode::Send => RelayMsg::Send {
+                src,
+                dst,
+                wr_id,
                 imm: None,
                 payload,
             },
-            WrOpcode::Write {
-                remote_addr: addr,
-                rkey,
-            }
+            WrOpcode::Write { remote_addr, rkey }
             | WrOpcode::WriteWithImm {
-                remote_addr: addr,
-                rkey,
-                ..
+                remote_addr, rkey, ..
             } => RelayMsg::Write {
-                src: me,
+                src,
                 dst,
-                wr_id: op_id,
-                addr,
+                wr_id,
+                addr: remote_addr,
                 rkey,
-                imm: match op {
+                imm: match wr.opcode {
                     WrOpcode::WriteWithImm { imm, .. } => Some(imm),
                     _ => None,
                 },
                 payload,
             },
         };
-        let send = PendingSend {
-            wr_id,
-            signaled,
-            opcode,
-            deadline,
-            posted_at,
+        let pending = Pending {
+            wr_id: wr.wr_id,
+            signaled: wr.signaled,
+            opcode: wr.opcode.completes_as(),
+            sge: wr.sge,
+            deadline: self.op_deadline(),
+            posted_at: Instant::now(),
         };
-        inner.pending_sends.insert(op_id, send);
+        inner.pending.insert(wr_id, pending);
         Ok(msg)
     }
 
@@ -1399,33 +1315,31 @@ impl FfQp {
         }
     }
 
-    /// Handle one inbound relay message addressed to this QP. An
-    /// operation whose payload cannot be read fails with REMOTE_ACCESS;
-    /// nothing is delivered in its place.
+    /// Handle one inbound relay message addressed to this QP: a request
+    /// goes to the verbs QP's responder and its answer back to the
+    /// requester; an answer settles one of this QP's remote ops.
     pub(crate) fn handle_inbound(&self, msg: RelayMsg) {
         match msg {
             RelayMsg::Send {
                 src,
-                wr_id: op_id,
+                wr_id,
                 imm,
                 payload,
                 ..
-            } => match self.payload_bytes(payload) {
-                Some(bytes) => self.inbound_send(src, op_id, Some(bytes), imm),
-                None => self.nack(src, op_id, st::REMOTE_ACCESS),
-            },
+            } => self.respond(src, wr_id, payload, |from, data| {
+                self.verbs_qp.answer_send(from, data, imm)
+            }),
             RelayMsg::Write {
                 src,
-                wr_id: op_id,
+                wr_id,
                 addr,
                 rkey,
                 imm,
                 payload,
                 ..
-            } => match self.payload_bytes(payload) {
-                Some(bytes) => self.inbound_write(src, op_id, addr, rkey, imm, bytes),
-                None => self.nack(src, op_id, st::REMOTE_ACCESS),
-            },
+            } => self.respond(src, wr_id, payload, |from, data| {
+                self.verbs_qp.answer_write(from, addr, rkey, data, imm)
+            }),
             RelayMsg::ReadReq {
                 src,
                 req_id,
@@ -1433,233 +1347,109 @@ impl FfQp {
                 rkey,
                 len,
                 ..
-            } => {
-                self.inbound_read_req(src, req_id, addr, rkey, len);
-            }
+            } => self.respond_read(src, req_id, addr, rkey, len),
             RelayMsg::ReadResp {
                 req_id,
                 status,
                 payload,
                 ..
-            } => match self.payload_bytes(payload) {
-                Some(bytes) => self.inbound_read_resp(req_id, status, bytes),
-                None => self.inbound_read_resp(req_id, st::REMOTE_ACCESS, Bytes::new()),
+            } => match (status, self.payload_bytes(payload)) {
+                (st::OK, Some(data)) => self.answered(req_id, Some(&data), data.len() as u64),
+                (st::OK, None) => self.refused(req_id, st::REMOTE_ACCESS),
+                (status, _) => self.refused(req_id, status),
             },
             RelayMsg::Ack {
-                wr_id: op_id,
-                byte_len,
-                ..
-            } => self.inbound_ack(op_id, byte_len),
-            RelayMsg::Nack {
-                wr_id: op_id,
-                status,
-                ..
-            } => self.inbound_nack(op_id, status),
+                wr_id, byte_len, ..
+            } => self.answered(wr_id, None, byte_len),
+            RelayMsg::Nack { wr_id, status, .. } => self.refused(wr_id, status),
         }
     }
 
-    fn wire_status_to_wc(status: u8) -> WcStatus {
-        match status {
-            st::OK => WcStatus::Success,
-            st::REMOTE_ACCESS => WcStatus::RemoteAccessError,
-            st::LOCAL_LENGTH => WcStatus::LocalLengthError,
-            st::TIMEOUT => WcStatus::RetryExcError,
-            _ => WcStatus::RemoteOperationError,
-        }
-    }
-
-    fn inbound_send(&self, src: WireEp, op_id: u64, payload: Option<Bytes>, imm: Option<u32>) {
-        let byte_len = payload.as_ref().map(|b| b.len() as u64).unwrap_or(0);
-        let inbound = InboundSend {
-            src,
-            op_id,
-            payload,
-            byte_len,
-            imm,
-        };
-        let matched = {
-            let mut inner = self.inner.lock();
-            match inner.state {
-                QpState::Rtr | QpState::Rts => {}
-                _ => {
-                    drop(inner);
-                    self.nack(src, op_id, st::REMOTE_OP);
-                    return;
-                }
-            }
-            match inner.rq.pop_front() {
-                Some(wr) => Some((wr, inbound)),
-                None => {
-                    inner.inbound_pending.push_back(inbound);
-                    None
-                }
-            }
-        };
-        if let Some((wr, inbound)) = matched {
-            self.consume_inbound(wr, inbound);
-        }
-    }
-
-    /// Match one parked/incoming send against a receive WR: scatter,
-    /// complete locally, ack the sender.
-    fn consume_inbound(&self, wr: RecvWr, p: InboundSend) {
-        let opcode = if p.payload.is_some() || p.imm.is_none() {
-            WcOpcode::Recv
-        } else {
-            WcOpcode::RecvRdmaWithImm
-        };
-        let status = match &p.payload {
-            Some(data) if wr.capacity() < data.len() as u64 => WcStatus::LocalLengthError,
-            Some(data) if self.lib.device.scatter(&wr.sge, data).is_err() => {
-                WcStatus::LocalProtectionError
-            }
-            _ => WcStatus::Success,
-        };
-        let wc = WorkCompletion {
-            imm: p.imm,
-            ..self.wc(wr.wr_id, status, opcode, p.byte_len)
-        };
-        if status.is_ok() {
-            self.recv_cq.push(wc);
-            self.reply(RelayMsg::Ack {
-                src: self.endpoint().wire(),
-                dst: p.src,
-                wr_id: p.op_id,
-                byte_len: p.byte_len,
-            });
-        } else {
-            self.fail_with(Some((&self.recv_cq, wc)));
-            self.nack(p.src, p.op_id, st::LOCAL_LENGTH);
-        }
-    }
-
-    fn inbound_write(
+    /// Hand a relayed SEND or WRITE to the verbs QP's responder through
+    /// `answer`, and send back what it answers at once; one that parks is
+    /// answered through the relay sink later. An op whose payload cannot
+    /// be read fails with REMOTE_ACCESS; nothing is delivered in its place.
+    fn respond(
         &self,
         src: WireEp,
         op_id: u64,
-        addr: u64,
-        rkey: u32,
-        imm: Option<u32>,
-        payload: Bytes,
+        payload: RelayPayload,
+        answer: impl FnOnce(Requester, &[u8]) -> Answer,
     ) {
-        if !matches!(self.state(), QpState::Rtr | QpState::Rts) {
-            self.nack(src, op_id, st::REMOTE_OP);
+        let from = Requester {
+            qp: verbs_ep(src),
+            wr_id: op_id,
+            relayed: true,
+        };
+        let (answer, len) = match self.payload_bytes(payload) {
+            Some(data) => (answer(from, &data), data.len() as u64),
+            None => (Answer::Now(WcStatus::RemoteAccessError), 0),
+        };
+        let Answer::Now(status) = answer else {
             return;
-        }
-        let written = self
-            .lib
-            .device
-            .mr_by_rkey(rkey)
-            .ok()
-            .filter(|mr| mr.access().remote_write)
-            .is_some_and(|mr| mr.dma_write(addr, &payload).is_ok());
-        if !written {
-            self.nack(src, op_id, st::REMOTE_ACCESS);
-        } else if imm.is_some() {
-            // Consume a receive for the notification: that acks (or
-            // nacks) the sender, at once or when a receive is posted.
-            self.inbound_send(src, op_id, None, imm);
-        } else {
-            self.reply(RelayMsg::Ack {
-                src: self.endpoint().wire(),
-                dst: src,
-                wr_id: op_id,
-                byte_len: payload.len() as u64,
-            });
+        };
+        self.reply(answer_msg(self.endpoint().wire(), src, op_id, status, len));
+        if !status.is_ok() {
+            // A receive that failed its match took the verbs QP to `Error`.
+            self.sync_error();
         }
     }
 
-    fn inbound_read_req(&self, src: WireEp, req_id: u64, addr: u64, rkey: u32, len: u64) {
-        // The peer chose `len`: refuse one the inline reply cannot carry
-        // before it sizes a copy of the MR or reaches the encoder.
-        let data = if len > Self::MAX_INLINE_RELAY as u64 {
-            Err(st::REMOTE_OP)
-        } else {
-            self.lib
-                .device
-                .mr_by_rkey(rkey)
-                .ok()
-                .filter(|mr| mr.access().remote_read)
-                .and_then(|mr| mr.dma_read(addr, len).ok())
-                .ok_or(st::REMOTE_ACCESS)
-        };
-        let (status, payload) = match data {
-            Ok(bytes) => (st::OK, Bytes::from(bytes)),
-            Err(status) => (status, Bytes::new()),
+    /// Answer a relayed READ. The MR bounds its length; a response longer
+    /// than [`Self::MAX_INLINE_RELAY`] rides the arena.
+    fn respond_read(&self, src: WireEp, req_id: u64, addr: u64, rkey: u32, len: u64) {
+        let mut data = Vec::new();
+        let read = (self.verbs_qp).answer_read(verbs_ep(src), addr, rkey, len, &mut data);
+        let staged = read
+            .is_ok()
+            .then(|| self.relay_payload(data, Self::MAX_INLINE_RELAY + 1));
+        let (status, payload) = match staged {
+            Some(Some(payload)) => (st::OK, payload),
+            // The arena is full and the response too long to ride inline.
+            Some(None) => (st::REMOTE_OP, RelayPayload::Inline(Bytes::new())),
+            None => (wire_status(read), RelayPayload::Inline(Bytes::new())),
         };
         self.reply(RelayMsg::ReadResp {
             src: self.endpoint().wire(),
             dst: src,
             req_id,
             status,
-            payload: RelayPayload::Inline(payload),
+            payload,
         });
     }
 
-    fn inbound_read_resp(&self, req_id: u64, status: u8, payload: Bytes) {
-        if matches!(status, st::TIMEOUT | st::STALE_ROUTE) {
-            // The relay gave up on this READ: the transport is dead.
-            // Flush everything outstanding (the request included) and
-            // fail over instead of erroring out.
-            if self.inner.lock().pending_reads.contains_key(&req_id) {
-                self.on_transport_failure(status == st::STALE_ROUTE);
-            }
-            return;
-        }
-        let pending = self.inner.lock().pending_reads.remove(&req_id);
+    /// The peer answered remote op `op_id`: `byte_len` bytes delivered,
+    /// or a READ's `data`, which lands in its SGEs.
+    fn answered(&self, op_id: u64, data: Option<&[u8]>, byte_len: u64) {
+        let pending = self.inner.lock().pending.remove(&op_id);
         let Some(p) = pending else { return };
         self.tm_remote_latency
             .record(p.posted_at.elapsed().as_nanos() as u64);
-        let wc_status = if status != st::OK {
-            Self::wire_status_to_wc(status)
-        } else if self.lib.device.scatter(&p.sge, &payload).is_err() {
-            WcStatus::LocalProtectionError
-        } else {
-            WcStatus::Success
-        };
-        let wc = self.wc(p.wr_id, wc_status, WcOpcode::RdmaRead, payload.len() as u64);
-        if !wc_status.is_ok() {
-            self.fail_with(Some((&self.send_cq, wc)));
+        if data.is_some_and(|data| self.lib.device.scatter(&p.sge, data).is_err()) {
+            let wc = self.wc(p.wr_id, WcStatus::LocalProtectionError, p.opcode, 0);
+            self.fail_with(vec![wc], op_id);
         } else if p.signaled {
-            self.send_cq.push(wc);
-        }
-    }
-
-    fn inbound_ack(&self, op_id: u64, byte_len: u64) {
-        let pending = self.inner.lock().pending_sends.remove(&op_id);
-        let Some(p) = pending else { return };
-        self.tm_remote_latency
-            .record(p.posted_at.elapsed().as_nanos() as u64);
-        if p.signaled {
             let wc = self.wc(p.wr_id, WcStatus::Success, p.opcode, byte_len);
             self.send_cq.push(wc);
         }
     }
 
-    fn inbound_nack(&self, op_id: u64, status: u8) {
+    /// Remote op `op_id` failed with wire status `status`.
+    fn refused(&self, op_id: u64, status: u8) {
         if matches!(status, st::TIMEOUT | st::STALE_ROUTE) {
-            // The relay declared the path dead (downed wire / no reply).
-            // Flush everything outstanding (this op included) with
-            // RETRY_EXC_ERR and re-path instead of erroring out.
-            if self.inner.lock().pending_sends.contains_key(&op_id) {
+            // The path is dead (downed wire, no reply) or the peer failed
+            // while the op was parked there. Flush everything outstanding
+            // (this op included) with RETRY_EXC_ERR and re-path instead of
+            // erroring out.
+            if self.inner.lock().pending.contains_key(&op_id) {
                 self.on_transport_failure(status == st::STALE_ROUTE);
             }
             return;
         }
-        let pending = self.inner.lock().pending_sends.remove(&op_id);
+        let pending = self.inner.lock().pending.remove(&op_id);
         let Some(p) = pending else { return };
-        let wc = self.wc(p.wr_id, Self::wire_status_to_wc(status), p.opcode, 0);
-        self.fail_with(Some((&self.send_cq, wc)));
-    }
-
-    /// Refuse the peer's operation `op_id` with wire status `status`.
-    fn nack(&self, dst: WireEp, op_id: u64, status: u8) {
-        self.reply(RelayMsg::Nack {
-            src: self.endpoint().wire(),
-            dst,
-            wr_id: op_id,
-            status,
-        });
+        let wc = self.wc(p.wr_id, wc_status(status), p.opcode, 0);
+        self.fail_with(vec![wc], op_id);
     }
 
     fn reply(&self, msg: RelayMsg) {
@@ -1699,7 +1489,7 @@ impl std::fmt::Debug for FfQp {
         let inner = self.inner.lock();
         f.debug_struct("FfQp")
             .field("qpn", &self.qp_num())
-            .field("state", &inner.state.name())
+            .field("state", &self.state().name())
             .field("path", &inner.binding.path())
             .field("phase", &inner.binding.phase().name())
             .field("epoch", &inner.binding.epoch())

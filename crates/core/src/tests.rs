@@ -870,19 +870,154 @@ fn read_from_mr_without_remote_read_fails_cleanly() {
 }
 
 #[test]
-fn read_longer_than_the_inline_relay_is_refused() {
-    // The response would ride inline, past what that path carries: the
-    // responder refuses the peer-chosen length up front.
+fn read_longer_than_the_inline_relay_succeeds_on_both_paths() {
+    // The response is past what the inline relay carries: it rides the
+    // arena, as a SEND payload does, and the MR bounds the length.
+    for same_host in [true, false] {
+        let cluster = FreeFlowCluster::with_defaults();
+        let p = connected_pair(&cluster, same_host);
+        let len = crate::FfQp::MAX_INLINE_RELAY as u32 + 1;
+        let mr_a = p.a.register(len.into(), AccessFlags::all()).unwrap();
+        let mr_b = p.b.register(len.into(), AccessFlags::all()).unwrap();
+        let pattern: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        mr_b.write(0, &pattern).unwrap();
+        p.qp_a
+            .post_send(SendWr::read(1, mr_a.sge(0, len), mr_b.addr(), mr_b.rkey()))
+            .unwrap();
+        let wc = p.cq_a.wait_one(T).expect("read completion");
+        assert_eq!((wc.status, wc.byte_len), (WcStatus::Success, len.into()));
+        let mut got = vec![0u8; len as usize];
+        mr_a.read(0, &mut got).unwrap();
+        assert!(got == pattern, "same_host={same_host}: bytes differ");
+    }
+}
+
+/// Another QP pair between `p`'s two containers, sharing its CQs.
+fn second_pair(p: &Pair) -> (Arc<crate::FfQp>, Arc<crate::FfQp>) {
+    let qp_a = p.a.create_qp(&p.cq_a, &p.cq_a, 8, 8).unwrap();
+    let qp_b = p.b.create_qp(&p.cq_b, &p.cq_b, 8, 8).unwrap();
+    qp_a.connect(qp_b.endpoint()).unwrap();
+    qp_b.connect(qp_a.endpoint()).unwrap();
+    (qp_a, qp_b)
+}
+
+#[test]
+fn a_wrapping_remote_address_fails_the_op_not_the_responder() {
+    // `va + len` past `u64::MAX` once panicked the bounds check: in the
+    // requester's own thread on the shm path, in the victim's library pump
+    // — every QP it served — on the relay.
+    for same_host in [true, false] {
+        let cluster = FreeFlowCluster::with_defaults();
+        let p = connected_pair(&cluster, same_host);
+        let wrap = u64::MAX - 3;
+        for wr in [
+            SendWr::write(1, p.mr_a.sge(0, 8), wrap, p.mr_b.rkey()),
+            SendWr::read(2, p.mr_a.sge(0, 8), wrap, p.mr_b.rkey()),
+        ] {
+            let (qp_a, _qp_b) = second_pair(&p);
+            qp_a.post_send(wr).unwrap();
+            let wc = p.cq_a.wait_one(T).expect("failed completion");
+            assert_eq!(
+                wc.status,
+                WcStatus::RemoteAccessError,
+                "same_host={same_host}"
+            );
+        }
+        // The victim still carries a good SEND.
+        let (qp_a, qp_b) = second_pair(&p);
+        qp_b.post_recv(RecvWr::new(3, p.mr_b.sge(0, 64))).unwrap();
+        p.mr_a.write(0, b"alive").unwrap();
+        qp_a.post_send(SendWr::send(4, p.mr_a.sge(0, 5))).unwrap();
+        let rwc = p.cq_b.wait_one(T).expect("recv completion");
+        assert_eq!((rwc.status, rwc.byte_len), (WcStatus::Success, 5));
+        assert!(p.cq_a.wait_one(T).unwrap().status.is_ok());
+    }
+}
+
+#[test]
+fn hostile_inbound_ops_are_refused_and_the_pump_keeps_serving() {
+    // A raw attachment on the victim's host hands its responder
+    // peer-chosen addresses, lengths and keys. The MR bounds check is
+    // what stops a READ of 1 TiB now, before anything is allocated.
+    use freeflow_agent::proto::{status as st, RelayMsg, RelayPayload, WireEp};
+    use freeflow_shmem::ShmMessage;
     let cluster = FreeFlowCluster::with_defaults();
     let p = connected_pair(&cluster, false);
-    let len = crate::FfQp::MAX_INLINE_RELAY as u32 + 1;
-    let mr_a = p.a.register(len.into(), AccessFlags::all()).unwrap();
-    let mr_b = p.b.register(len.into(), AccessFlags::all()).unwrap();
-    p.qp_a
-        .post_send(SendWr::read(1, mr_a.sge(0, len), mr_b.addr(), mr_b.rkey()))
+    // An rkey of another container's device that the victim's lacks.
+    let other = cluster.launch(tenant(), p.a.host()).unwrap();
+    let mut foreign = other.register(64, AccessFlags::all()).unwrap();
+    for _ in 0..3 {
+        foreign = other.register(64, AccessFlags::all()).unwrap();
+    }
+    assert!(p.b.lib().device().mr_by_rkey(foreign.rkey()).is_err());
+    let raw_ip = freeflow_types::OverlayIp::from_octets(10, 9, 9, 9);
+    let raw = cluster
+        .agent_of(p.b.host())
+        .unwrap()
+        .attach_container(raw_ip)
         .unwrap();
-    let wc = p.cq_a.wait_one(T).expect("read completion");
-    assert_eq!(wc.status, WcStatus::RemoteOperationError);
+    // One requester QP per op: a refused requester's later ops are
+    // flushed unexecuted, and each op here must reach the checks.
+    let (src, dst) = (|qpn| WireEp::new(raw_ip, qpn), p.qp_b.endpoint().wire());
+    let (base, rkey) = (p.mr_b.addr(), p.mr_b.rkey());
+    let end = base + p.mr_b.len();
+    let reads = [
+        (base, 1 << 40, rkey),
+        (u64::MAX - 3, 8, rkey),
+        (base, 8, foreign.rkey()),
+    ];
+    let writes = [
+        (end - 4, rkey),
+        (u64::MAX - 3, rkey),
+        (base, foreign.rkey()),
+    ];
+    for (i, &(addr, len, rkey)) in reads.iter().enumerate() {
+        let req_id = i as u64;
+        let msg = RelayMsg::ReadReq {
+            src: src(req_id as u32),
+            dst,
+            req_id,
+            addr,
+            rkey,
+            len,
+        };
+        raw.channel.tx.send(&msg.encode()).unwrap();
+    }
+    for (i, &(addr, rkey)) in writes.iter().enumerate() {
+        let wr_id = 10 + i as u64;
+        let msg = RelayMsg::Write {
+            src: src(wr_id as u32),
+            dst,
+            wr_id,
+            addr,
+            rkey,
+            imm: None,
+            payload: RelayPayload::Inline(bytes::Bytes::from_static(b"hostile!")),
+        };
+        raw.channel.tx.send(&msg.encode()).unwrap();
+    }
+    let mut answers = Vec::new();
+    for _ in 0..reads.len() + writes.len() {
+        let Ok(Some(ShmMessage::Inline(raw_msg))) = raw.channel.rx.recv_timeout(T) else {
+            panic!("no answer");
+        };
+        answers.push(match RelayMsg::decode(raw_msg).unwrap() {
+            RelayMsg::ReadResp {
+                req_id,
+                status,
+                payload,
+                ..
+            } => (req_id, status, payload.len()),
+            RelayMsg::Nack { wr_id, status, .. } => (wr_id, status, 0),
+            other => panic!("expected a refusal, got {other:?}"),
+        });
+    }
+    let want: Vec<_> = [0, 1, 2, 10, 11, 12]
+        .map(|id| (id, st::REMOTE_ACCESS, 0))
+        .to_vec();
+    assert_eq!(answers, want);
+    assert_eq!(p.qp_b.state(), QpState::Rts);
+    roundtrip_send(&p, b"still serving");
 }
 
 #[test]

@@ -234,16 +234,31 @@ impl Device {
                 break;
             }
             let (now, later) = rest.split_at(rest.len().min(s.len as usize));
-            let mr = self.mr_by_lkey(s.lkey)?;
-            if !mr.access().local_write {
-                return Err(VerbsError::AccessDenied {
-                    detail: "SGE MR lacks LOCAL_WRITE".into(),
-                });
-            }
-            mr.dma_write(s.addr, now)?;
+            self.writable(s)?.dma_write(s.addr, now)?;
             rest = later;
         }
         Ok(())
+    }
+
+    /// Vet every SGE of a scatter list — key, LOCAL_WRITE, bounds —
+    /// writing nothing. A READ's destination is checked this way before
+    /// the request leaves, so a bad one fails the post on every path.
+    pub fn check_scatter(&self, sge: &[Sge]) -> VerbsResult<()> {
+        for s in sge {
+            self.writable(s)?.va_to_offset(s.addr, s.len as u64)?;
+        }
+        Ok(())
+    }
+
+    /// The MR behind `s`, if it grants LOCAL_WRITE.
+    fn writable(&self, s: &Sge) -> VerbsResult<Arc<MemoryRegion>> {
+        let mr = self.mr_by_lkey(s.lkey)?;
+        if !mr.access().local_write {
+            return Err(VerbsError::AccessDenied {
+                detail: "SGE MR lacks LOCAL_WRITE".into(),
+            });
+        }
+        Ok(mr)
     }
 
     /// Look up an MR by remote key.

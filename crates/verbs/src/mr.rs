@@ -120,9 +120,8 @@ impl MemoryRegion {
     /// error, matching how real verbs would corrupt or fault.
     pub fn sge(&self, offset: u64, len: u32) -> Sge {
         assert!(
-            offset + len as u64 <= self.len,
-            "sge [{offset}, {}) exceeds MR of {} bytes",
-            offset + len as u64,
+            self.check_range(offset, len as u64).is_ok(),
+            "sge at {offset} of {len} bytes exceeds MR of {} bytes",
             self.len
         );
         Sge {
@@ -168,33 +167,31 @@ impl MemoryRegion {
         }
     }
 
+    /// Bounds-check `[offset, offset + len)`. Both ends may be chosen by
+    /// a remote peer, so a range whose end wraps `u64` is out of bounds,
+    /// not an overflow.
     fn check_range(&self, offset: u64, len: u64) -> VerbsResult<()> {
-        if offset + len > self.len {
-            return Err(VerbsError::OutOfBounds {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.len => Ok(()),
+            _ => Err(VerbsError::OutOfBounds {
                 detail: format!(
-                    "[{offset}, {}) exceeds MR of {} bytes",
-                    offset + len,
+                    "{len} bytes at offset {offset} exceed MR of {} bytes",
                     self.len
                 ),
-            });
+            }),
         }
-        Ok(())
     }
 
     /// Translate a virtual address range to an in-region offset,
     /// validating bounds. Used by the fabric executor.
     pub(crate) fn va_to_offset(&self, va: u64, len: u64) -> VerbsResult<u64> {
-        if va < self.base_va || va + len > self.base_va + self.len {
-            return Err(VerbsError::OutOfBounds {
-                detail: format!(
-                    "va [{va:#x}, {:#x}) outside MR [{:#x}, {:#x})",
-                    va + len,
-                    self.base_va,
-                    self.base_va + self.len
-                ),
-            });
-        }
-        Ok(va - self.base_va)
+        let offset = va
+            .checked_sub(self.base_va)
+            .ok_or_else(|| VerbsError::OutOfBounds {
+                detail: format!("va {va:#x} below MR base {:#x}", self.base_va),
+            })?;
+        self.check_range(offset, len)?;
+        Ok(offset)
     }
 
     /// Fabric-side write at a virtual address (incoming SEND payload,
@@ -332,6 +329,16 @@ mod tests {
         assert_eq!(mr.va_to_offset(0x10_0000 + 8, 8).unwrap(), 8);
         assert!(mr.va_to_offset(0x10_0000 - 1, 1).is_err());
         assert!(mr.va_to_offset(0x10_0000 + 250, 10).is_err());
+    }
+
+    #[test]
+    fn ranges_that_wrap_u64_are_out_of_bounds() {
+        let mr = private_mr();
+        assert!(mr.va_to_offset(u64::MAX - 3, 8).is_err());
+        assert!(mr.va_to_offset(0x10_0000, u64::MAX).is_err());
+        assert!(mr.dma_write(u64::MAX - 3, b"wrap").is_err());
+        assert!(mr.dma_read(u64::MAX - 3, 8).is_err());
+        assert!(mr.write(u64::MAX - 1, b"ab").is_err());
     }
 
     #[test]

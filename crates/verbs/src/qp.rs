@@ -14,6 +14,15 @@
 //! ([`Device::gather_into`]) and land through the one scatter
 //! ([`Device::scatter`]).
 //!
+//! There is one responder too: a QP's receive side
+//! ([`QueuePair::answer_send`], [`QueuePair::answer_write`],
+//! [`QueuePair::answer_read`]) answers a peer on this fabric and an
+//! operation FreeFlow relayed from another host alike, so the two data
+//! planes cannot answer differently. A relayed operation that parks is
+//! answered later through the QP's [`RelaySink`]. Operations parked here
+//! when the QP enters the error state are answered
+//! [`WcStatus::RetryExcError`].
+//!
 //! ## Deviations from `libibverbs`, documented
 //!
 //! * Local gather errors (bad lkey, out-of-bounds SGE) are *synchronous*
@@ -35,7 +44,8 @@ use freeflow_types::OverlayIp;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// QP connection states (subset of `ibv_qp_state`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,12 +91,36 @@ impl fmt::Display for QpEndpoint {
     }
 }
 
-/// An inbound two-sided operation: matched against a receive at once, or
-/// parked until one is posted.
+/// Who waits on an inbound operation's answer: a QP on this fabric, whose
+/// WR the engine completes itself, or an operation FreeFlow relayed from
+/// another host, answered through the QP's [`RelaySink`] if it parks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Requester {
+    /// The requesting QP.
+    pub qp: QpEndpoint,
+    /// Its WR's cookie; for a relayed operation, the relay's op id.
+    pub wr_id: u64,
+    /// Whether the operation was relayed.
+    pub relayed: bool,
+}
+
+/// The receive side's answer to one inbound operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answer {
+    /// Answered at once: the status the requester's completion carries.
+    Now(WcStatus),
+    /// Parked for a receive (RNR): answered when one is posted, or with
+    /// [`WcStatus::RetryExcError`] if this QP enters the error state first.
+    Parked,
+}
+
+/// Answers a parked relayed operation: its requester, the requester's
+/// status and the bytes delivered.
+pub type RelaySink = Box<dyn Fn(Requester, WcStatus, u64) + Send + Sync>;
+
+/// An inbound two-sided operation parked until a receive is posted.
 struct PendingInbound {
-    src: QpEndpoint,
-    src_wr_id: u64,
-    src_signaled: bool,
+    from: Requester,
     /// `Some` for SEND payload; `None` for WRITE_WITH_IMM (data already
     /// placed).
     payload: Option<Vec<u8>>,
@@ -101,10 +135,15 @@ struct QpInner {
     inbound_pending: VecDeque<PendingInbound>,
     sq_outstanding: usize,
     /// Sends parked at the peer waiting for a receive (`wr_id`,
-    /// `signaled`). Tracked so that a QP entering the error state can
-    /// flush them — otherwise a dead transport leaves them in limbo and
-    /// the application hangs waiting for completions.
-    sq_deferred: Vec<(u64, bool)>,
+    /// `signaled`, opcode), in post order. Tracked so that a QP entering
+    /// the error state can flush them — otherwise a dead transport leaves
+    /// them in limbo and the application hangs waiting for completions.
+    sq_deferred: Vec<(u64, bool, WcOpcode)>,
+    /// The requester this QP last refused. Its later operations are
+    /// answered [`WcStatus::WrFlushError`] unexecuted, as its own engine
+    /// flushes the rest of a chain after a remote error: a relayed chain
+    /// is already on its way when the refusal reaches its sender.
+    refused: Option<QpEndpoint>,
 }
 
 /// A reliable-connected queue pair.
@@ -117,6 +156,9 @@ pub struct QueuePair {
     sq_depth: usize,
     rq_depth: usize,
     inner: Mutex<QpInner>,
+    relay_sink: OnceLock<RelaySink>,
+    /// See [`QueuePair::set_fabric_open`].
+    fabric_open: AtomicBool,
 }
 
 impl QueuePair {
@@ -144,7 +186,10 @@ impl QueuePair {
                 inbound_pending: VecDeque::new(),
                 sq_outstanding: 0,
                 sq_deferred: Vec::new(),
+                refused: None,
             }),
+            relay_sink: OnceLock::new(),
+            fabric_open: AtomicBool::new(true),
         });
         device.register_qp(&qp)?;
         Ok(qp)
@@ -186,6 +231,20 @@ impl QueuePair {
     /// The receive completion queue.
     pub fn recv_cq(&self) -> &Arc<CompletionQueue> {
         &self.recv_cq
+    }
+
+    /// Open (the default) or close this QP to its peer on the fabric,
+    /// whose posts then fail as if it were absent; a closed QP still
+    /// answers what is handed to its responder. FreeFlow keeps a relayed
+    /// QP closed: both halves of a Remote→Local collapse open theirs and
+    /// wait for the other's.
+    pub fn set_fabric_open(&self, open: bool) {
+        self.fabric_open.store(open, Ordering::Release);
+    }
+
+    /// Whether this QP is open to its peer on the fabric.
+    pub fn fabric_open(&self) -> bool {
+        self.fabric_open.load(Ordering::Acquire)
     }
 
     // --- state machine -------------------------------------------------
@@ -233,35 +292,59 @@ impl QueuePair {
         self.modify_to_rts()
     }
 
-    /// Force the QP into the error state, flushing posted receives and
-    /// any sends still parked at the peer.
+    /// Force the QP into the error state, flushing posted receives, the
+    /// sends still parked at the peer, and the inbound operations parked
+    /// here.
     ///
     /// Receives flush with [`WcStatus::WrFlushError`] as in real verbs.
-    /// Parked sends flush with [`WcStatus::RetryExcError`] — from the
+    /// Parked sends flush with [`WcStatus::RetryExcError`], and so does
+    /// every requester whose operation was parked here — from the
     /// sender's perspective the transport stopped responding, which is
     /// exactly what `IBV_WC_RETRY_EXC_ERR` reports, and it is the signal
     /// FreeFlow's router uses to re-path the connection.
     pub fn enter_error(&self) {
-        let (flushed_recvs, flushed_sends) = {
+        self.fail_with(&self.send_cq, &[]);
+    }
+
+    /// Enter the error state, *then* push `first` onto `cq`, then flush as
+    /// [`QueuePair::enter_error`] does. Verbs order: whoever observes an
+    /// error completion finds the QP already in `Error`, exactly as a NIC
+    /// moves the QP before it writes the CQE. A QP already in `Error` only
+    /// pushes `first`.
+    pub fn fail_with(&self, cq: &CompletionQueue, first: &[WorkCompletion]) {
+        for p in self.fail(cq, first) {
+            self.answer(&p, WcStatus::RetryExcError);
+        }
+    }
+
+    /// [`QueuePair::fail_with`], but hand back the inbound operations
+    /// parked here instead of answering them: a failed match answers its
+    /// own requester first.
+    fn fail(&self, cq: &CompletionQueue, first: &[WorkCompletion]) -> VecDeque<PendingInbound> {
+        let flushed = {
             let mut inner = self.inner.lock();
-            if inner.state == QpState::Error {
-                return;
-            }
-            inner.state = QpState::Error;
-            let sends: Vec<(u64, bool)> = inner.sq_deferred.drain(..).collect();
-            inner.sq_outstanding = inner.sq_outstanding.saturating_sub(sends.len());
-            let recvs: Vec<RecvWr> = inner.rq.drain(..).collect();
-            (recvs, sends)
+            (inner.state != QpState::Error).then(|| {
+                inner.state = QpState::Error;
+                let sends = std::mem::take(&mut inner.sq_deferred);
+                inner.sq_outstanding = inner.sq_outstanding.saturating_sub(sends.len());
+                let recvs = std::mem::take(&mut inner.rq);
+                (sends, recvs, std::mem::take(&mut inner.inbound_pending))
+            })
         };
-        for (wr_id, _signaled) in flushed_sends {
-            // Failed sends always complete, signaled or not.
-            let wc = self.wc(wr_id, WcStatus::RetryExcError, WcOpcode::Send, 0);
-            self.send_cq.push(wc);
-        }
-        for wr in flushed_recvs {
-            let wc = self.wc(wr.wr_id, WcStatus::WrFlushError, WcOpcode::Recv, 0);
-            self.recv_cq.push(wc);
-        }
+        cq.push_batch(first);
+        let Some((sends, recvs, inbound)) = flushed else {
+            return VecDeque::new();
+        };
+        // Failed sends always complete, signaled or not.
+        let sends: Vec<_> = (sends.into_iter())
+            .map(|(wr_id, _, opcode)| self.wc(wr_id, WcStatus::RetryExcError, opcode, 0))
+            .collect();
+        self.send_cq.push_batch(&sends);
+        let recvs: Vec<_> = (recvs.into_iter())
+            .map(|wr| self.wc(wr.wr_id, WcStatus::WrFlushError, WcOpcode::Recv, 0))
+            .collect();
+        self.recv_cq.push_batch(&recvs);
+        inbound
     }
 
     // --- receive path ---------------------------------------------------
@@ -269,9 +352,10 @@ impl QueuePair {
     /// Post a receive. Allowed in INIT, RTR and RTS.
     ///
     /// If inbound operations are parked waiting for a receive (the RNR
-    /// case), the oldest is matched immediately and its sender completes.
+    /// case), the oldest is matched immediately and its requester is
+    /// answered.
     pub fn post_recv(&self, wr: RecvWr) -> VerbsResult<()> {
-        let pending = {
+        let p = {
             let mut inner = self.inner.lock();
             match inner.state {
                 QpState::Init | QpState::Rtr | QpState::Rts => {}
@@ -293,10 +377,16 @@ impl QueuePair {
                 }
             }
         };
-        let status = self.match_recv(wr, &pending);
-        // Complete the sender (possibly on another device).
-        if let Some(sender) = self.device.network().find_qp(pending.src) {
-            sender.finish_deferred_send(pending.src_wr_id, pending.src_signaled, status);
+        let matched = self.match_recv(wr, p.from.qp, p.payload.as_deref(), p.byte_len, p.imm);
+        // A failed match answers its own requester before those of the
+        // operations it left parked.
+        let status = match matched {
+            Ok(()) => WcStatus::Success,
+            Err(_) => WcStatus::RemoteOperationError,
+        };
+        self.answer(&p, status);
+        for q in matched.err().into_iter().flatten() {
+            self.answer(&q, WcStatus::RetryExcError);
         }
         Ok(())
     }
@@ -306,55 +396,95 @@ impl QueuePair {
         self.inner.lock().rq.len()
     }
 
+    /// Number of inbound operations parked for a receive (RNR).
+    pub fn parked_inbound(&self) -> usize {
+        self.inner.lock().inbound_pending.len()
+    }
+
     /// Match one inbound operation with one receive WR: scatter its
     /// payload (a WRITE_WITH_IMM notification carries none) and complete
-    /// the receive. A failed match moves this QP to the error state.
-    /// Returns the status the sender's completion carries.
-    fn match_recv(&self, wr: RecvWr, p: &PendingInbound) -> WcStatus {
-        let status = match &p.payload {
+    /// the receive. A failed match moves this QP to the error state and
+    /// refuses `from`, whose answer is then `RemoteOperationError`; the
+    /// operations still parked here are handed back, to be flushed once
+    /// `from` has it.
+    fn match_recv(
+        &self,
+        wr: RecvWr,
+        from: QpEndpoint,
+        payload: Option<&[u8]>,
+        byte_len: u64,
+        imm: Option<u32>,
+    ) -> Result<(), VecDeque<PendingInbound>> {
+        let status = match payload {
             Some(data) if wr.capacity() < data.len() as u64 => WcStatus::LocalLengthError,
             Some(data) if self.device.scatter(&wr.sge, data).is_err() => {
                 WcStatus::LocalProtectionError
             }
             _ => WcStatus::Success,
         };
-        let opcode = match p.payload {
+        let opcode = match payload {
             Some(_) => WcOpcode::Recv,
             None => WcOpcode::RecvRdmaWithImm,
         };
-        self.recv_cq.push(WorkCompletion {
-            imm: p.imm,
-            ..self.wc(wr.wr_id, status, opcode, p.byte_len)
-        });
+        let wc = WorkCompletion {
+            imm,
+            ..self.wc(wr.wr_id, status, opcode, byte_len)
+        };
         if status.is_ok() {
-            return WcStatus::Success;
+            self.recv_cq.push(wc);
+            return Ok(());
         }
-        self.enter_error();
-        WcStatus::RemoteOperationError
+        self.inner.lock().refused = Some(from);
+        Err(self.fail(&self.recv_cq, &[wc]))
     }
 
-    /// Called on the *sender* when a deferred (RNR-parked) send finally
-    /// matches at the receiver.
-    fn finish_deferred_send(&self, wr_id: u64, signaled: bool, status: WcStatus) {
-        {
-            let mut inner = self.inner.lock();
-            match inner.sq_deferred.iter().position(|&(id, _)| id == wr_id) {
-                Some(i) => {
-                    inner.sq_deferred.remove(i);
-                }
-                // Already flushed by enter_error(): the failed completion
-                // was delivered there, don't complete a second time.
-                None if inner.state == QpState::Error => return,
-                None => {}
+    /// Give a parked operation's requester its answer: a local sender
+    /// completes its deferred send, a relayed one hears through the sink.
+    fn answer(&self, p: &PendingInbound, status: WcStatus) {
+        let byte_len = if status.is_ok() { p.byte_len } else { 0 };
+        if p.from.relayed {
+            if let Some(sink) = self.relay_sink.get() {
+                sink(p.from, status, byte_len);
             }
-            inner.sq_outstanding = inner.sq_outstanding.saturating_sub(1);
+        } else if let Some(sender) = self.device.network().find_qp(p.from.qp) {
+            sender.finish_deferred_send(p.from.wr_id, status, byte_len);
         }
-        if signaled || !status.is_ok() {
-            self.send_cq.push(self.wc(wr_id, status, WcOpcode::Send, 0));
+    }
+
+    /// Called on the *sender* when a deferred (RNR-parked) send is
+    /// answered. A failure is this QP's error cause: deferred sends posted
+    /// after it flush with [`WcStatus::WrFlushError`], as the rest of a
+    /// chain does, and those posted before it with
+    /// [`WcStatus::RetryExcError`] — all of them when the failure is
+    /// itself `RetryExcError`, a transport gone.
+    fn finish_deferred_send(&self, wr_id: u64, status: WcStatus, byte_len: u64) {
+        let (signaled, opcode, later) = {
+            let mut inner = self.inner.lock();
+            let Some(i) = inner.sq_deferred.iter().position(|&(id, ..)| id == wr_id) else {
+                // Already flushed by an error, which delivered its
+                // completion: don't complete a second time.
+                return;
+            };
+            let (_, signaled, opcode) = inner.sq_deferred.remove(i);
+            let later: Vec<_> = match status {
+                WcStatus::Success | WcStatus::RetryExcError => Vec::new(),
+                _ => inner.sq_deferred.drain(i..).collect(),
+            };
+            inner.sq_outstanding = (inner.sq_outstanding).saturating_sub(1 + later.len());
+            (signaled, opcode, later)
+        };
+        if status.is_ok() {
+            if signaled {
+                self.send_cq.push(self.wc(wr_id, status, opcode, byte_len));
+            }
+            return;
         }
-        if !status.is_ok() {
-            self.enter_error();
-        }
+        let first: Vec<_> = std::iter::once(self.wc(wr_id, status, opcode, 0))
+            .chain(
+                (later.into_iter()).map(|(id, _, op)| self.wc(id, WcStatus::WrFlushError, op, 0)),
+            )
+            .collect();
+        self.fail_with(&self.send_cq, &first);
     }
 
     /// A completion on this QP carrying no immediate.
@@ -399,13 +529,13 @@ impl QueuePair {
     ///   completions land with one CQ lock acquisition and one doorbell
     ///   ring ([`CompletionQueue::push_batch`]).
     ///
-    /// A local gather error (bad lkey, out-of-bounds SGE, oversized inline
-    /// data) is returned synchronously: that WR and the rest of the chain
-    /// are un-posted and give back their send-queue slots, while earlier
-    /// WRs stand, their completions intact. A remote failure completes the
-    /// failing WR with its error status, flushes the remainder of the
-    /// chain with [`WcStatus::WrFlushError`], and moves the QP to the error
-    /// state.
+    /// A local error (bad lkey, out-of-bounds SGE, oversized inline data,
+    /// a READ destination that is not writable) is returned synchronously:
+    /// that WR and the rest of the chain are un-posted and give back their
+    /// send-queue slots, while earlier WRs stand, their completions
+    /// intact. A remote failure moves the QP to the error state, then
+    /// completes the failing WR with its error status and flushes the
+    /// remainder of the chain with [`WcStatus::WrFlushError`].
     pub fn post_send_chain(
         &self,
         mut wrs: impl ExactSizeIterator<Item = SendWr>,
@@ -435,15 +565,17 @@ impl QueuePair {
         let mut settled = 0usize;
         let mut errored = false;
         let mut result = Ok(());
-        let remote = self.device.network().find_qp(peer);
+        let remote = (self.device.network().find_qp(peer)).filter(|r| r.fabric_open());
         let mut cache = ChainCache::default();
         while let Some(wr) = wrs.next() {
+            let opcode = wr.opcode.completes_as();
             let outcome = match &remote {
                 Some(r) => self.execute(&wr, r, &mut cache),
-                None => Err(ExecError::Remote(WcStatus::RemoteOperationError)),
+                None => Ok(Answer::Now(WcStatus::RemoteOperationError)),
             };
             match outcome {
-                Ok(SendOutcome::Completed { opcode, byte_len }) => {
+                Ok(Answer::Now(WcStatus::Success)) => {
+                    let byte_len = cache.scratch.len() as u64;
                     settled += 1;
                     // Ops execute synchronously against the peer QP, so the
                     // elapsed time *is* the WR's service latency.
@@ -453,28 +585,34 @@ impl QueuePair {
                         completions.push(self.wc(wr.wr_id, WcStatus::Success, opcode, byte_len));
                     }
                 }
-                Ok(SendOutcome::Deferred) => {
-                    // Completes at the RNR match — or flushes if this QP
-                    // enters the error state first. Stays outstanding.
-                    self.inner.lock().sq_deferred.push((wr.wr_id, wr.signaled));
+                Ok(Answer::Parked) => {
+                    // Completes when the peer answers — or flushes if this
+                    // QP enters the error state first. Stays outstanding.
+                    (self.inner.lock().sq_deferred).push((wr.wr_id, wr.signaled, opcode));
                 }
-                Err(ExecError::Local(e)) => {
+                Err(e) => {
                     // Synchronous local error (documented deviation): this
                     // WR and the unexecuted remainder are un-posted.
                     settled += 1 + wrs.len();
                     result = Err(e);
                     break;
                 }
-                Err(ExecError::Remote(status)) => {
+                Ok(Answer::Now(status)) => {
                     settled += 1 + wrs.len();
-                    completions.push(self.wc(wr.wr_id, status, WcOpcode::Send, 0));
-                    // The rest of the chain flushes: failed WRs always
-                    // complete, signaled or not.
-                    completions.extend(
-                        wrs.by_ref().map(|rem| {
-                            self.wc(rem.wr_id, WcStatus::WrFlushError, WcOpcode::Send, 0)
-                        }),
-                    );
+                    completions.push(self.wc(wr.wr_id, status, opcode, 0));
+                    // The rest of the chain flushes — failed WRs always
+                    // complete, signaled or not — up to a WR whose local
+                    // side is bad: that one and the rest are un-posted, as
+                    // on the relay, which stages a whole chain before any
+                    // answer comes back.
+                    for rem in wrs.by_ref() {
+                        if let Err(e) = self.check_local(&rem, &mut cache) {
+                            result = Err(e);
+                            break;
+                        }
+                        let opcode = rem.opcode.completes_as();
+                        completions.push(self.wc(rem.wr_id, WcStatus::WrFlushError, opcode, 0));
+                    }
                     errored = true;
                     break;
                 }
@@ -486,134 +624,210 @@ impl QueuePair {
         }
         // Chain completions land before the error-state flush of any
         // deferred WRs, preserving chain order on the CQ.
-        self.send_cq.push_batch(&completions);
         if errored {
-            self.enter_error();
+            self.fail_with(&self.send_cq, &completions);
+        } else {
+            self.send_cq.push_batch(&completions);
         }
         result
     }
 
-    /// Execute one WR of a chain against the resolved peer, reusing the
-    /// chain's scratch and MR lookups. A WRITE target is vetted (remote
-    /// state, rkey, access) when the chain first uses its rkey — the chain
-    /// is admitted as a unit, mirroring hardware that validates at
-    /// doorbell time.
-    fn execute(
-        &self,
-        wr: &SendWr,
-        remote: &QueuePair,
-        cx: &mut ChainCache,
-    ) -> Result<SendOutcome, ExecError> {
+    /// Execute one WR of a chain against the resolved peer's responder,
+    /// reusing the chain's scratch and MR lookups; `Err` is a local error.
+    /// A WRITE target is vetted (remote state, rkey, access) when the
+    /// chain first uses its rkey — the chain is admitted as a unit,
+    /// mirroring hardware that validates at doorbell time.
+    fn execute(&self, wr: &SendWr, remote: &QueuePair, cx: &mut ChainCache) -> VerbsResult<Answer> {
+        let me = self.endpoint();
+        let from = Requester {
+            qp: me,
+            wr_id: wr.wr_id,
+            relayed: false,
+        };
         cx.scratch.clear();
         if let WrOpcode::Read { remote_addr, rkey } = wr.opcode {
-            // A READ's SGEs are its destination: pull, then scatter.
-            remote
-                .target(rkey, false)
-                .and_then(|mr| {
-                    mr.dma_read_into(remote_addr, wr.total_len(), &mut cx.scratch)
-                        .map_err(|_| WcStatus::RemoteAccessError)
-                })
-                .map_err(ExecError::Remote)?;
-            self.device
-                .scatter(&wr.sge, &cx.scratch)
-                .map_err(ExecError::Local)?;
-            return Ok(SendOutcome::Completed {
-                opcode: WcOpcode::RdmaRead,
-                byte_len: cx.scratch.len() as u64,
-            });
-        }
-        self.device
-            .gather_into(wr, &mut cx.lkey, &mut cx.scratch)
-            .map_err(ExecError::Local)?;
-        let byte_len = cx.scratch.len() as u64;
-        let imm = match wr.opcode {
-            WrOpcode::Write { remote_addr, rkey }
-            | WrOpcode::WriteWithImm {
-                remote_addr, rkey, ..
-            } => {
-                let mr: &Arc<MemoryRegion> = match &cx.rkey {
-                    Some(mr) if mr.rkey() == rkey => mr,
-                    _ => cx
-                        .rkey
-                        .insert(remote.target(rkey, true).map_err(ExecError::Remote)?),
-                };
-                mr.dma_write(remote_addr, &cx.scratch)
-                    .map_err(|_| ExecError::Remote(WcStatus::RemoteAccessError))?;
-                match wr.opcode {
-                    WrOpcode::WriteWithImm { imm, .. } => Some(imm),
-                    _ => {
-                        return Ok(SendOutcome::Completed {
-                            opcode: WcOpcode::RdmaWrite,
-                            byte_len,
-                        })
-                    }
-                }
+            // A READ's SGEs are its destination: vet, pull, scatter.
+            self.device.check_scatter(&wr.sge)?;
+            let len = wr.total_len();
+            let status = remote.answer_read(me, remote_addr, rkey, len, &mut cx.scratch);
+            if status.is_ok() {
+                self.device.scatter(&wr.sge, &cx.scratch)?;
             }
-            _ => None,
+            return Ok(Answer::Now(status));
+        }
+        self.device.gather_into(wr, &mut cx.lkey, &mut cx.scratch)?;
+        let (remote_addr, rkey, imm) = match wr.opcode {
+            WrOpcode::Write { remote_addr, rkey } => (remote_addr, rkey, None),
+            WrOpcode::WriteWithImm {
+                remote_addr,
+                rkey,
+                imm,
+            } => (remote_addr, rkey, Some(imm)),
+            _ => return Ok(remote.answer_send(from, &cx.scratch, None)),
         };
-        // A SEND hands its payload over (the peer may park it; the scratch
-        // regrows on the next SEND). A WRITE_WITH_IMM's data is already
-        // placed: its notification consumes a receive without scattering.
-        let (payload, opcode) = match imm {
-            None => (Some(std::mem::take(&mut cx.scratch)), WcOpcode::Send),
-            Some(_) => (None, WcOpcode::RdmaWrite),
+        let mr: &Arc<MemoryRegion> = match &cx.rkey {
+            Some(mr) if mr.rkey() == rkey => mr,
+            _ => match remote.target(me, rkey, true) {
+                Ok(mr) => cx.rkey.insert(mr),
+                Err(s) => return Ok(Answer::Now(s)),
+            },
         };
-        match remote.deliver_send(PendingInbound {
-            src: self.endpoint(),
-            src_wr_id: wr.wr_id,
-            src_signaled: wr.signaled,
-            payload,
-            byte_len,
-            imm,
-        }) {
-            Delivery::Matched => Ok(SendOutcome::Completed { opcode, byte_len }),
-            Delivery::Parked => Ok(SendOutcome::Deferred),
-            Delivery::Refused(s) => Err(ExecError::Remote(s)),
+        Ok(remote.place(from, mr, remote_addr, &cx.scratch, imm))
+    }
+
+    /// Vet a WR's local side — what its post refuses synchronously —
+    /// without running it.
+    fn check_local(&self, wr: &SendWr, cx: &mut ChainCache) -> VerbsResult<()> {
+        match wr.opcode {
+            WrOpcode::Read { .. } => self.device.check_scatter(&wr.sge),
+            _ => {
+                cx.scratch.clear();
+                self.device.gather_into(wr, &mut cx.lkey, &mut cx.scratch)
+            }
         }
     }
 
-    // --- fabric-facing entry points (called by the peer QP) --------------
+    // --- the responder: every inbound operation, local or relayed --------
 
-    /// Vet the MR behind `rkey` for an inbound one-sided op: this QP must
-    /// be in RTR/RTS and the MR must grant the remote WRITE (or READ).
-    fn target(&self, rkey: u32, write: bool) -> Result<Arc<MemoryRegion>, WcStatus> {
-        if !matches!(self.state(), QpState::Rtr | QpState::Rts) {
-            return Err(WcStatus::RemoteOperationError);
-        }
-        let mr = self
-            .device
-            .mr_by_rkey(rkey)
-            .map_err(|_| WcStatus::RemoteAccessError)?;
-        let access = mr.access();
-        if (write && access.remote_write) || (!write && access.remote_read) {
-            Ok(mr)
-        } else {
-            Err(WcStatus::RemoteAccessError)
+    /// Install the sink that answers this QP's parked relayed operations.
+    /// Once per QP: a later sink is ignored.
+    pub fn set_relay_sink(&self, sink: RelaySink) {
+        let _ = self.relay_sink.set(sink);
+    }
+
+    /// Answer an inbound SEND: match the oldest posted receive, or park
+    /// until one is posted (RNR). The payload is copied only if it parks.
+    pub fn answer_send(&self, from: Requester, payload: &[u8], imm: Option<u32>) -> Answer {
+        self.deliver(from, Some(payload), payload.len() as u64, imm)
+    }
+
+    /// Answer an inbound WRITE — a WRITE_WITH_IMM when `imm` is set, whose
+    /// notification then consumes a receive as a SEND does.
+    pub fn answer_write(
+        &self,
+        from: Requester,
+        addr: u64,
+        rkey: u32,
+        data: &[u8],
+        imm: Option<u32>,
+    ) -> Answer {
+        match self.target(from.qp, rkey, true) {
+            Ok(mr) => self.place(from, &mr, addr, data, imm),
+            Err(s) => Answer::Now(s),
         }
     }
 
-    /// Deliver an inbound SEND (or WRITE_WITH_IMM notification): match the
-    /// oldest posted receive, or park until one is posted (RNR).
-    fn deliver_send(&self, p: PendingInbound) -> Delivery {
+    /// Answer an inbound READ of `len` bytes at `addr`, appending them to
+    /// `out`. `len` is the requester's choice: the MR's bounds check runs
+    /// before anything is allocated.
+    pub fn answer_read(
+        &self,
+        from: QpEndpoint,
+        addr: u64,
+        rkey: u32,
+        len: u64,
+        out: &mut Vec<u8>,
+    ) -> WcStatus {
+        match self.target(from, rkey, false) {
+            Ok(mr) if mr.dma_read_into(addr, len, out).is_ok() => WcStatus::Success,
+            Ok(_) => self.refuse(from, WcStatus::RemoteAccessError),
+            Err(s) => s,
+        }
+    }
+
+    /// Vet the MR behind `rkey` for an inbound one-sided op from `from`:
+    /// this QP must admit it and the MR must grant the remote WRITE (or
+    /// READ).
+    fn target(
+        &self,
+        from: QpEndpoint,
+        rkey: u32,
+        write: bool,
+    ) -> Result<Arc<MemoryRegion>, WcStatus> {
+        self.inner.lock().admit(from)?;
+        let granted = |mr: &MemoryRegion| match write {
+            true => mr.access().remote_write,
+            false => mr.access().remote_read,
+        };
+        match self.device.mr_by_rkey(rkey) {
+            Ok(mr) if granted(&mr) => Ok(mr),
+            _ => Err(self.refuse(from, WcStatus::RemoteAccessError)),
+        }
+    }
+
+    /// Place a WRITE's `data` in the vetted `mr`; a WRITE_WITH_IMM's
+    /// notification is then delivered.
+    fn place(
+        &self,
+        from: Requester,
+        mr: &MemoryRegion,
+        addr: u64,
+        data: &[u8],
+        imm: Option<u32>,
+    ) -> Answer {
+        if mr.dma_write(addr, data).is_err() {
+            return Answer::Now(self.refuse(from.qp, WcStatus::RemoteAccessError));
+        }
+        match imm {
+            Some(_) => self.deliver(from, None, data.len() as u64, imm),
+            None => Answer::Now(WcStatus::Success),
+        }
+    }
+
+    /// Deliver an inbound SEND (or WRITE_WITH_IMM notification, with no
+    /// payload): match the oldest posted receive, or park until one is
+    /// posted (RNR).
+    fn deliver(
+        &self,
+        from: Requester,
+        payload: Option<&[u8]>,
+        byte_len: u64,
+        imm: Option<u32>,
+    ) -> Answer {
         let wr = {
             let mut inner = self.inner.lock();
-            match inner.state {
-                QpState::Rtr | QpState::Rts => {}
-                _ => return Delivery::Refused(WcStatus::RemoteOperationError),
+            if let Err(s) = inner.admit(from.qp) {
+                return Answer::Now(s);
             }
             match inner.rq.pop_front() {
                 Some(wr) => wr,
                 None => {
-                    inner.inbound_pending.push_back(p);
-                    return Delivery::Parked;
+                    inner.inbound_pending.push_back(PendingInbound {
+                        from,
+                        payload: payload.map(<[u8]>::to_vec),
+                        byte_len,
+                        imm,
+                    });
+                    return Answer::Parked;
                 }
             }
         };
-        // The sender completes on `Matched` itself.
-        match self.match_recv(wr, &p) {
-            WcStatus::Success => Delivery::Matched,
-            s => Delivery::Refused(s),
+        // A receive was waiting, so nothing else is parked here.
+        match self.match_recv(wr, from.qp, payload, byte_len, imm) {
+            Ok(()) => Answer::Now(WcStatus::Success),
+            Err(_) => Answer::Now(WcStatus::RemoteOperationError),
         }
+    }
+
+    /// Refuse `from` with `status`: its later operations flush.
+    fn refuse(&self, from: QpEndpoint, status: WcStatus) -> WcStatus {
+        self.inner.lock().refused = Some(from);
+        status
+    }
+}
+
+impl QpInner {
+    /// Whether an inbound operation from `from` may run; its refusal
+    /// otherwise. A QP that is not receiving refuses the requester.
+    fn admit(&mut self, from: QpEndpoint) -> Result<(), WcStatus> {
+        if self.refused == Some(from) {
+            return Err(WcStatus::WrFlushError);
+        }
+        if !matches!(self.state, QpState::Rtr | QpState::Rts) {
+            self.refused = Some(from);
+            return Err(WcStatus::RemoteOperationError);
+        }
+        Ok(())
     }
 }
 
@@ -624,22 +838,6 @@ struct ChainCache {
     scratch: Vec<u8>,
     lkey: Option<Arc<MemoryRegion>>,
     rkey: Option<Arc<MemoryRegion>>,
-}
-
-enum SendOutcome {
-    Completed { opcode: WcOpcode, byte_len: u64 },
-    Deferred,
-}
-
-enum ExecError {
-    Local(VerbsError),
-    Remote(WcStatus),
-}
-
-enum Delivery {
-    Matched,
-    Parked,
-    Refused(WcStatus),
 }
 
 impl Drop for QueuePair {

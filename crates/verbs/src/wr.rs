@@ -99,6 +99,15 @@ impl WrOpcode {
             WrOpcode::Read { .. } => "READ",
         }
     }
+
+    /// The opcode the sender's completion reports, success or failure.
+    pub fn completes_as(&self) -> WcOpcode {
+        match self {
+            WrOpcode::Send => WcOpcode::Send,
+            WrOpcode::Write { .. } | WrOpcode::WriteWithImm { .. } => WcOpcode::RdmaWrite,
+            WrOpcode::Read { .. } => WcOpcode::RdmaRead,
+        }
+    }
 }
 
 /// A send work request (`ibv_send_wr`).
