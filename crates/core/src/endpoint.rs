@@ -2,13 +2,12 @@
 
 use freeflow_agent::proto::WireEp;
 use freeflow_types::OverlayIp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A (container overlay IP, queue-pair number) pair — what two
 /// applications exchange before connecting, exactly like real verbs
 /// deployments exchange GID + QPN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FfEndpoint {
     /// The container's overlay IP.
     pub ip: OverlayIp,

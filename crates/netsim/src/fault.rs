@@ -33,11 +33,10 @@
 
 use crate::rng::SimRng;
 use freeflow_types::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Which side of a live migration's two-phase commit a
 /// [`FaultKind::MigrationCrash`] tears down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationCrashPhase {
     /// The source host's daemon dies mid-checkpoint: the checkpoint is
     /// torn, the migration aborts before anything moved.
@@ -58,7 +57,7 @@ impl MigrationCrashPhase {
 }
 
 /// One class of injected failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The kernel-bypass NIC on `host` dies permanently.
     NicDown {
@@ -133,7 +132,7 @@ impl FaultKind {
 }
 
 /// A fault scheduled at an absolute virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fault {
     /// When the fault fires.
     pub at: Nanos,
@@ -146,7 +145,7 @@ pub struct Fault {
 /// Built fluently (`FaultPlan::new(seed).nic_down(..).link_flap(..)`) or
 /// drawn from the seed with [`FaultPlan::randomized`]. The seed is carried
 /// even for explicit plans so reports can name the scenario.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
     faults: Vec<Fault>,
@@ -278,7 +277,7 @@ impl FaultPlan {
 }
 
 /// A fault that actually fired, surfaced in [`crate::SimReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultRecord {
     /// Virtual time the fault fired.
     pub at: Nanos,

@@ -7,10 +7,9 @@
 
 use crate::fault::FaultRecord;
 use freeflow_types::{Bandwidth, ByteSize, ContainerId, Nanos, TransportKind};
-use serde::{Deserialize, Serialize};
 
 /// One live migration's outcome, surfaced in [`SimReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationRecord {
     /// The container that migrated (or tried to).
     pub container: ContainerId,
@@ -31,7 +30,7 @@ pub struct MigrationRecord {
 }
 
 /// Per-flow results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowReport {
     /// Flow index within the simulation.
     pub flow: usize,
@@ -80,7 +79,7 @@ impl FlowReport {
 }
 
 /// Per-host resource utilization.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostCpuReport {
     /// Host index within the simulation.
     pub host: usize,
@@ -104,7 +103,7 @@ pub struct HostCpuReport {
 }
 
 /// The whole simulation's results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Virtual time the simulation covered.
     pub elapsed: Nanos,

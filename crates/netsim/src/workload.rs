@@ -10,10 +10,9 @@
 
 use crate::rng::SimRng;
 use freeflow_types::ByteSize;
-use serde::{Deserialize, Serialize};
 
 /// The traffic a flow generates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// Closed-loop bulk stream: keep `window` messages of `msg_size` in
     /// flight until `messages` have been delivered (0 = until sim end).

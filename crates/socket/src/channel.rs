@@ -14,15 +14,16 @@
 //!
 //! The pump is the channel's receive engine, a step on the one [`Pump`]
 //! driver parked on the recv CQ's bell: it drains the shared recv CQ in
-//! batches (`poll_many`), recycles receive slots immediately, demuxes
-//! frames to per-stream buffers under the mux lock, reaps send
+//! batches (`poll_many`), recycles receive slots immediately, queues
+//! each data frame's payload on its stream under the mux lock, reaps send
 //! completions, and drives the reliability layer's resync handshake
 //! across rebind epochs. Every binding transition, every failed send and
 //! — while a writer is out of slots or recovery waits on the send CQ —
 //! every successful send ring the same bell, so the only timer is
 //! recovery's `RESYNC_RETRY`.
 //! Application threads block on one condvar and are woken whenever the
-//! pump makes progress.
+//! pump makes progress. A received byte is copied twice: from its slot into
+//! the payload `Vec` queued on its stream, then into the reader's buffer.
 
 use crate::mux::{
     data_header, CtrlKind, Deferred, Frame, MuxCore, SeqFrame, CTRL_BIT, DATA_HDR, FRAME_SIZE,
@@ -392,24 +393,18 @@ impl Channel {
     fn dispatch(&self, core: &mut MuxCore, frame: SeqFrame) {
         match frame {
             SeqFrame::Data { stream, payload } => {
-                let credit_now = match core.streams.get_mut(&stream) {
-                    Some(s) if !s.detached => {
-                        s.rx_frame_bytes.push_back(payload.len() as u32);
-                        s.rx.extend(&payload);
-                        false
-                    }
-                    Some(s) => {
-                        // Handle dropped: discard bytes, return the
-                        // credit immediately so the peer's writer can
-                        // run into the FIN instead of a stalled window.
-                        s.pending_credit += 1;
-                        true
-                    }
-                    // Unknown stream: data after teardown; drop.
-                    None => false,
+                // Unknown stream: data after teardown; drop.
+                let Some(s) = core.streams.get_mut(&stream) else {
+                    return;
                 };
-                if credit_now {
+                if s.detached {
+                    // Handle dropped: discard bytes, return the credit
+                    // immediately so the peer's writer can run into the
+                    // FIN instead of a stalled window.
+                    s.pending_credit += 1;
                     let _ = self.return_credits(core, stream, true);
+                } else if s.push_frame(payload) {
+                    let _ = self.return_credits(core, stream, false);
                 }
             }
             SeqFrame::Credit { stream, n } => {
@@ -432,7 +427,7 @@ impl Channel {
     /// ran out, or a failure.
     fn reap_sends(&self, core: &mut MuxCore) -> bool {
         let mut progressed = false;
-        let mut batch: Vec<WorkCompletion> = Vec::with_capacity(SEND_SLOTS);
+        let mut batch = std::mem::take(&mut core.send_wcs);
         loop {
             batch.clear();
             if self.send_cq.poll_many(SEND_SLOTS, &mut batch) == 0 {
@@ -443,7 +438,7 @@ impl Channel {
                 let hear = core.free_slots.is_empty() || core.tx.recovering();
                 self.send_cq.ring_on_success(hear);
                 if !hear || self.send_cq.pending() == 0 {
-                    return progressed;
+                    break;
                 }
                 continue;
             }
@@ -495,6 +490,8 @@ impl Channel {
                 }
             }
         }
+        core.send_wcs = batch;
+        progressed
     }
 
     /// Drive non-data progress: channel death on a dead binding, READY
@@ -689,37 +686,16 @@ impl Channel {
             if let Some(e) = core.dead_err() {
                 return Err(e);
             }
-            let open = {
-                let s = core
-                    .streams
-                    .get(&stream)
-                    .ok_or_else(|| Error::invalid_state("stream torn down"))?;
-                !s.local_fin
-            };
-            if !open {
-                return Err(Error::invalid_state("stream closed"));
+            match core.streams.get(&stream) {
+                None => return Err(Error::invalid_state("stream torn down")),
+                Some(s) if s.local_fin => return Err(Error::invalid_state("stream closed")),
+                Some(_) => {}
             }
-            let sendable = core.tx_open
-                && !core.tx.recovering()
-                && !core.free_slots.is_empty()
-                && core
-                    .streams
-                    .get(&stream)
-                    .map(|s| s.tx_credits > 0)
-                    .unwrap_or(false);
-            if !sendable {
+            if !core.can_send(stream) {
                 // Try to make progress ourselves before parking.
                 self.reap_sends(&mut core);
                 self.advance(&mut core);
-                let ready = core.tx_open
-                    && !core.tx.recovering()
-                    && !core.free_slots.is_empty()
-                    && core
-                        .streams
-                        .get(&stream)
-                        .map(|s| s.tx_credits > 0)
-                        .unwrap_or(false);
-                if !ready {
+                if !core.can_send(stream) {
                     let t0 = Instant::now();
                     self.progress.wait_for(&mut core, WRITE_POLL);
                     self.metrics
@@ -781,11 +757,7 @@ impl Channel {
                     }
                     None
                 } else {
-                    let n = buf.len().min(s.rx.len());
-                    for b in buf.iter_mut().take(n) {
-                        *b = s.rx.pop_front().expect("non-empty");
-                    }
-                    let freed = s.consume(n);
+                    let (n, freed) = s.read_into(buf);
                     s.pending_credit += freed;
                     Some(n)
                 }
@@ -846,12 +818,11 @@ impl Channel {
             return;
         }
         s.detached = true;
-        s.rx.clear();
         // Frames still buffered never reached the application; their
         // credits go back so the peer's writer reaches our FIN.
-        s.pending_credit += s.rx_frame_bytes.len() as u32;
-        s.rx_frame_bytes.clear();
-        s.rx_partial = 0;
+        s.pending_credit += s.rx.len() as u32;
+        s.rx.clear();
+        s.rx_read = 0;
         let need_fin = !std::mem::replace(&mut s.local_fin, true);
         self.metrics.streams.add(-1);
         if core.dead.is_none() {

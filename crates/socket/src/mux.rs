@@ -20,6 +20,7 @@
 use crate::reliability::{RxLedger, TxLedger};
 use freeflow_types::wire::{Reader, WireError, Writer};
 use freeflow_types::{Error, Result};
+use freeflow_verbs::WorkCompletion;
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -189,14 +190,14 @@ pub(crate) enum Deferred {
 /// Per-stream mux state.
 #[derive(Debug, Default)]
 pub(crate) struct StreamState {
-    /// Received, in-order bytes the application has not read yet.
-    pub rx: VecDeque<u8>,
-    /// Lengths of the data frames backing `rx`, oldest first; a frame's
-    /// credit returns only when its last byte leaves `rx` (receiver-
-    /// window semantics). `rx_partial` counts bytes already consumed
-    /// from the front frame.
-    pub rx_frame_bytes: VecDeque<u32>,
-    pub rx_partial: u32,
+    /// Received, in-order data frames the application has not finished
+    /// reading, oldest first: each is the payload `Vec` it was decoded
+    /// into, so the queue is the buffer and the record of frame
+    /// boundaries at once. A frame's credit returns when its last byte is
+    /// read (receiver-window semantics). Never holds an empty frame.
+    pub rx: VecDeque<Vec<u8>>,
+    /// Bytes already read from the front frame.
+    pub rx_read: usize,
     /// Credits earned back but not yet returned to the peer (batched).
     pub pending_credit: u32,
     /// Frames this side may still send before the peer returns credits.
@@ -220,23 +221,38 @@ impl StreamState {
         }
     }
 
-    /// Account `n` bytes consumed by the application; returns how many
-    /// whole frames finished draining (each one is a credit to return).
-    pub fn consume(&mut self, n: usize) -> u32 {
-        let mut left = n as u64 + u64::from(self.rx_partial);
-        self.rx_partial = 0;
-        let mut freed = 0u32;
-        while let Some(&len) = self.rx_frame_bytes.front() {
-            if left >= u64::from(len) {
-                left -= u64::from(len);
-                self.rx_frame_bytes.pop_front();
-                freed += 1;
-            } else {
-                self.rx_partial = left as u32;
+    /// Queue an in-order data frame's payload. An empty one has no byte
+    /// to wait for: it is credited at once instead (returns `true`), so a
+    /// blocked reader never wakes to an empty frame.
+    pub fn push_frame(&mut self, payload: Vec<u8>) -> bool {
+        if payload.is_empty() {
+            self.pending_credit += 1;
+            return true;
+        }
+        self.rx.push_back(payload);
+        false
+    }
+
+    /// Copy buffered bytes into `buf` across frame boundaries, one
+    /// `copy_from_slice` per frame touched. Returns the bytes copied and
+    /// how many frames that drained (each one is a credit to return).
+    pub fn read_into(&mut self, buf: &mut [u8]) -> (usize, u32) {
+        let (mut n, mut drained) = (0, 0);
+        while let Some(front) = self.rx.front() {
+            let k = (front.len() - self.rx_read).min(buf.len() - n);
+            if k == 0 {
                 break;
             }
+            buf[n..n + k].copy_from_slice(&front[self.rx_read..self.rx_read + k]);
+            n += k;
+            self.rx_read += k;
+            if self.rx_read == front.len() {
+                self.rx.pop_front();
+                self.rx_read = 0;
+                drained += 1;
+            }
         }
-        freed
+        (n, drained)
     }
 }
 
@@ -272,6 +288,8 @@ pub(crate) struct MuxCore {
     pub retry_at: Instant,
     /// Terminal channel failure, if any (every stream errors with it).
     pub dead: Option<String>,
+    /// Scratch the send CQ is drained into, reused across reaps.
+    pub send_wcs: Vec<WorkCompletion>,
 }
 
 impl MuxCore {
@@ -291,6 +309,7 @@ impl MuxCore {
             ready_due: false,
             retry_at: Instant::now(),
             dead: None,
+            send_wcs: Vec::with_capacity(SEND_SLOTS),
         }
     }
 
@@ -324,6 +343,15 @@ impl MuxCore {
 
     pub fn dead_err(&self) -> Option<Error> {
         self.dead.as_ref().map(|r| Error::disconnected(r.clone()))
+    }
+
+    /// Whether `stream` may post a data frame now: the tx gate is open,
+    /// recovery is not running, a send slot is free and it holds a credit.
+    pub fn can_send(&self, stream: u32) -> bool {
+        self.tx_open
+            && !self.tx.recovering()
+            && !self.free_slots.is_empty()
+            && self.streams.get(&stream).is_some_and(|s| s.tx_credits > 0)
     }
 
     /// Allocate a locally initiated stream id.
@@ -483,11 +511,23 @@ mod tests {
     #[test]
     fn credits_return_only_when_bytes_leave_the_buffer() {
         let mut s = StreamState::new();
-        s.rx_frame_bytes.push_back(100);
-        s.rx_frame_bytes.push_back(50);
-        assert_eq!(s.consume(99), 0, "frame not fully drained");
-        assert_eq!(s.consume(1), 1, "first frame drained");
-        assert_eq!(s.consume(25), 0);
-        assert_eq!(s.consume(25), 1, "second frame drained across reads");
+        assert!(!s.push_frame((0..100).collect()));
+        assert!(!s.push_frame((100..150).collect()));
+        let mut buf = [0u8; 100];
+        assert_eq!(
+            s.read_into(&mut buf[..99]),
+            (99, 0),
+            "frame not fully drained"
+        );
+        assert_eq!(s.read_into(&mut buf[99..]), (1, 1), "first frame drained");
+        assert_eq!(buf.to_vec(), (0..100).collect::<Vec<u8>>());
+        assert_eq!(s.read_into(&mut buf[..25]), (25, 0));
+        assert_eq!(
+            s.read_into(&mut buf[25..50]),
+            (25, 1),
+            "second frame drained across reads"
+        );
+        assert_eq!(buf[..50].to_vec(), (100..150).collect::<Vec<u8>>());
+        assert!(s.rx.is_empty());
     }
 }

@@ -273,6 +273,64 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Reads of any size — one byte up to two 16 KiB frame slots, so
+    /// they end mid-frame and span frames — see exactly the bytes
+    /// written, with the retransmit and reorder counters at zero.
+    #[test]
+    fn reads_of_any_size_see_exactly_the_bytes_written(
+        nstreams in 1usize..4,
+        lens in prop::collection::vec(1usize..100_000, 3),
+        chunk in 50usize..40_000,
+        reads in prop::collection::vec(1usize..=2 * 16 * 1024, 1..32),
+        seed in any::<u64>(),
+    ) {
+        let mut pair = multiplexed_pair(nstreams, 7700);
+        let data: Vec<Vec<u8>> = (0..nstreams)
+            .map(|i| payload(seed ^ (i as u64 + 1), lens[i]))
+            .collect();
+        let got: Vec<Vec<u8>> = std::thread::scope(|sc| {
+            for (c, bytes) in pair.clients.iter_mut().zip(&data) {
+                sc.spawn(move || {
+                    for part in bytes.chunks(chunk) {
+                        c.write_all(part).unwrap();
+                    }
+                    c.shutdown().unwrap();
+                });
+            }
+            let readers: Vec<_> = pair
+                .servers
+                .iter_mut()
+                .enumerate()
+                .map(|(i, s)| {
+                    let reads = &reads;
+                    sc.spawn(move || {
+                        let mut got = Vec::new();
+                        let mut buf = vec![0u8; 2 * 16 * 1024];
+                        for &len in reads.iter().cycle().skip(i) {
+                            match s.read(&mut buf[..len]).unwrap() {
+                                0 => return got,
+                                n => got.extend_from_slice(&buf[..n]),
+                            }
+                        }
+                        unreachable!("the read sizes cycle forever")
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        prop_assert_eq!(&got, &data);
+        for s in pair.clients.iter().chain(&pair.servers) {
+            prop_assert_eq!(s.retransmit_count(), 0, "settled path retransmitted");
+        }
+        let snap = pair._cluster.telemetry();
+        prop_assert_eq!(snap.counter_total("ff_stream_retransmits_total"), 0);
+        prop_assert_eq!(snap.counter_total("ff_stream_reorders_total"), 0);
+    }
+}
+
 /// The open-streams gauge tracks handle lifetime: N streams drive it to
 /// 2N (both ends), dropping them drives it back to zero.
 #[test]

@@ -4,8 +4,8 @@
 //! The exposition follows the Prometheus text format: `# HELP` / `# TYPE`
 //! headers per metric name, counters and gauges as single sample lines,
 //! histograms as cumulative `_bucket{le=...}` lines plus `_sum` and
-//! `_count`. Because the workspace's vendored `serde` is a no-op stub, the
-//! JSON dump is hand-rendered — every string that reaches it is an interned
+//! `_count`. The workspace has no serialization library, so the JSON dump
+//! is hand-rendered — every string that reaches it is an interned
 //! identifier, so no escaping is required.
 
 use crate::labels::LabelSet;
@@ -108,7 +108,7 @@ impl TelemetrySnapshot {
     }
 
     /// Render the whole snapshot as a JSON document (hand-rolled; the
-    /// vendored `serde` stub has no real serialization).
+    /// workspace has no serialization library).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"metrics\":[");
         for (i, s) in self.samples.iter().enumerate() {

@@ -8,7 +8,6 @@
 //! orchestrator's IPAM, not addresses the host kernel knows about.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -16,7 +15,7 @@ use std::str::FromStr;
 ///
 /// Stored as a `u32` in host byte order for cheap arithmetic (IPAM hands
 /// out consecutive addresses from CIDR pools).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OverlayIp(pub u32);
 
 impl OverlayIp {
@@ -82,7 +81,7 @@ impl FromStr for OverlayIp {
 ///
 /// IPAM carves the cluster's overlay space into per-tenant (or per-network)
 /// pools described by these blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OverlayCidr {
     /// The network base address (host bits are zeroed at construction).
     pub base: OverlayIp,
@@ -180,7 +179,7 @@ impl FromStr for OverlayCidr {
 ///
 /// Ports exist for the Socket API translation layer; native Verbs flows are
 /// addressed by (ip, qpn) instead, but reuse the ip half.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OverlayAddr {
     /// Overlay IP of the container.
     pub ip: OverlayIp,

@@ -7,11 +7,10 @@
 //! orchestrator's NIC database.
 
 use crate::units::Bandwidth;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What kind of NIC a host has, in decreasing order of capability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NicKind {
     /// RDMA-capable (RoCE/InfiniBand-style, e.g. the paper's Mellanox CX3):
     /// supports Verbs offload *and* a DPDK-style poll-mode driver.
@@ -46,7 +45,7 @@ impl fmt::Display for NicKind {
 }
 
 /// Capabilities of one physical NIC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NicCaps {
     /// Hardware class of the NIC.
     pub kind: NicKind,
@@ -88,7 +87,7 @@ impl NicCaps {
 }
 
 /// Capabilities of one host, registered with the orchestrator by its agent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostCaps {
     /// The host's NIC.
     pub nic: NicCaps,

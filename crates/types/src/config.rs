@@ -9,10 +9,9 @@ use crate::addr::OverlayCidr;
 use crate::caps::HostCaps;
 use crate::error::{Error, Result};
 use crate::ids::HostId;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one host in the cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostConfig {
     /// The host's id (stable across the experiment).
     pub id: HostId,
@@ -43,7 +42,7 @@ impl HostConfig {
 }
 
 /// Cluster-wide configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// All hosts in the cluster.
     pub hosts: Vec<HostConfig>,

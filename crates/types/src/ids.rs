@@ -6,16 +6,12 @@
 //! where a container id is expected — the control plane juggles four
 //! different id spaces and the compiler should referee.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -92,7 +88,7 @@ id_type!(
 ///
 /// Real RDMA hardware uses 24-bit QPNs; we keep the same range so traces
 /// look familiar and overflow behaviour can be tested.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QpId(pub u32);
 
 impl QpId {
@@ -121,7 +117,7 @@ impl fmt::Display for QpId {
 ///
 /// Wraps a plain counter; not thread-safe by itself (registries guard it
 /// with their own lock, avoiding double synchronization).
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct IdAllocator {
     next: u64,
 }

@@ -5,9 +5,9 @@
 //! descriptions, transport selection enums, bandwidth/size units, errors and
 //! cluster configuration.
 //!
-//! The crate is deliberately dependency-light (only `serde` for
-//! serialization of control-plane state, and `std::sync` under the wake
-//! primitives) so every other crate can depend on it without cycles.
+//! The crate is deliberately dependency-light (its code uses only `std`,
+//! with `std::sync` under the wake primitives) so every other crate can
+//! depend on it without cycles.
 //!
 //! ## Layout
 //!

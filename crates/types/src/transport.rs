@@ -6,7 +6,6 @@
 //! TCP/IP is the universal but slow fallback. The orchestrator picks from
 //! this menu per flow; [`TransportKind`] is the currency of that decision.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which data plane a flow rides on.
@@ -14,7 +13,7 @@ use std::fmt;
 /// The variants are ordered best-first *within their placement class*; see
 /// [`TransportKind::rank`] for the cross-placement preference order used by
 /// the policy engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransportKind {
     /// Shared-memory rings between co-located containers. Best possible
     /// throughput (memory-bandwidth-bound) and latency; requires the
@@ -120,7 +119,7 @@ impl fmt::Display for TransportKind {
 
 /// Why the policy engine picked (or refused) a transport — surfaced in
 /// diagnostics so operators can answer "why is this flow on TCP?".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PathDecision {
     /// The transport was selected.
     Selected {

@@ -5,7 +5,6 @@
 //! buses, ns for event timestamps, µs/ms for reported latencies). These
 //! newtypes keep the arithmetic honest and the conversions in one place.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -14,9 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// The discrete-event simulator advances a virtual clock measured in these.
 /// `u64` nanoseconds cover ~584 years of simulated time, plenty for any
 /// experiment.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Nanos(pub u64);
 
 impl Nanos {
@@ -145,9 +142,7 @@ impl fmt::Display for Nanos {
 }
 
 /// A byte count.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ByteSize(pub u64);
 
 impl ByteSize {
@@ -231,9 +226,7 @@ impl fmt::Display for ByteSize {
 ///
 /// NIC line rates are quoted in Gb/s (decimal), memory buses in GB/s;
 /// constructors for both exist and everything is stored as bits/s.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Bandwidth(pub u64);
 
 impl Bandwidth {
