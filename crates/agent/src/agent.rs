@@ -50,7 +50,13 @@ const CONTAINER_CHANNEL_CAP: usize = 1 << 21; // 2 MiB
 /// nacked with [`status::TIMEOUT`]. The peer pump drains the wire and each
 /// pop rings the space the sender parks on, so a healthy link clears long
 /// before this; running it out means the peer is wedged or gone.
+#[cfg(not(test))]
 const WIRE_FULL_WAIT: Duration = Duration::from_millis(10);
+/// The unit tests park a send on a full wire and then pop or down it
+/// from the test thread, which a loaded machine may not run for more
+/// than 10 ms; the wedged-peer test still sees this deadline fire.
+#[cfg(test)]
+const WIRE_FULL_WAIT: Duration = Duration::from_secs(2);
 
 /// Ceiling on how many relay frames one coalesced wire message may carry.
 /// The adaptive per-wire limit grows toward this under backlog and decays
@@ -472,10 +478,12 @@ impl Agent {
             self.flush_to_wire(idx, frames);
             rest = tail;
         }
-        // Wire → agent.
-        let from_wires: Vec<Bytes> = (self.inner.lock().wires.iter())
-            .flat_map(|wire| std::iter::from_fn(|| wire.try_recv().ok()))
-            .collect();
+        // Wire → agent: a vectored drain too. A sender it wakes from a
+        // full wire lands in the next poll, not in this one.
+        let mut from_wires: Vec<Bytes> = Vec::new();
+        for wire in &self.inner.lock().wires {
+            wire.recv_all(&mut from_wires);
+        }
         work + from_wires
             .into_iter()
             .map(|raw| self.deliver_from_wire(raw))
@@ -1232,6 +1240,13 @@ mod tests {
     #[test]
     fn idle_pumps_park_instead_of_ticking() {
         let p = pumped_pair();
+        // Both pumps have parked once before the stretch starts: on a
+        // loaded machine a new pump thread may not have run for a while.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while [&p.a0, &p.a1].iter().any(|a| a.bell_stats().waits == 0) {
+            assert!(Instant::now() < deadline, "a pump never parked");
+            std::thread::yield_now();
+        }
         // The idle stretch under measurement (not a wait for progress).
         std::thread::sleep(Duration::from_millis(100));
         for agent in [&p.a0, &p.a1] {
@@ -1268,13 +1283,17 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        for agent in [&p.a0, &p.a1] {
+        // Stop the pumps first: one parked since the last ack ends that
+        // park on the stop ring, so no park is still open at the count.
+        let PumpedPair { a0, a1, _pumps, .. } = p;
+        drop(_pumps);
+        for agent in [&a0, &a1] {
             let bell = agent.bell_stats();
             assert_eq!(bell.timeouts, 0, "every park ended by a ring: {bell:?}");
             assert_eq!(bell.waits, bell.wakes);
         }
-        assert_eq!(p.a0.stats().relayed_out.load(Ordering::Relaxed), 1_000);
-        assert_eq!(p.a1.stats().relayed_out.load(Ordering::Relaxed), 1_000);
+        assert_eq!(a0.stats().relayed_out.load(Ordering::Relaxed), 1_000);
+        assert_eq!(a1.stats().relayed_out.load(Ordering::Relaxed), 1_000);
     }
 
     #[test]

@@ -150,6 +150,12 @@ impl PeerWire {
         self.rx.try_pop()?.ok_or(Error::WouldBlock)
     }
 
+    /// Move every message the peer has queued now into `out` (one lock,
+    /// at most one space ring); returns how many.
+    pub fn recv_all(&self, out: &mut Vec<Bytes>) -> usize {
+        self.rx.drain_into(out)
+    }
+
     /// Shared counters.
     pub fn stats(&self) -> &WireStats {
         &self.stats

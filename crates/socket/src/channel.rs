@@ -12,18 +12,18 @@
 //! when none does; `ff_channel_qp_reuse_total` counts how often the
 //! fast path wins.
 //!
-//! The pump is the channel's receive engine, a step on the one [`Pump`]
-//! driver parked on the recv CQ's bell: it drains the shared recv CQ in
-//! batches (`poll_many`), recycles receive slots immediately, queues
-//! each data frame's payload on its stream under the mux lock, reaps send
-//! completions, and drives the reliability layer's resync handshake
-//! across rebind epochs. Every binding transition, every failed send and
-//! — while a writer is out of slots or recovery waits on the send CQ —
-//! every successful send ring the same bell, so the only timer is
-//! recovery's `RESYNC_RETRY`.
-//! Application threads block on one condvar and are woken whenever the
-//! pump makes progress. A received byte is copied twice: from its slot into
-//! the payload `Vec` queued on its stream, then into the reader's buffer.
+//! The channel's step drains the shared recv CQ in batches under the run
+//! lock, recycles receive slots at once, queues each data frame's payload
+//! on its stream, reaps send completions and drives the resync handshake
+//! across rebind epochs. The thread that waits runs it: a blocked reader
+//! or writer captures the recv CQ's bell, runs the step, looks, and parks
+//! on the captured count. Binding transitions, failed sends and — while a
+//! writer is out of slots or recovery waits on the send CQ — successful
+//! sends ring that bell, so the only timer is recovery's `RESYNC_RETRY`.
+//! The pump thread, a step on the one [`Pump`] driver, parks on the bell's
+//! idle bell: it wakes only for rings no waiter is parked for. A received
+//! byte is copied twice: from its slot into the payload `Vec` queued on
+//! its stream, then into the reader's buffer.
 
 use crate::mux::{
     data_header, CtrlKind, Deferred, Frame, MuxCore, SeqFrame, CTRL_BIT, DATA_HDR, FRAME_SIZE,
@@ -33,10 +33,10 @@ use crate::reliability::TxPayload;
 use freeflow::binding::{BindingPhase, PathSignal};
 use freeflow::{FfEndpoint, FfQp, LibHandle, Pump, Step};
 use freeflow_telemetry::{Counter, Event, Gauge, Histogram, LabelSet, Telemetry};
-use freeflow_types::{Error, OverlayIp, Result};
+use freeflow_types::{Doorbell, Error, OverlayIp, Result};
 use freeflow_verbs::wr::{AccessFlags, RecvWr, SendWr, WcOpcode};
 use freeflow_verbs::{CompletionQueue, MemoryRegion, VerbsError, WcStatus, WorkCompletion};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -49,8 +49,6 @@ const CHANNEL_RQ: usize = RECV_SLOTS;
 
 /// How long a blocked reader waits before declaring the stream dead.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
-/// Writer wakeup granularity while blocked on credits/slots.
-const WRITE_POLL: Duration = Duration::from_millis(100);
 
 /// Telemetry instruments shared by a container's channels (labels are
 /// per `(host, container)`, snapshot at pool creation).
@@ -120,9 +118,8 @@ pub(crate) struct Channel {
     recv_mr: Arc<MemoryRegion>,
     signal: Arc<PathSignal>,
     core: Mutex<MuxCore>,
-    /// One condvar for all waiters (readers on bytes, writers on
-    /// credits/slots); the pump notifies on any progress.
-    progress: Condvar,
+    /// The run lock, held by whoever runs the step: the drain's scratch.
+    run: Mutex<Vec<WorkCompletion>>,
     /// Set by [`Channel::establish`]; dropping it stops the pump.
     pump: OnceLock<Pump>,
     /// The peer's QPN (what a reuse handshake names); set at establish.
@@ -155,7 +152,7 @@ impl Channel {
             recv_mr,
             signal,
             core: Mutex::new(MuxCore::new(initiator)),
-            progress: Condvar::new(),
+            run: Mutex::new(Vec::with_capacity(RECV_SLOTS)),
             pump: OnceLock::new(),
             peer_qpn: AtomicU32::new(0),
             metrics,
@@ -191,12 +188,13 @@ impl Channel {
         // last stream / pool reference goes, not be pinned by its own
         // thread.
         let me = Arc::downgrade(self);
-        let mut batch = Vec::with_capacity(RECV_SLOTS);
+        let idle = Arc::new(Doorbell::new());
+        self.recv_cq.doorbell().set_idle_bell(Arc::clone(&idle));
         let pump = Pump::spawn(
             format!("ff-sock-ch-{}", self.qp.qp_num()),
-            Arc::clone(self.recv_cq.doorbell()),
+            idle,
             Duration::ZERO,
-            move || me.upgrade().map_or(Step::Done, |ch| ch.step(&mut batch)),
+            move || me.upgrade().map_or(Step::Done, |ch| ch.step()),
         );
         let _ = self.pump.set(pump);
         Ok(())
@@ -269,37 +267,70 @@ impl Channel {
         }
     }
 
-    // --- the pump -------------------------------------------------------
+    // --- the step ---------------------------------------------------------
 
-    /// One pump step: drain the recv CQ, reap sends, drive recovery and
-    /// wake waiters on progress. A dead channel ends the pump; an idle one
-    /// parks until a ring, or recovery's retry deadline if one is pending.
-    fn step(&self, batch: &mut Vec<WorkCompletion>) -> Step {
+    /// One step, under the run lock: drain the recv CQ, reap sends and
+    /// drive recovery. A dead channel is done; an idle one waits for a
+    /// ring, or recovery's retry deadline if one is pending.
+    fn step(&self) -> Step {
         let mut progressed = false;
+        let mut batch = self.run.lock();
         loop {
             batch.clear();
-            if self.recv_cq.poll_many(RECV_SLOTS, batch) == 0 {
+            if self.recv_cq.poll_many(RECV_SLOTS, &mut batch) == 0 {
                 break;
             }
             for wc in batch.drain(..) {
                 progressed |= self.handle_recv(wc);
             }
         }
-        let (dead, retry) = {
-            let mut core = self.core.lock();
-            progressed |= self.reap_sends(&mut core);
-            progressed |= self.advance(&mut core);
-            (core.dead.is_some(), core.retry_wakeup())
-        };
-        if progressed || dead {
-            self.progress.notify_all();
-        }
-        if dead {
+        let mut core = self.core.lock();
+        progressed |= self.reap_sends(&mut core);
+        progressed |= self.advance(&mut core);
+        if core.dead.is_some() {
             Step::Done
         } else if progressed {
             Step::Worked
         } else {
-            Step::Idle(retry)
+            Step::Idle(core.retry_wakeup())
+        }
+    }
+
+    /// The one wait: ask `ready` under the mux lock; until it answers,
+    /// capture the recv CQ's bell, run the step, ask again, and park on the
+    /// captured count until a ring or the earlier of `deadline` and
+    /// recovery's. Asking after the step means a frame another thread
+    /// drained is never slept through. Rings `ready`'s posts owe the peer
+    /// fire after the lock, never across a park. `Ok(None)` past `deadline`.
+    fn block_on<T>(
+        &self,
+        deadline: Option<Instant>,
+        mut ready: impl FnMut(&mut MuxCore) -> Result<Option<T>>,
+    ) -> Result<Option<T>> {
+        let bell = self.recv_cq.doorbell();
+        // The first look runs no step: what is there already needs none.
+        let mut run = false;
+        loop {
+            let seen = bell.current();
+            if run {
+                self.step();
+            }
+            let (retry, done) = {
+                let _batch = freeflow_verbs::WakeBatch::open();
+                let mut core = self.core.lock();
+                (core.retry_wakeup(), ready(&mut core))
+            };
+            if !matches!(done, Ok(None)) || deadline.is_some_and(|at| at <= Instant::now()) {
+                // A recovery deadline this thread will not keep is the pump's.
+                if let (Some(_), Some(pump)) = (retry, self.pump.get()) {
+                    pump.bell().ring();
+                }
+                return done;
+            }
+            if run {
+                bell.park(seen, [deadline, retry].into_iter().flatten().min());
+            }
+            run = true;
         }
     }
 
@@ -589,8 +620,7 @@ impl Channel {
                 wr_id: seq,
             });
         }
-        // Recovery over: deferred control traffic may flow again (the
-        // condvar wakes writers from the pump).
+        // Recovery over: deferred control traffic may flow again.
         self.drain_deferred(core);
     }
 
@@ -651,7 +681,12 @@ impl Channel {
         })
     }
 
+    /// Post `stream`'s FIN, or hold it while the sequence space is closed.
     fn post_seq_fin(&self, core: &mut MuxCore, stream: u32) -> Result<()> {
+        if core.tx.recovering() || !core.tx_open {
+            core.deferred.push_back(Deferred::Fin { stream });
+            return Ok(());
+        }
         self.post_seq_inline(core, stream, |seq| Frame::Fin { seq, stream }.encode())
     }
 
@@ -680,9 +715,11 @@ impl Channel {
 
     /// Write the whole buffer on `stream` (blocking on credits/slots).
     pub fn write_stream(&self, stream: u32, buf: &[u8]) -> Result<usize> {
-        let mut off = 0;
-        let mut core = self.core.lock();
-        while off < buf.len() {
+        let (mut off, mut stalled) = (0, None);
+        let wrote = self.block_on(None, |core| loop {
+            if off == buf.len() {
+                return Ok(Some(off));
+            }
             if let Some(e) = core.dead_err() {
                 return Err(e);
             }
@@ -692,17 +729,12 @@ impl Channel {
                 Some(_) => {}
             }
             if !core.can_send(stream) {
-                // Try to make progress ourselves before parking.
-                self.reap_sends(&mut core);
-                self.advance(&mut core);
-                if !core.can_send(stream) {
-                    let t0 = Instant::now();
-                    self.progress.wait_for(&mut core, WRITE_POLL);
-                    self.metrics
-                        .credit_stall_ns
-                        .record(t0.elapsed().as_nanos() as u64);
-                    continue;
-                }
+                stalled.get_or_insert_with(Instant::now);
+                return Ok(None);
+            }
+            if let Some(t0) = stalled.take() {
+                let stall = t0.elapsed().as_nanos() as u64;
+                self.metrics.credit_stall_ns.record(stall);
             }
             let slot = core.free_slots.pop_front().expect("checked non-empty");
             core.streams
@@ -712,10 +744,9 @@ impl Channel {
             let chunk = (buf.len() - off).min(MAX_PAYLOAD);
             let base = u64::from(slot) * FRAME_SIZE as u64;
             let seq = core.tx.next_seq();
-            let hdr = data_header(seq, stream);
             let frame_len = (DATA_HDR + chunk) as u32;
             self.send_mr
-                .write(base, &hdr)
+                .write(base, &data_header(seq, stream))
                 .and_then(|()| {
                     self.send_mr
                         .write(base + DATA_HDR as u64, &buf[off..off + chunk])
@@ -729,12 +760,16 @@ impl Channel {
                 },
             );
             debug_assert_eq!(assigned, seq);
-            self.post_with_reap(&mut core, || {
+            self.post_with_reap(core, || {
                 SendWr::send(seq, self.send_mr.sge(base, frame_len))
             })?;
             off += chunk;
-        }
-        Ok(buf.len())
+            if core.free_slots.is_empty() {
+                // The last slot is gone: arm the ring of the send that frees one.
+                self.reap_sends(core);
+            }
+        })?;
+        Ok(wrote.expect("a write has no deadline"))
     }
 
     /// Read up to `buf.len()` bytes from `stream`. Blocking variant
@@ -744,42 +779,27 @@ impl Channel {
         if buf.is_empty() {
             return Ok(0);
         }
-        let mut core = self.core.lock();
-        loop {
-            let n = {
-                let s = core
-                    .streams
-                    .get_mut(&stream)
-                    .ok_or_else(|| Error::invalid_state("stream torn down"))?;
-                if s.rx.is_empty() {
-                    if s.peer_fin {
-                        return Ok(0); // EOF
-                    }
-                    None
-                } else {
-                    let (n, freed) = s.read_into(buf);
-                    s.pending_credit += freed;
-                    Some(n)
-                }
+        let wait = if block { READ_TIMEOUT } else { Duration::ZERO };
+        let read = self.block_on(Some(Instant::now() + wait), |core| {
+            let Some(s) = core.streams.get_mut(&stream) else {
+                return Err(Error::invalid_state("stream torn down"));
             };
-            if let Some(n) = n {
-                // Bytes consumed → credits can flow back.
-                self.return_credits(&mut core, stream, false)?;
-                return Ok(n);
+            if s.rx.is_empty() {
+                if s.peer_fin {
+                    return Ok(Some(0)); // EOF
+                }
+                return core.dead_err().map_or(Ok(None), Err);
             }
-            if let Some(e) = core.dead_err() {
-                return Err(e);
-            }
-            if !block {
-                return Err(Error::WouldBlock);
-            }
-            // Keep the send side honest while blocked on reads.
-            self.reap_sends(&mut core);
-            self.advance(&mut core);
-            if self.progress.wait_for(&mut core, READ_TIMEOUT).timed_out() {
-                return Err(Error::unreachable("stream receive timed out"));
-            }
-        }
+            let (n, freed) = s.read_into(buf);
+            s.pending_credit += freed;
+            // Bytes consumed → credits can flow back.
+            self.return_credits(core, stream, false)?;
+            Ok(Some(n))
+        })?;
+        read.ok_or_else(|| match block {
+            true => Error::unreachable("stream receive timed out"),
+            false => Error::WouldBlock,
+        })
     }
 
     /// Half-close `stream`: flush withheld credits, send FIN. Reads
@@ -799,12 +819,7 @@ impl Channel {
             return Ok(());
         }
         self.return_credits(&mut core, stream, true)?;
-        if core.tx.recovering() || !core.tx_open {
-            core.deferred.push_back(Deferred::Fin { stream });
-            Ok(())
-        } else {
-            self.post_seq_fin(&mut core, stream)
-        }
+        self.post_seq_fin(&mut core, stream)
     }
 
     /// The application dropped its handle: best-effort FIN, discard
@@ -828,36 +843,24 @@ impl Channel {
         if core.dead.is_none() {
             let _ = self.return_credits(&mut core, stream, true);
             if need_fin {
-                if core.tx.recovering() || !core.tx_open {
-                    core.deferred.push_back(Deferred::Fin { stream });
-                } else {
-                    let _ = self.post_seq_fin(&mut core, stream);
-                }
+                let _ = self.post_seq_fin(&mut core, stream);
             }
         }
         core.gc_stream(stream);
     }
 
-    /// Make send-side progress without transferring data (event-loop
-    /// callers that may go a long time without reads or writes).
+    /// Run the step without transferring data (event-loop callers that
+    /// may go a long time without reads or writes).
     pub fn flush(&self) -> Result<()> {
-        let mut core = self.core.lock();
-        self.reap_sends(&mut core);
-        self.advance(&mut core);
-        match core.dead_err() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.step();
+        self.core.lock().dead_err().map_or(Ok(()), Err)
     }
 
     /// Whether `stream` has buffered bytes or a pending EOF (readiness
     /// probe for poll-style servers; never blocks).
     pub fn stream_readable(&self, stream: u32) -> bool {
         let core = self.core.lock();
-        core.streams
-            .get(&stream)
-            .map(|s| !s.rx.is_empty() || s.peer_fin)
-            .unwrap_or(false)
+        (core.streams.get(&stream)).is_some_and(|s| !s.rx.is_empty() || s.peer_fin)
     }
 
     /// Frames retransmitted on behalf of `stream`.
@@ -866,18 +869,13 @@ impl Channel {
             .lock()
             .streams
             .get(&stream)
-            .map(|s| s.retransmits)
-            .unwrap_or(0)
-    }
-
-    fn lock_core(&self) -> MutexGuard<'_, MuxCore> {
-        self.core.lock()
+            .map_or(0, |s| s.retransmits)
     }
 }
 
 impl std::fmt::Debug for Channel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let core = self.lock_core();
+        let core = self.core.lock();
         f.debug_struct("Channel")
             .field("qpn", &self.qp.qp_num())
             .field("streams", &core.live_streams())

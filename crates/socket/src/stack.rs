@@ -703,6 +703,66 @@ mod tests {
         }
     }
 
+    /// Fresh streams each write their whole credit window at once, more
+    /// frames than the channel has send slots, and nothing is read until
+    /// every write has returned. No credit comes back meanwhile, so a
+    /// writer out of slots hears only the send completions that free them:
+    /// it must have armed their ring, or it sleeps forever.
+    fn writers_out_of_send_slots_hear_the_sends_that_free_them(same_host: bool) {
+        use crate::mux::{MAX_PAYLOAD, SEND_SLOTS, STREAM_WINDOW};
+        let n = SEND_SLOTS / STREAM_WINDOW + 2;
+        let (_cluster, a, b) = two_containers(same_host);
+        let stack = SocketStack::new();
+        let listener = Arc::new(stack.bind(&b, 80).unwrap());
+        let window = vec![7u8; STREAM_WINDOW * MAX_PAYLOAD];
+        for round in 0..10 {
+            let accept = {
+                let listener = Arc::clone(&listener);
+                std::thread::spawn(move || {
+                    let accepted = (0..n).map(|_| listener.accept(Duration::from_secs(10)));
+                    accepted.map(Result::unwrap).collect::<Vec<_>>()
+                })
+            };
+            let mut clients: Vec<_> = (0..n)
+                .map(|_| stack.connect(&a, b.ip(), 80).unwrap())
+                .collect();
+            let mut servers = accept.join().unwrap();
+            let (done, finished) = std::sync::mpsc::channel();
+            let in_time = std::thread::scope(|sc| {
+                for c in &mut clients {
+                    let (done, window) = (done.clone(), &window);
+                    sc.spawn(move || {
+                        c.write_all(window).unwrap();
+                        done.send(()).unwrap();
+                    });
+                }
+                let deadline = Instant::now() + Duration::from_secs(10);
+                let in_time = (0..n).all(|_| {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    finished.recv_timeout(left).is_ok()
+                });
+                // Reading returns credits, whose frames wake a writer that
+                // slept through its completions, so a failure ends here.
+                let mut got = vec![0u8; window.len()];
+                for s in &mut servers {
+                    s.read_exact(&mut got).unwrap();
+                }
+                in_time
+            });
+            assert!(in_time, "round {round}: a writer out of slots slept on");
+        }
+    }
+
+    #[test]
+    fn writers_out_of_send_slots_on_shared_memory_lose_no_wakeup() {
+        writers_out_of_send_slots_hear_the_sends_that_free_them(true);
+    }
+
+    #[test]
+    fn writers_out_of_send_slots_on_the_wire_lose_no_wakeup() {
+        writers_out_of_send_slots_hear_the_sends_that_free_them(false);
+    }
+
     #[test]
     fn idle_settled_channel_pump_stays_parked() {
         let (_cluster, a, b) = two_containers(false);
@@ -716,8 +776,12 @@ mod tests {
                 .iter()
                 .all(|c| stack.export_ledgers(c).iter().all(|r| r.tx_in_flight == 0))
         });
+        // The recv CQ's bell and the pump's: the idle bell it forwards to.
         let bells = [client.qp(), server.qp()].map(|qp| Arc::clone(qp.recv_cq().doorbell()));
-        let before = bells.each_ref().map(|bell| bell.stats().waits);
+        let bells: Vec<_> = (bells.iter())
+            .flat_map(|bell| [Arc::clone(bell), Arc::clone(bell.idle_bell().unwrap())])
+            .collect();
+        let before: Vec<_> = bells.iter().map(|bell| bell.stats().waits).collect();
         // The idle stretch under measurement (not a wait for progress).
         std::thread::sleep(Duration::from_millis(100));
         for (bell, before) in bells.iter().zip(before) {

@@ -11,7 +11,7 @@ use freeflow_socket::{FfListener, FfStream, SocketStack};
 use freeflow_telemetry::LabelSet;
 use freeflow_types::{HostCaps, OverlayIp, TenantId};
 use proptest::prelude::*;
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn wait_until(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) {
@@ -328,6 +328,79 @@ proptest! {
         let snap = pair._cluster.telemetry();
         prop_assert_eq!(snap.counter_total("ff_stream_retransmits_total"), 0);
         prop_assert_eq!(snap.counter_total("ff_stream_reorders_total"), 0);
+    }
+}
+
+/// Far below the 30 s read timeout, far above the ≈ 0.1 s a transfer
+/// takes: a reader that sleeps through its frame runs into it.
+const WAKE_BUDGET: Duration = Duration::from_secs(10);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// One writer and one reader thread per stream, all streams on one
+    /// channel, one chunk in flight at a time: writer `i` sends its chunk
+    /// of a round when reader `i - 1` has read all of its own, in reads
+    /// smaller than a frame. So every reader but one is parked on the
+    /// channel when a frame lands, all wake, and whichever runs the
+    /// channel's step first drains the frame for the reader it belongs
+    /// to. A reader that looked at its buffer before that drain and slept
+    /// on would stall the whole ring — nobody else has anything to send —
+    /// so the transfer must end within [`WAKE_BUDGET`]: such a lost
+    /// wakeup fails here instead of passing slowly.
+    #[test]
+    fn readers_that_drain_each_others_frames_lose_no_wakeup(
+        nstreams in 2usize..6,
+        sizes in prop::collection::vec(1usize..3000, 5),
+        rounds in 1usize..60,
+        read in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        let mut pair = multiplexed_pair(nstreams, 7800);
+        let data: Vec<Vec<u8>> = (0..nstreams)
+            .map(|i| payload(seed ^ (i as u64 + 1), rounds * sizes[i]))
+            .collect();
+        // `turns[i]` tells writer `i` to send its next chunk; reader `i`
+        // holds `turns[(i + 1) % nstreams]`, and only it, so a reader
+        // that dies ends the ring instead of hanging it.
+        let (mut turns, waits): (Vec<_>, Vec<_>) = (0..nstreams).map(|_| mpsc::channel()).unzip();
+        turns[0].send(()).unwrap();
+        turns.rotate_left(1);
+        let t0 = Instant::now();
+        let got: Vec<Vec<u8>> = std::thread::scope(|sc| {
+            for ((c, bytes), wait) in pair.clients.iter_mut().zip(&data).zip(waits) {
+                sc.spawn(move || {
+                    for part in bytes.chunks(bytes.len() / rounds) {
+                        wait.recv().unwrap();
+                        c.write_all(part).unwrap();
+                    }
+                    c.shutdown().unwrap();
+                });
+            }
+            let readers: Vec<_> = (pair.servers.iter_mut().zip(turns).zip(&sizes))
+                .map(|((s, next), &size)| {
+                    sc.spawn(move || {
+                        let (mut got, mut buf) = (Vec::new(), [0u8; 64]);
+                        for round in 1..=rounds {
+                            while got.len() < round * size {
+                                let want = read.min(round * size - got.len());
+                                match s.read(&mut buf[..want]).unwrap() {
+                                    0 => panic!("EOF at {} of {}", got.len(), rounds * size),
+                                    n => got.extend_from_slice(&buf[..n]),
+                                }
+                            }
+                            // Writer 0 is gone after the last round.
+                            let _ = next.send(());
+                        }
+                        assert_eq!(s.read(&mut buf).unwrap(), 0, "EOF after payload");
+                        got
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        prop_assert_eq!(&got, &data);
+        prop_assert!(t0.elapsed() < WAKE_BUDGET, "took {:?}", t0.elapsed());
     }
 }
 

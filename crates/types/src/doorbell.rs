@@ -21,11 +21,19 @@
 //! either the waiter's load sees the new count (it returns without
 //! parking), or the ringer's load sees the sleeper. In the second case the
 //! ringer takes the mutex, which the waiter holds from its registration
-//! until `Condvar::wait` releases it atomically with parking — so the
-//! ringer's `notify_all` lands on a parked waiter and is not lost.
+//! until `Condvar::wait` releases it atomically with parking, and lets it
+//! go again *before* its `notify_all`: the waiter has read the condvar's
+//! futex word by then, so the notify is not lost, and the woken thread
+//! never blocks on a mutex its waker still holds (on one CPU that cost a
+//! switch back to the ringer and another to the waiter).
+//!
+//! A bell may carry an *idle bell* ([`Doorbell::set_idle_bell`]): a ring
+//! that finds no waiter registered rings it instead of returning. A
+//! consumer whose waiters do the work themselves parks its fallback thread
+//! there, so that thread wakes only for rings nobody waits on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The instant `timeout` from now, or `None` — no deadline — when that
@@ -47,6 +55,8 @@ pub struct Doorbell {
     timeouts: AtomicU64,
     coalesced: AtomicU64,
     notifies: AtomicU64,
+    /// Rung in place of a notify when no waiter is registered.
+    idle: OnceLock<Arc<Doorbell>>,
     mutex: Mutex<()>,
     condvar: Condvar,
 }
@@ -84,17 +94,35 @@ impl Doorbell {
     }
 
     /// Ring: increment the counter and wake any parked waiter. With no
-    /// waiter registered this is one atomic add and one load.
+    /// waiter registered this is one atomic add and one load, plus a ring
+    /// of the idle bell if one is set.
     pub fn ring(&self) {
         self.count.fetch_add(1, Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) == 0 {
+            if let Some(idle) = self.idle.get() {
+                idle.ring();
+            }
             return;
         }
         self.notifies.fetch_add(1, Ordering::Relaxed);
         // A registered waiter holds the mutex until it is parked, so
-        // taking it here orders this notify after the park.
-        let _guard = self.lock();
+        // taking it here orders this notify after the park. Releasing it
+        // first spares the woken thread a block on its waker.
+        drop(self.lock());
         self.condvar.notify_all();
+    }
+
+    /// Route every ring that finds no waiter registered to `bell` as well.
+    /// Set once: the first call wins. Sound only when whoever registers
+    /// on this bell does, after every park, the work a ring announces —
+    /// the ring that notifies it does not reach `bell`.
+    pub fn set_idle_bell(&self, bell: Arc<Doorbell>) {
+        let _ = self.idle.set(bell);
+    }
+
+    /// The bell [`Doorbell::set_idle_bell`] installed, if any.
+    pub fn idle_bell(&self) -> Option<&Arc<Doorbell>> {
+        self.idle.get()
     }
 
     fn lock(&self) -> MutexGuard<'_, ()> {
@@ -152,9 +180,10 @@ impl Doorbell {
     }
 
     /// The one wait loop: register as a sleeper, then park on the condvar
-    /// until the counter passes `seen` or `deadline` (if any) passes. A
-    /// deadline already passed only checks the counter.
-    pub(crate) fn park(&self, seen: u64, deadline: Option<Instant>) -> Option<u64> {
+    /// until the counter passes `seen` or `deadline` (if any) passes.
+    /// Returns the new counter value, or `None` on timeout. A deadline
+    /// already passed only checks the counter.
+    pub fn park(&self, seen: u64, deadline: Option<Instant>) -> Option<u64> {
         if deadline.is_some_and(|at| at <= Instant::now()) {
             let now = self.current();
             return (now > seen).then_some(now);
@@ -343,6 +372,38 @@ mod tests {
         let s = bell.stats();
         assert_eq!((s.waits, s.wakes, s.timeouts, s.notifies), (1, 1, 0, 1));
         assert_eq!(bell.sleepers.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_ring_with_no_waiter_rings_the_idle_bell() {
+        let (bell, idle) = (Doorbell::new(), Arc::new(Doorbell::new()));
+        bell.ring();
+        bell.set_idle_bell(Arc::clone(&idle));
+        bell.ring();
+        bell.ring_coalesced(3);
+        assert_eq!((bell.current(), idle.current()), (3, 2));
+        assert_eq!(bell.stats().notifies, 0);
+        assert!(Arc::ptr_eq(bell.idle_bell().unwrap(), &idle));
+    }
+
+    #[test]
+    fn a_ring_to_a_parked_waiter_does_not_ring_the_idle_bell() {
+        let (bell, idle) = (Arc::new(Doorbell::new()), Arc::new(Doorbell::new()));
+        bell.set_idle_bell(Arc::clone(&idle));
+        let waiter = {
+            let bell = Arc::clone(&bell);
+            std::thread::spawn(move || bell.wait_timeout(0, Duration::from_secs(10)))
+        };
+        while bell.stats().waits == 0 {
+            std::thread::yield_now();
+        }
+        bell.ring();
+        assert_eq!(waiter.join().unwrap(), Some(1));
+        let s = bell.stats();
+        assert_eq!((s.wakes, s.timeouts, s.notifies), (1, 0, 1));
+        assert_eq!(idle.current(), 0, "the waiter heard this ring");
+        bell.ring();
+        assert_eq!(idle.current(), 1, "nobody waits for this one");
     }
 
     #[test]

@@ -110,6 +110,24 @@ impl<T> Queue<T> {
         }
     }
 
+    /// Move every value queued now into `out`, under one lock, and return
+    /// how many. A drain that made room in a full queue rings the space
+    /// bell once, after the values are out: a producer it wakes pushes
+    /// into the next drain, never into this one.
+    pub fn drain_into(&self, out: &mut Vec<T>) -> usize {
+        let (n, was_full) = {
+            let mut st = self.shared.lock();
+            let was_full = st.items.len() >= self.shared.cap;
+            let n = st.items.len();
+            out.extend(st.items.drain(..));
+            (n, was_full)
+        };
+        if was_full {
+            self.shared.space.ring();
+        }
+        n
+    }
+
     /// Take the oldest value, parking on the consumer bell while the queue
     /// is empty until `deadline` (`None`: no deadline). `Ok(None)` on
     /// timeout.
@@ -307,6 +325,30 @@ mod tests {
         let s = rx.space().stats();
         assert_eq!((s.waits, s.wakes, s.timeouts), (1, 1, 0));
         assert_eq!(rx.try_pop().unwrap(), Some(2));
+    }
+
+    #[test]
+    fn a_drain_takes_what_is_queued_and_rings_space_once_after() {
+        let (tx, rx) = queue(2);
+        let mut out = Vec::new();
+        assert_eq!(rx.drain_into(&mut out), 0);
+        tx.try_push(1).unwrap();
+        assert_eq!(rx.drain_into(&mut out), 1);
+        assert_eq!(rx.space().stats().rings, 0, "the queue was not full");
+        tx.try_push(2).unwrap();
+        tx.try_push(3).unwrap();
+        let producer = std::thread::spawn(move || {
+            let got = tx.push_until(4, Instant::now() + LONG, open);
+            (got, tx)
+        });
+        until_parked(rx.space(), 1);
+        // The producer it wakes cannot push into this drain.
+        assert_eq!(rx.drain_into(&mut out), 2);
+        let (got, _tx) = producer.join().unwrap();
+        assert_eq!(got, Ok(()));
+        assert_eq!(rx.space().stats().rings, 1);
+        assert_eq!(rx.drain_into(&mut out), 1);
+        assert_eq!(out, [1, 2, 3, 4]);
     }
 
     #[test]
