@@ -12,7 +12,8 @@
 //! * the channel to the **host agent** (shared memory both ways);
 //! * the **location cache** fed by the orchestrator's event stream;
 //! * the **progress pump** — a thread that dispatches inbound relay
-//!   messages to the right [`FfQp`] and applies cache invalidations.
+//!   messages to the right [`FfQp`], applies cache invalidations and runs
+//!   the steps socket channels hand it ([`LibHandle::adopt`]).
 //!
 //! Memory registrations are arena-backed when the host segment has room,
 //! so that the intra-host data plane is genuinely zero-copy shared memory.
@@ -59,6 +60,15 @@ pub struct ResolvedPath {
     pub generation: u64,
 }
 
+/// A step handed to the library pump ([`LibHandle::adopt`]), run when
+/// its bell moves past `seen` or `due` passes.
+struct Adopted {
+    bell: Weak<Doorbell>,
+    seen: u64,
+    due: Option<Instant>,
+    step: Box<dyn FnMut() -> Step + Send>,
+}
+
 /// Shared state between the library facade, its QPs and the pump.
 pub(crate) struct LibShared {
     /// The container this library serves.
@@ -77,9 +87,12 @@ pub(crate) struct LibShared {
     /// The host's shared segment (zero-copy payloads); swapped on
     /// migration.
     pub arena: RwLock<Arc<SharedArena>>,
-    /// The bell the pump parks on (the agent→container ring's data bell);
-    /// swapped on migration. The control feed and a migration thaw ring it.
-    pub pump_bell: RwLock<Arc<Doorbell>>,
+    /// The bell the pump parks on, for the library's whole life: each
+    /// agent→container ring's data bell (as its idle bell), the control
+    /// feed, a migration thaw and every adopted step's bell ring it.
+    pump_bell: Arc<Doorbell>,
+    /// Steps adopted from socket channels ([`LibHandle::adopt`]).
+    adopted: Mutex<Vec<Adopted>>,
     /// A QP walk asked for from outside one: a migration thaw, or a drain
     /// a rehome or a failover started.
     walk_asked: AtomicBool,
@@ -115,13 +128,13 @@ impl LibShared {
 
     /// Subscribe to the control feed, rung on the pump's bell.
     fn subscribe(&self) -> FeedSubscription {
-        self.client.subscribe(Arc::clone(&self.pump_bell.read()))
+        self.client.subscribe(Arc::clone(&self.pump_bell))
     }
 
     /// Ask the pump for a QP walk: its next step runs one.
     pub(crate) fn request_walk(&self) {
         self.walk_asked.store(true, Ordering::Release);
-        self.pump_bell.read().ring();
+        self.pump_bell.ring();
     }
 
     /// A remote op due at `at` is now pending: make sure the pump's idle
@@ -129,7 +142,7 @@ impl LibShared {
     /// Call after the op is registered with its QP.
     pub(crate) fn note_op_due(&self, at: Instant) {
         if self.lower_op_due(at) {
-            self.pump_bell.read().ring();
+            self.pump_bell.ring();
         }
     }
 
@@ -146,6 +159,31 @@ impl LibShared {
             u64::MAX => None,
             ns => Some(self.epoch + Duration::from_nanos(ns)),
         }
+    }
+
+    /// Run each adopted step whose bell moved or whose deadline passed,
+    /// with no library lock held; drop those done or whose bell is gone.
+    /// Returns the earliest deadline left: `now` after a step worked.
+    fn run_adopted(&self, now: Instant) -> Option<Instant> {
+        let mut steps = std::mem::take(&mut *self.adopted.lock());
+        let mut due = None;
+        steps.retain_mut(|a| {
+            let Some(seen) = a.bell.upgrade().map(|bell| bell.current()) else {
+                return false;
+            };
+            if seen != a.seen || a.due.is_some_and(|at| at <= now) {
+                a.seen = seen;
+                a.due = match (a.step)() {
+                    Step::Done => return false,
+                    Step::Worked => Some(now),
+                    Step::Idle(at) => at,
+                };
+            }
+            due = due.into_iter().chain(a.due).min();
+            true
+        });
+        self.adopted.lock().append(&mut steps);
+        due
     }
 
     /// Resolve where `dst` lives and which transport to use.
@@ -524,6 +562,21 @@ impl LibHandle {
     pub fn resolve(&self, dst: OverlayIp) -> Result<ResolvedPath> {
         self.shared.resolve(dst)
     }
+
+    /// Hand `step` to the library pump, which runs it when the returned
+    /// bell rings or its last [`Step::Idle`] deadline passes, until `Done`
+    /// or the bell's drop. The bell's own rings reach the pump.
+    pub fn adopt(&self, step: impl FnMut() -> Step + Send + 'static) -> Arc<Doorbell> {
+        let bell = Arc::new(Doorbell::new());
+        bell.set_idle_bell(Arc::clone(&self.shared.pump_bell));
+        self.shared.adopted.lock().push(Adopted {
+            bell: Arc::downgrade(&bell),
+            seen: 0,
+            due: None,
+            step: Box::new(step),
+        });
+        bell
+    }
 }
 
 impl std::fmt::Debug for LibHandle {
@@ -563,7 +616,8 @@ impl NetLibrary {
             device: Arc::clone(&device),
             agent_tx: Mutex::new(channel.tx),
             arena: RwLock::new(arena),
-            pump_bell: RwLock::new(Arc::clone(channel.rx.data_bell())),
+            pump_bell: Arc::default(),
+            adopted: Mutex::default(),
             walk_asked: AtomicBool::new(false),
             op_due: AtomicU64::new(u64::MAX),
             epoch: Instant::now(),
@@ -602,12 +656,13 @@ impl NetLibrary {
     }
 
     /// The library's inbound loop as a step on the one [`Pump`] driver,
-    /// parked on the agent→container ring's data bell, which the control
-    /// feed rings too. A step drains one `PUMP_DRAIN` sweep and dispatches
-    /// it to the QPs, applies control events, and walks every QP when an
-    /// event, a thaw or an overdue op asks for it, or after every step
-    /// while a binding is mid-transition. Idle, it parks until the
-    /// earliest pending op deadline (with none when no remote op is
+    /// parked on the library's bell, which the agent→container ring's data
+    /// bell and the control feed ring. A step drains one `PUMP_DRAIN`
+    /// sweep and dispatches it to the QPs, applies control events, walks
+    /// every QP when an event, a thaw or an overdue op asks for it, or
+    /// after every step while a binding is mid-transition, and runs the
+    /// adopted steps that are due. Idle, it parks until the earliest
+    /// pending op or adopted-step deadline (with none when neither is
     /// pending), or for `RETRY_AFTER` while a resync or a transition waits
     /// on something that cannot ring. The agent closing the ring (detach,
     /// migration) ends it.
@@ -622,7 +677,8 @@ impl NetLibrary {
         // start: a rehome asked every QP to reconsider its path.
         let mut unsettled = true;
         let name = format!("ff-lib-{}", shared.ip);
-        let bell = Arc::clone(rx.data_bell());
+        let bell = Arc::clone(&shared.pump_bell);
+        rx.data_bell().set_idle_bell(Arc::clone(&bell));
         Pump::spawn(name, bell, Duration::ZERO, move || {
             // One sweep per step: the space doorbell back to the agent
             // rings once per sweep, not once per frame.
@@ -664,13 +720,14 @@ impl NetLibrary {
             {
                 unsettled = shared.walk_qps(paths_dirty);
             }
-            if worked {
+            let due = shared.run_adopted(now);
+            if worked || due.is_some_and(|at| at <= now) {
                 return Step::Worked;
             }
             if unsettled || needs_resync {
                 return Step::Idle(Some(now + RETRY_AFTER));
             }
-            Step::Idle(shared.op_due())
+            Step::Idle(due.into_iter().chain(shared.op_due()).min())
         })
     }
 
@@ -705,7 +762,6 @@ impl NetLibrary {
             arena,
         } = handle;
         *self.shared.agent_tx.lock() = channel.tx;
-        *self.shared.pump_bell.write() = Arc::clone(channel.rx.data_bell());
         // Arena-backed MRs still alias the *source* host's shared segment;
         // copy each registration's bytes into the new host's arena before
         // any data-plane traffic resumes (real hardware cannot DMA into
@@ -747,10 +803,10 @@ impl NetLibrary {
         self.shared.live_qps()
     }
 
-    /// The bell the inbound pump parks on (the agent→container ring's).
+    /// The bell the inbound pump parks on.
     #[cfg(test)]
     pub(crate) fn pump_bell(&self) -> Arc<Doorbell> {
-        Arc::clone(self.pump.as_ref().expect("pump runs").bell())
+        Arc::clone(&self.shared.pump_bell)
     }
 
     /// Push raw relay messages to the host agent, as a container that
@@ -848,7 +904,8 @@ mod tests {
             tenant: TenantId::new(1),
             host: RwLock::new(host),
             device: VerbsNetwork::new().create_device(ip),
-            pump_bell: RwLock::new(Arc::clone(handle.channel.rx.data_bell())),
+            pump_bell: Arc::default(),
+            adopted: Mutex::default(),
             agent_tx: Mutex::new(handle.channel.tx),
             arena: RwLock::new(handle.arena),
             walk_asked: AtomicBool::new(false),

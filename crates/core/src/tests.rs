@@ -491,7 +491,9 @@ fn migrate_rehomes_without_waiting_out_a_library_deadline() {
     // The old library pump ends on a ring — the detach drops its ring's
     // sender, rehome drops the pump — never by sitting out a deadline:
     // an idle library parks with none, so no park of the old pump may end
-    // in a timeout across a move.
+    // in a timeout across a move. The bell is the library's for its whole
+    // life, so the new pump parks on it too: one park at most is open.
+    let parked = |s: freeflow_types::DoorbellStats| s.waits.saturating_sub(s.wakes + s.timeouts);
     let cluster = FreeFlowCluster::with_defaults();
     let hosts = [
         cluster.add_host(HostCaps::paper_testbed()),
@@ -500,11 +502,15 @@ fn migrate_rehomes_without_waiting_out_a_library_deadline() {
     let mut c = cluster.launch(tenant(), hosts[0]).unwrap();
     for round in 1..=5 {
         let bell = c.lib().pump_bell();
-        wait_until("idle library parks", || bell.stats().waits >= 1);
+        wait_until("idle library parks", || parked(bell.stats()) == 1);
         let before = bell.stats();
         c = cluster.migrate(c, hosts[round % 2]).unwrap();
+        assert!(
+            Arc::ptr_eq(&bell, &c.lib().pump_bell()),
+            "one bell across moves"
+        );
         let after = bell.stats();
-        assert_eq!(after.waits, after.wakes + after.timeouts, "old pump gone");
+        assert!(parked(after) <= 1, "old pump gone: {after:?}");
         assert_eq!(after.timeouts, before.timeouts, "round {round}: {after:?}");
     }
 }

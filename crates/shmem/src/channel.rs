@@ -21,7 +21,7 @@ use freeflow_types::{deadline_in, Doorbell, DoorbellStats};
 use freeflow_types::{Error, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Frame kind tags on the wire.
 const KIND_INLINE: u8 = 0;
@@ -29,6 +29,34 @@ const KIND_HANDLE: u8 = 1;
 
 /// Frame header: 1-byte kind + 4-byte little-endian payload length.
 const HDR: usize = 5;
+
+/// Longest single park of a blocking call: bounded, so a peer that exits
+/// without closing cannot hang it.
+const PARK_SLICE: Duration = Duration::from_millis(50);
+
+/// The one blocking loop: retry `attempt` while it reports
+/// [`Error::WouldBlock`], parking on `bell` between tries on the count
+/// captured before each. `Ok(None)` once `deadline` has passed.
+fn block<T>(
+    bell: &Doorbell,
+    deadline: Option<Instant>,
+    mut attempt: impl FnMut() -> Result<T>,
+) -> Result<Option<T>> {
+    loop {
+        let seen = bell.current();
+        match attempt() {
+            Err(Error::WouldBlock) => {}
+            other => return other.map(Some),
+        }
+        let left = deadline.map_or(PARK_SLICE, |at| {
+            at.saturating_duration_since(Instant::now())
+        });
+        if left.is_zero() {
+            return Ok(None);
+        }
+        let _ = bell.wait_timeout(seen, left.min(PARK_SLICE));
+    }
+}
 
 /// A message received from a channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -242,37 +270,17 @@ impl ShmSender {
     pub fn send_batch(&self, payloads: &[&[u8]]) -> Result<()> {
         let mut sent = 0usize;
         while sent < payloads.len() {
-            let seen = self.shared.space_bell.current();
-            match self.try_send_batch(&payloads[sent..]) {
-                Ok(n) => sent += n,
-                Err(Error::WouldBlock) => {
-                    let _ = self
-                        .shared
-                        .space_bell
-                        .wait_timeout(seen, Duration::from_millis(50));
-                }
-                Err(e) => return Err(e),
-            }
+            let n = block(&self.shared.space_bell, None, || {
+                self.try_send_batch(&payloads[sent..])
+            })?;
+            sent += n.unwrap_or(0);
         }
         Ok(())
     }
 
     /// Blocking send of an inline message; waits for ring space.
     pub fn send(&self, payload: &[u8]) -> Result<()> {
-        loop {
-            let seen = self.shared.space_bell.current();
-            match self.try_send(payload) {
-                Err(Error::WouldBlock) => {
-                    // Bounded wait so a wedged receiver cannot hang us if it
-                    // exits without closing cleanly.
-                    let _ = self
-                        .shared
-                        .space_bell
-                        .wait_timeout(seen, Duration::from_millis(50));
-                }
-                other => return other,
-            }
-        }
+        block(&self.shared.space_bell, None, || self.try_send(payload)).map(drop)
     }
 
     /// Non-blocking send of a zero-copy arena handle. Ownership of the
@@ -286,18 +294,10 @@ impl ShmSender {
 
     /// Blocking send of a zero-copy arena handle.
     pub fn send_handle(&self, handle: ArenaHandle) -> Result<()> {
-        loop {
-            let seen = self.shared.space_bell.current();
-            match self.try_send_handle(handle) {
-                Err(Error::WouldBlock) => {
-                    let _ = self
-                        .shared
-                        .space_bell
-                        .wait_timeout(seen, Duration::from_millis(50));
-                }
-                other => return other,
-            }
-        }
+        block(&self.shared.space_bell, None, || {
+            self.try_send_handle(handle)
+        })
+        .map(drop)
     }
 
     /// Channel statistics (shared with the receiver side).
@@ -399,43 +399,16 @@ impl ShmReceiver {
 
     /// Blocking receive; waits for a message or sender close.
     pub fn recv(&self) -> Result<ShmMessage> {
-        loop {
-            let seen = self.shared.data_bell.current();
-            match self.try_recv() {
-                Err(Error::WouldBlock) => {
-                    let _ = self
-                        .shared
-                        .data_bell
-                        .wait_timeout(seen, Duration::from_millis(50));
-                }
-                other => return other,
-            }
-        }
+        let msg = block(&self.shared.data_bell, None, || self.try_recv())?;
+        Ok(msg.expect("a wait without a deadline ends only on a message"))
     }
 
     /// Blocking receive with a deadline; `None` on timeout. A timeout too
     /// long to be an instant waits without one.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<ShmMessage>> {
-        let deadline = deadline_in(timeout);
-        loop {
-            let seen = self.shared.data_bell.current();
-            match self.try_recv() {
-                Err(Error::WouldBlock) => {
-                    let left = deadline.map_or(Duration::MAX, |at| {
-                        at.saturating_duration_since(std::time::Instant::now())
-                    });
-                    if left.is_zero() {
-                        return Ok(None);
-                    }
-                    let _ = self
-                        .shared
-                        .data_bell
-                        .wait_timeout(seen, left.min(Duration::from_millis(50)));
-                }
-                Err(e) => return Err(e),
-                Ok(msg) => return Ok(Some(msg)),
-            }
-        }
+        block(&self.shared.data_bell, deadline_in(timeout), || {
+            self.try_recv()
+        })
     }
 
     /// Busy-poll receive: spin (kernel-bypass style) until a message lands

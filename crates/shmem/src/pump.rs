@@ -1,8 +1,9 @@
 //! The one event loop: a thread that runs a step function and parks on a
-//! [`Doorbell`] between steps. The agent, each library and each socket
-//! channel are step functions on it, so the no-lost-wakeup rule — capture
-//! the bell count *before* the step, park on that count — and the
-//! shutdown path exist once.
+//! [`Doorbell`] between steps. The agent and each library are step
+//! functions on it (a library's step also runs the steps its socket
+//! channels hand it), so the no-lost-wakeup rule — capture the bell count
+//! *before* the step, park on that count — and the shutdown path exist
+//! once.
 
 use freeflow_types::Doorbell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -78,11 +79,6 @@ impl Pump {
             bell,
             thread: Some(thread.expect("spawn pump thread")),
         }
-    }
-
-    /// The bell this pump parks on.
-    pub fn bell(&self) -> &Arc<Doorbell> {
-        &self.bell
     }
 }
 
@@ -187,7 +183,8 @@ mod tests {
         );
         let woke = done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(woke >= due, "woke {:?} early", due - woke);
-        let s = pump.bell().stats();
+        drop(pump);
+        let s = bell.stats();
         assert_eq!((s.waits, s.wakes, s.timeouts), (1, 0, 1));
     }
 

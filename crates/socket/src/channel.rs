@@ -3,8 +3,8 @@
 //!
 //! TSoR's layering (PAPERS.md): socket connections are cheap stream ids
 //! on a small pool of expensive RC connections, not QPs of their own.
-//! A [`Channel`] is one such shared connection — one `FfQp`, two CQs,
-//! two slotted MRs and a pump thread — and a [`ChannelPool`] holds every
+//! A [`Channel`] is one such shared connection — one `FfQp`, two CQs and
+//! two slotted MRs, no thread of its own — and a [`ChannelPool`] holds every
 //! channel a container has open, keyed by peer overlay IP (per
 //! container *pair*: each pool belongs to one container, so a pool
 //! entry is exactly one ordered pair). `connect` reuses a live channel
@@ -16,14 +16,14 @@
 //! lock, recycles receive slots at once, queues each data frame's payload
 //! on its stream, reaps send completions and drives the resync handshake
 //! across rebind epochs. The thread that waits runs it: a blocked reader
-//! or writer captures the recv CQ's bell, runs the step, looks, and parks
-//! on the captured count. Binding transitions, failed sends and — while a
-//! writer is out of slots or recovery waits on the send CQ — successful
-//! sends ring that bell, so the only timer is recovery's `RESYNC_RETRY`.
-//! The pump thread, a step on the one [`Pump`] driver, parks on the bell's
-//! idle bell: it wakes only for rings no waiter is parked for. A received
-//! byte is copied twice: from its slot into the payload `Vec` queued on
-//! its stream, then into the reader's buffer.
+//! or writer arms the recv CQ's bell, runs the step, looks, and parks.
+//! Binding transitions, failed sends and — while a writer is out of slots,
+//! a post met a full send queue or recovery waits on the send CQ —
+//! successful sends ring that bell, so the only timer is recovery's
+//! `RESYNC_RETRY`. Rings no waiter hears reach the container's library
+//! pump, which runs the step too ([`LibHandle::adopt`]). A received byte
+//! is copied twice: from its slot into the payload `Vec` queued on its
+//! stream, then into the reader's buffer.
 
 use crate::mux::{
     data_header, CtrlKind, Deferred, Frame, MuxCore, SeqFrame, CTRL_BIT, DATA_HDR, FRAME_SIZE,
@@ -31,15 +31,15 @@ use crate::mux::{
 };
 use crate::reliability::TxPayload;
 use freeflow::binding::{BindingPhase, PathSignal};
-use freeflow::{FfEndpoint, FfQp, LibHandle, Pump, Step};
+use freeflow::{FfEndpoint, FfQp, LibHandle, Step};
 use freeflow_telemetry::{Counter, Event, Gauge, Histogram, LabelSet, Telemetry};
-use freeflow_types::{Doorbell, Error, OverlayIp, Result};
+use freeflow_types::{Error, OverlayIp, Result};
 use freeflow_verbs::wr::{AccessFlags, RecvWr, SendWr, WcOpcode};
 use freeflow_verbs::{CompletionQueue, MemoryRegion, VerbsError, WcStatus, WorkCompletion};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Send-queue depth: the data-slot window plus generous headroom for
@@ -120,8 +120,6 @@ pub(crate) struct Channel {
     core: Mutex<MuxCore>,
     /// The run lock, held by whoever runs the step: the drain's scratch.
     run: Mutex<Vec<WorkCompletion>>,
-    /// Set by [`Channel::establish`]; dropping it stops the pump.
-    pump: OnceLock<Pump>,
     /// The peer's QPN (what a reuse handshake names); set at establish.
     peer_qpn: AtomicU32,
     metrics: ChannelMetrics,
@@ -129,7 +127,7 @@ pub(crate) struct Channel {
 
 impl Channel {
     /// Build the channel's verbs objects. Does not connect the QP or
-    /// start the pump — [`Channel::establish`] does, once the
+    /// adopt the step — [`Channel::establish`] does, once the
     /// side-channel handshake has exchanged endpoints.
     pub fn new(handle: &LibHandle, initiator: bool, metrics: ChannelMetrics) -> Result<Arc<Self>> {
         let recv_cq = handle.create_cq(CHANNEL_RQ * 2);
@@ -153,16 +151,15 @@ impl Channel {
             signal,
             core: Mutex::new(MuxCore::new(initiator)),
             run: Mutex::new(Vec::with_capacity(RECV_SLOTS)),
-            pump: OnceLock::new(),
             peer_qpn: AtomicU32::new(0),
             metrics,
         }))
     }
 
     /// Connect the QP to the peer endpoint, pre-post every receive slot
-    /// and start the pump. The connecting side also queues its READY
-    /// signal (the accepting side's tx gate opens on it).
-    pub fn establish(self: &Arc<Self>, peer: FfEndpoint) -> Result<()> {
+    /// and hand the step to the library pump. The connecting side also
+    /// queues its READY signal (the accepting side's tx gate opens on it).
+    pub fn establish(self: &Arc<Self>, handle: &LibHandle, peer: FfEndpoint) -> Result<()> {
         self.qp
             .connect(peer)
             .map_err(|e| Error::unreachable(e.to_string()))?;
@@ -184,19 +181,13 @@ impl Channel {
                 self.advance(&mut core);
             }
         }
-        // The pump holds only a weak handle: the channel must die when the
-        // last stream / pool reference goes, not be pinned by its own
-        // thread.
+        // The library pump holds only a weak handle: the channel must die
+        // when the last stream / pool reference goes. The step's first run,
+        // after the route is in place, covers rings from before.
         let me = Arc::downgrade(self);
-        let idle = Arc::new(Doorbell::new());
+        let idle = handle.adopt(move || me.upgrade().map_or(Step::Done, |ch| ch.step()));
         self.recv_cq.doorbell().set_idle_bell(Arc::clone(&idle));
-        let pump = Pump::spawn(
-            format!("ff-sock-ch-{}", self.qp.qp_num()),
-            idle,
-            Duration::ZERO,
-            move || me.upgrade().map_or(Step::Done, |ch| ch.step()),
-        );
-        let _ = self.pump.set(pump);
+        idle.ring();
         Ok(())
     }
 
@@ -297,10 +288,11 @@ impl Channel {
     }
 
     /// The one wait: ask `ready` under the mux lock; until it answers,
-    /// capture the recv CQ's bell, run the step, ask again, and park on the
-    /// captured count until a ring or the earlier of `deadline` and
-    /// recovery's. Asking after the step means a frame another thread
-    /// drained is never slept through. Rings `ready`'s posts owe the peer
+    /// arm the recv CQ's bell, run the step, ask again, and park until a
+    /// ring or the earlier of `deadline` and recovery's. Asking after the
+    /// step means a frame another thread drained is never slept through;
+    /// arming before it means a ring that lands meanwhile is this thread's
+    /// to serve, not the library pump's. Rings `ready`'s posts owe the peer
     /// fire after the lock, never across a park. `Ok(None)` past `deadline`.
     fn block_on<T>(
         &self,
@@ -311,7 +303,7 @@ impl Channel {
         // The first look runs no step: what is there already needs none.
         let mut run = false;
         loop {
-            let seen = bell.current();
+            let seen = bell.arm();
             if run {
                 self.step();
             }
@@ -321,14 +313,20 @@ impl Channel {
                 (core.retry_wakeup(), ready(&mut core))
             };
             if !matches!(done, Ok(None)) || deadline.is_some_and(|at| at <= Instant::now()) {
-                // A recovery deadline this thread will not keep is the pump's.
-                if let (Some(_), Some(pump)) = (retry, self.pump.get()) {
-                    pump.bell().ring();
+                // Serve a ring heard while armed; later rings reach the
+                // library pump, as does a recovery deadline left unkept.
+                if bell.disarm(seen) {
+                    self.step();
+                }
+                if let (Some(_), Some(idle)) = (retry, bell.idle_bell()) {
+                    idle.ring();
                 }
                 return done;
             }
             if run {
-                bell.park(seen, [deadline, retry].into_iter().flatten().min());
+                bell.park_armed(seen, [deadline, retry].into_iter().flatten().min());
+            } else {
+                bell.disarm(seen);
             }
             run = true;
         }
@@ -381,14 +379,8 @@ impl Channel {
     fn apply_frame(&self, core: &mut MuxCore, frame: Frame) {
         match frame {
             Frame::Ready => {}
-            Frame::Resync { sent: _ } => {
-                // Answer with our in-order high-water mark; idempotent.
-                let ack = Frame::ResyncAck {
-                    received: core.rx.received(),
-                }
-                .encode();
-                let _ = self.post_ctrl(core, CtrlKind::ResyncAck, ack);
-            }
+            // Answered with our in-order high-water mark; idempotent.
+            Frame::Resync { sent: _ } => core.ack_due = true,
             Frame::ResyncAck { received } => self.apply_ack(core, received),
             Frame::Data {
                 seq,
@@ -462,17 +454,19 @@ impl Channel {
         loop {
             batch.clear();
             if self.send_cq.poll_many(SEND_SLOTS, &mut batch) == 0 {
-                // Failed sends always ring the pump; a routine success
-                // wakes no one unless a writer is out of slots or recovery
-                // waits for every send to be reaped. Arm, then poll once
-                // more so no completion slips in between.
-                let hear = core.free_slots.is_empty() || core.tx.recovering();
+                // Failed sends always ring; a routine success wakes no one
+                // unless a writer is out of slots, a post met a full queue
+                // or recovery waits for every send to be reaped. Arm, then
+                // poll once more so no completion slips in between.
+                let hear = core.free_slots.is_empty() || core.sq_full || core.tx.recovering();
                 self.send_cq.ring_on_success(hear);
                 if !hear || self.send_cq.pending() == 0 {
                     break;
                 }
                 continue;
             }
+            // Any completion frees a send-queue entry.
+            progressed |= std::mem::take(&mut core.sq_full);
             for wc in batch.drain(..) {
                 if wc.opcode != WcOpcode::Send {
                     continue;
@@ -526,7 +520,7 @@ impl Channel {
     }
 
     /// Drive non-data progress: channel death on a dead binding, READY
-    /// (re)sends, the resync handshake, and deferred control frames.
+    /// (re)sends, the resync handshake, and held control frames.
     fn advance(&self, core: &mut MuxCore) -> bool {
         if core.dead.is_some() {
             return false;
@@ -538,20 +532,22 @@ impl Channel {
         let mut progressed = false;
         let settled = self.signal.settled();
         if core.ready_due && core.tx_open && settled && Instant::now() >= core.retry_at {
-            let ready = Frame::Ready.encode();
-            if self.post_ctrl(core, CtrlKind::Ready, ready).is_ok() {
-                core.ready_due = false;
-                progressed = true;
-            }
+            core.ready_due = !self.post_ctrl(core, CtrlKind::Ready, Frame::Ready);
+            progressed |= !core.ready_due;
+        }
+        if core.ack_due {
+            let received = core.rx.received();
+            core.ack_due =
+                !self.post_ctrl(core, CtrlKind::ResyncAck, Frame::ResyncAck { received });
+            progressed |= !core.ack_due;
         }
         // The path is settled again and no send still owes a completion:
         // ask the receiver where the cut actually fell.
         if settled && core.tx.recovering() && core.resync_due(Instant::now()) {
             let resync = Frame::Resync {
                 sent: core.tx.next_seq(),
-            }
-            .encode();
-            if self.post_ctrl(core, CtrlKind::Resync, resync).is_ok() {
+            };
+            if self.post_ctrl(core, CtrlKind::Resync, resync) {
                 core.tx.resync_sent();
                 core.retry_at = Instant::now() + RESYNC_RETRY;
                 progressed = true;
@@ -563,18 +559,24 @@ impl Channel {
         progressed
     }
 
-    /// Post sequenced control traffic that recovery had on hold.
+    /// Sequence and post held control frames, in order, until none is
+    /// left or one meets a full send queue (no sequence is spent on it).
     fn drain_deferred(&self, core: &mut MuxCore) -> bool {
         let mut progressed = false;
-        while let Some(d) = core.deferred.pop_front() {
-            let ok = match d {
-                Deferred::Credit { stream, n } => self.post_seq_credit(core, stream, n).is_ok(),
-                Deferred::Fin { stream } => self.post_seq_fin(core, stream).is_ok(),
+        while let Some(&d) = core.deferred.front() {
+            let seq = core.tx.next_seq();
+            let (stream, frame) = match d {
+                Deferred::Credit { stream, n } => (stream, Frame::Credit { seq, stream, n }),
+                Deferred::Fin { stream } => (stream, Frame::Fin { seq, stream }),
             };
-            progressed |= ok;
-            if core.tx.recovering() || core.dead.is_some() {
+            let frame = frame.encode();
+            if !self.post(core, || SendWr::send_inline(seq, frame.clone())) {
                 break;
             }
+            let assigned = core.tx.assign(stream, TxPayload::Inline(frame));
+            debug_assert_eq!(assigned, seq);
+            core.deferred.pop_front();
+            progressed = true;
         }
         progressed
     }
@@ -592,24 +594,28 @@ impl Channel {
                 core.free_slots.push_back(slot);
             }
         }
+        let mut full = false;
         for seq in out.retransmit {
             let Some((stream, payload)) = core.tx.entry(seq).map(|e| (e.stream, e.payload.clone()))
             else {
                 continue;
             };
-            let posted = match payload {
-                TxPayload::Slot { slot, len } => self.post_with_reap(core, || {
-                    SendWr::send(
-                        seq,
-                        self.send_mr.sge(u64::from(slot) * FRAME_SIZE as u64, len),
-                    )
-                }),
-                TxPayload::Inline(bytes) => {
-                    self.post_with_reap(core, || SendWr::send_inline(seq, bytes.clone()))
+            let make = || match &payload {
+                TxPayload::Slot { slot, len } => {
+                    let at = u64::from(*slot) * FRAME_SIZE as u64;
+                    SendWr::send(seq, self.send_mr.sge(at, *len))
                 }
+                TxPayload::Inline(bytes) => SendWr::send_inline(seq, bytes.clone()),
             };
-            if posted.is_err() {
+            full = full || !self.post(core, make);
+            if core.dead.is_some() {
                 return; // channel died mid-recovery
+            }
+            if full {
+                // A full send queue sends this frame and the rest back to
+                // recovery: the next resync asks again.
+                core.tx.complete_failed(seq);
+                continue;
             }
             if let Some(s) = core.streams.get_mut(&stream) {
                 s.retransmits += 1;
@@ -620,79 +626,58 @@ impl Channel {
                 wr_id: seq,
             });
         }
-        // Recovery over: deferred control traffic may flow again.
-        self.drain_deferred(core);
     }
 
     // --- posting helpers ------------------------------------------------
 
-    /// Post one WR, reaping the send CQ on a full queue instead of
-    /// failing. Fatal errors kill the channel.
-    fn post_with_reap(&self, core: &mut MuxCore, make: impl Fn() -> SendWr) -> Result<()> {
-        loop {
-            if let Some(e) = core.dead_err() {
-                return Err(e);
-            }
+    /// Post one WR; whether it went. Fatal errors kill the channel. A full
+    /// send queue sets `sq_full` and reaps to arm the ring of the completion
+    /// that frees it; nothing waits for room: relayed completions come
+    /// through the library pump, which may be waiting for this channel's locks.
+    fn post(&self, core: &mut MuxCore, make: impl Fn() -> SendWr) -> bool {
+        while core.dead.is_none() {
             match self.qp.post_send(make()) {
-                Ok(()) => return Ok(()),
+                Ok(()) => return true,
                 Err(VerbsError::QueueFull { .. }) => {
+                    core.sq_full = true;
                     self.reap_sends(core);
-                    std::thread::yield_now();
+                    if core.sq_full {
+                        return false;
+                    }
                 }
-                Err(e) => {
-                    core.kill(format!("post failed: {e}"));
-                    return Err(core.dead_err().expect("just killed"));
-                }
+                Err(e) => core.kill(format!("post failed: {e}")),
             }
         }
+        false
     }
 
-    /// Post an unsequenced (recovery/handshake) control frame.
-    fn post_ctrl(&self, core: &mut MuxCore, kind: CtrlKind, frame: Vec<u8>) -> Result<()> {
+    /// Post an unsequenced (recovery/handshake) control frame; whether it
+    /// went. One that did not stays due with its caller.
+    fn post_ctrl(&self, core: &mut MuxCore, kind: CtrlKind, frame: Frame) -> bool {
         let wr_id = CTRL_BIT | core.next_ctrl;
         core.next_ctrl += 1;
-        core.inflight_ctrl
-            .insert(wr_id, (kind, self.signal.epoch()));
-        let res = self.post_with_reap(core, || SendWr::send_inline(wr_id, frame.clone()));
-        if res.is_err() {
-            core.inflight_ctrl.remove(&wr_id);
+        let frame = frame.encode();
+        let posted = self.post(core, || SendWr::send_inline(wr_id, frame.clone()));
+        if posted {
+            core.inflight_ctrl
+                .insert(wr_id, (kind, self.signal.epoch()));
         }
-        res
+        posted
     }
 
-    /// Assign the next sequence to an inline control frame and post it.
-    fn post_seq_inline(
-        &self,
-        core: &mut MuxCore,
-        stream: u32,
-        encode: impl Fn(u64) -> Vec<u8>,
-    ) -> Result<()> {
-        debug_assert!(!core.tx.recovering());
-        let seq = core.tx.next_seq();
-        let frame = encode(seq);
-        let assigned = core.tx.assign(stream, TxPayload::Inline(frame.clone()));
-        debug_assert_eq!(assigned, seq);
-        self.post_with_reap(core, || SendWr::send_inline(seq, frame.clone()))
-    }
-
-    fn post_seq_credit(&self, core: &mut MuxCore, stream: u32, n: u32) -> Result<()> {
-        self.post_seq_inline(core, stream, |seq| {
-            Frame::Credit { seq, stream, n }.encode()
-        })
-    }
-
-    /// Post `stream`'s FIN, or hold it while the sequence space is closed.
-    fn post_seq_fin(&self, core: &mut MuxCore, stream: u32) -> Result<()> {
-        if core.tx.recovering() || !core.tx_open {
-            core.deferred.push_back(Deferred::Fin { stream });
-            return Ok(());
+    /// Queue a sequenced control frame behind any held before it, and post
+    /// what the sequence space and the send queue let through.
+    fn post_seq(&self, core: &mut MuxCore, d: Deferred) -> Result<()> {
+        core.deferred.push_back(d);
+        if !core.tx.recovering() && core.tx_open {
+            self.drain_deferred(core);
         }
-        self.post_seq_inline(core, stream, |seq| Frame::Fin { seq, stream }.encode())
+        core.dead_err().map_or(Ok(()), Err)
     }
 
     /// Return a stream's accumulated credits when worthwhile (half the
     /// window batches credit traffic 8×; `force` flushes the rest at
-    /// FIN/detach). Defers when the sequence space is closed.
+    /// FIN/detach).
     fn return_credits(&self, core: &mut MuxCore, stream: u32, force: bool) -> Result<()> {
         let n = {
             let Some(s) = core.streams.get_mut(&stream) else {
@@ -704,11 +689,7 @@ impl Channel {
             }
             std::mem::take(&mut s.pending_credit)
         };
-        if core.tx.recovering() || !core.tx_open {
-            core.deferred.push_back(Deferred::Credit { stream, n });
-            return Ok(());
-        }
-        self.post_seq_credit(core, stream, n)
+        self.post_seq(core, Deferred::Credit { stream, n })
     }
 
     // --- the stream-facing data plane ----------------------------------
@@ -737,10 +718,6 @@ impl Channel {
                 self.metrics.credit_stall_ns.record(stall);
             }
             let slot = core.free_slots.pop_front().expect("checked non-empty");
-            core.streams
-                .get_mut(&stream)
-                .expect("checked above")
-                .tx_credits -= 1;
             let chunk = (buf.len() - off).min(MAX_PAYLOAD);
             let base = u64::from(slot) * FRAME_SIZE as u64;
             let seq = core.tx.next_seq();
@@ -752,6 +729,14 @@ impl Channel {
                         .write(base + DATA_HDR as u64, &buf[off..off + chunk])
                 })
                 .map_err(|e| Error::config(e.to_string()))?;
+            if !self.post(core, || {
+                SendWr::send(seq, self.send_mr.sge(base, frame_len))
+            }) {
+                // A full queue is no free slot (`post` armed the ring); a
+                // dead channel is seen above.
+                core.free_slots.push_front(slot);
+                continue;
+            }
             let assigned = core.tx.assign(
                 stream,
                 TxPayload::Slot {
@@ -760,9 +745,10 @@ impl Channel {
                 },
             );
             debug_assert_eq!(assigned, seq);
-            self.post_with_reap(core, || {
-                SendWr::send(seq, self.send_mr.sge(base, frame_len))
-            })?;
+            core.streams
+                .get_mut(&stream)
+                .expect("checked above")
+                .tx_credits -= 1;
             off += chunk;
             if core.free_slots.is_empty() {
                 // The last slot is gone: arm the ring of the send that frees one.
@@ -819,7 +805,7 @@ impl Channel {
             return Ok(());
         }
         self.return_credits(&mut core, stream, true)?;
-        self.post_seq_fin(&mut core, stream)
+        self.post_seq(&mut core, Deferred::Fin { stream })
     }
 
     /// The application dropped its handle: best-effort FIN, discard
@@ -843,7 +829,7 @@ impl Channel {
         if core.dead.is_none() {
             let _ = self.return_credits(&mut core, stream, true);
             if need_fin {
-                let _ = self.post_seq_fin(&mut core, stream);
+                let _ = self.post_seq(&mut core, Deferred::Fin { stream });
             }
         }
         core.gc_stream(stream);

@@ -16,8 +16,9 @@
 //!
 //! * **Channel pool** (`channel`): connections between a container pair
 //!   share a small pool of RC QPs. The first `connect` between a pair
-//!   builds a channel (QP + CQs + slotted MRs + pump thread); every
-//!   further socket is a stream-id allocation on it — thousands of
+//!   builds a channel (QP + CQs + slotted MRs; its step runs on waiting
+//!   threads and the container's library pump, not a thread of its own);
+//!   every further socket is a stream-id allocation on it — thousands of
 //!   streams per QP, counted by `ff_channel_qp_reuse_total`.
 //! * **Mux framing** (`mux`): every frame names its stream; flow
 //!   control is per-stream credits returned only as the application

@@ -13,9 +13,9 @@
 //!
 //! [`MuxCore`] is the single-lock mutable state of a channel: stream
 //! table, send-slot free list, both sequence ledgers, and the recovery
-//! gates. The channel serializes all of it under one mutex and parks
-//! waiters on one condvar; the pump thread and application threads both
-//! drive progress through the methods here.
+//! gates. The channel serializes all of it under one mutex; application
+//! threads and the library pump, which runs the channel's step for rings
+//! no waiter heard, drive progress through the methods here.
 
 use crate::reliability::{RxLedger, TxLedger};
 use freeflow_types::wire::{Reader, WireError, Writer};
@@ -30,7 +30,7 @@ pub const FRAME_SIZE: usize = 16 * 1024;
 /// shared fairly by every stream (FIFO slot grants).
 pub const SEND_SLOTS: usize = 64;
 /// Pre-posted receive slots per channel. Recycled immediately by the
-/// pump (frames are copied out), so this bounds wire burst, not stream
+/// step (frames are copied out), so this bounds wire burst, not stream
 /// buffering.
 pub const RECV_SLOTS: usize = 64;
 /// Per-stream credit window, in frames: a writer may have this many
@@ -179,9 +179,9 @@ pub(crate) enum CtrlKind {
     Ready,
 }
 
-/// Sequenced control traffic generated while recovery had the sequence
-/// space closed; drained (and only then sequenced) once it reopens.
-#[derive(Debug)]
+/// Sequenced control traffic held while the sequence space is closed or
+/// the send queue full; drained in order, and only then sequenced.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Deferred {
     Credit { stream: u32, n: u32 },
     Fin { stream: u32 },
@@ -274,14 +274,18 @@ pub(crate) struct MuxCore {
     pub inflight_ctrl: HashMap<u64, (CtrlKind, u64)>,
     /// Next unsequenced wr_id (CTRL_BIT is ORed in).
     pub next_ctrl: u64,
-    /// Sequenced control traffic held while recovery ran.
+    /// Sequenced control traffic held back, oldest first.
     pub deferred: VecDeque<Deferred>,
+    /// A post met a full send queue; the next send completion clears it.
+    pub sq_full: bool,
     /// Accepting side: no transmission until the connecting side's QP
     /// proved itself (READY or any inbound frame).
     pub tx_open: bool,
     /// A READY must be (re)sent (connect-side setup, or the first one
     /// flushed).
     pub ready_due: bool,
+    /// The peer asked for a resync ack that has not gone out yet.
+    pub ack_due: bool,
     /// No READY or RESYNC goes out before this: set [`RESYNC_RETRY`]
     /// ahead when a resync is sent or one of them is flushed on the path
     /// it was posted on; cleared by the ack and by a re-path.
@@ -303,10 +307,12 @@ impl MuxCore {
             inflight_ctrl: HashMap::new(),
             next_ctrl: 0,
             deferred: VecDeque::new(),
+            sq_full: false,
             // The connecting side created the QP and connects it before
             // any peer traffic can exist; only the accepting side gates.
             tx_open: initiator,
             ready_due: false,
+            ack_due: false,
             retry_at: Instant::now(),
             dead: None,
             send_wcs: Vec::with_capacity(SEND_SLOTS),
@@ -326,7 +332,7 @@ impl MuxCore {
         self.tx.resync_ready()
     }
 
-    /// When the pump must look again with nobody ringing: `retry_at`,
+    /// When the step must run again with nobody ringing: `retry_at`,
     /// while a READY or the resync handshake waits on it.
     pub fn retry_wakeup(&self) -> Option<Instant> {
         (self.ready_due || self.tx.recovering())
@@ -346,10 +352,12 @@ impl MuxCore {
     }
 
     /// Whether `stream` may post a data frame now: the tx gate is open,
-    /// recovery is not running, a send slot is free and it holds a credit.
+    /// recovery is not running, a send slot and queue room are free, and
+    /// it holds a credit.
     pub fn can_send(&self, stream: u32) -> bool {
         self.tx_open
             && !self.tx.recovering()
+            && !self.sq_full
             && !self.free_slots.is_empty()
             && self.streams.get(&stream).is_some_and(|s| s.tx_credits > 0)
     }

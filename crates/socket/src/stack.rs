@@ -248,7 +248,7 @@ impl SocketStack {
             .and_then(|tx| send_req(&tx, req, &remote))?;
         match reply_rx.pop_until(deadline_in(timeout)) {
             Ok(Some(ConnectReply::NewChannel { server_ep })) => {
-                ch.establish(server_ep)?;
+                ch.establish(pool.handle(), server_ep)?;
                 pool.insert(remote_ip, Arc::clone(&ch));
                 Ok(FfStream::new(ch, stream_id))
             }
@@ -311,7 +311,7 @@ impl FfListener {
                     ch.open_remote_stream(req.stream_id)?;
                     // Connect + pre-post receives *before* replying, so
                     // nothing the client sends can beat our RQ.
-                    ch.establish(client_ep)?;
+                    ch.establish(self.pool.handle(), client_ep)?;
                     if req
                         .reply
                         .try_push(ConnectReply::NewChannel {
@@ -763,6 +763,79 @@ mod tests {
         writers_out_of_send_slots_hear_the_sends_that_free_them(false);
     }
 
+    /// The server reads one frame, then drops its stream and makes no
+    /// further call, while the client writes four credit windows. Only the
+    /// library pump can return the discarded frames' credits and send FIN.
+    fn a_dropped_stream_drains_its_writer(same_host: bool) {
+        use crate::mux::{MAX_PAYLOAD, STREAM_WINDOW};
+        let (_cluster, a, b) = two_containers(same_host);
+        let stack = SocketStack::new();
+        let (mut client, mut server) = stream_pair(&stack, &a, &b);
+        let data = vec![5u8; 4 * STREAM_WINDOW * MAX_PAYLOAD];
+        let (done, finished) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            client.write_all(&data).unwrap();
+            let mut buf = [0u8; 1];
+            let eof = client.read(&mut buf).unwrap();
+            done.send(()).unwrap();
+            (eof, b)
+        });
+        let mut first = vec![0u8; MAX_PAYLOAD];
+        server.read_exact(&mut first).unwrap();
+        drop(server);
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the writer stalled on its window");
+        assert_eq!(writer.join().unwrap().0, 0, "the client reads EOF");
+    }
+
+    #[test]
+    fn a_dropped_stream_drains_its_writer_on_shared_memory() {
+        a_dropped_stream_drains_its_writer(true);
+    }
+
+    #[test]
+    fn a_dropped_stream_drains_its_writer_on_the_wire() {
+        a_dropped_stream_drains_its_writer(false);
+    }
+
+    /// 256 streams on one relay channel each hold an unread frame, and the
+    /// client drops them all at once: a credit and a FIN each, more
+    /// control frames than the send queue's headroom. The ones that meet a
+    /// full queue are held and go out as completions free it.
+    #[test]
+    fn a_burst_of_detaches_past_the_send_queue_gets_every_fin_out() {
+        const STREAMS: usize = 256;
+        let (_cluster, a, b) = two_containers(false);
+        let stack = SocketStack::new();
+        let listener = stack.bind(&b, 80).unwrap();
+        let accept = std::thread::spawn(move || {
+            let accepted = (0..STREAMS).map(|_| listener.accept(Duration::from_secs(10)));
+            accepted.map(Result::unwrap).collect::<Vec<_>>()
+        });
+        let clients: Vec<_> = (0..STREAMS)
+            .map(|_| stack.connect(&a, b.ip(), 80).unwrap())
+            .collect();
+        let mut servers = accept.join().unwrap();
+        for s in &mut servers {
+            s.write_all(b"x").unwrap();
+        }
+        wait_until("every frame buffered", Duration::from_secs(5), || {
+            clients.iter().all(|c| c.readable())
+        });
+        let t0 = Instant::now();
+        drop(clients);
+        let mut buf = [0u8; 1];
+        for s in &mut servers {
+            assert_eq!(s.read(&mut buf).unwrap(), 0, "FIN arrives");
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "FINs took {:?}",
+            t0.elapsed()
+        );
+    }
+
     #[test]
     fn idle_settled_channel_pump_stays_parked() {
         let (_cluster, a, b) = two_containers(false);
@@ -776,10 +849,14 @@ mod tests {
                 .iter()
                 .all(|c| stack.export_ledgers(c).iter().all(|r| r.tx_in_flight == 0))
         });
-        // The recv CQ's bell and the pump's: the idle bell it forwards to.
+        // The recv CQ's bell and the library pump's, which the bell's idle
+        // bell (the adopted step's) rings.
         let bells = [client.qp(), server.qp()].map(|qp| Arc::clone(qp.recv_cq().doorbell()));
         let bells: Vec<_> = (bells.iter())
-            .flat_map(|bell| [Arc::clone(bell), Arc::clone(bell.idle_bell().unwrap())])
+            .flat_map(|bell| {
+                let lib = bell.idle_bell().unwrap().idle_bell().unwrap();
+                [Arc::clone(bell), Arc::clone(lib)]
+            })
             .collect();
         let before: Vec<_> = bells.iter().map(|bell| bell.stats().waits).collect();
         // The idle stretch under measurement (not a wait for progress).
@@ -791,7 +868,7 @@ mod tests {
     }
 
     /// One write across a NIC failure, then neither application touches
-    /// its socket until the pump alone has resynced and retransmitted.
+    /// its socket until the library pump alone has resynced and retransmitted.
     /// Routes converge onto the surviving TCP wires either the moment the
     /// client's QP flushes (the resync rides the settle ring) or only once
     /// the failover is observed (the first resync is lost to the stale

@@ -13,24 +13,26 @@
 //! returns immediately if the counter has moved past it.
 //!
 //! The bell is an eventcount: a ring enters the kernel only when a thread
-//! is parked. Waiters register in `sleepers` (under the mutex) *before*
-//! their first look at the counter; a ring bumps the counter and then
-//! reads `sleepers`, and skips the mutex and the futex wake when it reads
-//! zero. Both sides use `SeqCst`, so the increment of `sleepers` and the
-//! increment of the counter sit in one total order with the two loads:
-//! either the waiter's load sees the new count (it returns without
-//! parking), or the ringer's load sees the sleeper. In the second case the
-//! ringer takes the mutex, which the waiter holds from its registration
-//! until `Condvar::wait` releases it atomically with parking, and lets it
-//! go again *before* its `notify_all`: the waiter has read the condvar's
-//! futex word by then, so the notify is not lost, and the woken thread
-//! never blocks on a mutex its waker still holds (on one CPU that cost a
-//! switch back to the ringer and another to the waiter).
+//! is parked. Waiters register in `sleepers` *before* their last look at
+//! the counter; a ring bumps the counter and then reads `sleepers`, and
+//! skips the mutex and the futex wake when it reads zero. Both sides use
+//! `SeqCst`, so the increment of `sleepers` and the increment of the
+//! counter sit in one total order with the two loads: either the waiter's
+//! load sees the new count (it returns without parking), or the ringer's
+//! load sees the sleeper. In the second case the ringer takes the mutex,
+//! which the waiter holds from its look under it until `Condvar::wait`
+//! releases it atomically with parking, and lets it go again *before* its
+//! `notify_all`: the waiter has read the condvar's futex word by then, so
+//! the notify is not lost, and the woken thread never blocks on a mutex
+//! its waker still holds (on one CPU that cost a switch back to the ringer
+//! and another to the waiter).
 //!
 //! A bell may carry an *idle bell* ([`Doorbell::set_idle_bell`]): a ring
 //! that finds no waiter registered rings it instead of returning. A
-//! consumer whose waiters do the work themselves parks its fallback thread
-//! there, so that thread wakes only for rings nobody waits on.
+//! consumer whose waiters do the work themselves routes it to a fallback
+//! runner, which wakes only for rings nobody waits on. A waiter arms
+//! ([`Doorbell::arm`]) before its last look, so a ring before its park is
+//! its own.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -48,7 +50,7 @@ pub fn deadline_in(timeout: Duration) -> Option<Instant> {
 #[derive(Debug, Default)]
 pub struct Doorbell {
     count: AtomicU64,
-    /// Waiters between registration and exit; changed only under `mutex`.
+    /// Waiters between registration and exit.
     sleepers: AtomicU64,
     waits: AtomicU64,
     wakes: AtomicU64,
@@ -105,8 +107,8 @@ impl Doorbell {
             return;
         }
         self.notifies.fetch_add(1, Ordering::Relaxed);
-        // A registered waiter holds the mutex until it is parked, so
-        // taking it here orders this notify after the park. Releasing it
+        // A waiter holds the mutex from its last look until it is parked,
+        // so taking it here orders this notify after the park. Releasing it
         // first spares the woken thread a block on its waker.
         drop(self.lock());
         self.condvar.notify_all();
@@ -114,8 +116,8 @@ impl Doorbell {
 
     /// Route every ring that finds no waiter registered to `bell` as well.
     /// Set once: the first call wins. Sound only when whoever registers
-    /// on this bell does, after every park, the work a ring announces —
-    /// the ring that notifies it does not reach `bell`.
+    /// on this bell does, after every park or disarm, the work a ring
+    /// announces — the ring that notifies it does not reach `bell`.
     pub fn set_idle_bell(&self, bell: Arc<Doorbell>) {
         let _ = self.idle.set(bell);
     }
@@ -148,11 +150,6 @@ impl Doorbell {
         self.count.load(Ordering::Acquire)
     }
 
-    /// Poll: has the counter moved past `seen`?
-    pub fn check(&self, seen: u64) -> bool {
-        self.current() > seen
-    }
-
     /// Copy the wait/wake counters.
     pub fn stats(&self) -> DoorbellStats {
         DoorbellStats {
@@ -165,12 +162,6 @@ impl Doorbell {
         }
     }
 
-    /// Block until the counter moves past `seen`; returns the new value.
-    pub fn wait(&self, seen: u64) -> u64 {
-        self.park(seen, None)
-            .expect("a wait without a deadline ends only on a ring")
-    }
-
     /// Block until the counter moves past `seen` or `timeout` elapses.
     /// Returns the new counter value, or `None` on timeout. A zero
     /// `timeout` only checks the counter: it neither parks nor counts. A
@@ -179,17 +170,36 @@ impl Doorbell {
         self.park(seen, deadline_in(timeout))
     }
 
-    /// The one wait loop: register as a sleeper, then park on the condvar
-    /// until the counter passes `seen` or `deadline` (if any) passes.
-    /// Returns the new counter value, or `None` on timeout. A deadline
-    /// already passed only checks the counter.
+    /// Register as a waiter before the last look for work; returns the
+    /// count to park on. Until [`Doorbell::park_armed`] or [`Doorbell::disarm`],
+    /// a ring notifies instead of ringing the idle bell.
+    pub fn arm(&self) -> u64 {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        self.count.load(Ordering::SeqCst)
+    }
+
+    /// End an [`Doorbell::arm`] without parking; whether a ring landed
+    /// since, whose work this waiter now owes.
+    pub fn disarm(&self, seen: u64) -> bool {
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        self.count.load(Ordering::SeqCst) > seen
+    }
+
+    /// Register, then [`Doorbell::park_armed`].
     pub fn park(&self, seen: u64, deadline: Option<Instant>) -> Option<u64> {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        self.park_armed(seen, deadline)
+    }
+
+    /// The one wait loop, for a registered waiter: park on the condvar
+    /// until the counter passes `seen` or `deadline` (if any) passes, then
+    /// deregister. Returns the new counter value, or `None` on timeout. A
+    /// deadline already passed only checks the counter.
+    pub fn park_armed(&self, seen: u64, deadline: Option<Instant>) -> Option<u64> {
         if deadline.is_some_and(|at| at <= Instant::now()) {
-            let now = self.current();
-            return (now > seen).then_some(now);
+            return self.disarm(seen).then(|| self.current());
         }
         let mut guard = self.lock();
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
         let (mut parked, mut timed_out) = (false, false);
         let got = loop {
             let now = self.count.load(Ordering::SeqCst);
@@ -241,9 +251,9 @@ mod tests {
     fn check_sees_ring() {
         let bell = Doorbell::new();
         let seen = bell.current();
-        assert!(!bell.check(seen));
+        assert_eq!(bell.current(), seen);
         bell.ring();
-        assert!(bell.check(seen));
+        assert!(bell.current() > seen);
     }
 
     #[test]
@@ -257,7 +267,7 @@ mod tests {
                 bell.ring();
             })
         };
-        let now = bell.wait(seen);
+        let now = bell.park(seen, None).unwrap();
         assert!(now > seen);
         ringer.join().unwrap();
     }
@@ -268,7 +278,7 @@ mod tests {
         let seen = bell.current();
         bell.ring();
         // Must return immediately — no ringer will come.
-        assert_eq!(bell.wait(seen), seen + 1);
+        assert_eq!(bell.park(seen, None), Some(seen + 1));
     }
 
     #[test]
@@ -312,7 +322,7 @@ mod tests {
 
         // A wait that finds the counter already advanced never parks.
         bell.ring();
-        bell.wait(0);
+        bell.park(0, None);
         let s = bell.stats();
         assert_eq!((s.rings, s.waits, s.wakes, s.timeouts), (1, 0, 0, 0));
 
@@ -324,13 +334,13 @@ mod tests {
         // A parked waiter woken by a ring records exactly one wake.
         let waiter = {
             let bell = Arc::clone(&bell);
-            std::thread::spawn(move || bell.wait(1))
+            std::thread::spawn(move || bell.park(1, None))
         };
         while bell.stats().waits < 2 {
             std::thread::yield_now();
         }
         bell.ring();
-        assert_eq!(waiter.join().unwrap(), 2);
+        assert_eq!(waiter.join().unwrap(), Some(2));
         let s = bell.stats();
         assert_eq!((s.rings, s.waits, s.wakes, s.timeouts), (2, 2, 1, 1));
     }
@@ -407,6 +417,28 @@ mod tests {
     }
 
     #[test]
+    fn a_ring_between_arming_and_parking_ends_the_park_not_the_idle_bell() {
+        let (bell, idle) = (Doorbell::new(), Arc::new(Doorbell::new()));
+        bell.set_idle_bell(Arc::clone(&idle));
+        let seen = bell.arm();
+        // The waiter's last look found nothing; this ring lands before its park.
+        bell.ring();
+        let woke = bell.park_armed(seen, deadline_in(Duration::from_secs(10)));
+        assert_eq!(woke, Some(1));
+        assert_eq!(idle.current(), 0, "the armed waiter heard this ring");
+        let s = bell.stats();
+        assert_eq!((s.waits, s.wakes, s.timeouts, s.notifies), (0, 0, 0, 1));
+        assert_eq!(bell.sleepers.load(Ordering::SeqCst), 0);
+        // A waiter that leaves instead learns of the ring it heard.
+        let seen = bell.arm();
+        bell.ring();
+        assert!(bell.disarm(seen));
+        assert_eq!(idle.current(), 0);
+        bell.ring();
+        assert_eq!(idle.current(), 1, "nobody waits for this one");
+    }
+
+    #[test]
     fn ping_pong_through_two_bells_loses_no_wakeup() {
         // Two threads pass a ball back and forth 100 000 times, each
         // parking with the pump's pattern: capture the bell, look for
@@ -478,7 +510,7 @@ mod tests {
         let mut seen = 0;
         let mut observed_batches = 0u64;
         while seen < BATCHES {
-            let now = bell.wait(seen);
+            let now = bell.park(seen, None).unwrap();
             // Each observation consumes >= 1 whole batch; the counter
             // never moves by fractions of one.
             assert!(now > seen);
@@ -511,7 +543,7 @@ mod tests {
         };
         let mut seen = 0;
         while seen < RINGS {
-            seen = bell.wait(seen);
+            seen = bell.park(seen, None).unwrap();
         }
         assert_eq!(seen, RINGS);
         ringer.join().unwrap();
