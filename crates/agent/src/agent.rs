@@ -95,6 +95,15 @@ struct ContainerLink {
 /// A frame bound for a peer host: its wire, the bytes as written, their header.
 type Outbound = (usize, Bytes, RelayHeader);
 
+/// Buffers [`Agent::poll`] reuses from step to step, so a step allocates
+/// nothing once they have grown to the traffic's burst size.
+#[derive(Default)]
+struct PollScratch {
+    drained: Vec<ShmMessage>,
+    outbound: Vec<Outbound>,
+    from_wires: Vec<Bytes>,
+}
+
 /// Pre-registered telemetry handles for the forwarding hot paths. Rebuilt
 /// whenever a hub is attached, so the hot paths only touch atomics.
 struct AgentInstruments {
@@ -172,6 +181,8 @@ pub struct Agent {
     /// container→agent ring, handed to every peer wire, rung on control
     /// changes. The pump parks on it.
     bell: Arc<Doorbell>,
+    /// [`Agent::poll`]'s buffers, empty between polls.
+    scratch: Mutex<PollScratch>,
     stats: AgentStats,
     /// Whether large local deliveries use arena handoff (ablation A3
     /// toggles this off to measure the copy cost).
@@ -205,6 +216,7 @@ impl Agent {
                 routes: HashMap::new(),
             }),
             bell: Arc::new(Doorbell::new()),
+            scratch: Mutex::default(),
             stats: AgentStats::default(),
             zero_copy: AtomicBool::new(true),
             telemetry: RwLock::new(AgentInstruments::new(Telemetry::new(), host)),
@@ -454,23 +466,25 @@ impl Agent {
 
     /// Drain pending work once. Returns the number of messages processed.
     pub fn poll(&self) -> usize {
+        let mut scratch = self.scratch.lock();
+        let PollScratch {
+            drained,
+            outbound,
+            from_wires,
+        } = &mut *scratch;
         // Container → agent: a vectored drain, so the space doorbell rings
         // once per burst instead of once per frame.
-        let mut drained: Vec<ShmMessage> = Vec::new();
         for link in self.inner.lock().containers.values() {
-            while link.rx.try_recv_many(DRAIN_CHUNK, &mut drained) == Ok(DRAIN_CHUNK) {}
+            while link.rx.try_recv_many(DRAIN_CHUNK, drained) == Ok(DRAIN_CHUNK) {}
         }
         let work = drained.len();
         // Route: local destinations deliver now; remote frames are grouped
         // per wire (a stable sort keeps arrival order), so the frames for one
         // peer host in this poll share coalesced wire messages.
-        let mut outbound: Vec<Outbound> = drained
-            .into_iter()
-            .filter_map(|m| match m {
-                ShmMessage::Inline(frame) => self.route_from_local(frame),
-                ShmMessage::Handle(_) => None,
-            })
-            .collect();
+        outbound.extend(drained.drain(..).filter_map(|m| match m {
+            ShmMessage::Inline(frame) => self.route_from_local(frame),
+            ShmMessage::Handle(_) => None,
+        }));
         outbound.sort_by_key(|&(idx, ..)| idx);
         let mut rest = &outbound[..];
         while let Some(&(idx, ..)) = rest.first() {
@@ -478,14 +492,14 @@ impl Agent {
             self.flush_to_wire(idx, frames);
             rest = tail;
         }
+        outbound.clear();
         // Wire → agent: a vectored drain too. A sender it wakes from a
         // full wire lands in the next poll, not in this one.
-        let mut from_wires: Vec<Bytes> = Vec::new();
         for wire in &self.inner.lock().wires {
-            wire.recv_all(&mut from_wires);
+            wire.recv_all(from_wires);
         }
         work + from_wires
-            .into_iter()
+            .drain(..)
             .map(|raw| self.deliver_from_wire(raw))
             .sum::<usize>()
     }

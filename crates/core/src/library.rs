@@ -11,9 +11,20 @@
 //!   the container's overlay IP on its host's verbs fabric;
 //! * the channel to the **host agent** (shared memory both ways);
 //! * the **location cache** fed by the orchestrator's event stream;
-//! * the **progress pump** — a thread that dispatches inbound relay
-//!   messages to the right [`FfQp`], applies cache invalidations and runs
-//!   the steps socket channels hand it ([`LibHandle::adopt`]).
+//! * the **inbound drain** — one sweep of the agent ring dispatched to the
+//!   right [`FfQp`]s, under a run lock, so frames apply in ring order
+//!   whoever runs it. The thread that waits runs it: every CQ the library
+//!   creates installs it as its wait step, and a socket channel runs it
+//!   ahead of its own step, so a blocked `wait_one` or socket reader
+//!   drains the agent ring itself, with no thread between the ring and
+//!   the caller, as `ibv_poll_cq` has none on real Verbs. The library's
+//!   CQ bells and its *inbound bell* share one parker, so such a waiter
+//!   hears its CQ and the agent ring while parked once;
+//! * the **progress pump** — a thread that runs the drain when nobody
+//!   waits (every ring of the agent ring that finds no waiter reaches it),
+//!   applies the control feed and cache invalidations, walks the QPs
+//!   (bindings and op deadlines) and runs the steps socket channels hand it
+//!   ([`LibHandle::adopt`]). A CQ push that finds no waiter wakes nobody.
 //!
 //! Memory registrations are arena-backed when the host segment has room,
 //! so that the intra-host data plane is genuinely zero-copy shared memory.
@@ -38,8 +49,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-/// Frames the library pump pulls from the agent ring per drain sweep.
-/// One sweep costs one coalesced space doorbell regardless of size.
+/// Frames one drain pulls from the agent ring. One sweep costs one
+/// coalesced space doorbell regardless of size.
 const PUMP_DRAIN: usize = 64;
 
 /// How soon an idle pump retries work that waits on something that cannot
@@ -69,6 +80,16 @@ struct Adopted {
     step: Box<dyn FnMut() -> Step + Send>,
 }
 
+/// The run lock of the inbound drain: the agent ring and the drain's
+/// scratch.
+#[derive(Default)]
+struct Inbound {
+    /// The agent→container ring; `None` once the library is dropped, so
+    /// the agent's sends to it fail instead of filling it.
+    rx: Option<ShmReceiver>,
+    frames: Vec<ShmMessage>,
+}
+
 /// Shared state between the library facade, its QPs and the pump.
 pub(crate) struct LibShared {
     /// The container this library serves.
@@ -87,10 +108,23 @@ pub(crate) struct LibShared {
     /// The host's shared segment (zero-copy payloads); swapped on
     /// migration.
     pub arena: RwLock<Arc<SharedArena>>,
-    /// The bell the pump parks on, for the library's whole life: each
-    /// agent→container ring's data bell (as its idle bell), the control
-    /// feed, a migration thaw and every adopted step's bell ring it.
+    /// The bell the pump parks on, for the library's whole life: the
+    /// inbound bell (as its idle bell), the control feed, a migration thaw
+    /// and every adopted step's bell ring it.
     pump_bell: Arc<Doorbell>,
+    /// The agent ring's bell, for the library's whole life: each
+    /// agent→container ring's data bell rings it (as its idle bell). Every
+    /// CQ bell the library makes parks with it, so a waiter hears both; a
+    /// ring with no waiter registered goes on to the pump.
+    inbound_bell: Arc<Doorbell>,
+    /// The inbound drain's run lock, shared by the pump and every waiter.
+    inbound: Mutex<Inbound>,
+    /// The inbound bell's count when the last drain began: a drain that
+    /// finds it unmoved has nothing to take.
+    drained_at: AtomicU64,
+    /// Whether the last walk left a binding mid-transition: a drain that
+    /// dispatched rings the pump, whose walk settles it.
+    unsettled: AtomicBool,
     /// Steps adopted from socket channels ([`LibHandle::adopt`]).
     adopted: Mutex<Vec<Adopted>>,
     /// A QP walk asked for from outside one: a migration thaw, or a drain
@@ -129,6 +163,53 @@ impl LibShared {
     /// Subscribe to the control feed, rung on the pump's bell.
     fn subscribe(&self) -> FeedSubscription {
         self.client.subscribe(Arc::clone(&self.pump_bell))
+    }
+
+    /// Drain one sweep of the agent ring and dispatch it to the QPs, under
+    /// the run lock, so frames apply in ring order whoever runs it. Returns
+    /// what the ring returned: frames taken, `WouldBlock` when there were
+    /// none, or the error that ended it.
+    fn drain_inbound(&self) -> Result<usize> {
+        let now = self.inbound_bell.current();
+        if self.drained_at.load(Ordering::Acquire) == now {
+            return Err(Error::WouldBlock);
+        }
+        // One wake per CQ per sweep: the completions a sweep pushes are
+        // visible at once, and each CQ's bell rings when it ends — after
+        // the run lock is released, so a woken waiter does not block on it.
+        let _sweep = WakeBatch::open();
+        let drained = {
+            let mut run = self.inbound.lock();
+            self.drained_at.store(now, Ordering::Release);
+            let Inbound { rx, frames } = &mut *run;
+            let drained = match rx {
+                Some(rx) => rx.try_recv_many(PUMP_DRAIN, frames),
+                None => Err(Error::disconnected("library stopped")),
+            };
+            for m in frames.drain(..) {
+                let ShmMessage::Inline(raw) = m else { continue };
+                if let Ok(msg) = RelayMsg::decode(raw) {
+                    let qp = self.qps.lock().get(&msg.dst().qpn).and_then(Weak::upgrade);
+                    if let Some(qp) = qp {
+                        qp.handle_inbound(msg);
+                    }
+                    // Unknown QPN: drop. The sender times out into an
+                    // error completion via agent nacks when the whole
+                    // container is missing; a missing QP on a live
+                    // container is an application teardown race.
+                }
+            }
+            drained
+        };
+        if drained == Ok(PUMP_DRAIN) {
+            // Frames may be left: whoever hears the inbound bell takes them.
+            self.inbound_bell.ring();
+        }
+        if drained.is_ok() && self.unsettled.load(Ordering::Acquire) {
+            // What was dispatched may settle a drain: the pump walks.
+            self.pump_bell.ring();
+        }
+        drained
     }
 
     /// Ask the pump for a QP walk: its next step runs one.
@@ -393,8 +474,10 @@ impl LibShared {
     /// Walk every live QP: advance drains/rebinds, sweep op deadlines,
     /// recompute the earliest one and, when `paths_dirty`, look for better
     /// paths. Returns whether some binding is left mid-transition, which
-    /// later sweeps or a retry must advance.
+    /// later sweeps or a retry must advance. Runs under the inbound run
+    /// lock: no dispatch runs beside it, as when the pump alone dispatched.
     fn walk_qps(&self, paths_dirty: bool) -> bool {
+        let _run = self.inbound.lock();
         // Reset before the scan: a post the scan misses registered its op
         // after the reset, so its `note_op_due` lowers the result again.
         self.op_due.store(u64::MAX, Ordering::SeqCst);
@@ -422,6 +505,7 @@ impl LibShared {
         if let Some(at) = due {
             self.lower_op_due(at);
         }
+        self.unsettled.store(unsettled, Ordering::Release);
         unsettled
     }
 
@@ -501,13 +585,33 @@ impl LibHandle {
     /// creation time; CQs created before a migration keep reporting under
     /// the original host, which preserves the timeline's continuity.
     pub fn create_cq(&self, depth: usize) -> Arc<CompletionQueue> {
-        self.create_cq_ringing(depth, Arc::default())
+        let bell = Doorbell::sharing(&self.shared.inbound_bell);
+        self.create_cq_ringing(depth, Arc::new(bell))
     }
 
-    /// [`LibHandle::create_cq`] whose pushes ring `bell` — another CQ's,
-    /// so one pump parked on that bell hears both.
+    /// The library's inbound bell, which a waiter that runs
+    /// [`LibHandle::drain_inbound`] arms beside its own CQ's bell.
+    pub fn inbound_bell(&self) -> &Doorbell {
+        &self.shared.inbound_bell
+    }
+
+    /// Drain one sweep of the agent ring and dispatch it, as the pump
+    /// does: what a waiter runs before it parks.
+    pub fn drain_inbound(&self) {
+        let _ = self.shared.drain_inbound();
+    }
+
+    /// [`LibHandle::create_cq`] whose pushes ring `bell` — another CQ's of
+    /// this library, so one waiter parked on that bell hears both.
     pub fn create_cq_ringing(&self, depth: usize, bell: Arc<Doorbell>) -> Arc<CompletionQueue> {
         let cq = CompletionQueue::with_doorbell(depth, bell);
+        // The thread that waits on it drains the agent ring itself.
+        let lib = Arc::downgrade(&self.shared);
+        cq.run_while_waiting(Arc::clone(&self.shared.inbound_bell), move || {
+            if let Some(lib) = lib.upgrade() {
+                let _ = lib.drain_inbound();
+            }
+        });
         let hub = &self.shared.telemetry;
         let labels = LabelSet::host(self.shared.host().raw()).with_container(self.shared.id.raw());
         cq.instrument(CqInstruments {
@@ -608,6 +712,8 @@ impl NetLibrary {
         telemetry: Arc<Telemetry>,
     ) -> Self {
         let AgentHandle { ip, channel, arena } = handle;
+        let (pump_bell, inbound_bell) = (Arc::new(Doorbell::new()), Arc::new(Doorbell::new()));
+        inbound_bell.set_idle_bell(Arc::clone(&pump_bell));
         let shared = Arc::new(LibShared {
             id,
             ip,
@@ -616,7 +722,12 @@ impl NetLibrary {
             device: Arc::clone(&device),
             agent_tx: Mutex::new(channel.tx),
             arena: RwLock::new(arena),
-            pump_bell: Arc::default(),
+            pump_bell: Arc::clone(&pump_bell),
+            inbound_bell: Arc::clone(&inbound_bell),
+            inbound: Mutex::default(),
+            drained_at: AtomicU64::new(0),
+            // A new library's QPs have yet to settle: the first step walks.
+            unsettled: AtomicBool::new(true),
             adopted: Mutex::default(),
             walk_asked: AtomicBool::new(false),
             op_due: AtomicU64::new(u64::MAX),
@@ -647,7 +758,8 @@ impl NetLibrary {
             });
         }
         let pd = device.alloc_pd();
-        let pump = Self::spawn_pump(Arc::clone(&shared), channel.rx);
+        Self::attach_ring(&shared, channel.rx);
+        let pump = Self::spawn_pump(Arc::clone(&shared));
         Self {
             shared,
             pd,
@@ -655,64 +767,34 @@ impl NetLibrary {
         }
     }
 
-    /// The library's inbound loop as a step on the one [`Pump`] driver,
-    /// parked on the library's bell, which the agent→container ring's data
-    /// bell and the control feed ring. A step drains one `PUMP_DRAIN`
-    /// sweep and dispatches it to the QPs, applies control events, walks
-    /// every QP when an event, a thaw or an overdue op asks for it, or
-    /// after every step while a binding is mid-transition, and runs the
-    /// adopted steps that are due. Idle, it parks until the earliest
-    /// pending op or adopted-step deadline (with none when neither is
-    /// pending), or for `RETRY_AFTER` while a resync or a transition waits
-    /// on something that cannot ring. The agent closing the ring (detach,
-    /// migration) ends it.
-    fn spawn_pump(shared: Arc<LibShared>, rx: ShmReceiver) -> Pump {
+    /// The library's fallback loop as a step on the one [`Pump`] driver,
+    /// parked on the library's pump bell, which the inbound bell (for
+    /// rings no waiter heard) and the control feed ring. A step runs one
+    /// inbound drain, applies control events, walks every QP when an
+    /// event, a thaw or an overdue op asks for it, or after every step
+    /// while a binding is mid-transition, and runs the adopted steps that
+    /// are due. Idle, it parks until the earliest pending op or
+    /// adopted-step deadline (with none when neither is pending), or for
+    /// `RETRY_AFTER` while a resync or a transition waits on something that
+    /// cannot ring. The agent closing the ring (detach, migration) ends it.
+    fn spawn_pump(shared: Arc<LibShared>) -> Pump {
         let mut sub = shared.subscribe();
         // Set when a sequence gap (or feed loss) shows events were missed;
         // cleared by a successful snapshot resync.
         let mut needs_resync = false;
-        // Scratch for batched inbound drains (reused across steps).
-        let mut inbound: Vec<ShmMessage> = Vec::with_capacity(PUMP_DRAIN);
-        // Whether the last walk left a binding mid-transition. True at
-        // start: a rehome asked every QP to reconsider its path.
-        let mut unsettled = true;
         let name = format!("ff-lib-{}", shared.ip);
         let bell = Arc::clone(&shared.pump_bell);
-        rx.data_bell().set_idle_bell(Arc::clone(&bell));
         Pump::spawn(name, bell, Duration::ZERO, move || {
-            // One sweep per step: the space doorbell back to the agent
-            // rings once per sweep, not once per frame.
-            let drained = rx.try_recv_many(PUMP_DRAIN, &mut inbound);
-            let worked = !inbound.is_empty();
-            // One wake per CQ per sweep: the completions a sweep pushes are
-            // visible at once, and each CQ's bell rings when it ends, so a
-            // waiter is not preempting this thread once per relayed ACK.
-            let sweep = WakeBatch::open();
-            for m in inbound.drain(..) {
-                let ShmMessage::Inline(raw) = m else { continue };
-                if let Ok(msg) = RelayMsg::decode(raw) {
-                    let qp = shared
-                        .qps
-                        .lock()
-                        .get(&msg.dst().qpn)
-                        .and_then(Weak::upgrade);
-                    if let Some(qp) = qp {
-                        qp.handle_inbound(msg);
-                    }
-                    // Unknown QPN: drop. The sender times out into an
-                    // error completion via agent nacks when the whole
-                    // container is missing; a missing QP on a live
-                    // container is an application teardown race.
-                }
-            }
-            drop(sweep);
-            if !matches!(drained, Ok(_) | Err(Error::WouldBlock)) {
-                return Step::Done; // agent gone
-            }
+            let worked = match shared.drain_inbound() {
+                Ok(_) => true,
+                Err(Error::WouldBlock) => false,
+                Err(_) => return Step::Done, // agent gone
+            };
             let paths_dirty = shared.poll_feed(&mut sub, &mut needs_resync);
             let now = Instant::now();
             // A drain settles when a sweep delivers its last answer, and an
             // op can fall overdue while the pump never goes idle.
+            let mut unsettled = shared.unsettled.load(Ordering::Acquire);
             if paths_dirty
                 || unsettled
                 || shared.walk_asked.swap(false, Ordering::AcqRel)
@@ -729,6 +811,15 @@ impl NetLibrary {
             }
             Step::Idle(due.into_iter().chain(shared.op_due()).min())
         })
+    }
+
+    /// Make `rx` the library's agent ring: its rings reach the inbound
+    /// bell, and one ring covers what it holds already.
+    fn attach_ring(shared: &LibShared, rx: ShmReceiver) {
+        rx.data_bell()
+            .set_idle_bell(Arc::clone(&shared.inbound_bell));
+        shared.inbound.lock().rx = Some(rx);
+        shared.inbound_bell.ring();
     }
 
     /// The container's overlay IP.
@@ -754,8 +845,12 @@ impl NetLibrary {
     /// the verbs API.
     pub(crate) fn rehome(&mut self, host: HostId, handle: AgentHandle) {
         debug_assert_eq!(handle.ip, self.shared.ip, "rehome keeps the overlay IP");
-        // Stop the old pump before its QPs' host state changes under it.
+        // Stop the old pump, and hold the run lock so no waiter dispatches,
+        // before the QPs' host state changes under them. The old ring goes
+        // with what it still holds, as it went with the old pump.
         self.pump = None;
+        let mut run = self.shared.inbound.lock();
+        run.rx = None;
         let AgentHandle {
             ip: _,
             channel,
@@ -788,7 +883,10 @@ impl NetLibrary {
         self.shared.client.set_host(host);
         // Every cached location was resolved relative to the old host.
         self.shared.cache.clear();
-        self.pump = Some(Self::spawn_pump(Arc::clone(&self.shared), channel.rx));
+        self.shared.unsettled.store(true, Ordering::Release);
+        drop(run);
+        Self::attach_ring(&self.shared, channel.rx);
+        self.pump = Some(Self::spawn_pump(Arc::clone(&self.shared)));
         // Live QPs re-evaluate their paths relative to the new host —
         // a remote path to a now-co-located peer collapses onto shared
         // memory from here (the pump completes it).
@@ -872,6 +970,15 @@ impl NetLibrary {
     }
 }
 
+impl Drop for NetLibrary {
+    fn drop(&mut self) {
+        // The pump is gone, so nobody may be left to drain the ring: let
+        // the agent's sends to it fail rather than fill it.
+        self.pump = None;
+        self.shared.inbound.lock().rx = None;
+    }
+}
+
 impl std::fmt::Debug for NetLibrary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetLibrary")
@@ -905,6 +1012,10 @@ mod tests {
             host: RwLock::new(host),
             device: VerbsNetwork::new().create_device(ip),
             pump_bell: Arc::default(),
+            inbound_bell: Arc::default(),
+            inbound: Mutex::default(),
+            drained_at: AtomicU64::new(0),
+            unsettled: AtomicBool::new(false),
             adopted: Mutex::default(),
             agent_tx: Mutex::new(handle.channel.tx),
             arena: RwLock::new(handle.arena),

@@ -1421,11 +1421,21 @@ impl FfQp {
     /// The peer answered remote op `op_id`: `byte_len` bytes delivered,
     /// or a READ's `data`, which lands in its SGEs.
     fn answered(&self, op_id: u64, data: Option<&[u8]>, byte_len: u64) {
+        // A READ's bytes land before the op leaves `pending`, so whoever
+        // sees it answered (`unanswered`) finds them in place.
+        let placed = match data {
+            None => true,
+            Some(data) => {
+                let sge = self.inner.lock().pending.get(&op_id).map(|p| p.sge.clone());
+                let Some(sge) = sge else { return };
+                self.lib.device.scatter(&sge, data).is_ok()
+            }
+        };
         let pending = self.inner.lock().pending.remove(&op_id);
         let Some(p) = pending else { return };
         self.tm_remote_latency
             .record(p.posted_at.elapsed().as_nanos() as u64);
-        if data.is_some_and(|data| self.lib.device.scatter(&p.sge, data).is_err()) {
+        if !placed {
             let wc = self.wc(p.wr_id, WcStatus::LocalProtectionError, p.opcode, 0);
             self.fail_with(vec![wc], op_id);
         } else if p.signaled {

@@ -552,6 +552,158 @@ fn a_published_path_update_rings_the_library_pump() {
     assert!(bell.current() >= rings + 3, "{:?}", bell.stats());
 }
 
+/// Parks, wakes and timeouts of a library waiter over `bells`: a wait
+/// counts on the first bell it hears, its CQ's.
+fn waiter_parks(bells: &[&freeflow_types::Doorbell]) -> (u64, u64, u64) {
+    bells
+        .iter()
+        .map(|b| b.stats())
+        .fold((0, 0, 0), |(w, k, t), s| {
+            (w + s.waits, k + s.wakes, t + s.timeouts)
+        })
+}
+
+#[test]
+fn library_wait_hears_a_completion_another_thread_pushes() {
+    // A library `wait_one` drains the agent ring itself and parks on its
+    // CQ's bell and the agent ring's at once: a completion that a
+    // shared-memory peer pushes from its own thread ends the park by a
+    // wake, between relayed operations the same waiter drains.
+    const OPS: u64 = 1_000;
+    let cluster = FreeFlowCluster::with_defaults();
+    let h0 = cluster.add_host(HostCaps::paper_testbed());
+    let h1 = cluster.add_host(HostCaps::paper_testbed());
+    let [a, b, c] = [h0, h0, h1].map(|h| cluster.launch(tenant(), h).unwrap());
+    let [mr_a, mr_b, mr_c] = [&a, &b, &c].map(|x| x.register(1 << 12, AccessFlags::all()).unwrap());
+    let [cq, cq_b, cq_c] = [&a, &b, &c].map(|x| x.create_cq(256));
+    let connect = |x: &Container, x_cq, y: &Container, y_cq| {
+        let qx = x.create_qp(x_cq, x_cq, 64, 64).unwrap();
+        let qy = y.create_qp(y_cq, y_cq, 64, 64).unwrap();
+        qx.connect(qy.endpoint()).unwrap();
+        qy.connect(qx.endpoint()).unwrap();
+        (qx, qy)
+    };
+    let (qp_ac, _qp_ca) = connect(&a, &cq, &c, &cq_c);
+    let (qp_ab, qp_ba) = connect(&a, &cq, &b, &cq_b);
+    let lib = a.lib().handle();
+    let bells = [&**cq.doorbell(), lib.inbound_bell()];
+    let (go, went) = std::sync::mpsc::channel::<u64>();
+    std::thread::scope(|s| {
+        let peer = s.spawn(move || {
+            for (i, parks) in went.into_iter().enumerate() {
+                wait_until("the library waiter parks", || {
+                    waiter_parks(&bells).0 > parks
+                });
+                qp_ba
+                    .post_send(SendWr::send(i as u64, mr_b.sge(0, 8)))
+                    .unwrap();
+                assert!(cq_b.wait_one(T).unwrap().status.is_ok());
+            }
+        });
+        for i in 0..OPS {
+            let write = SendWr::write(i, mr_a.sge(0, 8), mr_c.addr(), mr_c.rkey());
+            qp_ac.post_send(write).unwrap();
+            let wc = cq.wait_one(T).expect("relayed write completion");
+            assert_eq!((wc.wr_id, wc.qp_num), (i, qp_ac.qp_num()));
+            assert!(wc.status.is_ok(), "{:?}", wc.status);
+            qp_ab.post_recv(RecvWr::new(i, mr_a.sge(64, 64))).unwrap();
+            go.send(waiter_parks(&bells).0).unwrap();
+            let wc = cq.wait_one(T).expect("the peer's send");
+            assert_eq!((wc.wr_id, wc.qp_num), (i, qp_ab.qp_num()));
+        }
+        drop(go);
+        peer.join().unwrap();
+    });
+    let (waits, wakes, timeouts) = waiter_parks(&bells);
+    assert_eq!(
+        timeouts, 0,
+        "every park ended by a ring: {waits} waits, {wakes} wakes"
+    );
+    assert!(
+        wakes >= OPS,
+        "each peer push woke the waiter: {wakes} wakes"
+    );
+}
+
+#[test]
+fn library_wait_parked_across_migrate_completes_from_the_new_ring() {
+    // The library's inbound bell outlives a rehome: the new agent ring
+    // rings it, so a `wait_one` parked before the move hears the first
+    // frame after it.
+    let cluster = FreeFlowCluster::with_defaults();
+    let Pair {
+        a,
+        b,
+        mr_a,
+        mr_b,
+        cq_a,
+        cq_b,
+        qp_a,
+        qp_b,
+    } = connected_pair(&cluster, false);
+    let h2 = cluster.add_host(HostCaps::paper_testbed());
+    let lib = a.lib().handle();
+    let bells = [&**cq_a.doorbell(), lib.inbound_bell()];
+    qp_a.post_recv(RecvWr::new(1, mr_a.sge(0, 64))).unwrap();
+    let moved = std::thread::scope(|s| {
+        let parks = waiter_parks(&bells).0;
+        let waiter = s.spawn(|| cq_a.wait_one(T));
+        wait_until("the library waiter parks", || {
+            waiter_parks(&bells).0 > parks
+        });
+        let a = cluster.migrate(a, h2).unwrap();
+        assert_eq!(a.host(), h2);
+        qp_b.post_send(SendWr::send(2, mr_b.sge(0, 8))).unwrap();
+        let wc = waiter
+            .join()
+            .unwrap()
+            .expect("the send, through the new ring");
+        assert_eq!((wc.wr_id, wc.qp_num), (1, qp_a.qp_num()));
+        assert!(wc.status.is_ok(), "{:?}", wc.status);
+        assert!(cq_b.wait_one(T).unwrap().status.is_ok());
+        a
+    });
+    let (waits, wakes, timeouts) = waiter_parks(&bells);
+    assert_eq!(timeouts, 0, "{waits} waits, {wakes} wakes");
+    drop((moved, b));
+}
+
+#[test]
+fn library_wait_shm_writes_never_wake_the_library_pump() {
+    // Shared-memory completions are pushed on the poster's thread, to a
+    // waiter or to nobody: neither library's pump wakes for them.
+    const WRITES: u64 = 10_000;
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, true);
+    let bells = [p.a.lib().pump_bell(), p.b.lib().pump_bell()];
+    for bell in &bells {
+        wait_until("idle library parks", || bell.stats().waits >= 1);
+    }
+    let before = bells.each_ref().map(|b| b.stats());
+    for slot in 0..32 {
+        p.qp_b.post_recv(RecvWr::empty(slot)).unwrap();
+    }
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..WRITES {
+                let wc = p.cq_b.wait_one(T).expect("write notification");
+                assert_eq!(wc.imm, Some(7));
+                p.qp_b.post_recv(RecvWr::empty(wc.wr_id)).unwrap();
+            }
+        });
+        for i in 0..WRITES {
+            let sge = p.mr_a.sge(0, 8);
+            let wr = SendWr::write_with_imm(i, sge, p.mr_b.addr(), p.mr_b.rkey(), 7);
+            p.qp_a.post_send(wr).unwrap();
+            assert!(p.cq_a.wait_one(T).unwrap().status.is_ok());
+        }
+    });
+    for (bell, before) in bells.iter().zip(before) {
+        let after = bell.stats();
+        assert_eq!(after.wakes, before.wakes, "{before:?} -> {after:?}");
+    }
+}
+
 #[test]
 fn cross_tenant_pair_downgrades_to_overlay_tcp() {
     let cluster = FreeFlowCluster::with_defaults();

@@ -15,15 +15,20 @@
 //! The channel's step drains the shared recv CQ in batches under the run
 //! lock, recycles receive slots at once, queues each data frame's payload
 //! on its stream, reaps send completions and drives the resync handshake
-//! across rebind epochs. The thread that waits runs it: a blocked reader
-//! or writer arms the recv CQ's bell, runs the step, looks, and parks.
-//! Binding transitions, failed sends and — while a writer is out of slots,
-//! a post met a full send queue or recovery waits on the send CQ —
-//! successful sends ring that bell, so the only timer is recovery's
-//! `RESYNC_RETRY`. Rings no waiter hears reach the container's library
-//! pump, which runs the step too ([`LibHandle::adopt`]). A received byte
-//! is copied twice: from its slot into the payload `Vec` queued on its
-//! stream, then into the reader's buffer.
+//! across rebind epochs. The thread that waits runs it, through the one
+//! caller-runs wait of `freeflow_types` ([`freeflow_types::block_on`]): a
+//! blocked reader or writer registers on the recv CQ's bell and the
+//! library's inbound bell, runs the library's inbound drain
+//! ([`LibHandle::drain_inbound`]) and then the channel's step, looks, and
+//! parks once on both bells — so on a relayed channel the reader drains
+//! the agent ring itself. Binding transitions, failed sends and — while a
+//! writer is out of slots, a post met a full send queue or recovery waits
+//! on the send CQ — successful sends ring the recv CQ's bell, so the only
+//! timer is recovery's `RESYNC_RETRY`. Rings no waiter hears reach the
+//! container's library pump, which runs the step too
+//! ([`LibHandle::adopt`]). A received byte is copied twice: from its slot
+//! into the payload `Vec` queued on its stream, then into the reader's
+//! buffer.
 
 use crate::mux::{
     data_header, CtrlKind, Deferred, Frame, MuxCore, SeqFrame, CTRL_BIT, DATA_HDR, FRAME_SIZE,
@@ -33,7 +38,7 @@ use crate::reliability::TxPayload;
 use freeflow::binding::{BindingPhase, PathSignal};
 use freeflow::{FfEndpoint, FfQp, LibHandle, Step};
 use freeflow_telemetry::{Counter, Event, Gauge, Histogram, LabelSet, Telemetry};
-use freeflow_types::{Error, OverlayIp, Result};
+use freeflow_types::{block_on, Error, Look, OverlayIp, Result};
 use freeflow_verbs::wr::{AccessFlags, RecvWr, SendWr, WcOpcode};
 use freeflow_verbs::{CompletionQueue, MemoryRegion, VerbsError, WcStatus, WorkCompletion};
 use parking_lot::Mutex;
@@ -120,6 +125,8 @@ pub(crate) struct Channel {
     core: Mutex<MuxCore>,
     /// The run lock, held by whoever runs the step: the drain's scratch.
     run: Mutex<Vec<WorkCompletion>>,
+    /// The container's library, whose inbound drain a waiter runs first.
+    lib: LibHandle,
     /// The peer's QPN (what a reuse handshake names); set at establish.
     peer_qpn: AtomicU32,
     metrics: ChannelMetrics,
@@ -151,6 +158,7 @@ impl Channel {
             signal,
             core: Mutex::new(MuxCore::new(initiator)),
             run: Mutex::new(Vec::with_capacity(RECV_SLOTS)),
+            lib: handle.clone(),
             peer_qpn: AtomicU32::new(0),
             metrics,
         }))
@@ -159,7 +167,7 @@ impl Channel {
     /// Connect the QP to the peer endpoint, pre-post every receive slot
     /// and hand the step to the library pump. The connecting side also
     /// queues its READY signal (the accepting side's tx gate opens on it).
-    pub fn establish(self: &Arc<Self>, handle: &LibHandle, peer: FfEndpoint) -> Result<()> {
+    pub fn establish(self: &Arc<Self>, peer: FfEndpoint) -> Result<()> {
         self.qp
             .connect(peer)
             .map_err(|e| Error::unreachable(e.to_string()))?;
@@ -185,7 +193,9 @@ impl Channel {
         // when the last stream / pool reference goes. The step's first run,
         // after the route is in place, covers rings from before.
         let me = Arc::downgrade(self);
-        let idle = handle.adopt(move || me.upgrade().map_or(Step::Done, |ch| ch.step()));
+        let idle = self
+            .lib
+            .adopt(move || me.upgrade().map_or(Step::Done, |ch| ch.step()));
         self.recv_cq.doorbell().set_idle_bell(Arc::clone(&idle));
         idle.ring();
         Ok(())
@@ -287,49 +297,40 @@ impl Channel {
         }
     }
 
-    /// The one wait: ask `ready` under the mux lock; until it answers,
-    /// arm the recv CQ's bell, run the step, ask again, and park until a
-    /// ring or the earlier of `deadline` and recovery's. Asking after the
-    /// step means a frame another thread drained is never slept through;
-    /// arming before it means a ring that lands meanwhile is this thread's
-    /// to serve, not the library pump's. Rings `ready`'s posts owe the peer
-    /// fire after the lock, never across a park. `Ok(None)` past `deadline`.
+    /// The one wait ([`block_on`]): ask `ready` under the mux lock; until
+    /// it answers, run the library's inbound drain and the step, ask again,
+    /// and park on the recv CQ's and the inbound bell until a ring or the
+    /// earlier of `deadline` and recovery's. Rings `ready`'s posts owe the
+    /// peer fire after the lock, never across a park. A recovery deadline
+    /// left unkept goes to the library pump. `Ok(None)` past `deadline`.
     fn block_on<T>(
         &self,
         deadline: Option<Instant>,
         mut ready: impl FnMut(&mut MuxCore) -> Result<Option<T>>,
     ) -> Result<Option<T>> {
-        let bell = self.recv_cq.doorbell();
-        // The first look runs no step: what is there already needs none.
-        let mut run = false;
-        loop {
-            let seen = bell.arm();
-            if run {
+        let bells = [&**self.recv_cq.doorbell(), self.lib.inbound_bell()];
+        let mut retry = None;
+        let waited = block_on(
+            &bells,
+            || {
+                self.lib.drain_inbound();
                 self.step();
-            }
-            let (retry, done) = {
+            },
+            deadline,
+            || {
                 let _batch = freeflow_verbs::WakeBatch::open();
                 let mut core = self.core.lock();
-                (core.retry_wakeup(), ready(&mut core))
-            };
-            if !matches!(done, Ok(None)) || deadline.is_some_and(|at| at <= Instant::now()) {
-                // Serve a ring heard while armed; later rings reach the
-                // library pump, as does a recovery deadline left unkept.
-                if bell.disarm(seen) {
-                    self.step();
+                retry = core.retry_wakeup();
+                match ready(&mut core) {
+                    Ok(None) => Look::Wait(retry),
+                    done => Look::Ready(done),
                 }
-                if let (Some(_), Some(idle)) = (retry, bell.idle_bell()) {
-                    idle.ring();
-                }
-                return done;
-            }
-            if run {
-                bell.park_armed(seen, [deadline, retry].into_iter().flatten().min());
-            } else {
-                bell.disarm(seen);
-            }
-            run = true;
+            },
+        );
+        if let (Some(_), Some(idle)) = (retry, self.recv_cq.doorbell().idle_bell()) {
+            idle.ring();
         }
+        waited.got.unwrap_or(Ok(None))
     }
 
     /// Process one receive completion: recycle the slot, decode, apply.
@@ -633,7 +634,9 @@ impl Channel {
     /// Post one WR; whether it went. Fatal errors kill the channel. A full
     /// send queue sets `sq_full` and reaps to arm the ring of the completion
     /// that frees it; nothing waits for room: relayed completions come
-    /// through the library pump, which may be waiting for this channel's locks.
+    /// through the library's inbound drain, and the library pump, which
+    /// runs it for rings nobody waits on, may be waiting for this
+    /// channel's locks.
     fn post(&self, core: &mut MuxCore, make: impl Fn() -> SendWr) -> bool {
         while core.dead.is_none() {
             match self.qp.post_send(make()) {

@@ -248,7 +248,7 @@ impl SocketStack {
             .and_then(|tx| send_req(&tx, req, &remote))?;
         match reply_rx.pop_until(deadline_in(timeout)) {
             Ok(Some(ConnectReply::NewChannel { server_ep })) => {
-                ch.establish(pool.handle(), server_ep)?;
+                ch.establish(server_ep)?;
                 pool.insert(remote_ip, Arc::clone(&ch));
                 Ok(FfStream::new(ch, stream_id))
             }
@@ -311,7 +311,7 @@ impl FfListener {
                     ch.open_remote_stream(req.stream_id)?;
                     // Connect + pre-post receives *before* replying, so
                     // nothing the client sends can beat our RQ.
-                    ch.establish(self.pool.handle(), client_ep)?;
+                    ch.establish(client_ep)?;
                     if req
                         .reply
                         .try_push(ConnectReply::NewChannel {

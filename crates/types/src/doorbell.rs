@@ -30,19 +30,44 @@
 //! A bell may carry an *idle bell* ([`Doorbell::set_idle_bell`]): a ring
 //! that finds no waiter registered rings it instead of returning. A
 //! consumer whose waiters do the work themselves routes it to a fallback
-//! runner, which wakes only for rings nobody waits on. A waiter arms
-//! ([`Doorbell::arm`]) before its last look, so a ring before its park is
-//! its own.
+//! runner, which wakes only for rings nobody waits on.
+//!
+//! Bells made with [`Doorbell::sharing`] park their waiters on one mutex
+//! and condvar, the `ibv_comp_channel` of real Verbs: one wait hears many
+//! bells. [`block_on`] is the one wait of a thread that runs the step
+//! itself: it registers on every bell it hears *before* the step and its
+//! last look, so a ring that lands before its park is its own, parks once
+//! on all of them, and runs the step once more if it leaves after a ring
+//! it heard. A ring notifies only when a waiter is parked on the condvar:
+//! a ring from the registered waiter's own step costs no syscall.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The most bells one [`block_on`] hears: a waiter's own, and the one that
+/// announces the work its step does.
+const MAX_BELLS: usize = 2;
 
 /// The instant `timeout` from now, or `None` — no deadline — when that
 /// overflows, so a wait given `Duration::MAX` waits without one instead
 /// of panicking.
 pub fn deadline_in(timeout: Duration) -> Option<Instant> {
     Instant::now().checked_add(timeout)
+}
+
+/// The mutex and condvar waiters park on, shared by bells made with
+/// [`Doorbell::sharing`]. The mutex holds how many are parked.
+#[derive(Debug, Default)]
+struct Parker {
+    parked: Mutex<usize>,
+    condvar: Condvar,
+}
+
+impl Parker {
+    fn lock(&self) -> MutexGuard<'_, usize> {
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A monotonic-counter doorbell shared by one ringer and one waiter
@@ -59,8 +84,7 @@ pub struct Doorbell {
     notifies: AtomicU64,
     /// Rung in place of a notify when no waiter is registered.
     idle: OnceLock<Arc<Doorbell>>,
-    mutex: Mutex<()>,
-    condvar: Condvar,
+    parker: Arc<Parker>,
 }
 
 /// A point-in-time copy of a doorbell's counters. `rings` alone says how
@@ -73,9 +97,9 @@ pub struct DoorbellStats {
     pub rings: u64,
     /// Blocking calls that actually parked on the condvar (calls that
     /// found the counter already advanced, and zero-length waits, are not
-    /// counted).
+    /// counted). A park on several bells counts on the first.
     pub waits: u64,
-    /// Parked waiters that resumed because the counter advanced.
+    /// Parked waiters that resumed because a counter advanced.
     pub wakes: u64,
     /// Parked waiters that gave up on a timeout.
     pub timeouts: u64,
@@ -84,8 +108,8 @@ pub struct DoorbellStats {
     /// `n - 1` here. `rings + coalesced` is therefore the number of rings
     /// an unbatched producer would have issued.
     pub coalesced: u64,
-    /// Rings that found a registered waiter and issued a condvar wake;
-    /// `rings - notifies` rings cost one atomic add and no syscall.
+    /// Rings that found a waiter parked and issued a condvar wake;
+    /// `rings - notifies` rings cost no syscall.
     pub notifies: u64,
 }
 
@@ -93,6 +117,15 @@ impl Doorbell {
     /// New doorbell with counter zero.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// New doorbell whose waiters park with `other`'s, so one
+    /// [`block_on`] hears both.
+    pub fn sharing(other: &Doorbell) -> Self {
+        Self {
+            parker: Arc::clone(&other.parker),
+            ..Self::default()
+        }
     }
 
     /// Ring: increment the counter and wake any parked waiter. With no
@@ -106,17 +139,20 @@ impl Doorbell {
             }
             return;
         }
-        self.notifies.fetch_add(1, Ordering::Relaxed);
         // A waiter holds the mutex from its last look until it is parked,
-        // so taking it here orders this notify after the park. Releasing it
-        // first spares the woken thread a block on its waker.
-        drop(self.lock());
-        self.condvar.notify_all();
+        // so what the mutex says here is exact: one not parked yet looks
+        // again under it and sees this ring. Releasing it before the notify
+        // spares the woken thread a block on its waker.
+        let parked = *self.parker.lock();
+        if parked > 0 {
+            self.notifies.fetch_add(1, Ordering::Relaxed);
+            self.parker.condvar.notify_all();
+        }
     }
 
     /// Route every ring that finds no waiter registered to `bell` as well.
     /// Set once: the first call wins. Sound only when whoever registers
-    /// on this bell does, after every park or disarm, the work a ring
+    /// on this bell does, after every park and on leaving, the work a ring
     /// announces — the ring that notifies it does not reach `bell`.
     pub fn set_idle_bell(&self, bell: Arc<Doorbell>) {
         let _ = self.idle.set(bell);
@@ -125,10 +161,6 @@ impl Doorbell {
     /// The bell [`Doorbell::set_idle_bell`] installed, if any.
     pub fn idle_bell(&self) -> Option<&Arc<Doorbell>> {
         self.idle.get()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ()> {
-        self.mutex.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Ring once on behalf of `batched` published items.
@@ -170,76 +202,186 @@ impl Doorbell {
         self.park(seen, deadline_in(timeout))
     }
 
-    /// Register as a waiter before the last look for work; returns the
-    /// count to park on. Until [`Doorbell::park_armed`] or [`Doorbell::disarm`],
-    /// a ring notifies instead of ringing the idle bell.
-    pub fn arm(&self) -> u64 {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        self.count.load(Ordering::SeqCst)
-    }
-
-    /// End an [`Doorbell::arm`] without parking; whether a ring landed
-    /// since, whose work this waiter now owes.
-    pub fn disarm(&self, seen: u64) -> bool {
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        self.count.load(Ordering::SeqCst) > seen
-    }
-
-    /// Register, then [`Doorbell::park_armed`].
+    /// Block until the counter moves past `seen` or `deadline` (if any)
+    /// passes. Returns the new counter value, or `None` on timeout. A
+    /// deadline already passed only checks the counter.
     pub fn park(&self, seen: u64, deadline: Option<Instant>) -> Option<u64> {
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        self.park_armed(seen, deadline)
+        let (woke, _) = park_on(&[self], &[seen], deadline);
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        woke.then(|| self.current())
+    }
+}
+
+/// The one park, for a waiter registered on every bell of `bells` (all on
+/// one parker): sleep until one counter passes its entry in `seen` or
+/// `deadline` passes. Returns whether one did, and whether the waiter
+/// slept on the condvar; that park counts once, on the first bell. A
+/// deadline already passed only checks the counters.
+fn park_on(bells: &[&Doorbell], seen: &[u64], deadline: Option<Instant>) -> (bool, bool) {
+    let moved = || (bells.iter().zip(seen)).any(|(b, &s)| b.count.load(Ordering::SeqCst) > s);
+    if deadline.is_some_and(|at| at <= Instant::now()) {
+        return (moved(), false);
+    }
+    let first = bells[0];
+    debug_assert!(
+        (bells.iter()).all(|b| Arc::ptr_eq(&b.parker, &first.parker)),
+        "one park hears only bells sharing a parker"
+    );
+    let parker = &*first.parker;
+    let mut parked = parker.lock();
+    let (mut waited, mut timed_out) = (false, false);
+    let woke = loop {
+        if moved() {
+            break true;
+        }
+        // Checked after the counters, so a ring that raced the timeout
+        // still counts as a wake.
+        if timed_out {
+            break false;
+        }
+        if !waited {
+            waited = true;
+            first.waits.fetch_add(1, Ordering::Relaxed);
+        }
+        *parked += 1;
+        timed_out = match deadline {
+            None => {
+                parked = (parker.condvar.wait(parked)).unwrap_or_else(PoisonError::into_inner);
+                false
+            }
+            Some(at) => {
+                let left = at.saturating_duration_since(Instant::now());
+                let (g, res) = (parker.condvar.wait_timeout(parked, left))
+                    .unwrap_or_else(PoisonError::into_inner);
+                parked = g;
+                res.timed_out()
+            }
+        };
+        *parked -= 1;
+    };
+    drop(parked);
+    if !woke {
+        first.timeouts.fetch_add(1, Ordering::Relaxed);
+    } else if waited {
+        first.wakes.fetch_add(1, Ordering::Relaxed);
+    }
+    (woke, waited)
+}
+
+/// What a waiter's look found ([`block_on`]).
+#[derive(Debug)]
+pub enum Look<T> {
+    /// Leave with this.
+    Ready(T),
+    /// Nothing yet: park, until this instant at the latest if one is given.
+    Wait(Option<Instant>),
+}
+
+/// How a [`block_on`] ended.
+#[derive(Debug)]
+pub struct Waited<T> {
+    /// What the last look found; `None` when the deadline passed first.
+    pub got: Option<T>,
+    /// Whether the waiter slept at least once: a wait that found its
+    /// answer at once, or through its own step, or a ring before its park
+    /// did not.
+    pub parked: bool,
+}
+
+/// A waiter registered on every bell it hears, with the counts it saw.
+/// Dropping it deregisters, on unwind too.
+struct Armed<'a> {
+    bells: &'a [&'a Doorbell],
+    seen: [u64; MAX_BELLS],
+}
+
+impl<'a> Armed<'a> {
+    fn new(bells: &'a [&'a Doorbell]) -> Self {
+        assert!(
+            (1..=MAX_BELLS).contains(&bells.len()),
+            "a wait hears one to {MAX_BELLS} bells"
+        );
+        for bell in bells {
+            bell.sleepers.fetch_add(1, Ordering::SeqCst);
+        }
+        let mut armed = Self {
+            bells,
+            seen: [0; MAX_BELLS],
+        };
+        armed.capture();
+        armed
     }
 
-    /// The one wait loop, for a registered waiter: park on the condvar
-    /// until the counter passes `seen` or `deadline` (if any) passes, then
-    /// deregister. Returns the new counter value, or `None` on timeout. A
-    /// deadline already passed only checks the counter.
-    pub fn park_armed(&self, seen: u64, deadline: Option<Instant>) -> Option<u64> {
-        if deadline.is_some_and(|at| at <= Instant::now()) {
-            return self.disarm(seen).then(|| self.current());
+    /// Take the counts to park on. Still registered, so a ring after this
+    /// notifies instead of ringing an idle bell.
+    fn capture(&mut self) {
+        for (seen, bell) in self.seen.iter_mut().zip(self.bells) {
+            *seen = bell.count.load(Ordering::SeqCst);
         }
-        let mut guard = self.lock();
-        let (mut parked, mut timed_out) = (false, false);
-        let got = loop {
-            let now = self.count.load(Ordering::SeqCst);
-            if now > seen {
-                break Some(now);
-            }
-            // Checked after the count, so a ring that raced the timeout
-            // still counts as a wake.
-            if timed_out {
-                break None;
-            }
-            if !parked {
-                parked = true;
-                self.waits.fetch_add(1, Ordering::Relaxed);
-            }
-            timed_out = match deadline {
-                None => {
-                    guard = self
-                        .condvar
-                        .wait(guard)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    false
-                }
-                Some(at) => {
-                    let left = at.saturating_duration_since(Instant::now());
-                    let (g, res) = (self.condvar.wait_timeout(guard, left))
-                        .unwrap_or_else(PoisonError::into_inner);
-                    guard = g;
-                    res.timed_out()
-                }
-            };
-        };
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        if got.is_none() {
-            self.timeouts.fetch_add(1, Ordering::Relaxed);
-        } else if parked {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-        }
-        got
     }
+
+    /// Park; whether the waiter slept.
+    fn park(&mut self, deadline: Option<Instant>) -> bool {
+        let (_, slept) = park_on(self.bells, &self.seen[..self.bells.len()], deadline);
+        self.capture();
+        slept
+    }
+
+    /// Deregister; whether a ring landed since the last capture, whose
+    /// work this waiter now owes. A later ring reaches the idle bells.
+    fn leave(self) -> bool {
+        let (bells, seen) = (self.bells, self.seen);
+        drop(self);
+        (bells.iter().zip(seen)).any(|(b, s)| b.count.load(Ordering::SeqCst) > s)
+    }
+}
+
+impl Drop for Armed<'_> {
+    fn drop(&mut self) {
+        for bell in self.bells {
+            bell.sleepers.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// The one wait of a thread that runs the step itself. The waiter
+/// registers on every bell in `bells` (one to two, sharing a parker: its
+/// own, and the one that announces its step's work) and looks; the first
+/// look runs no step, as what is there already needs none. Until a look is
+/// ready, or `deadline` (if any) passes, it runs `step`, looks again and
+/// parks once on all the bells, until a ring or the earlier of `deadline`
+/// and the look's own instant. Registering before the step and the look
+/// means a ring that lands before the park is this waiter's to serve, not
+/// an idle bell's; so a waiter that leaves after a ring it heard runs
+/// `step` once more.
+///
+/// `step` takes its own run lock; the waiter holds no lock across a park.
+pub fn block_on<T>(
+    bells: &[&Doorbell],
+    mut step: impl FnMut(),
+    deadline: Option<Instant>,
+    mut look: impl FnMut() -> Look<T>,
+) -> Waited<T> {
+    let passed = || deadline.is_some_and(|at| at <= Instant::now());
+    let mut armed = Armed::new(bells);
+    let (mut stepped, mut parked) = (false, false);
+    let got = loop {
+        match look() {
+            Look::Ready(got) => break Some(got),
+            Look::Wait(_) if passed() => break None,
+            Look::Wait(until) if stepped => {
+                parked |= armed.park([deadline, until].into_iter().flatten().min());
+            }
+            Look::Wait(_) => {}
+        }
+        step();
+        stepped = true;
+    };
+    if armed.leave() {
+        step();
+    }
+    Waited { got, parked }
 }
 
 #[cfg(test)]
@@ -420,22 +562,109 @@ mod tests {
     fn a_ring_between_arming_and_parking_ends_the_park_not_the_idle_bell() {
         let (bell, idle) = (Doorbell::new(), Arc::new(Doorbell::new()));
         bell.set_idle_bell(Arc::clone(&idle));
-        let seen = bell.arm();
-        // The waiter's last look found nothing; this ring lands before its park.
-        bell.ring();
-        let woke = bell.park_armed(seen, deadline_in(Duration::from_secs(10)));
-        assert_eq!(woke, Some(1));
+        let deadline = deadline_in(Duration::from_secs(10));
+        // The first step stands in for a ring that lands after the waiter
+        // registered, before its last look and its park.
+        let (mut steps, mut looks) = (0, 0);
+        let waited = block_on(
+            &[&bell],
+            || {
+                steps += 1;
+                if steps == 1 {
+                    bell.ring();
+                }
+            },
+            deadline,
+            || {
+                looks += 1;
+                if looks < 3 {
+                    Look::Wait(None)
+                } else {
+                    Look::Ready(())
+                }
+            },
+        );
+        assert!(waited.got.is_some() && !waited.parked, "{waited:?}");
+        assert_eq!((steps, looks), (2, 3), "the park ended at once");
         assert_eq!(idle.current(), 0, "the armed waiter heard this ring");
         let s = bell.stats();
-        assert_eq!((s.waits, s.wakes, s.timeouts, s.notifies), (0, 0, 0, 1));
+        assert_eq!((s.waits, s.wakes, s.timeouts, s.notifies), (0, 0, 0, 0));
         assert_eq!(bell.sleepers.load(Ordering::SeqCst), 0);
-        // A waiter that leaves instead learns of the ring it heard.
-        let seen = bell.arm();
-        bell.ring();
-        assert!(bell.disarm(seen));
+        // A waiter that leaves instead runs the step for the ring it heard.
+        let mut steps = 0;
+        let mut first = true;
+        let waited = block_on(
+            &[&bell],
+            || {
+                steps += 1;
+                if steps == 1 {
+                    bell.ring();
+                }
+            },
+            deadline,
+            || match std::mem::replace(&mut first, false) {
+                true => Look::Wait(None),
+                false => Look::Ready(()),
+            },
+        );
+        assert!(waited.got.is_some());
+        assert_eq!(steps, 2, "the step ran once more for the ring it heard");
         assert_eq!(idle.current(), 0);
         bell.ring();
         assert_eq!(idle.current(), 1, "nobody waits for this one");
+    }
+
+    #[test]
+    fn a_ring_on_either_shared_bell_ends_one_park() {
+        // A library's bells: a CQ's bell and the inbound bell share a
+        // parker. The agent ring's data bell rings the inbound bell when no
+        // waiter registered on it, which rings the pump's bell when none
+        // registered on it.
+        let pump = Arc::new(Doorbell::new());
+        let inbound = Arc::new(Doorbell::new());
+        inbound.set_idle_bell(Arc::clone(&pump));
+        let cq = Doorbell::sharing(&inbound);
+        let data = Doorbell::new();
+        data.set_idle_bell(Arc::clone(&inbound));
+        data.ring();
+        assert_eq!(pump.current(), 1, "a ring nobody waits on reaches the pump");
+        cq.ring();
+        assert_eq!(pump.current(), 1, "a CQ ring nobody waits on rings nothing");
+        let ringers: [&Doorbell; 2] = [&cq, &data];
+        for (round, ringer) in ringers.into_iter().enumerate() {
+            let before = cq.stats();
+            let start = [cq.current(), inbound.current()];
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| {
+                    block_on(
+                        &[&cq, &*inbound],
+                        || {},
+                        deadline_in(Duration::from_secs(10)),
+                        || match [cq.current(), inbound.current()] == start {
+                            true => Look::Wait(None),
+                            false => Look::Ready(()),
+                        },
+                    )
+                });
+                while cq.stats().waits == before.waits {
+                    std::thread::yield_now();
+                }
+                ringer.ring();
+                let waited = waiter.join().unwrap();
+                assert!(waited.got.is_some() && waited.parked, "round {round}");
+            });
+            let s = cq.stats();
+            assert_eq!(
+                (s.waits, s.wakes, s.timeouts),
+                (before.waits + 1, before.wakes + 1, before.timeouts),
+                "round {round}: one park, ended by a wake"
+            );
+            assert_eq!(pump.current(), 1, "round {round}: the waiter heard it");
+        }
+        assert_eq!(cq.stats().notifies + inbound.stats().notifies, 2);
+        for bell in [&cq, &*inbound] {
+            assert_eq!(bell.sleepers.load(Ordering::SeqCst), 0);
+        }
     }
 
     #[test]

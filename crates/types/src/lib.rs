@@ -48,7 +48,7 @@ pub mod wire;
 pub use addr::{OverlayAddr, OverlayCidr, OverlayIp};
 pub use caps::{HostCaps, NicCaps, NicKind};
 pub use config::{ClusterConfig, HostConfig};
-pub use doorbell::{deadline_in, Doorbell, DoorbellStats};
+pub use doorbell::{block_on, deadline_in, Doorbell, DoorbellStats, Look, Waited};
 pub use error::{Error, Result};
 pub use ids::{AgentId, ContainerId, FlowId, HostId, QpId, TenantId, VmId};
 pub use queue::{Queue, QueueSender};

@@ -5,11 +5,20 @@
 //! analog). Overflow marks the CQ errored — real hardware raises a fatal
 //! async event in that case, and silently dropping completions would hide
 //! protocol bugs.
+//!
+//! [`CompletionQueue::wait_one`] is the caller-runs wait of
+//! `freeflow_types`: a CQ that produces its own completions on the waiting
+//! thread — a FreeFlow library's CQ, whose relayed completions come from
+//! the agent ring — installs that work as its wait step
+//! ([`CompletionQueue::run_while_waiting`]), and the waiter runs it before
+//! it parks on the CQ's bell and the step's bell at once. A bare CQ has no
+//! step and parks on its own bell.
 
 use crate::error::WcStatus;
 use crate::wr::WorkCompletion;
 use freeflow_shmem::Doorbell;
 use freeflow_telemetry::{Counter, Histogram};
+use freeflow_types::{block_on, deadline_in, Look};
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -85,7 +94,8 @@ pub struct CqInstruments {
     pub completions: Arc<Counter>,
     /// Completions with a non-success status.
     pub completion_errors: Arc<Counter>,
-    /// `wait_one` calls that actually blocked on the doorbell.
+    /// `wait_one` calls that parked: not those that found a completion at
+    /// once or through their own wait step.
     pub wait_blocks: Arc<Counter>,
     /// Work-request latency histogram (nanoseconds).
     pub wr_latency_ns: Arc<Histogram>,
@@ -98,9 +108,17 @@ pub struct CompletionQueue {
     doorbell: Arc<Doorbell>,
     instruments: OnceLock<CqInstruments>,
     push_observer: OnceLock<PushObserver>,
+    wait_step: OnceLock<WaitStep>,
 }
 
 type PushObserver = Box<dyn Fn(&WorkCompletion) + Send + Sync>;
+
+/// Work a waiter runs itself before it parks, and the bell that announces
+/// it ([`CompletionQueue::run_while_waiting`]).
+struct WaitStep {
+    bell: Arc<Doorbell>,
+    run: Box<dyn Fn() + Send + Sync>,
+}
 
 impl CompletionQueue {
     /// Create a CQ holding at most `depth` completions.
@@ -121,7 +139,19 @@ impl CompletionQueue {
             doorbell,
             instruments: OnceLock::new(),
             push_observer: OnceLock::new(),
+            wait_step: OnceLock::new(),
         })
+    }
+
+    /// Have [`CompletionQueue::wait_one`] run `step` before each park and
+    /// hear `bell` as well as this CQ's own: `bell` announces the work
+    /// `step` does, which may push this CQ's completions. `bell` must park
+    /// with this CQ's ([`Doorbell::sharing`]). The first caller wins.
+    pub fn run_while_waiting(&self, bell: Arc<Doorbell>, step: impl Fn() + Send + Sync + 'static) {
+        let _ = self.wait_step.set(WaitStep {
+            bell,
+            run: Box::new(step),
+        });
     }
 
     /// Install telemetry handles. The first caller wins; later calls are
@@ -251,36 +281,38 @@ impl CompletionQueue {
         self.inner.lock().queue.len()
     }
 
-    /// Block until a completion is available or `timeout` passes. A
-    /// timeout too long to be an instant waits without a deadline.
+    /// Block until a completion is available or `timeout` passes, running
+    /// the installed wait step, if any, before each park. A timeout too
+    /// long to be an instant waits without a deadline.
     pub fn wait_one(&self, timeout: Duration) -> Option<WorkCompletion> {
-        let deadline = freeflow_types::deadline_in(timeout);
-        let mut blocked = false;
-        loop {
-            let seen = self.doorbell.current();
-            if let Some(wc) = self.poll_one() {
-                return Some(wc);
-            }
-            let left = deadline.map_or(Duration::MAX, |at| {
-                at.saturating_duration_since(std::time::Instant::now())
-            });
-            if left.is_zero() {
-                return self.poll_one();
-            }
-            if !blocked {
-                // Count only waits that actually park; calls that find a
-                // completion ready stay invisible, mirroring the doorbell's
-                // own wait accounting. A count, not a flight-recorder event:
-                // one event per park would evict every rare one.
-                blocked = true;
-                if let Some(ins) = self.instruments.get() {
-                    ins.wait_blocks.inc();
-                }
-            }
-            let _ = self
-                .doorbell
-                .wait_timeout(seen, left.min(Duration::from_millis(50)));
+        // A completion already queued needs neither the step nor a
+        // registration: `ibv_poll_cq` on the caller's thread.
+        if let Some(wc) = self.poll_one() {
+            return Some(wc);
         }
+        let step = self.wait_step.get();
+        let own = &*self.doorbell;
+        let both;
+        let bells = match step {
+            Some(step) => {
+                both = [own, &*step.bell];
+                &both[..]
+            }
+            None => std::slice::from_ref(&own),
+        };
+        let waited = block_on(
+            bells,
+            || step.iter().for_each(|step| (step.run)()),
+            deadline_in(timeout),
+            || self.poll_one().map_or(Look::Wait(None), Look::Ready),
+        );
+        // Count only waits that parked, mirroring the doorbell's own wait
+        // accounting. A count, not a flight-recorder event: one event per
+        // park would evict every rare one.
+        if let (true, Some(ins)) = (waited.parked, self.instruments.get()) {
+            ins.wait_blocks.inc();
+        }
+        waited.got
     }
 
     /// Busy-poll until a completion arrives (kernel-bypass style; burns a
