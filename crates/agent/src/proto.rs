@@ -84,17 +84,23 @@ pub mod status {
     /// failed the receive the operation matched (too short, say).
     pub const REMOTE_OP: u8 = 2;
     /// The relay gave up on the operation — the wire to the peer host is
-    /// down or stayed full past the retry budget — or the peer QP entered
-    /// the error state while the operation was parked there for a
-    /// receive. Endpoints map this onto `IBV_WC_RETRY_EXC_ERR` and re-path
-    /// the QP, as they do when their own op deadline passes with no reply.
+    /// down with no other wire to that host up, or stayed full past the
+    /// retry budget — or the peer QP entered the error state while the
+    /// operation was parked there for a receive. No path survives:
+    /// endpoints map this onto `IBV_WC_RETRY_EXC_ERR` and move the QP to
+    /// the error state, as they do when their own op deadline passes.
     pub const TIMEOUT: u8 = 4;
     /// Like [`TIMEOUT`], but the downed wire was the *route's*: another
     /// wire to the same peer host is up, so forwarding has simply not
-    /// converged onto it yet. Endpoints still map this onto
-    /// `IBV_WC_RETRY_EXC_ERR`; a QP the orchestrator already moved onto
-    /// the surviving transport stays bound instead of erroring out.
+    /// converged onto it yet. Not a completion status: the requester
+    /// fails over if the orchestrator picks another transport, and
+    /// re-sends the operation on its bound path either way.
     pub const STALE_ROUTE: u8 = 5;
+    /// The responder has not accepted the operations before this one (one
+    /// was lost on the way), so it refused this one unexecuted. Not a
+    /// completion status: the requester re-sends from its oldest
+    /// unanswered operation (go-back-N).
+    pub const OUT_OF_ORDER: u8 = 6;
 }
 
 /// The relay operations.

@@ -3,11 +3,11 @@
 //!
 //! * `_idle` — the migrating container holds one connected RC QP pair
 //!   and nothing else. This is the protocol floor: freeze one binding,
-//!   checkpoint a near-empty ledger, restore, thaw.
+//!   checkpoint it, restore, thaw.
 //! * `_loaded` — the container serves a pooled stream mux
 //!   ([`freeflow_socket::SocketStack`]) and every stream exchanges a
-//!   message between moves, so each checkpoint carries live socket
-//!   ledgers and each thaw replays real traffic.
+//!   message between moves, so each freeze drains live traffic and each
+//!   thaw replays it.
 //!
 //! `ffbench` reports the idle blackout p50 (`core.migrate_idle_p50_ms`);
 //! the one absolute guard is a test here: the loaded blackout p99 must
@@ -125,8 +125,8 @@ fn migrate_idle(rounds: usize) -> Vec<BenchRun> {
 }
 
 /// Loaded mode: the migrating container serves [`STREAMS`] pooled
-/// streams; every stream echoes a message between moves so each
-/// checkpoint carries advancing socket ledgers.
+/// streams; every stream echoes a message between moves so each freeze
+/// drains live traffic.
 fn migrate_loaded(rounds: usize) -> Vec<BenchRun> {
     let (cluster, a, mut b, hosts) = migration_fleet();
     let stack = SocketStack::new();

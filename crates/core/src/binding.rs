@@ -24,10 +24,14 @@
 //!   (`bind` → epoch 1, every `complete_rebind` increments). RC ordering
 //!   is guaranteed *within* an epoch; a rebind is the explicit boundary at
 //!   which in-flight work must already have settled.
-//! * **Drain before rebind.** `begin_rebind` refuses while the caller
-//!   still reports unsettled operations — every posted WR must resolve
-//!   (success, `RETRY_EXC_ERR`, or flush) before the path may change.
-//!   This is the completion-conservation invariant.
+//! * **Drain before a planned rebind.** `begin_rebind` refuses an
+//!   upgrade, collapse or migration while the caller still reports
+//!   unsettled operations: they resolve on the old path before it
+//!   changes. A failover carries its unanswered operations across the
+//!   boundary instead — its old path is dead — and the owner re-sends
+//!   them on the new one, where the responder executes each exactly
+//!   once. Either way every posted WR completes exactly once: the
+//!   completion-conservation invariant.
 //! * **Reasons.** Every drain carries a [`RebindReason`]. A `Failover`
 //!   that can't find a new path must error the QP; an `Upgrade`,
 //!   `Collapse` or `Migrate` that can't complete aborts back to the old
@@ -215,14 +219,15 @@ impl PathBinding {
         Ok(())
     }
 
-    /// Drain finished: `Draining → Rebinding`. Refused while the owner
-    /// still has unsettled work — completion-conservation demands every
-    /// posted WR resolve inside the old epoch.
+    /// Drain finished: `Draining → Rebinding`. A planned rebind is refused
+    /// while the owner still has unsettled work, which must resolve inside
+    /// the old epoch; a failover's unsettled work is re-sent on the new
+    /// path, so it may cross.
     pub fn begin_rebind(&mut self, unsettled: usize) -> Result<(), BindingError> {
         if self.phase != BindingPhase::Draining {
             return Err(self.err("begin_rebind", "rebind must follow a drain"));
         }
-        if unsettled != 0 {
+        if unsettled != 0 && self.reason != Some(RebindReason::Failover) {
             return Err(self.err("begin_rebind", "in-flight operations not yet settled"));
         }
         self.phase = BindingPhase::Rebinding;
@@ -277,118 +282,6 @@ impl PathBinding {
             (Some(n), Some(o)) => n.rank() < o.rank(),
             _ => false,
         }
-    }
-}
-
-/// A lock-free, subscribe-only view of one QP's binding, published by the
-/// owning `FfQp` at every lifecycle transition.
-///
-/// Layers above the QP (the socket mux's transport-aware reliability, in
-/// particular) need to ask two questions without taking the QP's inner
-/// lock: *is the path settled right now?* and *has it changed since I
-/// last looked?* — the first gates when a sequence-resync handshake may
-/// be sent (resyncing into a still-draining path would race the parked
-/// replay), the second lets a reader detect rebinds it slept through.
-///
-/// All loads/stores are individually atomic; a reader that needs a
-/// consistent (phase, epoch) pair should read `version` before and after
-/// and retry on mismatch — in practice the mux only needs the monotone
-/// `settled`/`epoch` signals, which are safe to read independently.
-///
-/// Every publish rings the QP's receive-CQ bell, so a pump parked on that
-/// CQ (the socket channel's) reacts to a transition without a timer.
-#[derive(Debug)]
-pub struct PathSignal {
-    epoch: std::sync::atomic::AtomicU64,
-    phase: std::sync::atomic::AtomicU8,
-    transport: std::sync::atomic::AtomicU8,
-    version: std::sync::atomic::AtomicU64,
-    bell: std::sync::Arc<freeflow_shmem::Doorbell>,
-}
-
-impl PathSignal {
-    const NO_TRANSPORT: u8 = u8::MAX;
-
-    pub(crate) fn new(bell: std::sync::Arc<freeflow_shmem::Doorbell>) -> Self {
-        Self {
-            epoch: std::sync::atomic::AtomicU64::new(0),
-            phase: std::sync::atomic::AtomicU8::new(Self::phase_code(BindingPhase::Unbound)),
-            transport: std::sync::atomic::AtomicU8::new(Self::NO_TRANSPORT),
-            version: std::sync::atomic::AtomicU64::new(0),
-            bell,
-        }
-    }
-
-    const fn phase_code(p: BindingPhase) -> u8 {
-        match p {
-            BindingPhase::Unbound => 0,
-            BindingPhase::Bound => 1,
-            BindingPhase::Draining => 2,
-            BindingPhase::Rebinding => 3,
-            BindingPhase::Error => 4,
-        }
-    }
-
-    fn code_phase(c: u8) -> BindingPhase {
-        match c {
-            0 => BindingPhase::Unbound,
-            1 => BindingPhase::Bound,
-            2 => BindingPhase::Draining,
-            3 => BindingPhase::Rebinding,
-            _ => BindingPhase::Error,
-        }
-    }
-
-    /// Publish the binding's current (phase, epoch, transport). Called by
-    /// the owner under its own serialization; readers are lock-free.
-    pub(crate) fn publish(&self, binding: &PathBinding) {
-        use std::sync::atomic::Ordering;
-        self.epoch.store(binding.epoch(), Ordering::Release);
-        self.transport.store(
-            binding
-                .path()
-                .transport()
-                .map(|t| t.rank())
-                .unwrap_or(Self::NO_TRANSPORT),
-            Ordering::Release,
-        );
-        self.phase
-            .store(Self::phase_code(binding.phase()), Ordering::Release);
-        self.version.fetch_add(1, Ordering::AcqRel);
-        self.bell.ring();
-    }
-
-    /// The binding epoch at the last publish.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    /// The lifecycle phase at the last publish.
-    pub fn phase(&self) -> BindingPhase {
-        Self::code_phase(self.phase.load(std::sync::atomic::Ordering::Acquire))
-    }
-
-    /// Whether the QP currently has a live, settled path (`Bound`). Every
-    /// data plane FreeFlow binds — shared memory, RC RDMA, the relayed
-    /// DPDK/TCP wires — delivers reliably *within* a binding epoch; it is
-    /// the epoch boundaries (drain → rebind) where frames can be flushed.
-    /// So "settled" is exactly the window in which the mux's seq layer
-    /// may stay passive, and the window a resync handshake must wait for.
-    pub fn settled(&self) -> bool {
-        self.phase() == BindingPhase::Bound
-    }
-
-    /// Transport rank of the bound path (`None` while unbound/errored).
-    pub fn transport_rank(&self) -> Option<u8> {
-        match self.transport.load(std::sync::atomic::Ordering::Acquire) {
-            Self::NO_TRANSPORT => None,
-            r => Some(r),
-        }
-    }
-
-    /// Monotone publish counter: bump ⇒ something changed.
-    pub fn version(&self) -> u64 {
-        self.version.load(std::sync::atomic::Ordering::Acquire)
     }
 }
 
@@ -450,6 +343,17 @@ mod tests {
         assert!(b.begin_rebind(3).is_err());
         assert_eq!(b.phase(), BindingPhase::Draining);
         b.begin_rebind(0).unwrap();
+    }
+
+    #[test]
+    fn a_failover_carries_unsettled_work_across_the_rebind() {
+        let mut b = PathBinding::new();
+        b.bind(remote(TransportKind::Rdma), 1).unwrap();
+        b.begin_drain(RebindReason::Failover).unwrap();
+        b.begin_rebind(3).unwrap();
+        b.complete_rebind(remote(TransportKind::TcpHost), 2)
+            .unwrap();
+        assert_eq!((b.phase(), b.epoch()), (BindingPhase::Bound, 2));
     }
 
     #[test]
@@ -583,9 +487,9 @@ mod tests {
 
             /// Completion-conservation across randomized
             /// fail/upgrade/migrate sequences: drive the machine the way
-            /// FfQp does (post while bound, settle on drain) and check
-            /// every posted WR resolves exactly once, with no resolution
-            /// ever happening across an epoch boundary.
+            /// FfQp does (post while bound, settle on a planned drain,
+            /// carry across a failover) and check every posted WR
+            /// resolves exactly once.
             #[test]
             fn completion_conservation(
                 script in prop::collection::vec(
@@ -621,12 +525,11 @@ mod tests {
                             }
                         }
                         "fail_transport" => {
-                            // Reactive failover: flush everything
-                            // outstanding (RETRY_EXC_ERR), then rebind.
+                            // Reactive failover: the outstanding ops
+                            // cross onto the new path, re-sent there, and
+                            // settle later like any other.
                             if b.phase() == BindingPhase::Bound {
                                 b.begin_drain(RebindReason::Failover).unwrap();
-                                ledger.resolved += ledger.outstanding as u64;
-                                ledger.outstanding = 0;
                                 b.begin_rebind(ledger.outstanding).unwrap();
                                 b.complete_rebind(remote(TransportKind::TcpHost), {
                                     gen += 1;

@@ -236,10 +236,10 @@ impl FreeFlowCluster {
     /// Kill `host`'s kernel-bypass NIC: the orchestrator records the
     /// failure and every RDMA/DPDK wire touching the host goes down (the
     /// link state is shared, so both endpoints see it). Forwarding tables
-    /// are *not* rebuilt here — traffic in flight fails, QPs observe
-    /// `RETRY_EXC_ERR` and re-path through the orchestrator; call
-    /// [`FreeFlowCluster::refresh_routes`] to converge the agents onto the
-    /// surviving TCP wires.
+    /// are *not* rebuilt here — traffic onto the dead wires is refused as
+    /// a stale route, and QPs re-path through the orchestrator and re-send
+    /// it; call [`FreeFlowCluster::refresh_routes`] to converge the agents
+    /// onto the surviving TCP wires.
     pub fn fail_nic(&self, host: HostId) -> Result<()> {
         self.orchestrator.mark_nic_down(host)?;
         self.set_bypass_wires(host, false)
@@ -412,7 +412,7 @@ impl FreeFlowCluster {
     ///    freeze. A binding that cannot freeze (collapsed shared-memory
     ///    path) or a settle timeout aborts here: thaw in place, nothing
     ///    moved.
-    /// 2. **Checkpoint** — QP/MR/ledger state is captured and serialized
+    /// 2. **Checkpoint** — QP and MR state is captured and serialized
     ///    with a checksum. A source crash mid-checkpoint
     ///    ([`MigrationCrashPoint::SourceCheckpoint`]) leaves a torn
     ///    checkpoint; decode fails and the migration aborts in place.

@@ -83,8 +83,8 @@ pub use endpoint::FfEndpoint;
 pub use freeflow_shmem::{Pump, Step};
 pub use library::{LibHandle, NetLibrary};
 pub use migrate::{
-    LedgerRecord, MigrateError, MigrationCheckpoint, MigrationCrashPoint, MigrationOutcome,
-    MigrationPhase, MigrationReport,
+    MigrateError, MigrationCheckpoint, MigrationCrashPoint, MigrationOutcome, MigrationPhase,
+    MigrationReport,
 };
 pub use orch_client::{OrchClient, OrchClientConfig};
 pub use qp::FfQp;

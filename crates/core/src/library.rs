@@ -345,13 +345,15 @@ impl LibShared {
 
     /// Apply pending control-plane events to the location cache, and pull
     /// a snapshot resync after a feed gap or a prune. Returns whether
-    /// paths may have improved, i.e. whether every QP should re-evaluate
+    /// paths may have changed, i.e. whether every QP should re-evaluate
     /// its binding.
     fn poll_feed(&self, sub: &mut FeedSubscription, needs_resync: &mut bool) -> bool {
         // Only *improvement* events (PathUpdated, ContainerMoved) trigger
         // planned rebinds: degradations are handled reactively by the
         // failover path, which keeps fault handling deterministic under
-        // chaos testing.
+        // chaos testing. A health change still has every QP look again:
+        // one whose bound transport the orchestrator no longer picks
+        // re-sends what is unanswered, whose answers may have died with it.
         let mut paths_dirty = false;
         loop {
             let ev = match sub.try_next() {
@@ -411,6 +413,7 @@ impl LibShared {
                     } else {
                         self.cache.invalidate_host(host);
                     }
+                    paths_dirty = true;
                 }
                 OrchestratorEvent::PathUpdated { host } => {
                     // A host's connectivity *improved*: stale entries may

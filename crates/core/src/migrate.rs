@@ -8,7 +8,7 @@
 //! further."*
 //!
 //! This module is that per-connection state, made portable. A container
-//! with live QPs, registered MRs and in-flight socket streams moves
+//! with live QPs, registered MRs and open socket streams moves
 //! between physical hosts through a two-phase commit driven by
 //! [`crate::cluster::FreeFlowCluster::migrate_with`]:
 //!
@@ -20,10 +20,11 @@
 //!    unfrozen; a freeze that cannot settle in bounded time aborts the
 //!    migration before anything moved.
 //! 2. **Checkpoint** — a [`MigrationCheckpoint`] captures the container's
-//!    identity, every QP's binding epoch/phase/parked-WR counts
-//!    ([`QpRecord`]), every MR's keys, VA and full contents
-//!    ([`MrRecord`]), and the socket layer's sequence ledgers
-//!    ([`LedgerRecord`]). The checkpoint is serialized with a checksum —
+//!    identity, every QP's binding epoch/phase/parked-WR counts and next
+//!    op id ([`QpRecord`]), and every MR's keys, VA and full contents
+//!    ([`MrRecord`]). Socket streams need nothing of their own: they ride
+//!    their channel's QP, whose relayed ops are exactly-once across any
+//!    rebind. The checkpoint is serialized with a checksum —
 //!    a torn write (source crash mid-checkpoint) fails [`MigrationCheckpoint::decode`]
 //!    and the migration aborts with the container resumed in place.
 //! 3. **Transfer + restore** — the device (QPs, CQs, MRs, keys) is
@@ -35,9 +36,9 @@
 //!    drain-and-rebind exactly as for any other move. The restored state
 //!    is verified against the checkpoint — a mismatch (target crash
 //!    mid-restore) rolls the container back onto the source host.
-//! 4. **Commit** — bindings thaw; parked and unconfirmed work replays
-//!    exactly once through the existing replay machinery (QP parked
-//!    chains, socket resync ledgers). The blackout — freeze to thaw — is
+//! 4. **Commit** — bindings thaw; parked work replays exactly once
+//!    through the existing replay machinery (QP parked chains). The
+//!    blackout — freeze to thaw — is
 //!    recorded in the `ff_migration_blackout_ns` histogram, and
 //!    `Migration{Begin,Commit,Abort}` flight-recorder events bracket the
 //!    whole protocol.
@@ -249,26 +250,8 @@ pub struct MrRecord {
     pub bytes: Vec<u8>,
 }
 
-/// One socket channel's reliability-ledger watermarks: what the resync
-/// handshake needs so streams cross the migration without reconnecting.
-/// Captured by the socket layer (which owns the ledgers) and verified
-/// byte-for-byte after restore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LedgerRecord {
-    /// QPN of the channel carrying the ledgers.
-    pub qpn: u32,
-    /// Sender: next sequence number to assign.
-    pub tx_next_seq: u64,
-    /// Sender: frames posted and not yet confirmed (replayed via resync).
-    pub tx_in_flight: u32,
-    /// Receiver: frames delivered in order (the resync-ack watermark).
-    pub rx_received: u64,
-    /// Receiver: out-of-order frames parked for reassembly.
-    pub rx_parked: u32,
-}
-
 /// Everything a container needs to resume on another host: identity,
-/// placement, QP bindings, MR contents and socket ledgers. Serialized
+/// placement, QP bindings and MR contents. Serialized
 /// with [`MigrationCheckpoint::encode`] (checksummed — a torn checkpoint
 /// is detected, not restored) and rebuilt with
 /// [`MigrationCheckpoint::decode`].
@@ -284,10 +267,6 @@ pub struct MigrationCheckpoint {
     pub qps: Vec<QpRecord>,
     /// Per-MR state (full contents).
     pub mrs: Vec<MrRecord>,
-    /// Per-channel socket ledgers (attached by the socket layer via
-    /// [`MigrationCheckpoint::with_ledgers`]; empty when the container
-    /// runs no streams).
-    pub ledgers: Vec<LedgerRecord>,
 }
 
 /// Why a checkpoint failed to decode or a migration failed to validate.
@@ -344,11 +323,10 @@ const MAGIC: u32 = 0x4646_4D31;
 /// Interned binding-phase names, in wire order (`BindingPhase::name()`).
 const PHASES: [&str; 5] = ["unbound", "bound", "draining", "rebinding", "error"];
 
-/// Encoded size of one [`QpRecord`], of an [`MrRecord`] with no bytes, and
-/// of one [`LedgerRecord`]: the floor each decoded count is checked against.
+/// Encoded size of one [`QpRecord`] and of an [`MrRecord`] with no bytes:
+/// the floor each decoded count is checked against.
 const QP_RECORD_LEN: usize = 54;
 const MR_RECORD_MIN_LEN: usize = 34;
-const LEDGER_RECORD_LEN: usize = 28;
 
 /// A count-prefixed run of records, each at least `min_len` bytes.
 fn records<'a, T>(
@@ -395,16 +373,7 @@ impl MigrationCheckpoint {
             to_host,
             qps,
             mrs,
-            ledgers: Vec::new(),
         }
-    }
-
-    /// Attach socket-layer ledger records (the socket crate sits above
-    /// this one, so it exports its own ledgers — see
-    /// `freeflow_socket::SocketStack::export_ledgers`).
-    pub fn with_ledgers(mut self, ledgers: Vec<LedgerRecord>) -> Self {
-        self.ledgers = ledgers;
-        self
     }
 
     /// Total MR payload carried (the dominant term of checkpoint size).
@@ -446,14 +415,6 @@ impl MigrationCheckpoint {
                 .u8(mr.access_bits)
                 .u8(mr.arena_backed as u8)
                 .long_slice(&mr.bytes);
-        }
-        out.count(self.ledgers.len());
-        for ledger in &self.ledgers {
-            out.u32(ledger.qpn)
-                .u64(ledger.tx_next_seq)
-                .u32(ledger.tx_in_flight)
-                .u64(ledger.rx_received)
-                .u32(ledger.rx_parked);
         }
         wire::seal(&mut out);
         out
@@ -507,15 +468,6 @@ impl MigrationCheckpoint {
                         _ => return Err(MigrateError::BadValue("arena flag")),
                     },
                     bytes: r.long_slice()?.to_vec(),
-                })
-            })?,
-            ledgers: records(r, LEDGER_RECORD_LEN, |r| {
-                Ok(LedgerRecord {
-                    qpn: r.u32()?,
-                    tx_next_seq: r.u64()?,
-                    tx_in_flight: r.u32()?,
-                    rx_received: r.u64()?,
-                    rx_parked: r.u32()?,
                 })
             })?,
         };
@@ -603,13 +555,6 @@ mod tests {
                 arena_backed: true,
                 bytes: b"migration bytes!".to_vec(),
             }],
-            ledgers: vec![LedgerRecord {
-                qpn: 3,
-                tx_next_seq: 100,
-                tx_in_flight: 3,
-                rx_received: 97,
-                rx_parked: 1,
-            }],
         }
     }
 
@@ -639,10 +584,6 @@ mod tests {
         assert_eq!(
             total - len_without(|cp| cp.mrs.clear()),
             mrs * MR_RECORD_MIN_LEN + full.mr_bytes() as usize
-        );
-        assert_eq!(
-            total - len_without(|cp| cp.ledgers.clear()),
-            full.ledgers.len() * LEDGER_RECORD_LEN
         );
     }
 

@@ -20,7 +20,7 @@
 //! Either way the receive side is the verbs QP's: every receive is
 //! posted into it, and it is the one responder, answering a co-located
 //! peer directly and a relayed operation handed to it by
-//! [`FfQp::handle_inbound`]. The FfQp steps it through the state machine
+//! `FfQp::handle_inbound`. The FfQp steps it through the state machine
 //! on every binding, so a Remote→Local collapse finds it ready.
 //!
 //! The application cannot tell the difference — FreeFlow's transparency
@@ -31,8 +31,24 @@
 //! collapse after a peer migrates onto this host — is owned by
 //! [`crate::binding::PathBinding`]; this module performs the drains and
 //! replays around its transitions (see DESIGN.md §7).
+//!
+//! ## Exactly once across a failover
+//!
+//! A relayed op is reliable the way an RC QP is. Op ids are sequential
+//! per QP, and the responder hears only its connected peer: it executes
+//! op k only after op k−1, answers a duplicate again without executing it
+//! (a SEND never takes a second receive; a READ executes again), drops a
+//! duplicate of an op still parked for a receive, and refuses an op that
+//! follows a gap with [`st::OUT_OF_ORDER`]. So the requester may re-send
+//! whatever is unanswered, oldest first, gathering each payload again
+//! from the application's SGEs: after a failover onto a surviving
+//! transport, a stale-route or out-of-order refusal, or a health change
+//! that moved the orchestrator's choice. A re-send still unanswered after
+//! [`RESEND_INTERVAL`] goes again. A settled path re-sends nothing.
+//! `RETRY_EXC_ERR` means what it means on a NIC: no path answered before
+//! the op deadline, or the QP went to the error state.
 
-use crate::binding::{BindingPhase, PathBinding, PathSignal, RebindReason};
+use crate::binding::{BindingPhase, PathBinding, RebindReason};
 use crate::endpoint::FfEndpoint;
 use crate::library::LibShared;
 use bytes::Bytes;
@@ -41,13 +57,13 @@ use freeflow_agent::ZERO_COPY_THRESHOLD;
 use freeflow_telemetry::{Counter, Event, Histogram, LabelSet, Telemetry, TransitionKind};
 use freeflow_types::TransportKind;
 use freeflow_verbs::qp::{Answer, Requester};
-use freeflow_verbs::wr::{RecvWr, SendWr, Sge, WcOpcode, WorkCompletion, WrOpcode};
+use freeflow_verbs::wr::{RecvWr, SendWr, WcOpcode, WorkCompletion, WrOpcode};
 use freeflow_verbs::{
     CompletionQueue, MemoryRegion, QpEndpoint, QpState, QueuePair, VerbsError, VerbsResult,
     WcStatus,
 };
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,6 +74,13 @@ use std::time::{Duration, Instant};
 /// operation, as on a real RC NIC: the agent nacks at once when a wire is
 /// down or stays full, and keeps no per-request state to time the rest.
 const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long a re-send waits before the unanswered ops go again. A
+/// stale-route refusal (forwarding has not converged onto the bound path
+/// yet) waits this long rather than spin against the route, and so does a
+/// re-send still unanswered: its answer may have died on a route back
+/// that had not converged either. The op deadline bounds the whole wait.
+pub const RESEND_INTERVAL: Duration = Duration::from_millis(250);
 
 /// Which data plane this QP is bound to (after RTR).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,11 +133,9 @@ fn reason_label(reason: Option<RebindReason>) -> Option<&'static str> {
 
 /// A remote op awaiting its answer.
 struct Pending {
-    wr_id: u64,
-    signaled: bool,
-    opcode: WcOpcode,
-    /// Where a READ's response lands.
-    sge: Vec<Sge>,
+    /// The work request, kept until answered: a re-send gathers its
+    /// payload again, and a READ's response lands in its SGEs.
+    wr: SendWr,
     /// When the op counts as lost if still unanswered.
     deadline: Instant,
     /// When the op was posted (remote-op latency histogram).
@@ -139,7 +160,7 @@ fn wc_status(status: u8) -> WcStatus {
     match status {
         st::OK => WcStatus::Success,
         st::REMOTE_ACCESS => WcStatus::RemoteAccessError,
-        st::TIMEOUT | st::STALE_ROUTE => WcStatus::RetryExcError,
+        st::TIMEOUT => WcStatus::RetryExcError,
         _ => WcStatus::RemoteOperationError,
     }
 }
@@ -176,8 +197,8 @@ struct QpInner {
     /// The data-plane binding: path + lifecycle phase + epoch/upgrade
     /// counters, one state machine for every transition.
     binding: PathBinding,
-    /// Remote path: ops awaiting their answer, keyed by wire op id.
-    pending: HashMap<u64, Pending>,
+    /// Remote path: ops awaiting their answer, by wire op id (post order).
+    pending: BTreeMap<u64, Pending>,
     /// Sends accepted while the binding is draining/rebinding (or while
     /// a replay is dispatching): transmitted in order once Bound again.
     parked_sends: VecDeque<SendWr>,
@@ -185,6 +206,41 @@ struct QpInner {
     /// application posts must park behind the queue to keep RC order.
     replaying: bool,
     next_op_id: u64,
+    /// When the unanswered ops go again; `None` on a settled path.
+    resend_at: Option<Instant>,
+    /// The epoch in which a stale-route refusal last found the bound
+    /// transport still the orchestrator's choice (0: none). Later
+    /// refusals in it wait for the armed re-send instead of asking again.
+    stale_in: u64,
+    /// Responder: the peer's relayed ops accepted (executed, or parked
+    /// for a receive) through this op id.
+    accepted: u64,
+    /// Responder: an op past `accepted + 1` was refused; later ones are
+    /// dropped unanswered until the gap fills.
+    gap_refused: bool,
+}
+
+/// What a relayed request is to the responder, by its op id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seq {
+    /// The next op: execute it.
+    Next,
+    /// Accepted before: answer again, without executing.
+    Duplicate,
+    /// Past a gap: refuse the first such op, drop the rest.
+    Gap { refuse: bool },
+}
+
+/// How a failover re-path came out.
+enum Repath {
+    /// A new path is bound (or a collapse is draining onto one); the
+    /// unanswered ops went again on it.
+    Moved,
+    /// The orchestrator still picks the bound transport: forwarding has
+    /// not converged onto it yet.
+    Same,
+    /// No path remains.
+    Gone,
 }
 
 /// A FreeFlow virtual queue pair.
@@ -195,10 +251,6 @@ pub struct FfQp {
     recv_cq: Arc<CompletionQueue>,
     sq_depth: usize,
     inner: Mutex<QpInner>,
-    /// Lock-free binding view for layers above (socket mux reliability):
-    /// published at every lifecycle transition, readable without the
-    /// inner lock.
-    signal: Arc<PathSignal>,
     /// Per-op answer timeout in nanoseconds.
     op_timeout_ns: AtomicU64,
     /// Set while the cluster's live-migration driver holds this QP's
@@ -212,6 +264,8 @@ pub struct FfQp {
     /// How many times this QP re-established its path after a transport
     /// failure (tests/diagnostics).
     failovers: AtomicU64,
+    /// How many remote ops this QP re-sent (tests/diagnostics).
+    resent: AtomicU64,
     /// Pre-registered cluster-hub counters mirroring the binding
     /// lifecycle: every increment has a matching flight-recorder event.
     tm_failovers: Arc<Counter>,
@@ -251,7 +305,6 @@ impl FfQp {
             "relayed operation post-to-answer latency, nanoseconds",
             labels,
         );
-        let signal = Arc::new(PathSignal::new(Arc::clone(recv_cq.doorbell())));
         // The verbs QP answers a relayed op that parked for a receive
         // through this sink, when a receive is posted or the QP fails. It
         // opens to the fabric when the binding is Local.
@@ -270,16 +323,20 @@ impl FfQp {
             sq_depth: sq_depth.max(1),
             inner: Mutex::new(QpInner {
                 binding: PathBinding::new(),
-                pending: HashMap::new(),
+                pending: BTreeMap::new(),
                 parked_sends: VecDeque::new(),
                 replaying: false,
                 next_op_id: 1,
+                resend_at: None,
+                stale_in: 0,
+                accepted: 0,
+                gap_refused: false,
             }),
-            signal,
             op_timeout_ns: AtomicU64::new(DEFAULT_OP_TIMEOUT.as_nanos() as u64),
             migration_hold: AtomicBool::new(false),
             advancing: Mutex::new(()),
             failovers: AtomicU64::new(0),
+            resent: AtomicU64::new(0),
             tm_failovers,
             tm_rebinds,
             tm_upgrades,
@@ -344,15 +401,6 @@ impl FfQp {
         self.inner.lock().binding.phase()
     }
 
-    /// The lock-free binding signal: (phase, epoch, transport) published
-    /// at every lifecycle transition. The socket mux subscribes to this
-    /// to decide when its reliability layer must arm (a rebind epoch is
-    /// crossing) and when a sequence resync may be sent (the path is
-    /// settled again).
-    pub fn path_signal(&self) -> Arc<PathSignal> {
-        Arc::clone(&self.signal)
-    }
-
     /// The current binding epoch: 1 after connect, +1 for every completed
     /// rebind (failover, upgrade or collapse). RC ordering is guaranteed
     /// within one epoch.
@@ -415,7 +463,6 @@ impl FfQp {
                 actual: inner.binding.phase().name(),
                 required: "unbound binding",
             })?;
-        self.signal.publish(&inner.binding);
         self.record_transition(
             TransitionKind::Bound,
             None,
@@ -465,14 +512,15 @@ impl FfQp {
                 let reason = inner.binding.reason();
                 let epoch = inner.binding.epoch();
                 inner.binding.fail();
-                self.signal.publish(&inner.binding);
                 self.record_transition(TransitionKind::Failed, reason, epoch, old, "error", false);
-                let (later, earlier): (Vec<_>, Vec<_>) = Self::take_outstanding(&mut inner)
+                inner.resend_at = None;
+                let (later, earlier): (Vec<_>, Vec<_>) = std::mem::take(&mut inner.pending)
                     .into_iter()
-                    .partition(|&(op_id, ..)| op_id > cause);
-                let flush = |ops: Vec<(u64, u64, WcOpcode)>, status| {
-                    (ops.into_iter())
-                        .map(move |(_, wr_id, opcode)| self.wc(wr_id, status, opcode, 0))
+                    .partition(|&(op_id, _)| op_id > cause);
+                let flush = |ops: Vec<(u64, Pending)>, status| {
+                    (ops.into_iter()).map(move |(_, p)| {
+                        self.wc(p.wr.wr_id, status, p.wr.opcode.completes_as(), 0)
+                    })
                 };
                 first.extend(flush(later, WcStatus::WrFlushError));
                 first.extend(flush(earlier, WcStatus::RetryExcError));
@@ -487,16 +535,6 @@ impl FfQp {
         // The verbs QP moves to `Error`, then pushes these, then flushes
         // its receives and answers the operations parked at it.
         self.verbs_qp.fail_with(&self.send_cq, &first);
-    }
-
-    /// Take every remote op still awaiting its answer, in post order, as
-    /// (op id, wr_id, opcode).
-    fn take_outstanding(inner: &mut QpInner) -> Vec<(u64, u64, WcOpcode)> {
-        let mut ops: Vec<_> = (inner.pending.drain())
-            .map(|(id, p)| (id, p.wr_id, p.opcode))
-            .collect();
-        ops.sort_unstable_by_key(|&(op_id, ..)| op_id);
-        ops
     }
 
     /// The verbs QP entered `Error` on its own — a receive it matched for
@@ -534,80 +572,136 @@ impl FfQp {
         self.failovers.load(Ordering::Relaxed)
     }
 
+    /// How many remote ops this QP re-sent (each re-send of an op counts).
+    /// Exactly zero on a path that never failed.
+    pub fn resent_count(&self) -> u64 {
+        self.resent.load(Ordering::Relaxed)
+    }
+
     fn op_deadline(&self) -> Instant {
         Instant::now() + Duration::from_nanos(self.op_timeout_ns.load(Ordering::Relaxed))
     }
 
-    // --- transport failure & failover ---------------------------------------
+    // --- transport failure, failover and re-send ----------------------------
 
-    /// Called from the library pump: if any pending remote op outlived its
-    /// deadline, treat the transport as dead (no partial expiry — RC
-    /// semantics are ordered, so one lost op means the path is gone). The
-    /// flight recorder gets a [`Event::RelayExpired`] with the number of
-    /// overdue ops, so a silent loss reads apart from a nacked one.
-    /// Returns the earliest deadline still pending, if any.
+    /// Called from the library pump: fail the QP if a pending remote op
+    /// outlived its deadline — no path answered it in time, which is what
+    /// `RETRY_EXC_ERR` reports on a NIC — and re-send the unanswered ops
+    /// if their re-send is due. The flight recorder gets an
+    /// [`Event::RelayExpired`] with the number of overdue ops, so a silent
+    /// loss reads apart from a refused one. Returns the earliest deadline
+    /// or re-send still pending, if any.
     pub fn sweep_timeouts(&self) -> Option<Instant> {
         let now = Instant::now();
-        let (mut expired, mut next) = (0, None::<Instant>);
-        {
+        let (expired, resend) = {
             let inner = self.inner.lock();
-            for at in inner.pending.values().map(|p| p.deadline) {
-                if at <= now {
-                    expired += 1;
-                } else {
-                    next = Some(next.map_or(at, |n| n.min(at)));
-                }
-            }
+            let expired = inner.pending.values().filter(|p| p.deadline <= now);
+            (expired.count(), inner.resend_at.is_some_and(|at| at <= now))
+        };
+        if expired > 0 {
+            self.lib.telemetry.record(Event::RelayExpired {
+                host: self.lib.host().raw(),
+                entries: expired as u32,
+            });
+            self.fail_with(Vec::new(), u64::MAX);
+            return None;
         }
-        if expired == 0 {
-            return next;
+        if resend {
+            self.resend();
         }
-        self.lib.telemetry.record(Event::RelayExpired {
-            host: self.lib.host().raw(),
-            entries: expired as u32,
-        });
-        // Every pending op is flushed with the failure.
-        self.on_transport_failure(false);
-        None
+        let inner = self.inner.lock();
+        let deadlines = inner.pending.values().map(|p| p.deadline);
+        deadlines.chain(inner.resend_at).min()
     }
 
-    /// The path to the peer died. Every outstanding send/write/read
-    /// completes with [`WcStatus::RetryExcError`] — mirroring what a real
-    /// RC QP reports when transport retries exhaust — and the QP asks the
-    /// orchestrator for a fresh path. Posted receives survive: after a
-    /// successful re-path the connection keeps working; only if no path
-    /// remains does the QP fall into the error state. `stale_route`: the
-    /// agent dropped the op on a downed wire while another wire to the
-    /// peer's host is up ([`st::STALE_ROUTE`]).
-    fn on_transport_failure(&self, stale_route: bool) {
-        let (ops, mid_rebind) = {
+    /// Re-send every unanswered remote op, oldest first, on the bound
+    /// path, each payload gathered again from its SGEs, and arm the next
+    /// round should they stay unanswered. The responder executes each
+    /// exactly once. An op whose payload cannot be staged now stays
+    /// pending for the next round or its deadline.
+    fn resend(&self) {
+        let (ops, peer) = {
             let mut inner = self.inner.lock();
-            (
-                Self::take_outstanding(&mut inner),
-                !matches!(inner.binding.phase(), BindingPhase::Bound),
-            )
+            let peer = match (inner.binding.phase(), inner.binding.path()) {
+                (BindingPhase::Error, _) | (_, FfPath::Unbound | FfPath::Local { .. }) => None,
+                (_, FfPath::Remote { peer, .. }) => Some(peer),
+            };
+            let Some(peer) = peer.filter(|_| !inner.pending.is_empty()) else {
+                inner.resend_at = None;
+                return;
+            };
+            let at = Instant::now() + RESEND_INTERVAL;
+            inner.resend_at = Some(at);
+            self.lib.note_op_due(at);
+            let ops: Vec<_> = (inner.pending.iter())
+                .map(|(&id, p)| (id, p.wr.clone()))
+                .collect();
+            (ops, peer)
         };
-        // Settle the QP first (re-path or error state), *then* deliver the
-        // failed completions: a consumer that observes RETRY_EXC_ERR must
-        // be able to rely on the QP having already reached its post-fault
-        // state, exactly as a hardware NIC transitions the QP to error
-        // before flushing its WRs. A binding already mid-drain/rebind
-        // only needs the flush: the in-progress rebind supplies the new
-        // path (or the error state) on the pump.
-        let flushed: Vec<_> = (ops.into_iter())
-            .map(|(_, wr_id, opcode)| self.wc(wr_id, WcStatus::RetryExcError, opcode, 0))
+        let (me, dst, mut lkey) = (self.endpoint().wire(), peer.wire(), None);
+        let msgs: Vec<_> = (ops.iter())
+            .filter_map(|(id, wr)| {
+                let payload = self.stage(wr, &mut lkey).ok()?;
+                Some(Self::relay_msg(*id, wr, me, dst, payload))
+            })
             .collect();
-        if !mid_rebind && !self.try_repath(stale_route) {
-            self.fail_with(flushed, u64::MAX);
-        } else {
-            self.send_cq.push_batch(&flushed);
+        self.lib.send_to_agent(&msgs);
+        self.resent.fetch_add(msgs.len() as u64, Ordering::Relaxed);
+        let help = "remote operations re-sent after a failover or a refusal";
+        self.rare_counter("ff_qp_resent_total", help)
+            .add(msgs.len() as u64);
+        self.lib.telemetry.record(Event::QpResend {
+            container: self.lib.id.raw(),
+            qpn: self.qp_num(),
+            first_op: ops[0].0,
+            ops: msgs.len() as u32,
+        });
+    }
+
+    /// The agent refused an op on a downed wire while another wire to the
+    /// peer's host is up ([`st::STALE_ROUTE`]). Fail over if the
+    /// orchestrator now picks another transport; otherwise forwarding has
+    /// not converged onto the bound one yet, and the ops go again after
+    /// [`RESEND_INTERVAL`]. The ops stay pending either way.
+    fn on_stale_route(&self) {
+        {
+            let mut inner = self.inner.lock();
+            let epoch = inner.binding.epoch();
+            let bound = inner.binding.phase() == BindingPhase::Bound;
+            if !bound || inner.stale_in == epoch {
+                // Mid-rebind, the rebind supplies the path; already asked
+                // in this epoch, the re-send is armed.
+                self.arm_resend(&mut inner);
+                return;
+            }
+        }
+        match self.try_repath() {
+            Repath::Moved => {}
+            Repath::Same => {
+                let mut inner = self.inner.lock();
+                inner.stale_in = inner.binding.epoch();
+                self.arm_resend(&mut inner);
+            }
+            Repath::Gone => self.fail_with(Vec::new(), u64::MAX),
+        }
+    }
+
+    /// Arm a re-send one [`RESEND_INTERVAL`] out, unless one is armed.
+    fn arm_resend(&self, inner: &mut QpInner) {
+        if inner.resend_at.is_none() {
+            let at = Instant::now() + RESEND_INTERVAL;
+            inner.resend_at = Some(at);
+            self.lib.note_op_due(at);
         }
     }
 
     /// Re-run path selection for the current peer (FreeFlow's failover:
-    /// the orchestrator knows which transports still work). Returns
-    /// whether a usable path is bound or a rebind is now in progress.
-    fn try_repath(&self, stale_route: bool) -> bool {
+    /// the orchestrator knows which transports still work). On a new
+    /// transport the binding rebinds at once and the unanswered ops go
+    /// again on it, ahead of any send posted meanwhile; onto a peer that
+    /// migrated here, they go again through the local agent while the
+    /// pump finishes the collapse.
+    fn try_repath(&self) -> Repath {
         let (peer, dead) = {
             let inner = self.inner.lock();
             match (self.state(), inner.binding.phase(), inner.binding.path()) {
@@ -619,33 +713,23 @@ impl FfQp {
                 // Local paths ride the verbs fabric (no wire to fail
                 // over); unbound/errored/mid-rebind QPs have nothing to
                 // rebind here.
-                _ => return false,
+                _ => return Repath::Gone,
             }
         };
         // Drop the stale location entry so resolve() asks the
         // orchestrator, which has the current health picture.
         self.lib.cache.invalidate(peer.ip);
-        let resolved = match self.lib.resolve(peer.ip) {
-            Ok(r) => r,
-            Err(_) => return false,
+        let Ok(resolved) = self.lib.resolve(peer.ip) else {
+            return Repath::Gone;
         };
         let collapses = resolved.local && resolved.transport.kernel_bypass();
         if !collapses && resolved.transport == dead {
-            // The orchestrator handed back the very transport that just
-            // died. After a stale-route loss that is right: the op died on
-            // the old path's wire because forwarding has not converged
-            // onto this one yet, so the QP stays bound — the flush is the
-            // whole outcome and later posts ride the converged route.
-            // Otherwise it would be a no-op rebind that spins (bumping
-            // failover_count forever) instead of surfacing the failure:
-            // fall through to the error state.
-            return stale_route;
+            return Repath::Same;
         }
         let mut inner = self.inner.lock();
         if inner.binding.begin_drain(RebindReason::Failover).is_err() {
-            return false; // raced with another lifecycle transition
+            return Repath::Gone; // raced with another lifecycle transition
         }
-        self.signal.publish(&inner.binding);
         self.failovers.fetch_add(1, Ordering::Relaxed);
         // Counter and flight-recorder event move together: every
         // failover_count increment has exactly one DrainStarted(failover)
@@ -660,20 +744,19 @@ impl FfQp {
             false,
         );
         if collapses {
-            // The peer migrated onto this host: the pump finishes the
-            // collapse onto shared memory (the caller already flushed
-            // everything outstanding, so the drain settles immediately).
+            // The peer migrated onto this host: its agent delivers the
+            // re-sent ops, the drain settles on their answers, and the
+            // pump finishes the collapse onto shared memory.
+            drop(inner);
+            self.resend();
             self.lib.request_walk();
-            return true;
+            return Repath::Moved;
         }
         let unsettled = inner.pending.len();
-        if inner.binding.begin_rebind(unsettled).is_err() {
-            // Outstanding work the caller did not flush: the drain
-            // finishes on the pump and the rebind completes there.
-            self.lib.request_walk();
-            return true;
-        }
-        self.signal.publish(&inner.binding);
+        inner
+            .binding
+            .begin_rebind(unsettled)
+            .expect("a failover may carry unsettled ops");
         self.record_transition(
             TransitionKind::RebindStarted,
             Some(RebindReason::Failover),
@@ -688,18 +771,22 @@ impl FfQp {
         };
         let rebound = self.complete_rebind(&mut inner, path, resolved.generation);
         debug_assert!(rebound, "the rebinding phase was just entered");
-        true
+        // Sends posted from here on park behind the re-sent ops.
+        inner.replaying = true;
+        drop(inner);
+        self.resend();
+        self.replay_parked();
+        Repath::Moved
     }
 
-    /// Complete the rebind in progress onto `path`: publish, count and
-    /// record it. False when no rebind is in progress.
+    /// Complete the rebind in progress onto `path`: count and record it.
+    /// False when no rebind is in progress.
     fn complete_rebind(&self, inner: &mut QpInner, path: FfPath, generation: u64) -> bool {
         let b = &mut inner.binding;
         let (from, reason, ups) = (b.path().label(), b.reason(), b.upgrades());
         if b.complete_rebind(path, generation).is_err() {
             return false;
         }
-        self.signal.publish(b);
         let upgrade = b.upgrades() > ups;
         self.tm_rebinds.inc();
         if upgrade {
@@ -720,7 +807,9 @@ impl FfQp {
     /// Called from the library pump after a location/health event:
     /// decide whether the current remote path should make way for a
     /// better one. Planned rebind — the old path keeps working while
-    /// in-flight operations drain.
+    /// in-flight operations drain. When the orchestrator now picks a
+    /// worse transport, the bound one may have died under ops whose
+    /// answers were lost with it: they go again.
     pub(crate) fn consider_rebind(&self) {
         let (peer, current) = {
             let inner = self.inner.lock();
@@ -742,6 +831,9 @@ impl FfQp {
         {
             RebindReason::Upgrade
         } else {
+            if resolved.transport != current {
+                self.resend();
+            }
             return;
         };
         let mut inner = self.inner.lock();
@@ -749,7 +841,6 @@ impl FfQp {
             && inner.binding.phase() == BindingPhase::Bound
             && inner.binding.begin_drain(reason).is_ok()
         {
-            self.signal.publish(&inner.binding);
             self.record_transition(
                 TransitionKind::DrainStarted,
                 Some(reason),
@@ -781,7 +872,6 @@ impl FfQp {
             if inner.binding.phase() == BindingPhase::Draining {
                 let unsettled = inner.pending.len();
                 if unsettled == 0 && inner.binding.begin_rebind(0).is_ok() {
-                    self.signal.publish(&inner.binding);
                     let label = inner.binding.path().label();
                     self.record_transition(
                         TransitionKind::RebindStarted,
@@ -846,7 +936,6 @@ impl FfQp {
             return false;
         }
         self.migration_hold.store(true, Ordering::Release);
-        self.signal.publish(&inner.binding);
         self.record_transition(
             TransitionKind::DrainStarted,
             Some(RebindReason::Migrate),
@@ -869,6 +958,12 @@ impl FfQp {
     /// posts are answered at once or park at the peer, so it has none.
     pub fn unanswered(&self) -> usize {
         self.inner.lock().pending.len()
+    }
+
+    /// Responder: the peer's relayed ops accepted through this op id.
+    #[cfg(test)]
+    pub(crate) fn accepted(&self) -> u64 {
+        self.inner.lock().accepted
     }
 
     /// Inbound operations parked at this QP for a receive (RNR), relayed
@@ -991,7 +1086,6 @@ impl FfQp {
             if inner.binding.abort_rebind().is_err() {
                 return;
             }
-            self.signal.publish(&inner.binding);
             let label = inner.binding.path().label();
             self.record_transition(
                 TransitionKind::Aborted,
@@ -1202,33 +1296,36 @@ impl FfQp {
             })
     }
 
-    /// Gather and stage one remote WR, register it as in flight — before
-    /// its message can reach the agent, since the answer can race the
-    /// post's return — and return the message to transmit.
-    fn build_remote_op(
+    /// Stage a WR's payload for the relay. A READ's SGEs are where its
+    /// response lands: nothing to gather, but they are vetted now, as the
+    /// verbs engine vets them.
+    fn stage(
         &self,
-        wr: SendWr,
-        src: WireEp,
-        dst: WireEp,
+        wr: &SendWr,
         lkey: &mut Option<Arc<MemoryRegion>>,
-    ) -> VerbsResult<RelayMsg> {
-        // A READ's SGEs are where its response lands: nothing to gather,
-        // but they are vetted now, as the verbs engine vets them.
-        let payload = match wr.opcode {
+    ) -> VerbsResult<RelayPayload> {
+        match wr.opcode {
             WrOpcode::Read { .. } => {
                 self.lib.device.check_scatter(&wr.sge)?;
-                RelayPayload::Inline(Bytes::new())
+                Ok(RelayPayload::Inline(Bytes::new()))
             }
-            _ => self.stage_payload(&wr, lkey)?,
-        };
-        let mut inner = self.inner.lock();
-        let wr_id = inner.next_op_id;
-        inner.next_op_id += 1;
-        let msg = match wr.opcode {
+            _ => self.stage_payload(wr, lkey),
+        }
+    }
+
+    /// The message carrying `wr` as remote op `op_id`.
+    fn relay_msg(
+        op_id: u64,
+        wr: &SendWr,
+        src: WireEp,
+        dst: WireEp,
+        payload: RelayPayload,
+    ) -> RelayMsg {
+        match wr.opcode {
             WrOpcode::Read { remote_addr, rkey } => RelayMsg::ReadReq {
                 src,
                 dst,
-                req_id: wr_id,
+                req_id: op_id,
                 addr: remote_addr,
                 rkey,
                 len: wr.total_len(),
@@ -1236,7 +1333,7 @@ impl FfQp {
             WrOpcode::Send => RelayMsg::Send {
                 src,
                 dst,
-                wr_id,
+                wr_id: op_id,
                 imm: None,
                 payload,
             },
@@ -1246,7 +1343,7 @@ impl FfQp {
             } => RelayMsg::Write {
                 src,
                 dst,
-                wr_id,
+                wr_id: op_id,
                 addr: remote_addr,
                 rkey,
                 imm: match wr.opcode {
@@ -1255,43 +1352,65 @@ impl FfQp {
                 },
                 payload,
             },
-        };
-        let pending = Pending {
-            wr_id: wr.wr_id,
-            signaled: wr.signaled,
-            opcode: wr.opcode.completes_as(),
-            sge: wr.sge,
-            deadline: self.op_deadline(),
-            posted_at: Instant::now(),
-        };
-        inner.pending.insert(wr_id, pending);
-        Ok(msg)
+        }
     }
 
-    /// Remote post: every WR is gathered, staged and registered, then the
-    /// chain leaves in one agent push. A WR that fails to build stops the
-    /// chain there — WRs before it are transmitted and stand, it and the
-    /// remainder are refused with the error, exactly like the verbs chain.
+    /// Remote post: every WR is gathered and staged, then the chain is
+    /// registered as in flight under one lock — before its messages can
+    /// reach the agent, since an answer can race the post's return, and
+    /// all at once, so a re-send never sees part of it — and leaves in one
+    /// agent push. A WR that fails to stage stops the chain there — WRs
+    /// before it are transmitted and stand, it and the remainder are
+    /// refused with the error, exactly like the verbs chain.
     fn post_remote(
         &self,
         wrs: impl ExactSizeIterator<Item = SendWr>,
         peer: FfEndpoint,
     ) -> VerbsResult<()> {
         let (me, dst) = (self.endpoint().wire(), peer.wire());
-        // No op below is due before this.
-        let due = self.op_deadline();
-        let mut lkey = None;
-        let mut msgs = Vec::with_capacity(wrs.len());
-        let mut result = Ok(());
+        let (mut lkey, mut staged, mut result) = (None, Vec::with_capacity(wrs.len()), Ok(()));
         for wr in wrs {
-            match self.build_remote_op(wr, me, dst, &mut lkey) {
-                Ok(msg) => msgs.push(msg),
+            match self.stage(&wr, &mut lkey) {
+                Ok(payload) => staged.push((wr, payload)),
                 Err(e) => {
                     result = Err(e);
                     break;
                 }
             }
         }
+        let (due, posted_at) = (self.op_deadline(), Instant::now());
+        let msgs = {
+            let mut inner = self.inner.lock();
+            if inner.binding.phase() == BindingPhase::Error {
+                // The QP failed since it admitted the chain: flushed, as
+                // the failure flushed everything else.
+                drop(inner);
+                for (wr, payload) in staged {
+                    let _ = self.payload_bytes(payload);
+                    let wc = self.wc(
+                        wr.wr_id,
+                        WcStatus::WrFlushError,
+                        wr.opcode.completes_as(),
+                        0,
+                    );
+                    self.send_cq.push(wc);
+                }
+                return result;
+            }
+            let mut register = |(wr, payload)| {
+                let op_id = inner.next_op_id;
+                inner.next_op_id += 1;
+                let msg = Self::relay_msg(op_id, &wr, me, dst, payload);
+                let pending = Pending {
+                    wr,
+                    deadline: due,
+                    posted_at,
+                };
+                inner.pending.insert(op_id, pending);
+                msg
+            };
+            staged.into_iter().map(&mut register).collect::<Vec<_>>()
+        };
         if !msgs.is_empty() {
             // Registered: now the pump's idle deadline must cover them.
             self.lib.note_op_due(due);
@@ -1315,13 +1434,16 @@ impl FfQp {
         }
     }
 
-    /// Handle one inbound relay message addressed to this QP: a request
-    /// goes to the verbs QP's responder and its answer back to the
-    /// requester; an answer settles one of this QP's remote ops.
+    /// Handle one inbound relay message addressed to this QP. Only the
+    /// connected peer is heard, as on an RC QP: anything else is counted
+    /// and refused, a request with `REMOTE_ACCESS` and an answer by
+    /// dropping it. A request passes the sequence check to the verbs QP's
+    /// responder, and its answer goes back to the requester; an answer
+    /// settles one of this QP's remote ops.
     pub(crate) fn handle_inbound(&self, msg: RelayMsg) {
+        let src = msg.src();
         match msg {
             RelayMsg::Send {
-                src,
                 wr_id,
                 imm,
                 payload,
@@ -1330,7 +1452,6 @@ impl FfQp {
                 self.verbs_qp.answer_send(from, data, imm)
             }),
             RelayMsg::Write {
-                src,
                 wr_id,
                 addr,
                 rkey,
@@ -1341,7 +1462,6 @@ impl FfQp {
                 self.verbs_qp.answer_write(from, addr, rkey, data, imm)
             }),
             RelayMsg::ReadReq {
-                src,
                 req_id,
                 addr,
                 rkey,
@@ -1353,22 +1473,112 @@ impl FfQp {
                 status,
                 payload,
                 ..
-            } => match (status, self.payload_bytes(payload)) {
-                (st::OK, Some(data)) => self.answered(req_id, Some(&data), data.len() as u64),
-                (st::OK, None) => self.refused(req_id, st::REMOTE_ACCESS),
-                (status, _) => self.refused(req_id, status),
+            } => match (self.hears(src), status, self.payload_bytes(payload)) {
+                (false, ..) => {}
+                (true, st::OK, Some(data)) => self.answered(req_id, Some(&data), data.len() as u64),
+                (true, st::OK, None) => self.refused(req_id, st::REMOTE_ACCESS),
+                (true, status, _) => self.refused(req_id, status),
             },
             RelayMsg::Ack {
                 wr_id, byte_len, ..
-            } => self.answered(wr_id, None, byte_len),
-            RelayMsg::Nack { wr_id, status, .. } => self.refused(wr_id, status),
+            } => {
+                if self.hears(src) {
+                    self.answered(wr_id, None, byte_len);
+                }
+            }
+            RelayMsg::Nack { wr_id, status, .. } => {
+                if self.hears(src) {
+                    self.refused(wr_id, status);
+                }
+            }
         }
+    }
+
+    /// The connected peer's endpoint, once there is one.
+    fn peer(inner: &QpInner) -> Option<WireEp> {
+        match inner.binding.path() {
+            FfPath::Local { peer } | FfPath::Remote { peer, .. } => Some(peer.wire()),
+            FfPath::Unbound => None,
+        }
+    }
+
+    /// A counter of this QP's that a settled QP never moves, registered on
+    /// first use so that creating a QP pays nothing for it.
+    fn rare_counter(&self, name: &'static str, help: &'static str) -> Arc<Counter> {
+        let labels = LabelSet::host(self.lib.host().raw()).with_container(self.lib.id.raw());
+        self.lib.telemetry.registry().counter(name, help, labels)
+    }
+
+    fn count_refusal(&self) {
+        let help = "relayed messages refused for not coming from the connected peer";
+        self.rare_counter("ff_qp_refused_total", help).inc();
+    }
+
+    /// Whether `src` is the connected peer; a refusal is counted if not.
+    fn hears(&self, src: WireEp) -> bool {
+        let heard = Self::peer(&self.inner.lock()) == Some(src);
+        if !heard {
+            self.count_refusal();
+        }
+        heard
+    }
+
+    /// Where relayed request `op_id` from `src` stands, accepting it if it
+    /// is the next; `None` (counted) when `src` is not the connected peer.
+    fn sequence(&self, src: WireEp, op_id: u64) -> Option<Seq> {
+        let mut inner = self.inner.lock();
+        if Self::peer(&inner) != Some(src) {
+            drop(inner);
+            self.count_refusal();
+            return None;
+        }
+        let next = inner.accepted + 1;
+        Some(if op_id == next {
+            inner.accepted = next;
+            inner.gap_refused = false;
+            Seq::Next
+        } else if op_id < next {
+            Seq::Duplicate
+        } else {
+            Seq::Gap {
+                refuse: !std::mem::replace(&mut inner.gap_refused, true),
+            }
+        })
+    }
+
+    /// Whether the verbs QP still answers: a responder in `Error` drops a
+    /// duplicate, as a NIC drops what reaches a QP in error, and its
+    /// requester's op deadline decides.
+    fn receiving(&self) -> bool {
+        matches!(self.state(), QpState::Rtr | QpState::Rts)
+    }
+
+    /// Refuse relayed op `op_id` of `requester` unexecuted with `status`.
+    fn refuse(&self, requester: WireEp, op_id: u64, read: bool, status: u8) {
+        let (me, empty) = (self.endpoint().wire(), RelayPayload::Inline(Bytes::new()));
+        self.reply(match read {
+            true => RelayMsg::ReadResp {
+                src: me,
+                dst: requester,
+                req_id: op_id,
+                status,
+                payload: empty,
+            },
+            false => RelayMsg::Nack {
+                src: me,
+                dst: requester,
+                wr_id: op_id,
+                status,
+            },
+        });
     }
 
     /// Hand a relayed SEND or WRITE to the verbs QP's responder through
     /// `answer`, and send back what it answers at once; one that parks is
     /// answered through the relay sink later. An op whose payload cannot
     /// be read fails with REMOTE_ACCESS; nothing is delivered in its place.
+    /// A duplicate is answered again unexecuted, or dropped while it is
+    /// parked: its answer comes through the sink.
     fn respond(
         &self,
         src: WireEp,
@@ -1381,12 +1591,24 @@ impl FfQp {
             wr_id: op_id,
             relayed: true,
         };
-        let (answer, len) = match self.payload_bytes(payload) {
-            Some(data) => (answer(from, &data), data.len() as u64),
-            None => (Answer::Now(WcStatus::RemoteAccessError), 0),
-        };
-        let Answer::Now(status) = answer else {
-            return;
+        // Read whatever comes of the op: an arena block is freed here.
+        let data = self.payload_bytes(payload);
+        let len = data.as_ref().map_or(0, |d| d.len() as u64);
+        let status = match (self.sequence(src, op_id), data) {
+            (None, _) => return self.refuse(src, op_id, false, st::REMOTE_ACCESS),
+            (Some(Seq::Gap { refuse }), _) => {
+                if refuse {
+                    self.refuse(src, op_id, false, st::OUT_OF_ORDER);
+                }
+                return;
+            }
+            (Some(Seq::Duplicate), _) if self.verbs_qp.parks(from) || !self.receiving() => return,
+            (Some(Seq::Duplicate), _) => WcStatus::Success,
+            (Some(Seq::Next), Some(data)) => match answer(from, &data) {
+                Answer::Now(status) => status,
+                Answer::Parked => return,
+            },
+            (Some(Seq::Next), None) => WcStatus::RemoteAccessError,
         };
         self.reply(answer_msg(self.endpoint().wire(), src, op_id, status, len));
         if !status.is_ok() {
@@ -1395,9 +1617,21 @@ impl FfQp {
         }
     }
 
-    /// Answer a relayed READ. The MR bounds its length; a response longer
-    /// than [`Self::MAX_INLINE_RELAY`] rides the arena.
+    /// Answer a relayed READ, a duplicate too: it executes again, as on
+    /// RC. The MR bounds its length; a response longer than
+    /// [`Self::MAX_INLINE_RELAY`] rides the arena.
     fn respond_read(&self, src: WireEp, req_id: u64, addr: u64, rkey: u32, len: u64) {
+        match self.sequence(src, req_id) {
+            None => return self.refuse(src, req_id, true, st::REMOTE_ACCESS),
+            Some(Seq::Gap { refuse }) => {
+                if refuse {
+                    self.refuse(src, req_id, true, st::OUT_OF_ORDER);
+                }
+                return;
+            }
+            Some(Seq::Duplicate) if !self.receiving() => return,
+            Some(Seq::Next | Seq::Duplicate) => {}
+        }
         let mut data = Vec::new();
         let read = (self.verbs_qp).answer_read(verbs_ep(src), addr, rkey, len, &mut data);
         let staged = read
@@ -1419,47 +1653,63 @@ impl FfQp {
     }
 
     /// The peer answered remote op `op_id`: `byte_len` bytes delivered,
-    /// or a READ's `data`, which lands in its SGEs.
+    /// or a READ's `data`, which lands in its SGEs. An answer to an op no
+    /// longer pending — a duplicate's — is dropped.
     fn answered(&self, op_id: u64, data: Option<&[u8]>, byte_len: u64) {
         // A READ's bytes land before the op leaves `pending`, so whoever
         // sees it answered (`unanswered`) finds them in place.
         let placed = match data {
             None => true,
             Some(data) => {
-                let sge = self.inner.lock().pending.get(&op_id).map(|p| p.sge.clone());
+                let sge = (self.inner.lock().pending.get(&op_id)).map(|p| p.wr.sge.clone());
                 let Some(sge) = sge else { return };
                 self.lib.device.scatter(&sge, data).is_ok()
             }
         };
-        let pending = self.inner.lock().pending.remove(&op_id);
+        let pending = {
+            let mut inner = self.inner.lock();
+            let pending = inner.pending.remove(&op_id);
+            if inner.pending.is_empty() {
+                inner.resend_at = None;
+            }
+            pending
+        };
         let Some(p) = pending else { return };
         self.tm_remote_latency
             .record(p.posted_at.elapsed().as_nanos() as u64);
+        let (wr_id, opcode) = (p.wr.wr_id, p.wr.opcode.completes_as());
         if !placed {
-            let wc = self.wc(p.wr_id, WcStatus::LocalProtectionError, p.opcode, 0);
+            let wc = self.wc(wr_id, WcStatus::LocalProtectionError, opcode, 0);
             self.fail_with(vec![wc], op_id);
-        } else if p.signaled {
-            let wc = self.wc(p.wr_id, WcStatus::Success, p.opcode, byte_len);
-            self.send_cq.push(wc);
+        } else if p.wr.signaled {
+            self.send_cq
+                .push(self.wc(wr_id, WcStatus::Success, opcode, byte_len));
         }
     }
 
-    /// Remote op `op_id` failed with wire status `status`.
+    /// The peer, or an agent on the way, refused remote op `op_id` with
+    /// wire status `status`. A stale route or a gap is not an answer: the
+    /// op stays pending and goes again. A `TIMEOUT` means no path
+    /// survives, or the peer failed with the op parked there: every
+    /// unanswered op completes `RETRY_EXC_ERR` with the QP in `Error`. Any
+    /// other status is the op's own error completion.
     fn refused(&self, op_id: u64, status: u8) {
-        if matches!(status, st::TIMEOUT | st::STALE_ROUTE) {
-            // The path is dead (downed wire, no reply) or the peer failed
-            // while the op was parked there. Flush everything outstanding
-            // (this op included) with RETRY_EXC_ERR and re-path instead of
-            // erroring out.
-            if self.inner.lock().pending.contains_key(&op_id) {
-                self.on_transport_failure(status == st::STALE_ROUTE);
-            }
+        if !self.inner.lock().pending.contains_key(&op_id) {
             return;
         }
-        let pending = self.inner.lock().pending.remove(&op_id);
-        let Some(p) = pending else { return };
-        let wc = self.wc(p.wr_id, wc_status(status), p.opcode, 0);
-        self.fail_with(vec![wc], op_id);
+        match status {
+            st::STALE_ROUTE => self.on_stale_route(),
+            st::OUT_OF_ORDER => self.resend(),
+            st::TIMEOUT => self.fail_with(Vec::new(), u64::MAX),
+            _ => {
+                let Some(p) = self.inner.lock().pending.remove(&op_id) else {
+                    return;
+                };
+                let opcode = p.wr.opcode.completes_as();
+                let wc = self.wc(p.wr.wr_id, wc_status(status), opcode, 0);
+                self.fail_with(vec![wc], op_id);
+            }
+        }
     }
 
     fn reply(&self, msg: RelayMsg) {

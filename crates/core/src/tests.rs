@@ -3,9 +3,11 @@
 
 use crate::cluster::FreeFlowCluster;
 use crate::migrate::{reconnect, ContainerImage};
-use crate::qp::FfPath;
+use crate::qp::{FfPath, RESEND_INTERVAL};
 use crate::Container;
+use freeflow_agent::proto::{RelayMsg, RelayPayload, WireEp};
 use freeflow_orchestrator::PolicyConfig;
+use freeflow_telemetry::Event;
 use freeflow_types::{HostCaps, TenantId, TransportKind};
 use freeflow_verbs::wr::{AccessFlags, RecvWr, SendWr};
 use freeflow_verbs::{QpState, VerbsError, WcStatus};
@@ -295,17 +297,16 @@ fn arena_descriptor_outside_the_arena_delivers_nothing() {
     // descriptor lies outside the host arena. The receiving library must
     // refuse it (the sender gets REMOTE_ACCESS), not complete a receive
     // with zeros; the same sender's next, well-formed SEND — behind it on
-    // the same ring — is the first thing the receive sees.
+    // the same ring — is the first thing the receive sees. The QP hears
+    // only its connected peer, and the agent still believes a frame's
+    // `src`, so the hostile container names the peer's endpoint.
     let cluster = FreeFlowCluster::with_defaults();
     let p = connected_pair(&cluster, false);
     let hostile = cluster.launch(tenant(), p.b.host()).unwrap();
     p.qp_b
         .post_recv(RecvWr::new(1, p.mr_b.sge(0, 1 << 16)))
         .unwrap();
-    let (src, dst) = (
-        freeflow_agent::proto::WireEp::new(hostile.ip(), 99),
-        p.qp_b.endpoint().wire(),
-    );
+    let (src, dst) = (p.qp_a.endpoint().wire(), p.qp_b.endpoint().wire());
     let send = |wr_id, payload| freeflow_agent::proto::RelayMsg::Send {
         src,
         dst,
@@ -1515,5 +1516,530 @@ fn wait_for(timeout: Duration, cond: impl Fn() -> bool) {
     while !cond() {
         assert!(std::time::Instant::now() < deadline, "timed out");
         std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+// --- exactly once across a failover ------------------------------------------
+
+/// Refusals `host`'s agent sent back to its containers so far.
+fn nacked(cluster: &FreeFlowCluster, host: freeflow_types::HostId) -> u64 {
+    let agent = cluster.agent_of(host).unwrap();
+    let n = agent.stats().nacked.load(Ordering::Relaxed);
+    n
+}
+
+/// A WRITE of `data` at `off` in B's region.
+fn write_to_b(p: &Pair, wr_id: u64, off: u64, data: &[u8]) -> SendWr {
+    p.mr_a.write(off, data).unwrap();
+    SendWr::write(
+        wr_id,
+        p.mr_a.sge(off, data.len() as u32),
+        p.mr_b.addr() + off,
+        p.mr_b.rkey(),
+    )
+}
+
+/// A relayed WRITE from `src` into B's region, as a raw relay message.
+fn raw_write(p: &Pair, src: WireEp, op_id: u64, off: u64, data: &'static [u8]) -> RelayMsg {
+    RelayMsg::Write {
+        src,
+        dst: p.qp_b.endpoint().wire(),
+        wr_id: op_id,
+        addr: p.mr_b.addr() + off,
+        rkey: p.mr_b.rkey(),
+        imm: None,
+        payload: RelayPayload::Inline(bytes::Bytes::from_static(data)),
+    }
+}
+
+fn read_b(p: &Pair, off: u64, len: usize) -> Vec<u8> {
+    let mut got = vec![0u8; len];
+    p.mr_b.read(off, &mut got).unwrap();
+    got
+}
+
+/// Wait for `n` completions on `cq`; each `(wr_id, status)` in order.
+fn completions(cq: &freeflow_verbs::CompletionQueue, n: usize) -> Vec<(u64, WcStatus)> {
+    (0..n)
+        .map(|_| {
+            let wc = cq.wait_one(T).expect("a completion, not a hang");
+            (wc.wr_id, wc.status)
+        })
+        .collect()
+}
+
+#[test]
+fn a_settled_path_resends_nothing() {
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    for i in 0..100u64 {
+        p.qp_a
+            .post_send(write_to_b(&p, i, i * 64, &[i as u8; 64]))
+            .unwrap();
+        assert_eq!(completions(&p.cq_a, 1), [(i, WcStatus::Success)]);
+    }
+    for i in 0..100u64 {
+        assert_eq!(read_b(&p, i * 64, 64), [i as u8; 64]);
+    }
+    assert_eq!(p.qp_b.accepted(), 100, "each op accepted once, in order");
+    assert_eq!((p.qp_a.resent_count(), p.qp_b.resent_count()), (0, 0));
+    let snap = cluster.telemetry();
+    assert_eq!(snap.counter_total("ff_qp_resent_total"), 0);
+    assert_eq!(snap.counter_total("ff_qp_refused_total"), 0);
+    let resends = (snap.events.iter()).filter(|te| matches!(te.event, Event::QpResend { .. }));
+    assert_eq!(resends.count(), 0);
+}
+
+#[test]
+fn failover_resends_the_unanswered_suffix_once_in_order() {
+    // Three SENDs park at B for receives: accepted, unanswered. Then the
+    // NIC dies and two WRITEs are refused on the stale route. The
+    // failover re-sends all five, oldest first: B drops the SENDs'
+    // duplicates (they stay parked once) and executes the WRITEs in order.
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    for i in 1..=3u64 {
+        p.mr_a.write(i * 64, &[i as u8; 8]).unwrap();
+        let send = SendWr::send(i, p.mr_a.sge(i * 64, 8));
+        p.qp_a.post_send(send).unwrap();
+    }
+    wait_until("three sends parked at B", || p.qp_b.parked_inbound() == 3);
+    cluster.fail_nic(p.a.host()).unwrap();
+    let writes = vec![
+        write_to_b(&p, 4, 1024, b"fourth"),
+        write_to_b(&p, 5, 2048, b"fifth!"),
+    ];
+    p.qp_a.post_send_batch(writes).unwrap();
+    wait_until("the failover", || p.qp_a.failover_count() == 1);
+    assert!(
+        p.cq_a.poll_one().is_none(),
+        "nothing answers on a stale route"
+    );
+    cluster.refresh_routes();
+    assert_eq!(
+        completions(&p.cq_a, 2),
+        [(4, WcStatus::Success), (5, WcStatus::Success)]
+    );
+    assert_eq!(read_b(&p, 1024, 6), b"fourth");
+    assert_eq!(read_b(&p, 2048, 6), b"fifth!");
+    assert!(p.qp_a.resent_count() >= 5, "all five went again");
+    assert_eq!((p.qp_b.parked_inbound(), p.qp_b.accepted()), (3, 5));
+    // The parked SENDs' answers come through the relay sink, once each.
+    for i in 1..=3u64 {
+        let recv = RecvWr::new(10 + i, p.mr_b.sge(4096 + i * 64, 64));
+        p.qp_b.post_recv(recv).unwrap();
+        let rwc = p.cq_b.wait_one(T).expect("recv completion");
+        assert_eq!(
+            (rwc.wr_id, rwc.status, rwc.byte_len),
+            (10 + i, WcStatus::Success, 8)
+        );
+        assert_eq!(read_b(&p, 4096 + i * 64, 8), [i as u8; 8]);
+    }
+    assert_eq!(
+        completions(&p.cq_a, 3),
+        [1, 2, 3].map(|i| (i, WcStatus::Success))
+    );
+    std::thread::sleep(RESEND_INTERVAL + Duration::from_millis(50));
+    assert!(p.cq_a.poll_one().is_none(), "no surplus send completions");
+    assert!(p.cq_b.poll_one().is_none(), "no surplus recv completions");
+    assert_eq!(p.qp_a.unanswered(), 0);
+}
+
+#[test]
+fn a_second_failure_arms_recovery_again() {
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    let h0 = p.a.host();
+    let rdma = |qp: &crate::FfQp| matches!(qp.path(), FfPath::Remote { transport, .. } if transport == TransportKind::Rdma);
+    for round in 1..=2u64 {
+        cluster.fail_nic(h0).unwrap();
+        let data = [round as u8; 16];
+        p.qp_a
+            .post_send(write_to_b(&p, round, round * 64, &data))
+            .unwrap();
+        wait_until("the failover", || p.qp_a.failover_count() == round);
+        cluster.refresh_routes();
+        assert_eq!(completions(&p.cq_a, 1), [(round, WcStatus::Success)]);
+        assert_eq!(read_b(&p, round * 64, 16), data);
+        // The NIC comes back: a planned upgrade returns the QP to RDMA.
+        cluster.restore_nic(h0).unwrap();
+        cluster.refresh_routes();
+        wait_for(T, || rdma(&p.qp_a));
+    }
+    assert_eq!(p.qp_a.failover_count(), 2);
+    assert!(p.qp_a.resent_count() >= 2, "each failure re-sent its op");
+    assert_eq!(p.qp_b.accepted(), 2);
+    roundtrip_send(&p, b"settled again");
+}
+
+#[test]
+fn duplicates_are_answered_again_and_gaps_refused() {
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    let a_ep = p.qp_a.endpoint().wire();
+    p.qp_a.post_send(write_to_b(&p, 1, 0, b"first!")).unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(1, WcStatus::Success)]);
+    // A duplicate of op 1 is answered again, not executed; an op past a
+    // gap is refused, and so is the next one, silently.
+    p.a.lib().send_raw(&[
+        raw_write(&p, a_ep, 1, 0, b"again!"),
+        raw_write(&p, a_ep, 5, 64, b"gap..."),
+        raw_write(&p, a_ep, 6, 64, b"gap..."),
+    ]);
+    // The real op 2 rides behind them on the same rings: it executes.
+    p.qp_a.post_send(write_to_b(&p, 2, 128, b"second")).unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(2, WcStatus::Success)]);
+    assert_eq!(read_b(&p, 0, 6), b"first!", "a duplicate executed");
+    assert_eq!(read_b(&p, 64, 6), [0u8; 6], "an op past a gap executed");
+    assert_eq!(read_b(&p, 128, 6), b"second");
+    assert_eq!(p.qp_b.accepted(), 2);
+    // A duplicate of an op parked for a receive is dropped: the receive
+    // is taken once, and the send completes once.
+    p.mr_a.write(256, b"parked").unwrap();
+    p.qp_a
+        .post_send(SendWr::send(3, p.mr_a.sge(256, 6)))
+        .unwrap();
+    wait_until("the send parked", || p.qp_b.parked_inbound() == 1);
+    p.a.lib().send_raw(&[RelayMsg::Send {
+        src: a_ep,
+        dst: p.qp_b.endpoint().wire(),
+        wr_id: 3,
+        imm: None,
+        payload: RelayPayload::Inline(bytes::Bytes::from_static(b"twice!")),
+    }]);
+    p.qp_a.post_send(write_to_b(&p, 4, 512, b"fourth")).unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(4, WcStatus::Success)]);
+    assert_eq!(p.qp_b.parked_inbound(), 1, "the duplicate parked again");
+    for id in [20, 21] {
+        p.qp_b
+            .post_recv(RecvWr::new(id, p.mr_b.sge(1024 + (id - 20) * 64, 64)))
+            .unwrap();
+    }
+    let rwc = p.cq_b.wait_one(T).expect("recv completion");
+    assert_eq!((rwc.wr_id, rwc.byte_len), (20, 6));
+    assert_eq!(read_b(&p, 1024, 6), b"parked");
+    assert_eq!(completions(&p.cq_a, 1), [(3, WcStatus::Success)]);
+    assert_eq!(
+        p.qp_b.capture_record().posted_recvs,
+        1,
+        "the duplicate took a receive"
+    );
+    assert_eq!(p.qp_b.accepted(), 4);
+}
+
+/// A pair whose RDMA wire is down while the orchestrator still picks
+/// RDMA (a flapping link): every send is refused as a stale route, and
+/// the QP stays bound. Returns the wire to bring back up.
+fn flapped_pair(cluster: &FreeFlowCluster) -> (Pair, usize) {
+    let p = connected_pair(cluster, false);
+    p.qp_a.set_relay_timeout(Duration::from_secs(5));
+    let agent = cluster.agent_of(p.a.host()).unwrap();
+    let rdma = agent.wire_of_kind(p.b.host(), TransportKind::Rdma).unwrap();
+    agent.set_wire_up(rdma, false).unwrap();
+    (p, rdma)
+}
+
+#[test]
+fn the_stale_route_resend_waits_out_its_interval() {
+    let cluster = FreeFlowCluster::with_defaults();
+    let (p, rdma) = flapped_pair(&cluster);
+    let h0 = p.a.host();
+    let n0 = nacked(&cluster, h0);
+    p.qp_a.post_send(write_to_b(&p, 1, 0, b"waited")).unwrap();
+    wait_until("the post refused", || nacked(&cluster, h0) > n0);
+    let refused = std::time::Instant::now();
+    // The route is stale on the transport the orchestrator still picks:
+    // the op waits out the interval instead of spinning against it.
+    std::thread::sleep(RESEND_INTERVAL / 2);
+    assert_eq!(nacked(&cluster, h0), n0 + 1, "re-sent inside the interval");
+    wait_until("the next round", || nacked(&cluster, h0) > n0 + 1);
+    assert!(
+        refused.elapsed() >= RESEND_INTERVAL - Duration::from_millis(50),
+        "re-sent after {:?}",
+        refused.elapsed()
+    );
+    assert_eq!(p.qp_a.failover_count(), 0, "a stale route is no failover");
+    assert_eq!(p.qp_a.state(), QpState::Rts);
+    (cluster.agent_of(h0).unwrap())
+        .set_wire_up(rdma, true)
+        .unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(1, WcStatus::Success)]);
+    assert_eq!(read_b(&p, 0, 6), b"waited");
+}
+
+#[test]
+fn the_resend_interval_counts_time_not_calls() {
+    let cluster = FreeFlowCluster::with_defaults();
+    let (p, rdma) = flapped_pair(&cluster);
+    let h0 = p.a.host();
+    let n0 = nacked(&cluster, h0);
+    p.qp_a.post_send(write_to_b(&p, 1, 0, b"timely")).unwrap();
+    wait_until("the post refused", || nacked(&cluster, h0) > n0);
+    let (t0, r0) = (std::time::Instant::now(), p.qp_a.resent_count());
+    // Blocked waiters sweep in a tight loop; only time re-sends.
+    for _ in 0..1_000 {
+        p.qp_a.sweep_timeouts();
+    }
+    if t0.elapsed() < RESEND_INTERVAL / 2 {
+        assert_eq!(p.qp_a.resent_count(), r0, "re-sent by calls, not time");
+    }
+    std::thread::sleep(RESEND_INTERVAL + Duration::from_millis(20));
+    let rounds = p.qp_a.resent_count() - r0;
+    assert!((1..=2).contains(&rounds), "{rounds} rounds in one interval");
+    (cluster.agent_of(h0).unwrap())
+        .set_wire_up(rdma, true)
+        .unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(1, WcStatus::Success)]);
+}
+
+#[test]
+fn an_answer_lost_on_a_stale_route_is_asked_for_again() {
+    // A's SEND parks at B. The NIC dies, and B's answer to it dies on
+    // B's route, still at the dead wire. A posts nothing: the health
+    // change makes it re-send what is unanswered, which fails it over;
+    // once the routes converge, B answers the duplicate again.
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    p.mr_a.write(0, b"asked twice").unwrap();
+    p.qp_a
+        .post_send(SendWr::send(1, p.mr_a.sge(0, 11)))
+        .unwrap();
+    wait_until("the send parked", || p.qp_b.parked_inbound() == 1);
+    let h1 = p.b.host();
+    let n0 = nacked(&cluster, h1);
+    cluster.fail_nic(p.a.host()).unwrap();
+    p.qp_b.post_recv(RecvWr::new(9, p.mr_b.sge(0, 64))).unwrap();
+    let rwc = p.cq_b.wait_one(T).expect("recv completion");
+    assert_eq!(
+        (rwc.wr_id, rwc.status, rwc.byte_len),
+        (9, WcStatus::Success, 11)
+    );
+    wait_until("the failover", || p.qp_a.failover_count() == 1);
+    assert!(p.cq_a.poll_one().is_none(), "the answer arrived");
+    assert_eq!(nacked(&cluster, h1), n0, "an answer is never refused back");
+    cluster.refresh_routes();
+    assert_eq!(completions(&p.cq_a, 1), [(1, WcStatus::Success)]);
+    assert_eq!(read_b(&p, 0, 11), b"asked twice");
+    assert_eq!(p.qp_b.parked_inbound(), 0, "the duplicate parked");
+    assert!(p.cq_b.poll_one().is_none(), "a second receive completed");
+}
+
+#[test]
+fn a_forged_src_neither_executes_nor_moves_the_mark() {
+    // A third container C writes well-formed frames at B's QP, naming
+    // itself, or A's IP with another QPN, as their `src`, with the next op
+    // id. B hears only its connected peer: nothing executes, the mark
+    // stays, and A's next op executes. A forged answer to A's op does not
+    // complete it either.
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    let c = cluster.launch(tenant(), p.b.host()).unwrap();
+    let a_ep = p.qp_a.endpoint().wire();
+    p.qp_a.post_send(write_to_b(&p, 1, 0, b"first!")).unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(1, WcStatus::Success)]);
+    let forged = [WireEp::new(c.ip(), 77), WireEp::new(p.a.ip(), a_ep.qpn + 1)];
+    let labels = |x: &Container| {
+        freeflow_telemetry::LabelSet::host(x.host().raw()).with_container(x.id().raw())
+    };
+    let refused = |x: &Container| {
+        (cluster.telemetry())
+            .counter_value("ff_qp_refused_total", labels(x))
+            .unwrap_or(0)
+    };
+    for src in forged {
+        c.lib().send_raw(&[raw_write(&p, src, 2, 64, b"forged")]);
+    }
+    wait_until("both refused", || refused(&p.b) == 2);
+    assert_eq!(read_b(&p, 64, 6), [0u8; 6], "a forged write executed");
+    assert_eq!(p.qp_b.accepted(), 1, "a forged op moved the mark");
+    p.qp_a.post_send(write_to_b(&p, 2, 64, b"second")).unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(2, WcStatus::Success)]);
+    assert_eq!(read_b(&p, 64, 6), b"second");
+    // A parked SEND is op 3; C's answer to it is refused at A.
+    p.mr_a.write(128, b"third!").unwrap();
+    p.qp_a
+        .post_send(SendWr::send(3, p.mr_a.sge(128, 6)))
+        .unwrap();
+    wait_until("the send parked", || p.qp_b.parked_inbound() == 1);
+    c.lib().send_raw(&[RelayMsg::Ack {
+        src: forged[0],
+        dst: a_ep,
+        wr_id: 3,
+        byte_len: 6,
+    }]);
+    wait_until("the forged answer refused", || refused(&p.a) == 1);
+    assert!(
+        p.cq_a.poll_one().is_none(),
+        "a forged answer completed an op"
+    );
+    p.qp_b
+        .post_recv(RecvWr::new(5, p.mr_b.sge(256, 64)))
+        .unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(3, WcStatus::Success)]);
+    assert_eq!(p.qp_b.accepted(), 3);
+}
+
+mod properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One generated WR: a WRITE, or a SEND into a receive B posted first,
+    /// of `len` bytes.
+    type Op = (usize, bool);
+
+    fn chains() -> impl Strategy<Value = Vec<Vec<Op>>> {
+        let op = (1usize..3000, any::<bool>());
+        prop::collection::vec(prop::collection::vec(op, 1..5), 1..8)
+    }
+
+    /// A relay pair with 1 MiB regions, B's receives posted for every
+    /// SEND of `chains`: WR i gathers from A's offset `8192 * i` and lands
+    /// at B's, a WRITE directly, a SEND through its receive.
+    fn setup(cluster: &FreeFlowCluster, chains: &[Vec<Op>]) -> Pair {
+        let h0 = cluster.add_host(HostCaps::paper_testbed());
+        let h1 = cluster.add_host(HostCaps::paper_testbed());
+        let (a, b) = (
+            cluster.launch(tenant(), h0).unwrap(),
+            cluster.launch(tenant(), h1).unwrap(),
+        );
+        let (mr_a, mr_b) = (
+            a.register(1 << 20, AccessFlags::all()).unwrap(),
+            b.register(1 << 20, AccessFlags::all()).unwrap(),
+        );
+        let (cq_a, cq_b) = (a.create_cq(256), b.create_cq(256));
+        let qp_a = a.create_qp(&cq_a, &cq_a, 64, 64).unwrap();
+        let qp_b = b.create_qp(&cq_b, &cq_b, 64, 64).unwrap();
+        qp_a.connect(qp_b.endpoint()).unwrap();
+        qp_b.connect(qp_a.endpoint()).unwrap();
+        qp_a.set_relay_timeout(Duration::from_secs(10));
+        let ops = chains.iter().flatten().enumerate();
+        for (i, _) in ops.filter(|(_, &(_, send))| send) {
+            let at = 8192 * i as u64;
+            qp_b.post_recv(RecvWr::new(i as u64, mr_b.sge(at, 8192)))
+                .unwrap();
+        }
+        Pair {
+            a,
+            b,
+            mr_a,
+            mr_b,
+            cq_a,
+            cq_b,
+            qp_a,
+            qp_b,
+        }
+    }
+
+    fn pattern(i: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|j| (i * 31 + j * 7) as u8).collect()
+    }
+
+    /// Post chain `c`, whose first WR is the `first`-th overall.
+    fn post(p: &Pair, chain: &[Op], first: usize) {
+        let wrs = chain.iter().enumerate().map(|(k, &(len, send))| {
+            let i = first + k;
+            let at = 8192 * i as u64;
+            p.mr_a.write(at, &pattern(i, len)).unwrap();
+            let sge = p.mr_a.sge(at, len as u32);
+            match send {
+                true => SendWr::send(i as u64, sge),
+                false => SendWr::write(i as u64, sge, p.mr_b.addr() + at, p.mr_b.rkey()),
+            }
+        });
+        p.qp_a.post_send_batch(wrs.collect()).unwrap();
+    }
+
+    /// Every WR completed `Success` exactly once, every SEND took exactly
+    /// its receive, and B's region holds exactly each WR's bytes.
+    fn check(p: &Pair, chains: &[Vec<Op>]) -> Result<(), TestCaseError> {
+        let n = chains.iter().map(Vec::len).sum::<usize>();
+        let mut done = completions(&p.cq_a, n);
+        done.sort_unstable_by_key(|&(id, _)| id);
+        let want: Vec<_> = (0..n as u64).map(|i| (i, WcStatus::Success)).collect();
+        prop_assert_eq!(done, want);
+        let sends: Vec<_> = (chains.iter().flatten().enumerate())
+            .filter(|(_, op)| op.1)
+            .map(|(i, _)| (i as u64, WcStatus::Success))
+            .collect();
+        prop_assert_eq!(completions(&p.cq_b, sends.len()), sends);
+        prop_assert_eq!(p.qp_b.parked_inbound(), 0, "a SEND parked twice");
+        for (i, &(len, _)) in chains.iter().flatten().enumerate() {
+            prop_assert_eq!(read_b(p, 8192 * i as u64, len), pattern(i, len), "WR {}", i);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Arbitrary chains of WRITEs and SENDs on a settled relay path
+        /// land byte-identical, each completing once, with nothing re-sent.
+        #[test]
+        fn settled_chains_land_byte_identical_with_nothing_resent(chains in chains()) {
+            let cluster = FreeFlowCluster::with_defaults();
+            let p = setup(&cluster, &chains);
+            let mut first = 0;
+            for chain in &chains {
+                post(&p, chain, first);
+                first += chain.len();
+            }
+            check(&p, &chains)?;
+            prop_assert_eq!(p.qp_b.accepted(), first as u64);
+            prop_assert_eq!(cluster.telemetry().counter_total("ff_qp_resent_total"), 0);
+        }
+
+        /// A NIC failure cut anywhere in the op stream, with ops in
+        /// flight and routes converging at once or only after the QP
+        /// failed over, then duplicates of answered ops injected at B:
+        /// every WR completes once and B's region ends byte-identical.
+        #[test]
+        fn a_failure_cut_with_duplicates_ends_byte_identical(
+            chains in chains(),
+            cut in any::<usize>(),
+            late in any::<bool>(),
+            dups in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let cluster = FreeFlowCluster::with_defaults();
+            let p = setup(&cluster, &chains);
+            let cut = cut % (chains.len() + 1);
+            let mut first = 0;
+            for (c, chain) in chains.iter().enumerate() {
+                if c == cut {
+                    cluster.fail_nic(p.a.host()).unwrap();
+                    if !late {
+                        cluster.refresh_routes();
+                    }
+                }
+                post(&p, chain, first);
+                first += chain.len();
+            }
+            if cut == chains.len() {
+                cluster.fail_nic(p.a.host()).unwrap();
+            }
+            if late || cut == chains.len() {
+                // Late: converge once the QP failed over — or had nothing
+                // left to fail over for.
+                wait_for(T, || p.qp_a.failover_count() > 0 || p.qp_a.unanswered() == 0);
+                cluster.refresh_routes();
+            }
+            check(&p, &chains)?;
+            // Duplicates of answered ops, carrying other bytes: answered
+            // again, never executed. A marker WRITE behind them on the
+            // same rings shows they were handled.
+            let a_ep = p.qp_a.endpoint().wire();
+            let forged: Vec<_> = (dups.iter())
+                .map(|d| raw_write(&p, a_ep, 1 + (*d % first) as u64, 0, b"duplicate"))
+                .collect();
+            p.a.lib().send_raw(&forged);
+            let marker = 8192 * first as u64;
+            p.mr_a.write(marker, b"marker").unwrap();
+            let wr = SendWr::write(99, p.mr_a.sge(marker, 6), p.mr_b.addr() + marker, p.mr_b.rkey());
+            p.qp_a.post_send(wr).unwrap();
+            prop_assert_eq!(completions(&p.cq_a, 1), [(99, WcStatus::Success)]);
+            for (i, &(len, _)) in chains.iter().flatten().enumerate() {
+                prop_assert_eq!(read_b(&p, 8192 * i as u64, len), pattern(i, len), "WR {}", i);
+            }
+            prop_assert_eq!(p.qp_b.accepted(), first as u64 + 1);
+        }
     }
 }

@@ -16,15 +16,24 @@
 //! (RNR), and `enter_error` on either side. It ends with both QPs in the
 //! error state, so nothing is left in flight.
 //!
+//! Every generated program also gets a seeded fault step: on the RDMA
+//! relay plane the sender's NIC dies while its operations are in flight
+//! (parked at the receiver, or posted into the outage), with routes
+//! converging at once or only after the sender's QP failed over, and the
+//! NIC comes back later. A failed-over QP re-sends what is unanswered and
+//! the responder executes each operation once, so the trace must still
+//! equal the shared-memory run's. On the other planes the step is a no-op.
+//!
 //! The shared-memory run is synchronous: its completion counts after each
 //! step are the reference the relayed runs wait for before the next step,
 //! so every run sees the same interleaving of posts and answers. A
 //! failure prints the seed, the program and the first difference.
 
+use freeflow::binding::BindingPhase;
 use freeflow::{Container, FfQp, FreeFlowCluster};
-use freeflow_types::{HostCaps, TenantId};
+use freeflow_types::{HostCaps, TenantId, TransportKind};
 use freeflow_verbs::wr::{AccessFlags, RecvWr, SendWr, Sge, WorkCompletion, WrOpcode};
-use freeflow_verbs::{CompletionQueue, MemoryRegion, VerbsResult};
+use freeflow_verbs::{CompletionQueue, MemoryRegion, QpState, VerbsResult};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -107,6 +116,13 @@ enum Step {
     Chain(Vec<Wr>),
     /// `enter_error` on A (`true`) or on B.
     Fail(bool),
+    /// The RDMA relay plane's sender NIC dies; routes converge at once,
+    /// or (`late`) only after A's QP failed over.
+    Fault { late: bool },
+    /// The NIC comes back, at the first step boundary from here on where
+    /// nothing of A's is parked at B, so the planned upgrade's drain
+    /// settles at once.
+    Restore,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -144,6 +160,20 @@ impl Rng {
             LENS[7 + self.below(3) as usize]
         }
     }
+}
+
+/// `prog` with a fault step and, after it, a restore step, at seeded
+/// positions. The positions come from their own stream, so the program
+/// around them is the one `generate` made.
+fn with_fault(mut prog: Program, seed: u64) -> Program {
+    let mut rng = Rng(seed ^ 0xFA17_FA17);
+    let n = prog.steps.len() as u64;
+    let at = rng.below(n + 1) as usize;
+    let late = rng.chance(50);
+    let back = at + 1 + rng.below(n - at as u64 + 1) as usize;
+    prog.steps.insert(at, Step::Fault { late });
+    prog.steps.insert(back, Step::Restore);
+    prog
 }
 
 fn generate(seed: u64) -> Program {
@@ -292,6 +322,7 @@ fn run(plane: Plane, prog: &Program, reference: Option<&[[usize; 4]]>) -> (Trace
         Plane::Shm => h0,
         _ => cluster.add_host(caps),
     };
+    let faults = plane == Plane::RelayRdma;
     let (a, b) = (side(&cluster, h0, false), side(&cluster, h1, true));
     let mut calls = Vec::new();
     let mut cqs: [Vec<Wc>; 4] = Default::default();
@@ -348,8 +379,34 @@ fn run(plane: Plane, prog: &Program, reference: Option<&[[usize; 4]]>) -> (Trace
     counts.push(settle(&mut cqs, 0));
 
     let mut wr_id = 0u64;
+    // Late convergence owed, and a restore owed.
+    let (mut stale, mut restore) = (false, false);
     let last = [Step::Fail(true), Step::Fail(false)];
     for (i, step) in prog.steps.iter().chain(&last).enumerate() {
+        // Routes converge before B answers anything, so no answer of B's
+        // dies on the dead wire with nothing of A's to ask again.
+        if stale && !matches!(step, Step::Chain(_)) {
+            cluster.refresh_routes();
+            stale = false;
+        }
+        // A planned upgrade drains, and a chain posted meanwhile parks
+        // with its local side unvetted: a bad lkey posts `Ok` where shm
+        // refuses it at once. So the NIC comes back where nothing of A's
+        // is parked at B, or before the end, and the upgrade completes
+        // before the next step.
+        if restore && (a.qp.unanswered() == 0 || matches!(step, Step::Fail(true))) {
+            cluster.restore_nic(h0).unwrap();
+            cluster.refresh_routes();
+            restore = false;
+            let deadline = Instant::now() + SETTLE;
+            while !(a.qp.state() == QpState::Error
+                || (a.qp.binding_phase() == BindingPhase::Bound
+                    && a.qp.path().transport() == Some(TransportKind::Rdma)))
+                && Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
         match step {
             Step::Recv(caps) => post_recvs(&mut calls, caps, &mut recv_id),
             Step::Chain(wrs) => {
@@ -360,11 +417,35 @@ fn run(plane: Plane, prog: &Program, reference: Option<&[[usize; 4]]>) -> (Trace
                     })
                     .collect();
                 calls.push(outcome(a.qp.post_send_batch(chain)));
+                if stale {
+                    // Converge once A failed over, or has nothing left
+                    // that could: after its own re-send met the stale
+                    // route too.
+                    let deadline = Instant::now() + SETTLE;
+                    while a.qp.failover_count() == 0
+                        && a.qp.unanswered() > 0
+                        && Instant::now() < deadline
+                    {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    std::thread::sleep(Duration::from_millis(10));
+                    cluster.refresh_routes();
+                    stale = false;
+                }
             }
             Step::Fail(on_a) => match on_a {
                 true => a.qp.enter_error(),
                 false => b.qp.enter_error(),
             },
+            Step::Fault { late } if faults => {
+                cluster.fail_nic(h0).unwrap();
+                match late {
+                    true => stale = true,
+                    false => cluster.refresh_routes(),
+                }
+            }
+            Step::Restore if faults => restore = true,
+            Step::Fault { .. } | Step::Restore => {}
         }
         counts.push(settle(&mut cqs, i + 1));
     }
@@ -462,7 +543,7 @@ fn differential(what: &str, prog: &Program) -> Trace {
 
 fn generated(programs: u64) {
     for seed in 0..programs {
-        differential(&format!("seed {seed}"), &generate(seed));
+        differential(&format!("seed {seed}"), &with_fault(generate(seed), seed));
     }
 }
 

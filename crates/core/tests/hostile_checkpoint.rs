@@ -7,9 +7,7 @@
 #[path = "../../types/tests/hostile/mod.rs"]
 mod hostile;
 
-use freeflow::migrate::{
-    ContainerImage, LedgerRecord, MigrateError, MigrationCheckpoint, MrRecord, QpRecord,
-};
+use freeflow::migrate::{ContainerImage, MigrateError, MigrationCheckpoint, MrRecord, QpRecord};
 use freeflow_types::{wire, ContainerId, HostId, OverlayIp, TenantId};
 use hostile::{Codec, Rng};
 
@@ -53,15 +51,6 @@ impl Codec for Checkpoint {
                 bytes: rng.bytes(255),
             })
             .collect();
-        let ledgers = (0..rng.below(4))
-            .map(|_| LedgerRecord {
-                qpn: rng.u64() as u32,
-                tx_next_seq: rng.u64(),
-                tx_in_flight: rng.u64() as u32,
-                rx_received: rng.u64(),
-                rx_parked: rng.u64() as u32,
-            })
-            .collect();
         MigrationCheckpoint {
             image: ContainerImage {
                 id: ContainerId::new(rng.u64()),
@@ -72,7 +61,6 @@ impl Codec for Checkpoint {
             to_host: HostId::new(rng.u64()),
             qps,
             mrs,
-            ledgers,
         }
     }
 

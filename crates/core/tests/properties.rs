@@ -6,8 +6,8 @@
 use freeflow::binding::BindingPhase;
 use freeflow::cache::LocationCache;
 use freeflow::migrate::{
-    ContainerImage, LedgerRecord, MigrationCheckpoint, MigrationCrashPoint, MigrationOutcome,
-    MigrationPhase, MrRecord, QpRecord,
+    ContainerImage, MigrationCheckpoint, MigrationCrashPoint, MigrationOutcome, MigrationPhase,
+    MrRecord, QpRecord,
 };
 use freeflow::orch_client::{OrchClient, OrchClientConfig};
 use freeflow::FreeFlowCluster;
@@ -539,37 +539,15 @@ fn mr_record() -> impl Strategy<Value = MrRecord> {
         )
 }
 
-fn ledger_record() -> impl Strategy<Value = LedgerRecord> {
-    (
-        any::<u32>(),
-        any::<u64>(),
-        any::<u32>(),
-        any::<u64>(),
-        any::<u32>(),
-    )
-        .prop_map(
-            |(qpn, tx_next_seq, tx_in_flight, rx_received, rx_parked)| LedgerRecord {
-                qpn,
-                tx_next_seq,
-                tx_in_flight,
-                rx_received,
-                rx_parked,
-            },
-        )
-}
-
 fn checkpoint() -> impl Strategy<Value = MigrationCheckpoint> {
     (
         (any::<u64>(), any::<u64>(), any::<u32>()),
         (any::<u64>(), any::<u64>()),
         prop::collection::vec(qp_record(), 0..4),
         prop::collection::vec(mr_record(), 0..3),
-        prop::collection::vec(ledger_record(), 0..4),
     )
-        .prop_map(|((id, tenant, ip), (from, to), qps, mrs, ledgers)| {
+        .prop_map(|((id, tenant, ip), (from, to), qps, mrs)| {
             let ip = u32::to_le_bytes(ip);
-            // Ledgers ride in through the public builder — the same path
-            // the socket layer uses to attach its exported records.
             MigrationCheckpoint {
                 image: ContainerImage {
                     id: ContainerId::new(id),
@@ -580,9 +558,7 @@ fn checkpoint() -> impl Strategy<Value = MigrationCheckpoint> {
                 to_host: HostId::new(to),
                 qps,
                 mrs,
-                ledgers: Vec::new(),
             }
-            .with_ledgers(ledgers)
         })
 }
 

@@ -14,33 +14,33 @@
 //!
 //! The channel's step drains the shared recv CQ in batches under the run
 //! lock, recycles receive slots at once, queues each data frame's payload
-//! on its stream, reaps send completions and drives the resync handshake
-//! across rebind epochs. The thread that waits runs it, through the one
-//! caller-runs wait of `freeflow_types` ([`freeflow_types::block_on`]): a
+//! on its stream, reaps send completions and sends held control frames.
+//! It recovers nothing itself: the QP delivers every frame exactly once
+//! and in order across a rebind of its path, so a failed completion is
+//! the QP's error state and kills the channel. The thread that waits runs
+//! the step, through the one caller-runs wait of `freeflow_types`
+//! ([`freeflow_types::block_on`]): a
 //! blocked reader or writer registers on the recv CQ's bell and the
 //! library's inbound bell, runs the library's inbound drain
 //! ([`LibHandle::drain_inbound`]) and then the channel's step, looks, and
 //! parks once on both bells — so on a relayed channel the reader drains
-//! the agent ring itself. Binding transitions, failed sends and — while a
-//! writer is out of slots, a post met a full send queue or recovery waits
-//! on the send CQ — successful sends ring the recv CQ's bell, so the only
-//! timer is recovery's `RESYNC_RETRY`. Rings no waiter hears reach the
+//! the agent ring itself. Failed sends and — while a writer is out of
+//! slots or a post met a full send queue — successful sends ring the recv
+//! CQ's bell, so the channel has no timer. Rings no waiter hears reach the
 //! container's library pump, which runs the step too
 //! ([`LibHandle::adopt`]). A received byte is copied twice: from its slot
 //! into the payload `Vec` queued on its stream, then into the reader's
 //! buffer.
 
 use crate::mux::{
-    data_header, CtrlKind, Deferred, Frame, MuxCore, SeqFrame, CTRL_BIT, DATA_HDR, FRAME_SIZE,
-    MAX_PAYLOAD, RECV_SLOTS, RESYNC_RETRY, SEND_SLOTS, STREAM_WINDOW,
+    data_header, Deferred, Frame, MuxCore, CTRL_WR_ID, DATA_HDR, FRAME_SIZE, MAX_PAYLOAD,
+    RECV_SLOTS, SEND_SLOTS, STREAM_WINDOW,
 };
-use crate::reliability::TxPayload;
-use freeflow::binding::{BindingPhase, PathSignal};
 use freeflow::{FfEndpoint, FfQp, LibHandle, Step};
-use freeflow_telemetry::{Counter, Event, Gauge, Histogram, LabelSet, Telemetry};
+use freeflow_telemetry::{Counter, Gauge, Histogram, LabelSet};
 use freeflow_types::{block_on, Error, Look, OverlayIp, Result};
 use freeflow_verbs::wr::{AccessFlags, RecvWr, SendWr, WcOpcode};
-use freeflow_verbs::{CompletionQueue, MemoryRegion, VerbsError, WcStatus, WorkCompletion};
+use freeflow_verbs::{CompletionQueue, MemoryRegion, VerbsError, WorkCompletion};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -59,11 +59,6 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// per `(host, container)`, snapshot at pool creation).
 #[derive(Clone)]
 pub(crate) struct ChannelMetrics {
-    pub hub: Arc<Telemetry>,
-    /// `ff_stream_retransmits_total`.
-    pub retransmits: Arc<Counter>,
-    /// `ff_stream_reorders_total`.
-    pub reorders: Arc<Counter>,
     /// `ff_socket_streams` gauge (open stream handles).
     pub streams: Arc<Gauge>,
     /// `ff_socket_credit_stall_ns` histogram.
@@ -77,16 +72,6 @@ impl ChannelMetrics {
         let hub = handle.telemetry();
         let labels = LabelSet::host(handle.host().raw()).with_container(handle.id().raw());
         let reg = hub.registry();
-        let retransmits = reg.counter(
-            "ff_stream_retransmits_total",
-            "stream frames retransmitted after a failed completion",
-            labels,
-        );
-        let reorders = reg.counter(
-            "ff_stream_reorders_total",
-            "stream frames that arrived out of order and were parked",
-            labels,
-        );
         let streams = reg.gauge(
             "ff_socket_streams",
             "open multiplexed socket streams",
@@ -103,9 +88,6 @@ impl ChannelMetrics {
             labels,
         );
         Self {
-            hub,
-            retransmits,
-            reorders,
             streams,
             credit_stall_ns,
             qp_reuse,
@@ -121,7 +103,6 @@ pub(crate) struct Channel {
     recv_cq: Arc<CompletionQueue>,
     send_mr: Arc<MemoryRegion>,
     recv_mr: Arc<MemoryRegion>,
-    signal: Arc<PathSignal>,
     core: Mutex<MuxCore>,
     /// The run lock, held by whoever runs the step: the drain's scratch.
     run: Mutex<Vec<WorkCompletion>>,
@@ -148,14 +129,12 @@ impl Channel {
         let recv_mr = handle
             .register((FRAME_SIZE * RECV_SLOTS) as u64, AccessFlags::local_rw())
             .map_err(|e| Error::config(e.to_string()))?;
-        let signal = qp.path_signal();
         Ok(Arc::new(Self {
             qp,
             send_cq,
             recv_cq,
             send_mr,
             recv_mr,
-            signal,
             core: Mutex::new(MuxCore::new(initiator)),
             run: Mutex::new(Vec::with_capacity(RECV_SLOTS)),
             lib: handle.clone(),
@@ -166,7 +145,7 @@ impl Channel {
 
     /// Connect the QP to the peer endpoint, pre-post every receive slot
     /// and hand the step to the library pump. The connecting side also
-    /// queues its READY signal (the accepting side's tx gate opens on it).
+    /// sends its READY signal (the accepting side's tx gate opens on it).
     pub fn establish(self: &Arc<Self>, peer: FfEndpoint) -> Result<()> {
         self.qp
             .connect(peer)
@@ -185,8 +164,7 @@ impl Channel {
             let mut core = self.core.lock();
             if core.tx_open {
                 // Connecting side: tell the acceptor our QP is RTS.
-                core.ready_due = true;
-                self.advance(&mut core);
+                self.post_ctrl(&mut core, Deferred::Ready)?;
             }
         }
         // The library pump holds only a weak handle: the channel must die
@@ -219,23 +197,6 @@ impl Channel {
     /// Whether the channel has failed terminally.
     pub fn is_dead(&self) -> bool {
         self.core.lock().dead.is_some()
-    }
-
-    /// Snapshot this channel's reliability-ledger watermarks as a
-    /// migration record: the sequence-space state a checkpoint must
-    /// conserve for streams to continue after a cross-host move. Reaps
-    /// first: a routine send completion rings no one, so one may still sit
-    /// in the CQ.
-    pub fn ledger_record(&self) -> freeflow::migrate::LedgerRecord {
-        let mut core = self.core.lock();
-        self.reap_sends(&mut core);
-        freeflow::migrate::LedgerRecord {
-            qpn: self.qp.qp_num(),
-            tx_next_seq: core.tx.next_seq(),
-            tx_in_flight: core.tx.in_flight() as u32,
-            rx_received: core.rx.received(),
-            rx_parked: core.rx.parked() as u32,
-        }
     }
 
     /// Allocate a locally initiated stream id.
@@ -271,8 +232,8 @@ impl Channel {
     // --- the step ---------------------------------------------------------
 
     /// One step, under the run lock: drain the recv CQ, reap sends and
-    /// drive recovery. A dead channel is done; an idle one waits for a
-    /// ring, or recovery's retry deadline if one is pending.
+    /// send held control frames. A dead channel is done; an idle one
+    /// waits for a ring.
     fn step(&self) -> Step {
         let mut progressed = false;
         let mut batch = self.run.lock();
@@ -293,23 +254,21 @@ impl Channel {
         } else if progressed {
             Step::Worked
         } else {
-            Step::Idle(core.retry_wakeup())
+            Step::Idle(None)
         }
     }
 
     /// The one wait ([`block_on`]): ask `ready` under the mux lock; until
     /// it answers, run the library's inbound drain and the step, ask again,
-    /// and park on the recv CQ's and the inbound bell until a ring or the
-    /// earlier of `deadline` and recovery's. Rings `ready`'s posts owe the
-    /// peer fire after the lock, never across a park. A recovery deadline
-    /// left unkept goes to the library pump. `Ok(None)` past `deadline`.
+    /// and park on the recv CQ's and the inbound bell until a ring or
+    /// `deadline`. Rings `ready`'s posts owe the peer fire after the lock,
+    /// never across a park. `Ok(None)` past `deadline`.
     fn block_on<T>(
         &self,
         deadline: Option<Instant>,
         mut ready: impl FnMut(&mut MuxCore) -> Result<Option<T>>,
     ) -> Result<Option<T>> {
         let bells = [&**self.recv_cq.doorbell(), self.lib.inbound_bell()];
-        let mut retry = None;
         let waited = block_on(
             &bells,
             || {
@@ -319,17 +278,12 @@ impl Channel {
             deadline,
             || {
                 let _batch = freeflow_verbs::WakeBatch::open();
-                let mut core = self.core.lock();
-                retry = core.retry_wakeup();
-                match ready(&mut core) {
-                    Ok(None) => Look::Wait(retry),
+                match ready(&mut self.core.lock()) {
+                    Ok(None) => Look::Wait(None),
                     done => Look::Ready(done),
                 }
             },
         );
-        if let (Some(_), Some(idle)) = (retry, self.recv_cq.doorbell().idle_bell()) {
-            idle.ring();
-        }
         waited.got.unwrap_or(Ok(None))
     }
 
@@ -377,46 +331,12 @@ impl Channel {
         true
     }
 
+    /// Apply one in-order frame: data to its stream, credits to its
+    /// writer, a FIN to its reader.
     fn apply_frame(&self, core: &mut MuxCore, frame: Frame) {
         match frame {
             Frame::Ready => {}
-            // Answered with our in-order high-water mark; idempotent.
-            Frame::Resync { sent: _ } => core.ack_due = true,
-            Frame::ResyncAck { received } => self.apply_ack(core, received),
-            Frame::Data {
-                seq,
-                stream,
-                payload,
-            } => self.accept_sequenced(core, seq, SeqFrame::Data { stream, payload }),
-            Frame::Credit { seq, stream, n } => {
-                self.accept_sequenced(core, seq, SeqFrame::Credit { stream, n })
-            }
-            Frame::Fin { seq, stream } => {
-                self.accept_sequenced(core, seq, SeqFrame::Fin { stream })
-            }
-        }
-    }
-
-    fn accept_sequenced(&self, core: &mut MuxCore, seq: u64, frame: SeqFrame) {
-        let acc = core.rx.accept(seq, frame);
-        if acc.parked {
-            // Only possible in the shadow of a rebind: a retransmission
-            // raced frames the peer posted after recovery.
-            self.metrics.reorders.inc();
-            self.metrics.hub.record(Event::StreamReorder {
-                qpn: self.qp.qp_num(),
-                seq,
-            });
-        }
-        for f in acc.deliver {
-            self.dispatch(core, f);
-        }
-    }
-
-    /// Deliver one in-order frame to its stream.
-    fn dispatch(&self, core: &mut MuxCore, frame: SeqFrame) {
-        match frame {
-            SeqFrame::Data { stream, payload } => {
+            Frame::Data { stream, payload } => {
                 // Unknown stream: data after teardown; drop.
                 let Some(s) = core.streams.get_mut(&stream) else {
                     return;
@@ -431,12 +351,12 @@ impl Channel {
                     let _ = self.return_credits(core, stream, false);
                 }
             }
-            SeqFrame::Credit { stream, n } => {
+            Frame::Credit { stream, n } => {
                 if let Some(s) = core.streams.get_mut(&stream) {
                     s.tx_credits = (s.tx_credits + n as usize).min(STREAM_WINDOW);
                 }
             }
-            SeqFrame::Fin { stream } => {
+            Frame::Fin { stream } => {
                 if let Some(s) = core.streams.get_mut(&stream) {
                     s.peer_fin = true;
                 }
@@ -445,10 +365,10 @@ impl Channel {
         }
     }
 
-    /// Reap the shared send CQ: successes recycle slots and pop the tx
-    /// ledger; `RETRY_EXC_ERR` arms recovery; flushes kill the channel.
-    /// Returns whether a waiter could act on it: a slot for writers that
-    /// ran out, or a failure.
+    /// Reap the shared send CQ: a data frame's success recycles its slot;
+    /// any failure kills the channel (the QP went to `Error`). Returns
+    /// whether a waiter could act on it: a slot for writers that ran out,
+    /// or a failure.
     fn reap_sends(&self, core: &mut MuxCore) -> bool {
         let mut progressed = false;
         let mut batch = std::mem::take(&mut core.send_wcs);
@@ -456,10 +376,10 @@ impl Channel {
             batch.clear();
             if self.send_cq.poll_many(SEND_SLOTS, &mut batch) == 0 {
                 // Failed sends always ring; a routine success wakes no one
-                // unless a writer is out of slots, a post met a full queue
-                // or recovery waits for every send to be reaped. Arm, then
-                // poll once more so no completion slips in between.
-                let hear = core.free_slots.is_empty() || core.sq_full || core.tx.recovering();
+                // unless a writer is out of slots or a post met a full
+                // queue. Arm, then poll once more so no completion slips
+                // in between.
+                let hear = core.free_slots.is_empty() || core.sq_full;
                 self.send_cq.ring_on_success(hear);
                 if !hear || self.send_cq.pending() == 0 {
                     break;
@@ -472,47 +392,12 @@ impl Channel {
                 if wc.opcode != WcOpcode::Send {
                     continue;
                 }
-                progressed |= !wc.status.is_ok();
-                match wc.status {
-                    WcStatus::Success => {
-                        if wc.wr_id & CTRL_BIT != 0 {
-                            core.inflight_ctrl.remove(&wc.wr_id);
-                        } else if let Some(e) = core.tx.complete_ok(wc.wr_id) {
-                            if let TxPayload::Slot { slot, .. } = e.payload {
-                                progressed |= core.free_slots.is_empty();
-                                core.free_slots.push_back(slot);
-                            }
-                        }
-                    }
-                    WcStatus::RetryExcError => {
-                        if wc.wr_id & CTRL_BIT != 0 {
-                            let Some((kind, epoch)) = core.inflight_ctrl.remove(&wc.wr_id) else {
-                                continue;
-                            };
-                            match kind {
-                                CtrlKind::Resync => core.tx.resync_failed(),
-                                CtrlKind::Ready => core.ready_due = true,
-                                // A flushed ack is the peer's problem to
-                                // re-ask; nothing to resend.
-                                CtrlKind::ResyncAck => continue,
-                            }
-                            // Lost without a re-path: the route onto this
-                            // path has not converged, so wait it out
-                            // rather than spin into it. After a re-path,
-                            // go again at once.
-                            let now = Instant::now();
-                            core.retry_at = if epoch == self.signal.epoch() {
-                                now + RESYNC_RETRY
-                            } else {
-                                now
-                            };
-                        } else {
-                            // Outcome ambiguous: the resync handshake
-                            // settles it once the path is back.
-                            core.tx.complete_failed(wc.wr_id);
-                        }
-                    }
-                    other => core.kill(format!("channel send failed: {other}")),
+                if !wc.status.is_ok() {
+                    core.kill(format!("channel send failed: {}", wc.status));
+                    progressed = true;
+                } else if wc.wr_id != CTRL_WR_ID {
+                    progressed |= core.free_slots.is_empty();
+                    core.free_slots.push_back(wc.wr_id as u32);
                 }
             }
         }
@@ -520,113 +405,27 @@ impl Channel {
         progressed
     }
 
-    /// Drive non-data progress: channel death on a dead binding, READY
-    /// (re)sends, the resync handshake, and held control frames.
+    /// Send held control frames, in order, until none is left or one
+    /// meets a full send queue.
     fn advance(&self, core: &mut MuxCore) -> bool {
-        if core.dead.is_some() {
+        if core.dead.is_some() || !core.tx_open {
             return false;
         }
-        if self.signal.phase() == BindingPhase::Error {
-            core.kill("transport failed with no surviving path");
-            return true;
-        }
-        let mut progressed = false;
-        let settled = self.signal.settled();
-        if core.ready_due && core.tx_open && settled && Instant::now() >= core.retry_at {
-            core.ready_due = !self.post_ctrl(core, CtrlKind::Ready, Frame::Ready);
-            progressed |= !core.ready_due;
-        }
-        if core.ack_due {
-            let received = core.rx.received();
-            core.ack_due =
-                !self.post_ctrl(core, CtrlKind::ResyncAck, Frame::ResyncAck { received });
-            progressed |= !core.ack_due;
-        }
-        // The path is settled again and no send still owes a completion:
-        // ask the receiver where the cut actually fell.
-        if settled && core.tx.recovering() && core.resync_due(Instant::now()) {
-            let resync = Frame::Resync {
-                sent: core.tx.next_seq(),
-            };
-            if self.post_ctrl(core, CtrlKind::Resync, resync) {
-                core.tx.resync_sent();
-                core.retry_at = Instant::now() + RESYNC_RETRY;
-                progressed = true;
-            }
-        }
-        if !core.tx.recovering() && core.tx_open {
-            progressed |= self.drain_deferred(core);
-        }
-        progressed
-    }
-
-    /// Sequence and post held control frames, in order, until none is
-    /// left or one meets a full send queue (no sequence is spent on it).
-    fn drain_deferred(&self, core: &mut MuxCore) -> bool {
         let mut progressed = false;
         while let Some(&d) = core.deferred.front() {
-            let seq = core.tx.next_seq();
-            let (stream, frame) = match d {
-                Deferred::Credit { stream, n } => (stream, Frame::Credit { seq, stream, n }),
-                Deferred::Fin { stream } => (stream, Frame::Fin { seq, stream }),
-            };
-            let frame = frame.encode();
-            if !self.post(core, || SendWr::send_inline(seq, frame.clone())) {
+            let frame = match d {
+                Deferred::Credit { stream, n } => Frame::Credit { stream, n },
+                Deferred::Fin { stream } => Frame::Fin { stream },
+                Deferred::Ready => Frame::Ready,
+            }
+            .encode();
+            if !self.post(core, || SendWr::send_inline(CTRL_WR_ID, frame.clone())) {
                 break;
             }
-            let assigned = core.tx.assign(stream, TxPayload::Inline(frame));
-            debug_assert_eq!(assigned, seq);
             core.deferred.pop_front();
             progressed = true;
         }
         progressed
-    }
-
-    /// Apply a resync ack: free confirmed slots, retransmit the suffix
-    /// in sequence order, release held traffic.
-    fn apply_ack(&self, core: &mut MuxCore, received: u64) {
-        let out = core.tx.on_ack(received);
-        if !core.tx.recovering() {
-            // Handshake done: the next failure resyncs at once.
-            core.retry_at = Instant::now();
-        }
-        for e in out.confirmed {
-            if let TxPayload::Slot { slot, .. } = e.payload {
-                core.free_slots.push_back(slot);
-            }
-        }
-        let mut full = false;
-        for seq in out.retransmit {
-            let Some((stream, payload)) = core.tx.entry(seq).map(|e| (e.stream, e.payload.clone()))
-            else {
-                continue;
-            };
-            let make = || match &payload {
-                TxPayload::Slot { slot, len } => {
-                    let at = u64::from(*slot) * FRAME_SIZE as u64;
-                    SendWr::send(seq, self.send_mr.sge(at, *len))
-                }
-                TxPayload::Inline(bytes) => SendWr::send_inline(seq, bytes.clone()),
-            };
-            full = full || !self.post(core, make);
-            if core.dead.is_some() {
-                return; // channel died mid-recovery
-            }
-            if full {
-                // A full send queue sends this frame and the rest back to
-                // recovery: the next resync asks again.
-                core.tx.complete_failed(seq);
-                continue;
-            }
-            if let Some(s) = core.streams.get_mut(&stream) {
-                s.retransmits += 1;
-            }
-            self.metrics.retransmits.inc();
-            self.metrics.hub.record(Event::StreamRetransmit {
-                qpn: self.qp.qp_num(),
-                wr_id: seq,
-            });
-        }
     }
 
     // --- posting helpers ------------------------------------------------
@@ -654,27 +453,11 @@ impl Channel {
         false
     }
 
-    /// Post an unsequenced (recovery/handshake) control frame; whether it
-    /// went. One that did not stays due with its caller.
-    fn post_ctrl(&self, core: &mut MuxCore, kind: CtrlKind, frame: Frame) -> bool {
-        let wr_id = CTRL_BIT | core.next_ctrl;
-        core.next_ctrl += 1;
-        let frame = frame.encode();
-        let posted = self.post(core, || SendWr::send_inline(wr_id, frame.clone()));
-        if posted {
-            core.inflight_ctrl
-                .insert(wr_id, (kind, self.signal.epoch()));
-        }
-        posted
-    }
-
-    /// Queue a sequenced control frame behind any held before it, and post
-    /// what the sequence space and the send queue let through.
-    fn post_seq(&self, core: &mut MuxCore, d: Deferred) -> Result<()> {
+    /// Queue a control frame behind any held before it, and post what the
+    /// tx gate and the send queue let through.
+    fn post_ctrl(&self, core: &mut MuxCore, d: Deferred) -> Result<()> {
         core.deferred.push_back(d);
-        if !core.tx.recovering() && core.tx_open {
-            self.drain_deferred(core);
-        }
+        self.advance(core);
         core.dead_err().map_or(Ok(()), Err)
     }
 
@@ -692,7 +475,7 @@ impl Channel {
             }
             std::mem::take(&mut s.pending_credit)
         };
-        self.post_seq(core, Deferred::Credit { stream, n })
+        self.post_ctrl(core, Deferred::Credit { stream, n })
     }
 
     // --- the stream-facing data plane ----------------------------------
@@ -723,31 +506,21 @@ impl Channel {
             let slot = core.free_slots.pop_front().expect("checked non-empty");
             let chunk = (buf.len() - off).min(MAX_PAYLOAD);
             let base = u64::from(slot) * FRAME_SIZE as u64;
-            let seq = core.tx.next_seq();
             let frame_len = (DATA_HDR + chunk) as u32;
             self.send_mr
-                .write(base, &data_header(seq, stream))
+                .write(base, &data_header(stream))
                 .and_then(|()| {
                     self.send_mr
                         .write(base + DATA_HDR as u64, &buf[off..off + chunk])
                 })
                 .map_err(|e| Error::config(e.to_string()))?;
-            if !self.post(core, || {
-                SendWr::send(seq, self.send_mr.sge(base, frame_len))
-            }) {
+            let sge = self.send_mr.sge(base, frame_len);
+            if !self.post(core, || SendWr::send(u64::from(slot), sge)) {
                 // A full queue is no free slot (`post` armed the ring); a
                 // dead channel is seen above.
                 core.free_slots.push_front(slot);
                 continue;
             }
-            let assigned = core.tx.assign(
-                stream,
-                TxPayload::Slot {
-                    slot,
-                    len: frame_len,
-                },
-            );
-            debug_assert_eq!(assigned, seq);
             core.streams
                 .get_mut(&stream)
                 .expect("checked above")
@@ -808,7 +581,7 @@ impl Channel {
             return Ok(());
         }
         self.return_credits(&mut core, stream, true)?;
-        self.post_seq(&mut core, Deferred::Fin { stream })
+        self.post_ctrl(&mut core, Deferred::Fin { stream })
     }
 
     /// The application dropped its handle: best-effort FIN, discard
@@ -832,7 +605,7 @@ impl Channel {
         if core.dead.is_none() {
             let _ = self.return_credits(&mut core, stream, true);
             if need_fin {
-                let _ = self.post_seq(&mut core, Deferred::Fin { stream });
+                let _ = self.post_ctrl(&mut core, Deferred::Fin { stream });
             }
         }
         core.gc_stream(stream);
@@ -851,15 +624,6 @@ impl Channel {
         let core = self.core.lock();
         (core.streams.get(&stream)).is_some_and(|s| !s.rx.is_empty() || s.peer_fin)
     }
-
-    /// Frames retransmitted on behalf of `stream`.
-    pub fn stream_retransmits(&self, stream: u32) -> u64 {
-        self.core
-            .lock()
-            .streams
-            .get(&stream)
-            .map_or(0, |s| s.retransmits)
-    }
 }
 
 impl std::fmt::Debug for Channel {
@@ -868,9 +632,7 @@ impl std::fmt::Debug for Channel {
         f.debug_struct("Channel")
             .field("qpn", &self.qp.qp_num())
             .field("streams", &core.live_streams())
-            .field("tx_phase", &core.tx.phase())
-            .field("in_flight", &core.tx.in_flight())
-            .field("parked", &core.rx.parked())
+            .field("free_slots", &core.free_slots.len())
             .field("dead", &core.dead)
             .finish()
     }
@@ -947,22 +709,5 @@ impl ChannelPool {
             .values()
             .filter(|ch| !ch.is_dead())
             .count()
-    }
-
-    /// Ledger records for every live channel, sorted by QPN — the
-    /// socket-layer slice of a migration checkpoint.
-    pub fn export_ledgers(&self) -> Vec<freeflow::migrate::LedgerRecord> {
-        let channels: Vec<Arc<Channel>> = {
-            let inner = self.inner.lock();
-            inner
-                .by_qpn
-                .values()
-                .filter(|ch| !ch.is_dead())
-                .cloned()
-                .collect()
-        };
-        let mut records: Vec<_> = channels.iter().map(|ch| ch.ledger_record()).collect();
-        records.sort_by_key(|r| r.qpn);
-        records
     }
 }

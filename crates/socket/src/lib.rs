@@ -25,14 +25,13 @@
 //!   consumes bytes, so a stalled reader blocks its own writer and never
 //!   the channel (no head-of-line blocking across streams). The channel's
 //!   shared CQs are drained in batches and demuxed fairly.
-//! * **Transport-aware reliability** (`reliability`): sequenced frames
-//!   feed send/receive ledgers that do *nothing* on a settled path —
-//!   retransmit and reorder counters stay exactly zero. Only a
-//!   `RETRY_EXC_ERR` flush (a live rebind: failover, TCP→RDMA upgrade,
-//!   Remote→Local collapse) arms recovery: a resync handshake asks the
-//!   receiver's in-order high-water mark, the confirmed prefix is freed,
-//!   and the suffix retransmits over the new binding. The application
-//!   sees one contiguous byte stream, never a reconnect.
+//! * **One reliability layer.** The channel's QP delivers every frame
+//!   exactly once and in order, across a failover, a TCP→RDMA upgrade or
+//!   a Remote→Local collapse alike: a failed-over `FfQp` re-sends its
+//!   unanswered ops, and the responder executes each once. So frames
+//!   carry no sequence number, the mux recovers nothing, and a failed
+//!   send completion kills the channel. The application sees one
+//!   contiguous byte stream, never a reconnect.
 //! * Connection setup goes through a [`SocketStack`] — the connection
 //!   manager that maps `ip:port` to listeners and brokers the channel /
 //!   stream handshake (what rsockets does over a TCP side channel).
@@ -44,7 +43,6 @@ pub(crate) mod channel;
 pub(crate) mod mux;
 #[cfg(test)]
 mod proptests;
-pub(crate) mod reliability;
 pub mod stack;
 pub mod stream;
 

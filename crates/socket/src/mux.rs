@@ -3,26 +3,24 @@
 //! shared completion queues.
 //!
 //! One [`crate::channel::Channel`] carries many streams. Every frame on
-//! the wire names its stream, every sequenced frame carries the
-//! channel-level sequence number the reliability ledgers key on
-//! ([`crate::reliability`]), and flow control is *per stream*: a sender
+//! the wire names its stream, and flow control is *per stream*: a sender
 //! holds [`STREAM_WINDOW`] credits per stream and a receiver returns
 //! them only as the application actually consumes bytes — so one stalled
 //! reader exhausts its own window and blocks only its own writer, never
-//! the channel (no head-of-line blocking across streams).
+//! the channel (no head-of-line blocking across streams). The channel's
+//! QP delivers every frame exactly once and in order, across any rebind
+//! of its path, so frames carry no sequence number of their own.
 //!
 //! [`MuxCore`] is the single-lock mutable state of a channel: stream
-//! table, send-slot free list, both sequence ledgers, and the recovery
-//! gates. The channel serializes all of it under one mutex; application
+//! table, send-slot free list, held control frames and the tx gate. The
+//! channel serializes all of it under one mutex; application
 //! threads and the library pump, which runs the channel's step for rings
 //! no waiter heard, drive progress through the methods here.
 
-use crate::reliability::{RxLedger, TxLedger};
 use freeflow_types::wire::{Reader, WireError, Writer};
 use freeflow_types::{Error, Result};
 use freeflow_verbs::WorkCompletion;
 use std::collections::{HashMap, VecDeque};
-use std::time::{Duration, Instant};
 
 /// Bytes per frame slot (header + payload).
 pub const FRAME_SIZE: usize = 16 * 1024;
@@ -37,30 +35,20 @@ pub const RECV_SLOTS: usize = 64;
 /// unconsumed frames at the peer. 16 × 16 KiB = 256 KiB per stream,
 /// matching the old per-stream-QP receive window.
 pub const STREAM_WINDOW: usize = 16;
-/// Data-frame header: tag + u64 sequence + u32 stream id.
-pub const DATA_HDR: usize = 1 + 8 + 4;
+/// Data-frame header: tag + u32 stream id.
+pub const DATA_HDR: usize = 1 + 4;
 /// Payload bytes per data frame.
 pub const MAX_PAYLOAD: usize = FRAME_SIZE - DATA_HDR;
-/// Recovery's one timer: a sent resync waits this long for its ack before
-/// it is re-asked (a lost ack would otherwise wedge recovery forever), and
-/// a READY or RESYNC flushed on the very path it was posted on waits this
-/// long before it is sent again (the QP did not re-path, so the route onto
-/// that path has not converged yet; re-sending at once would spin against
-/// it).
-pub const RESYNC_RETRY: Duration = Duration::from_millis(250);
 
-/// `wr_id`s of unsequenced control frames set this bit; sequenced frames
-/// use their sequence number directly (which never reaches bit 63).
-pub(crate) const CTRL_BIT: u64 = 1 << 63;
+/// The `wr_id` of a control frame's send; a data frame's is its send slot.
+pub(crate) const CTRL_WR_ID: u64 = 1 << 63;
 
 pub(crate) const TAG_DATA: u8 = 0;
 pub(crate) const TAG_CREDIT: u8 = 1;
 pub(crate) const TAG_FIN: u8 = 2;
-pub(crate) const TAG_RESYNC: u8 = 3;
-pub(crate) const TAG_RESYNC_ACK: u8 = 4;
-pub(crate) const TAG_READY: u8 = 5;
+pub(crate) const TAG_READY: u8 = 3;
 
-/// Longest fixed-size frame, a credit: tag + sequence + stream + count.
+/// Longest fixed-size frame, a credit: tag + stream + count.
 const MAX_CTRL: usize = DATA_HDR + 4;
 
 /// One frame on a channel's wire, in the [`freeflow_types::wire`] format.
@@ -68,22 +56,14 @@ const MAX_CTRL: usize = DATA_HDR + 4;
 #[doc(hidden)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
-    /// Sequenced: stream payload bytes.
-    Data {
-        seq: u64,
-        stream: u32,
-        payload: Vec<u8>,
-    },
-    /// Sequenced: return `n` credits to `stream`'s writer.
-    Credit { seq: u64, stream: u32, n: u32 },
-    /// Sequenced: half-close of `stream`.
-    Fin { seq: u64, stream: u32 },
-    /// Unsequenced: resync request carrying the sender's watermark.
-    Resync { sent: u64 },
-    /// Unsequenced: resync answer carrying the receiver's in-order mark.
-    ResyncAck { received: u64 },
-    /// Unsequenced: the connecting side's QP is RTS; the accepting side
-    /// may start transmitting.
+    /// Stream payload bytes.
+    Data { stream: u32, payload: Vec<u8> },
+    /// Return `n` credits to `stream`'s writer.
+    Credit { stream: u32, n: u32 },
+    /// Half-close of `stream`.
+    Fin { stream: u32 },
+    /// The connecting side's QP is RTS; the accepting side may start
+    /// transmitting.
     Ready,
 }
 
@@ -93,15 +73,9 @@ impl Frame {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(MAX_CTRL);
         match self {
-            Frame::Data {
-                seq,
-                stream,
-                payload,
-            } => out.put(&data_header(*seq, *stream)).put(payload),
-            Frame::Credit { seq, stream, n } => out.u8(TAG_CREDIT).u64(*seq).u32(*stream).u32(*n),
-            Frame::Fin { seq, stream } => out.u8(TAG_FIN).u64(*seq).u32(*stream),
-            Frame::Resync { sent } => out.u8(TAG_RESYNC).u64(*sent),
-            Frame::ResyncAck { received } => out.u8(TAG_RESYNC_ACK).u64(*received),
+            Frame::Data { stream, payload } => out.put(&data_header(*stream)).put(payload),
+            Frame::Credit { stream, n } => out.u8(TAG_CREDIT).u32(*stream).u32(*n),
+            Frame::Fin { stream } => out.u8(TAG_FIN).u32(*stream),
             Frame::Ready => out.u8(TAG_READY),
         };
         out
@@ -121,21 +95,14 @@ impl Frame {
         let r = &mut Reader::new(head);
         let mut frame = match r.u8()? {
             TAG_DATA => Frame::Data {
-                seq: r.u64()?,
                 stream: r.u32()?,
                 payload: vec![0; len - DATA_HDR],
             },
             TAG_CREDIT => Frame::Credit {
-                seq: r.u64()?,
                 stream: r.u32()?,
                 n: r.u32()?,
             },
-            TAG_FIN => Frame::Fin {
-                seq: r.u64()?,
-                stream: r.u32()?,
-            },
-            TAG_RESYNC => Frame::Resync { sent: r.u64()? },
-            TAG_RESYNC_ACK => Frame::ResyncAck { received: r.u64()? },
+            TAG_FIN => Frame::Fin { stream: r.u32()? },
             TAG_READY => Frame::Ready,
             tag => return Err(Error::parse(format!("bad mux frame tag {tag}"))),
         };
@@ -150,41 +117,19 @@ impl Frame {
 
 /// A data frame's header, on the stack: the send path writes it and the
 /// payload straight into a send slot, with no `Frame` in between.
-pub(crate) fn data_header(seq: u64, stream: u32) -> [u8; DATA_HDR] {
+pub(crate) fn data_header(stream: u32) -> [u8; DATA_HDR] {
     let mut hdr = [TAG_DATA; DATA_HDR];
-    hdr[1..9].copy_from_slice(&seq.to_le_bytes());
-    hdr[9..].copy_from_slice(&stream.to_le_bytes());
+    hdr[1..].copy_from_slice(&stream.to_le_bytes());
     hdr
 }
 
-/// A sequenced frame after the reliability ledger (what actually gets
-/// dispatched to streams, in order).
-#[derive(Debug)]
-pub(crate) enum SeqFrame {
-    Data { stream: u32, payload: Vec<u8> },
-    Credit { stream: u32, n: u32 },
-    Fin { stream: u32 },
-}
-
-/// Why an unsequenced control frame was posted — consulted when its
-/// completion fails, because each kind recovers differently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CtrlKind {
-    /// Flushed resync request → back to `ResyncDue`, resend on settle.
-    Resync,
-    /// Flushed resync answer → drop; the peer re-asks.
-    ResyncAck,
-    /// Flushed ready signal → resend on settle (the accepting side's tx
-    /// gate would otherwise never open).
-    Ready,
-}
-
-/// Sequenced control traffic held while the sequence space is closed or
-/// the send queue full; drained in order, and only then sequenced.
+/// Control traffic held while the tx gate is closed or the send queue
+/// full; drained in order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Deferred {
     Credit { stream: u32, n: u32 },
     Fin { stream: u32 },
+    Ready,
 }
 
 /// Per-stream mux state.
@@ -209,8 +154,6 @@ pub(crate) struct StreamState {
     /// The application dropped its `FfStream` handle: discard inbound
     /// data, return credits immediately, GC when the peer closes too.
     pub detached: bool,
-    /// Data/control frames retransmitted on behalf of this stream.
-    pub retransmits: u64,
 }
 
 impl StreamState {
@@ -265,31 +208,13 @@ pub(crate) struct MuxCore {
     pub next_stream_id: u32,
     /// Free send-slot indices (FIFO → fair across writers).
     pub free_slots: VecDeque<u32>,
-    /// Send-side sequence ledger.
-    pub tx: TxLedger,
-    /// Receive-side sequence ledger.
-    pub rx: RxLedger<SeqFrame>,
-    /// Unsequenced control frames in flight, by wr_id, with the binding
-    /// epoch each was posted on.
-    pub inflight_ctrl: HashMap<u64, (CtrlKind, u64)>,
-    /// Next unsequenced wr_id (CTRL_BIT is ORed in).
-    pub next_ctrl: u64,
-    /// Sequenced control traffic held back, oldest first.
+    /// Control traffic held back, oldest first.
     pub deferred: VecDeque<Deferred>,
     /// A post met a full send queue; the next send completion clears it.
     pub sq_full: bool,
     /// Accepting side: no transmission until the connecting side's QP
     /// proved itself (READY or any inbound frame).
     pub tx_open: bool,
-    /// A READY must be (re)sent (connect-side setup, or the first one
-    /// flushed).
-    pub ready_due: bool,
-    /// The peer asked for a resync ack that has not gone out yet.
-    pub ack_due: bool,
-    /// No READY or RESYNC goes out before this: set [`RESYNC_RETRY`]
-    /// ahead when a resync is sent or one of them is flushed on the path
-    /// it was posted on; cleared by the ack and by a re-path.
-    pub retry_at: Instant,
     /// Terminal channel failure, if any (every stream errors with it).
     pub dead: Option<String>,
     /// Scratch the send CQ is drained into, reused across reaps.
@@ -302,42 +227,14 @@ impl MuxCore {
             streams: HashMap::new(),
             next_stream_id: if initiator { 0 } else { 1 },
             free_slots: (0..SEND_SLOTS as u32).collect(),
-            tx: TxLedger::new(),
-            rx: RxLedger::new(),
-            inflight_ctrl: HashMap::new(),
-            next_ctrl: 0,
             deferred: VecDeque::new(),
             sq_full: false,
             // The connecting side created the QP and connects it before
             // any peer traffic can exist; only the accepting side gates.
             tx_open: initiator,
-            ready_due: false,
-            ack_due: false,
-            retry_at: Instant::now(),
             dead: None,
             send_wcs: Vec::with_capacity(SEND_SLOTS),
         }
-    }
-
-    /// Whether a resync should be posted at `now`. Time, not calls,
-    /// decides — blocked readers and writers drive `advance` too. Before
-    /// `retry_at` nothing is (re-)asked; at or past it an `AwaitAck`
-    /// whose ack never came falls back to `ResyncDue`, which asks once
-    /// every in-flight send is reaped.
-    pub fn resync_due(&mut self, now: Instant) -> bool {
-        if now < self.retry_at {
-            return false;
-        }
-        self.tx.resync_failed();
-        self.tx.resync_ready()
-    }
-
-    /// When the step must run again with nobody ringing: `retry_at`,
-    /// while a READY or the resync handshake waits on it.
-    pub fn retry_wakeup(&self) -> Option<Instant> {
-        (self.ready_due || self.tx.recovering())
-            .then_some(self.retry_at)
-            .filter(|&at| at > Instant::now())
     }
 
     /// Fail the whole channel: every stream unblocks with the reason.
@@ -351,12 +248,10 @@ impl MuxCore {
         self.dead.as_ref().map(|r| Error::disconnected(r.clone()))
     }
 
-    /// Whether `stream` may post a data frame now: the tx gate is open,
-    /// recovery is not running, a send slot and queue room are free, and
-    /// it holds a credit.
+    /// Whether `stream` may post a data frame now: the tx gate is open, a
+    /// send slot and queue room are free, and it holds a credit.
     pub fn can_send(&self, stream: u32) -> bool {
         self.tx_open
-            && !self.tx.recovering()
             && !self.sq_full
             && !self.free_slots.is_empty()
             && self.streams.get(&stream).is_some_and(|s| s.tx_credits > 0)
@@ -408,7 +303,6 @@ impl MuxCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reliability::{TxPayload, TxPhase};
 
     fn decode(bytes: &[u8]) -> Result<Frame> {
         Frame::decode(bytes.len(), |at, buf| {
@@ -421,18 +315,11 @@ mod tests {
     fn frames_round_trip() {
         for frame in [
             Frame::Data {
-                seq: 42,
                 stream: 7,
                 payload: b"payload".to_vec(),
             },
-            Frame::Credit {
-                seq: 9,
-                stream: 3,
-                n: 8,
-            },
-            Frame::Fin { seq: 1, stream: 2 },
-            Frame::Resync { sent: 100 },
-            Frame::ResyncAck { received: 99 },
+            Frame::Credit { stream: 3, n: 8 },
+            Frame::Fin { stream: 2 },
             Frame::Ready,
         ] {
             assert_eq!(decode(&frame.encode()).unwrap(), frame);
@@ -444,7 +331,6 @@ mod tests {
     fn data_frames_carry_empty_and_full_payloads() {
         for len in [0, MAX_PAYLOAD] {
             let frame = Frame::Data {
-                seq: 5,
                 stream: 1,
                 payload: vec![0xA5; len],
             };
@@ -469,51 +355,6 @@ mod tests {
         assert!(a.register_remote_stream(4).is_err());
         b.register_remote_stream(0).unwrap();
         assert!(b.register_remote_stream(5).is_err());
-    }
-
-    #[test]
-    fn resync_reask_counts_time_not_calls() {
-        let mut core = MuxCore::new(true);
-        let seq = core.tx.assign(0, TxPayload::Inline(vec![0]));
-        core.tx.complete_failed(seq);
-        let sent = Instant::now();
-        assert!(core.resync_due(sent), "the first ask goes at once");
-        core.tx.resync_sent();
-        core.retry_at = sent + RESYNC_RETRY;
-        assert_eq!(core.retry_wakeup(), Some(core.retry_at));
-        // Blocked readers and writers call `advance` in a tight loop.
-        for i in 0..1_000 {
-            assert!(!core.resync_due(sent + Duration::from_micros(i)));
-        }
-        assert_eq!(core.tx.phase(), TxPhase::AwaitAck, "re-asked early");
-        assert!(
-            core.resync_due(sent + RESYNC_RETRY),
-            "re-asked at the deadline"
-        );
-        assert_eq!(core.tx.phase(), TxPhase::ResyncDue);
-        // Asked once: the next ask is a full interval away again.
-        core.tx.resync_sent();
-        core.retry_at = sent + 2 * RESYNC_RETRY;
-        assert!(!core.resync_due(sent + RESYNC_RETRY + Duration::from_millis(1)));
-        assert_eq!(core.tx.phase(), TxPhase::AwaitAck);
-    }
-
-    #[test]
-    fn flushed_resync_waits_out_the_retry_interval() {
-        let mut core = MuxCore::new(true);
-        let seq = core.tx.assign(0, TxPayload::Inline(vec![0]));
-        core.tx.complete_failed(seq);
-        let sent = Instant::now();
-        core.tx.resync_sent();
-        core.retry_at = sent + RESYNC_RETRY;
-        // The resync itself flushed: the route to the new path is stale.
-        core.tx.resync_failed();
-        assert!(
-            !core.resync_due(sent + Duration::from_millis(1)),
-            "spun against the stale route"
-        );
-        assert_eq!(core.retry_wakeup(), Some(sent + RESYNC_RETRY));
-        assert!(core.resync_due(sent + RESYNC_RETRY));
     }
 
     #[test]

@@ -118,22 +118,6 @@ impl SocketStack {
         )
     }
 
-    /// Reliability-ledger records for every live channel `container`
-    /// holds, sorted by QPN.
-    ///
-    /// This is the socket layer's contribution to a
-    /// [`freeflow::migrate::MigrationCheckpoint`]: feed it to
-    /// [`freeflow::migrate::MigrationCheckpoint::with_ledgers`] before a
-    /// move and re-export afterwards to prove the sequence spaces
-    /// survived the migration unchanged.
-    pub fn export_ledgers(&self, container: &Container) -> Vec<freeflow::migrate::LedgerRecord> {
-        self.pools
-            .lock()
-            .get(&container.id())
-            .map(|p| p.export_ledgers())
-            .unwrap_or_default()
-    }
-
     /// Live shared channels `container` currently holds (diagnostics:
     /// the examples assert this stays ≪ the stream count).
     pub fn channel_count(&self, container: &Container) -> usize {
@@ -844,10 +828,8 @@ mod tests {
         client.write_all(b"ping").unwrap();
         let mut got = [0u8; 4];
         server.read_exact(&mut got).unwrap();
-        wait_until("every send reaped", Duration::from_secs(5), || {
-            [&a, &b]
-                .iter()
-                .all(|c| stack.export_ledgers(c).iter().all(|r| r.tx_in_flight == 0))
+        wait_until("every send answered", Duration::from_secs(5), || {
+            [&client, &server].iter().all(|s| s.qp().unanswered() == 0)
         });
         // The recv CQ's bell and the library pump's, which the bell's idle
         // bell (the adopted step's) rings.
@@ -868,17 +850,17 @@ mod tests {
     }
 
     /// One write across a NIC failure, then neither application touches
-    /// its socket until the library pump alone has resynced and retransmitted.
-    /// Routes converge onto the surviving TCP wires either the moment the
-    /// client's QP flushes (the resync rides the settle ring) or only once
-    /// the failover is observed (the first resync is lost to the stale
-    /// route, which must not count as a second failure, and is re-asked at
-    /// `RESYNC_RETRY`).
-    fn failover_recovers_with_no_socket_calls(converge_at_flush: bool) {
+    /// its socket until the library pump alone has failed the channel's QP
+    /// over and re-sent the frame. Routes converge onto the surviving TCP
+    /// wires either the moment the QP fails over (its re-send may ride
+    /// them at once) or only once the re-send was refused on the stale
+    /// route too: that must not count as a second failure, and the frame
+    /// goes again at `RESEND_INTERVAL`.
+    fn failover_recovers_with_no_socket_calls(converge_at_failover: bool) {
         let (cluster, a, b) = two_containers(false);
         let stack = SocketStack::new();
         let (mut client, mut server) = stream_pair(&stack, &a, &b);
-        // One round trip first, until both sides reaped their sends: the
+        // One round trip first, until both sides' sends are answered: the
         // fault below then catches the one write alone, not the connect
         // side's READY still in flight.
         let mut two = [0u8; 2];
@@ -886,19 +868,13 @@ mod tests {
         server.read_exact(&mut two).unwrap();
         server.write_all(b"ok").unwrap();
         client.read_exact(&mut two).unwrap();
-        wait_until("round trip reaped", Duration::from_secs(5), || {
-            [&a, &b]
-                .iter()
-                .all(|c| stack.export_ledgers(c)[0].tx_in_flight == 0)
+        let qps = [Arc::clone(client.qp()), Arc::clone(server.qp())];
+        wait_until("round trip answered", Duration::from_secs(5), || {
+            qps.iter().all(|qp| qp.unanswered() == 0)
         });
-        if converge_at_flush {
-            let weak = Arc::downgrade(&cluster);
-            client.qp().send_cq().observe_pushes(move |wc| {
-                if let (false, Some(cluster)) = (wc.status.is_ok(), weak.upgrade()) {
-                    cluster.refresh_routes();
-                }
-            });
-        }
+        let agent = cluster.agent_of(a.host()).unwrap();
+        let nacked = || agent.stats().nacked.load(Ordering::Relaxed);
+        let nacked_before = nacked();
         cluster.fail_nic(a.host()).unwrap();
         let msg = b"across the failover";
         let t0 = Instant::now();
@@ -906,26 +882,28 @@ mod tests {
         wait_until("reactive failover", Duration::from_secs(5), || {
             client.qp().failover_count() == 1
         });
-        if !converge_at_flush {
-            // The data frame's nack, then the first resync's.
-            let agent = cluster.agent_of(a.host()).unwrap();
+        if !converge_at_failover {
+            // The data frame's refusal, then its re-send's.
             wait_until(
-                "resync lost to the stale route",
+                "re-send lost to the stale route",
                 Duration::from_secs(5),
-                || agent.stats().nacked.load(Ordering::Relaxed) >= 2,
+                || nacked() >= nacked_before + 2,
             );
         }
         cluster.refresh_routes();
-        wait_until("resync and retransmit", Duration::from_secs(5), || {
-            stack.export_ledgers(&a)[0].tx_in_flight == 0
-                && stack.export_ledgers(&b)[0].rx_received == 2
+        wait_until("re-sent and answered", Duration::from_secs(5), || {
+            client.qp().unanswered() == 0 && server.readable()
         });
         assert!(
             t0.elapsed() < Duration::from_secs(1),
             "recovery sat out a 1 s park"
         );
         assert_eq!(client.qp().failover_count(), 1, "one failure, one failover");
-        assert_eq!(client.retransmit_count(), 1, "the flushed frame went again");
+        assert!(
+            client.qp().resent_count() >= 1,
+            "the refused frame went again"
+        );
+        assert_eq!(client.qp().state(), freeflow_verbs::QpState::Rts);
         let mut got = vec![0u8; msg.len()];
         server.read_exact(&mut got).unwrap();
         assert_eq!(got, msg);

@@ -1,10 +1,9 @@
 //! The stream handle: what the application reads and writes.
 //!
 //! An [`FfStream`] is a stream id on a shared `crate::channel::Channel`
-//! — not a QP of its own. Everything heavy (framing, credits, sequencing,
-//! retransmission across rebinds) lives in the channel and the layers
-//! under it (`crate::mux`, `crate::reliability`); the handle is a
-//! cursor. That is the TSoR translation: sockets are cheap, connections
+//! — not a QP of its own. Everything heavy (framing, credits, exactly-once
+//! delivery across rebinds) lives in the channel and the layers under it
+//! (`crate::mux`, the channel's `FfQp`); the handle is a cursor. That is the TSoR translation: sockets are cheap, connections
 //! under them are pooled.
 //!
 //! The application sees one contiguous, reliable byte stream per handle,
@@ -52,13 +51,6 @@ impl FfStream {
             }
             freeflow::qp::FfPath::Unbound => None,
         }
-    }
-
-    /// Frames retransmitted on behalf of this stream (each one is a
-    /// transport failure the application never saw). Exactly zero on a
-    /// path that never rebinds.
-    pub fn retransmit_count(&self) -> u64 {
-        self.channel.stream_retransmits(self.id)
     }
 
     /// Make send-side progress without transferring application data.
@@ -124,7 +116,6 @@ impl std::fmt::Debug for FfStream {
         f.debug_struct("FfStream")
             .field("stream", &self.id)
             .field("qpn", &self.channel.qp().qp_num())
-            .field("retransmits", &self.retransmit_count())
             .finish()
     }
 }

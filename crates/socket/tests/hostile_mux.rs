@@ -22,21 +22,17 @@ impl Codec for Mux {
     type Error = Error;
 
     fn sample(rng: &mut Rng) -> Frame {
-        let (seq, stream) = (rng.u64(), rng.u64() as u32);
-        match rng.below(6) {
+        let stream = rng.u64() as u32;
+        match rng.below(4) {
             0 => Frame::Data {
-                seq,
                 stream,
                 payload: rng.bytes(256),
             },
             1 => Frame::Credit {
-                seq,
                 stream,
                 n: rng.u64() as u32,
             },
-            2 => Frame::Fin { seq, stream },
-            3 => Frame::Resync { sent: seq },
-            4 => Frame::ResyncAck { received: seq },
+            2 => Frame::Fin { stream },
             _ => Frame::Ready,
         }
     }

@@ -1,9 +1,9 @@
 //! End-to-end socket properties: arbitrary interleavings of N
 //! multiplexed streams — all sharing one channel — deliver byte-identical
-//! per-stream sequences, both on a settled path (with recovery counters
+//! per-stream sequences, both on a settled path (with the re-send counter
 //! provably zero) and straight through a NIC failure + restore injected
-//! mid-transfer (failover to TCP, upgrade back to RDMA, two rebinds'
-//! worth of resync).
+//! mid-transfer (failover to TCP, upgrade back to RDMA, the channel QP's
+//! unanswered frames re-sent across the failover).
 
 use freeflow::binding::BindingPhase;
 use freeflow::{Container, FreeFlowCluster};
@@ -191,8 +191,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Settled path: arbitrary stream counts, lengths and chunkings
-    /// deliver byte-identically with the retransmit/reorder counters —
-    /// per stream and cluster-wide — exactly zero.
+    /// deliver byte-identically with the re-send counter — per QP and
+    /// cluster-wide — exactly zero.
     #[test]
     fn settled_path_is_byte_identical_with_zero_recovery_counters(
         nstreams in 2usize..6,
@@ -207,11 +207,10 @@ proptest! {
         let got = transfer(&mut pair, &data, chunk, None);
         prop_assert_eq!(&got, &data);
         for s in pair.clients.iter().chain(&pair.servers) {
-            prop_assert_eq!(s.retransmit_count(), 0, "settled path retransmitted");
+            prop_assert_eq!(s.qp().resent_count(), 0, "settled path re-sent");
         }
         let snap = pair._cluster.telemetry();
-        prop_assert_eq!(snap.counter_total("ff_stream_retransmits_total"), 0);
-        prop_assert_eq!(snap.counter_total("ff_stream_reorders_total"), 0);
+        prop_assert_eq!(snap.counter_total("ff_qp_resent_total"), 0);
     }
 
     /// A NIC failure + restore injected mid-transfer (failover rebind,
@@ -246,8 +245,7 @@ proptest! {
 
         // Settle, then prove the recovery machinery disarmed: a fresh
         // transfer — on fresh sockets, which must land on the *same*
-        // surviving pooled channel — adds nothing to the retransmit
-        // counters.
+        // surviving pooled channel — adds nothing to the re-send counter.
         wait_until("path settles post-restore", Duration::from_secs(10), || {
             pair.clients[0].qp().binding_phase() == BindingPhase::Bound
         });
@@ -266,8 +264,8 @@ proptest! {
         prop_assert_eq!(&got2, &data2);
         let after = pair._cluster.telemetry();
         prop_assert_eq!(
-            after.counter_total("ff_stream_retransmits_total"),
-            before.counter_total("ff_stream_retransmits_total"),
+            after.counter_total("ff_qp_resent_total"),
+            before.counter_total("ff_qp_resent_total"),
             "settled path did recovery work"
         );
     }
@@ -278,7 +276,7 @@ proptest! {
 
     /// Reads of any size — one byte up to two 16 KiB frame slots, so
     /// they end mid-frame and span frames — see exactly the bytes
-    /// written, with the retransmit and reorder counters at zero.
+    /// written, with the re-send counter at zero.
     #[test]
     fn reads_of_any_size_see_exactly_the_bytes_written(
         nstreams in 1usize..4,
@@ -323,11 +321,10 @@ proptest! {
         });
         prop_assert_eq!(&got, &data);
         for s in pair.clients.iter().chain(&pair.servers) {
-            prop_assert_eq!(s.retransmit_count(), 0, "settled path retransmitted");
+            prop_assert_eq!(s.qp().resent_count(), 0, "settled path re-sent");
         }
         let snap = pair._cluster.telemetry();
-        prop_assert_eq!(snap.counter_total("ff_stream_retransmits_total"), 0);
-        prop_assert_eq!(snap.counter_total("ff_stream_reorders_total"), 0);
+        prop_assert_eq!(snap.counter_total("ff_qp_resent_total"), 0);
     }
 }
 

@@ -11,7 +11,7 @@
 //!    path never allocates.
 //! 2. **[`FlightRecorder`]** — a bounded lock-free ring of timestamped
 //!    structured [`Event`]s (QP path transitions with epochs, agent relay
-//!    retries and Nacks, stream retransmits, orchestrator events, doorbell
+//!    retries and Nacks, QP re-sends, orchestrator events, doorbell
 //!    waits). Drained after a chaos run, it reconstructs the exact ordered
 //!    timeline of what the `PathBinding` machine did.
 //! 3. **[`TelemetrySnapshot`]** — an owned snapshot of both, with

@@ -94,19 +94,18 @@ pub enum Event {
         /// How many of the QP's operations were overdue together.
         entries: u32,
     },
-    /// A socket stream re-posted an unacked frame.
-    StreamRetransmit {
-        /// Queue pair number carrying the stream.
+    /// A queue pair re-sent its unanswered remote operations, oldest
+    /// first: after a failover, a stale-route or out-of-order refusal, a
+    /// health change, or a re-send still unanswered after its interval.
+    QpResend {
+        /// Container owning the QP.
+        container: u64,
+        /// Queue pair number.
         qpn: u32,
-        /// Work request id of the retransmitted frame.
-        wr_id: u64,
-    },
-    /// A socket stream parked an out-of-order frame for reassembly.
-    StreamReorder {
-        /// Queue pair number carrying the stream.
-        qpn: u32,
-        /// Sequence number of the early frame.
-        seq: u64,
+        /// Op id of the oldest operation re-sent.
+        first_op: u64,
+        /// How many operations went again.
+        ops: u32,
     },
     /// The orchestrator published a control-plane event.
     Orchestrator {
@@ -160,9 +159,7 @@ impl Event {
     /// The QPN this event concerns, if any (filter helper for timelines).
     pub fn qpn(&self) -> Option<u32> {
         match *self {
-            Event::PathTransition { qpn, .. }
-            | Event::StreamRetransmit { qpn, .. }
-            | Event::StreamReorder { qpn, .. } => Some(qpn),
+            Event::PathTransition { qpn, .. } | Event::QpResend { qpn, .. } => Some(qpn),
             _ => None,
         }
     }

@@ -248,16 +248,16 @@ fn event_json(out: &mut String, event: &Event) {
                 "\"type\":\"relay_expired\",\"host\":{host},\"entries\":{entries}"
             );
         }
-        Event::StreamRetransmit { qpn, wr_id } => {
+        Event::QpResend {
+            container,
+            qpn,
+            first_op,
+            ops,
+        } => {
             let _ = write!(
                 out,
-                "\"type\":\"stream_retransmit\",\"qpn\":{qpn},\"wr_id\":{wr_id}"
-            );
-        }
-        Event::StreamReorder { qpn, seq } => {
-            let _ = write!(
-                out,
-                "\"type\":\"stream_reorder\",\"qpn\":{qpn},\"seq\":{seq}"
+                "\"type\":\"qp_resend\",\"container\":{container},\"qpn\":{qpn},\
+                 \"first_op\":{first_op},\"ops\":{ops}"
             );
         }
         Event::Orchestrator { kind, host } => {

@@ -401,6 +401,12 @@ impl QueuePair {
         self.inner.lock().inbound_pending.len()
     }
 
+    /// Whether `from`'s operation is parked here for a receive: accepted,
+    /// and answered when one is posted.
+    pub fn parks(&self, from: Requester) -> bool {
+        (self.inner.lock().inbound_pending.iter()).any(|p| p.from == from)
+    }
+
     /// Match one inbound operation with one receive WR: scatter its
     /// payload (a WRITE_WITH_IMM notification carries none) and complete
     /// the receive. A failed match moves this QP to the error state and

@@ -1,5 +1,7 @@
 //! Chaos failover demo: an RDMA NIC dies under a live connection and the
-//! QP transparently fails over to kernel TCP — same QP, same API.
+//! QP transparently fails over to kernel TCP — same QP, same API. The send
+//! posted into the outage is not lost: the QP re-sends it on the new path
+//! once routes converge, and it completes successfully, exactly once.
 //!
 //! ```console
 //! $ cargo run --example chaos_failover
@@ -51,20 +53,30 @@ fn main() {
     cluster.fail_nic(h0).unwrap();
 
     qp_s.post_recv(RecvWr::new(2, mr_s.sge(0, 4096))).unwrap();
-    mr_c.write(0, b"lost in flight!").unwrap();
+    mr_c.write(0, b"into the outage").unwrap();
     qp_c.post_send(SendWr::send(2, mr_c.sge(0, 15))).unwrap();
-    let wc = cq_c.wait_one(t).expect("error completion, not a hang");
+    while qp_c.failover_count() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     println!(
-        "send #2 completed with status: {} (wr_id {})",
-        wc.status, wc.wr_id
-    );
-    println!(
-        "QP re-pathed itself: data plane = {} ({} failover)",
+        "QP re-pathed itself: data plane = {} ({} failover), send #2 kept",
         transport_of(&qp_c),
         qp_c.failover_count()
     );
 
+    println!("--- routes converge onto TCP ---");
     cluster.refresh_routes();
+    cq_s.wait_one(t).unwrap();
+    let wc = cq_c.wait_one(t).expect("a completion, not a hang");
+    println!(
+        "send #2 completed with status: {} (wr_id {}), re-sent {} time(s)",
+        wc.status,
+        wc.wr_id,
+        qp_c.resent_count()
+    );
+    assert!(wc.status.is_ok());
+
+    qp_s.post_recv(RecvWr::new(3, mr_s.sge(0, 4096))).unwrap();
     mr_c.write(0, b"hello over tcp!").unwrap();
     qp_c.post_send(SendWr::send(3, mr_c.sge(0, 15))).unwrap();
     cq_s.wait_one(t).unwrap();

@@ -20,7 +20,7 @@
 //! (default 1000) sockets between one container pair and echoes a payload
 //! down every one. All N ride a handful of shared RC channels — the
 //! channel pool multiplexes thousands of streams per QP — and on a
-//! settled path the retransmit counters stay exactly zero. With `--soak`,
+//! settled path the re-send counter stays exactly zero. With `--soak`,
 //! a NIC failure + restore is injected mid-storm and every echo must
 //! still come back byte-identical.
 //!
@@ -282,17 +282,17 @@ fn main() {
         reuse >= (nstreams as u64).saturating_sub(1),
         "storm must reuse the pooled channel: reuse={reuse}, streams={nstreams}"
     );
-    let retransmits = snap.counter_total("ff_stream_retransmits_total");
+    let resent = snap.counter_total("ff_qp_resent_total");
     if soak {
         // Settle back onto RDMA, then prove recovery disarmed: one more
-        // settled echo round adds nothing to the retransmit counter.
+        // settled echo round adds nothing to the re-send counter.
         let deadline = Instant::now() + Duration::from_secs(10);
         while streams[0].qp().binding_phase() != BindingPhase::Bound {
             assert!(Instant::now() < deadline, "path never settled post-restore");
             std::thread::sleep(Duration::from_millis(2));
         }
     } else {
-        assert_eq!(retransmits, 0, "settled-path storm did recovery work");
+        assert_eq!(resent, 0, "settled-path storm did recovery work");
     }
 
     for s in &mut streams {
@@ -309,7 +309,7 @@ fn main() {
         nstreams as f64 / setup.as_secs_f64()
     );
     println!(
-        "  echo: {} KiB round-tripped in {:.1} ms, retransmits={retransmits}{}",
+        "  echo: {} KiB round-tripped in {:.1} ms, re-sent ops={resent}{}",
         nstreams * STORM_PAYLOAD / 1024,
         storm.as_secs_f64() * 1e3,
         if soak {

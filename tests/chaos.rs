@@ -25,6 +25,7 @@ use freeflow_telemetry::{Event, TelemetrySnapshot, TransitionKind};
 use freeflow_types::{HostCaps, Nanos, TenantId, TransportKind};
 use freeflow_verbs::wr::{AccessFlags, RecvWr, SendWr};
 use freeflow_verbs::{CompletionQueue, MemoryRegion, QpState, WcStatus};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -155,10 +156,11 @@ fn chaos_fault_records_match_the_plan() {
 // --- runtime failover ------------------------------------------------------
 
 /// The acceptance scenario for the live stack: a QP riding RDMA loses its
-/// NIC mid-connection. The outstanding send completes with
-/// `RETRY_EXC_ERR` (it does NOT hang), the QP transparently re-paths via
-/// the orchestrator, and once the agents' routes converge the next send
-/// arrives over host TCP — same QP, same API.
+/// NIC mid-connection. The send posted into the outage neither hangs nor
+/// fails: the QP transparently re-paths via the orchestrator, keeps the
+/// send, and once the agents' routes converge re-sends it over host TCP,
+/// where it lands and completes `Success` exactly once — same QP, same
+/// API. The next send follows it.
 #[test]
 fn chaos_qp_fails_over_from_rdma_to_tcp() {
     let cluster = FreeFlowCluster::with_defaults();
@@ -193,26 +195,41 @@ fn chaos_qp_fails_over_from_rdma_to_tcp() {
     // naive implementation hangs.
     cluster.fail_nic(h0).unwrap();
 
-    // Send #2: must fail loudly within the timeout, not hang.
+    // Send #2 goes into the outage: refused on the dead wire, it makes
+    // the QP re-path itself through the orchestrator, which already knows
+    // the NIC is dead: the new path is host TCP. The send stays pending.
     qp_b.post_recv(RecvWr::new(2, mr_b.sge(0, 4096))).unwrap();
-    mr_a.write(0, b"doomed").unwrap();
-    qp_a.post_send(SendWr::send(102, mr_a.sge(0, 6))).unwrap();
-    let wc = cq_a
-        .wait_one(Duration::from_secs(5))
-        .expect("failure must surface as a completion, not a hang");
-    assert_eq!(wc.wr_id, 102);
-    assert_eq!(wc.status, WcStatus::RetryExcError);
-
-    // The QP re-pathed itself through the orchestrator, which already
-    // knows the NIC is dead: the new path is host TCP.
-    assert_eq!(qp_a.failover_count(), 1);
+    mr_a.write(64, b"resent").unwrap();
+    qp_a.post_send(SendWr::send(102, mr_a.sge(64, 6))).unwrap();
+    wait_until("reactive failover", Duration::from_secs(5), || {
+        qp_a.failover_count() == 1
+    });
     match qp_a.path() {
         FfPath::Remote { transport, .. } => assert_eq!(transport, TransportKind::TcpHost),
         other => panic!("expected re-pathed remote QP, got {other:?}"),
     }
+    assert!(
+        cq_a.poll_one().is_none(),
+        "nothing answers over a stale route"
+    );
 
-    // Forwarding converges onto the surviving TCP wires; send #3 works.
+    // Forwarding converges onto the surviving TCP wires: the re-send
+    // lands, once, and completes the send, once.
     cluster.refresh_routes();
+    let wc_b = cq_b.wait_one(T).expect("the re-sent send lands");
+    assert_eq!(
+        (wc_b.wr_id, wc_b.status, wc_b.byte_len),
+        (2, WcStatus::Success, 6)
+    );
+    let wc = cq_a.wait_one(T).expect("a completion, not a hang");
+    assert_eq!((wc.wr_id, wc.status), (102, WcStatus::Success));
+    let mut got = [0u8; 6];
+    mr_b.read(0, &mut got).unwrap();
+    assert_eq!(&got, b"resent");
+    assert!(qp_a.resent_count() >= 1);
+
+    // Send #3 follows on the new path.
+    qp_b.post_recv(RecvWr::new(3, mr_b.sge(0, 4096))).unwrap();
     mr_a.write(0, b"after!").unwrap();
     qp_a.post_send(SendWr::send(103, mr_a.sge(0, 6))).unwrap();
     let wc_b = cq_b.wait_one(T).unwrap();
@@ -220,15 +237,18 @@ fn chaos_qp_fails_over_from_rdma_to_tcp() {
     let wc_a = cq_a.wait_one(T).unwrap();
     assert_eq!(wc_a.wr_id, 103);
     assert!(wc_a.status.is_ok(), "post-failover send: {wc_a:?}");
-    let mut got = [0u8; 6];
     mr_b.read(0, &mut got).unwrap();
     assert_eq!(&got, b"after!");
+    assert_eq!(qp_a.failover_count(), 1);
+    assert!(cq_a.poll_one().is_none(), "no surplus send completions");
+    assert!(cq_b.poll_one().is_none(), "no surplus recv completions");
 }
 
 /// Routes that converge late are not a second failure: after the failover
-/// a send the agent still forwards onto the dead wire flushes with
-/// `RETRY_EXC_ERR`, but the QP stays bound to TCP — no second failover,
-/// no error state — and once the routes converge the next send lands.
+/// a send the agent still forwards onto the dead wire is refused again,
+/// but the QP stays bound to TCP — no second failover, no error state, no
+/// completion — and once the routes converge both sends land, in order,
+/// each completing `Success` exactly once.
 #[test]
 fn chaos_send_on_a_stale_route_after_failover_is_not_a_second_failure() {
     let cluster = FreeFlowCluster::with_defaults();
@@ -243,36 +263,64 @@ fn chaos_send_on_a_stale_route_after_failover_is_not_a_second_failure() {
     let qp_b = b.create_qp(&cq_b, &cq_b, 8, 8).unwrap();
     qp_a.connect(qp_b.endpoint()).unwrap();
     qp_b.connect(qp_a.endpoint()).unwrap();
-    qp_b.post_recv(RecvWr::new(1, mr_b.sge(0, 4096))).unwrap();
+    for i in 0..3 {
+        qp_b.post_recv(RecvWr::new(i + 1, mr_b.sge(i * 64, 64)))
+            .unwrap();
+    }
 
     cluster.fail_nic(h0).unwrap();
-    mr_a.write(0, b"twice!").unwrap();
-    // #1 fails the QP over; #2 dies on the route still at the dead wire.
-    for wr_id in [1, 2] {
-        qp_a.post_send(SendWr::send(wr_id, mr_a.sge(0, 6))).unwrap();
-        let wc = cq_a.wait_one(T).expect("a completion, not a hang");
-        assert_eq!((wc.wr_id, wc.status), (wr_id, WcStatus::RetryExcError));
-        assert_eq!(qp_a.failover_count(), 1, "after send #{wr_id}");
+    // #1 fails the QP over; #2 is refused on the route still at the dead
+    // wire, like #1's re-sends.
+    for wr_id in [1u64, 2] {
+        mr_a.write(wr_id * 64, &[wr_id as u8; 6]).unwrap();
+        qp_a.post_send(SendWr::send(wr_id, mr_a.sge(wr_id * 64, 6)))
+            .unwrap();
+        wait_until("the failover", T, || qp_a.failover_count() == 1);
         assert_eq!(qp_a.state(), QpState::Rts, "after send #{wr_id}");
         match qp_a.path() {
             FfPath::Remote { transport, .. } => assert_eq!(transport, TransportKind::TcpHost),
             other => panic!("send #{wr_id} left the QP on {other:?}"),
         }
     }
+    let agent = cluster.agent_of(h0).unwrap();
+    wait_until("both refused on the stale route", T, || {
+        agent.stats().nacked.load(Ordering::Relaxed) >= 3
+    });
+    assert_eq!(
+        qp_a.failover_count(),
+        1,
+        "a stale route is no second failure"
+    );
+    assert!(
+        cq_a.poll_one().is_none(),
+        "nothing completes on a stale route"
+    );
 
     cluster.refresh_routes();
+    for wr_id in [1u64, 2] {
+        let rwc = cq_b.wait_one(T).expect("the re-sent send lands");
+        assert_eq!((rwc.wr_id, rwc.status), (wr_id, WcStatus::Success));
+        let mut got = [0u8; 6];
+        mr_b.read((wr_id - 1) * 64, &mut got).unwrap();
+        assert_eq!(got, [wr_id as u8; 6], "send #{wr_id} landed in order");
+        let wc = cq_a.wait_one(T).expect("a completion, not a hang");
+        assert_eq!((wc.wr_id, wc.status), (wr_id, WcStatus::Success));
+    }
     qp_a.post_send(SendWr::send(3, mr_a.sge(0, 6))).unwrap();
     assert!(cq_b.wait_one(T).unwrap().status.is_ok());
     let wc = cq_a.wait_one(T).unwrap();
     assert_eq!((wc.wr_id, wc.status), (3, WcStatus::Success));
     assert_eq!(qp_a.failover_count(), 1);
+    assert!(cq_a.poll_one().is_none(), "no surplus send completions");
+    assert!(cq_b.poll_one().is_none(), "no surplus recv completions");
 }
 
 /// Batched chained posts under failover: a chain posted onto a dead wire
-/// surfaces exactly one `RETRY_EXC_ERR` per WR (no hang, no duplicate),
-/// the QP re-paths, and the next chain flows end to end over TCP —
-/// completion conservation across the fault, with the lifecycle counters
-/// matching the flight-recorder timeline event for event.
+/// makes the QP re-path, and once routes converge it is re-sent and lands
+/// in order, each WR completing `Success` exactly once (no hang, no
+/// duplicate); the next chain flows end to end over TCP — completion
+/// conservation across the fault, with the lifecycle counters matching
+/// the flight-recorder timeline event for event.
 #[test]
 fn chaos_batched_chain_fails_over_and_conserves_completions() {
     let cluster = FreeFlowCluster::with_defaults();
@@ -329,21 +377,40 @@ fn chaos_batched_chain_fails_over_and_conserves_completions() {
         assert!(status.is_ok(), "{status:?}");
     }
 
-    // The NIC dies with routes still pointing at it: the whole chain must
-    // flush with RETRY_EXC_ERR — one completion per WR, exactly once.
+    // The NIC dies with routes still pointing at it: the chain fails the
+    // QP over, and nothing completes while the routes are stale.
+    for i in 0..N {
+        qp_b.post_recv(RecvWr::new(8 + i, mr_b.sge(i * 512, 512)))
+            .unwrap();
+    }
     cluster.fail_nic(h0).unwrap();
     qp_a.post_send_batch(chain(200, 0xC3)).unwrap();
-    for (k, (id, status)) in drain_sends(N, Duration::from_secs(5))
-        .into_iter()
-        .enumerate()
-    {
-        assert_eq!(id, 200 + k as u64, "each WR flushes exactly once");
-        assert_eq!(status, WcStatus::RetryExcError);
+    wait_until("reactive failover", Duration::from_secs(5), || {
+        qp_a.failover_count() == 1
+    });
+    assert!(
+        cq_a.poll_one().is_none(),
+        "nothing answers over a stale route"
+    );
+
+    // Routes converge onto TCP: the chain is re-sent and lands in order,
+    // each WR completing once.
+    cluster.refresh_routes();
+    for i in 0..N {
+        let rwc = cq_b.wait_one(T).unwrap();
+        assert_eq!((rwc.wr_id, rwc.status), (8 + i, WcStatus::Success));
+        let mut got = [0u8; 64];
+        mr_b.read(i * 512, &mut got).unwrap();
+        assert_eq!(got, [0xC3u8 ^ i as u8; 64], "each WR lands exactly once");
+    }
+    for (k, (id, status)) in drain_sends(N, T).into_iter().enumerate() {
+        assert_eq!(id, 200 + k as u64, "each WR completes exactly once");
+        assert_eq!(status, WcStatus::Success);
     }
     assert_eq!(qp_a.failover_count(), 1);
+    assert!(qp_a.resent_count() >= N);
 
-    // Routes converge onto TCP: a fresh chain flows end to end.
-    cluster.refresh_routes();
+    // A fresh chain flows end to end.
     for i in 0..N {
         qp_b.post_recv(RecvWr::new(16 + i, mr_b.sge(i * 512, 512)))
             .unwrap();

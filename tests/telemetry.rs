@@ -222,10 +222,10 @@ fn chaos_run_yields_consistent_counters_timeline_and_exposition() {
         "health changes, path updates and the migration all publish"
     );
     assert!(
-        snap.counter_value("ff_stream_retransmits_total", client_labels)
+        snap.counter_value("ff_qp_resent_total", client_labels)
             .unwrap_or(0)
             >= 1,
-        "the frame posted into the outage was retransmitted"
+        "the frame posted into the outage was re-sent"
     );
     assert!(snap.counter_total("ff_cq_completions_total") > 0);
     let lat = snap
