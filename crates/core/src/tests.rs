@@ -1879,6 +1879,56 @@ fn a_forged_src_neither_executes_nor_moves_the_mark() {
     assert_eq!(p.qp_b.accepted(), 3);
 }
 
+#[test]
+fn chains_posted_across_a_failover_complete_each_op_once() {
+    // Chains of WRITEs go out back to back while another thread fails the
+    // NIC under them, and converges the routes only once the QP failed
+    // over; the second half is posted after the failure. A chain is
+    // registered whole before a re-send can see it, so no re-send
+    // overtakes an op still being posted: every op completes once, B
+    // accepts each once, and its region ends byte-identical.
+    const CHAINS: u64 = 16;
+    const LEN: u64 = 4;
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    p.qp_a.set_relay_timeout(T);
+    let data = |i: u64| [i as u8 ^ 0x5a; 64];
+    let failed = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            wait_until("two chains accepted", || p.qp_b.accepted() >= 2 * LEN);
+            cluster.fail_nic(p.a.host()).unwrap();
+            failed.store(true, Ordering::Release);
+            wait_until("the failover", || p.qp_a.failover_count() == 1);
+            cluster.refresh_routes();
+        });
+        for c in 0..CHAINS {
+            if c == CHAINS / 2 {
+                wait_until("the NIC failed", || failed.load(Ordering::Acquire));
+            }
+            let wrs = (c * LEN..(c + 1) * LEN)
+                .map(|i| write_to_b(&p, i, i * 64, &data(i)))
+                .collect();
+            p.qp_a.post_send_batch(wrs).unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    });
+    let n = CHAINS * LEN;
+    let mut done = completions(&p.cq_a, n as usize);
+    done.sort_unstable_by_key(|&(id, _)| id);
+    let want: Vec<_> = (0..n).map(|i| (i, WcStatus::Success)).collect();
+    assert_eq!(done, want);
+    std::thread::sleep(RESEND_INTERVAL + Duration::from_millis(50));
+    assert!(p.cq_a.poll_one().is_none(), "no surplus send completions");
+    for i in 0..n {
+        assert_eq!(read_b(&p, i * 64, 64), data(i), "WR {i}");
+    }
+    assert_eq!(p.qp_b.accepted(), n, "each op accepted once");
+    assert_eq!(p.qp_a.failover_count(), 1);
+    assert!(p.qp_a.resent_count() >= 1, "nothing went again");
+    assert_eq!(p.qp_a.unanswered(), 0);
+}
+
 mod properties {
     use super::*;
     use proptest::prelude::*;

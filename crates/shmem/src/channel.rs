@@ -182,11 +182,17 @@ impl ShmSender {
         if self.shared.rx_closed.load(Ordering::Acquire) {
             return Err(Error::disconnected("receiver dropped"));
         }
-        let hdr = Self::frame_hdr(kind, payload.len());
-        if !self.shared.ring.push_vectored(&[&hdr, payload]) {
+        // The consumer only ever *adds* free space, so a frame that fits
+        // now still fits at the push below.
+        if HDR + payload.len() > self.shared.ring.free() {
             return Err(Error::WouldBlock);
         }
+        // Count the send before the frame is visible: a receiver that pops
+        // it must never see more messages received than sent.
         self.shared.stats.record_send(data_len as u64);
+        let hdr = Self::frame_hdr(kind, payload.len());
+        let pushed = self.shared.ring.push_vectored(&[&hdr, payload]);
+        debug_assert!(pushed, "reserved space vanished from an SPSC ring");
         self.shared.data_bell.ring();
         Ok(())
     }
@@ -255,11 +261,12 @@ impl ShmSender {
             parts.push(&hdr[..]);
             parts.push(payload);
         }
-        let pushed = self.shared.ring.push_vectored(&parts);
-        debug_assert!(pushed, "reserved space vanished from an SPSC ring");
+        // Counted before the frames are visible, as in `push_frame`.
         for p in &payloads[..take] {
             self.shared.stats.record_send(p.len() as u64);
         }
+        let pushed = self.shared.ring.push_vectored(&parts);
+        debug_assert!(pushed, "reserved space vanished from an SPSC ring");
         self.shared.data_bell.ring_coalesced(take as u64);
         Ok(take)
     }
