@@ -352,8 +352,9 @@ impl LibShared {
         // planned rebinds: degradations are handled reactively by the
         // failover path, which keeps fault handling deterministic under
         // chaos testing. A health change still has every QP look again:
-        // one whose bound transport the orchestrator no longer picks
-        // re-sends what is unanswered, whose answers may have died with it.
+        // one whose bound transport the orchestrator no longer picks,
+        // with ops unanswered whose answers may have died with it, fails
+        // over at once and re-sends them.
         let mut paths_dirty = false;
         loop {
             let ev = match sub.try_next() {

@@ -20,8 +20,9 @@
 //!    unfrozen; a freeze that cannot settle in bounded time aborts the
 //!    migration before anything moved.
 //! 2. **Checkpoint** — a [`MigrationCheckpoint`] captures the container's
-//!    identity, every QP's binding epoch/phase/parked-WR counts and next
-//!    op id ([`QpRecord`]), and every MR's keys, VA and full contents
+//!    identity, every QP's binding epoch/phase/parked-WR counts and both
+//!    halves of its op sequence — the next op id it sends and the last
+//!    one it accepted ([`QpRecord`]) — and every MR's keys, VA and full contents
 //!    ([`MrRecord`]). Socket streams need nothing of their own: they ride
 //!    their channel's QP, whose relayed ops are exactly-once across any
 //!    rebind. The checkpoint is serialized with a checksum —
@@ -224,8 +225,13 @@ pub struct QpRecord {
     /// nonzero marks a checkpoint taken from a crash, which restore
     /// refuses.
     pub in_flight: u32,
-    /// Next work-request op id (exactly-once replay bookkeeping).
+    /// Next work-request op id: the requester's half of the QP's
+    /// exactly-once sequence.
     pub next_op_id: u64,
+    /// The peer's relayed ops accepted through this op id: the
+    /// responder's half. A mark that resets refuses the peer's next op as
+    /// a gap for good.
+    pub accepted: u64,
 }
 
 /// One memory region's portion of a checkpoint: identity plus full
@@ -325,7 +331,7 @@ const PHASES: [&str; 5] = ["unbound", "bound", "draining", "rebinding", "error"]
 
 /// Encoded size of one [`QpRecord`] and of an [`MrRecord`] with no bytes:
 /// the floor each decoded count is checked against.
-const QP_RECORD_LEN: usize = 54;
+const QP_RECORD_LEN: usize = 62;
 const MR_RECORD_MIN_LEN: usize = 34;
 
 /// A count-prefixed run of records, each at least `min_len` bytes.
@@ -404,7 +410,8 @@ impl MigrationCheckpoint {
                 .u32(qp.posted_recvs)
                 .u32(qp.inbound_pending)
                 .u32(qp.in_flight)
-                .u64(qp.next_op_id);
+                .u64(qp.next_op_id)
+                .u64(qp.accepted);
         }
         out.count(self.mrs.len());
         for mr in &self.mrs {
@@ -453,6 +460,7 @@ impl MigrationCheckpoint {
                     inbound_pending: r.u32()?,
                     in_flight: r.u32()?,
                     next_op_id: r.u64()?,
+                    accepted: r.u64()?,
                 })
             })?,
             mrs: records(r, MR_RECORD_MIN_LEN, |r| {
@@ -502,6 +510,9 @@ impl MigrationCheckpoint {
             {
                 return Err(MigrateError::RestoreMismatch("work conservation"));
             }
+            if now.accepted != rec.accepted {
+                return Err(MigrateError::RestoreMismatch("sequence mark"));
+            }
         }
         let device = lib.device();
         for rec in &self.mrs {
@@ -545,6 +556,7 @@ mod tests {
                 inbound_pending: 0,
                 in_flight: 0,
                 next_op_id: 42,
+                accepted: 17,
             }],
             mrs: vec![MrRecord {
                 lkey: 1,

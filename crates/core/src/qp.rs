@@ -42,15 +42,18 @@
 //! follows a gap with [`st::OUT_OF_ORDER`]. So the requester may re-send
 //! whatever is unanswered, oldest first, gathering each payload again
 //! from the application's SGEs: after a failover onto a surviving
-//! transport, a stale-route or out-of-order refusal, or a health change
-//! that moved the orchestrator's choice. A re-send still unanswered after
-//! [`RESEND_INTERVAL`] goes again. A settled path re-sends nothing.
+//! transport (started by a stale-route refusal, or by a health change
+//! that moved the orchestrator's choice under unanswered ops), or after
+//! a stale-route or out-of-order refusal on the bound one. A re-send
+//! still unanswered after [`RESEND_INTERVAL`] goes again. Posts and
+//! re-sends reach the agent ring in op-id order, so a settled path
+//! re-sends nothing.
 //! `RETRY_EXC_ERR` means what it means on a NIC: no path answered before
 //! the op deadline, or the QP went to the error state.
 
 use crate::binding::{BindingPhase, PathBinding, RebindReason};
 use crate::endpoint::FfEndpoint;
-use crate::library::LibShared;
+use crate::library::{LibShared, ResolvedPath};
 use bytes::Bytes;
 use freeflow_agent::proto::{status as st, RelayMsg, RelayPayload, WireEp};
 use freeflow_agent::ZERO_COPY_THRESHOLD;
@@ -208,10 +211,10 @@ struct QpInner {
     next_op_id: u64,
     /// When the unanswered ops go again; `None` on a settled path.
     resend_at: Option<Instant>,
-    /// The epoch in which a stale-route refusal last found the bound
-    /// transport still the orchestrator's choice (0: none). Later
-    /// refusals in it wait for the armed re-send instead of asking again.
-    stale_in: u64,
+    /// A stale-route refusal found the bound transport still the
+    /// orchestrator's choice since the last re-send round or answer:
+    /// later refusals wait for the armed re-send instead of asking again.
+    stale_asked: bool,
     /// Responder: the peer's relayed ops accepted (executed, or parked
     /// for a receive) through this op id.
     accepted: u64,
@@ -257,6 +260,11 @@ pub struct FfQp {
     /// binding frozen in `Draining`: the pump must not advance the
     /// lifecycle until the migration commits or aborts (the thaw).
     migration_hold: AtomicBool,
+    /// Held from a post's op-id assignment, or a re-send's snapshot,
+    /// until its messages are on the agent ring, so the ring carries this
+    /// QP's ops in op-id order: the responder refuses an op that overtakes
+    /// its predecessor.
+    sending: Mutex<()>,
     /// Held while the lifecycle advances. The pump's walk and a migration
     /// thaw both advance it; two at once could replay parked sends out of
     /// order.
@@ -328,12 +336,13 @@ impl FfQp {
                 replaying: false,
                 next_op_id: 1,
                 resend_at: None,
-                stale_in: 0,
+                stale_asked: false,
                 accepted: 0,
                 gap_refused: false,
             }),
             op_timeout_ns: AtomicU64::new(DEFAULT_OP_TIMEOUT.as_nanos() as u64),
             migration_hold: AtomicBool::new(false),
+            sending: Mutex::new(()),
             advancing: Mutex::new(()),
             failovers: AtomicU64::new(0),
             resent: AtomicU64::new(0),
@@ -620,6 +629,7 @@ impl FfQp {
     /// exactly once. An op whose payload cannot be staged now stays
     /// pending for the next round or its deadline.
     fn resend(&self) {
+        let _order = self.sending.lock();
         let (ops, peer) = {
             let mut inner = self.inner.lock();
             let peer = match (inner.binding.phase(), inner.binding.path()) {
@@ -632,6 +642,8 @@ impl FfQp {
             };
             let at = Instant::now() + RESEND_INTERVAL;
             inner.resend_at = Some(at);
+            // A refusal of this round asks the orchestrator again.
+            inner.stale_asked = false;
             self.lib.note_op_due(at);
             let ops: Vec<_> = (inner.pending.iter())
                 .map(|(&id, p)| (id, p.wr.clone()))
@@ -666,11 +678,9 @@ impl FfQp {
     fn on_stale_route(&self) {
         {
             let mut inner = self.inner.lock();
-            let epoch = inner.binding.epoch();
-            let bound = inner.binding.phase() == BindingPhase::Bound;
-            if !bound || inner.stale_in == epoch {
-                // Mid-rebind, the rebind supplies the path; already asked
-                // in this epoch, the re-send is armed.
+            if inner.binding.phase() != BindingPhase::Bound || inner.stale_asked {
+                // Mid-rebind, the rebind supplies the path; asked already
+                // for this round, its re-send is armed.
                 self.arm_resend(&mut inner);
                 return;
             }
@@ -679,7 +689,7 @@ impl FfQp {
             Repath::Moved => {}
             Repath::Same => {
                 let mut inner = self.inner.lock();
-                inner.stale_in = inner.binding.epoch();
+                inner.stale_asked = true;
                 self.arm_resend(&mut inner);
             }
             Repath::Gone => self.fail_with(Vec::new(), u64::MAX),
@@ -695,26 +705,26 @@ impl FfQp {
         }
     }
 
+    /// The bound remote path's peer and transport, while a failover may
+    /// start from it. Local paths ride the verbs fabric (no wire to fail
+    /// over); unbound, errored and mid-rebind QPs have nothing to rebind.
+    fn failover_from(&self, inner: &QpInner) -> Option<(FfEndpoint, TransportKind)> {
+        match (self.state(), inner.binding.phase(), inner.binding.path()) {
+            (
+                QpState::Rts | QpState::Rtr,
+                BindingPhase::Bound,
+                FfPath::Remote { peer, transport },
+            ) => Some((peer, transport)),
+            _ => None,
+        }
+    }
+
     /// Re-run path selection for the current peer (FreeFlow's failover:
-    /// the orchestrator knows which transports still work). On a new
-    /// transport the binding rebinds at once and the unanswered ops go
-    /// again on it, ahead of any send posted meanwhile; onto a peer that
-    /// migrated here, they go again through the local agent while the
-    /// pump finishes the collapse.
+    /// the orchestrator knows which transports still work), and fail over
+    /// onto its answer.
     fn try_repath(&self) -> Repath {
-        let (peer, dead) = {
-            let inner = self.inner.lock();
-            match (self.state(), inner.binding.phase(), inner.binding.path()) {
-                (
-                    QpState::Rts | QpState::Rtr,
-                    BindingPhase::Bound,
-                    FfPath::Remote { peer, transport },
-                ) => (peer, transport),
-                // Local paths ride the verbs fabric (no wire to fail
-                // over); unbound/errored/mid-rebind QPs have nothing to
-                // rebind here.
-                _ => return Repath::Gone,
-            }
+        let Some((peer, _)) = self.failover_from(&self.inner.lock()) else {
+            return Repath::Gone;
         };
         // Drop the stale location entry so resolve() asks the
         // orchestrator, which has the current health picture.
@@ -722,11 +732,24 @@ impl FfQp {
         let Ok(resolved) = self.lib.resolve(peer.ip) else {
             return Repath::Gone;
         };
+        self.fail_over(resolved)
+    }
+
+    /// Fail over onto `resolved`, the orchestrator's choice for the peer,
+    /// unless it is the bound transport still. On a new transport the
+    /// binding rebinds at once and the unanswered ops go again on it,
+    /// ahead of any send posted meanwhile; onto a peer that migrated here,
+    /// they go again through the local agent while the pump finishes the
+    /// collapse.
+    fn fail_over(&self, resolved: ResolvedPath) -> Repath {
+        let mut inner = self.inner.lock();
+        let Some((peer, dead)) = self.failover_from(&inner) else {
+            return Repath::Gone;
+        };
         let collapses = resolved.local && resolved.transport.kernel_bypass();
         if !collapses && resolved.transport == dead {
             return Repath::Same;
         }
-        let mut inner = self.inner.lock();
         if inner.binding.begin_drain(RebindReason::Failover).is_err() {
             return Repath::Gone; // raced with another lifecycle transition
         }
@@ -808,8 +831,10 @@ impl FfQp {
     /// decide whether the current remote path should make way for a
     /// better one. Planned rebind — the old path keeps working while
     /// in-flight operations drain. When the orchestrator now picks a
-    /// worse transport, the bound one may have died under ops whose
-    /// answers were lost with it: they go again.
+    /// worse transport, the bound one died: a QP with ops unanswered,
+    /// whose answers may have been lost with it, fails over at once and
+    /// re-sends them. One with none fails over when a send of its meets
+    /// the dead wire.
     pub(crate) fn consider_rebind(&self) {
         let (peer, current) = {
             let inner = self.inner.lock();
@@ -831,8 +856,8 @@ impl FfQp {
         {
             RebindReason::Upgrade
         } else {
-            if resolved.transport != current {
-                self.resend();
+            if resolved.transport != current && self.unanswered() > 0 {
+                self.fail_over(resolved);
             }
             return;
         };
@@ -1017,6 +1042,7 @@ impl FfQp {
             inbound_pending: self.verbs_qp.parked_inbound() as u32,
             in_flight: (inner.pending.len()) as u32,
             next_op_id: inner.next_op_id,
+            accepted: inner.accepted,
         }
     }
 
@@ -1189,10 +1215,10 @@ impl FfQp {
     /// the agent one push (one ring reservation, one doorbell).
     ///
     /// While the binding is mid-drain/rebind the whole chain is accepted
-    /// and *parked*, in order, behind any already-parked sends — it
-    /// replays exactly once on the new path, never straddling the rebind
-    /// boundary partially, so a live upgrade or collapse is invisible to
-    /// the application.
+    /// and *parked*, in order, behind any already-parked sends — its local
+    /// side vetted at once, as on a bound path, and it replays exactly once
+    /// on the new path, never straddling the rebind boundary partially, so
+    /// a live upgrade or collapse is invisible to the application.
     pub fn post_send_batch(&self, wrs: Vec<SendWr>) -> VerbsResult<()> {
         self.post_chain(wrs.into_iter())
     }
@@ -1228,7 +1254,12 @@ impl FfQp {
                 if in_flight + inner.parked_sends.len() + wrs.len() > self.sq_depth {
                     return Err(VerbsError::QueueFull { which: "send" });
                 }
-                inner.parked_sends.extend(wrs);
+                // Vetted as a settled post stages it: the chain parks up
+                // to a WR whose local side fails, which refuses the rest.
+                for wr in wrs {
+                    self.lib.device.check_local(&wr)?;
+                    inner.parked_sends.push_back(wr);
+                }
                 return Ok(());
             }
             if matches!(path, FfPath::Remote { .. }) && in_flight + wrs.len() > self.sq_depth {
@@ -1359,9 +1390,10 @@ impl FfQp {
     /// registered as in flight under one lock — before its messages can
     /// reach the agent, since an answer can race the post's return, and
     /// all at once, so a re-send never sees part of it — and leaves in one
-    /// agent push. A WR that fails to stage stops the chain there — WRs
-    /// before it are transmitted and stand, it and the remainder are
-    /// refused with the error, exactly like the verbs chain.
+    /// agent push, ahead of any later post or re-send. A WR that fails to
+    /// stage stops the chain there — WRs before it are transmitted and
+    /// stand, it and the remainder are refused with the error, exactly
+    /// like the verbs chain.
     fn post_remote(
         &self,
         wrs: impl ExactSizeIterator<Item = SendWr>,
@@ -1379,12 +1411,13 @@ impl FfQp {
             }
         }
         let (due, posted_at) = (self.op_deadline(), Instant::now());
+        let order = self.sending.lock();
         let msgs = {
             let mut inner = self.inner.lock();
             if inner.binding.phase() == BindingPhase::Error {
                 // The QP failed since it admitted the chain: flushed, as
                 // the failure flushed everything else.
-                drop(inner);
+                drop((inner, order));
                 for (wr, payload) in staged {
                     let _ = self.payload_bytes(payload);
                     let wc = self.wc(
@@ -1416,6 +1449,7 @@ impl FfQp {
             self.lib.note_op_due(due);
         }
         self.lib.send_to_agent(&msgs);
+        drop(order);
         result
     }
 
@@ -1669,6 +1703,8 @@ impl FfQp {
         let pending = {
             let mut inner = self.inner.lock();
             let pending = inner.pending.remove(&op_id);
+            // The path answers: a later refusal asks the orchestrator anew.
+            inner.stale_asked = false;
             if inner.pending.is_empty() {
                 inner.resend_at = None;
             }

@@ -292,6 +292,34 @@ fn bad_lkey_mid_chain_fails_synchronously_on_the_remote_path() {
 }
 
 #[test]
+fn bad_lkey_mid_chain_fails_synchronously_while_the_binding_drains() {
+    // A chain posted mid-drain parks, vetted as a bound path vets it: the
+    // post fails at once with `BadKey`, the WR before the bad one parks
+    // and runs after the drain, and nothing after it runs.
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    p.mr_a.write(0, b"first").unwrap();
+    p.mr_a.write(8, b"third").unwrap();
+    let write = |id, off| SendWr::write(id, p.mr_a.sge(off, 5), p.mr_b.addr() + off, p.mr_b.rkey());
+    let mut bad = write(2, 0);
+    bad.sge[0].lkey = 0xBAD;
+    assert!(p.qp_a.freeze_for_migration());
+    let err = p
+        .qp_a
+        .post_send_batch(vec![write(1, 0), bad, write(3, 8)])
+        .unwrap_err();
+    assert!(matches!(err, VerbsError::BadKey { key: 0xBAD }), "{err}");
+    assert_eq!(p.qp_a.capture_record().parked_sends, 1);
+    p.qp_a.thaw_migration();
+    assert_eq!(completions(&p.cq_a, 1), [(1, WcStatus::Success)]);
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(p.cq_a.poll_one().is_none(), "a refused WR ran");
+    assert_eq!(read_b(&p, 0, 13)[..5], *b"first");
+    assert_eq!(read_b(&p, 8, 5), [0; 5]);
+    assert_eq!(p.qp_b.accepted(), 1);
+}
+
+#[test]
 fn arena_descriptor_outside_the_arena_delivers_nothing() {
     // A co-located container hands its agent a SEND whose arena
     // descriptor lies outside the host arena. The receiving library must
@@ -1927,6 +1955,102 @@ fn chains_posted_across_a_failover_complete_each_op_once() {
     assert_eq!(p.qp_a.failover_count(), 1);
     assert!(p.qp_a.resent_count() >= 1, "nothing went again");
     assert_eq!(p.qp_a.unanswered(), 0);
+}
+
+#[test]
+fn chains_posted_from_two_threads_on_a_settled_qp_resend_nothing() {
+    // Two threads post chains on one QP at once. A chain's op ids are
+    // assigned and its messages put on the agent ring in one step, so the
+    // ring carries the ops in op-id order: the responder never refuses one
+    // for overtaking its predecessor, and the settled path re-sends
+    // nothing.
+    const CHAINS: u64 = 200;
+    const LEN: u64 = 4;
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    let n = 2 * CHAINS * LEN;
+    let data = |i: u64| [(i % 251) as u8; 16];
+    let mut done = Vec::new();
+    std::thread::scope(|s| {
+        for t in 0..2 {
+            let p = &p;
+            s.spawn(move || {
+                for c in 0..CHAINS {
+                    let first = (2 * c + t) * LEN;
+                    let wrs: Vec<SendWr> = (first..first + LEN)
+                        .map(|i| write_to_b(p, i, i * 16, &data(i)))
+                        .collect();
+                    // Retry while the send queue is full.
+                    while let Err(e) = p.qp_a.post_send_batch(wrs.clone()) {
+                        assert!(matches!(e, VerbsError::QueueFull { .. }), "{e}");
+                        std::thread::yield_now();
+                    }
+                }
+            });
+        }
+        done = completions(&p.cq_a, n as usize);
+    });
+    done.sort_unstable_by_key(|&(id, _)| id);
+    let want: Vec<_> = (0..n).map(|i| (i, WcStatus::Success)).collect();
+    assert_eq!(done, want);
+    for i in 0..n {
+        assert_eq!(read_b(&p, i * 16, 16), data(i), "WR {i}");
+    }
+    assert_eq!(p.qp_b.accepted(), n, "each op accepted once");
+    assert_eq!(p.qp_a.resent_count(), 0, "an op overtook another");
+    assert_eq!(cluster.telemetry().counter_total("ff_qp_resent_total"), 0);
+}
+
+#[test]
+fn a_nic_death_after_a_flap_in_the_same_epoch_still_fails_over() {
+    // The RDMA wire flaps while the orchestrator still picks RDMA: the op
+    // waits on the bound path and goes through once the wire is back. The
+    // NIC then dies for real, in the same epoch: the QP fails over onto
+    // TCP instead of re-sending onto the dead wire until its op deadline.
+    let cluster = FreeFlowCluster::with_defaults();
+    let (p, rdma) = flapped_pair(&cluster);
+    let h0 = p.a.host();
+    let n0 = nacked(&cluster, h0);
+    p.qp_a.post_send(write_to_b(&p, 1, 0, b"flap")).unwrap();
+    wait_until("the post refused", || nacked(&cluster, h0) > n0);
+    (cluster.agent_of(h0).unwrap())
+        .set_wire_up(rdma, true)
+        .unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(1, WcStatus::Success)]);
+    assert_eq!((p.qp_a.failover_count(), p.qp_a.epoch()), (0, 1));
+    cluster.fail_nic(h0).unwrap();
+    p.qp_a.post_send(write_to_b(&p, 2, 64, b"dies")).unwrap();
+    wait_until("the failover", || p.qp_a.failover_count() == 1);
+    cluster.refresh_routes();
+    assert_eq!(completions(&p.cq_a, 1), [(2, WcStatus::Success)]);
+    assert_eq!(read_b(&p, 64, 4), b"dies");
+    assert!(!p.qp_a.path().transport().unwrap().kernel_bypass());
+    assert_eq!(p.qp_a.state(), QpState::Rts);
+    assert_eq!(p.qp_b.accepted(), 2, "each op accepted once");
+}
+
+#[test]
+fn a_restore_that_loses_the_sequence_mark_is_refused() {
+    // The responder's mark is half of the exactly-once contract: a QP
+    // whose mark reset would refuse its peer's next op as a gap for good.
+    // The checkpoint carries it, and a restore that lost it is refused.
+    use crate::migrate::{MigrateError, MigrationCheckpoint};
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    roundtrip_send(&p, b"one");
+    roundtrip_send(&p, b"two");
+    let cp = MigrationCheckpoint::capture(&p.b, p.b.host());
+    let rec = (cp.qps.iter()).find(|r| r.qpn == p.qp_b.qp_num()).unwrap();
+    assert_eq!(rec.accepted, 2);
+    assert_eq!(cp.verify_restore(&p.b), Ok(()));
+    let mut reset = cp.clone();
+    for rec in &mut reset.qps {
+        rec.accepted = 0;
+    }
+    assert_eq!(
+        reset.verify_restore(&p.b),
+        Err(MigrateError::RestoreMismatch("sequence mark"))
+    );
 }
 
 mod properties {

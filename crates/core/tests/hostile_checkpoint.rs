@@ -38,6 +38,7 @@ impl Codec for Checkpoint {
                 inbound_pending: rng.u64() as u32,
                 in_flight: rng.u64() as u32,
                 next_op_id: rng.u64(),
+                accepted: rng.u64(),
             })
             .collect();
         let mrs = (0..rng.below(3))

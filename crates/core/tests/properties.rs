@@ -495,13 +495,14 @@ fn qp_record() -> impl Strategy<Value = QpRecord> {
             any::<u32>(),
             any::<u32>(),
             any::<u64>(),
+            any::<u64>(),
         ),
     )
         .prop_map(
             |(
                 (qpn, peer_ip, peer_qpn, phase),
                 (epoch, generation, transport_rank),
-                (parked_sends, posted_recvs, inbound_pending, in_flight, next_op_id),
+                (parked_sends, posted_recvs, inbound_pending, in_flight, next_op_id, accepted),
             )| QpRecord {
                 qpn,
                 peer_octets: u32::to_le_bytes(peer_ip),
@@ -515,6 +516,7 @@ fn qp_record() -> impl Strategy<Value = QpRecord> {
                 inbound_pending,
                 in_flight,
                 next_op_id,
+                accepted,
             },
         )
 }

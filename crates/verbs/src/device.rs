@@ -13,7 +13,7 @@ use crate::mr::MemoryRegion;
 use crate::network::VerbsNetwork;
 use crate::pd::ProtectionDomain;
 use crate::qp::QueuePair;
-use crate::wr::{AccessFlags, SendWr, Sge};
+use crate::wr::{AccessFlags, SendWr, Sge, WrOpcode};
 use freeflow_shmem::{ArenaHandle, SharedArena};
 use freeflow_types::OverlayIp;
 use parking_lot::{Mutex, RwLock};
@@ -217,6 +217,29 @@ impl Device {
                 _ => last.insert(self.mr_by_lkey(sge.lkey)?),
             };
             mr.dma_read_into(sge.addr, sge.len as u64, out)?;
+        }
+        Ok(())
+    }
+
+    /// Vet a send WR's local side — what its post refuses synchronously —
+    /// touching no bytes: a READ's scatter list as [`Device::check_scatter`]
+    /// does, any other WR's gather list as [`Device::gather_into`] would.
+    pub fn check_local(&self, wr: &SendWr) -> VerbsResult<()> {
+        if let WrOpcode::Read { .. } = wr.opcode {
+            return self.check_scatter(&wr.sge);
+        }
+        if let Some(inline) = &wr.inline_data {
+            let max = self.attr.max_inline;
+            if inline.len() > max {
+                return Err(VerbsError::InlineTooLarge {
+                    len: inline.len(),
+                    max,
+                });
+            }
+            return Ok(());
+        }
+        for sge in &wr.sge {
+            (self.mr_by_lkey(sge.lkey)?).va_to_offset(sge.addr, sge.len as u64)?;
         }
         Ok(())
     }

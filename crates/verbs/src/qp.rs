@@ -612,7 +612,7 @@ impl QueuePair {
                     // on the relay, which stages a whole chain before any
                     // answer comes back.
                     for rem in wrs.by_ref() {
-                        if let Err(e) = self.check_local(&rem, &mut cache) {
+                        if let Err(e) = self.device.check_local(&rem) {
                             result = Err(e);
                             break;
                         }
@@ -679,18 +679,6 @@ impl QueuePair {
             },
         };
         Ok(remote.place(from, mr, remote_addr, &cx.scratch, imm))
-    }
-
-    /// Vet a WR's local side — what its post refuses synchronously —
-    /// without running it.
-    fn check_local(&self, wr: &SendWr, cx: &mut ChainCache) -> VerbsResult<()> {
-        match wr.opcode {
-            WrOpcode::Read { .. } => self.device.check_scatter(&wr.sge),
-            _ => {
-                cx.scratch.clear();
-                self.device.gather_into(wr, &mut cx.lkey, &mut cx.scratch)
-            }
-        }
     }
 
     // --- the responder: every inbound operation, local or relayed --------
