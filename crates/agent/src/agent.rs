@@ -775,11 +775,16 @@ impl Agent {
             .expect("fresh block fits");
         // The descriptor keeps the *data* length, so receivers read exactly
         // the payload; the receiver frees the block at arena granularity.
-        let (offset, len) = (block.offset, data as u64);
-        // A descriptor is shorter than the bytes it replaces.
-        let mut out = BytesMut::with_capacity(frame.len());
-        h.reframe(&frame, PayloadDesc::Arena { offset, len }, &mut out);
-        (out.freeze(), Some((block, len)))
+        let desc = PayloadDesc::Arena {
+            offset: block.offset,
+            len: data as u64,
+        };
+        // Sized to the header and the descriptor: the frame stays queued
+        // until the container pops it.
+        let mut out = BytesMut::with_capacity(h.reframed_len(desc));
+        h.reframe(&frame, desc, &mut out);
+        debug_assert_eq!(out.len(), h.reframed_len(desc));
+        (out.freeze(), Some((block, data as u64)))
     }
 
     /// Refuse an operation with `code`, replying toward its source.

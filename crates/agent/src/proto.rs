@@ -406,6 +406,16 @@ impl RelayHeader {
         }
     }
 
+    /// The length of the frame [`RelayHeader::reframe`] writes with
+    /// `payload`'s descriptor, an inline payload's bytes not counted.
+    pub(crate) fn reframed_len(&self, payload: PayloadDesc) -> usize {
+        self.at
+            + match payload {
+                PayloadDesc::Inline(_) => 1 + 4,
+                PayloadDesc::Arena { .. } => 1 + 8 + 8,
+            }
+    }
+
     /// Append `frame` (the frame this header was peeked from) to `buf` with
     /// `payload`'s descriptor in place of its own. For an inline payload the
     /// caller appends its bytes next.

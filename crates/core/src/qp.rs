@@ -11,10 +11,12 @@
 //!   intra-host shared-memory flow.
 //! * **Remote** — the peer is elsewhere: operations are encoded as
 //!   [`RelayMsg`]s and handed to the host agent over the shared-memory
-//!   channel (large payloads as arena descriptors, the §5 "pass the
-//!   pointer" step). The agent ships them over the RDMA/DPDK/TCP wire
-//!   the orchestrator chose; the peer's verbs engine executes them
-//!   (receive matching, rkey checks) and its FfQp acks back. Completions
+//!   channel (a payload of [`ZERO_COPY_THRESHOLD`] bytes or more is
+//!   gathered straight from its MRs into an arena block and rides as its
+//!   descriptor, the §5 "pass the pointer" step). The agent ships them
+//!   over the RDMA/DPDK/TCP wire the orchestrator chose; the peer's verbs
+//!   engine executes them (receive matching, rkey checks), landing a
+//!   block straight into the target MR, and its FfQp acks back. Completions
 //!   carry the same verbs `WorkCompletion` type either way.
 //!
 //! Either way the receive side is the verbs QP's: every receive is
@@ -57,13 +59,14 @@ use crate::library::{LibShared, ResolvedPath};
 use bytes::Bytes;
 use freeflow_agent::proto::{status as st, RelayMsg, RelayPayload, WireEp};
 use freeflow_agent::ZERO_COPY_THRESHOLD;
+use freeflow_shmem::{ArenaHandle, SharedArena};
 use freeflow_telemetry::{Counter, Event, Histogram, LabelSet, Telemetry, TransitionKind};
 use freeflow_types::TransportKind;
 use freeflow_verbs::qp::{Answer, Requester};
 use freeflow_verbs::wr::{RecvWr, SendWr, WcOpcode, WorkCompletion, WrOpcode};
 use freeflow_verbs::{
-    CompletionQueue, MemoryRegion, QpEndpoint, QpState, QueuePair, VerbsError, VerbsResult,
-    WcStatus,
+    CompletionQueue, MemoryRegion, Payload, QpEndpoint, QpState, QueuePair, VerbsError,
+    VerbsResult, WcStatus,
 };
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
@@ -232,6 +235,14 @@ enum Seq {
     Duplicate,
     /// Past a gap: refuse the first such op, drop the rest.
     Gap { refuse: bool },
+}
+
+/// Where a payload is staged for the relay ([`FfQp::stage_bytes`]).
+enum StageTo<'a> {
+    /// A fresh block of the host arena, sized to the payload.
+    Block(&'a SharedArena, ArenaHandle),
+    /// A buffer that rides inline.
+    Vec(&'a mut Vec<u8>),
 }
 
 /// How a failover re-path came out.
@@ -1287,44 +1298,54 @@ impl FfQp {
     /// container↔agent ring is 2 MiB per direction; anything bigger must
     /// ride an arena descriptor, so when the arena is exhausted *and* the
     /// payload exceeds this bound the post fails loudly instead of being
-    /// silently undeliverable. A READ response up to this size rides
-    /// inline; a longer one rides the arena as a SEND payload does.
+    /// silently undeliverable.
     pub(crate) const MAX_INLINE_RELAY: usize = 1 << 20;
 
-    /// Stage `data` for the relay: into the host arena from `arena_from`
-    /// bytes on (zero-copy to the agent), inline otherwise. `None` when
-    /// the arena is exhausted and `data` is too large for the inline path.
-    fn relay_payload(&self, data: Vec<u8>, arena_from: usize) -> Option<RelayPayload> {
-        if data.len() >= arena_from {
+    /// Stage `len` payload bytes for the relay, copied by `copy`: from
+    /// [`ZERO_COPY_THRESHOLD`] bytes on, straight into a fresh block of
+    /// the host arena (zero-copy to the agent); below it, or when the
+    /// arena is full, into a `Vec` that rides inline. `Ok(None)` when the
+    /// arena is full and the payload too large for the inline path.
+    fn stage_bytes(
+        &self,
+        len: u64,
+        copy: impl FnOnce(StageTo<'_>) -> VerbsResult<()>,
+    ) -> VerbsResult<Option<RelayPayload>> {
+        if len >= ZERO_COPY_THRESHOLD as u64 {
             let arena = self.lib.arena();
-            if let Ok(handle) = arena.alloc(data.len() as u64) {
-                arena.write(handle, 0, &data).expect("fresh block fits");
-                return Some(RelayPayload::Arena {
-                    offset: handle.offset,
-                    len: data.len() as u64,
-                });
+            if let Ok(block) = arena.alloc(len) {
+                if let Err(e) = copy(StageTo::Block(&arena, block)) {
+                    let _ = arena.free(block);
+                    return Err(e);
+                }
+                let offset = block.offset;
+                return Ok(Some(RelayPayload::Arena { offset, len }));
             }
         }
-        (data.len() <= Self::MAX_INLINE_RELAY).then(|| RelayPayload::Inline(Bytes::from(data)))
+        let mut data = Vec::new();
+        copy(StageTo::Vec(&mut data))?;
+        Ok((data.len() <= Self::MAX_INLINE_RELAY).then(|| RelayPayload::Inline(data.into())))
     }
 
     /// Gather a WR's payload and stage it for the relay: big payloads go
-    /// into the host arena, small ones inline.
+    /// straight into the host arena, small ones inline.
     fn stage_payload(
         &self,
         wr: &SendWr,
         lkey: &mut Option<Arc<MemoryRegion>>,
     ) -> VerbsResult<RelayPayload> {
-        let mut payload = Vec::new();
-        self.lib.device.gather_into(wr, lkey, &mut payload)?;
-        let len = payload.len();
-        self.relay_payload(payload, ZERO_COPY_THRESHOLD)
-            .ok_or_else(|| VerbsError::ResourceLimit {
-                detail: format!(
-                    "payload of {len} bytes: host arena exhausted and too large \
-                     for the inline relay channel"
-                ),
-            })
+        let device = &self.lib.device;
+        let len = wr.total_len();
+        let staged = self.stage_bytes(len, |to| match to {
+            StageTo::Block(arena, block) => device.gather_to_block(wr, lkey, arena, block),
+            StageTo::Vec(out) => device.gather_into(wr, lkey, out),
+        })?;
+        staged.ok_or_else(|| VerbsError::ResourceLimit {
+            detail: format!(
+                "payload of {len} bytes: host arena exhausted and too large \
+                 for the inline relay channel"
+            ),
+        })
     }
 
     /// Stage a WR's payload for the relay. A READ's SGEs are where its
@@ -1419,7 +1440,7 @@ impl FfQp {
                 // the failure flushed everything else.
                 drop((inner, order));
                 for (wr, payload) in staged {
-                    let _ = self.payload_bytes(payload);
+                    self.unstage(payload);
                     let wc = self.wc(
                         wr.wr_id,
                         WcStatus::WrFlushError,
@@ -1455,15 +1476,28 @@ impl FfQp {
 
     // --- inbound (called from the library pump) ----------------------------
 
-    /// Materialize a relay payload into bytes (reading and freeing arena
-    /// blocks — the receive-side copy out of shared memory). `None` for a
-    /// descriptor outside the host arena: the sender wrote it.
-    fn payload_bytes(&self, p: RelayPayload) -> Option<Bytes> {
-        match p {
-            RelayPayload::Inline(b) => Some(b),
+    /// Free the arena block of a payload staged here and never sent.
+    fn unstage(&self, p: RelayPayload) {
+        if let RelayPayload::Arena { offset, len } = p {
+            Payload::Block {
+                arena: &self.lib.arena(),
+                offset,
+                len,
+            }
+            .discard();
+        }
+    }
+
+    /// A relay payload as the responder lands it: inline bytes, or an
+    /// arena block, taken from `arena` as it lands (the receive-side copy
+    /// out of shared memory, straight into the MR). `None` for a
+    /// descriptor naming a block the host arena does not hold: the sender
+    /// wrote it, and nothing lands from it.
+    fn landing<'a>(p: &'a RelayPayload, arena: &'a SharedArena) -> Option<Payload<'a>> {
+        match *p {
+            RelayPayload::Inline(ref bytes) => Some(Payload::Bytes(bytes)),
             RelayPayload::Arena { offset, len } => {
-                let bytes = self.lib.arena().take(offset, len).ok()?;
-                Some(Bytes::from(bytes))
+                (arena.holds(offset, len)).then_some(Payload::Block { arena, offset, len })
             }
         }
     }
@@ -1507,12 +1541,29 @@ impl FfQp {
                 status,
                 payload,
                 ..
-            } => match (self.hears(src), status, self.payload_bytes(payload)) {
-                (false, ..) => {}
-                (true, st::OK, Some(data)) => self.answered(req_id, Some(&data), data.len() as u64),
-                (true, st::OK, None) => self.refused(req_id, st::REMOTE_ACCESS),
-                (true, status, _) => self.refused(req_id, status),
-            },
+            } => {
+                let arena = self.lib.arena();
+                match (self.hears(src), status, Self::landing(&payload, &arena)) {
+                    (true, st::OK, Some(data)) => {
+                        let len = data.len();
+                        self.answered(req_id, Some(data), len);
+                    }
+                    (heard, status, unlanded) => {
+                        if let Some(unlanded) = unlanded {
+                            unlanded.discard();
+                        }
+                        if heard {
+                            // An OK whose block the arena does not hold.
+                            let status = if status == st::OK {
+                                st::REMOTE_ACCESS
+                            } else {
+                                status
+                            };
+                            self.refused(req_id, status);
+                        }
+                    }
+                }
+            }
             RelayMsg::Ack {
                 wr_id, byte_len, ..
             } => {
@@ -1618,17 +1669,27 @@ impl FfQp {
         src: WireEp,
         op_id: u64,
         payload: RelayPayload,
-        answer: impl FnOnce(Requester, &[u8]) -> Answer,
+        answer: impl FnOnce(Requester, Payload<'_>) -> Answer,
     ) {
         let from = Requester {
             qp: verbs_ep(src),
             wr_id: op_id,
             relayed: true,
         };
-        // Read whatever comes of the op: an arena block is freed here.
-        let data = self.payload_bytes(payload);
-        let len = data.as_ref().map_or(0, |d| d.len() as u64);
-        let status = match (self.sequence(src, op_id), data) {
+        let arena = self.lib.arena();
+        let data = Self::landing(&payload, &arena);
+        let len = data.as_ref().map_or(0, Payload::len);
+        let seq = self.sequence(src, op_id);
+        // Only the next op lands: any other's arena block is freed here.
+        let data = match (seq, data) {
+            (Some(Seq::Next), data) => data,
+            (_, Some(unlanded)) => {
+                unlanded.discard();
+                None
+            }
+            (_, None) => None,
+        };
+        let status = match (seq, data) {
             (None, _) => return self.refuse(src, op_id, false, st::REMOTE_ACCESS),
             (Some(Seq::Gap { refuse }), _) => {
                 if refuse {
@@ -1638,7 +1699,7 @@ impl FfQp {
             }
             (Some(Seq::Duplicate), _) if self.verbs_qp.parks(from) || !self.receiving() => return,
             (Some(Seq::Duplicate), _) => WcStatus::Success,
-            (Some(Seq::Next), Some(data)) => match answer(from, &data) {
+            (Some(Seq::Next), Some(data)) => match answer(from, data) {
                 Answer::Now(status) => status,
                 Answer::Parked => return,
             },
@@ -1652,8 +1713,9 @@ impl FfQp {
     }
 
     /// Answer a relayed READ, a duplicate too: it executes again, as on
-    /// RC. The MR bounds its length; a response longer than
-    /// [`Self::MAX_INLINE_RELAY`] rides the arena.
+    /// RC. The MR bounds its length; a response of [`ZERO_COPY_THRESHOLD`]
+    /// bytes or more is read straight into an arena block, as a WRITE's
+    /// payload is gathered.
     fn respond_read(&self, src: WireEp, req_id: u64, addr: u64, rkey: u32, len: u64) {
         match self.sequence(src, req_id) {
             None => return self.refuse(src, req_id, true, st::REMOTE_ACCESS),
@@ -1666,16 +1728,17 @@ impl FfQp {
             Some(Seq::Duplicate) if !self.receiving() => return,
             Some(Seq::Next | Seq::Duplicate) => {}
         }
-        let mut data = Vec::new();
-        let read = (self.verbs_qp).answer_read(verbs_ep(src), addr, rkey, len, &mut data);
-        let staged = read
-            .is_ok()
-            .then(|| self.relay_payload(data, Self::MAX_INLINE_RELAY + 1));
-        let (status, payload) = match staged {
-            Some(Some(payload)) => (st::OK, payload),
+        let read = (self.verbs_qp).answer_read(verbs_ep(src), addr, rkey, len, |mr| {
+            self.stage_bytes(len, |to| match to {
+                StageTo::Block(arena, block) => mr.dma_read_to_block(addr, len, arena, block, 0),
+                StageTo::Vec(out) => mr.dma_read_into(addr, len, out),
+            })
+        });
+        let (status, payload) = match read {
+            Ok(Some(payload)) => (st::OK, payload),
             // The arena is full and the response too long to ride inline.
-            Some(None) => (st::REMOTE_OP, RelayPayload::Inline(Bytes::new())),
-            None => (wire_status(read), RelayPayload::Inline(Bytes::new())),
+            Ok(None) => (st::REMOTE_OP, RelayPayload::Inline(Bytes::new())),
+            Err(status) => (wire_status(status), RelayPayload::Inline(Bytes::new())),
         };
         self.reply(RelayMsg::ReadResp {
             src: self.endpoint().wire(),
@@ -1689,14 +1752,16 @@ impl FfQp {
     /// The peer answered remote op `op_id`: `byte_len` bytes delivered,
     /// or a READ's `data`, which lands in its SGEs. An answer to an op no
     /// longer pending — a duplicate's — is dropped.
-    fn answered(&self, op_id: u64, data: Option<&[u8]>, byte_len: u64) {
+    fn answered(&self, op_id: u64, data: Option<Payload<'_>>, byte_len: u64) {
         // A READ's bytes land before the op leaves `pending`, so whoever
         // sees it answered (`unanswered`) finds them in place.
         let placed = match data {
             None => true,
             Some(data) => {
                 let sge = (self.inner.lock().pending.get(&op_id)).map(|p| p.wr.sge.clone());
-                let Some(sge) = sge else { return };
+                let Some(sge) = sge else {
+                    return data.discard();
+                };
                 self.lib.device.scatter(&sge, data).is_ok()
             }
         };

@@ -362,6 +362,182 @@ fn arena_descriptor_outside_the_arena_delivers_nothing() {
     assert_eq!(p.qp_b.state(), QpState::Rts);
 }
 
+/// Bytes allocated in the arenas of `p`'s two hosts.
+fn arenas_allocated(cluster: &FreeFlowCluster, p: &Pair) -> (u64, u64) {
+    let allocated = |h| cluster.agent_of(h).unwrap().arena().allocated();
+    (allocated(p.a.host()), allocated(p.b.host()))
+}
+
+/// `len` bytes that repeat only every 251, told apart by `seed`.
+fn pattern_of(seed: u8, len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i % 251) as u8 ^ seed).collect()
+}
+
+#[test]
+fn relayed_arena_payloads_land_straight_and_free_their_blocks() {
+    // Every relayed op of 4096 bytes or more gathers into an arena block
+    // on A's host and lands from one on B's (a READ response the other
+    // way round). Each lands its bytes, and both hosts' arenas are back
+    // at their baselines once it completes: no block is kept or lost.
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    let base = arenas_allocated(&cluster, &p);
+    let settled = |what: &str| assert_eq!(arenas_allocated(&cluster, &p), base, "{what}");
+    let (addr_b, rkey_b) = (p.mr_b.addr(), p.mr_b.rkey());
+
+    // A WRITE of a length that is not a multiple of the 64-byte block.
+    let data = pattern_of(1, 5000);
+    p.mr_a.write(0, &data).unwrap();
+    let wr = SendWr::write(1, p.mr_a.sge(0, 5000), addr_b + 100, rkey_b);
+    p.qp_a.post_send(wr).unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(1, WcStatus::Success)]);
+    assert_eq!(read_b(&p, 100, 5000), data);
+    settled("a WRITE");
+
+    // A SEND into a receive already posted.
+    let data = pattern_of(2, 8192);
+    p.mr_a.write(8192, &data).unwrap();
+    p.qp_b
+        .post_recv(RecvWr::new(20, p.mr_b.sge(8192, 8192)))
+        .unwrap();
+    p.qp_a
+        .post_send(SendWr::send(2, p.mr_a.sge(8192, 8192)))
+        .unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(2, WcStatus::Success)]);
+    let rwc = p.cq_b.wait_one(T).expect("recv completion");
+    assert_eq!(
+        (rwc.wr_id, rwc.status, rwc.byte_len),
+        (20, WcStatus::Success, 8192)
+    );
+    assert_eq!(read_b(&p, 8192, 8192), data);
+    settled("a SEND into a posted receive");
+
+    // A SEND that parks for a receive keeps its bytes, not its block.
+    let data = pattern_of(3, 6000);
+    p.mr_a.write(16384, &data).unwrap();
+    p.qp_a
+        .post_send(SendWr::send(3, p.mr_a.sge(16384, 6000)))
+        .unwrap();
+    wait_until("the send parked", || p.qp_b.parked_inbound() == 1);
+    settled("a SEND parked for a receive");
+    p.qp_b
+        .post_recv(RecvWr::new(21, p.mr_b.sge(16384, 8192)))
+        .unwrap();
+    let rwc = p.cq_b.wait_one(T).expect("recv completion");
+    assert_eq!((rwc.wr_id, rwc.byte_len), (21, 6000));
+    assert_eq!(completions(&p.cq_a, 1), [(3, WcStatus::Success)]);
+    assert_eq!(read_b(&p, 16384, 6000), data);
+    settled("a parked SEND received");
+
+    // A READ: its response is read into a block on B's host and lands
+    // in A's region straight from one on A's.
+    let data = pattern_of(4, 12288);
+    p.mr_b.write(24576, &data).unwrap();
+    let read = |wr_id, sge| SendWr {
+        sge,
+        ..SendWr::read(wr_id, p.mr_a.sge(0, 1), addr_b + 24576, rkey_b)
+    };
+    p.qp_a
+        .post_send(read(4, vec![p.mr_a.sge(24576, 12288)]))
+        .unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(4, WcStatus::Success)]);
+    let mut got = vec![0u8; 12288];
+    p.mr_a.read(24576, &mut got).unwrap();
+    assert_eq!(got, data);
+    settled("a READ");
+
+    // Two SGEs each way: a WRITE gathered from two ranges, and a READ
+    // that lands in two ranges of one region.
+    let (head, tail) = (pattern_of(5, 3000), pattern_of(6, 2000));
+    p.mr_a.write(40000, &head).unwrap();
+    p.mr_a.write(50000, &tail).unwrap();
+    let wr = SendWr {
+        sge: vec![p.mr_a.sge(40000, 3000), p.mr_a.sge(50000, 2000)],
+        ..SendWr::write(5, p.mr_a.sge(0, 1), addr_b + 40000, rkey_b)
+    };
+    p.qp_a.post_send(wr).unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(5, WcStatus::Success)]);
+    assert_eq!(
+        read_b(&p, 40000, 5000),
+        [head.clone(), tail.clone()].concat()
+    );
+    settled("a two-SGE WRITE");
+    let sge = vec![p.mr_a.sge(60000, 2000), p.mr_a.sge(56000, 3000)];
+    p.qp_a.post_send(read(6, sge)).unwrap();
+    assert_eq!(completions(&p.cq_a, 1), [(6, WcStatus::Success)]);
+    let (mut first, mut second) = (vec![0u8; 2000], vec![0u8; 3000]);
+    p.mr_a.read(60000, &mut first).unwrap();
+    p.mr_a.read(56000, &mut second).unwrap();
+    assert_eq!([first, second].concat(), data[..5000]);
+    settled("a two-SGE READ");
+
+    // A WRITE refused for a bad rkey, and one refused for an address past
+    // B's region: each lands nothing and frees its block.
+    for past_the_end in [false, true] {
+        let p = connected_pair(&cluster, false);
+        let base = arenas_allocated(&cluster, &p);
+        let (addr, rkey) = match past_the_end {
+            false => (p.mr_b.addr(), p.mr_b.rkey() + 1000),
+            true => (p.mr_b.addr() + (1 << 16) - 100, p.mr_b.rkey()),
+        };
+        p.mr_a.write(0, &pattern_of(7, 4096)).unwrap();
+        let wr = SendWr::write(7, p.mr_a.sge(0, 4096), addr, rkey);
+        p.qp_a.post_send(wr).unwrap();
+        assert_eq!(completions(&p.cq_a, 1), [(7, WcStatus::RemoteAccessError)]);
+        assert_eq!(
+            arenas_allocated(&cluster, &p),
+            base,
+            "past the end: {past_the_end}"
+        );
+        assert_eq!(read_b(&p, 0, 1 << 16), [0u8; 1 << 16], "landed bytes");
+    }
+}
+
+#[test]
+fn a_descriptor_naming_a_block_the_arena_does_not_hold_lands_nothing() {
+    // A's RDMA wire is down, so A's WRITE 1 waits, refused at A's agent.
+    // A container on B's host writes an op 1 of A's at B whose descriptor
+    // names free memory of B's arena, holding bytes of its own. Nothing
+    // lands in B's region, and A's op completes REMOTE_ACCESS.
+    let cluster = FreeFlowCluster::with_defaults();
+    let (p, _rdma) = flapped_pair(&cluster);
+    let (h0, h1) = (p.a.host(), p.b.host());
+    let n0 = nacked(&cluster, h0);
+    p.qp_a.post_send(write_to_b(&p, 1, 0, b"waits")).unwrap();
+    wait_until("the post refused", || nacked(&cluster, h0) > n0);
+    let arena = Arc::clone(cluster.agent_of(h1).unwrap().arena());
+    let free = arena.alloc(4096).unwrap();
+    arena.write(free, 0, &pattern_of(8, 4096)).unwrap();
+    arena.free(free).unwrap();
+    assert!(!arena.holds(free.offset, 4096));
+    let base = arena.allocated();
+    let hostile = cluster.launch(tenant(), h1).unwrap();
+    hostile.lib().send_raw(&[RelayMsg::Write {
+        src: p.qp_a.endpoint().wire(),
+        dst: p.qp_b.endpoint().wire(),
+        wr_id: 1,
+        addr: p.mr_b.addr(),
+        rkey: p.mr_b.rkey(),
+        imm: None,
+        payload: RelayPayload::Arena {
+            offset: free.offset,
+            len: 4096,
+        },
+    }]);
+    assert_eq!(completions(&p.cq_a, 1), [(1, WcStatus::RemoteAccessError)]);
+    assert_eq!(
+        read_b(&p, 0, 4096),
+        [0u8; 4096],
+        "the refused op landed bytes"
+    );
+    assert_eq!(
+        arena.allocated(),
+        base,
+        "a refused descriptor freed a block"
+    );
+    assert_eq!(p.qp_b.accepted(), 1);
+}
+
 /// Record, on the pushing thread, the QP state every non-success
 /// completion on `cq` becomes visible under.
 fn watch_error_pushes(
@@ -1621,23 +1797,37 @@ fn a_settled_path_resends_nothing() {
 #[test]
 fn failover_resends_the_unanswered_suffix_once_in_order() {
     // Three SENDs park at B for receives: accepted, unanswered. Then the
-    // NIC dies and two WRITEs are refused on the stale route. The
-    // failover re-sends all five, oldest first: B drops the SENDs'
-    // duplicates (they stay parked once) and executes the WRITEs in order.
+    // RDMA wire goes down and two WRITEs are refused on the stale route,
+    // and only then the NIC dies: the QP fails over with all five
+    // unanswered, whichever of the post and the health change its pump
+    // sees first. The failover re-sends all five, oldest first: B drops
+    // the SENDs' duplicates (they stay parked once) and executes the
+    // WRITEs in order.
     let cluster = FreeFlowCluster::with_defaults();
     let p = connected_pair(&cluster, false);
+    let h0 = p.a.host();
     for i in 1..=3u64 {
         p.mr_a.write(i * 64, &[i as u8; 8]).unwrap();
         let send = SendWr::send(i, p.mr_a.sge(i * 64, 8));
         p.qp_a.post_send(send).unwrap();
     }
     wait_until("three sends parked at B", || p.qp_b.parked_inbound() == 3);
-    cluster.fail_nic(p.a.host()).unwrap();
+    let agent = cluster.agent_of(h0).unwrap();
+    let rdma = agent.wire_of_kind(p.b.host(), TransportKind::Rdma).unwrap();
+    agent.set_wire_up(rdma, false).unwrap();
+    let n0 = nacked(&cluster, h0);
     let writes = vec![
         write_to_b(&p, 4, 1024, b"fourth"),
         write_to_b(&p, 5, 2048, b"fifth!"),
     ];
     p.qp_a.post_send_batch(writes).unwrap();
+    wait_until("the writes refused", || nacked(&cluster, h0) >= n0 + 2);
+    assert_eq!(
+        p.qp_a.failover_count(),
+        0,
+        "a stale route alone stays bound"
+    );
+    cluster.fail_nic(h0).unwrap();
     wait_until("the failover", || p.qp_a.failover_count() == 1);
     assert!(
         p.cq_a.poll_one().is_none(),

@@ -12,7 +12,7 @@
 //! long-running channels don't fragment the segment.
 
 use freeflow_types::{Error, Result};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::Arc;
 
 /// A block allocated out of a [`SharedArena`]: offset + length.
@@ -127,8 +127,19 @@ impl SharedArena {
         self.release(&mut self.inner.lock(), handle)
     }
 
-    /// [`SharedArena::free`] under the allocator lock the caller holds.
-    fn release(&self, inner: &mut ArenaInner, handle: ArenaHandle) -> Result<()> {
+    /// Whether the arena holds the block a relay descriptor names: it lies
+    /// in the arena and no part of it is free. A block held now can still
+    /// be taken by someone else before its taker gets to it.
+    pub fn holds(&self, offset: u64, len: u64) -> bool {
+        let Ok(block) = self.block(offset, len) else {
+            return false;
+        };
+        self.slot(&self.inner.lock(), block).is_ok()
+    }
+
+    /// Where `handle` goes back into the free list: refused when it falls
+    /// outside the arena or overlaps a free block (it is not allocated).
+    fn slot(&self, inner: &ArenaInner, handle: ArenaHandle) -> Result<usize> {
         if handle.len == 0 || handle.end() > self.size {
             return Err(Error::invalid_state(format!(
                 "arena free out of range: {handle:?}"
@@ -149,6 +160,12 @@ impl SharedArena {
                 return Err(Error::invalid_state("arena double free (next overlap)"));
             }
         }
+        Ok(idx)
+    }
+
+    /// [`SharedArena::free`] under the allocator lock the caller holds.
+    fn release(&self, inner: &mut ArenaInner, handle: ArenaHandle) -> Result<()> {
+        let idx = self.slot(inner, handle)?;
         inner.free.insert(
             idx,
             FreeBlock {
@@ -192,9 +209,25 @@ impl SharedArena {
 
     /// Write `data` into the arena at `handle.offset + at`.
     pub fn write(&self, handle: ArenaHandle, at: u64, data: &[u8]) -> Result<()> {
-        self.check(handle, at, data.len() as u64)?;
+        self.write_with(handle, at, data.len() as u64, |out| {
+            out.copy_from_slice(data)
+        })
+    }
+
+    /// Hand `fill` the `len` bytes at `handle.offset + at` to write, under
+    /// the arena's lock: a gather copies straight from a locked source into
+    /// a block this way. Whoever takes a block copies under the same lock
+    /// (see [`SharedArena::take_with`]), so both lock the arena first.
+    pub fn write_with(
+        &self,
+        handle: ArenaHandle,
+        at: u64,
+        len: u64,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<()> {
+        self.check(handle, at, len)?;
         let start = (handle.offset + at) as usize;
-        self.buf.lock()[start..start + data.len()].copy_from_slice(data);
+        fill(&mut self.buf.lock()[start..start + len as usize]);
         Ok(())
     }
 
@@ -220,23 +253,37 @@ impl SharedArena {
     }
 
     /// Move a relayed payload out of the arena: free the [`block`] a
-    /// descriptor names, then hand `out` its `len` bytes. The bytes are
-    /// locked before the allocator lets go of the block, so whoever is
-    /// handed it next cannot write it under the read, while allocation
-    /// goes on during the copy; a refused descriptor (outside the arena,
-    /// or not allocated) calls `out` not at all.
+    /// descriptor names, then hand `land` its `len` bytes, [`Taken`], to
+    /// copy out — into a caller's slice, or into a block of this arena. The
+    /// bytes are locked before the allocator lets go of the block, so
+    /// whoever is handed it next cannot write it under the copy, while
+    /// allocation goes on during it; a refused descriptor (outside the
+    /// arena, or not allocated) calls `land` not at all.
     ///
     /// [`block`]: SharedArena::block
-    pub fn take_into(&self, offset: u64, len: u64, out: impl FnOnce(&[u8])) -> Result<()> {
+    pub fn take_with<R>(
+        &self,
+        offset: u64,
+        len: u64,
+        land: impl FnOnce(&mut Taken<'_>) -> R,
+    ) -> Result<R> {
         let block = self.block(offset, len)?;
         let buf = {
             let mut inner = self.inner.lock();
             self.release(&mut inner, block)?;
             self.buf.lock()
         };
-        let start = offset as usize;
-        out(&buf[start..start + len as usize]);
-        Ok(())
+        Ok(land(&mut Taken {
+            arena: self,
+            buf,
+            start: offset as usize,
+            len: len as usize,
+        }))
+    }
+
+    /// [`SharedArena::take_with`], handing `out` the bytes.
+    pub fn take_into(&self, offset: u64, len: u64, out: impl FnOnce(&[u8])) -> Result<()> {
+        self.take_with(offset, len, |taken| out(taken.bytes()))
     }
 
     /// [`SharedArena::take_into`] a fresh `Vec`.
@@ -274,6 +321,52 @@ impl SharedArena {
             dst_buf[d..d + len as usize].copy_from_slice(&src_buf[s..s + len as usize]);
             Ok(())
         }
+    }
+}
+
+/// The bytes of a block [`SharedArena::take_with`] freed, still locked
+/// until they are copied out.
+pub struct Taken<'a> {
+    arena: &'a SharedArena,
+    buf: MutexGuard<'a, Box<[u8]>>,
+    start: usize,
+    len: usize,
+}
+
+impl Taken<'_> {
+    /// The payload bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf[self.start..self.start + self.len]
+    }
+
+    /// Whether the bytes are `arena`'s.
+    pub fn of(&self, arena: &SharedArena) -> bool {
+        std::ptr::eq(self.arena, arena)
+    }
+
+    /// Copy `len` payload bytes from `at` to `dst_at` of `dst`, a block of
+    /// the same arena: one `copy_within` under the lock already held.
+    pub fn copy_to_block(
+        &mut self,
+        at: u64,
+        len: u64,
+        dst: ArenaHandle,
+        dst_at: u64,
+    ) -> Result<()> {
+        let in_payload = at
+            .checked_add(len)
+            .is_some_and(|end| end <= self.len as u64);
+        if !in_payload {
+            return Err(Error::too_large(format!(
+                "{len} bytes at +{at} of a {}-byte payload",
+                self.len
+            )));
+        }
+        self.arena.check(dst, dst_at, len)?;
+        let s = self.start + at as usize;
+        let d = (dst.offset + dst_at) as usize;
+        self.buf.copy_within(s..s + len as usize, d);
+        Ok(())
     }
 }
 

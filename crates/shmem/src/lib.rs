@@ -39,7 +39,7 @@ pub mod pump;
 pub mod ring;
 pub mod stats;
 
-pub use arena::{ArenaHandle, SharedArena};
+pub use arena::{ArenaHandle, SharedArena, Taken};
 pub use channel::{
     channel_pair, channel_pair_on, ChannelTelemetry, ShmDuplex, ShmMessage, ShmReceiver, ShmSender,
 };

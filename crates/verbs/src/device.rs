@@ -9,7 +9,7 @@
 
 use crate::cq::CompletionQueue;
 use crate::error::{VerbsError, VerbsResult};
-use crate::mr::MemoryRegion;
+use crate::mr::{out_of_bounds, MemoryRegion, Payload, Sites};
 use crate::network::VerbsNetwork;
 use crate::pd::ProtectionDomain;
 use crate::qp::QueuePair;
@@ -192,33 +192,73 @@ impl Device {
     /// lkey lookup across calls — a WR chain overwhelmingly gathers from
     /// one MR, so the table lock is taken once per chain, not per SGE.
     ///
-    /// The only gather: the verbs engine and FreeFlow's relayed paths both
-    /// call it.
+    /// The verbs engine and FreeFlow's relayed paths below the arena
+    /// threshold call it; [`Device::gather_to_block`] is its twin for a
+    /// payload that rides a shared-memory block.
     pub fn gather_into(
         &self,
         wr: &SendWr,
         last: &mut Option<Arc<MemoryRegion>>,
         out: &mut Vec<u8>,
     ) -> VerbsResult<()> {
-        if let Some(inline) = &wr.inline_data {
-            let max = self.attr.max_inline;
-            if inline.len() > max {
-                return Err(VerbsError::InlineTooLarge {
-                    len: inline.len(),
-                    max,
-                });
-            }
+        if let Some(inline) = self.inline(wr)? {
             out.extend_from_slice(inline);
             return Ok(());
         }
         for sge in &wr.sge {
-            let mr = match last {
-                Some(mr) if mr.lkey() == sge.lkey => mr,
-                _ => last.insert(self.mr_by_lkey(sge.lkey)?),
-            };
-            mr.dma_read_into(sge.addr, sge.len as u64, out)?;
+            self.lookup(last, sge.lkey)?
+                .dma_read_into(sge.addr, sge.len as u64, out)?;
         }
         Ok(())
+    }
+
+    /// Gather a send WR's payload, its [`SendWr::total_len`] bytes,
+    /// straight from its MRs into `block` of `arena`, with no buffer
+    /// between: what [`Device::gather_into`] does for a payload that
+    /// rides shared memory. `last` memoizes the lkey lookup as there.
+    pub fn gather_to_block(
+        &self,
+        wr: &SendWr,
+        last: &mut Option<Arc<MemoryRegion>>,
+        arena: &SharedArena,
+        block: ArenaHandle,
+    ) -> VerbsResult<()> {
+        if let Some(inline) = self.inline(wr)? {
+            return arena.write(block, 0, inline).map_err(out_of_bounds);
+        }
+        let mut at = 0;
+        for sge in &wr.sge {
+            let len = sge.len as u64;
+            self.lookup(last, sge.lkey)?
+                .dma_read_to_block(sge.addr, len, arena, block, at)?;
+            at += len;
+        }
+        Ok(())
+    }
+
+    /// A WR's inline data, refused beyond the device's inline limit.
+    fn inline<'w>(&self, wr: &'w SendWr) -> VerbsResult<Option<&'w [u8]>> {
+        match &wr.inline_data {
+            Some(inline) if inline.len() > self.attr.max_inline => {
+                Err(VerbsError::InlineTooLarge {
+                    len: inline.len(),
+                    max: self.attr.max_inline,
+                })
+            }
+            inline => Ok(inline.as_deref()),
+        }
+    }
+
+    /// The MR behind `lkey`, through the memo `last`.
+    fn lookup<'m>(
+        &self,
+        last: &'m mut Option<Arc<MemoryRegion>>,
+        lkey: u32,
+    ) -> VerbsResult<&'m Arc<MemoryRegion>> {
+        if !matches!(last, Some(mr) if mr.lkey() == lkey) {
+            *last = Some(self.mr_by_lkey(lkey)?);
+        }
+        Ok(last.as_ref().expect("looked up"))
     }
 
     /// Vet a send WR's local side — what its post refuses synchronously —
@@ -228,14 +268,7 @@ impl Device {
         if let WrOpcode::Read { .. } = wr.opcode {
             return self.check_scatter(&wr.sge);
         }
-        if let Some(inline) = &wr.inline_data {
-            let max = self.attr.max_inline;
-            if inline.len() > max {
-                return Err(VerbsError::InlineTooLarge {
-                    len: inline.len(),
-                    max,
-                });
-            }
+        if self.inline(wr)?.is_some() {
             return Ok(());
         }
         for sge in &wr.sge {
@@ -249,8 +282,40 @@ impl Device {
     /// are dropped — callers that care check the capacity first.
     ///
     /// The only scatter: receives and READ responses, verbs engine and
-    /// relayed paths alike, land through it.
-    pub fn scatter(&self, sge: &[Sge], payload: &[u8]) -> VerbsResult<()> {
+    /// relayed paths alike, land through it. Bytes in hand are written SGE
+    /// by SGE; a relayed arena block is taken once, after every SGE is
+    /// vetted, and lands straight from the block, or is freed unlanded.
+    pub fn scatter(&self, sge: &[Sge], payload: Payload<'_>) -> VerbsResult<()> {
+        let (arena, offset, len) = match payload {
+            Payload::Bytes(bytes) => return self.scatter_bytes(sge, bytes),
+            Payload::Block { arena, offset, len } => (arena, offset, len),
+        };
+        let (mut regions, mut rest) = (Vec::with_capacity(sge.len()), len);
+        for s in sge {
+            if rest == 0 {
+                break;
+            }
+            let n = rest.min(s.len as u64);
+            match self.writable(s) {
+                Ok(mr) => regions.push((mr, s.addr, n)),
+                Err(e) => {
+                    payload.discard();
+                    return Err(e);
+                }
+            }
+            rest -= n;
+        }
+        let mut sites = Sites::default();
+        let held = (regions.iter()).try_for_each(|(mr, addr, n)| sites.hold(mr, *addr, *n));
+        if let Err(e) = held {
+            payload.discard();
+            return Err(e);
+        }
+        sites.land(arena, offset, len)
+    }
+
+    /// [`Device::scatter`] of bytes in hand.
+    fn scatter_bytes(&self, sge: &[Sge], payload: &[u8]) -> VerbsResult<()> {
         let mut rest = payload;
         for s in sge {
             if rest.is_empty() {
@@ -342,11 +407,6 @@ impl Device {
         let mut mrs: Vec<_> = inner.mrs_by_lkey.values().cloned().collect();
         mrs.sort_by_key(|mr| mr.lkey());
         mrs
-    }
-
-    /// Number of registered memory regions.
-    pub fn mr_count(&self) -> usize {
-        self.inner.lock().mrs_by_lkey.len()
     }
 
     /// Number of live QPs.

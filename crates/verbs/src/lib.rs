@@ -71,7 +71,7 @@ pub mod wr;
 pub use cq::{CompletionQueue, CqInstruments, WakeBatch};
 pub use device::Device;
 pub use error::{VerbsError, VerbsResult, WcStatus};
-pub use mr::MemoryRegion;
+pub use mr::{MemoryRegion, Payload};
 pub use network::VerbsNetwork;
 pub use pd::ProtectionDomain;
 pub use qp::{QpEndpoint, QpState, QueuePair};

@@ -14,7 +14,7 @@
 use crate::error::{VerbsError, VerbsResult};
 use crate::wr::{AccessFlags, Sge};
 use freeflow_shmem::{ArenaHandle, SharedArena};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::Arc;
 
 enum Storage {
@@ -221,6 +221,56 @@ impl MemoryRegion {
         self.read(off, &mut out[tail..])
     }
 
+    /// Gather `len` bytes at `va` straight into `dst`, a block of `arena`,
+    /// at `dst_at`: a relayed payload's stage, with no buffer between. The
+    /// arena is locked before a private region's bytes, the order a landing
+    /// ([`Payload`]) locks them in.
+    pub fn dma_read_to_block(
+        &self,
+        va: u64,
+        len: u64,
+        arena: &SharedArena,
+        dst: ArenaHandle,
+        dst_at: u64,
+    ) -> VerbsResult<()> {
+        let off = self.va_to_offset(va, len)?;
+        let (start, n) = (off as usize, len as usize);
+        let copied = match &*self.storage.read() {
+            Storage::Private(buf) => arena.write_with(dst, dst_at, len, |out| {
+                out.copy_from_slice(&buf.lock()[start..start + n]);
+            }),
+            // Same segment: one lock, one copy_within.
+            Storage::Arena { arena: src, handle } if std::ptr::eq(&**src, arena) => {
+                SharedArena::copy(src, *handle, off, arena, dst, dst_at, len)
+            }
+            // A segment a migration has not moved the region out of yet.
+            Storage::Arena { arena: src, handle } => arena.write_with(dst, dst_at, len, |out| {
+                src.read(*handle, off, out)
+                    .expect("the region's range is checked");
+            }),
+        };
+        copied.map_err(out_of_bounds)
+    }
+
+    /// Land `data` at `va`: bytes in hand as [`MemoryRegion::dma_write`]
+    /// does, a block straight out of its arena. Nothing lands when the
+    /// range is out of bounds; a block is freed either way.
+    pub fn dma_land(&self, va: u64, data: Payload<'_>) -> VerbsResult<()> {
+        match data {
+            Payload::Bytes(bytes) => self.dma_write(va, bytes),
+            Payload::Block { arena, offset, len } => {
+                let mut sites = Sites::default();
+                match sites.hold(self, va, len) {
+                    Ok(()) => sites.land(arena, offset, len),
+                    Err(e) => {
+                        data.discard();
+                        Err(e)
+                    }
+                }
+            }
+        }
+    }
+
     /// Snapshot the region's full contents (migration checkpointing).
     pub fn snapshot(&self) -> Vec<u8> {
         let mut out = vec![0u8; self.len as usize];
@@ -269,6 +319,118 @@ impl MemoryRegion {
             let _ = arena.free(handle);
         }
         matches!(&*storage, Storage::Arena { .. })
+    }
+}
+
+/// Where a relayed block lands: ranges of regions, bounds checked and
+/// held. Each region's storage is locked once, however many SGEs name it,
+/// and before the arena the block lands from, so no rehome swaps it under
+/// the copy.
+#[derive(Default)]
+pub(crate) struct Sites<'a> {
+    held: Vec<(&'a MemoryRegion, RwLockReadGuard<'a, Storage>)>,
+    /// Held region, offset, length.
+    ranges: Vec<(usize, usize, usize)>,
+}
+
+impl<'a> Sites<'a> {
+    /// Add `len` bytes at `va` of `mr`, its bounds checked now.
+    pub(crate) fn hold(&mut self, mr: &'a MemoryRegion, va: u64, len: u64) -> VerbsResult<()> {
+        let off = mr.va_to_offset(va, len)?;
+        let i = match self.held.iter().position(|(m, _)| std::ptr::eq(*m, mr)) {
+            Some(i) => i,
+            None => {
+                self.held.push((mr, mr.storage.read()));
+                self.held.len() - 1
+            }
+        };
+        self.ranges.push((i, off as usize, len as usize));
+        Ok(())
+    }
+
+    /// Take the `len`-byte block at `offset` of `arena` and copy it across
+    /// the ranges, in order, straight from the block. Bytes beyond the
+    /// ranges are dropped.
+    pub(crate) fn land(&self, arena: &SharedArena, offset: u64, len: u64) -> VerbsResult<()> {
+        let landed = arena.take_with(offset, len, |taken| {
+            let mut at = 0;
+            for &(i, off, n) in &self.ranges {
+                let from = at..at + n;
+                match &*self.held[i].1 {
+                    Storage::Private(buf) => {
+                        buf.lock()[off..off + n].copy_from_slice(&taken.bytes()[from]);
+                    }
+                    Storage::Arena { arena, handle } if taken.of(arena) => {
+                        taken.copy_to_block(at as u64, n as u64, *handle, off as u64)?;
+                    }
+                    Storage::Arena { arena, handle } => {
+                        arena.write(*handle, off as u64, &taken.bytes()[from])?;
+                    }
+                }
+                at += n;
+            }
+            Ok(())
+        });
+        landed.and_then(|r| r).map_err(out_of_bounds)
+    }
+}
+
+/// An inbound payload as a responder lands it: bytes in hand, or a block
+/// of a host arena that a relayed operation names. A block is freed as it
+/// lands, or dropped with [`Payload::discard`] when nothing lands from it.
+#[derive(Debug)]
+pub enum Payload<'a> {
+    /// Bytes in hand.
+    Bytes(&'a [u8]),
+    /// `len` payload bytes in the block at `offset` of `arena`.
+    Block {
+        /// The host arena holding the block.
+        arena: &'a SharedArena,
+        /// The block's offset.
+        offset: u64,
+        /// The payload's length (the block is rounded up from it).
+        len: u64,
+    },
+}
+
+impl Payload<'_> {
+    /// Payload length in bytes.
+    pub fn len(&self) -> u64 {
+        match self {
+            Payload::Bytes(bytes) => bytes.len() as u64,
+            Payload::Block { len, .. } => *len,
+        }
+    }
+
+    /// Whether the payload is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drop the payload unlanded: a block is freed.
+    pub fn discard(self) {
+        if let Payload::Block { arena, offset, len } = self {
+            if let Ok(block) = arena.block(offset, len) {
+                let _ = arena.free(block);
+            }
+        }
+    }
+
+    /// The bytes in a `Vec` of their own, what a SEND parked for a receive
+    /// keeps: a block is taken into it. `None` when the arena refuses the
+    /// block.
+    pub(crate) fn into_vec(self) -> Option<Vec<u8>> {
+        match self {
+            Payload::Bytes(bytes) => Some(bytes.to_vec()),
+            Payload::Block { arena, offset, len } => arena.take(offset, len).ok(),
+        }
+    }
+}
+
+/// An arena refusal as a verbs error.
+pub(crate) fn out_of_bounds(e: freeflow_types::Error) -> VerbsError {
+    VerbsError::OutOfBounds {
+        detail: e.to_string(),
     }
 }
 

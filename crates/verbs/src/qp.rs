@@ -38,7 +38,7 @@
 use crate::cq::CompletionQueue;
 use crate::device::Device;
 use crate::error::{VerbsError, VerbsResult, WcStatus};
-use crate::mr::MemoryRegion;
+use crate::mr::{MemoryRegion, Payload};
 use crate::wr::{RecvWr, SendWr, WcOpcode, WorkCompletion, WrOpcode};
 use freeflow_types::OverlayIp;
 use parking_lot::Mutex;
@@ -377,7 +377,8 @@ impl QueuePair {
                 }
             }
         };
-        let matched = self.match_recv(wr, p.from.qp, p.payload.as_deref(), p.byte_len, p.imm);
+        let payload = p.payload.as_deref().map(Payload::Bytes);
+        let matched = self.match_recv(wr, p.from.qp, payload, p.byte_len, p.imm);
         // A failed match answers its own requester before those of the
         // operations it left parked.
         let status = match matched {
@@ -408,29 +409,33 @@ impl QueuePair {
     }
 
     /// Match one inbound operation with one receive WR: scatter its
-    /// payload (a WRITE_WITH_IMM notification carries none) and complete
-    /// the receive. A failed match moves this QP to the error state and
-    /// refuses `from`, whose answer is then `RemoteOperationError`; the
-    /// operations still parked here are handed back, to be flushed once
-    /// `from` has it.
+    /// payload (a WRITE_WITH_IMM notification carries none; one that does
+    /// not fit lands nothing) and complete the receive. A failed match
+    /// moves this QP to the error state and refuses `from`, whose answer
+    /// is then `RemoteOperationError`; the operations still parked here
+    /// are handed back, to be flushed once `from` has it.
     fn match_recv(
         &self,
         wr: RecvWr,
         from: QpEndpoint,
-        payload: Option<&[u8]>,
+        payload: Option<Payload<'_>>,
         byte_len: u64,
         imm: Option<u32>,
     ) -> Result<(), VecDeque<PendingInbound>> {
-        let status = match payload {
-            Some(data) if wr.capacity() < data.len() as u64 => WcStatus::LocalLengthError,
-            Some(data) if self.device.scatter(&wr.sge, data).is_err() => {
-                WcStatus::LocalProtectionError
-            }
-            _ => WcStatus::Success,
-        };
         let opcode = match payload {
             Some(_) => WcOpcode::Recv,
             None => WcOpcode::RecvRdmaWithImm,
+        };
+        let status = match payload {
+            None => WcStatus::Success,
+            Some(data) if wr.capacity() < data.len() => {
+                data.discard();
+                WcStatus::LocalLengthError
+            }
+            Some(data) => match self.device.scatter(&wr.sge, data) {
+                Ok(()) => WcStatus::Success,
+                Err(_) => WcStatus::LocalProtectionError,
+            },
         };
         let wc = WorkCompletion {
             imm,
@@ -655,11 +660,13 @@ impl QueuePair {
             // A READ's SGEs are its destination: vet, pull, scatter.
             self.device.check_scatter(&wr.sge)?;
             let len = wr.total_len();
-            let status = remote.answer_read(me, remote_addr, rkey, len, &mut cx.scratch);
-            if status.is_ok() {
-                self.device.scatter(&wr.sge, &cx.scratch)?;
+            let read = remote.answer_read(me, remote_addr, rkey, len, |mr| {
+                mr.dma_read_into(remote_addr, len, &mut cx.scratch)
+            });
+            if read.is_ok() {
+                self.device.scatter(&wr.sge, Payload::Bytes(&cx.scratch))?;
             }
-            return Ok(Answer::Now(status));
+            return Ok(Answer::Now(read.err().unwrap_or(WcStatus::Success)));
         }
         self.device.gather_into(wr, &mut cx.lkey, &mut cx.scratch)?;
         let (remote_addr, rkey, imm) = match wr.opcode {
@@ -669,7 +676,7 @@ impl QueuePair {
                 rkey,
                 imm,
             } => (remote_addr, rkey, Some(imm)),
-            _ => return Ok(remote.answer_send(from, &cx.scratch, None)),
+            _ => return Ok(remote.answer_send(from, Payload::Bytes(&cx.scratch), None)),
         };
         let mr: &Arc<MemoryRegion> = match &cx.rkey {
             Some(mr) if mr.rkey() == rkey => mr,
@@ -678,7 +685,7 @@ impl QueuePair {
                 Err(s) => return Ok(Answer::Now(s)),
             },
         };
-        Ok(remote.place(from, mr, remote_addr, &cx.scratch, imm))
+        Ok(remote.place(from, mr, remote_addr, Payload::Bytes(&cx.scratch), imm))
     }
 
     // --- the responder: every inbound operation, local or relayed --------
@@ -691,8 +698,9 @@ impl QueuePair {
 
     /// Answer an inbound SEND: match the oldest posted receive, or park
     /// until one is posted (RNR). The payload is copied only if it parks.
-    pub fn answer_send(&self, from: Requester, payload: &[u8], imm: Option<u32>) -> Answer {
-        self.deliver(from, Some(payload), payload.len() as u64, imm)
+    pub fn answer_send(&self, from: Requester, payload: Payload<'_>, imm: Option<u32>) -> Answer {
+        let len = payload.len();
+        self.deliver(from, Some(payload), len, imm)
     }
 
     /// Answer an inbound WRITE — a WRITE_WITH_IMM when `imm` is set, whose
@@ -702,31 +710,34 @@ impl QueuePair {
         from: Requester,
         addr: u64,
         rkey: u32,
-        data: &[u8],
+        data: Payload<'_>,
         imm: Option<u32>,
     ) -> Answer {
         match self.target(from.qp, rkey, true) {
             Ok(mr) => self.place(from, &mr, addr, data, imm),
-            Err(s) => Answer::Now(s),
+            Err(s) => {
+                data.discard();
+                Answer::Now(s)
+            }
         }
     }
 
-    /// Answer an inbound READ of `len` bytes at `addr`, appending them to
-    /// `out`. `len` is the requester's choice: the MR's bounds check runs
-    /// before anything is allocated.
-    pub fn answer_read(
+    /// Answer an inbound READ of `len` bytes at `addr`: vet it, then hand
+    /// the MR to `read`, which copies the bytes out — into a `Vec`, or
+    /// straight into an arena block. `len` is the requester's choice: the
+    /// MR's bounds check runs before `read` allocates anything. The READ's
+    /// error status when it is refused, or when `read` fails.
+    pub fn answer_read<T>(
         &self,
         from: QpEndpoint,
         addr: u64,
         rkey: u32,
         len: u64,
-        out: &mut Vec<u8>,
-    ) -> WcStatus {
-        match self.target(from, rkey, false) {
-            Ok(mr) if mr.dma_read_into(addr, len, out).is_ok() => WcStatus::Success,
-            Ok(_) => self.refuse(from, WcStatus::RemoteAccessError),
-            Err(s) => s,
-        }
+        read: impl FnOnce(&MemoryRegion) -> VerbsResult<T>,
+    ) -> Result<T, WcStatus> {
+        let mr = self.target(from, rkey, false)?;
+        (mr.va_to_offset(addr, len).and_then(|_| read(&mr)))
+            .map_err(|_| self.refuse(from, WcStatus::RemoteAccessError))
     }
 
     /// Vet the MR behind `rkey` for an inbound one-sided op from `from`:
@@ -756,39 +767,48 @@ impl QueuePair {
         from: Requester,
         mr: &MemoryRegion,
         addr: u64,
-        data: &[u8],
+        data: Payload<'_>,
         imm: Option<u32>,
     ) -> Answer {
-        if mr.dma_write(addr, data).is_err() {
+        let len = data.len();
+        if mr.dma_land(addr, data).is_err() {
             return Answer::Now(self.refuse(from.qp, WcStatus::RemoteAccessError));
         }
         match imm {
-            Some(_) => self.deliver(from, None, data.len() as u64, imm),
+            Some(_) => self.deliver(from, None, len, imm),
             None => Answer::Now(WcStatus::Success),
         }
     }
 
     /// Deliver an inbound SEND (or WRITE_WITH_IMM notification, with no
     /// payload): match the oldest posted receive, or park until one is
-    /// posted (RNR).
+    /// posted (RNR), keeping a copy of the payload.
     fn deliver(
         &self,
         from: Requester,
-        payload: Option<&[u8]>,
+        payload: Option<Payload<'_>>,
         byte_len: u64,
         imm: Option<u32>,
     ) -> Answer {
         let wr = {
             let mut inner = self.inner.lock();
             if let Err(s) = inner.admit(from.qp) {
+                if let Some(unlanded) = payload {
+                    unlanded.discard();
+                }
                 return Answer::Now(s);
             }
             match inner.rq.pop_front() {
                 Some(wr) => wr,
                 None => {
+                    let payload = match payload.map(Payload::into_vec) {
+                        // The arena refused the block: nothing parks.
+                        Some(None) => return Answer::Now(WcStatus::RemoteAccessError),
+                        kept => kept.flatten(),
+                    };
                     inner.inbound_pending.push_back(PendingInbound {
                         from,
-                        payload: payload.map(<[u8]>::to_vec),
+                        payload,
                         byte_len,
                         imm,
                     });
