@@ -169,11 +169,6 @@ impl FreeFlowCluster {
         self.launch_at(tenant, ContainerLocation::BareMetal(host))
     }
 
-    /// Launch a container inside a VM.
-    pub fn launch_in_vm(&self, tenant: TenantId, vm: VmId) -> Result<Container> {
-        self.launch_at(tenant, ContainerLocation::InVm(vm))
-    }
-
     fn launch_at(&self, tenant: TenantId, location: ContainerLocation) -> Result<Container> {
         let id = {
             let mut inner = self.inner.lock();

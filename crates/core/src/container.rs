@@ -7,7 +7,6 @@
 //! application code can run it on its own thread like a real container
 //! process.
 
-use crate::endpoint::FfEndpoint;
 use crate::library::NetLibrary;
 use crate::qp::FfQp;
 use freeflow_types::{ContainerId, HostId, OverlayIp, Result, TenantId};
@@ -92,11 +91,6 @@ impl Container {
     /// applications never need it).
     pub fn resolve(&self, dst: OverlayIp) -> Result<crate::library::ResolvedPath> {
         self.lib.resolve(dst)
-    }
-
-    /// Build the endpoint for one of this container's QPs.
-    pub fn endpoint_of(&self, qp: &FfQp) -> FfEndpoint {
-        qp.endpoint()
     }
 }
 

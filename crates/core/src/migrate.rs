@@ -69,7 +69,6 @@
 //! move can come back as RDMA, and vice versa.
 
 use crate::container::Container;
-use crate::endpoint::FfEndpoint;
 use crate::qp::FfQp;
 use freeflow_types::wire::{self, Reader, WireError, Writer};
 use freeflow_types::{ContainerId, HostId, OverlayIp, TenantId};
@@ -105,12 +104,6 @@ impl ContainerImage {
             ip: c.ip(),
         }
     }
-}
-
-/// Helper for tests and examples: the endpoint a migrated peer should
-/// redial, given the restored container's fresh QP.
-pub fn redial_target(qp: &FfQp) -> FfEndpoint {
-    qp.endpoint()
 }
 
 // --- the migration protocol types ---------------------------------------

@@ -233,9 +233,25 @@ impl SharedArena {
 
     /// Read `out.len()` bytes from the arena at `handle.offset + at`.
     pub fn read(&self, handle: ArenaHandle, at: u64, out: &mut [u8]) -> Result<()> {
-        self.check(handle, at, out.len() as u64)?;
+        self.read_with(handle, at, out.len() as u64, |bytes| {
+            out.copy_from_slice(bytes)
+        })
+    }
+
+    /// Hand `drain` the `len` bytes at `handle.offset + at` to read, under
+    /// the arena's lock: a landing copies straight into a locked
+    /// destination this way, locking the arena first, as
+    /// [`SharedArena::write_with`] does.
+    pub fn read_with(
+        &self,
+        handle: ArenaHandle,
+        at: u64,
+        len: u64,
+        drain: impl FnOnce(&[u8]),
+    ) -> Result<()> {
+        self.check(handle, at, len)?;
         let start = (handle.offset + at) as usize;
-        out.copy_from_slice(&self.buf.lock()[start..start + out.len()]);
+        drain(&self.buf.lock()[start..start + len as usize]);
         Ok(())
     }
 
@@ -295,6 +311,8 @@ impl SharedArena {
 
     /// Copy `len` bytes between two blocks of (possibly) two arenas —
     /// the primitive behind a Verbs `WRITE`/`READ` executed in software.
+    /// Two arenas are locked in address order, so copies in opposite
+    /// directions between them cannot deadlock.
     pub fn copy(
         src_arena: &SharedArena,
         src: ArenaHandle,
@@ -314,8 +332,13 @@ impl SharedArena {
             buf.copy_within(s..s + len as usize, d);
             Ok(())
         } else {
-            let src_buf = src_arena.buf.lock();
-            let mut dst_buf = dst_arena.buf.lock();
+            let (src_buf, mut dst_buf) = if (src_arena as *const Self) < dst_arena {
+                let src_buf = src_arena.buf.lock();
+                (src_buf, dst_arena.buf.lock())
+            } else {
+                let dst_buf = dst_arena.buf.lock();
+                (src_arena.buf.lock(), dst_buf)
+            };
             let s = (src.offset + src_at) as usize;
             let d = (dst.offset + dst_at) as usize;
             dst_buf[d..d + len as usize].copy_from_slice(&src_buf[s..s + len as usize]);

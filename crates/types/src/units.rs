@@ -174,11 +174,6 @@ impl ByteSize {
         self.0
     }
 
-    /// Value in fractional MiB.
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: Self) -> Self {
         Self(self.0.saturating_sub(rhs.0))
@@ -242,12 +237,6 @@ impl Bandwidth {
     /// a "40 Gb/s" NIC moves 40e9 bits per second).
     pub const fn from_gbps(gbps: u64) -> Self {
         Self(gbps * 1_000_000_000)
-    }
-
-    /// Construct from fractional decimal gigabits per second.
-    pub fn from_gbps_f64(gbps: f64) -> Self {
-        assert!(gbps >= 0.0 && gbps.is_finite(), "invalid bandwidth {gbps}");
-        Self((gbps * 1e9).round() as u64)
     }
 
     /// Construct from decimal gigabytes per second (how memory bandwidth is

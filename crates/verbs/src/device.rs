@@ -9,7 +9,7 @@
 
 use crate::cq::CompletionQueue;
 use crate::error::{VerbsError, VerbsResult};
-use crate::mr::{out_of_bounds, MemoryRegion, Payload, Sites};
+use crate::mr::{land, out_of_bounds, MemoryRegion, Payload, Span};
 use crate::network::VerbsNetwork;
 use crate::pd::ProtectionDomain;
 use crate::qp::QueuePair;
@@ -187,14 +187,45 @@ impl Device {
             .ok_or(VerbsError::BadKey { key: lkey })
     }
 
+    /// Resolve a send WR's payload, moving no byte: its inline data, or
+    /// its gather list as `spans`, each SGE's MR looked up and its bounds
+    /// checked. `spans` is the last WR's list, reused: a span whose MR an
+    /// SGE names again is pointed at the new range, so a WR chain, which
+    /// overwhelmingly gathers from one MR, takes the table lock once.
+    ///
+    /// The verbs engine's gather: a local peer's landing ([`Payload`])
+    /// copies the bytes once, straight from the requester's MRs.
+    pub(crate) fn gather<'w>(
+        &self,
+        wr: &'w SendWr,
+        spans: &'w mut Vec<Span>,
+    ) -> VerbsResult<Payload<'w>> {
+        if let Some(inline) = self.inline(wr)? {
+            return Ok(Payload::Bytes(inline));
+        }
+        spans.truncate(wr.sge.len());
+        for (i, sge) in wr.sge.iter().enumerate() {
+            let len = sge.len as u64;
+            match spans.get_mut(i) {
+                Some(span) if span.lkey() == sge.lkey => span.move_to(sge.addr, len)?,
+                _ => {
+                    let span = Span::new(self.mr_by_lkey(sge.lkey)?, sge.addr, len)?;
+                    spans.truncate(i);
+                    spans.push(span);
+                }
+            }
+        }
+        Ok(Payload::Local(spans))
+    }
+
     /// Gather a send WR's payload, appending it to `out`: its inline data,
     /// or each SGE read through the MR table. `last` memoizes the last
     /// lkey lookup across calls — a WR chain overwhelmingly gathers from
     /// one MR, so the table lock is taken once per chain, not per SGE.
     ///
-    /// The verbs engine and FreeFlow's relayed paths below the arena
-    /// threshold call it; [`Device::gather_to_block`] is its twin for a
-    /// payload that rides a shared-memory block.
+    /// FreeFlow's relayed paths below the arena threshold call it;
+    /// [`Device::gather_to_block`] is its twin for a payload that rides a
+    /// shared-memory block.
     pub fn gather_into(
         &self,
         wr: &SendWr,
@@ -282,22 +313,18 @@ impl Device {
     /// are dropped — callers that care check the capacity first.
     ///
     /// The only scatter: receives and READ responses, verbs engine and
-    /// relayed paths alike, land through it. Bytes in hand are written SGE
-    /// by SGE; a relayed arena block is taken once, after every SGE is
-    /// vetted, and lands straight from the block, or is freed unlanded.
+    /// relayed paths alike, land through it. Every SGE is vetted before
+    /// any byte lands, so a refused one lands nothing and a block is freed
+    /// unlanded.
     pub fn scatter(&self, sge: &[Sge], payload: Payload<'_>) -> VerbsResult<()> {
-        let (arena, offset, len) = match payload {
-            Payload::Bytes(bytes) => return self.scatter_bytes(sge, bytes),
-            Payload::Block { arena, offset, len } => (arena, offset, len),
-        };
-        let (mut regions, mut rest) = (Vec::with_capacity(sge.len()), len);
+        let (mut to, mut rest) = (Vec::with_capacity(sge.len()), payload.len());
         for s in sge {
             if rest == 0 {
                 break;
             }
             let n = rest.min(s.len as u64);
-            match self.writable(s) {
-                Ok(mr) => regions.push((mr, s.addr, n)),
+            match self.writable(s).and_then(|mr| Span::new(mr, s.addr, n)) {
+                Ok(span) => to.push(span),
                 Err(e) => {
                     payload.discard();
                     return Err(e);
@@ -305,27 +332,7 @@ impl Device {
             }
             rest -= n;
         }
-        let mut sites = Sites::default();
-        let held = (regions.iter()).try_for_each(|(mr, addr, n)| sites.hold(mr, *addr, *n));
-        if let Err(e) = held {
-            payload.discard();
-            return Err(e);
-        }
-        sites.land(arena, offset, len)
-    }
-
-    /// [`Device::scatter`] of bytes in hand.
-    fn scatter_bytes(&self, sge: &[Sge], payload: &[u8]) -> VerbsResult<()> {
-        let mut rest = payload;
-        for s in sge {
-            if rest.is_empty() {
-                break;
-            }
-            let (now, later) = rest.split_at(rest.len().min(s.len as usize));
-            self.writable(s)?.dma_write(s.addr, now)?;
-            rest = later;
-        }
-        Ok(())
+        land(&to, payload)
     }
 
     /// Vet every SGE of a scatter list — key, LOCAL_WRITE, bounds —

@@ -8,13 +8,25 @@
 //!
 //! Storage is pluggable: a private buffer (ordinary registration), or a
 //! block in a host's shared-memory arena — which is how FreeFlow makes an
-//! intra-host `WRITE` a true zero-copy: both containers' MRs alias blocks
-//! of the same [`SharedArena`] segment (paper §5).
+//! intra-host `WRITE` one segment-local copy: both containers' MRs alias
+//! blocks of the same [`SharedArena`] segment (paper §5).
+//!
+//! Every inbound payload lands through one function, `land`: bytes in
+//! hand, a relayed arena block, or a local requester's resolved gather
+//! list ([`Payload::Local`]), which is copied straight from its regions
+//! into the landing's, once, with no buffer between. Every range is
+//! bounds checked before the first byte moves. While bytes move between
+//! two regions, both regions' storage is held — in address order, once
+//! when they are one region — so no rehome swaps it under the copy. Under
+//! that, arena bytes are locked before a private region's, and two arenas
+//! or two private buffers in address order, so copies in opposite
+//! directions between the same regions cannot deadlock.
 
 use crate::error::{VerbsError, VerbsResult};
 use crate::wr::{AccessFlags, Sge};
 use freeflow_shmem::{ArenaHandle, SharedArena};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use std::ops::Deref;
 use std::sync::Arc;
 
 enum Storage {
@@ -23,6 +35,81 @@ enum Storage {
         arena: Arc<SharedArena>,
         handle: ArenaHandle,
     },
+}
+
+impl Storage {
+    /// Write `data` at `off`, a range checked against the region.
+    fn write(&self, off: u64, data: &[u8]) -> VerbsResult<()> {
+        match self {
+            Storage::Private(buf) => {
+                let off = off as usize;
+                buf.lock()[off..off + data.len()].copy_from_slice(data);
+                Ok(())
+            }
+            Storage::Arena { arena, handle } => {
+                arena.write(*handle, off, data).map_err(out_of_bounds)
+            }
+        }
+    }
+
+    /// Read `out.len()` bytes at `off`, a range checked against the
+    /// region.
+    fn read(&self, off: u64, out: &mut [u8]) -> VerbsResult<()> {
+        match self {
+            Storage::Private(buf) => {
+                let off = off as usize;
+                out.copy_from_slice(&buf.lock()[off..off + out.len()]);
+                Ok(())
+            }
+            Storage::Arena { arena, handle } => {
+                arena.read(*handle, off, out).map_err(out_of_bounds)
+            }
+        }
+    }
+
+    /// Copy `len` bytes at `off` to `dst_off` of `dst`, both ranges
+    /// checked against their regions. Arena bytes are locked before a
+    /// private region's, two arenas or two private buffers in address
+    /// order; a buffer that is both ends copies within itself, under one
+    /// lock.
+    fn copy_to(&self, off: u64, dst: &Storage, dst_off: u64, len: u64) -> VerbsResult<()> {
+        let (s, d, n) = (off as usize, dst_off as usize, len as usize);
+        let copied = match (self, dst) {
+            (
+                Storage::Arena { arena, handle },
+                Storage::Arena {
+                    arena: to,
+                    handle: block,
+                },
+            ) => SharedArena::copy(arena, *handle, off, to, *block, dst_off, len),
+            (Storage::Private(buf), Storage::Arena { arena, handle }) => {
+                arena.write_with(*handle, dst_off, len, |out| {
+                    out.copy_from_slice(&buf.lock()[s..s + n])
+                })
+            }
+            (Storage::Arena { arena, handle }, Storage::Private(buf)) => {
+                arena.read_with(*handle, off, len, |bytes| {
+                    buf.lock()[d..d + n].copy_from_slice(bytes)
+                })
+            }
+            (Storage::Private(buf), Storage::Private(to)) if std::ptr::eq(buf, to) => {
+                buf.lock().copy_within(s..s + n, d);
+                Ok(())
+            }
+            (Storage::Private(buf), Storage::Private(to)) => {
+                let (src, mut dst) = if (buf as *const Mutex<_>) < to {
+                    let src = buf.lock();
+                    (src, to.lock())
+                } else {
+                    let dst = to.lock();
+                    (buf.lock(), dst)
+                };
+                dst[d..d + n].copy_from_slice(&src[s..s + n]);
+                Ok(())
+            }
+        };
+        copied.map_err(out_of_bounds)
+    }
 }
 
 /// A registered memory region.
@@ -134,37 +221,13 @@ impl MemoryRegion {
     /// Application write into the region at `offset`.
     pub fn write(&self, offset: u64, data: &[u8]) -> VerbsResult<()> {
         self.check_range(offset, data.len() as u64)?;
-        match &*self.storage.read() {
-            Storage::Private(buf) => {
-                buf.lock()[offset as usize..offset as usize + data.len()].copy_from_slice(data);
-                Ok(())
-            }
-            Storage::Arena { arena, handle } => {
-                arena
-                    .write(*handle, offset, data)
-                    .map_err(|e| VerbsError::OutOfBounds {
-                        detail: e.to_string(),
-                    })
-            }
-        }
+        self.storage.read().write(offset, data)
     }
 
     /// Application read from the region at `offset`.
     pub fn read(&self, offset: u64, out: &mut [u8]) -> VerbsResult<()> {
         self.check_range(offset, out.len() as u64)?;
-        match &*self.storage.read() {
-            Storage::Private(buf) => {
-                out.copy_from_slice(&buf.lock()[offset as usize..offset as usize + out.len()]);
-                Ok(())
-            }
-            Storage::Arena { arena, handle } => {
-                arena
-                    .read(*handle, offset, out)
-                    .map_err(|e| VerbsError::OutOfBounds {
-                        detail: e.to_string(),
-                    })
-            }
-        }
+        self.storage.read().read(offset, out)
     }
 
     /// Bounds-check `[offset, offset + len)`. Both ends may be chosen by
@@ -211,9 +274,8 @@ impl MemoryRegion {
         Ok(out)
     }
 
-    /// [`MemoryRegion::dma_read`] appending into a caller-owned buffer.
-    /// The batched gather path reuses one scratch allocation across a
-    /// whole WR chain instead of allocating per SGE.
+    /// [`MemoryRegion::dma_read`] appending into a caller-owned buffer:
+    /// how a relayed payload below the arena threshold is staged.
     pub fn dma_read_into(&self, va: u64, len: u64, out: &mut Vec<u8>) -> VerbsResult<()> {
         let off = self.va_to_offset(va, len)?;
         let tail = out.len();
@@ -239,34 +301,25 @@ impl MemoryRegion {
             Storage::Private(buf) => arena.write_with(dst, dst_at, len, |out| {
                 out.copy_from_slice(&buf.lock()[start..start + n]);
             }),
-            // Same segment: one lock, one copy_within.
-            Storage::Arena { arena: src, handle } if std::ptr::eq(&**src, arena) => {
+            // One lock and one copy_within when the region is of the same
+            // segment; otherwise one a migration has not moved it out of.
+            Storage::Arena { arena: src, handle } => {
                 SharedArena::copy(src, *handle, off, arena, dst, dst_at, len)
             }
-            // A segment a migration has not moved the region out of yet.
-            Storage::Arena { arena: src, handle } => arena.write_with(dst, dst_at, len, |out| {
-                src.read(*handle, off, out)
-                    .expect("the region's range is checked");
-            }),
         };
         copied.map_err(out_of_bounds)
     }
 
-    /// Land `data` at `va`: bytes in hand as [`MemoryRegion::dma_write`]
-    /// does, a block straight out of its arena. Nothing lands when the
-    /// range is out of bounds; a block is freed either way.
+    /// Land `data` at `va`: bytes in hand, a relayed block straight out of
+    /// its arena, or a local requester's gather list straight from its
+    /// MRs. Nothing lands when the range is out of bounds; a block is freed
+    /// either way.
     pub fn dma_land(&self, va: u64, data: Payload<'_>) -> VerbsResult<()> {
-        match data {
-            Payload::Bytes(bytes) => self.dma_write(va, bytes),
-            Payload::Block { arena, offset, len } => {
-                let mut sites = Sites::default();
-                match sites.hold(self, va, len) {
-                    Ok(()) => sites.land(arena, offset, len),
-                    Err(e) => {
-                        data.discard();
-                        Err(e)
-                    }
-                }
+        match Span::new(self, va, data.len()) {
+            Ok(to) => land(&[to], data),
+            Err(e) => {
+                data.discard();
+                Err(e)
             }
         }
     }
@@ -322,62 +375,143 @@ impl MemoryRegion {
     }
 }
 
-/// Where a relayed block lands: ranges of regions, bounds checked and
-/// held. Each region's storage is locked once, however many SGEs name it,
-/// and before the arena the block lands from, so no rehome swaps it under
-/// the copy.
-#[derive(Default)]
-pub(crate) struct Sites<'a> {
-    held: Vec<(&'a MemoryRegion, RwLockReadGuard<'a, Storage>)>,
-    /// Held region, offset, length.
-    ranges: Vec<(usize, usize, usize)>,
+/// `len` bytes at `off` of a registered region, bounds checked when the
+/// span is made: one SGE of a gather or scatter list, resolved.
+#[derive(Debug)]
+pub struct Span<M = Arc<MemoryRegion>> {
+    mr: M,
+    off: u64,
+    len: u64,
 }
 
-impl<'a> Sites<'a> {
-    /// Add `len` bytes at `va` of `mr`, its bounds checked now.
-    pub(crate) fn hold(&mut self, mr: &'a MemoryRegion, va: u64, len: u64) -> VerbsResult<()> {
+impl<M: Deref<Target = MemoryRegion>> Span<M> {
+    /// `len` bytes at `va` of `mr`, out of bounds an error.
+    pub(crate) fn new(mr: M, va: u64, len: u64) -> VerbsResult<Self> {
         let off = mr.va_to_offset(va, len)?;
-        let i = match self.held.iter().position(|(m, _)| std::ptr::eq(*m, mr)) {
-            Some(i) => i,
-            None => {
-                self.held.push((mr, mr.storage.read()));
-                self.held.len() - 1
-            }
-        };
-        self.ranges.push((i, off as usize, len as usize));
+        Ok(Self { mr, off, len })
+    }
+
+    /// Point the span at `len` bytes at `va` of its region; out of bounds
+    /// an error that leaves it as it was.
+    pub(crate) fn move_to(&mut self, va: u64, len: u64) -> VerbsResult<()> {
+        self.off = self.mr.va_to_offset(va, len)?;
+        self.len = len;
         Ok(())
     }
 
-    /// Take the `len`-byte block at `offset` of `arena` and copy it across
-    /// the ranges, in order, straight from the block. Bytes beyond the
-    /// ranges are dropped.
-    pub(crate) fn land(&self, arena: &SharedArena, offset: u64, len: u64) -> VerbsResult<()> {
-        let landed = arena.take_with(offset, len, |taken| {
-            let mut at = 0;
-            for &(i, off, n) in &self.ranges {
-                let from = at..at + n;
-                match &*self.held[i].1 {
-                    Storage::Private(buf) => {
-                        buf.lock()[off..off + n].copy_from_slice(&taken.bytes()[from]);
-                    }
-                    Storage::Arena { arena, handle } if taken.of(arena) => {
-                        taken.copy_to_block(at as u64, n as u64, *handle, off as u64)?;
-                    }
-                    Storage::Arena { arena, handle } => {
-                        arena.write(*handle, off as u64, &taken.bytes()[from])?;
-                    }
-                }
-                at += n;
-            }
-            Ok(())
-        });
-        landed.and_then(|r| r).map_err(out_of_bounds)
+    /// The local key of the span's region.
+    pub(crate) fn lkey(&self) -> u32 {
+        self.mr.lkey()
     }
 }
 
-/// An inbound payload as a responder lands it: bytes in hand, or a block
-/// of a host arena that a relayed operation names. A block is freed as it
-/// lands, or dropped with [`Payload::discard`] when nothing lands from it.
+/// Land `payload` across `to`, in order: the one landing behind WRITEs,
+/// receives and READ responses, verbs engine and relayed paths alike.
+/// Every range is bounds checked before the first byte moves. A local
+/// requester's gather list is copied piece by piece, each piece lying in
+/// one source and one destination span, whose regions are held for it in
+/// address order — once when they are one region. A block's regions are
+/// all held before it is taken. Bytes beyond `to` are dropped; a block is
+/// freed either way.
+pub(crate) fn land<M: Deref<Target = MemoryRegion>>(
+    to: &[Span<M>],
+    payload: Payload<'_>,
+) -> VerbsResult<()> {
+    match payload {
+        Payload::Bytes(bytes) => {
+            let mut at = 0;
+            for s in to {
+                let n = s.len as usize;
+                s.mr.storage.read().write(s.off, &bytes[at..at + n])?;
+                at += n;
+            }
+            Ok(())
+        }
+        Payload::Block { arena, offset, len } => {
+            let held = Held::of(to.iter().map(|s| &*s.mr));
+            let landed = arena.take_with(offset, len, |taken| {
+                let mut at = 0;
+                for s in to {
+                    let (off, n) = (s.off as usize, s.len as usize);
+                    match held.storage(&s.mr) {
+                        Storage::Private(buf) => {
+                            buf.lock()[off..off + n].copy_from_slice(&taken.bytes()[at..at + n]);
+                        }
+                        Storage::Arena { arena, handle } if taken.of(arena) => {
+                            taken.copy_to_block(at as u64, s.len, *handle, s.off)?;
+                        }
+                        Storage::Arena { arena, handle } => {
+                            arena.write(*handle, s.off, &taken.bytes()[at..at + n])?;
+                        }
+                    }
+                    at += n;
+                }
+                Ok(())
+            });
+            landed.and_then(|r| r).map_err(out_of_bounds)
+        }
+        Payload::Local(from) => {
+            let (mut i, mut used) = (0, 0);
+            for s in to {
+                let mut done = 0;
+                while done < s.len {
+                    let src = &from[i];
+                    let n = (src.len - used).min(s.len - done);
+                    let (src_off, dst_off) = (src.off + used, s.off + done);
+                    if std::ptr::eq(&*src.mr, &*s.mr) {
+                        let storage = src.mr.storage.read();
+                        storage.copy_to(src_off, &storage, dst_off, n)?;
+                    } else {
+                        let (source, target) = read_in_order(&src.mr, &s.mr);
+                        source.copy_to(src_off, &target, dst_off, n)?;
+                    }
+                    (done, used) = (done + n, used + n);
+                    if used == src.len {
+                        (i, used) = (i + 1, 0);
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+}
+
+/// The storage of two distinct regions, held in address order.
+fn read_in_order<'a>(
+    a: &'a MemoryRegion,
+    b: &'a MemoryRegion,
+) -> (RwLockReadGuard<'a, Storage>, RwLockReadGuard<'a, Storage>) {
+    if (a as *const MemoryRegion) < b {
+        let first = a.storage.read();
+        (first, b.storage.read())
+    } else {
+        let first = b.storage.read();
+        (a.storage.read(), first)
+    }
+}
+
+/// The storage of every region a block lands in, each held once, in
+/// address order.
+struct Held<'a>(Vec<(&'a MemoryRegion, RwLockReadGuard<'a, Storage>)>);
+
+impl<'a> Held<'a> {
+    fn of(regions: impl Iterator<Item = &'a MemoryRegion>) -> Self {
+        let mut mrs: Vec<_> = regions.collect();
+        mrs.sort_unstable_by_key(|&mr| mr as *const MemoryRegion);
+        mrs.dedup_by_key(|mr| *mr as *const MemoryRegion);
+        Held(mrs.into_iter().map(|mr| (mr, mr.storage.read())).collect())
+    }
+
+    fn storage(&self, mr: &MemoryRegion) -> &Storage {
+        let held = self.0.iter().find(|&&(m, _)| std::ptr::eq(m, mr));
+        &held.expect("a landing holds its regions").1
+    }
+}
+
+/// An inbound payload as a responder lands it: bytes in hand, a block of
+/// a host arena that a relayed operation names, or a local requester's
+/// gather list. A block is freed as it lands, or dropped with
+/// [`Payload::discard`] when nothing lands from it.
 #[derive(Debug)]
 pub enum Payload<'a> {
     /// Bytes in hand.
@@ -391,6 +525,9 @@ pub enum Payload<'a> {
         /// The payload's length (the block is rounded up from it).
         len: u64,
     },
+    /// A local requester's gather list, resolved: its bytes are copied
+    /// straight from its regions as they land.
+    Local(&'a [Span]),
 }
 
 impl Payload<'_> {
@@ -399,6 +536,7 @@ impl Payload<'_> {
         match self {
             Payload::Bytes(bytes) => bytes.len() as u64,
             Payload::Block { len, .. } => *len,
+            Payload::Local(from) => from.iter().map(|s| s.len).sum(),
         }
     }
 
@@ -417,12 +555,22 @@ impl Payload<'_> {
     }
 
     /// The bytes in a `Vec` of their own, what a SEND parked for a receive
-    /// keeps: a block is taken into it. `None` when the arena refuses the
-    /// block.
+    /// keeps: a block is taken into it, a gather list copied. `None` when
+    /// the arena refuses the block.
     pub(crate) fn into_vec(self) -> Option<Vec<u8>> {
         match self {
             Payload::Bytes(bytes) => Some(bytes.to_vec()),
             Payload::Block { arena, offset, len } => arena.take(offset, len).ok(),
+            Payload::Local(from) => {
+                let mut out = vec![0u8; self.len() as usize];
+                let mut at = 0;
+                for s in from {
+                    let n = s.len as usize;
+                    s.mr.storage.read().read(s.off, &mut out[at..at + n]).ok()?;
+                    at += n;
+                }
+                Some(out)
+            }
         }
     }
 }

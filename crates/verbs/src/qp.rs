@@ -10,9 +10,13 @@
 //!
 //! There is one send path, [`QueuePair::post_send_chain`]: as in
 //! `ibv_post_send`, which takes a WR list, a single post is a chain of
-//! one. Payloads leave through the one gather
-//! ([`Device::gather_into`]) and land through the one scatter
-//! ([`Device::scatter`]).
+//! one. A payload leaves through the one gather (`Device::gather`),
+//! which resolves the requester's SGEs and moves no byte, and lands
+//! through the one scatter ([`Device::scatter`]) or, for a WRITE, its
+//! target MR. Either way its bytes are copied once, straight from the
+//! requester's MRs into the responder's, with no buffer between; a READ
+//! copies the responder's MR straight into the requester's SGEs. Only a
+//! SEND parked for a receive keeps a copy of its own.
 //!
 //! There is one responder too: a QP's receive side
 //! ([`QueuePair::answer_send`], [`QueuePair::answer_write`],
@@ -38,7 +42,7 @@
 use crate::cq::CompletionQueue;
 use crate::device::Device;
 use crate::error::{VerbsError, VerbsResult, WcStatus};
-use crate::mr::{MemoryRegion, Payload};
+use crate::mr::{MemoryRegion, Payload, Span};
 use crate::wr::{RecvWr, SendWr, WcOpcode, WorkCompletion, WrOpcode};
 use freeflow_types::OverlayIp;
 use parking_lot::Mutex;
@@ -535,8 +539,8 @@ impl QueuePair {
     /// * **Ordering and signaling.** WRs execute strictly in chain order;
     ///   signaled WRs complete in that order, unsignaled WRs complete only
     ///   on failure.
-    /// * **Amortized cost.** One fabric lookup, one gather scratch and one
-    ///   lkey/rkey table hit serve the whole chain, and its sender-side
+    /// * **Amortized cost.** One fabric lookup and one lkey/rkey table hit
+    ///   serve the whole chain, and its sender-side
     ///   completions land with one CQ lock acquisition and one doorbell
     ///   ring ([`CompletionQueue::push_batch`]).
     ///
@@ -586,7 +590,7 @@ impl QueuePair {
             };
             match outcome {
                 Ok(Answer::Now(WcStatus::Success)) => {
-                    let byte_len = cache.scratch.len() as u64;
+                    let byte_len = wr.total_len();
                     settled += 1;
                     // Ops execute synchronously against the peer QP, so the
                     // elapsed time *is* the WR's service latency.
@@ -644,7 +648,8 @@ impl QueuePair {
     }
 
     /// Execute one WR of a chain against the resolved peer's responder,
-    /// reusing the chain's scratch and MR lookups; `Err` is a local error.
+    /// reusing the chain's MR lookups; `Err` is a local error. The local
+    /// side is vetted first, then the remote, and only then do bytes move.
     /// A WRITE target is vetted (remote state, rkey, access) when the
     /// chain first uses its rkey — the chain is admitted as a unit,
     /// mirroring hardware that validates at doorbell time.
@@ -655,20 +660,22 @@ impl QueuePair {
             wr_id: wr.wr_id,
             relayed: false,
         };
-        cx.scratch.clear();
         if let WrOpcode::Read { remote_addr, rkey } = wr.opcode {
-            // A READ's SGEs are its destination: vet, pull, scatter.
+            // A READ's SGEs are its destination: vet them, then copy the
+            // responder's bytes straight into them.
             self.device.check_scatter(&wr.sge)?;
             let len = wr.total_len();
             let read = remote.answer_read(me, remote_addr, rkey, len, |mr| {
-                mr.dma_read_into(remote_addr, len, &mut cx.scratch)
+                let source = Span::new(Arc::clone(mr), remote_addr, len)?;
+                let local = std::slice::from_ref(&source);
+                Ok(self.device.scatter(&wr.sge, Payload::Local(local)))
             });
-            if read.is_ok() {
-                self.device.scatter(&wr.sge, Payload::Bytes(&cx.scratch))?;
-            }
-            return Ok(Answer::Now(read.err().unwrap_or(WcStatus::Success)));
+            return match read {
+                Ok(landed) => landed.map(|()| Answer::Now(WcStatus::Success)),
+                Err(status) => Ok(Answer::Now(status)),
+            };
         }
-        self.device.gather_into(wr, &mut cx.lkey, &mut cx.scratch)?;
+        let payload = self.device.gather(wr, &mut cx.spans)?;
         let (remote_addr, rkey, imm) = match wr.opcode {
             WrOpcode::Write { remote_addr, rkey } => (remote_addr, rkey, None),
             WrOpcode::WriteWithImm {
@@ -676,7 +683,7 @@ impl QueuePair {
                 rkey,
                 imm,
             } => (remote_addr, rkey, Some(imm)),
-            _ => return Ok(remote.answer_send(from, Payload::Bytes(&cx.scratch), None)),
+            _ => return Ok(remote.answer_send(from, payload, None)),
         };
         let mr: &Arc<MemoryRegion> = match &cx.rkey {
             Some(mr) if mr.rkey() == rkey => mr,
@@ -685,7 +692,7 @@ impl QueuePair {
                 Err(s) => return Ok(Answer::Now(s)),
             },
         };
-        Ok(remote.place(from, mr, remote_addr, Payload::Bytes(&cx.scratch), imm))
+        Ok(remote.place(from, mr, remote_addr, payload, imm))
     }
 
     // --- the responder: every inbound operation, local or relayed --------
@@ -723,17 +730,18 @@ impl QueuePair {
     }
 
     /// Answer an inbound READ of `len` bytes at `addr`: vet it, then hand
-    /// the MR to `read`, which copies the bytes out — into a `Vec`, or
-    /// straight into an arena block. `len` is the requester's choice: the
-    /// MR's bounds check runs before `read` allocates anything. The READ's
-    /// error status when it is refused, or when `read` fails.
+    /// the MR to `read`, which copies the bytes out — straight into a
+    /// local requester's SGEs, or for a relayed READ into a `Vec` or an
+    /// arena block. `len` is the requester's choice: the MR's bounds check
+    /// runs before `read` allocates anything. The READ's error status when
+    /// it is refused, or when `read` fails.
     pub fn answer_read<T>(
         &self,
         from: QpEndpoint,
         addr: u64,
         rkey: u32,
         len: u64,
-        read: impl FnOnce(&MemoryRegion) -> VerbsResult<T>,
+        read: impl FnOnce(&Arc<MemoryRegion>) -> VerbsResult<T>,
     ) -> Result<T, WcStatus> {
         let mr = self.target(from, rkey, false)?;
         (mr.va_to_offset(addr, len).and_then(|_| read(&mr)))
@@ -845,12 +853,11 @@ impl QpInner {
     }
 }
 
-/// What a chain pays for once instead of once per WR: the payload
-/// scratch and the last lkey and rkey lookups.
+/// What a chain pays for once instead of once per WR: its gathers' lkey
+/// lookups, through the list each resolves into, and the last rkey's.
 #[derive(Default)]
 struct ChainCache {
-    scratch: Vec<u8>,
-    lkey: Option<Arc<MemoryRegion>>,
+    spans: Vec<Span>,
     rkey: Option<Arc<MemoryRegion>>,
 }
 
