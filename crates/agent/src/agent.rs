@@ -15,7 +15,9 @@
 //!   descriptor to the target container, and refuses a wire frame that
 //!   carries a descriptor (it would name *this* host's arena);
 //! * unknown destination → a `Nack` back to the sender, so endpoints see
-//!   failures as failed completions instead of silence.
+//!   failures as failed completions instead of silence; a wire frame for a
+//!   container not on this host is refused as a stale route, so its sender
+//!   asks where the container went and sends again.
 //!
 //! The forwarding engine is one step function, [`Agent::poll`], which can
 //! be driven by hand; [`Agent::spawn_pump`] runs it on a thread that is
@@ -728,17 +730,25 @@ impl Agent {
         while let Some(dst) = rest.first().map(|p| p.1.dst.ip) {
             let (run, tail) = rest.split_at(rest.iter().take_while(|p| p.1.dst.ip == dst).count());
             rest = tail;
-            let delivered = self.inner.lock().containers.get(&dst).is_some_and(|link| {
-                let parts: Vec<&[u8]> = run.iter().map(|(frame, ..)| &frame[..]).collect();
-                link.tx.send_batch(&parts).is_ok()
-            });
-            if !delivered {
+            // A container not on this host moved away (or is gone): the
+            // sender's route is stale, and the sender asks where it is now.
+            let refusal = match self.inner.lock().containers.get(&dst) {
+                None => Some(status::STALE_ROUTE),
+                Some(link) => {
+                    let parts: Vec<&[u8]> = run.iter().map(|(frame, ..)| &frame[..]).collect();
+                    link.tx
+                        .send_batch(&parts)
+                        .is_err()
+                        .then_some(status::REMOTE_OP)
+                }
+            };
+            if let Some(refusal) = refusal {
                 for (_, h, staged) in run {
                     // Undo any staged block, then nack the remote sender.
                     if let Some((block, _)) = staged {
                         let _ = self.arena.free(*block);
                     }
-                    self.nack(h, status::REMOTE_OP);
+                    self.nack(h, refusal);
                 }
                 continue;
             }
@@ -1393,6 +1403,31 @@ mod tests {
             .unwrap();
         agent.poll();
         assert!(matches!(recv_inline(&a), RelayMsg::Nack { .. }));
+    }
+
+    #[test]
+    fn wire_frame_for_a_container_not_here_is_a_stale_route() {
+        let a0 = Agent::new(HostId::new(0), 1 << 20);
+        let a1 = Agent::new(HostId::new(1), 1 << 20);
+        let (w0, w1) = connect_agents(&a0, &a1, TransportKind::Rdma);
+        let src = a0.attach_container(ip(1)).unwrap();
+        // ip(2) migrated away from host 1; host 0's route has not moved.
+        a0.install_route(ip(2), w0).unwrap();
+        a1.install_route(ip(1), w1).unwrap();
+        src.channel
+            .tx
+            .send(&send_msg(1, 2, 7, b"moved").encode())
+            .unwrap();
+        a0.poll();
+        a1.poll();
+        a0.poll();
+        match recv_inline(&src) {
+            RelayMsg::Nack { wr_id, status, .. } => {
+                assert_eq!(wr_id, 7);
+                assert_eq!(status, status::STALE_ROUTE);
+            }
+            other => panic!("expected nack, got {other:?}"),
+        }
     }
 
     #[test]

@@ -92,9 +92,10 @@ pub mod status {
     pub const TIMEOUT: u8 = 4;
     /// Like [`TIMEOUT`], but the downed wire was the *route's*: another
     /// wire to the same peer host is up, so forwarding has simply not
-    /// converged onto it yet. Not a completion status: the requester
-    /// fails over if the orchestrator picks another transport, and
-    /// re-sends the operation on its bound path either way.
+    /// converged onto it yet. Also what a host answers for a container it
+    /// does not hold, one that migrated away, say. Not a completion
+    /// status: the requester fails over if the orchestrator picks another
+    /// transport, and re-sends the operation on its bound path either way.
     pub const STALE_ROUTE: u8 = 5;
     /// The responder has not accepted the operations before this one (one
     /// was lost on the way), so it refused this one unexecuted. Not a

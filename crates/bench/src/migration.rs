@@ -6,8 +6,8 @@
 //!   checkpoint it, restore, thaw.
 //! * `_loaded` — the container serves a pooled stream mux
 //!   ([`freeflow_socket::SocketStack`]) and every stream exchanges a
-//!   message between moves, so each freeze drains live traffic and each
-//!   thaw replays it.
+//!   message between moves, so each freeze carries live traffic across
+//!   and each thaw re-sends and replays it.
 //!
 //! `ffbench` reports the idle blackout p50 (`core.migrate_idle_p50_ms`);
 //! the one absolute guard is a test here: the loaded blackout p99 must
@@ -126,7 +126,7 @@ fn migrate_idle(rounds: usize) -> Vec<BenchRun> {
 
 /// Loaded mode: the migrating container serves [`STREAMS`] pooled
 /// streams; every stream echoes a message between moves so each freeze
-/// drains live traffic.
+/// carries live traffic across.
 fn migrate_loaded(rounds: usize) -> Vec<BenchRun> {
     let (cluster, a, mut b, hosts) = migration_fleet();
     let stack = SocketStack::new();

@@ -7,32 +7,27 @@
 //! them:
 //!
 //! ```text
-//!              bind
-//!   Unbound ────────▶ Bound{Local|Remote}
-//!                       │  ▲          │
-//!           begin_drain │  │ abort /  │ fail
-//!                       ▼  │ complete ▼
-//!                   Draining ─────▶ Error
-//!                       │  begin_rebind
-//!                       ▼
-//!                   Rebinding ──complete_rebind──▶ Bound   (epoch += 1)
+//!              bind                      begin_rebind(reason)
+//!   Unbound ────────▶ Bound{Local|Remote} ──────────────────▶ Rebinding
+//!                       ▲     ▲                                  │  │
+//!                       │     └──────────── abort_rebind ────────┘  │
+//!                       └──── complete_rebind (epoch += 1) ─────────┘
+//!   any phase ──fail──▶ Error
 //! ```
 //!
 //! Three rules make live re-pathing safe:
 //!
 //! * **Epochs.** Each successful (re)bind starts a new *binding epoch*
-//!   (`bind` → epoch 1, every `complete_rebind` increments). RC ordering
-//!   is guaranteed *within* an epoch; a rebind is the explicit boundary at
-//!   which in-flight work must already have settled.
-//! * **Drain before a planned rebind.** `begin_rebind` refuses an
-//!   upgrade, collapse or migration while the caller still reports
-//!   unsettled operations: they resolve on the old path before it
-//!   changes. A failover carries its unanswered operations across the
-//!   boundary instead — its old path is dead — and the owner re-sends
-//!   them on the new one, where the responder executes each exactly
-//!   once. Either way every posted WR completes exactly once: the
+//!   (`bind` → epoch 1, every `complete_rebind` increments). A rebind is
+//!   the boundary between two epochs.
+//! * **One rebind rule.** Every rebind — failover, upgrade, collapse or
+//!   migration — carries the owner's unanswered operations across the
+//!   boundary and never waits for them. The owner re-sends them oldest
+//!   first on the path the rebind ends on, ahead of the sends parked
+//!   while it was `Rebinding`, and the responder executes each exactly
+//!   once. So every posted WR completes exactly once: the
 //!   completion-conservation invariant.
-//! * **Reasons.** Every drain carries a [`RebindReason`]. A `Failover`
+//! * **Reasons.** Every rebind carries a [`RebindReason`]. A `Failover`
 //!   that can't find a new path must error the QP; an `Upgrade`,
 //!   `Collapse` or `Migrate` that can't complete aborts back to the old
 //!   (still working) path.
@@ -54,10 +49,10 @@ pub enum RebindReason {
     /// The peer migrated onto this host: collapse the relay path onto
     /// host shared memory without reconnecting.
     Collapse,
-    /// This container is being live-migrated to another host: a planned
-    /// quiesce that parks the binding in `Draining` until the migration
-    /// commits (thaw resolves the new path from the target host) or
-    /// aborts (thaw falls back onto the old, still-working path).
+    /// This container is being live-migrated to another host: the
+    /// binding holds in `Rebinding` until the migration commits (thaw
+    /// resolves the new path from the target host) or aborts (thaw falls
+    /// back onto the old path).
     Migrate,
 }
 
@@ -69,10 +64,8 @@ pub enum BindingPhase {
     Unbound,
     /// A path is live; operations flow.
     Bound,
-    /// A rebind was requested; new sends park while in-flight operations
-    /// settle.
-    Draining,
-    /// In-flight work has settled; the new path is being established.
+    /// A rebind is in progress: new sends park until it completes or
+    /// aborts.
     Rebinding,
     /// Terminal: no usable path remains.
     Error,
@@ -84,7 +77,6 @@ impl BindingPhase {
         match self {
             BindingPhase::Unbound => "unbound",
             BindingPhase::Bound => "bound",
-            BindingPhase::Draining => "draining",
             BindingPhase::Rebinding => "rebinding",
             BindingPhase::Error => "error",
         }
@@ -119,7 +111,7 @@ impl std::error::Error for BindingError {}
 /// The state machine owning a QP's data-plane binding.
 ///
 /// Pure bookkeeping: no I/O, no locks — the owner (an `FfQp`) serializes
-/// access and performs the actual drains/replays around these
+/// access and performs the re-sends and replays around these
 /// transitions, which makes the machine directly property-testable.
 #[derive(Debug, Clone)]
 pub struct PathBinding {
@@ -132,7 +124,7 @@ pub struct PathBinding {
     epoch: u64,
     /// How many completed rebinds strictly improved the transport rank.
     upgrades: u64,
-    /// Why the in-progress drain/rebind was started (None when Bound).
+    /// Why the in-progress rebind was started (None when Bound).
     reason: Option<RebindReason>,
 }
 
@@ -160,8 +152,8 @@ impl PathBinding {
         self.phase
     }
 
-    /// The bound path (`FfPath::Unbound` before the first bind; during
-    /// Draining/Rebinding this is still the *old* path).
+    /// The bound path (`FfPath::Unbound` before the first bind; while
+    /// `Rebinding` this is still the *old* path).
     pub fn path(&self) -> FfPath {
         self.path
     }
@@ -181,7 +173,7 @@ impl PathBinding {
         self.upgrades
     }
 
-    /// Why the in-progress drain/rebind was started, if one is.
+    /// Why the in-progress rebind was started, if one is.
     pub fn reason(&self) -> Option<RebindReason> {
         self.reason
     }
@@ -209,28 +201,14 @@ impl PathBinding {
         Ok(())
     }
 
-    /// Start tearing down the current path: `Bound → Draining`.
-    pub fn begin_drain(&mut self, reason: RebindReason) -> Result<(), BindingError> {
+    /// Start a rebind: `Bound → Rebinding`. Whatever the owner still has
+    /// unanswered crosses with it.
+    pub fn begin_rebind(&mut self, reason: RebindReason) -> Result<(), BindingError> {
         if self.phase != BindingPhase::Bound {
-            return Err(self.err("begin_drain", "only a bound path can drain"));
-        }
-        self.phase = BindingPhase::Draining;
-        self.reason = Some(reason);
-        Ok(())
-    }
-
-    /// Drain finished: `Draining → Rebinding`. A planned rebind is refused
-    /// while the owner still has unsettled work, which must resolve inside
-    /// the old epoch; a failover's unsettled work is re-sent on the new
-    /// path, so it may cross.
-    pub fn begin_rebind(&mut self, unsettled: usize) -> Result<(), BindingError> {
-        if self.phase != BindingPhase::Draining {
-            return Err(self.err("begin_rebind", "rebind must follow a drain"));
-        }
-        if unsettled != 0 && self.reason != Some(RebindReason::Failover) {
-            return Err(self.err("begin_rebind", "in-flight operations not yet settled"));
+            return Err(self.err("begin_rebind", "only a bound path can rebind"));
         }
         self.phase = BindingPhase::Rebinding;
+        self.reason = Some(reason);
         Ok(())
     }
 
@@ -254,14 +232,13 @@ impl PathBinding {
         Ok(())
     }
 
-    /// Give up on an in-progress drain/rebind and keep the old path:
-    /// `Draining | Rebinding → Bound`. Only sound for planned rebinds
-    /// (upgrade/collapse) where the old path still works; a failover has
+    /// Give up on an in-progress rebind and keep the old path:
+    /// `Rebinding → Bound`. Only sound for planned rebinds (upgrade,
+    /// collapse, migration) where the old path still works; a failover has
     /// no path to fall back to and must [`PathBinding::fail`] instead.
     pub fn abort_rebind(&mut self) -> Result<(), BindingError> {
-        match self.phase {
-            BindingPhase::Draining | BindingPhase::Rebinding => {}
-            _ => return Err(self.err("abort_rebind", "no drain or rebind in progress")),
+        if self.phase != BindingPhase::Rebinding {
+            return Err(self.err("abort_rebind", "no rebind in progress"));
         }
         if self.reason == Some(RebindReason::Failover) {
             return Err(self.err("abort_rebind", "a failover's old path is dead"));
@@ -312,13 +289,11 @@ mod tests {
         assert_eq!(b.epoch(), 0);
         b.bind(remote(TransportKind::TcpHost), 1).unwrap();
         assert_eq!((b.epoch(), b.upgrades()), (1, 0));
-        b.begin_drain(RebindReason::Upgrade).unwrap();
-        b.begin_rebind(0).unwrap();
+        b.begin_rebind(RebindReason::Upgrade).unwrap();
         b.complete_rebind(remote(TransportKind::Rdma), 2).unwrap();
         assert_eq!((b.epoch(), b.upgrades()), (2, 1));
         // Downgrade (failover) does not count as an upgrade.
-        b.begin_drain(RebindReason::Failover).unwrap();
-        b.begin_rebind(0).unwrap();
+        b.begin_rebind(RebindReason::Failover).unwrap();
         b.complete_rebind(remote(TransportKind::TcpHost), 3)
             .unwrap();
         assert_eq!((b.epoch(), b.upgrades()), (3, 1));
@@ -328,59 +303,58 @@ mod tests {
     fn collapse_to_local_is_an_upgrade() {
         let mut b = PathBinding::new();
         b.bind(remote(TransportKind::Rdma), 1).unwrap();
-        b.begin_drain(RebindReason::Collapse).unwrap();
-        b.begin_rebind(0).unwrap();
+        b.begin_rebind(RebindReason::Collapse).unwrap();
         b.complete_rebind(local(), 2).unwrap();
         assert_eq!(b.upgrades(), 1);
         assert!(matches!(b.path(), FfPath::Local { .. }));
     }
 
     #[test]
-    fn rebind_refused_with_unsettled_work() {
-        let mut b = PathBinding::new();
-        b.bind(remote(TransportKind::Rdma), 1).unwrap();
-        b.begin_drain(RebindReason::Upgrade).unwrap();
-        assert!(b.begin_rebind(3).is_err());
-        assert_eq!(b.phase(), BindingPhase::Draining);
-        b.begin_rebind(0).unwrap();
-    }
-
-    #[test]
     fn a_failover_carries_unsettled_work_across_the_rebind() {
-        let mut b = PathBinding::new();
-        b.bind(remote(TransportKind::Rdma), 1).unwrap();
-        b.begin_drain(RebindReason::Failover).unwrap();
-        b.begin_rebind(3).unwrap();
-        b.complete_rebind(remote(TransportKind::TcpHost), 2)
-            .unwrap();
-        assert_eq!((b.phase(), b.epoch()), (BindingPhase::Bound, 2));
+        // No reason waits for unsettled work: the machine takes no count
+        // of it, and every rebind completes from `Rebinding`.
+        for reason in [
+            RebindReason::Failover,
+            RebindReason::Upgrade,
+            RebindReason::Collapse,
+            RebindReason::Migrate,
+        ] {
+            let mut b = PathBinding::new();
+            b.bind(remote(TransportKind::Rdma), 1).unwrap();
+            b.begin_rebind(reason).unwrap();
+            assert_eq!(b.reason(), Some(reason));
+            b.complete_rebind(remote(TransportKind::TcpHost), 2)
+                .unwrap();
+            assert_eq!((b.phase(), b.epoch()), (BindingPhase::Bound, 2));
+        }
     }
 
     #[test]
     fn abort_keeps_old_path_but_not_for_failover() {
         let mut b = PathBinding::new();
         b.bind(remote(TransportKind::TcpHost), 1).unwrap();
-        b.begin_drain(RebindReason::Upgrade).unwrap();
+        b.begin_rebind(RebindReason::Upgrade).unwrap();
         b.abort_rebind().unwrap();
         assert_eq!(b.phase(), BindingPhase::Bound);
         assert_eq!(b.path(), remote(TransportKind::TcpHost));
 
-        b.begin_drain(RebindReason::Failover).unwrap();
+        b.begin_rebind(RebindReason::Failover).unwrap();
         assert!(b.abort_rebind().is_err());
     }
 
     #[test]
     fn illegal_transitions_rejected() {
         let mut b = PathBinding::new();
-        assert!(b.begin_drain(RebindReason::Upgrade).is_err());
-        assert!(b.begin_rebind(0).is_err());
+        assert!(b.begin_rebind(RebindReason::Upgrade).is_err());
         assert!(b.complete_rebind(local(), 1).is_err());
         assert!(b.bind(FfPath::Unbound, 1).is_err());
         b.bind(local(), 1).unwrap();
         assert!(b.bind(local(), 2).is_err());
         assert!(b.complete_rebind(local(), 2).is_err());
+        b.begin_rebind(RebindReason::Upgrade).unwrap();
+        assert!(b.begin_rebind(RebindReason::Upgrade).is_err());
         b.fail();
-        assert!(b.begin_drain(RebindReason::Failover).is_err());
+        assert!(b.begin_rebind(RebindReason::Failover).is_err());
         b.fail(); // idempotent
         assert_eq!(b.phase(), BindingPhase::Error);
     }
@@ -394,9 +368,7 @@ mod tests {
         #[derive(Debug, Clone, Copy)]
         enum Op {
             Bind(TransportKind),
-            Drain(RebindReason),
-            /// `begin_rebind` with this many ops still unsettled.
-            Rebind(usize),
+            Rebind(RebindReason),
             Complete(TransportKind),
             CompleteLocal,
             Abort,
@@ -419,8 +391,7 @@ mod tests {
         fn op() -> impl Strategy<Value = Op> {
             prop_oneof![
                 transport().prop_map(Op::Bind),
-                reason().prop_map(Op::Drain),
-                (0usize..3).prop_map(Op::Rebind),
+                reason().prop_map(Op::Rebind),
                 transport().prop_map(Op::Complete),
                 Just(Op::CompleteLocal),
                 Just(Op::Abort),
@@ -429,8 +400,8 @@ mod tests {
         }
 
         /// A model ledger mirroring what FfQp does around the machine:
-        /// WRs post while Bound, settle during a drain, and every posted
-        /// WR must resolve exactly once.
+        /// WRs post while Bound, settle whenever their answers come, and
+        /// every posted WR must resolve exactly once.
         struct Ledger {
             posted: u64,
             resolved: u64,
@@ -449,8 +420,7 @@ mod tests {
                     let before = (b.phase(), b.path(), b.epoch(), b.upgrades());
                     let result = match op {
                         Op::Bind(t) => b.bind(remote(t), 1),
-                        Op::Drain(r) => b.begin_drain(r),
-                        Op::Rebind(n) => b.begin_rebind(n),
+                        Op::Rebind(r) => b.begin_rebind(r),
                         Op::Complete(t) => b.complete_rebind(remote(t), 2),
                         Op::CompleteLocal => b.complete_rebind(local(), 2),
                         Op::Abort => b.abort_rebind(),
@@ -469,9 +439,7 @@ mod tests {
                             prop_assert_eq!(b.path(), FfPath::Unbound);
                             prop_assert_eq!(b.epoch(), 0);
                         }
-                        BindingPhase::Bound
-                        | BindingPhase::Draining
-                        | BindingPhase::Rebinding => {
+                        BindingPhase::Bound | BindingPhase::Rebinding => {
                             prop_assert_ne!(b.path(), FfPath::Unbound);
                             prop_assert!(b.epoch() >= 1);
                         }
@@ -480,16 +448,16 @@ mod tests {
                     prop_assert!(b.upgrades() < b.epoch().max(1));
                     prop_assert_eq!(
                         b.reason().is_some(),
-                        matches!(b.phase(), BindingPhase::Draining | BindingPhase::Rebinding)
+                        b.phase() == BindingPhase::Rebinding
                     );
                 }
             }
 
             /// Completion-conservation across randomized
             /// fail/upgrade/migrate sequences: drive the machine the way
-            /// FfQp does (post while bound, settle on a planned drain,
-            /// carry across a failover) and check every posted WR
-            /// resolves exactly once.
+            /// FfQp does (post while bound, carry the outstanding ops
+            /// across every rebind, whatever its reason) and check every
+            /// posted WR resolves exactly once.
             #[test]
             fn completion_conservation(
                 script in prop::collection::vec(
@@ -508,59 +476,35 @@ mod tests {
                 let mut ledger = Ledger { posted: 0, resolved: 0, outstanding: 0 };
                 let mut gen = 1u64;
                 for step in script {
-                    match step {
+                    let (reason, next) = match step {
                         "post" => {
-                            // Posts only land while Bound; during a drain
-                            // the owner parks them (not in this ledger —
+                            // Posts only land while Bound; mid-rebind the
+                            // owner parks them (not in this ledger —
                             // parked WRs are not yet posted to a path).
                             if b.phase() == BindingPhase::Bound {
                                 ledger.posted += 1;
                                 ledger.outstanding += 1;
                             }
+                            continue;
                         }
                         "settle" => {
                             if ledger.outstanding > 0 {
                                 ledger.outstanding -= 1;
                                 ledger.resolved += 1;
                             }
+                            continue;
                         }
-                        "fail_transport" => {
-                            // Reactive failover: the outstanding ops
-                            // cross onto the new path, re-sent there, and
-                            // settle later like any other.
-                            if b.phase() == BindingPhase::Bound {
-                                b.begin_drain(RebindReason::Failover).unwrap();
-                                b.begin_rebind(ledger.outstanding).unwrap();
-                                b.complete_rebind(remote(TransportKind::TcpHost), {
-                                    gen += 1;
-                                    gen
-                                }).unwrap();
-                            }
-                        }
-                        "upgrade" | "migrate" => {
-                            // Planned rebind: wait for natural settles
-                            // (modelled by draining the ledger), then
-                            // switch paths.
-                            if b.phase() == BindingPhase::Bound {
-                                b.begin_drain(if step == "upgrade" {
-                                    RebindReason::Upgrade
-                                } else {
-                                    RebindReason::Collapse
-                                }).unwrap();
-                                while ledger.outstanding > 0 {
-                                    ledger.outstanding -= 1;
-                                    ledger.resolved += 1;
-                                }
-                                b.begin_rebind(ledger.outstanding).unwrap();
-                                let next = if step == "upgrade" {
-                                    remote(TransportKind::Rdma)
-                                } else {
-                                    local()
-                                };
-                                b.complete_rebind(next, { gen += 1; gen }).unwrap();
-                            }
-                        }
+                        "fail_transport" => (RebindReason::Failover, remote(TransportKind::TcpHost)),
+                        "upgrade" => (RebindReason::Upgrade, remote(TransportKind::Rdma)),
+                        "migrate" => (RebindReason::Collapse, local()),
                         _ => unreachable!(),
+                    };
+                    // Every rebind: the outstanding ops cross onto the new
+                    // path, re-sent there, and settle later like any other.
+                    if b.phase() == BindingPhase::Bound {
+                        b.begin_rebind(reason).unwrap();
+                        gen += 1;
+                        b.complete_rebind(next, gen).unwrap();
                     }
                     // No WR is ever lost or double-counted.
                     prop_assert_eq!(
@@ -568,7 +512,7 @@ mod tests {
                         ledger.resolved + ledger.outstanding as u64
                     );
                 }
-                // Final drain: everything still outstanding resolves.
+                // At the end, everything still outstanding resolves.
                 ledger.resolved += ledger.outstanding as u64;
                 ledger.outstanding = 0;
                 prop_assert_eq!(ledger.posted, ledger.resolved);

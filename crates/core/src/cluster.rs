@@ -140,6 +140,11 @@ impl FreeFlowCluster {
             ),
             _pump: pump,
         });
+        drop(inner);
+        // A membership change: the new agent routes to every container
+        // already placed, so what a container re-sends from here the
+        // moment it migrates in finds its peer.
+        self.refresh_routes();
         id
     }
 
@@ -347,10 +352,20 @@ impl FreeFlowCluster {
         }
     }
 
-    /// Resolve an in-flight migration as an abort: thaw every frozen
-    /// binding (the pump re-settles each one onto whichever path is
-    /// correct for wherever the container now runs), record the abort in
-    /// counters and the flight recorder, and hand the container back.
+    /// Thaw a migration's freeze: every held binding resolves from
+    /// wherever the container now runs (at once, so the reported blackout
+    /// is bounded by work, not pump latency), re-sends what it carried and
+    /// replays its parked sends.
+    fn thaw(container: &Container) {
+        for qp in container.lib().live_qps() {
+            qp.thaw_migration();
+            qp.poll_binding();
+        }
+    }
+
+    /// Resolve an in-flight migration as an abort: thaw in place (see
+    /// [`Self::thaw`]), record the abort in counters and the flight
+    /// recorder, and hand the container back.
     fn abort_migration(
         &self,
         container: Container,
@@ -359,10 +374,7 @@ impl FreeFlowCluster {
         started: std::time::Instant,
         phase_reached: MigrationPhase,
     ) -> (Container, MigrationReport) {
-        for qp in container.lib().live_qps() {
-            qp.thaw_migration();
-            qp.poll_binding();
-        }
+        Self::thaw(&container);
         let blackout_ns = started.elapsed().as_nanos() as u64;
         let reg = self.telemetry.registry();
         reg.counter(
@@ -402,11 +414,11 @@ impl FreeFlowCluster {
     /// injection (DESIGN.md §14). A two-phase commit between the source
     /// host, the orchestrator and the target host:
     ///
-    /// 1. **Prepare** — every binding freezes through `Draining`
-    ///    (`RebindReason::Migrate`); in-flight work settles under the
-    ///    freeze. A binding that cannot freeze (collapsed shared-memory
-    ///    path) or a settle timeout aborts here: thaw in place, nothing
-    ///    moved.
+    /// 1. **Prepare** — every binding freezes in `Rebinding`
+    ///    (`RebindReason::Migrate`) and new posts park. Nothing is waited
+    ///    for: unanswered ops cross with the binding, and the pump keeps
+    ///    taking answers and peers' requests in. A collapsed shared-memory
+    ///    binding refuses the freeze and rides the move untouched.
     /// 2. **Checkpoint** — QP and MR state is captured and serialized
     ///    with a checksum. A source crash mid-checkpoint
     ///    ([`MigrationCrashPoint::SourceCheckpoint`]) leaves a torn
@@ -414,16 +426,20 @@ impl FreeFlowCluster {
     /// 3. **Transfer + restore** — the device is adopted by the target
     ///    fabric, the library re-homed (MRs re-registered into the target
     ///    arena), and the orchestrator's `move_container` — the commit
-    ///    point — publishes `ContainerMoved` to every peer. The restored
-    ///    state is verified against the checkpoint; a target crash
+    ///    point — publishes `ContainerMoved` to every peer, whose
+    ///    unanswered ops go again. The restored state is verified against
+    ///    the checkpoint (answers may have arrived, no op may have joined
+    ///    the unanswered); a target crash
     ///    ([`MigrationCrashPoint::TargetRestore`]) fails verification and
     ///    rolls the container back onto the source host.
-    /// 4. **Commit** — bindings thaw on the target; parked chains and
-    ///    unconfirmed socket frames replay exactly once. The blackout is
-    ///    recorded in `ff_migration_blackout_ns`.
+    /// 4. **Commit** — bindings thaw on the target: the ops unanswered
+    ///    at the freeze go again (their answers went to the source host),
+    ///    even on an unchanged transport, and then the parked chains, each
+    ///    exactly once. The blackout is recorded in
+    ///    `ff_migration_blackout_ns`.
     ///
     /// Migrating onto the container's current placement is a guarded
-    /// no-op: no drain, no `ContainerMoved`, no generation bump — peers
+    /// no-op: no freeze, no `ContainerMoved`, no generation bump — peers
     /// never notice.
     pub fn migrate_with(
         &self,
@@ -466,29 +482,11 @@ impl FreeFlowCluster {
             blackout_ns: 0,
         });
         let started = std::time::Instant::now();
-        let qps = container.lib().live_qps();
-        for qp in &qps {
+        for qp in container.lib().live_qps() {
             // A collapsed (shared-memory) binding refuses the freeze —
             // the un-collapse boundary. It rides the move untouched and
-            // observes staleness afterwards (see [`crate::migrate`]);
-            // everything else drains through `Draining` and holds.
+            // observes staleness afterwards (see [`crate::migrate`]).
             let _ = qp.freeze_for_migration();
-        }
-        // In-flight work settles under the freeze (acks still arrive
-        // through the pump); bounded, so a dead peer path cannot wedge
-        // the migration.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while !qps.iter().all(|qp| qp.migration_settled()) {
-            if std::time::Instant::now() > deadline {
-                return Ok(self.abort_migration(
-                    container,
-                    from_host,
-                    to_host,
-                    started,
-                    MigrationPhase::Prepare,
-                ));
-            }
-            std::thread::sleep(std::time::Duration::from_micros(200));
         }
 
         // --- phase 2: checkpoint ----------------------------------------
@@ -565,13 +563,7 @@ impl FreeFlowCluster {
         }
 
         // --- phase 4: commit --------------------------------------------
-        for qp in restored.lib().live_qps() {
-            qp.thaw_migration();
-            // Resolve each binding from the new host immediately (the
-            // pump would too; doing it here bounds the blackout we
-            // report by actual work, not pump latency).
-            qp.poll_binding();
-        }
+        Self::thaw(&restored);
         let blackout_ns = started.elapsed().as_nanos() as u64;
         let reg = self.telemetry.registry();
         reg.counter(
@@ -593,6 +585,9 @@ impl FreeFlowCluster {
             kind: "commit",
             blackout_ns,
         });
+        // Outside the blackout: until the agents' routes follow, what
+        // reaches the source host is refused as a stale route and sent
+        // again.
         self.refresh_routes();
         Ok((
             restored,

@@ -69,6 +69,9 @@ pub struct ResolvedPath {
     pub host: HostId,
     /// Location-cache generation this resolution is valid under.
     pub generation: u64,
+    /// The destination's placement generation (the orchestrator bumps it
+    /// on every move); 0 when resolved blind.
+    pub placement: u64,
 }
 
 /// A step handed to the library pump ([`LibHandle::adopt`]), run when
@@ -122,13 +125,13 @@ pub(crate) struct LibShared {
     /// The inbound bell's count when the last drain began: a drain that
     /// finds it unmoved has nothing to take.
     drained_at: AtomicU64,
-    /// Whether the last walk left a binding mid-transition: a drain that
-    /// dispatched rings the pump, whose walk settles it.
+    /// Whether the last walk left a collapse waiting on its peer: a drain
+    /// that dispatched rings the pump, whose walk retries it.
     unsettled: AtomicBool,
     /// Steps adopted from socket channels ([`LibHandle::adopt`]).
     adopted: Mutex<Vec<Adopted>>,
-    /// A QP walk asked for from outside one: a migration thaw, or a drain
-    /// a rehome or a failover started.
+    /// A QP walk asked for from outside one: a migration thaw, or a
+    /// collapse a rehome or a failover started.
     walk_asked: AtomicBool,
     /// No later than the earliest deadline of a remote op any QP may still
     /// have pending, in nanoseconds since `epoch`; `u64::MAX` for none.
@@ -206,7 +209,8 @@ impl LibShared {
             self.inbound_bell.ring();
         }
         if drained.is_ok() && self.unsettled.load(Ordering::Acquire) {
-            // What was dispatched may settle a drain: the pump walks.
+            // What was dispatched may let a waiting collapse complete: the
+            // pump walks.
             self.pump_bell.ring();
         }
         drained
@@ -303,6 +307,7 @@ impl LibShared {
                     transport: hit.transport,
                     host: hit.host,
                     generation: hit.generation,
+                    placement: hit.registry_gen,
                 });
             }
         }
@@ -314,6 +319,7 @@ impl LibShared {
                     transport,
                     host,
                     generation,
+                    placement: registry_gen,
                 })
             }
             Err(Error::Unavailable(_)) => {
@@ -337,6 +343,7 @@ impl LibShared {
                     transport,
                     host: degraded_host(),
                     generation,
+                    placement: 0,
                 })
             }
             Err(e) => Err(e),
@@ -475,11 +482,12 @@ impl LibShared {
         qps
     }
 
-    /// Walk every live QP: advance drains/rebinds, sweep op deadlines,
-    /// recompute the earliest one and, when `paths_dirty`, look for better
-    /// paths. Returns whether some binding is left mid-transition, which
-    /// later sweeps or a retry must advance. Runs under the inbound run
-    /// lock: no dispatch runs beside it, as when the pump alone dispatched.
+    /// Walk every live QP: finish rebinds left in progress, sweep op
+    /// deadlines, recompute the earliest one and, when `paths_dirty`, look
+    /// for better paths. Returns whether some collapse is left waiting on
+    /// its peer, which later sweeps or a retry must advance. Runs under
+    /// the inbound run lock: no dispatch runs beside it, as when the pump
+    /// alone dispatched.
     fn walk_qps(&self, paths_dirty: bool) -> bool {
         let _run = self.inbound.lock();
         // Reset before the scan: a post the scan misses registered its op
@@ -488,22 +496,20 @@ impl LibShared {
         let (mut due, mut unsettled) = (None::<Instant>, false);
         for qp in self.live_qps() {
             if paths_dirty {
-                // Better paths may exist: start planned drains
-                // (upgrade / collapse).
+                // Better paths may exist: rebind onto them (upgrade /
+                // collapse).
                 qp.consider_rebind();
             }
-            // Advance any in-progress drain/rebind.
+            // Finish a collapse waiting on its peer.
             qp.poll_binding();
             // The op deadline, the only timer on a remote op: expire
             // ops whose replies never arrived, failing over.
             if let Some(at) = qp.sweep_timeouts() {
                 due = Some(due.map_or(at, |d| d.min(at)));
             }
-            // A drain settles when its last answer arrives and a collapse
-            // waits on its peer's half; a held one waits for the thaw.
-            let phase = qp.binding_phase();
-            unsettled |= matches!(phase, BindingPhase::Draining | BindingPhase::Rebinding)
-                && !qp.migration_held();
+            // A collapse waits on its peer's half and on the responder
+            // accepting what it carried; a held rebind waits for the thaw.
+            unsettled |= qp.binding_phase() == BindingPhase::Rebinding && !qp.migration_held();
         }
         // The pump reads the result before it parks: no ring needed.
         if let Some(at) = due {
@@ -796,8 +802,8 @@ impl NetLibrary {
             };
             let paths_dirty = shared.poll_feed(&mut sub, &mut needs_resync);
             let now = Instant::now();
-            // A drain settles when a sweep delivers its last answer, and an
-            // op can fall overdue while the pump never goes idle.
+            // A collapse may complete when a sweep delivers an answer, and
+            // an op can fall overdue while the pump never goes idle.
             let mut unsettled = shared.unsettled.load(Ordering::Acquire);
             if paths_dirty
                 || unsettled
@@ -851,7 +857,9 @@ impl NetLibrary {
         debug_assert_eq!(handle.ip, self.shared.ip, "rehome keeps the overlay IP");
         // Stop the old pump, and hold the run lock so no waiter dispatches,
         // before the QPs' host state changes under them. The old ring goes
-        // with what it still holds, as it went with the old pump.
+        // with what it still holds: its requesters re-send what stays
+        // unanswered once they learn of the move (`FfQp::consider_rebind`),
+        // and this container's own unanswered ops go again at the thaw.
         self.pump = None;
         let mut run = self.shared.inbound.lock();
         run.rx = None;

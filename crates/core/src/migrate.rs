@@ -13,36 +13,43 @@
 //! [`crate::cluster::FreeFlowCluster::migrate_with`]:
 //!
 //! 1. **Prepare** — every QP's [`crate::binding::PathBinding`] is frozen
-//!    through the ordinary `Draining` path
-//!    (`RebindReason::Migrate`): new work parks, in-flight work settles,
-//!    and the pump holds the binding in place. A binding that cannot
-//!    freeze (see the *un-collapse boundary* below) rides the move
-//!    unfrozen; a freeze that cannot settle in bounded time aborts the
-//!    migration before anything moved.
+//!    in the ordinary `Rebinding` phase (`RebindReason::Migrate`): new
+//!    work parks and the pump holds the binding in place, while it keeps
+//!    taking answers and peers' requests in. Nothing is waited for: an op
+//!    still unanswered — one parked at the peer for a receive, say —
+//!    crosses with the binding, as MigrOS resumes a connection from its
+//!    sequence numbers.
+//!    A binding that cannot freeze (see the *un-collapse boundary*
+//!    below) rides the move unfrozen.
 //! 2. **Checkpoint** — a [`MigrationCheckpoint`] captures the container's
-//!    identity, every QP's binding epoch/phase/parked-WR counts and both
-//!    halves of its op sequence — the next op id it sends and the last
-//!    one it accepted ([`QpRecord`]) — and every MR's keys, VA and full contents
-//!    ([`MrRecord`]). Socket streams need nothing of their own: they ride
-//!    their channel's QP, whose relayed ops are exactly-once across any
-//!    rebind. The checkpoint is serialized with a checksum —
-//!    a torn write (source crash mid-checkpoint) fails [`MigrationCheckpoint::decode`]
-//!    and the migration aborts with the container resumed in place.
+//!    identity, every QP's binding epoch/phase/parked-WR counts, its
+//!    unanswered ops and both halves of its op sequence — the next op id
+//!    it sends and the last one it accepted ([`QpRecord`]) — and every
+//!    MR's keys, VA and full contents ([`MrRecord`]). Socket streams need
+//!    nothing of their own: they ride their channel's QP, whose relayed
+//!    ops are exactly-once across any rebind. The checkpoint is
+//!    serialized with a checksum — a torn write (source crash
+//!    mid-checkpoint) fails [`MigrationCheckpoint::decode`] and the
+//!    migration aborts with the container resumed in place.
 //! 3. **Transfer + restore** — the device (QPs, CQs, MRs, keys) is
 //!    adopted by the target host's fabric, the library is re-homed
 //!    (agent channel, arena, control-plane identity), and arena-backed
 //!    MRs are *re-registered* onto the target arena by copying their
 //!    bytes (`MemoryRegion::rehome`). The orchestrator's
 //!    `ContainerMoved` event fans out over the gap-free feed; peers
-//!    drain-and-rebind exactly as for any other move. The restored state
-//!    is verified against the checkpoint — a mismatch (target crash
-//!    mid-restore) rolls the container back onto the source host.
-//! 4. **Commit** — bindings thaw; parked work replays exactly once
-//!    through the existing replay machinery (QP parked chains). The
-//!    blackout — freeze to thaw — is
-//!    recorded in the `ff_migration_blackout_ns` histogram, and
-//!    `Migration{Begin,Commit,Abort}` flight-recorder events bracket the
-//!    whole protocol.
+//!    re-path exactly as for any other move, and re-send their own
+//!    unanswered ops: what was in flight to or from the source host may
+//!    be lost, and the source host refuses what reaches it late as a
+//!    stale route. The restored state is verified against the
+//!    checkpoint — a mismatch (target crash mid-restore) rolls the
+//!    container back onto the source host.
+//! 4. **Commit** — bindings thaw. Each re-sends the
+//!    ops it carried, even on an unchanged transport — their answers
+//!    went to the source host's agent — and the responder executes each
+//!    once; then parked work replays exactly once. The blackout — freeze
+//!    to thaw — is recorded in the `ff_migration_blackout_ns` histogram,
+//!    and `Migration{Begin,Commit,Abort}` flight-recorder events bracket
+//!    the whole protocol.
 //!
 //! Every outcome — commit, source abort, target rollback — is a legal
 //! `PathBinding` transition sequence; a migration can never wedge a QP.
@@ -51,10 +58,9 @@
 //!
 //! A binding that already *collapsed* onto intra-host shared memory
 //! (`FfPath::Local`) is not torn back out into a relayed path: its peer
-//! posts straight into the host-verbs QP, with no relay to drain. Such a
-//! binding refuses the freeze and rides the migration untouched; if the
-//! move separates
-//! the pair, both ends observe staleness
+//! posts straight into the host-verbs QP, with no relay in between. Such
+//! a binding refuses the freeze and rides the migration untouched; if the
+//! move separates the pair, both ends observe staleness
 //! ([`crate::qp::FfQp::path_is_current`] turns false) and the
 //! application re-establishes explicitly via [`reconnect`] — exactly the
 //! pre-migration contract. Every *relayed* binding, in contrast,
@@ -113,8 +119,7 @@ impl ContainerImage {
 /// [`MigrationCrashPoint`] names the phase that dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MigrationPhase {
-    /// Freezing every binding through `Draining` and waiting for
-    /// in-flight work to settle.
+    /// Freezing every binding in `Rebinding`.
     Prepare,
     /// Capturing and serializing the [`MigrationCheckpoint`] on the
     /// source host.
@@ -189,7 +194,7 @@ pub struct MigrationReport {
 
 /// One QP's portion of a checkpoint: binding identity and the counts a
 /// restore must conserve (parked chains replay exactly once; posted
-/// receives survive; nothing in flight at capture time).
+/// receives survive; unanswered ops go again after the thaw).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QpRecord {
     /// Queue pair number (stable across the move — the device migrates).
@@ -199,7 +204,7 @@ pub struct QpRecord {
     /// Peer QPN (zero when unbound).
     pub peer_qpn: u32,
     /// Binding phase at capture (interned `BindingPhase::name()` value;
-    /// normally `"draining"` — the freeze parks it there).
+    /// normally `"rebinding"` — the freeze holds it there).
     pub phase: &'static str,
     /// Binding epoch at capture.
     pub epoch: u64,
@@ -207,16 +212,17 @@ pub struct QpRecord {
     pub generation: u64,
     /// Transport rank of the current path (`u8::MAX` when unbound).
     pub transport_rank: u8,
-    /// Send WRs parked behind the drain, to be replayed exactly once.
+    /// Send WRs parked behind the freeze, to be replayed exactly once.
     pub parked_sends: u32,
     /// Receives posted and not yet consumed (the verbs QP's, on every
     /// binding).
     pub posted_recvs: u32,
     /// Inbound operations parked at the verbs QP waiting for receives.
     pub inbound_pending: u32,
-    /// Operations in flight at capture — **zero** for a settled freeze;
-    /// nonzero marks a checkpoint taken from a crash, which restore
-    /// refuses.
+    /// Relayed operations unanswered at capture. They cross with the
+    /// binding and go again after the thaw. Answers keep arriving through
+    /// the freeze and no op is issued in it, so the restored QP holds at
+    /// most this many: a subset of these.
     pub in_flight: u32,
     /// Next work-request op id: the requester's half of the QP's
     /// exactly-once sequence.
@@ -320,7 +326,7 @@ impl From<WireError> for MigrateError {
 const MAGIC: u32 = 0x4646_4D31;
 
 /// Interned binding-phase names, in wire order (`BindingPhase::name()`).
-const PHASES: [&str; 5] = ["unbound", "bound", "draining", "rebinding", "error"];
+const PHASES: [&str; 4] = ["unbound", "bound", "rebinding", "error"];
 
 /// Encoded size of one [`QpRecord`] and of an [`MrRecord`] with no bytes:
 /// the floor each decoded count is checked against.
@@ -478,8 +484,10 @@ impl MigrationCheckpoint {
 
     /// Verify live state on the target against this checkpoint: same
     /// identity, every checkpointed QP alive with its epoch and parked
-    /// counts intact, every MR present with byte-identical contents.
-    /// Called after restore; a mismatch triggers rollback.
+    /// counts intact and no unanswered op it did not carry (the same next
+    /// op id, and no more unanswered than captured), every MR present with
+    /// byte-identical contents. Called after restore; a mismatch triggers
+    /// rollback.
     pub(crate) fn verify_restore(&self, container: &Container) -> Result<(), MigrateError> {
         if ContainerImage::of(container) != self.image {
             return Err(MigrateError::RestoreMismatch("identity"));
@@ -490,15 +498,13 @@ impl MigrationCheckpoint {
             let Some(qp) = live.iter().find(|qp| qp.qp_num() == rec.qpn) else {
                 return Err(MigrateError::RestoreMismatch("qp missing"));
             };
-            if rec.in_flight != 0 {
-                return Err(MigrateError::RestoreMismatch("unsettled checkpoint"));
-            }
             let now = qp.capture_record();
             if now.epoch < rec.epoch {
                 return Err(MigrateError::RestoreMismatch("epoch regressed"));
             }
             if now.parked_sends != rec.parked_sends
                 || now.posted_recvs != rec.posted_recvs
+                || now.in_flight > rec.in_flight
                 || now.next_op_id != rec.next_op_id
             {
                 return Err(MigrateError::RestoreMismatch("work conservation"));
@@ -540,7 +546,7 @@ mod tests {
                 qpn: 3,
                 peer_octets: [10, 0, 0, 9],
                 peer_qpn: 5,
-                phase: "draining",
+                phase: "rebinding",
                 epoch: 4,
                 generation: 11,
                 transport_rank: 1,

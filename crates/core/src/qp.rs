@@ -29,12 +29,14 @@
 //! claim, testable here because both paths run under one API.
 //!
 //! The *lifecycle* of a binding — connect-time bind, reactive failover,
-//! planned TCP→RDMA upgrade after `restore_nic`, and Remote→Local
-//! collapse after a peer migrates onto this host — is owned by
-//! [`crate::binding::PathBinding`]; this module performs the drains and
-//! replays around its transitions (see DESIGN.md §7).
+//! planned TCP→RDMA upgrade after `restore_nic`, Remote→Local collapse
+//! after a peer migrates onto this host, and a migration freeze — is
+//! owned by [`crate::binding::PathBinding`]; this module performs the
+//! re-sends and replays around its transitions (see DESIGN.md §7).
+//! Every rebind carries the unanswered ops across and re-sends them on
+//! the path it ends on; none waits for an answer.
 //!
-//! ## Exactly once across a failover
+//! ## Exactly once across a rebind
 //!
 //! A relayed op is reliable the way an RC QP is. Op ids are sequential
 //! per QP, and the responder hears only its connected peer: it executes
@@ -43,10 +45,12 @@
 //! duplicate of an op still parked for a receive, and refuses an op that
 //! follows a gap with [`st::OUT_OF_ORDER`]. So the requester may re-send
 //! whatever is unanswered, oldest first, gathering each payload again
-//! from the application's SGEs: after a failover onto a surviving
-//! transport (started by a stale-route refusal, or by a health change
-//! that moved the orchestrator's choice under unanswered ops), or after
-//! a stale-route or out-of-order refusal on the bound one. A re-send
+//! from the application's SGEs: after any rebind (a failover onto a
+//! surviving transport, an upgrade, a collapse, a migration's thaw), or
+//! after a stale-route or out-of-order refusal on the bound one. An
+//! answer is taken by op id from the connected peer, whichever transport
+//! carried it, so one that arrives on the old transport after a rebind
+//! settles its op like any other. A re-send
 //! still unanswered after [`RESEND_INTERVAL`] goes again. Posts and
 //! re-sends reach the agent ring in op-id order, so a settled path
 //! re-sends nothing.
@@ -68,7 +72,7 @@ use freeflow_verbs::{
     CompletionQueue, MemoryRegion, Payload, QpEndpoint, QpState, QueuePair, VerbsError,
     VerbsResult, WcStatus,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -127,7 +131,7 @@ impl FfPath {
     }
 }
 
-/// Interned label for a drain/rebind reason.
+/// Interned label for a rebind reason.
 fn reason_label(reason: Option<RebindReason>) -> Option<&'static str> {
     reason.map(|r| match r {
         RebindReason::Failover => "failover",
@@ -205,8 +209,8 @@ struct QpInner {
     binding: PathBinding,
     /// Remote path: ops awaiting their answer, by wire op id (post order).
     pending: BTreeMap<u64, Pending>,
-    /// Sends accepted while the binding is draining/rebinding (or while
-    /// a replay is dispatching): transmitted in order once Bound again.
+    /// Sends accepted while the binding is rebinding (or while a replay
+    /// is dispatching): transmitted in order once Bound again.
     parked_sends: VecDeque<SendWr>,
     /// True while `replay_parked` is dispatching outside the lock; new
     /// application posts must park behind the queue to keep RC order.
@@ -224,6 +228,9 @@ struct QpInner {
     /// Responder: an op past `accepted + 1` was refused; later ones are
     /// dropped unanswered until the gap fills.
     gap_refused: bool,
+    /// The peer's placement generation as last resolved: a peer that
+    /// moved with ops unanswered has them sent again.
+    peer_placement: u64,
 }
 
 /// What a relayed request is to the responder, by its op id.
@@ -245,10 +252,10 @@ enum StageTo<'a> {
     Vec(&'a mut Vec<u8>),
 }
 
-/// How a failover re-path came out.
+/// How a re-path came out.
 enum Repath {
-    /// A new path is bound (or a collapse is draining onto one); the
-    /// unanswered ops went again on it.
+    /// A new path is bound (or a collapse waits to complete onto one);
+    /// the unanswered ops went again on it.
     Moved,
     /// The orchestrator still picks the bound transport: forwarding has
     /// not converged onto it yet.
@@ -268,13 +275,13 @@ pub struct FfQp {
     /// Per-op answer timeout in nanoseconds.
     op_timeout_ns: AtomicU64,
     /// Set while the cluster's live-migration driver holds this QP's
-    /// binding frozen in `Draining`: the pump must not advance the
+    /// binding frozen in `Rebinding`: the pump must not advance the
     /// lifecycle until the migration commits or aborts (the thaw).
     migration_hold: AtomicBool,
-    /// Held from a post's op-id assignment, or a re-send's snapshot,
-    /// until its messages are on the agent ring, so the ring carries this
-    /// QP's ops in op-id order: the responder refuses an op that overtakes
-    /// its predecessor.
+    /// Held from a post's op-id assignment, a re-send's snapshot or a
+    /// rebind's new path until its messages are on the agent ring, so the
+    /// ring carries this QP's ops in op-id order: the responder refuses an
+    /// op that overtakes its predecessor.
     sending: Mutex<()>,
     /// Held while the lifecycle advances. The pump's walk and a migration
     /// thaw both advance it; two at once could replay parked sends out of
@@ -350,6 +357,7 @@ impl FfQp {
                 stale_asked: false,
                 accepted: 0,
                 gap_refused: false,
+                peer_placement: 0,
             }),
             op_timeout_ns: AtomicU64::new(DEFAULT_OP_TIMEOUT.as_nanos() as u64),
             migration_hold: AtomicBool::new(false),
@@ -372,8 +380,8 @@ impl FfQp {
     }
 
     /// Append one path-transition event to the flight recorder. Callers
-    /// pass the epoch the event is *about*: the old epoch for drains and
-    /// aborts, the new epoch for `Bound`/`Rebound`.
+    /// pass the epoch the event is *about*: the old epoch for a started
+    /// or aborted rebind, the new epoch for `Bound`/`Rebound`.
     fn record_transition(
         &self,
         kind: TransitionKind,
@@ -476,6 +484,7 @@ impl FfQp {
             }
         };
         self.verbs_qp.modify_to_rtr(peer.verbs())?;
+        inner.peer_placement = resolved.placement;
         inner
             .binding
             .bind(path, resolved.generation)
@@ -627,7 +636,7 @@ impl FfQp {
             return None;
         }
         if resend {
-            self.resend();
+            self.resend(self.sending.lock());
         }
         let inner = self.inner.lock();
         let deadlines = inner.pending.values().map(|p| p.deadline);
@@ -638,9 +647,9 @@ impl FfQp {
     /// path, each payload gathered again from its SGEs, and arm the next
     /// round should they stay unanswered. The responder executes each
     /// exactly once. An op whose payload cannot be staged now stays
-    /// pending for the next round or its deadline.
-    fn resend(&self) {
-        let _order = self.sending.lock();
+    /// pending for the next round or its deadline. `_order` is the
+    /// [`FfQp::sending`] guard, held until the ops are on the ring.
+    fn resend(&self, _order: MutexGuard<'_, ()>) {
         let (ops, peer) = {
             let mut inner = self.inner.lock();
             let peer = match (inner.binding.phase(), inner.binding.path()) {
@@ -682,7 +691,8 @@ impl FfQp {
     }
 
     /// The agent refused an op on a downed wire while another wire to the
-    /// peer's host is up ([`st::STALE_ROUTE`]). Fail over if the
+    /// peer's host is up, or a host the peer left refused it
+    /// ([`st::STALE_ROUTE`]). Fail over if the
     /// orchestrator now picks another transport; otherwise forwarding has
     /// not converged onto the bound one yet, and the ops go again after
     /// [`RESEND_INTERVAL`]. The ops stay pending either way.
@@ -743,73 +753,67 @@ impl FfQp {
         let Ok(resolved) = self.lib.resolve(peer.ip) else {
             return Repath::Gone;
         };
-        self.fail_over(resolved)
+        self.rebind_onto(RebindReason::Failover, resolved)
     }
 
-    /// Fail over onto `resolved`, the orchestrator's choice for the peer,
-    /// unless it is the bound transport still. On a new transport the
-    /// binding rebinds at once and the unanswered ops go again on it,
-    /// ahead of any send posted meanwhile; onto a peer that migrated here,
-    /// they go again through the local agent while the pump finishes the
-    /// collapse.
-    fn fail_over(&self, resolved: ResolvedPath) -> Repath {
+    /// Start a rebind for `reason` and record it, with the epoch it ends.
+    /// False when the binding is not bound.
+    fn begin_rebind(&self, inner: &mut QpInner, reason: RebindReason) -> bool {
+        let label = inner.binding.path().label();
+        if inner.binding.begin_rebind(reason).is_err() {
+            return false;
+        }
+        if reason == RebindReason::Failover {
+            // Counter and flight-recorder event move together: every
+            // failover_count increment has exactly one
+            // RebindStarted(failover) event.
+            self.failovers.fetch_add(1, Ordering::Relaxed);
+            self.tm_failovers.inc();
+        }
+        let epoch = inner.binding.epoch();
+        self.record_transition(
+            TransitionKind::RebindStarted,
+            Some(reason),
+            epoch,
+            label,
+            label,
+            false,
+        );
+        true
+    }
+
+    /// Rebind onto `resolved`, the orchestrator's choice for the peer,
+    /// unless it is the bound transport still. The unanswered ops cross
+    /// with the binding: on a new transport it rebinds at once and they go
+    /// again on it, ahead of any send parked meanwhile; onto a peer now on
+    /// this host they go again through the local agent while the pump
+    /// finishes the collapse.
+    fn rebind_onto(&self, reason: RebindReason, resolved: ResolvedPath) -> Repath {
+        let order = self.sending.lock();
         let mut inner = self.inner.lock();
-        let Some((peer, dead)) = self.failover_from(&inner) else {
+        let Some((peer, old)) = self.failover_from(&inner) else {
             return Repath::Gone;
         };
         let collapses = resolved.local && resolved.transport.kernel_bypass();
-        if !collapses && resolved.transport == dead {
+        if !collapses && resolved.transport == old {
             return Repath::Same;
         }
-        if inner.binding.begin_drain(RebindReason::Failover).is_err() {
+        if !self.begin_rebind(&mut inner, reason) {
             return Repath::Gone; // raced with another lifecycle transition
         }
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-        // Counter and flight-recorder event move together: every
-        // failover_count increment has exactly one DrainStarted(failover)
-        // event carrying the epoch the failure ended.
-        self.tm_failovers.inc();
-        self.record_transition(
-            TransitionKind::DrainStarted,
-            Some(RebindReason::Failover),
-            inner.binding.epoch(),
-            dead.as_str(),
-            dead.as_str(),
-            false,
-        );
         if collapses {
-            // The peer migrated onto this host: its agent delivers the
-            // re-sent ops, the drain settles on their answers, and the
-            // pump finishes the collapse onto shared memory.
-            drop(inner);
-            self.resend();
+            drop((inner, order));
             self.lib.request_walk();
             return Repath::Moved;
         }
-        let unsettled = inner.pending.len();
-        inner
-            .binding
-            .begin_rebind(unsettled)
-            .expect("a failover may carry unsettled ops");
-        self.record_transition(
-            TransitionKind::RebindStarted,
-            Some(RebindReason::Failover),
-            inner.binding.epoch(),
-            dead.as_str(),
-            dead.as_str(),
-            false,
-        );
         let path = FfPath::Remote {
             peer,
             transport: resolved.transport,
         };
         let rebound = self.complete_rebind(&mut inner, path, resolved.generation);
         debug_assert!(rebound, "the rebinding phase was just entered");
-        // Sends posted from here on park behind the re-sent ops.
-        inner.replaying = true;
         drop(inner);
-        self.resend();
-        self.replay_parked();
+        self.carry_across(order);
         Repath::Moved
     }
 
@@ -840,12 +844,14 @@ impl FfQp {
 
     /// Called from the library pump after a location/health event:
     /// decide whether the current remote path should make way for a
-    /// better one. Planned rebind — the old path keeps working while
-    /// in-flight operations drain. When the orchestrator now picks a
-    /// worse transport, the bound one died: a QP with ops unanswered,
+    /// better one — an upgrade, or a collapse onto a peer now on this
+    /// host — and rebind onto it at once. When the orchestrator now picks
+    /// a worse transport, the bound one died: a QP with ops unanswered,
     /// whose answers may have been lost with it, fails over at once and
     /// re-sends them. One with none fails over when a send of its meets
-    /// the dead wire.
+    /// the dead wire. When the peer moved and kept its transport, the
+    /// binding stays, but answers sent from the host it left, and ops
+    /// sent there, may be lost: the unanswered ops go again.
     pub(crate) fn consider_rebind(&self) {
         let (peer, current) = {
             let inner = self.inner.lock();
@@ -860,138 +866,79 @@ impl FfQp {
             Ok(r) => r,
             Err(_) => return,
         };
+        // A degraded resolution knows no placement (0), so it moves nothing.
+        let moved = resolved.placement != 0 && {
+            let last = &mut self.inner.lock().peer_placement;
+            std::mem::replace(last, resolved.placement) != resolved.placement
+        };
         let reason = if resolved.local && resolved.transport.kernel_bypass() {
             RebindReason::Collapse
         } else if !resolved.local
             && freeflow_orchestrator::policy::is_upgrade(current, resolved.transport)
         {
             RebindReason::Upgrade
+        } else if resolved.transport != current && self.unanswered() > 0 {
+            RebindReason::Failover
         } else {
-            if resolved.transport != current && self.unanswered() > 0 {
-                self.fail_over(resolved);
+            let mut inner = self.inner.lock();
+            if moved && !inner.pending.is_empty() {
+                self.arm_resend(&mut inner);
             }
             return;
         };
-        let mut inner = self.inner.lock();
-        if self.state() == QpState::Rts
-            && inner.binding.phase() == BindingPhase::Bound
-            && inner.binding.begin_drain(reason).is_ok()
-        {
-            self.record_transition(
-                TransitionKind::DrainStarted,
-                Some(reason),
-                inner.binding.epoch(),
-                current.as_str(),
-                current.as_str(),
-                false,
-            );
-            // The pump advances the drain; this may run off the pump
-            // (a rehome), so ask it to walk.
-            self.lib.request_walk();
-        }
+        self.rebind_onto(reason, resolved);
     }
 
     /// Called from the library pump's QP walk, and by the migration
-    /// coordinator after a thaw: advance an in-progress drain/rebind. All
-    /// planned lifecycle work runs here, one caller at a time.
+    /// coordinator after a thaw: finish a rebind left in progress — a
+    /// collapse waiting on its peer, or a thawed migration. One caller at
+    /// a time.
     pub(crate) fn poll_binding(&self) {
         let _one = self.advancing.lock();
-        if self.migration_hold.load(Ordering::Acquire) {
-            // Frozen for a live migration: the binding parks where it is
-            // (normally `Draining`) until the 2PC driver thaws it. Acks
-            // for in-flight work still arrive through `handle_inbound`,
-            // so the drain settles under the hold.
-            return;
-        }
+        // Frozen for a live migration: the binding holds in `Rebinding`
+        // until the migration coordinator thaws it.
+        if !self.migration_hold.load(Ordering::Acquire)
+            && self.inner.lock().binding.phase() == BindingPhase::Rebinding
         {
-            let mut inner = self.inner.lock();
-            if inner.binding.phase() == BindingPhase::Draining {
-                let unsettled = inner.pending.len();
-                if unsettled == 0 && inner.binding.begin_rebind(0).is_ok() {
-                    let label = inner.binding.path().label();
-                    self.record_transition(
-                        TransitionKind::RebindStarted,
-                        inner.binding.reason(),
-                        inner.binding.epoch(),
-                        label,
-                        label,
-                        false,
-                    );
-                }
-            }
-            if inner.binding.phase() != BindingPhase::Rebinding {
-                return;
-            }
+            self.finish_rebind();
         }
-        self.finish_rebind();
     }
 
     // --- live migration (driven by the cluster's 2PC coordinator) -----------
 
-    /// Quiesce this QP for a live migration: a planned
-    /// `begin_drain(Migrate)` that parks the binding in `Draining` and
-    /// holds it there (the pump skips lifecycle advancement while the
-    /// hold is set) until [`FfQp::thaw_migration`]. In-flight acks still
-    /// settle under the hold; new application posts park.
+    /// Freeze this QP for a live migration: a planned
+    /// `begin_rebind(Migrate)` that holds the binding in `Rebinding` (the
+    /// pump leaves it there while the hold is set) until
+    /// [`FfQp::thaw_migration`]. New application posts park; nothing is
+    /// waited for — the unanswered ops cross with the binding and go
+    /// again after the thaw.
     ///
     /// Returns `false` when the QP was *not* frozen — today only the
     /// collapsed (shared-memory) binding. That is the un-collapse
     /// boundary: a `Local` path's peer sends straight into the host-verbs
-    /// QP, with no relay in between to drain, so the binding rides
-    /// through the migration untouched and simply goes stale if the pair
-    /// is torn apart ([`FfQp::path_is_current`] turns
-    /// false; the application re-establishes explicitly, exactly as
-    /// before cross-host migration existed). The migration itself still
-    /// proceeds.
+    /// QP, with no relay in between, so the binding rides through the
+    /// migration untouched and simply goes stale if the pair is torn
+    /// apart ([`FfQp::path_is_current`] turns false; the application
+    /// re-establishes explicitly, exactly as before cross-host migration
+    /// existed). The migration itself still proceeds.
     pub fn freeze_for_migration(&self) -> bool {
         let mut inner = self.inner.lock();
-        match inner.binding.phase() {
-            // Nothing on a data plane yet / already terminal: hold so the
-            // pump stays out of the way, nothing to drain.
-            BindingPhase::Unbound | BindingPhase::Error => {
-                self.migration_hold.store(true, Ordering::Release);
-                return true;
+        if inner.binding.phase() == BindingPhase::Bound {
+            if matches!(inner.binding.path(), FfPath::Local { .. }) {
+                return false;
             }
-            // A drain/rebind already in progress (e.g. a planned upgrade
-            // the event feed raced): freeze it where it stands; the thaw
-            // re-resolves from the final placement.
-            BindingPhase::Draining | BindingPhase::Rebinding => {
-                self.migration_hold.store(true, Ordering::Release);
-                return true;
-            }
-            BindingPhase::Bound => {}
+            self.begin_rebind(&mut inner, RebindReason::Migrate);
         }
-        if matches!(inner.binding.path(), FfPath::Local { .. }) {
-            // The un-collapse boundary: a shared-memory binding cannot be
-            // torn back out into a relay path. Leave it bound — it rides
-            // the move untouched and observes staleness afterwards.
-            return false;
-        }
-        let label = inner.binding.path().label();
-        if inner.binding.begin_drain(RebindReason::Migrate).is_err() {
-            return false;
-        }
+        // Unbound, errored, or a rebind already in progress (a collapse
+        // waiting on its peer): hold it where it stands; the thaw
+        // re-resolves from the final placement.
         self.migration_hold.store(true, Ordering::Release);
-        self.record_transition(
-            TransitionKind::DrainStarted,
-            Some(RebindReason::Migrate),
-            inner.binding.epoch(),
-            label,
-            label,
-            false,
-        );
         true
     }
 
-    /// Whether a frozen QP has fully quiesced: no send/write/read is
-    /// still awaiting its answer on the old path. Parked sends don't
-    /// count — they replay after the thaw, on whichever path wins.
-    pub fn migration_settled(&self) -> bool {
-        self.unanswered() == 0
-    }
-
     /// Remote operations still awaiting their answer. A Local binding's
-    /// posts are answered at once or park at the peer, so it has none.
+    /// own posts are answered at once or park at the peer; it holds only
+    /// relayed ops a collapse carried across, parked at the peer.
     pub fn unanswered(&self) -> usize {
         self.inner.lock().pending.len()
     }
@@ -1009,13 +956,15 @@ impl FfQp {
     }
 
     /// Release a migration freeze and ring the library pump, whose next
-    /// walk advances the held drain through the ordinary lifecycle: after
+    /// walk finishes the held rebind through the ordinary lifecycle: after
     /// a *commit* the library has been rehomed, so the rebind resolves
-    /// from the target host (same transport → abort back onto the
-    /// identical path, new transport → `Rebound`, peer now co-located →
-    /// collapse); after an *abort* it resolves from the unchanged source
-    /// host and falls back onto the old, still-working path. Every outcome
-    /// is a legal `PathBinding` transition.
+    /// from the target host (same transport → back onto the identical
+    /// path, new transport → `Rebound`, peer now co-located → collapse);
+    /// after an *abort* it resolves from the unchanged source host and
+    /// falls back onto the old path. Either way the unanswered ops go
+    /// again — after a commit their answers went to the source host — and
+    /// then the parked sends. Every outcome is a legal `PathBinding`
+    /// transition.
     pub fn thaw_migration(&self) {
         self.migration_hold.store(false, Ordering::Release);
         self.lib.request_walk();
@@ -1027,8 +976,8 @@ impl FfQp {
     }
 
     /// Snapshot this QP's migrable state into a checkpoint record. Call
-    /// only after the freeze settled: `in_flight` is carried so the
-    /// restore side can verify the quiesce invariant held.
+    /// under the freeze, which issues no op id: `in_flight` is carried so
+    /// the restore side can check no unanswered op joined those captured.
     pub(crate) fn capture_record(&self) -> crate::migrate::QpRecord {
         let inner = self.inner.lock();
         let (peer_octets, peer_qpn) = match inner.binding.path() {
@@ -1057,8 +1006,8 @@ impl FfQp {
         }
     }
 
-    /// The drain settled; establish the new path. May run repeatedly —
-    /// a collapse waits for the peer's half of the verbs connection.
+    /// Establish the new path of the rebind in progress. May run
+    /// repeatedly — a collapse waits for its peer.
     fn finish_rebind(&self) {
         let (peer, old, reason) = {
             let inner = self.inner.lock();
@@ -1085,8 +1034,8 @@ impl FfQp {
                 // A failover landing back on the transport it declared
                 // dead is a no-op rebind: surface the failure.
                 Some(RebindReason::Failover) => self.enter_error(),
-                // A planned rebind that went stale (the event raced):
-                // keep the old, still-working path.
+                // A planned rebind that went stale (the event raced), or
+                // a migration that kept its transport: the old path.
                 _ => self.abort_or_fail(reason),
             }
             return;
@@ -1098,26 +1047,24 @@ impl FfQp {
         self.commit_rebind(path, resolved.generation);
     }
 
-    /// Complete the rebind in progress onto `path`, then replay the sends
-    /// parked behind it.
+    /// Complete the rebind in progress onto `path`, then carry the
+    /// unanswered ops and the parked sends across.
     fn commit_rebind(&self, path: FfPath, generation: u64) {
-        {
-            let mut inner = self.inner.lock();
-            if !self.complete_rebind(&mut inner, path, generation) {
-                return;
-            }
-            inner.replaying = true;
+        let order = self.sending.lock();
+        if self.complete_rebind(&mut self.inner.lock(), path, generation) {
+            self.carry_across(order);
         }
-        self.replay_parked();
     }
 
     /// A rebind cannot proceed: keep the old path for planned rebinds,
-    /// error out for failovers (their old path is dead).
+    /// then carry the unanswered ops and the parked sends across; error
+    /// out for failovers (their old path is dead).
     fn abort_or_fail(&self, reason: Option<RebindReason>) {
         if reason == Some(RebindReason::Failover) {
             self.enter_error();
             return;
         }
+        let order = self.sending.lock();
         {
             let mut inner = self.inner.lock();
             if inner.binding.abort_rebind().is_err() {
@@ -1132,44 +1079,66 @@ impl FfQp {
                 label,
                 false,
             );
-            inner.replaying = true;
         }
+        self.carry_across(order);
+    }
+
+    /// The end of every rebind: re-send the unanswered ops on the path it
+    /// ended on, oldest first, then replay the sends parked behind them.
+    /// The rebind took `order` before its new path was bound, so a post
+    /// meanwhile waits behind the re-send, as behind another post, and
+    /// does not overtake it.
+    fn carry_across(&self, order: MutexGuard<'_, ()>) {
+        self.resend(order);
         self.replay_parked();
     }
 
-    /// Remote→Local collapse: the peer now shares this host. Once the
-    /// peer's half of the verbs connection is on this host's fabric,
-    /// switch. The verbs QP has held this QP's receives, and answered
-    /// relayed ops, all along: the application keeps its QP, MRs, wr_ids
-    /// and posted receives; no reconnect. An op parked at it on the relay
-    /// is answered there when a receive is posted, ahead of anything the
-    /// peer sends directly.
+    /// Remote→Local collapse: the peer now shares this host. The verbs QP
+    /// has held this QP's receives, and answered relayed ops, all along:
+    /// the application keeps its QP, MRs, wr_ids and posted receives; no
+    /// reconnect. The switch waits for two things. The peer's half of the
+    /// verbs connection must be on this host's fabric, or the first direct
+    /// send would be refused. And no direct post may overtake a carried op
+    /// the responder has not accepted yet: each must be answered, or
+    /// parked at the peer's verbs QP for a receive — which answers it
+    /// ahead of anything sent directly. Once the peer's half is open, the
+    /// carried ops go again through the local agent until then. An op
+    /// parked for a receive never holds the collapse up.
     fn finish_collapse(&self, peer: FfEndpoint, generation: u64) {
         // Our half first, idempotent across retries: the peer may now
-        // post to us directly. Its half must be open too or our first
-        // verbs send would be refused; the pump retries while the rebind
-        // is unsettled (the peer collapses on its own schedule, driven by
-        // the same orchestrator event — and not while it is frozen for a
-        // migration that may yet roll back).
+        // post to us directly. The peer collapses on its own schedule,
+        // driven by the same orchestrator event — and not while it is
+        // frozen for a migration that may yet roll back.
         self.verbs_qp.set_fabric_open(true);
-        let peer_ready = self
-            .lib
-            .device
-            .network()
-            .find_device(peer.ip)
+        let (carried, armed) = {
+            let inner = self.inner.lock();
+            let carried: Vec<u64> = inner.pending.keys().copied().collect();
+            (carried, inner.resend_at.is_some())
+        };
+        let me = self.endpoint().verbs();
+        let peer_qp = (self.lib.device.network().find_device(peer.ip))
             .and_then(|d| d.find_qp(peer.verbs().qpn))
-            .is_some_and(|qp| {
-                qp.fabric_open() && matches!(qp.state(), QpState::Rtr | QpState::Rts)
-            });
-        if !peer_ready {
-            return;
+            .filter(|qp| qp.fabric_open() && matches!(qp.state(), QpState::Rtr | QpState::Rts));
+        // Until the peer's half is open here, the peer may not be either:
+        // the local agent would refuse what went to it.
+        let Some(peer_qp) = peer_qp else { return };
+        let accepted = |wr_id| {
+            peer_qp.parks(Requester {
+                qp: me,
+                wr_id,
+                relayed: true,
+            })
+        };
+        if carried.into_iter().all(accepted) {
+            self.commit_rebind(FfPath::Local { peer }, generation);
+        } else if !armed {
+            self.resend(self.sending.lock());
         }
-        self.commit_rebind(FfPath::Local { peer }, generation);
     }
 
-    /// Re-dispatch sends parked during a drain/rebind, in order. Runs
-    /// on the pump thread; `replaying` makes concurrent application
-    /// posts park behind the queue instead of overtaking it.
+    /// Re-dispatch sends parked during a rebind, in order. `replaying`
+    /// makes concurrent application posts park behind the queue instead
+    /// of overtaking it.
     fn replay_parked(&self) {
         loop {
             let (wr, path) = {
@@ -1225,11 +1194,12 @@ impl FfQp {
     /// to the verbs chain, the Remote path stages every payload and hands
     /// the agent one push (one ring reservation, one doorbell).
     ///
-    /// While the binding is mid-drain/rebind the whole chain is accepted
-    /// and *parked*, in order, behind any already-parked sends — its local
+    /// While the binding is rebinding the whole chain is accepted and
+    /// *parked*, in order, behind any already-parked sends — its local
     /// side vetted at once, as on a bound path, and it replays exactly once
-    /// on the new path, never straddling the rebind boundary partially, so
-    /// a live upgrade or collapse is invisible to the application.
+    /// on the new path, behind the re-sent unanswered ops, never
+    /// straddling the rebind boundary partially, so a live upgrade or
+    /// collapse is invisible to the application.
     pub fn post_send_batch(&self, wrs: Vec<SendWr>) -> VerbsResult<()> {
         self.post_chain(wrs.into_iter())
     }
@@ -1800,7 +1770,7 @@ impl FfQp {
         }
         match status {
             st::STALE_ROUTE => self.on_stale_route(),
-            st::OUT_OF_ORDER => self.resend(),
+            st::OUT_OF_ORDER => self.resend(self.sending.lock()),
             st::TIMEOUT => self.fail_with(Vec::new(), u64::MAX),
             _ => {
                 let Some(p) = self.inner.lock().pending.remove(&op_id) else {

@@ -293,9 +293,9 @@ fn bad_lkey_mid_chain_fails_synchronously_on_the_remote_path() {
 
 #[test]
 fn bad_lkey_mid_chain_fails_synchronously_while_the_binding_drains() {
-    // A chain posted mid-drain parks, vetted as a bound path vets it: the
-    // post fails at once with `BadKey`, the WR before the bad one parks
-    // and runs after the drain, and nothing after it runs.
+    // A chain posted mid-rebind parks, vetted as a bound path vets it:
+    // the post fails at once with `BadKey`, the WR before the bad one
+    // parks and runs after the rebind, and nothing after it runs.
     let cluster = FreeFlowCluster::with_defaults();
     let p = connected_pair(&cluster, false);
     p.mr_a.write(0, b"first").unwrap();
@@ -1438,7 +1438,7 @@ fn cluster_arena_size() -> usize {
 // --- live migration: guards, checkpoints, crash injection ------------------
 
 /// Satellite regression: migrating onto the host a container already
-/// occupies is a guarded no-op — no blackout, no drain on the container's
+/// occupies is a guarded no-op — no blackout, no freeze on the container's
 /// own QPs or its peers', no placement-generation bump, no
 /// `ContainerMoved` on the event feed.
 #[test]
@@ -1484,7 +1484,7 @@ fn migrate_onto_current_host_is_a_guarded_noop() {
         qp_b,
     };
 
-    // No drain or rebind happened anywhere: epochs and generation are
+    // No freeze or rebind happened anywhere: epochs and generation are
     // untouched and the feed carries no Migration or ContainerMoved
     // events for this container.
     assert_eq!(p.qp_a.epoch(), epoch_a, "peer QP must not rebind");
@@ -1692,6 +1692,185 @@ fn committed_migration_checkpoints_and_restores_state() {
         !p.qp_a.path_is_current(),
         "the peer must see the move as a stale path"
     );
+}
+
+/// A migration never waits on the peer's application: a container whose
+/// SEND is parked at its peer for a receive commits at once, the SEND
+/// crossing unanswered. The checkpoint carried it, and a restore that lost
+/// it would be refused. The SEND completes exactly once when the peer
+/// posts the receive.
+#[test]
+fn a_send_parked_at_the_peer_crosses_a_migration_unanswered() {
+    use crate::migrate::{MigrateError, MigrationCheckpoint, MigrationOutcome};
+
+    let cluster = FreeFlowCluster::with_defaults();
+    let p = connected_pair(&cluster, false);
+    // Long enough that only the receive, not the op deadline, answers it.
+    p.qp_a.set_relay_timeout(Duration::from_secs(30));
+    p.mr_a.write(0, b"parked across the move").unwrap();
+    p.qp_a
+        .post_send(SendWr::send(1, p.mr_a.sge(0, 22)))
+        .unwrap();
+    wait_for(T, || p.qp_b.parked_inbound() == 1);
+
+    let h2 = cluster.add_host(HostCaps::paper_testbed());
+    let Pair {
+        a,
+        b,
+        mr_a,
+        mr_b,
+        cq_a,
+        cq_b,
+        qp_a,
+        qp_b,
+    } = p;
+    let started = std::time::Instant::now();
+    let (a, report) = cluster.migrate_with(a, h2, None).unwrap();
+    assert_eq!(report.outcome, MigrationOutcome::Committed);
+    assert!(report.moved);
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "the migration waited {:?} on the parked SEND",
+        started.elapsed()
+    );
+    let p = Pair {
+        a,
+        b,
+        mr_a,
+        mr_b,
+        cq_a,
+        cq_b,
+        qp_a,
+        qp_b,
+    };
+
+    // The restored QP holds the SEND unanswered, as the checkpoint says,
+    // and a checkpoint that lost it does not verify.
+    assert_eq!(p.qp_a.unanswered(), 1);
+    let cp = MigrationCheckpoint::capture(&p.a, h2);
+    let rec = (cp.qps.iter()).find(|r| r.qpn == p.qp_a.qp_num()).unwrap();
+    assert_eq!(rec.in_flight, 1);
+    assert_eq!(cp.verify_restore(&p.a), Ok(()));
+    let mut lost = cp.clone();
+    for rec in &mut lost.qps {
+        rec.in_flight = 0;
+    }
+    assert_eq!(
+        lost.verify_restore(&p.a),
+        Err(MigrateError::RestoreMismatch("work conservation"))
+    );
+
+    // The receive comes: the SEND lands once and completes once.
+    p.qp_b.post_recv(RecvWr::new(2, p.mr_b.sge(0, 64))).unwrap();
+    assert_eq!(completions(&p.cq_b, 1), [(2, WcStatus::Success)]);
+    assert_eq!(completions(&p.cq_a, 1), [(1, WcStatus::Success)]);
+    assert_eq!(read_b(&p, 0, 22), b"parked across the move");
+    wait_for(T, || p.qp_a.unanswered() == 0);
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(p.cq_a.poll_one().is_none(), "the SEND completed twice");
+    assert!(p.cq_b.poll_one().is_none(), "the SEND landed twice");
+    assert_eq!(p.qp_b.accepted(), 1);
+    roundtrip_send(&p, b"after the move");
+}
+
+/// A peer keeps writing into a container while it migrates back and
+/// forth: every WRITE completes `Success`, once, and its bytes land. The
+/// freeze keeps taking requests in, and what was in flight to or from
+/// the host the container left goes again — the peer re-sends its
+/// unanswered ops on `ContainerMoved`, and the host the container left
+/// refuses a late frame as a stale route — so no WRITE waits out its
+/// deadline.
+#[test]
+fn writes_into_a_migrating_container_all_complete() {
+    writes_through_migrations(64, 1);
+}
+
+/// More small relayed frames than the agent ring holds (2 MiB) reach a
+/// container while it migrates, in chains: nothing stops draining its
+/// ring, so neither the agent nor the migration blocks, and every WRITE
+/// completes `Success` once.
+#[test]
+fn small_writes_past_the_ring_size_cross_migrations_without_a_hang() {
+    let written = writes_through_migrations(2048, 32);
+    assert!(written * 2048 > 2 << 20, "only {written} WRITEs went");
+}
+
+/// Run [`writes_through_migrations_on`] on a thread of its own, failing
+/// if it does not finish within a deadline rather than hanging.
+fn writes_through_migrations(len: u64, chain: u64) -> u64 {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(writes_through_migrations_on(len, chain)));
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("the writes and migrations finish, not hang")
+}
+
+/// B posts chains of `chain` WRITEs of `len` bytes into A's region, one
+/// chain at a time, while A migrates between two hosts 12 times with a
+/// few chains between moves. Returns the WRITEs that went.
+fn writes_through_migrations_on(len: u64, chain: u64) -> u64 {
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    const MOVES: u64 = 12;
+
+    let cluster = FreeFlowCluster::with_defaults();
+    let Pair {
+        a,
+        b: _b,
+        mr_a,
+        mr_b,
+        qp_a: _qp_a,
+        qp_b,
+        cq_a: _cq_a,
+        cq_b,
+    } = connected_pair(&cluster, false);
+    let slots = mr_a.len() / len;
+    let (h0, h2) = (a.host(), cluster.add_host(HostCaps::paper_testbed()));
+    let (done, went) = (AtomicBool::new(false), AtomicU64::new(0));
+    let (mut a, mut outcomes) = (a, Vec::new());
+    let written = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let mut n = 0u64;
+            while !done.load(Ordering::Acquire) {
+                let wrs = (n..n + chain).map(|id| {
+                    let off = (id % slots) * len;
+                    mr_b.write(off, &id.to_le_bytes()).unwrap();
+                    SendWr::write(
+                        id,
+                        mr_b.sge(off, len as u32),
+                        mr_a.addr() + off,
+                        mr_a.rkey(),
+                    )
+                });
+                qp_b.post_send_batch(wrs.collect()).unwrap();
+                for id in n..n + chain {
+                    let wc = cq_b.wait_one(T).expect("a completion, not a hang");
+                    assert_eq!((wc.wr_id, wc.status), (id, WcStatus::Success));
+                }
+                n += chain;
+                went.store(n / chain, Ordering::Release);
+            }
+            n
+        });
+        for i in 0..MOVES {
+            // A few chains between moves, and one in flight at each.
+            wait_for(T, || went.load(Ordering::Acquire) >= 4 * i);
+            let to = if i % 2 == 0 { h2 } else { h0 };
+            let (moved, report) = cluster.migrate_with(a, to, None).unwrap();
+            a = moved;
+            outcomes.push(report.outcome);
+        }
+        done.store(true, Ordering::Release);
+        writer.join().unwrap()
+    });
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(cq_b.poll_one().is_none(), "a WRITE completed twice");
+    // Each slot holds the last WRITE into it.
+    for slot in 0..slots.min(written) {
+        let last = slot + (written - 1 - slot) / slots * slots;
+        let mut got = [0u8; 8];
+        mr_a.read(slot * len, &mut got).unwrap();
+        assert_eq!(u64::from_le_bytes(got), last, "slot {slot} ({outcomes:?})");
+    }
+    written
 }
 
 /// Exercise one send/recv round trip over an established pair.

@@ -20,11 +20,13 @@
 //! relay plane the sender's NIC dies while its operations are in flight
 //! (parked at the receiver, or posted into the outage), with routes
 //! converging at once or only after the sender's QP failed over, and the
-//! NIC comes back later. A failed-over QP re-sends what is unanswered and
+//! NIC comes back later, which upgrades the sender back onto RDMA. Every
+//! rebind — the failover and the upgrade alike — carries what is
+//! unanswered across and re-sends it without waiting for an answer, and
 //! the responder executes each operation once, so the trace must still
-//! equal the shared-memory run's — except in the programs listed in
-//! `KNOWN_DIFFERENT`, where the upgrade back onto RDMA waits on an
-//! operation parked for a receive. On the other planes the step is a
+//! equal the shared-memory run's. The fault step waits until the
+//! sender's library has applied the NIC's death, so what follows meets
+//! the same binding on every run. On the other planes the step is a
 //! no-op.
 //!
 //! The shared-memory run is synchronous: its completion counts after each
@@ -68,17 +70,6 @@ const LENS: [u32; 10] = [
 const SETTLE: Duration = Duration::from_secs(5);
 /// Programs per tier-1 run; the long (ignored) run does ten times as many.
 const PROGRAMS: u64 = 48;
-/// Generated programs whose RDMA relay trace differs from shared memory
-/// through a known defect: the NIC comes back while ops of A's are parked
-/// at B for a receive, the planned upgrade back onto RDMA drains until B
-/// answers them, and a chain A posts meanwhile parks behind the drain
-/// where shared memory runs it at once — to be flushed, if no receive
-/// comes, where shared memory completed it. They still run on every
-/// plane, and a difference is printed rather than failing the suite. A
-/// fix of the drain empties this list.
-const KNOWN_DIFFERENT: [u64; 18] = [
-    13, 35, 44, 107, 154, 156, 158, 172, 184, 243, 253, 270, 284, 360, 363, 423, 429, 453,
-];
 
 /// A data plane under test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -296,7 +287,7 @@ fn pattern(b: bool) -> &'static [u8] {
 
 /// One side of a pair.
 struct Side {
-    _c: Container,
+    c: Container,
     mr: Arc<MemoryRegion>,
     scq: Arc<CompletionQueue>,
     rcq: Arc<CompletionQueue>,
@@ -312,7 +303,7 @@ fn side(cluster: &FreeFlowCluster, host: freeflow_types::HostId, b: bool) -> Sid
     // Compare answers, not deadlines: no relayed op may time out.
     qp.set_relay_timeout(Duration::from_secs(60));
     Side {
-        _c: c,
+        c,
         mr,
         scq,
         rcq,
@@ -432,6 +423,16 @@ fn run(plane: Plane, prog: &Program, reference: Option<&[[usize; 4]]>) -> (Trace
                 false => b.qp.enter_error(),
             },
             Step::Fault { late } if faults => {
+                // A's library drops its entry for B when it applies the
+                // NIC's death, and its walk that follows resolves B
+                // again, under a fresh generation.
+                let cache = a.c.lib().cache();
+                let entry = cache.generation_of(b.c.ip());
+                let applied = || {
+                    cache
+                        .generation_of(b.c.ip())
+                        .is_some_and(|g| Some(g) != entry)
+                };
                 cluster.fail_nic(h0).unwrap();
                 match late {
                     true => stale = true,
@@ -441,8 +442,9 @@ fn run(plane: Plane, prog: &Program, reference: Option<&[[usize; 4]]>) -> (Trace
                 // unanswered; if not, its next send meets the dead wire.
                 let deadline = Instant::now() + SETTLE;
                 while a.qp.state() != QpState::Error
-                    && a.qp.unanswered() > 0
-                    && a.qp.path().transport() == Some(TransportKind::Rdma)
+                    && (!applied()
+                        || (a.qp.unanswered() > 0
+                            && a.qp.path().transport() == Some(TransportKind::Rdma)))
                     && Instant::now() < deadline
                 {
                     std::thread::sleep(Duration::from_micros(200));
@@ -451,12 +453,9 @@ fn run(plane: Plane, prog: &Program, reference: Option<&[[usize; 4]]>) -> (Trace
             Step::Restore if faults => {
                 cluster.restore_nic(h0).unwrap();
                 cluster.refresh_routes();
-                // A planned upgrade back onto RDMA follows. Its drain
-                // settles at once, or waits on what of A's is parked at B.
-                let parked = a.qp.unanswered() > 0;
+                // A planned upgrade back onto RDMA follows at once.
                 let deadline = Instant::now() + SETTLE;
                 while !(a.qp.state() == QpState::Error
-                    || (parked && a.qp.binding_phase() == BindingPhase::Draining)
                     || (a.qp.binding_phase() == BindingPhase::Bound
                         && a.qp.path().transport() == Some(TransportKind::Rdma)))
                     && Instant::now() < deadline
@@ -548,20 +547,9 @@ fn first_difference(a: &Trace, b: &Trace) -> String {
 /// Run `prog` on every plane and require one answer. Returns the
 /// shared-memory trace.
 fn differential(what: &str, prog: &Program) -> Trace {
-    compare(what, prog, false)
-}
-
-/// [`differential`], printing instead of failing on a difference of the
-/// RDMA relay plane when it is `known`.
-fn compare(what: &str, prog: &Program, known: bool) -> Trace {
     let (reference, counts) = run(Plane::Shm, prog, None);
     for plane in &PLANES[1..] {
         let (trace, _) = run(*plane, prog, Some(&counts));
-        if known && *plane == Plane::RelayRdma && trace != reference {
-            let diff = first_difference(&reference, &trace);
-            eprintln!("{what}: {plane:?} differs from Shm, as known\n{diff}");
-            continue;
-        }
         assert!(
             trace == reference,
             "{what}: {plane:?} differs from Shm\n{prog:#?}\n{}",
@@ -573,11 +561,7 @@ fn compare(what: &str, prog: &Program, known: bool) -> Trace {
 
 fn generated(programs: u64) {
     for seed in 0..programs {
-        let (prog, known) = (
-            with_fault(generate(seed), seed),
-            KNOWN_DIFFERENT.contains(&seed),
-        );
-        compare(&format!("seed {seed}"), &prog, known);
+        differential(&format!("seed {seed}"), &with_fault(generate(seed), seed));
     }
 }
 

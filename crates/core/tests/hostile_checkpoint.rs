@@ -15,7 +15,7 @@ use hostile::{Codec, Rng};
 static ALLOC: hostile::CountingAlloc = hostile::CountingAlloc;
 
 /// Binding-phase names the checkpoint interns (`BindingPhase::name()`).
-const PHASES: [&str; 5] = ["unbound", "bound", "draining", "rebinding", "error"];
+const PHASES: [&str; 4] = ["unbound", "bound", "rebinding", "error"];
 
 struct Checkpoint;
 

@@ -483,11 +483,16 @@ proptest! {
 
 /// Binding-phase names the checkpoint wire format interns (the same set
 /// `migrate::PHASES` encodes by index).
-const PHASE_NAMES: [&str; 5] = ["unbound", "bound", "draining", "rebinding", "error"];
+const PHASE_NAMES: [&str; 4] = ["unbound", "bound", "rebinding", "error"];
 
 fn qp_record() -> impl Strategy<Value = QpRecord> {
     (
-        (any::<u32>(), any::<u32>(), any::<u32>(), 0usize..5),
+        (
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+            0usize..PHASE_NAMES.len(),
+        ),
         (any::<u64>(), any::<u64>(), any::<u8>()),
         (
             any::<u32>(),

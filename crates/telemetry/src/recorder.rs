@@ -19,9 +19,7 @@ use std::time::Instant;
 pub enum TransitionKind {
     /// First bind: `Unbound → Bound` (epoch 1).
     Bound,
-    /// `Bound → Draining` (a rebind was planned or forced).
-    DrainStarted,
-    /// `Draining → Rebinding` (drain settled, new path being resolved).
+    /// `Bound → Rebinding` (a rebind was planned or forced).
     RebindStarted,
     /// `Rebinding → Bound` on the new path (epoch advanced).
     Rebound,
@@ -36,7 +34,6 @@ impl TransitionKind {
     pub fn name(self) -> &'static str {
         match self {
             TransitionKind::Bound => "bound",
-            TransitionKind::DrainStarted => "drain_started",
             TransitionKind::RebindStarted => "rebind_started",
             TransitionKind::Rebound => "rebound",
             TransitionKind::Aborted => "aborted",

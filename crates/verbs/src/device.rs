@@ -17,6 +17,7 @@ use crate::wr::{AccessFlags, SendWr, Sge, WrOpcode};
 use freeflow_shmem::{ArenaHandle, SharedArena};
 use freeflow_types::OverlayIp;
 use parking_lot::{Mutex, RwLock};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
@@ -316,8 +317,15 @@ impl Device {
     /// relayed paths alike, land through it. Every SGE is vetted before
     /// any byte lands, so a refused one lands nothing and a block is freed
     /// unlanded.
+    ///
+    /// The resolved list is this thread's, reused: a landing allocates
+    /// nothing.
     pub fn scatter(&self, sge: &[Sge], payload: Payload<'_>) -> VerbsResult<()> {
-        let (mut to, mut rest) = (Vec::with_capacity(sge.len()), payload.len());
+        thread_local! {
+            static TO: Cell<Vec<Span>> = const { Cell::new(Vec::new()) };
+        }
+        let (mut to, mut rest) = (TO.take(), payload.len());
+        let mut resolved = Ok(());
         for s in sge {
             if rest == 0 {
                 break;
@@ -326,13 +334,23 @@ impl Device {
             match self.writable(s).and_then(|mr| Span::new(mr, s.addr, n)) {
                 Ok(span) => to.push(span),
                 Err(e) => {
-                    payload.discard();
-                    return Err(e);
+                    resolved = Err(e);
+                    break;
                 }
             }
             rest -= n;
         }
-        land(&to, payload)
+        let landed = match resolved {
+            Ok(()) => land(&to, payload),
+            Err(e) => {
+                payload.discard();
+                Err(e)
+            }
+        };
+        // Released before it is kept: no region outlives its landing here.
+        to.clear();
+        TO.set(to);
+        landed
     }
 
     /// Vet every SGE of a scatter list — key, LOCAL_WRITE, bounds —

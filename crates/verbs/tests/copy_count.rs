@@ -1,12 +1,16 @@
 //! A same-host verbs op copies its payload once, straight from the
 //! requester's MR into the responder's: between post and completion it
-//! allocates no buffer a payload could be staged in. Counted, not timed —
-//! a counting global allocator sees every staging buffer, however fast.
+//! allocates no buffer a payload could be staged in, and a SEND's landing
+//! in a posted receive allocates nothing at all. Counted, not timed — a
+//! counting global allocator sees every allocation, however fast.
 
 use freeflow_shmem::SharedArena;
 use freeflow_types::OverlayIp;
+use freeflow_verbs::qp::{Answer, Requester};
 use freeflow_verbs::wr::{AccessFlags, RecvWr, SendWr, WcOpcode, WorkCompletion};
-use freeflow_verbs::{CompletionQueue, MemoryRegion, ProtectionDomain, QueuePair, VerbsNetwork};
+use freeflow_verbs::{
+    CompletionQueue, MemoryRegion, Payload, ProtectionDomain, QueuePair, VerbsNetwork, WcStatus,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -21,22 +25,25 @@ const PAYLOAD: u32 = 64 * 1024;
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static BIG_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static ALL_ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Counts the current thread's allocations of [`BIG`] bytes or more while
-/// it is armed; the verbs engine runs an op on the thread that posts it.
+/// Counts the current thread's allocations while it is armed, all of them
+/// and those of [`BIG`] bytes or more apart; the verbs engine runs an op
+/// on the thread that posts it.
 struct Counting;
 
 fn note(size: usize) {
-    if size >= BIG {
-        // `try_with`: the allocator also runs while thread-locals are torn
-        // down, when there is nothing left to count into.
-        let _ = ARMED.try_with(|armed| {
-            if armed.get() {
+    // `try_with`: the allocator also runs while thread-locals are torn
+    // down, when there is nothing left to count into.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            ALL_ALLOCS.with(|n| n.set(n.get() + 1));
+            if size >= BIG {
                 BIG_ALLOCS.with(|n| n.set(n.get() + 1));
             }
-        });
-    }
+        }
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -70,13 +77,21 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Run `op` and count the allocations of [`BIG`] bytes or more it made.
-fn big_allocs<T>(op: impl FnOnce() -> T) -> (T, usize) {
+/// Run `op` and count the allocations it made: those of [`BIG`] bytes
+/// or more, and all of them.
+fn allocs<T>(op: impl FnOnce() -> T) -> (T, usize, usize) {
     BIG_ALLOCS.with(|n| n.set(0));
+    ALL_ALLOCS.with(|n| n.set(0));
     ARMED.with(|armed| armed.set(true));
     let out = op();
     ARMED.with(|armed| armed.set(false));
-    (out, BIG_ALLOCS.with(Cell::get))
+    (out, BIG_ALLOCS.with(Cell::get), ALL_ALLOCS.with(Cell::get))
+}
+
+/// Run `op` and count the allocations of [`BIG`] bytes or more it made.
+fn big_allocs<T>(op: impl FnOnce() -> T) -> (T, usize) {
+    let (out, big, _) = allocs(op);
+    (out, big)
 }
 
 /// Two connected QPs on one host, each with one region of `2 * PAYLOAD`
@@ -223,5 +238,36 @@ fn a_send_parked_for_a_receive_keeps_one_copy() {
         });
         assert_eq!(bytes(&h.mr_b, PAYLOAD as u64), pattern(1));
         assert_eq!(matched, 0, "arena-backed {arena_backed}: matching staged");
+    }
+}
+
+/// A SEND's landing in a posted receive — the responder's half, the one
+/// every inbound SEND takes, local or relayed — allocates nothing of any
+/// size: no staging buffer, and no list of the receive's resolved SGEs.
+/// The first landing warms what later ones reuse (the CQ's ring, the
+/// scatter list), so it is not counted.
+#[test]
+fn a_send_landing_in_a_posted_receive_allocates_nothing() {
+    for arena_backed in [true, false] {
+        let h = host(arena_backed);
+        let data = pattern(3);
+        for wr_id in 0..3 {
+            let recv = RecvWr::new(wr_id, h.mr_b.sge(PAYLOAD as u64, PAYLOAD));
+            h.qp_b.post_recv(recv).unwrap();
+            let from = Requester {
+                qp: h.qp_a.endpoint(),
+                wr_id,
+                relayed: false,
+            };
+            let (answer, _, n) = allocs(|| {
+                let answer = h.qp_b.answer_send(from, Payload::Bytes(&data), None);
+                (answer, done(&h.cq_b, WcOpcode::Recv))
+            });
+            assert_eq!(answer.0, Answer::Now(WcStatus::Success));
+            assert_eq!(bytes(&h.mr_b, PAYLOAD as u64), data);
+            if wr_id > 0 {
+                assert_eq!(n, 0, "arena-backed {arena_backed}: a landing allocated");
+            }
+        }
     }
 }

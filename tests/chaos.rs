@@ -430,22 +430,22 @@ fn chaos_batched_chain_fails_over_and_conserves_completions() {
 
     // Lifecycle counters match the flight-recorder timeline.
     let snap = cluster.telemetry();
-    let drains = snap
+    let failovers = snap
         .events
         .iter()
         .filter(|te| {
             matches!(
                 te.event,
                 Event::PathTransition {
-                    kind: TransitionKind::DrainStarted,
+                    kind: TransitionKind::RebindStarted,
                     reason: Some("failover"),
                     ..
                 }
             )
         })
         .count() as u64;
-    assert_eq!(drains, 1, "one failover drain in the timeline");
-    assert_eq!(snap.counter_total("ff_qp_failovers_total"), drains);
+    assert_eq!(failovers, 1, "one failover rebind in the timeline");
+    assert_eq!(snap.counter_total("ff_qp_failovers_total"), failovers);
     let rebounds = snap
         .events
         .iter()

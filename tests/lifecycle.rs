@@ -5,10 +5,10 @@
 //!
 //! 1. **Failover then upgrade** — a NIC dies mid-stream (reactive failover
 //!    onto kernel TCP, the QP re-sends the lost frame), then comes
-//!    back (`PathUpdated` triggers a planned drain-and-rebind back onto
-//!    RDMA). The application keeps calling `write_all`/`read_exact`.
+//!    back (`PathUpdated` triggers a planned rebind back onto RDMA). The
+//!    application keeps calling `write_all`/`read_exact`.
 //! 2. **Remote→Local collapse** — the peer migrates onto our host; both
-//!    ends drain their relay bindings and continue over shared memory
+//!    ends rebind their relay bindings and continue over shared memory
 //!    with the same QPs and the same stream.
 
 use freeflow::binding::BindingPhase;
@@ -116,8 +116,7 @@ fn stream_survives_failover_then_upgrade_back_to_rdma() {
     roundtrip(&mut client, &mut server, b"settled on tcp");
 
     // Bring the NIC back. `restore_nic` publishes `PathUpdated`; the
-    // library plans a drain-and-rebind and the binding walks
-    // Bound(tcp) → Draining → Rebinding → Bound(rdma) on pump ticks.
+    // library rebinds at once: Bound(tcp) → Rebinding → Bound(rdma).
     cluster.restore_nic(h0).unwrap();
     cluster.refresh_routes();
     wait_until(
@@ -164,8 +163,8 @@ fn stream_survives_remote_to_local_collapse_on_migration() {
 
     // Migrate the server's container onto the client's host. Both ends
     // observe the move (the migrated library by being rehomed, the peer
-    // via `ContainerMoved`), drain, and collapse onto shared memory —
-    // same QPs, same stream, no reconnect.
+    // via `ContainerMoved`) and collapse onto shared memory — same QPs,
+    // same stream, no reconnect.
     let b = cluster.migrate(b, h0).unwrap();
     assert_eq!(b.host(), h0);
     wait_until(
@@ -207,17 +206,19 @@ enum ParkScenario {
     Collapse,
 }
 
-/// A chained batch posted while a planned drain is in progress must park
-/// whole and replay exactly once on the new path, in order, with every
-/// completion accounted for and the lifecycle counters matching the
-/// flight-recorder timeline.
+/// A planned rebind never waits for an answer: with a send of ours parked
+/// at the peer for a receive, an upgrade or a collapse still completes at
+/// once, carrying that send across. A chained batch posted around the
+/// rebind — parked whole while it is in progress, or posted on either
+/// path — completes exactly once, in order behind the carried send, with
+/// every completion accounted for and the lifecycle counters matching
+/// the flight-recorder timeline.
 ///
-/// The drain is *held open* deterministically: one send is posted with no
-/// receive waiting at the peer, so it parks there under RNR semantics,
-/// unacked — the sender's drain cannot settle until the test posts the
-/// receives. A second "probe" QP pair confirms (by FIFO ordering of the
-/// shared relay path) that the held send reached the peer before the
-/// scenario's fault is injected.
+/// The held send parks deterministically: it is posted with no receive
+/// waiting at the peer, so it parks there under RNR semantics, unacked,
+/// until the test posts the receives. A second "probe" QP pair confirms
+/// (by FIFO ordering of the shared relay path) that the held send reached
+/// the peer before the scenario's trigger is injected.
 fn parked_chain_replays_exactly_once(scenario: ParkScenario) {
     const CHAIN: u64 = 6;
     const SLOT: u64 = 256;
@@ -258,7 +259,7 @@ fn parked_chain_replays_exactly_once(scenario: ParkScenario) {
     }
 
     // The held send: no receive exists at the peer, so it parks there
-    // unacked and the coming planned drain cannot settle.
+    // unacked across the coming planned rebind.
     mr_a.write(0, &[0xA0; 64]).unwrap();
     qp_a.post_send(SendWr::send(0, mr_a.sge(0, 64))).unwrap();
     // The probe completes strictly after the held send was delivered.
@@ -283,25 +284,21 @@ fn parked_chain_replays_exactly_once(scenario: ParkScenario) {
     // Inject the planned-rebind trigger.
     let _b = match scenario {
         ParkScenario::Upgrade => {
-            // NIC back: `PathUpdated` plans the TCP→RDMA upgrade drain.
+            // NIC back: `PathUpdated` starts the TCP→RDMA upgrade.
             cluster.restore_nic(h0).unwrap();
             cluster.refresh_routes();
             b
         }
         ParkScenario::Collapse => {
-            // The peer migrates onto our host: `ContainerMoved` plans the
-            // collapse drain. The QPs survive the move untouched.
+            // The peer migrates onto our host: `ContainerMoved` starts the
+            // collapse. The QPs survive the move untouched.
             cluster.migrate(b, h0).unwrap()
         }
     };
-    wait_until(
-        "planned drain held open by the unanswered send",
-        Duration::from_secs(5),
-        || qp_a.binding_phase() == BindingPhase::Draining,
-    );
 
-    // A chain posted mid-drain parks whole — it must neither force the
-    // rebind nor transmit anything out of order.
+    // A chain posted around the rebind: parked whole if it is in
+    // progress, on one path or the other if not — never split, never
+    // ahead of the held send.
     let wrs: Vec<SendWr> = (1..=CHAIN)
         .map(|i| {
             mr_a.write(i * SLOT, &[i as u8; 64]).unwrap();
@@ -309,18 +306,9 @@ fn parked_chain_replays_exactly_once(scenario: ParkScenario) {
         })
         .collect();
     qp_a.post_send_batch(wrs).unwrap();
-    assert_eq!(
-        qp_a.binding_phase(),
-        BindingPhase::Draining,
-        "a parked chain must not short-circuit the drain"
-    );
 
-    // Receives appear: the held send settles, the drain completes, the
-    // rebind lands, and the parked chain replays — exactly once.
-    for i in 0..=CHAIN {
-        qp_b.post_recv(RecvWr::new(i, mr_b.sge(i * SLOT, SLOT as u32)))
-            .unwrap();
-    }
+    // The rebind completes with the held send still unanswered: nothing
+    // waits on the peer's application.
     wait_until("rebind completed", Duration::from_secs(10), || {
         qp_a.binding_phase() == BindingPhase::Bound
             && match scenario {
@@ -338,6 +326,18 @@ fn parked_chain_replays_exactly_once(scenario: ParkScenario) {
                 }
             }
     });
+    assert!(
+        cq_a.poll_one().is_none(),
+        "nothing completes before a receive"
+    );
+    assert!(qp_a.unanswered() >= 1, "the held send crossed unanswered");
+
+    // Receives appear: the held send lands first, then the chain —
+    // exactly once each.
+    for i in 0..=CHAIN {
+        qp_b.post_recv(RecvWr::new(i, mr_b.sge(i * SLOT, SLOT as u32)))
+            .unwrap();
+    }
 
     for i in 0..=CHAIN {
         let rwc = cq_b.wait_one(Duration::from_secs(15)).unwrap();
@@ -391,16 +391,18 @@ fn parked_chain_replays_exactly_once(scenario: ParkScenario) {
     assert_eq!(snap.counter_total("ff_qp_rebinds_total"), rebounds(false));
 }
 
-/// A chained batch posted while a planned TCP→RDMA *upgrade* drains
-/// parks whole and replays exactly once on the upgraded path.
+/// A planned TCP→RDMA *upgrade* completes with a send parked at the
+/// peer, and a chained batch posted around it completes exactly once, in
+/// order behind that send.
 #[test]
 fn batched_chain_parks_through_planned_upgrade_and_replays_exactly_once() {
     parked_chain_replays_exactly_once(ParkScenario::Upgrade);
 }
 
-/// A chained batch posted while a Remote→Local *collapse* drains (the
-/// peer migrated onto our host) parks whole and replays exactly once
-/// over shared memory — same QPs, same wr_ids, no reconnect.
+/// A Remote→Local *collapse* (the peer migrated onto our host) completes
+/// with a send parked at the peer, and a chained batch posted around it
+/// completes exactly once, in order behind that send — same QPs, same
+/// wr_ids, no reconnect.
 #[test]
 fn batched_chain_parks_through_collapse_and_replays_exactly_once() {
     parked_chain_replays_exactly_once(ParkScenario::Collapse);
@@ -410,10 +412,10 @@ fn batched_chain_parks_through_collapse_and_replays_exactly_once() {
 
 /// A thousand streams multiplexed over one pooled channel cross a *real*
 /// cross-host migration of the server container: the same channel QPs
-/// carry the pool across the move, the drained freeze re-sends nothing,
-/// and every stream keeps delivering byte-exact payloads afterwards — no
-/// reconnect, no lost or duplicated frame, counters agreeing with the
-/// flight recorder.
+/// carry the pool across the move, a freeze with nothing unanswered
+/// re-sends nothing, and every stream keeps delivering byte-exact
+/// payloads afterwards — no reconnect, no lost or duplicated frame,
+/// counters agreeing with the flight recorder.
 #[test]
 fn thousand_stream_pool_survives_cross_host_migration() {
     const STREAMS: usize = 1000;
@@ -490,8 +492,9 @@ fn thousand_stream_pool_survives_cross_host_migration() {
         assert_eq!(back, msg.as_bytes());
     }
 
-    // The same channels carried the pool across the move, and the drained
-    // freeze left nothing to re-send: every frame went exactly once.
+    // The same channels carried the pool across the move, and the freeze,
+    // with nothing unanswered, left nothing to re-send: every frame went
+    // exactly once.
     assert_eq!(
         channels(&servers),
         before,

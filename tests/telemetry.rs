@@ -172,15 +172,15 @@ fn chaos_run_yields_consistent_counters_timeline_and_exposition() {
     assert_eq!(trans[0].2, 1);
 
     // Every failover counter increment has exactly one matching ordered
-    // DrainStarted(failover) event...
-    let failover_drains: Vec<_> = trans
+    // RebindStarted(failover) event...
+    let failover_rebinds: Vec<_> = trans
         .iter()
-        .filter(|(k, r, _, _)| *k == TransitionKind::DrainStarted && *r == Some("failover"))
+        .filter(|(k, r, _, _)| *k == TransitionKind::RebindStarted && *r == Some("failover"))
         .collect();
-    assert_eq!(failover_drains.len() as u64, failovers);
+    assert_eq!(failover_rebinds.len() as u64, failovers);
     // ...carrying the epoch that the failure ended (the first one ends
     // the connect epoch).
-    assert_eq!(failover_drains[0].2, epoch0);
+    assert_eq!(failover_rebinds[0].2, epoch0);
 
     // Every upgrade counter increment has exactly one Rebound event with
     // the upgrade flag set.
@@ -204,14 +204,14 @@ fn chaos_run_yields_consistent_counters_timeline_and_exposition() {
     );
     assert_eq!(*rebound_epochs.last().unwrap(), final_epoch);
 
-    // The run's story in order: bind, failover drain, upgrade drain,
-    // collapse drain — with a Rebound after each drain.
-    let drain_reasons: Vec<_> = trans
+    // The run's story in order: bind, failover, upgrade, collapse —
+    // with a Rebound after each rebind it started.
+    let rebind_reasons: Vec<_> = trans
         .iter()
-        .filter(|(k, _, _, _)| *k == TransitionKind::DrainStarted)
+        .filter(|(k, _, _, _)| *k == TransitionKind::RebindStarted)
         .map(|(_, r, _, _)| r.unwrap())
         .collect();
-    assert_eq!(drain_reasons, ["failover", "upgrade", "collapse"]);
+    assert_eq!(rebind_reasons, ["failover", "upgrade", "collapse"]);
 
     // Timestamps are monotone (the recorder orders by ticket).
     assert!(timeline.windows(2).all(|w| w[0].seq < w[1].seq));
