@@ -955,6 +955,11 @@ impl FfQp {
         self.verbs_qp.parked_inbound()
     }
 
+    /// Receives posted at this QP and not yet matched.
+    pub fn posted_recvs(&self) -> usize {
+        self.verbs_qp.posted_recvs()
+    }
+
     /// Release a migration freeze and ring the library pump, whose next
     /// walk finishes the held rebind through the ordinary lifecycle: after
     /// a *commit* the library has been rehomed, so the rebind resolves

@@ -239,20 +239,19 @@ impl SharedArena {
     }
 
     /// Hand `drain` the `len` bytes at `handle.offset + at` to read, under
-    /// the arena's lock: a landing copies straight into a locked
-    /// destination this way, locking the arena first, as
-    /// [`SharedArena::write_with`] does.
-    pub fn read_with(
+    /// the arena's lock, and return what it returns: a landing copies
+    /// straight into a locked destination this way, locking the arena
+    /// first, as [`SharedArena::write_with`] does.
+    pub fn read_with<R>(
         &self,
         handle: ArenaHandle,
         at: u64,
         len: u64,
-        drain: impl FnOnce(&[u8]),
-    ) -> Result<()> {
+        drain: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
         self.check(handle, at, len)?;
         let start = (handle.offset + at) as usize;
-        drain(&self.buf.lock()[start..start + len as usize]);
-        Ok(())
+        Ok(drain(&self.buf.lock()[start..start + len as usize]))
     }
 
     /// The block holding the `len` payload bytes a relay descriptor names

@@ -13,8 +13,8 @@
 //! fast path wins.
 //!
 //! The channel's step drains the shared recv CQ in batches under the run
-//! lock, recycles receive slots at once, queues each data frame's payload
-//! on its stream, reaps send completions and sends held control frames.
+//! lock, queues each data frame on its stream where it lies, in its
+//! receive slot, reaps send completions and sends held control frames.
 //! It recovers nothing itself: the QP delivers every frame exactly once
 //! and in order across a rebind of its path, so a failed completion is
 //! the QP's error state and kills the channel. The thread that waits runs
@@ -28,13 +28,13 @@
 //! slots or a post met a full send queue — successful sends ring the recv
 //! CQ's bell, so the channel has no timer. Rings no waiter hears reach the
 //! container's library pump, which runs the step too
-//! ([`LibHandle::adopt`]). A received byte is copied twice: from its slot
-//! into the payload `Vec` queued on its stream, then into the reader's
-//! buffer.
+//! ([`LibHandle::adopt`]). A received byte is copied once, from its
+//! receive slot into the reader's buffer ([`HELD_SLOTS`] bounds the slots
+//! so held). Locks nest as in a send: the mux lock, then an MR's storage.
 
 use crate::mux::{
-    data_header, Deferred, Frame, MuxCore, CTRL_WR_ID, DATA_HDR, FRAME_SIZE, MAX_PAYLOAD,
-    RECV_SLOTS, SEND_SLOTS, STREAM_WINDOW,
+    data_header, Deferred, Frame, MuxCore, Rx, CTRL_WR_ID, DATA_HDR, FRAME_SIZE, HELD_SLOTS,
+    MAX_PAYLOAD, RECV_SLOTS, SEND_SLOTS, STREAM_WINDOW,
 };
 use freeflow::{FfEndpoint, FfQp, LibHandle, Step};
 use freeflow_telemetry::{Counter, Gauge, Histogram, LabelSet};
@@ -151,22 +151,16 @@ impl Channel {
             .connect(peer)
             .map_err(|e| Error::unreachable(e.to_string()))?;
         self.peer_qpn.store(peer.qpn, Ordering::Release);
+        let mut core = self.core.lock();
         for slot in 0..RECV_SLOTS as u64 {
-            self.qp
-                .post_recv(RecvWr::new(
-                    slot,
-                    self.recv_mr
-                        .sge(slot * FRAME_SIZE as u64, FRAME_SIZE as u32),
-                ))
-                .map_err(|e| Error::config(e.to_string()))?;
+            self.repost(&mut core.dead, slot);
         }
-        {
-            let mut core = self.core.lock();
-            if core.tx_open {
-                // Connecting side: tell the acceptor our QP is RTS.
-                self.post_ctrl(&mut core, Deferred::Ready)?;
-            }
+        if core.tx_open {
+            // Connecting side: tell the acceptor our QP is RTS.
+            self.post_ctrl(&mut core, Deferred::Ready)?;
         }
+        core.dead_err().map_or(Ok(()), Err)?;
+        drop(core);
         // The library pump holds only a weak handle: the channel must die
         // when the last stream / pool reference goes. The step's first run,
         // after the route is in place, covers rings from before.
@@ -223,8 +217,9 @@ impl Channel {
 
     /// Roll back a locally allocated stream whose handshake failed.
     pub fn abort_stream(&self, id: u32) {
-        let mut core = self.core.lock();
-        if core.streams.remove(&id).is_some() {
+        let core = &mut *self.core.lock();
+        if let Some(mut s) = core.streams.remove(&id) {
+            s.discard(|slot| self.release(&mut core.held, &mut core.dead, slot));
             self.metrics.streams.add(-1);
         }
     }
@@ -287,59 +282,46 @@ impl Channel {
         waited.got.unwrap_or(Ok(None))
     }
 
-    /// Process one receive completion: recycle the slot, decode, apply.
-    /// Returns whether anything observable happened.
+    /// Process one receive completion: decode, apply, and re-post the slot
+    /// unless a data frame holds it. Whether anything observable happened.
     fn handle_recv(&self, wc: WorkCompletion) -> bool {
         if wc.opcode != WcOpcode::Recv {
             return false;
         }
+        let mut core = self.core.lock();
         if !wc.status.is_ok() {
-            self.core
-                .lock()
-                .kill(format!("channel recv failed: {}", wc.status));
+            core.kill(format!("channel recv failed: {}", wc.status));
             return true;
         }
         let slot = wc.wr_id;
-        let base = slot * FRAME_SIZE as u64;
-        // The frame is copied out — a payload straight into the `Vec` it
-        // is delivered in — so the slot goes back on the wire at once and
-        // stream buffering never backs up the shared RQ.
-        let frame = Frame::decode(wc.byte_len as usize, |at, buf| {
-            self.recv_mr
-                .read(base + at as u64, buf)
-                .map_err(|e| Error::config(e.to_string()))
-        });
-        if let Err(e) = self
-            .qp
-            .post_recv(RecvWr::new(slot, self.recv_mr.sge(base, FRAME_SIZE as u32)))
-        {
-            self.core.lock().kill(format!("recv repost failed: {e}"));
-            return true;
-        }
-        let frame = match frame {
-            Ok(f) => f,
+        let frame = Frame::decode(wc.byte_len as usize, |head| self.read_slot(slot, 0, head));
+        let held = match frame {
+            Ok(frame) => {
+                // Any inbound frame proves the peer's QP transmits: the
+                // accepting side's tx gate opens.
+                core.tx_open = true;
+                self.apply_frame(&mut core, frame, slot)
+            }
             Err(e) => {
-                self.core.lock().kill(format!("bad frame: {e}"));
-                return true;
+                core.kill(format!("bad frame: {e}"));
+                false
             }
         };
-        let mut core = self.core.lock();
-        // Any inbound frame proves the peer's QP transmits: the
-        // accepting side's tx gate opens.
-        core.tx_open = true;
-        self.apply_frame(&mut core, frame);
+        if !held {
+            self.repost(&mut core.dead, slot);
+        }
         true
     }
 
-    /// Apply one in-order frame: data to its stream, credits to its
-    /// writer, a FIN to its reader.
-    fn apply_frame(&self, core: &mut MuxCore, frame: Frame) {
+    /// Apply one in-order frame (data, credits, FIN) from receive slot
+    /// `slot`; whether a data frame now holds the slot.
+    fn apply_frame(&self, core: &mut MuxCore, frame: Frame, slot: u64) -> bool {
         match frame {
             Frame::Ready => {}
-            Frame::Data { stream, payload } => {
+            Frame::Data { stream, len } => {
                 // Unknown stream: data after teardown; drop.
                 let Some(s) = core.streams.get_mut(&stream) else {
-                    return;
+                    return false;
                 };
                 if s.detached {
                     // Handle dropped: discard bytes, return the credit
@@ -347,9 +329,21 @@ impl Channel {
                     // FIN instead of a stalled window.
                     s.pending_credit += 1;
                     let _ = self.return_credits(core, stream, true);
-                } else if s.push_frame(payload) {
+                    return false;
+                }
+                let hold = len > 0 && core.held < HELD_SLOTS;
+                let frame = if hold {
+                    core.held += 1;
+                    Rx::Held { slot, len }
+                } else {
+                    let at = slot * FRAME_SIZE as u64 + DATA_HDR as u64;
+                    let bytes = self.recv_mr.read_with(at, len as u64, <[u8]>::to_vec);
+                    Rx::Copied(bytes.expect("a decoded frame lies in its slot"))
+                };
+                if s.push_frame(frame) {
                     let _ = self.return_credits(core, stream, false);
                 }
+                return hold;
             }
             Frame::Credit { stream, n } => {
                 if let Some(s) = core.streams.get_mut(&stream) {
@@ -363,6 +357,7 @@ impl Channel {
                 core.gc_stream(stream);
             }
         }
+        false
     }
 
     /// Reap the shared send CQ: a data frame's success recycles its slot;
@@ -429,6 +424,26 @@ impl Channel {
     }
 
     // --- posting helpers ------------------------------------------------
+
+    /// Post receive slot `slot`. A failed post kills the channel (`dead`).
+    fn repost(&self, dead: &mut Option<String>, slot: u64) {
+        let sge = (self.recv_mr).sge(slot * FRAME_SIZE as u64, FRAME_SIZE as u32);
+        if let Err(e) = self.qp.post_recv(RecvWr::new(slot, sge)) {
+            dead.get_or_insert(format!("recv repost failed: {e}"));
+        }
+    }
+
+    /// Fill `out` from receive slot `slot`'s byte `at`, inside the slot.
+    fn read_slot(&self, slot: u64, at: usize, out: &mut [u8]) {
+        let at = slot * FRAME_SIZE as u64 + at as u64;
+        (self.recv_mr.read(at, out)).expect("a decoded frame lies in its slot");
+    }
+
+    /// Take receive slot `slot` back from the data frame that held it.
+    fn release(&self, held: &mut usize, dead: &mut Option<String>, slot: u64) {
+        *held -= 1;
+        self.repost(dead, slot);
+    }
 
     /// Post one WR; whether it went. Fatal errors kill the channel. A full
     /// send queue sets `sq_full` and reaps to arm the ring of the completion
@@ -552,7 +567,11 @@ impl Channel {
                 }
                 return core.dead_err().map_or(Ok(None), Err);
             }
-            let (n, freed) = s.read_into(buf);
+            let (n, freed) = s.read_into(
+                buf,
+                |slot, at, out| self.read_slot(slot, DATA_HDR + at, out),
+                |slot| self.release(&mut core.held, &mut core.dead, slot),
+            );
             s.pending_credit += freed;
             // Bytes consumed → credits can flow back.
             self.return_credits(core, stream, false)?;
@@ -587,7 +606,7 @@ impl Channel {
     /// The application dropped its handle: best-effort FIN, discard
     /// buffered inbound, release its credits, GC once the peer closes.
     pub fn detach_stream(&self, stream: u32) {
-        let mut core = self.core.lock();
+        let core = &mut *self.core.lock();
         let Some(s) = core.streams.get_mut(&stream) else {
             return;
         };
@@ -595,17 +614,15 @@ impl Channel {
             return;
         }
         s.detached = true;
+        let need_fin = !std::mem::replace(&mut s.local_fin, true);
         // Frames still buffered never reached the application; their
         // credits go back so the peer's writer reaches our FIN.
-        s.pending_credit += s.rx.len() as u32;
-        s.rx.clear();
-        s.rx_read = 0;
-        let need_fin = !std::mem::replace(&mut s.local_fin, true);
+        s.pending_credit += s.discard(|slot| self.release(&mut core.held, &mut core.dead, slot));
         self.metrics.streams.add(-1);
         if core.dead.is_none() {
-            let _ = self.return_credits(&mut core, stream, true);
+            let _ = self.return_credits(core, stream, true);
             if need_fin {
-                let _ = self.post_ctrl(&mut core, Deferred::Fin { stream });
+                let _ = self.post_ctrl(core, Deferred::Fin { stream });
             }
         }
         core.gc_stream(stream);

@@ -22,23 +22,25 @@ use freeflow_types::{Error, Result};
 use freeflow_verbs::WorkCompletion;
 use std::collections::{HashMap, VecDeque};
 
-/// Bytes per frame slot (header + payload).
-pub const FRAME_SIZE: usize = 16 * 1024;
+/// Bytes per frame slot: a full data frame.
+pub const FRAME_SIZE: usize = DATA_HDR + MAX_PAYLOAD;
 /// Send slots per channel — the channel-wide in-flight data bound,
 /// shared fairly by every stream (FIFO slot grants).
 pub const SEND_SLOTS: usize = 64;
-/// Pre-posted receive slots per channel. Recycled immediately by the
-/// step (frames are copied out), so this bounds wire burst, not stream
-/// buffering.
+/// Pre-posted receive slots per channel. A slot is re-posted once its
+/// frame is applied, or, if the frame holds it, read to its last byte.
 pub const RECV_SLOTS: usize = 64;
+/// Receive slots a channel's unread data frames may hold at once; past it
+/// the step copies a frame out, so stalled streams never starve the RQ.
+pub const HELD_SLOTS: usize = RECV_SLOTS / 2;
 /// Per-stream credit window, in frames: a writer may have this many
 /// unconsumed frames at the peer. 16 × 16 KiB = 256 KiB per stream,
 /// matching the old per-stream-QP receive window.
 pub const STREAM_WINDOW: usize = 16;
 /// Data-frame header: tag + u32 stream id.
 pub const DATA_HDR: usize = 1 + 4;
-/// Payload bytes per data frame.
-pub const MAX_PAYLOAD: usize = FRAME_SIZE - DATA_HDR;
+/// Payload bytes per data frame: a 64 KiB write is four full frames.
+pub const MAX_PAYLOAD: usize = 16 * 1024;
 
 /// The `wr_id` of a control frame's send; a data frame's is its send slot.
 pub(crate) const CTRL_WR_ID: u64 = 1 << 63;
@@ -56,8 +58,8 @@ const MAX_CTRL: usize = DATA_HDR + 4;
 #[doc(hidden)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
-    /// Stream payload bytes.
-    Data { stream: u32, payload: Vec<u8> },
+    /// A data frame's header: `len` bytes of `stream`'s payload follow it.
+    Data { stream: u32, len: usize },
     /// Return `n` credits to `stream`'s writer.
     Credit { stream: u32, n: u32 },
     /// Half-close of `stream`.
@@ -68,12 +70,12 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// The frame's wire bytes. A data frame's payload follows its
-    /// [`DATA_HDR`]-byte header, so an empty one encodes just the header.
+    /// The frame's wire bytes; a data frame's are its [`DATA_HDR`]-byte
+    /// header, which its `len` payload bytes follow.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(MAX_CTRL);
         match self {
-            Frame::Data { stream, payload } => out.put(&data_header(*stream)).put(payload),
+            Frame::Data { stream, .. } => out.put(&data_header(*stream)),
             Frame::Credit { stream, n } => out.u8(TAG_CREDIT).u32(*stream).u32(*n),
             Frame::Fin { stream } => out.u8(TAG_FIN).u32(*stream),
             Frame::Ready => out.u8(TAG_READY),
@@ -81,22 +83,18 @@ impl Frame {
         out
     }
 
-    /// Decode a `len`-byte frame that `read(offset, buf)` copies out of
-    /// wherever it lies: the header first, then a data frame's payload
-    /// straight into the `Vec` it is delivered in, so a receive slot is
-    /// copied out exactly once.
-    pub fn decode(
-        len: usize,
-        mut read: impl FnMut(usize, &mut [u8]) -> Result<()>,
-    ) -> Result<Self> {
+    /// Decode a `len`-byte frame from its first bytes, which `read` copies
+    /// into the buffer it is handed: headers only. A data frame's payload,
+    /// what `len` leaves and at most a slot's worth, is never read here.
+    pub fn decode(len: usize, read: impl FnOnce(&mut [u8])) -> Result<Self> {
         let mut head = [0u8; MAX_CTRL];
         let head = &mut head[..len.min(MAX_CTRL)];
-        read(0, head)?;
+        read(head);
         let r = &mut Reader::new(head);
-        let mut frame = match r.u8()? {
+        let frame = match r.u8()? {
             TAG_DATA => Frame::Data {
                 stream: r.u32()?,
-                payload: vec![0; len - DATA_HDR],
+                len: len - DATA_HDR,
             },
             TAG_CREDIT => Frame::Credit {
                 stream: r.u32()?,
@@ -106,12 +104,11 @@ impl Frame {
             TAG_READY => Frame::Ready,
             tag => return Err(Error::parse(format!("bad mux frame tag {tag}"))),
         };
-        match &mut frame {
-            Frame::Data { payload, .. } => read(DATA_HDR, payload)?,
-            _ if r.pos() != len => return Err(WireError::Trailing.into()),
-            _ => {}
+        match frame {
+            Frame::Data { len: payload, .. } if payload <= MAX_PAYLOAD => Ok(frame),
+            _ if r.pos() != len => Err(WireError::Trailing.into()),
+            _ => Ok(frame),
         }
-        Ok(frame)
     }
 }
 
@@ -132,15 +129,33 @@ pub(crate) enum Deferred {
     Ready,
 }
 
+/// A received data frame's payload, queued on its stream until read.
+#[derive(Debug)]
+pub(crate) enum Rx {
+    /// `len` bytes in receive slot `slot`, past the header.
+    Held { slot: u64, len: usize },
+    /// Copied out of its slot, which went back at once.
+    Copied(Vec<u8>),
+}
+
+impl Rx {
+    pub fn len(&self) -> usize {
+        match self {
+            Rx::Held { len, .. } => *len,
+            Rx::Copied(bytes) => bytes.len(),
+        }
+    }
+}
+
 /// Per-stream mux state.
 #[derive(Debug, Default)]
 pub(crate) struct StreamState {
     /// Received, in-order data frames the application has not finished
-    /// reading, oldest first: each is the payload `Vec` it was decoded
-    /// into, so the queue is the buffer and the record of frame
-    /// boundaries at once. A frame's credit returns when its last byte is
-    /// read (receiver-window semantics). Never holds an empty frame.
-    pub rx: VecDeque<Vec<u8>>,
+    /// reading, oldest first — held in their receive slots, or copied out —
+    /// so the queue is the buffer and the record of frame boundaries at
+    /// once. A frame's credit returns when its last byte is read
+    /// (receiver-window semantics). Never holds an empty frame.
+    pub rx: VecDeque<Rx>,
     /// Bytes already read from the front frame.
     pub rx_read: usize,
     /// Credits earned back but not yet returned to the peer (batched).
@@ -164,38 +179,63 @@ impl StreamState {
         }
     }
 
-    /// Queue an in-order data frame's payload. An empty one has no byte
+    /// Queue an in-order data frame. An empty one (never held) has no byte
     /// to wait for: it is credited at once instead (returns `true`), so a
     /// blocked reader never wakes to an empty frame.
-    pub fn push_frame(&mut self, payload: Vec<u8>) -> bool {
-        if payload.is_empty() {
+    pub fn push_frame(&mut self, frame: Rx) -> bool {
+        if frame.len() == 0 {
             self.pending_credit += 1;
             return true;
         }
-        self.rx.push_back(payload);
+        self.rx.push_back(frame);
         false
     }
 
-    /// Copy buffered bytes into `buf` across frame boundaries, one
-    /// `copy_from_slice` per frame touched. Returns the bytes copied and
-    /// how many frames that drained (each one is a credit to return).
-    pub fn read_into(&mut self, buf: &mut [u8]) -> (usize, u32) {
+    /// Copy buffered bytes into `buf` across frame boundaries, one copy per
+    /// frame touched: `read(slot, at, out)` fills `out` from a held frame's
+    /// byte `at`, and `release(slot)` takes back each slot whose frame was
+    /// read to its end. Returns the bytes copied and how many frames that
+    /// drained (each one is a credit to return).
+    pub fn read_into(
+        &mut self,
+        buf: &mut [u8],
+        mut read: impl FnMut(u64, usize, &mut [u8]),
+        mut release: impl FnMut(u64),
+    ) -> (usize, u32) {
         let (mut n, mut drained) = (0, 0);
         while let Some(front) = self.rx.front() {
             let k = (front.len() - self.rx_read).min(buf.len() - n);
             if k == 0 {
                 break;
             }
-            buf[n..n + k].copy_from_slice(&front[self.rx_read..self.rx_read + k]);
+            match front {
+                Rx::Held { slot, .. } => read(*slot, self.rx_read, &mut buf[n..n + k]),
+                Rx::Copied(b) => buf[n..n + k].copy_from_slice(&b[self.rx_read..self.rx_read + k]),
+            }
             n += k;
             self.rx_read += k;
             if self.rx_read == front.len() {
-                self.rx.pop_front();
+                if let Some(Rx::Held { slot, .. }) = self.rx.pop_front() {
+                    release(slot);
+                }
                 self.rx_read = 0;
                 drained += 1;
             }
         }
         (n, drained)
+    }
+
+    /// Drop every queued frame unread, handing each held slot to
+    /// `release`; returns how many frames that was (a credit each).
+    pub fn discard(&mut self, mut release: impl FnMut(u64)) -> u32 {
+        let frames = self.rx.len() as u32;
+        for frame in self.rx.drain(..) {
+            if let Rx::Held { slot, .. } = frame {
+                release(slot);
+            }
+        }
+        self.rx_read = 0;
+        frames
     }
 }
 
@@ -215,6 +255,8 @@ pub(crate) struct MuxCore {
     /// Accepting side: no transmission until the connecting side's QP
     /// proved itself (READY or any inbound frame).
     pub tx_open: bool,
+    /// Receive slots data frames hold unread (at most [`HELD_SLOTS`]).
+    pub held: usize,
     /// Terminal channel failure, if any (every stream errors with it).
     pub dead: Option<String>,
     /// Scratch the send CQ is drained into, reused across reaps.
@@ -232,6 +274,7 @@ impl MuxCore {
             // The connecting side created the QP and connects it before
             // any peer traffic can exist; only the accepting side gates.
             tx_open: initiator,
+            held: 0,
             dead: None,
             send_wcs: Vec::with_capacity(SEND_SLOTS),
         }
@@ -305,19 +348,15 @@ mod tests {
     use super::*;
 
     fn decode(bytes: &[u8]) -> Result<Frame> {
-        Frame::decode(bytes.len(), |at, buf| {
-            buf.copy_from_slice(&bytes[at..at + buf.len()]);
-            Ok(())
+        Frame::decode(bytes.len(), |head| {
+            head.copy_from_slice(&bytes[..head.len()])
         })
     }
 
     #[test]
     fn frames_round_trip() {
         for frame in [
-            Frame::Data {
-                stream: 7,
-                payload: b"payload".to_vec(),
-            },
+            Frame::Data { stream: 7, len: 0 },
             Frame::Credit { stream: 3, n: 8 },
             Frame::Fin { stream: 2 },
             Frame::Ready,
@@ -330,15 +369,18 @@ mod tests {
     #[test]
     fn data_frames_carry_empty_and_full_payloads() {
         for len in [0, MAX_PAYLOAD] {
-            let frame = Frame::Data {
-                stream: 1,
-                payload: vec![0xA5; len],
-            };
-            let wire = frame.encode();
-            assert_eq!(wire.len(), DATA_HDR + len);
-            assert!(wire.len() <= FRAME_SIZE, "a full payload fills one slot");
+            let frame = Frame::Data { stream: 1, len };
+            let mut wire = frame.encode();
+            wire.resize(DATA_HDR + len, 0xA5);
+            assert_eq!(
+                wire.len() == FRAME_SIZE,
+                len == MAX_PAYLOAD,
+                "a full frame fills one slot"
+            );
             assert_eq!(decode(&wire).unwrap(), frame);
             assert!(decode(&wire[..DATA_HDR - 1]).is_err());
+            wire.resize(FRAME_SIZE + 1, 0xA5);
+            assert!(decode(&wire).is_err(), "a frame longer than its slot");
         }
     }
 
@@ -359,24 +401,43 @@ mod tests {
 
     #[test]
     fn credits_return_only_when_bytes_leave_the_buffer() {
+        // Frame one lies in slot 3 of `slots`; frame two was copied out.
+        let slots: Vec<u8> = (0..=255).collect();
         let mut s = StreamState::new();
-        assert!(!s.push_frame((0..100).collect()));
-        assert!(!s.push_frame((100..150).collect()));
+        assert!(!s.push_frame(Rx::Held { slot: 3, len: 100 }));
+        assert!(!s.push_frame(Rx::Copied((100..150).collect())));
+        let mut released = Vec::new();
+        let mut read_into = |s: &mut StreamState, buf: &mut [u8]| {
+            let read = |slot: u64, at: usize, out: &mut [u8]| {
+                assert_eq!(slot, 3);
+                out.copy_from_slice(&slots[at..at + out.len()]);
+            };
+            s.read_into(buf, read, |slot| released.push(slot))
+        };
         let mut buf = [0u8; 100];
         assert_eq!(
-            s.read_into(&mut buf[..99]),
+            read_into(&mut s, &mut buf[..99]),
             (99, 0),
             "frame not fully drained"
         );
-        assert_eq!(s.read_into(&mut buf[99..]), (1, 1), "first frame drained");
-        assert_eq!(buf.to_vec(), (0..100).collect::<Vec<u8>>());
-        assert_eq!(s.read_into(&mut buf[..25]), (25, 0));
         assert_eq!(
-            s.read_into(&mut buf[25..50]),
+            read_into(&mut s, &mut buf[99..]),
+            (1, 1),
+            "first frame drained"
+        );
+        assert_eq!(buf.to_vec(), (0..100).collect::<Vec<u8>>());
+        assert_eq!(read_into(&mut s, &mut buf[..25]), (25, 0));
+        assert_eq!(
+            read_into(&mut s, &mut buf[25..50]),
             (25, 1),
             "second frame drained across reads"
         );
         assert_eq!(buf[..50].to_vec(), (100..150).collect::<Vec<u8>>());
         assert!(s.rx.is_empty());
+        assert_eq!(
+            released,
+            [3],
+            "the held slot goes back once, on its last byte"
+        );
     }
 }

@@ -783,6 +783,76 @@ mod tests {
         a_dropped_stream_drains_its_writer(false);
     }
 
+    /// Six streams each fill their credit window and are never read: more
+    /// frames than the channel may hold in receive slots, so the step
+    /// copies out those past the cap, and a seventh stream still round-trips
+    /// on the receives that leaves posted. Once every stalled stream is read
+    /// (byte-exact, held frames and copied ones alike) or dropped, every
+    /// receive slot is posted again.
+    fn stalled_streams_never_starve_the_receive_queue(same_host: bool) {
+        use crate::mux::{HELD_SLOTS, MAX_PAYLOAD, RECV_SLOTS, STREAM_WINDOW};
+        const STALLED: usize = 6;
+        let (_cluster, a, b) = two_containers(same_host);
+        let stack = SocketStack::new();
+        let listener = stack.bind(&b, 80).unwrap();
+        let accept = std::thread::spawn(move || {
+            let accepted = (0..=STALLED).map(|_| listener.accept(Duration::from_secs(10)));
+            accepted.map(Result::unwrap).collect::<Vec<_>>()
+        });
+        let mut clients: Vec<_> = (0..=STALLED)
+            .map(|_| stack.connect(&a, b.ip(), 80).unwrap())
+            .collect();
+        let mut servers = accept.join().unwrap();
+        let qp = Arc::clone(servers[0].qp());
+        assert!(servers.iter().all(|s| s.qp().qp_num() == qp.qp_num()));
+        let (mut probe_c, mut probe_s) = (clients.pop().unwrap(), servers.pop().unwrap());
+        let window: Vec<u8> = (0..STREAM_WINDOW * MAX_PAYLOAD)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        for c in &mut clients {
+            c.write_all(&window).unwrap();
+        }
+        let held = RECV_SLOTS - HELD_SLOTS;
+        wait_until(
+            "the cap's worth of slots held",
+            Duration::from_secs(5),
+            || qp.posted_recvs() == held && servers.iter().all(FfStream::readable),
+        );
+        let t0 = Instant::now();
+        let mut ping = *b"ping";
+        probe_c.write_all(&ping).unwrap();
+        probe_s.read_exact(&mut ping).unwrap();
+        probe_s.write_all(&ping).unwrap();
+        probe_c.read_exact(&mut ping).unwrap();
+        assert_eq!(&ping, b"ping");
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "round trip took {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(qp.posted_recvs(), held, "the round trip's slot went back");
+        let mut got = vec![0u8; window.len()];
+        for (i, mut s) in servers.into_iter().enumerate() {
+            if i % 2 == 1 {
+                s.read_exact(&mut got).unwrap();
+                assert_eq!(got, window, "stream {i} read other bytes");
+            }
+        }
+        wait_until("every receive posted again", Duration::from_secs(5), || {
+            qp.posted_recvs() == RECV_SLOTS
+        });
+    }
+
+    #[test]
+    fn stalled_streams_on_shared_memory_never_starve_the_receive_queue() {
+        stalled_streams_never_starve_the_receive_queue(true);
+    }
+
+    #[test]
+    fn stalled_streams_on_the_wire_never_starve_the_receive_queue() {
+        stalled_streams_never_starve_the_receive_queue(false);
+    }
+
     /// 256 streams on one relay channel each hold an unread frame, and the
     /// client drops them all at once: a credit and a FIN each, more
     /// control frames than the send queue's headroom. The ones that meet a

@@ -9,7 +9,7 @@ use freeflow::binding::BindingPhase;
 use freeflow::{Container, FreeFlowCluster};
 use freeflow_socket::{FfListener, FfStream, SocketStack};
 use freeflow_telemetry::LabelSet;
-use freeflow_types::{HostCaps, OverlayIp, TenantId};
+use freeflow_types::{HostCaps, OverlayIp, TenantId, TransportKind};
 use proptest::prelude::*;
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -246,8 +246,14 @@ proptest! {
         // Settle, then prove the recovery machinery disarmed: a fresh
         // transfer — on fresh sockets, which must land on the *same*
         // surviving pooled channel — adds nothing to the re-send counter.
+        // Settled means both ends bound on RDMA again: a QP that failed
+        // over sits bound on TCP until the library pump upgrades it, and
+        // that upgrade re-sends whatever is unanswered when it comes.
         wait_until("path settles post-restore", Duration::from_secs(10), || {
-            pair.clients[0].qp().binding_phase() == BindingPhase::Bound
+            [&pair.clients[0], &pair.servers[0]].iter().all(|s| {
+                s.qp().binding_phase() == BindingPhase::Bound
+                    && s.qp().path().transport() == Some(TransportKind::Rdma)
+            })
         });
         let qpn = pair.clients[0].qp().qp_num();
         reopen_streams(&mut pair, nstreams);

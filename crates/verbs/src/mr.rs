@@ -52,18 +52,17 @@ impl Storage {
         }
     }
 
-    /// Read `out.len()` bytes at `off`, a range checked against the
-    /// region.
-    fn read(&self, off: u64, out: &mut [u8]) -> VerbsResult<()> {
+    /// Hand `read` the `len` bytes at `off`, a range checked against the
+    /// region, and return what it returns.
+    fn read_with<R>(&self, off: u64, len: u64, read: impl FnOnce(&[u8]) -> R) -> VerbsResult<R> {
         match self {
             Storage::Private(buf) => {
                 let off = off as usize;
-                out.copy_from_slice(&buf.lock()[off..off + out.len()]);
-                Ok(())
+                Ok(read(&buf.lock()[off..off + len as usize]))
             }
-            Storage::Arena { arena, handle } => {
-                arena.read(*handle, off, out).map_err(out_of_bounds)
-            }
+            Storage::Arena { arena, handle } => arena
+                .read_with(*handle, off, len, read)
+                .map_err(out_of_bounds),
         }
     }
 
@@ -226,8 +225,20 @@ impl MemoryRegion {
 
     /// Application read from the region at `offset`.
     pub fn read(&self, offset: u64, out: &mut [u8]) -> VerbsResult<()> {
-        self.check_range(offset, out.len() as u64)?;
-        self.storage.read().read(offset, out)
+        self.read_with(offset, out.len() as u64, |bytes| out.copy_from_slice(bytes))
+    }
+
+    /// Hand `read` the `len` bytes at `offset` under the region's locks,
+    /// and return what it returns: a copy straight out of the region into
+    /// wherever `read` puts it, with no zero-filled buffer first.
+    pub fn read_with<R>(
+        &self,
+        offset: u64,
+        len: u64,
+        read: impl FnOnce(&[u8]) -> R,
+    ) -> VerbsResult<R> {
+        self.check_range(offset, len)?;
+        self.storage.read().read_with(offset, len, read)
     }
 
     /// Bounds-check `[offset, offset + len)`. Both ends may be chosen by
@@ -269,9 +280,7 @@ impl MemoryRegion {
     /// READ source).
     pub fn dma_read(&self, va: u64, len: u64) -> VerbsResult<Vec<u8>> {
         let off = self.va_to_offset(va, len)?;
-        let mut out = vec![0u8; len as usize];
-        self.read(off, &mut out)?;
-        Ok(out)
+        self.read_with(off, len, <[u8]>::to_vec)
     }
 
     /// [`MemoryRegion::dma_read`] appending into a caller-owned buffer:
@@ -562,12 +571,10 @@ impl Payload<'_> {
             Payload::Bytes(bytes) => Some(bytes.to_vec()),
             Payload::Block { arena, offset, len } => arena.take(offset, len).ok(),
             Payload::Local(from) => {
-                let mut out = vec![0u8; self.len() as usize];
-                let mut at = 0;
+                let mut out = Vec::with_capacity(self.len() as usize);
                 for s in from {
-                    let n = s.len as usize;
-                    s.mr.storage.read().read(s.off, &mut out[at..at + n]).ok()?;
-                    at += n;
+                    let storage = s.mr.storage.read();
+                    (storage.read_with(s.off, s.len, |b| out.extend_from_slice(b))).ok()?;
                 }
                 Some(out)
             }

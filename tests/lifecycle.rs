@@ -148,10 +148,34 @@ fn stream_survives_failover_then_upgrade_back_to_rdma() {
 
 #[test]
 fn stream_survives_remote_to_local_collapse_on_migration() {
+    stream_survives_collapse(false);
+}
+
+/// The server's container moves while the stream holds unread frames in
+/// its receive slots: the receive MR's rehome carries them, and the reader
+/// reads the same bytes on the new host.
+#[test]
+fn stream_survives_remote_to_local_collapse_with_unread_frames_held() {
+    stream_survives_collapse(true);
+}
+
+fn stream_survives_collapse(unread_held: bool) {
+    /// Full frames of 16 KiB each, written before the move, read after it.
+    const FRAMES: usize = 3;
     let (cluster, a, b, mut client, mut server) = streaming_pair();
     let h0 = a.host();
 
     roundtrip(&mut client, &mut server, b"before migration");
+    let unread: Vec<u8> = (0..FRAMES * 16 * 1024).map(|i| (i % 253) as u8).collect();
+    if unread_held {
+        let posted = server.qp().posted_recvs();
+        client.write_all(&unread).unwrap();
+        wait_until(
+            "the frames held in their slots",
+            Duration::from_secs(5),
+            || server.qp().posted_recvs() == posted - FRAMES,
+        );
+    }
     assert!(matches!(
         client.qp().path(),
         FfPath::Remote {
@@ -187,6 +211,12 @@ fn stream_survives_remote_to_local_collapse_on_migration() {
         client.qp().upgrade_count() >= 1,
         "shared memory outranks RDMA-over-relay"
     );
+
+    if unread_held {
+        let mut got = vec![0u8; unread.len()];
+        server.read_exact(&mut got).unwrap();
+        assert!(got == unread, "the held frames changed across the move");
+    }
 
     // Data still flows both ways over the collapsed path.
     roundtrip(&mut client, &mut server, b"co-located now");
